@@ -12,28 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .genseq import InsufficientGeneratingData, evaluate
-from .ring import INSUFFICIENT_PRECISION, SeriesEmbedding, substitute
+from .ring import SeriesEmbedding, substitute
 from .towers import SubfieldSpec, relative_dimension
-from .values import Value
+from .values import INFINITE, INSUFFICIENT_PRECISION, UNDETERMINED, Value
 
 
 class InconsistentRamification(Exception):
     """Declared ramification data contradicts the index formula."""
-
-
-class _Undetermined:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Undetermined"
-
-
-UNDETERMINED = _Undetermined()
 
 
 class ExtensionMap:
@@ -116,7 +101,6 @@ def defect_local_degree(mf, res_deg, e, f, p):
     """Defect from the monomial form: a*d*resDeg = e*f*p^delta."""
     if e < 1 or f < 1 or res_deg < 1:
         raise ValueError("e, f, resDeg must be positive")
-    from .values import INFINITE
     if mf.d is INFINITE:
         raise InconsistentRamification("d is infinite (x divides f)")
     local = mf.a * mf.d * res_deg
@@ -280,10 +264,6 @@ def _candidate_value(cand, f):
         return INSUFFICIENT_PRECISION
 
 
-def _candidate_ctx(cand):
-    return cand.ctx if isinstance(cand, SeriesEmbedding) else cand.ctx
-
-
 def splitting_report(candidates, ext, g_r, probes=(), value_bound=None,
                      samples=24, seed=0):
     """Compare candidate upstairs valuations against the downstairs one.
@@ -314,7 +294,7 @@ def splitting_report(candidates, ext, g_r, probes=(), value_bound=None,
     named = list(enumerate(candidates, start=1))
     for idx, cand in named:
         rep = CandidateReport("nu%d" % idx)
-        ctx = _candidate_ctx(cand)
+        ctx = cand.ctx
         xs = [ctx.x(), ctx.y()]
         doms = [_candidate_value(cand, el) for el in xs]
         rep.dominates = all(v is not INSUFFICIENT_PRECISION and v.sign() > 0
@@ -386,8 +366,8 @@ def _value_ratio(a, b):
 
 def _distinct_on(cand_a, cand_b, elems):
     """Distinctness as valuations, normalized on the first parameter."""
-    ctx_a, ctx_b = _candidate_ctx(cand_a), _candidate_ctx(cand_b)
-    if ctx_a is not ctx_b:
+    ctx_a = cand_a.ctx
+    if ctx_a is not cand_b.ctx:
         return False  # incomparable representations; no witness
     va0 = _candidate_value(cand_a, ctx_a.x())
     vb0 = _candidate_value(cand_b, ctx_a.x())

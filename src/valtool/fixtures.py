@@ -1,18 +1,18 @@
-"""Programmatic builders for the desk fixtures used across the test suite.
+"""The desk fixtures used across the test suite, loaded from the shipped
+scenario files.
 
-Each builder returns freshly constructed objects so tests cannot leak state
-into each other.  The same data ships as scenario files for the CLI.
+Each call parses its file afresh, so tests cannot leak state into each
+other, and the scenario files stay the one source of the fixture data.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from . import scenario_path
+from .scenario import _parse
 
-from .extension import ExtensionMap
-from .genseq import GenSeq, KeyStep, TailTerm
-from .ring import LocalRingCtx, SeriesEmbedding, TruncSeries, parse_poly
-from .towers import QQ, BaseField, ResidueTower
-from .values import Value, pi_descriptor
+
+def _load(name, **rings):
+    return _parse(scenario_path(name).read_text(), rings)
 
 
 def v1():
@@ -20,20 +20,7 @@ def v1():
 
     The attached oracle sends x to t^2 and y to t^3 + t^4.
     """
-    ctx = LocalRingCtx(ResidueTower(QQ), ("x", "y"))
-    t = ctx.tower
-    oracle = SeriesEmbedding(ctx, {
-        "x": TruncSeries(t, {2: t.one()}, 40),
-        "y": TruncSeries(t, {3: t.one(), 4: t.one()}, 40),
-    })
-    g = GenSeq(
-        ctx,
-        values=[Value(1), Value(Fraction(3, 2)), Value(Fraction(7, 2))],
-        steps=[KeyStep(1, 2, [TailTerm(t.scalar(-1), (3, 0))],
-                       Value(Fraction(7, 2)))],
-        oracle=oracle,
-    )
-    return g
+    return _load("v1").valuations["nu"]
 
 
 def corn():
@@ -42,160 +29,49 @@ def corn():
     Values 1, 3/2, 13/4, 55/8; every residue is 1 by declaration.  The
     growing group jumps make the (would-be infinite) sequence non-discrete.
     """
-    ctx = LocalRingCtx(ResidueTower(QQ), ("x", "y"))
-    t = ctx.tower
-    g = GenSeq(
-        ctx,
-        values=[Value(1), Value(Fraction(3, 2)), Value(Fraction(13, 4)),
-                Value(Fraction(55, 8))],
-        steps=[
-            KeyStep(1, 2, [TailTerm(t.scalar(-1), (3, 0))],
-                    Value(Fraction(13, 4))),
-            KeyStep(2, 2, [TailTerm(t.scalar(-1), (5, 1, 0))],
-                    Value(Fraction(55, 8))),
-        ],
-        residues={1: t.one(), 2: t.one(), 3: t.one()},
-    )
-    return g
+    return _load("corn").valuations["nu"]
 
 
 def def2():
     """Inseparable-defect fixture over GF(2): u -> x, v -> y^2.
 
-    The S-side valuation is t-adic through y = t + t^2 + t^4 + t^8 + t^16;
-    both graded rings collapse to a polynomial ring in the class of x.
+    Returns (nu, nustar, ext): downstairs, upstairs (t-adic through
+    y = t + t^2 + t^4 + t^8 + t^16) and the extension map.
     """
-    tower = ResidueTower(BaseField(2))
-    one = tower.one()
-    sctx = LocalRingCtx(tower, ("x", "y"))
-    rctx = LocalRingCtx(tower, ("u", "v"))
-    y_series = TruncSeries(tower, {1: one, 2: one, 4: one, 8: one, 16: one}, 32)
-    s_oracle = SeriesEmbedding(sctx, {
-        "x": TruncSeries(tower, {1: one}, 32),
-        "y": y_series,
-    })
-    # keys y+x, y+x+x^2, y+x+x^2+x^4, ... track the series partial sums
-    g_s = GenSeq(
-        sctx,
-        values=[Value(1), Value(1), Value(2), Value(4), Value(8), Value(16)],
-        steps=[
-            KeyStep(1, 1, [TailTerm(one, (1, 0))], Value(2)),
-            KeyStep(2, 1, [TailTerm(one, (2, 0, 0))], Value(4)),
-            KeyStep(3, 1, [TailTerm(one, (4, 0, 0, 0))], Value(8)),
-            KeyStep(4, 1, [TailTerm(one, (8, 0, 0, 0, 0))], Value(16)),
-        ],
-        oracle=s_oracle,
-    )
-    # the downstairs ring sees u = x, v = y^2
-    r_oracle = SeriesEmbedding(rctx, {
-        "u": TruncSeries(tower, {1: one}, 32),
-        "v": y_series * y_series,
-    })
-    g_r = GenSeq(
-        rctx,
-        values=[Value(1), Value(2), Value(4), Value(8), Value(16)],
-        steps=[
-            KeyStep(1, 1, [TailTerm(one, (2, 0))], Value(4)),
-            KeyStep(2, 1, [TailTerm(one, (4, 0, 0))], Value(8)),
-            KeyStep(3, 1, [TailTerm(one, (8, 0, 0, 0))], Value(16)),
-        ],
-        oracle=r_oracle,
-    )
-    ext = ExtensionMap(rctx, parse_poly("x", sctx), parse_poly("y^2", sctx),
-                       field_degree=2, residue_char=2, unique=True)
-    return g_r, g_s, ext
+    sc = _load("def2")
+    return sc.valuations["nu"], sc.valuations["nustar"], sc.extensions["ext"]
 
 
 def pi2():
     """Rational-rank-2 splitting fixture: u -> x^2, v -> y^2 over QQ.
 
-    nu1 values x at 1 and y - x at pi + 1; nu2 uses y + x instead.  Their
-    common restriction gives u value 2 and v - u value pi + 2.
+    Returns (nu, nu1, nu2, ext): nu1 values y - x at pi + 1, nu2 uses y + x,
+    and both restrict to nu (u at 2, v - u at pi + 2).
     """
-    pi = pi_descriptor()
-    tower = ResidueTower(QQ)
-    one = tower.one()
-    sctx = LocalRingCtx(tower, ("x", "y"))
-    rctx = LocalRingCtx(tower, ("u", "v"))
-    nu1 = GenSeq(
-        sctx,
-        values=[Value(1), Value(1), Value(1, 1, pi)],
-        steps=[KeyStep(1, 1, [TailTerm(tower.scalar(-1), (1, 0))],
-                       Value(1, 1, pi))],
-        residues={1: one},
-    )
-    nu2 = GenSeq(
-        sctx,
-        values=[Value(1), Value(1), Value(1, 1, pi)],
-        steps=[KeyStep(1, 1, [TailTerm(one, (1, 0))], Value(1, 1, pi))],
-        residues={1: tower.scalar(-1)},
-    )
-    nu_r = GenSeq(
-        rctx,
-        values=[Value(2), Value(2), Value(2, 1, pi)],
-        steps=[KeyStep(1, 1, [TailTerm(tower.scalar(-1), (1, 0))],
-                       Value(2, 1, pi))],
-        residues={1: one},
-    )
-    ext = ExtensionMap(rctx, parse_poly("x^2", sctx), parse_poly("y^2", sctx),
-                       field_degree=4, residue_char=0, unique=False)
-    return nu_r, nu1, nu2, ext
+    sc = _load("pi2")
+    return (sc.valuations["nu"], sc.valuations["nu1"], sc.valuations["nu2"],
+            sc.extensions["ext"])
 
 
 def pi2_blown_up_pair():
     """One quadratic transform on both sides of the pi fixture.
 
-    Upstairs parameters (x, z) with z = (y - x)/x; downstairs (u, w) with
-    w = (v - u)/u.  The extension map sends u to x^2 and w to z^2 + 2z,
-    which has the monomial shape needed by the local-degree formula.
+    Returns (R1, S1, ext) with u -> x^2 and w -> z^2 + 2z, the monomial
+    shape needed by the local-degree formula.
     """
-    tower = ResidueTower(QQ)
-    s1 = LocalRingCtx(tower, ("x", "z"), provenance=("quadratic transform",))
-    r1 = LocalRingCtx(tower, ("u", "w"), provenance=("quadratic transform",))
-    ext = ExtensionMap(r1, parse_poly("x^2", s1), parse_poly("z^2 + 2*z", s1),
-                       field_degree=4, residue_char=0, unique=False)
-    return r1, s1, ext
+    sc = _load("pi2")
+    return sc.rings["R1"], sc.rings["S1"], sc.extensions["extblown"]
 
 
 def disc():
     """Discrete splitting fixture: v - u*p(u) with p truncated to order 8.
 
-    p(u) = 1 + u + u^3 + u^7 stands in for a transcendental unit series.
-    The two upstairs candidates take y to +- x*sqrt(p(x^2)), truncated.
+    Returns (nu, branch1, branch2, ext); the two upstairs series oracles
+    take y to +- x*sqrt(p(x^2)), truncated.
     """
-    tower = ResidueTower(QQ)
-    one = tower.one()
-    sctx = LocalRingCtx(tower, ("x", "y"))
-    rctx = LocalRingCtx(tower, ("u", "v"))
-
-    # v = u * p(u) as a series in t (u -> t), exact below t^9
-    v_series = TruncSeries(tower, {1: one, 2: one, 4: one, 8: one}, 9)
-    nu_r_oracle = SeriesEmbedding(rctx, {
-        "u": TruncSeries(tower, {1: one}, 9),
-        "v": v_series,
-    })
-    g_r = GenSeq(
-        rctx,
-        values=[Value(1), Value(1), Value(2), Value(4), Value(8)],
-        steps=[
-            KeyStep(1, 1, [TailTerm(tower.scalar(-1), (1, 0))], Value(2)),
-            KeyStep(2, 1, [TailTerm(tower.scalar(-1), (2, 0, 0))], Value(4)),
-            KeyStep(3, 1, [TailTerm(tower.scalar(-1), (4, 0, 0, 0))], Value(8)),
-        ],
-        oracle=nu_r_oracle,
-    )
-
-    sqrt = _sqrt_series(tower, {0: Fraction(1), 2: Fraction(1),
-                                6: Fraction(1), 14: Fraction(1)}, 16)
-    t_x = TruncSeries(tower, {1: one}, 17)
-    y_plus = _shift_series(sqrt, 1)          # x * sqrt(p(x^2))
-    y_minus = _negate_series(y_plus)
-    nu1 = SeriesEmbedding(sctx, {"x": t_x, "y": y_plus})
-    nu2 = SeriesEmbedding(sctx, {"x": t_x, "y": y_minus})
-
-    ext = ExtensionMap(rctx, parse_poly("x^2", sctx), parse_poly("y^2", sctx),
-                       field_degree=4, residue_char=0, unique=False)
-    return g_r, nu1, nu2, ext
+    sc = _load("disc")
+    return (sc.valuations["nu"], sc.embeddings["branch1"],
+            sc.embeddings["branch2"], sc.extensions["ext"])
 
 
 def disc_s_side(sctx=None):
@@ -204,55 +80,5 @@ def disc_s_side(sctx=None):
     Pass the upstairs context of an existing DISC extension to keep ring
     identities aligned across objects.
     """
-    tower = sctx.tower if sctx is not None else ResidueTower(QQ)
-    one = tower.one()
-    if sctx is None:
-        sctx = LocalRingCtx(tower, ("x", "y"))
-    sqrt = _sqrt_series(tower, {0: Fraction(1), 2: Fraction(1),
-                                6: Fraction(1), 14: Fraction(1)}, 16)
-    oracle = SeriesEmbedding(sctx, {
-        "x": TruncSeries(tower, {1: one}, 17),
-        "y": _shift_series(sqrt, 1),
-    })
-    return GenSeq(
-        sctx,
-        values=[Value(1), Value(1), Value(3), Value(5)],
-        steps=[
-            KeyStep(1, 1, [TailTerm(tower.scalar(-1), (1, 0))], Value(3)),
-            KeyStep(2, 1, [TailTerm(tower.scalar(Fraction(-1, 2)), (3, 0, 0))],
-                    Value(5)),
-        ],
-        oracle=oracle,
-    )
-
-
-def _sqrt_series(tower, unit_coeffs, trunc):
-    """Square root of a unit series with leading coefficient 1, truncated."""
-    coeffs = {Fraction(e): Fraction(c) for e, c in unit_coeffs.items()}
-    if coeffs.get(Fraction(0)) != 1:
-        raise ValueError("square root needs constant term 1")
-    out = {Fraction(0): Fraction(1)}
-    exps = sorted(e for e in coeffs if e > 0)
-    step = exps[0] if exps else Fraction(1)
-    e = step
-    while e < trunc:
-        # coefficient of t^e in out^2 must match coeffs
-        acc = Fraction(0)
-        for e1, c1 in out.items():
-            c2 = out.get(e - e1)
-            if c2 is not None and e1 != e:
-                acc += c1 * c2
-        target = coeffs.get(e, Fraction(0))
-        out[e] = (target - acc) / 2
-        e += step
-    return TruncSeries(tower, {e: tower.scalar(c) for e, c in out.items()},
-                       trunc)
-
-
-def _shift_series(s, k):
-    return TruncSeries(s.tower, {e + k: c for e, c in s.coeffs.items()},
-                       s.trunc + k)
-
-
-def _negate_series(s):
-    return TruncSeries(s.tower, {e: -c for e, c in s.coeffs.items()}, s.trunc)
+    sc = _load("disc") if sctx is None else _load("disc", S=sctx)
+    return sc.valuations["nustar"]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .ring import divmod_y, series_value
 from .towers import SubfieldSpec, relative_dimension, span_closure
-from .values import INFINITE, Value
+from .values import INFINITE, INSUFFICIENT_PRECISION, Value
 
 
 class PreconditionError(Exception):
@@ -106,7 +106,9 @@ class GenSeq:
         for i, step in enumerate(self.steps, start=1):
             if step.index != i:
                 raise ValueError("steps must be consecutive from index 1")
-        self.keys = self._build_keys()
+        self.keys = [ctx.x(), ctx.y()]
+        for step in self.steps:
+            self.keys.append(next_key(self.keys, step))
         self.levels = []
         for i in range(1, self.top + 1):
             self.levels.append(self._derive_level(i))
@@ -138,11 +140,7 @@ class GenSeq:
         return v
 
     def monomial(self, exps):
-        out = self.ctx.one()
-        for key, e in zip(self.keys, exps):
-            if e:
-                out = out * key ** e
-        return out
+        return _key_monomial(self.keys, exps, 1)
 
     def caps(self):
         """Effective exponent bound per level index (None = unbounded)."""
@@ -150,19 +148,6 @@ class GenSeq:
         for lvl in self.levels:
             out[lvl.index] = lvl.cap
         return out
-
-    def _build_keys(self):
-        keys = [self.ctx.x(), self.ctx.y()]
-        for step in self.steps:
-            nxt = keys[step.index] ** step.power
-            for term in step.tail:
-                mono = self.ctx.const(term.coeff)
-                for key, e in zip(keys, term.exps):
-                    if e:
-                        mono = mono * key ** e
-                nxt = nxt + mono
-            keys.append(nxt)
-        return keys
 
     def _derive_level(self, i):
         lvl = LevelData(i)
@@ -213,7 +198,6 @@ class GenSeq:
             except ValueError as err:
                 lvl.issues.append("oracle residue at level %d: %s" % (i, err))
                 return declared
-            from .ring import INSUFFICIENT_PRECISION
             if res is INSUFFICIENT_PRECISION:
                 lvl.issues.append(
                     "oracle precision exhausted for residue at level %d" % i)
@@ -229,6 +213,22 @@ class GenSeq:
     def __repr__(self):
         return "GenSeq(%d keys, values=%r%s)" % (
             len(self.keys), self.values, ", terminal" if self.terminal else "")
+
+
+def next_key(keys, step):
+    """P_{i+1} = P_i^{n_i} + tail, from the keys P_0 .. P_i built so far."""
+    out = keys[step.index] ** step.power
+    for term in step.tail:
+        out = out + _key_monomial(keys, term.exps, term.coeff)
+    return out
+
+
+def _key_monomial(keys, exps, coeff):
+    out = keys[0].ctx.const(coeff)
+    for key, e in zip(keys, exps):
+        if e:
+            out = out * key ** e
+    return out
 
 
 def _group_jump(values, i):
@@ -435,18 +435,19 @@ def evaluate(f, g):
     otherwise the residue sum of the minimal group decides, and a vanishing
     sum means the declared prefix cannot see the true value.
     """
+    return _minimal_group(f, g)[0]
+
+
+def _minimal_group(f, g):
+    """Certified value of f and the terms of its one expansion attaining it."""
     if f.is_zero():
         raise PreconditionError("value of zero")
     exp = expand(f, g)
     gamma = exp.min_value()
     mins = exp.min_terms()
-    if len(mins) == 1:
-        return gamma
-    if all(_is_reduced(e, g) for _, e, _ in mins):
-        return gamma
-    rho = residue_sum(mins, g)
-    if not rho.is_zero():
-        return gamma
+    if (len(mins) == 1 or all(_is_reduced(e, g) for _, e, _ in mins)
+            or not residue_sum(mins, g).is_zero()):
+        return gamma, mins
     raise InsufficientGeneratingData(
         "the minimal form of value %r cancels in the residue field; "
         "deciding the value needs a key beyond the declared prefix" % gamma)
@@ -454,7 +455,10 @@ def evaluate(f, g):
 
 def residue_sum(terms, g):
     """Sum of c_k * [M_k / M_ref] over equal-value terms, M_ref the first."""
-    ref = terms[0][1]
+    return _residue_sum(terms, terms[0][1], g)
+
+
+def _residue_sum(terms, ref, g):
     total = g.ctx.tower.zero()
     for c, e, *_ in terms:
         ratio = [a - b for a, b in zip(list(e) + [0] * len(ref),
@@ -474,27 +478,17 @@ def reference_monomial(gamma, g):
 def residue_against_reference(f, g):
     """Residue of f relative to the canonical monomial of its value.
 
-    Nonzero exactly because evaluate() certified the value first.
+    Nonzero exactly because the value was certified first.
     """
-    exp = expand(f, g)
-    gamma = evaluate(f, g)
-    ref = reference_monomial(gamma, g)
-    mins = [(c, e) for c, e, v in exp.terms if v == gamma]
-    total = g.ctx.tower.zero()
-    for c, e in mins:
-        ratio = [a - b for a, b in zip(list(e) + [0] * len(ref),
-                                       list(ref) + [0] * len(e))]
-        total = total + c * residue_of_monomial(ratio, g)
-    return total
+    gamma, mins = _minimal_group(f, g)
+    return _residue_sum(mins, reference_monomial(gamma, g), g)
 
 
 def initial_form(f, g):
     """Initial form of f in the graded ring of the declared prefix."""
     from .graded import GradedElem
-    gamma = evaluate(f, g)
-    exp = expand(f, g)
-    coeffs = {e: c for c, e, v in exp.terms if v == gamma}
-    return GradedElem(g, gamma, coeffs)
+    gamma, mins = _minimal_group(f, g)
+    return GradedElem(g, gamma, {e: c for c, e, _ in mins})
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +655,6 @@ def validate_sequence(g):
     if g.oracle is not None:
         for i, key in enumerate(g.keys):
             sv = series_value(key, g.oracle)
-            from .ring import INSUFFICIENT_PRECISION
             if sv is INSUFFICIENT_PRECISION:
                 report.warn("oracle cannot confirm the value of key %d" % i)
             else:

@@ -470,7 +470,7 @@ class Verdict:
 
 class AlignmentState:
     def __init__(self, levels, verdict, e, f, matched, certificates,
-                 witnesses, notes):
+                 witnesses, notes, caveats):
         self.levels = levels
         self.verdict = verdict
         self.e = e
@@ -479,6 +479,7 @@ class AlignmentState:
         self.certificates = certificates
         self.witnesses = witnesses      # obstruction membership failures
         self.notes = list(notes)
+        self.caveats = list(caveats)    # limits of the verdict, for reports
 
     def lines(self):
         out = [repr(l) for l in self.levels]
@@ -618,10 +619,9 @@ def fingen_detect(g_r, g_s, ext, depth):
     final = levels[-1] if levels else None
     e = final.lam if final else None
     f = final.chi if final else None
-    state = AlignmentState(levels, verdict, e, f, matched, certificates,
-                           witnesses, notes)
-    state.caveats = ["verdict certified only to depth %d" % s_max]
-    return state
+    return AlignmentState(levels, verdict, e, f, matched, certificates,
+                          witnesses, notes,
+                          ["verdict certified only to depth %d" % s_max])
 
 
 def _match_next(g_r, g_s, image_values, sigma, tau, cur, nxt):

@@ -11,29 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .towers import SubfieldSpec, TowerElem
-from .values import Value
+from .values import INFINITE, INSUFFICIENT_PRECISION, Value
 
 
 class NotRegularAfterSubstitution(Exception):
     """A Laurent substitution left a negative exponent behind."""
-
-
-class _InsufficientPrecision:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "InsufficientPrecision"
-
-    def __bool__(self):
-        return False
-
-
-INSUFFICIENT_PRECISION = _InsufficientPrecision()
 
 
 class LocalRingCtx:
@@ -329,7 +311,6 @@ def order_mod_x(f):
 
     This is the order of f mod x in the discrete valuation ring R/xR.
     """
-    from .values import INFINITE
     if f.is_zero():
         raise ValueError("order of zero")
     js = [j for (i, j) in f.terms if i == 0]

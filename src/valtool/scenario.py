@@ -23,6 +23,7 @@ from .genseq import (
     _expand_raw,
     evaluate,
     expand,
+    next_key,
     validate_sequence,
 )
 from .ring import (
@@ -127,6 +128,11 @@ def _parse_series(text, tower, trunc, line):
 
 def parse_scenario(text):
     """Parse scenario text; errors carry the offending line number."""
+    return _parse(text, {})
+
+
+def _parse(text, given_rings):
+    """parse_scenario, taking the ring objects in given_rings by name."""
     scenario = Scenario()
     section = None
     name = None
@@ -140,7 +146,7 @@ def parse_scenario(text):
             if section == "ring":
                 if "params" not in state:
                     raise ScenarioError("ring %r missing params" % name, line)
-                scenario.rings[name] = LocalRingCtx(
+                scenario.rings[name] = given_rings.get(name) or LocalRingCtx(
                     scenario.tower, tuple(state["params"]),
                     ring_levels=state.get("levels"))
             elif section == "embedding":
@@ -328,25 +334,12 @@ def _build_valuation(scenario, name, state, line):
     for idx, (power, vtext, ttext, kline) in enumerate(state.get("keys", ()),
                                                        start=1):
         next_value = _parse_value(vtext, scenario, kline)
-        extra = {"P%d" % i: keys[i] for i in range(2, len(keys))}
-        try:
-            tail_poly = parse_poly(ttext, ctx, extra_vars=extra)
-        except PolyParseError as err:
-            raise ScenarioError("key %d tail: %s" % (idx, err), kline)
-        tail = []
-        if not tail_poly.is_zero():
-            for exps, c in sorted(_expand_raw(tail_poly, keys,
-                                              len(keys) - 1).items()):
-                tail.append(TailTerm(c, exps))
+        tail_poly = _parse_elem(ttext, ctx, keys, kline, "key %d tail" % idx)
+        tail = [] if tail_poly.is_zero() else [
+            TailTerm(c, exps) for exps, c in
+            sorted(_expand_raw(tail_poly, keys, len(keys) - 1).items())]
         steps.append(KeyStep(idx, power, tail, next_value))
-        nxt = keys[idx] ** power
-        for term in tail:
-            mono = ctx.const(term.coeff)
-            for k, e in zip(keys, term.exps):
-                if e:
-                    mono = mono * k ** e
-            nxt = nxt + mono
-        keys.append(nxt)
+        keys.append(next_key(keys, steps[-1]))
         values.append(next_value)
     oracle = None
     if "oracle" in state:
@@ -376,10 +369,8 @@ def _build_extension(scenario, name, state, line):
         if pname not in sctx.param_names:
             raise ScenarioError("image for unknown parameter %r" % pname,
                                 pline)
-        try:
-            images[pname] = parse_poly(ptext, dctx)
-        except PolyParseError as err:
-            raise ScenarioError("image of %r: %s" % (pname, err), pline)
+        images[pname] = _parse_elem(ptext, dctx, (), pline,
+                                    "image of %r" % pname)
     missing = [p for p in sctx.param_names if p not in images]
     if missing:
         raise ScenarioError("extension %r misses images for %s"
@@ -488,7 +479,7 @@ def _dispatch(scenario, flags, section, line, verb, args):
             section.fault = "validation failed"
     elif verb == "eval":
         g = _resolve(scenario, "valuation", args[0], line)
-        f = _parse_elem(scenario, g, " ".join(args[1:]), line)
+        f = _parse_elem(" ".join(args[1:]), g.ctx, g.keys, line)
         v = evaluate(f, g)
         section.add("value %r" % v)
         if g.oracle is not None:
@@ -496,7 +487,7 @@ def _dispatch(scenario, flags, section, line, verb, args):
             section.add("oracle %r" % (sv,))
     elif verb == "expand":
         g = _resolve(scenario, "valuation", args[0], line)
-        f = _parse_elem(scenario, g, " ".join(args[1:]), line)
+        f = _parse_elem(" ".join(args[1:]), g.ctx, g.keys, line)
         exp = expand(f, g)
         for c, e, v in exp.terms:
             section.add("term %r * P^%r  value %r" % (c, list(e), v))
@@ -548,9 +539,9 @@ def _dispatch(scenario, flags, section, line, verb, args):
         probes = []
         if "probe" in rest:
             k = rest.index("probe")
-            probe_texts, rest = rest[k + 1:], rest[:k]
-            tctx = ext.target_ctx
-            probes = [parse_poly(t, tctx) for t in probe_texts]
+            probes = [_parse_elem(" ".join(rest[k + 1:]), ext.target_ctx, (),
+                                  line)]
+            rest = rest[:k]
         cands = [_candidate(scenario, n, line) for n in rest]
         rep = splitting_report(cands, ext, g_r, probes=probes,
                                value_bound=flags.value_bound, seed=flags.seed)
@@ -559,9 +550,11 @@ def _dispatch(scenario, flags, section, line, verb, args):
         raise ScenarioError("unknown command %r" % verb, line)
 
 
-def _parse_elem(scenario, g, text, line):
-    extra = {"P%d" % i: g.keys[i] for i in range(2, len(g.keys))}
+def _parse_elem(text, ctx, keys, line, what=None):
+    """Polynomial text in ctx, with P2, P3, ... naming keys[2:]."""
+    extra = {"P%d" % i: keys[i] for i in range(2, len(keys))}
     try:
-        return parse_poly(text, g.ctx, extra_vars=extra)
+        return parse_poly(text, ctx, extra_vars=extra)
     except PolyParseError as err:
-        raise ScenarioError("bad element %r: %s" % (text, err), line)
+        raise ScenarioError("%s: %s" % (what or "bad element %r" % text, err),
+                            line)

@@ -833,8 +833,3 @@ def minimal_polynomial(e, sub):
         powers.append(power)
         if r > tower.degree():
             raise ArithmeticError("no dependence found below the tower degree")
-
-
-def tower_extend(t, name, minpoly):
-    """Extend a tower by one level (functional form of ResidueTower.extend)."""
-    return t.extend(name, minpoly)

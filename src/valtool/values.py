@@ -29,21 +29,26 @@ class ContainmentError(Exception):
     """A lattice-index request where the alleged sublattice is not contained."""
 
 
-class _Infinite:
-    """Sentinel for infinite group indices."""
+class _Sentinel:
+    """A named marker compared by identity; each constant is one instance."""
 
-    _instance = None
+    __slots__ = ("_name", "_truth")
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name, truth=True):
+        self._name = name
+        self._truth = truth
 
     def __repr__(self):
-        return "Infinite"
+        return self._name
+
+    def __bool__(self):
+        return self._truth
 
 
-INFINITE = _Infinite()
+INFINITE = _Sentinel("Infinite")  # an infinite group index
+# a series oracle truncated too early to see the answer; falsy, unlike values
+INSUFFICIENT_PRECISION = _Sentinel("InsufficientPrecision", truth=False)
+UNDETERMINED = _Sentinel("Undetermined")  # a formula whose hypotheses fail
 
 
 # Decimal digits of pi; enough for interval tables far beyond desk scale.

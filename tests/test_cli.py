@@ -8,6 +8,7 @@ from valtool.cli import main
 from valtool.scenario import ScenarioError, parse_scenario, run_scenario
 
 SCN = Path(__file__).resolve().parents[1] / "src" / "valtool" / "scenarios"
+SHIPPED = sorted(p.stem for p in SCN.glob("*.scn"))
 
 
 def run_cli(*argv):
@@ -17,7 +18,7 @@ def run_cli(*argv):
     return code, buf.getvalue()
 
 
-@pytest.mark.parametrize("name", ["v1", "def2", "pi2", "disc"])
+@pytest.mark.parametrize("name", SHIPPED)
 def test_fixtures_run_clean(name):
     code, out = run_cli("run", str(SCN / ("%s.scn" % name)))
     assert code == 0
@@ -25,11 +26,37 @@ def test_fixtures_run_clean(name):
     assert "FAIL " not in out
 
 
-@pytest.mark.parametrize("name", ["v1", "def2", "pi2", "disc"])
+@pytest.mark.parametrize("name", SHIPPED)
 def test_fixtures_check(name):
     code, out = run_cli("check", str(SCN / ("%s.scn" % name)))
     assert code == 0
     assert "INVALID" not in out
+
+
+def _disc_with_probe(probe):
+    text = (SCN / "disc.scn").read_text()
+    return text.replace("probe y-x", "probe " + probe)
+
+
+def test_split_probe_is_one_polynomial():
+    # section titles echo the command text; the bodies must agree
+    bodies = [[(s.lines, s.fault) for s in
+               run_scenario(parse_scenario(_disc_with_probe(p))).sections]
+              for p in ("y-x", "y - x")]
+    assert "splitting witnessed: True" in bodies[0][3][0]
+    assert bodies[0] == bodies[1]
+
+
+def test_malformed_probe_is_a_parse_error(tmp_path):
+    bad = tmp_path / "probe.scn"
+    bad.write_text(_disc_with_probe("y - - x"))
+    line = 1 + bad.read_text().splitlines().index(
+        "split ext nu candidates branch1 branch2 probe y - - x")
+    code, _ = run_cli("run", str(bad))
+    assert code == 2
+    with pytest.raises(ScenarioError) as err:
+        run_scenario(parse_scenario(bad.read_text()))
+    assert err.value.line == line
 
 
 def test_determinism():

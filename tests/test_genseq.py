@@ -314,3 +314,19 @@ def test_rank_two_evaluation():
     g = parse_poly("y - x", nu1.ctx)
     assert evaluate(g, nu1) == Value(1, 1, pi)
     assert evaluate(g, nu2) == Value(1)
+
+
+def test_answers_expand_once(v1, monkeypatch):
+    import valtool.genseq as genseq
+    calls = []
+
+    def counting_expand(f, g):
+        calls.append(f)
+        return expand(f, g)
+
+    monkeypatch.setattr(genseq, "expand", counting_expand)
+    f = parse_poly("y^2 + x^3", v1.ctx)
+    for answer in (genseq.initial_form, genseq.residue_against_reference):
+        calls.clear()
+        answer(f, v1)
+        assert len(calls) == 1, answer.__name__

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from valtool import fixtures
 from valtool.ring import (
     INSUFFICIENT_PRECISION,
     LocalRingCtx,
@@ -214,3 +215,25 @@ def test_series_inverse(ctx):
     prod = s * inv
     assert prod.order() == 0
     assert all(c.is_zero() for e, c in prod.coeffs.items() if e != 0)
+
+
+def test_shipped_series_encode_their_identities():
+    # each identity holds below the truncation of the squared series
+    def below(series, trunc):
+        return {e: c for e, c in series.coeffs.items() if e < trunc}
+
+    _, branch1, branch2, _ = fixtures.disc()
+    tower = branch1.images["y"].tower
+    # y^2 = x^2 * p(x^2) with p(u) = 1 + u + u^3 + u^7
+    want = TruncSeries(tower, {e: tower.one() for e in (2, 4, 8, 16)}, 10 ** 9)
+    for branch in (branch1, branch2):
+        sq = branch.images["y"] * branch.images["y"]
+        assert sq.trunc > 16
+        assert below(sq, sq.trunc) == below(want, sq.trunc)
+    # def2: v = y^2 through the extension u -> x, v -> y^2
+    g_r, g_s, _ = fixtures.def2()
+    sq = g_s.oracle.images["y"] * g_s.oracle.images["y"]
+    v = g_r.oracle.images["v"]
+    trunc = min(sq.trunc, v.trunc)
+    assert below(sq, trunc) == below(v, trunc)
+    assert max(v.coeffs) < trunc

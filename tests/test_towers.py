@@ -14,7 +14,6 @@ from valtool.towers import (
     minimal_polynomial,
     relative_dimension,
     subfield_dimension,
-    tower_extend,
 )
 
 
@@ -24,7 +23,7 @@ def gf(p):
 
 def test_f4_construction():
     f2 = gf(2)
-    f4 = tower_extend(f2, "a", [1, 1])  # u^2 + u + 1
+    f4 = f2.extend("a", [1, 1])  # u^2 + u + 1
     assert f4.degree() == 2
     assert len(list(f4.elements())) == 4
     a = f4.gen("a")
@@ -34,18 +33,18 @@ def test_f4_construction():
 
 def test_degree_one_adjoin_rejected():
     with pytest.raises(NotAFieldExtension):
-        tower_extend(ResidueTower(QQ), "a", [-1])  # u - 1
+        ResidueTower(QQ).extend("a", [-1])  # u - 1
 
 
 def test_reducible_rejected_with_root():
     f2 = gf(2)
     with pytest.raises(NotAFieldExtension) as err:
-        tower_extend(f2, "a", [1, 0])  # u^2 + 1 = (u+1)^2 over GF(2)
+        f2.extend("a", [1, 0])  # u^2 + 1 = (u+1)^2 over GF(2)
     assert err.value.root is not None
 
 
 def test_sqrt2_tower():
-    t = tower_extend(ResidueTower(QQ), "r", [-2, 0])  # u^2 - 2
+    t = ResidueTower(QQ).extend("r", [-2, 0])  # u^2 - 2
     r = t.gen("r")
     assert r * r == t.scalar(2)
     e = r + 1

@@ -106,3 +106,16 @@ def test_smallest_multiple_in_group():
     assert smallest_multiple_in_group(Value(2), gens) == 1
     with pytest.raises(ContainmentError):
         smallest_multiple_in_group(Value(0, 1, PI), gens)
+
+
+def test_sentinels_keep_repr_truth_and_homes():
+    from valtool import extension, ring, values
+    sentinels = {"INFINITE": "Infinite",
+                 "INSUFFICIENT_PRECISION": "InsufficientPrecision",
+                 "UNDETERMINED": "Undetermined"}
+    for name, text in sentinels.items():
+        s = getattr(values, name)
+        assert repr(s) == text
+        assert bool(s) == (name != "INSUFFICIENT_PRECISION")
+    assert ring.INSUFFICIENT_PRECISION is values.INSUFFICIENT_PRECISION
+    assert extension.UNDETERMINED is values.UNDETERMINED
