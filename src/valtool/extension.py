@@ -14,7 +14,13 @@ from fractions import Fraction
 from .genseq import InsufficientGeneratingData, evaluate
 from .ring import SeriesEmbedding, substitute
 from .towers import SubfieldSpec, relative_dimension
-from .values import INFINITE, INSUFFICIENT_PRECISION, UNDETERMINED, Value
+from .values import (
+    INFINITE,
+    INSUFFICIENT_PRECISION,
+    UNDETERMINED,
+    Value,
+    value_ratio,
+)
 
 
 class InconsistentRamification(Exception):
@@ -316,8 +322,8 @@ def splitting_report(candidates, ext, g_r, probes=(), value_bound=None,
                 continue
             rep.tested += 1
             if scale is None:
-                ratio = _value_ratio(got, want)
-                if ratio is None:
+                ratio = value_ratio(got, want)
+                if ratio is None or ratio <= 0:
                     ok = False
                     rep.diagnosis = ("image value %r is not a rational "
                                      "multiple of %r" % (got, want))
@@ -351,19 +357,6 @@ def splitting_report(candidates, ext, g_r, probes=(), value_bound=None,
     return SplittingReport(reports, distinct_pairs, witnessed)
 
 
-def _value_ratio(a, b):
-    """a / b as a positive rational when the values are proportional."""
-    if b.q1 == 0:
-        if a.q1 != 0 or b.q0 == 0:
-            return None
-        r = a.q0 / b.q0
-    else:
-        r = a.q1 / b.q1
-        if a.q0 != b.q0 * r:
-            return None
-    return r if r > 0 else None
-
-
 def _distinct_on(cand_a, cand_b, elems):
     """Distinctness as valuations, normalized on the first parameter."""
     ctx_a = cand_a.ctx
@@ -373,8 +366,8 @@ def _distinct_on(cand_a, cand_b, elems):
     vb0 = _candidate_value(cand_b, ctx_a.x())
     if INSUFFICIENT_PRECISION in (va0, vb0):
         return False
-    scale = _value_ratio(vb0, va0)
-    if scale is None:
+    scale = value_ratio(vb0, va0)
+    if scale is None or scale <= 0:
         return True
     for el in elems:
         if el.is_zero() or el.ctx is not ctx_a:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .ring import divmod_y, series_value
 from .towers import SubfieldSpec, relative_dimension, span_closure
-from .values import INFINITE, INSUFFICIENT_PRECISION, Value
+from .values import INFINITE, INSUFFICIENT_PRECISION, Value, value_ratio
 
 
 class PreconditionError(Exception):
@@ -35,8 +35,13 @@ class InsufficientGeneratingData(Exception):
     """A residue tie requires a key beyond the declared prefix.
 
     Assigning a value past the prefix is a semantic choice only the caller
-    can make, so the tool refuses to guess.
+    can make, so the tool refuses to guess.  ``value`` is the minimal value
+    whose form cancelled (the true value lies above it), when known.
     """
+
+    def __init__(self, message, value=None):
+        super().__init__(message)
+        self.value = value
 
 
 class InternalInconsistency(Exception):
@@ -101,6 +106,7 @@ class GenSeq:
         self.steps = list(steps)
         self.declared_residues = dict(residues or {})
         self.oracle = oracle
+        self._equal_tails = {}
         if len(self.values) != len(self.steps) + 2:
             raise ValueError("need one value per key: 2 + number of steps")
         for i, step in enumerate(self.steps, start=1):
@@ -131,6 +137,24 @@ class GenSeq:
 
     def step(self, i):
         return self.steps[i - 1]
+
+    def equal_tail(self, i):
+        """Tail terms of step i with its leading value, as (coeff, exps).
+
+        Only these terms survive in the graded ring.  Coefficients are tower
+        constants and exponents are padded to every key; computed once per
+        sequence and step.
+        """
+        tail = self._equal_tails.get(i)
+        if tail is None:
+            step = self.step(i)
+            lead = self.values[i] * step.power
+            pad = (0,) * len(self.keys)
+            tail = tuple((self.ctx.const(t.coeff).constant_term(),
+                          t.exps + pad[len(t.exps):])
+                         for t in step.tail if self.value_of(t.exps) == lead)
+            self._equal_tails[i] = tail
+        return tail
 
     def value_of(self, exps):
         v = Value(0)
@@ -236,21 +260,6 @@ def _group_jump(values, i):
     return group_index(values[: i + 1], values[:i])
 
 
-def _as_int_ratio(v, beta):
-    """v / beta when it is a nonnegative integer, else None."""
-    if beta.q1 == 0:
-        if v.q1 != 0 or beta.q0 == 0:
-            return None
-        q = v.q0 / beta.q0
-    else:
-        q = v.q1 / beta.q1
-        if v.q0 != beta.q0 * q:
-            return None
-    if q.denominator != 1 or q < 0:
-        return None
-    return int(q)
-
-
 def _represent_value(target, betas, caps, _top=None):
     """Greedy top-down representation target = sum a_i beta_i, a_i < caps.
 
@@ -259,8 +268,10 @@ def _represent_value(target, betas, caps, _top=None):
     """
     top = len(betas) - 1 if _top is None else _top
     if top == 0:
-        a0 = _as_int_ratio(target, betas[0])
-        return None if a0 is None else (a0,)
+        a0 = value_ratio(target, betas[0])
+        if a0 is None or a0.denominator != 1 or a0 < 0:
+            return None
+        return (int(a0),)
     beta = betas[top]
     cap = caps.get(top)
     # bound the exponent by positivity of the remaining value
@@ -450,7 +461,8 @@ def _minimal_group(f, g):
         return gamma, mins
     raise InsufficientGeneratingData(
         "the minimal form of value %r cancels in the residue field; "
-        "deciding the value needs a key beyond the declared prefix" % gamma)
+        "deciding the value needs a key beyond the declared prefix" % gamma,
+        gamma)
 
 
 def residue_sum(terms, g):

@@ -18,12 +18,27 @@ from .genseq import (
     InsufficientGeneratingData,
     PreconditionError,
     evaluate,
+    initial_form,
     residue_against_reference,
     residue_sum,
     sigma_indices,
 )
-from .towers import LinearSolver, SubfieldSpec, minimal_polynomial, span_closure
-from .values import INFINITE, ContainmentError, Value, group_index
+from .towers import (
+    LinearSolver,
+    SubfieldSpec,
+    minimal_polynomial,
+    relative_dimension,
+    span_closure,
+)
+from .values import (
+    INFINITE,
+    UNDETERMINED,
+    ContainmentError,
+    Value,
+    exact_sums,
+    group_index,
+    smallest_multiple_in_group,
+)
 
 
 class GradedElem:
@@ -147,19 +162,14 @@ def _normalize(g, coeffs):
             i = _violating_slot(g, e)
             if i is None:
                 continue
-            step = g.step(i)
-            lead_value = g.values[i] * step.power
+            power = g.step(i).power
             work.pop(e)
             base = list(e)
-            base[i] -= step.power
-            for term in step.tail:
-                if g.value_of(term.exps) != lead_value:
-                    continue  # higher-value tail terms vanish in the graded ring
-                ne = list(base)
-                for s, te in enumerate(term.exps):
-                    ne[s] += te
-                ne = tuple(ne)
-                add = -(g.ctx.const(term.coeff).constant_term() * c)
+            base[i] -= power
+            # higher-value tail terms vanish in the graded ring
+            for coeff, exps in g.equal_tail(i):
+                ne = tuple(b + t for b, t in zip(base, exps))
+                add = -(coeff * c)
                 prev = work.get(ne)
                 total = add if prev is None else prev + add
                 if total.is_zero():
@@ -278,9 +288,7 @@ def graded_presentation(g, depth):
         if i > depth - 1:
             break
         lead_value = g.values[i] * step.power
-        equal = [(g.ctx.const(t.coeff).constant_term(),
-                  tuple(t.exps) + (0,) * (len(g.keys) - len(t.exps)))
-                 for t in step.tail if g.value_of(t.exps) == lead_value]
+        equal = list(g.equal_tail(i))
         if not equal:
             continue
         lead = [0] * len(g.keys)
@@ -309,32 +317,13 @@ def graded_piece_basis(gamma, g, depth=None):
     unbounded.  Empty result means the value is outside the piece's support.
     """
     depth = g.top if depth is None else min(depth, g.top)
-    out = []
-
-    def rec(idx, remaining, acc):
-        if idx == 0:
-            from .genseq import _as_int_ratio
-            a0 = _as_int_ratio(remaining, g.values[0])
-            if a0 is not None:
-                out.append((a0,) + tuple(reversed(acc)))
-            return
-        beta = g.values[idx]
-        cap = None
-        if idx <= len(g.steps):
-            cap = g.step(idx).power
-        a = 0
-        while True:
-            if cap is not None and a >= cap:
-                break
-            rest = remaining - beta * a
-            if rest.sign() < 0:
-                break
-            rec(idx - 1, rest, acc + [a])
-            a += 1
-
-    rec(depth, gamma, [])
+    # walk from the top key down so that x, unbounded, is solved by division
+    levels = range(depth, -1, -1)
+    caps = [g.step(i).power if 1 <= i <= len(g.steps) else None
+            for i in levels]
     tail = (0,) * (g.top - depth)
-    return sorted(e + tail for e in out)
+    return sorted(e[::-1] + tail for e in
+                  exact_sums([g.values[i] for i in levels], gamma, caps))
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +373,12 @@ def subalgebra_membership(e, gens, coeff_field=None):
         exp_index.setdefault(exps, len(exp_index))
     dim = tower.degree()
 
-    def flatten(elem):
+    def flatten(elem, scalar):
+        # a nonzero scalar multiple of a reduced element stays reduced
         vec = [tower.base.zero()] * (len(exp_index) * dim)
         for exps, c in elem.coeffs.items():
             base = exp_index[exps] * dim
-            for k, s in enumerate(c.to_vector()):
+            for k, s in enumerate((c * scalar).to_vector()):
                 vec[base + k] = s
         return vec
 
@@ -396,9 +386,9 @@ def subalgebra_membership(e, gens, coeff_field=None):
     columns = []
     for gexps, prod in products:
         for b in field_basis:
-            solver.add(flatten(prod * b))
+            solver.add(flatten(prod, b))
             columns.append((gexps, b))
-    sol = solver.solve(flatten(e))
+    sol = solver.solve(flatten(e, tower.one()))
     if sol is None:
         return MembershipResult(
             False, detail="rank %d system over %d monomials has no solution"
@@ -414,28 +404,22 @@ def subalgebra_membership(e, gens, coeff_field=None):
 
 
 def _products_of_value(gens, target, g):
-    """All monomials in ``gens`` of the exact target value."""
+    """All monomials in ``gens`` of the exact target value, with products.
+
+    The exponent vectors come from one integer walk on the value lattice;
+    a product is formed only for an exact hit, from cached powers.
+    """
+    powers = [[gen] for gen in gens]  # powers[i][k - 1] = gens[i]^k
     out = []
-
-    def rec(idx, remaining, acc, elem):
-        if idx == len(gens):
-            if remaining.sign() == 0:
-                out.append((tuple(acc), elem))
-            return
-        gen = gens[idx]
-        k = 0
-        cur = elem
-        while True:
-            rest = remaining - gen.value * k
-            if rest.sign() < 0:
-                break
-            rec(idx + 1, rest, acc + [k], cur)
-            k += 1
-            if gen.value.sign() == 0:
-                break  # value-zero generators would loop forever
-            cur = cur * gen
-
-    rec(0, target, [], graded_one(g))
+    for exps in exact_sums([gen.value for gen in gens], target):
+        prod = None
+        for pw, k in zip(powers, exps):
+            if not k:
+                continue
+            while len(pw) < k:
+                pw.append(pw[-1] * pw[0])
+            prod = pw[k - 1] if prod is None else prod * pw[k - 1]
+        out.append((exps, graded_one(g) if prod is None else prod))
     return out
 
 
@@ -534,12 +518,17 @@ def fingen_detect(g_r, g_s, ext, depth):
     images = [ext.apply(k) for k in g_r.keys]
     image_values = {j: evaluate(images[j], g_s) for j in sigma_indices(g_r)}
     image_initials = {}
+    deltas = {}
 
     def image_initial(j):
         if j not in image_initials:
-            from .genseq import initial_form
             image_initials[j] = initial_form(images[j], g_s)
         return image_initials[j]
+
+    def delta(si):
+        if si not in deltas:
+            deltas[si] = _delta(g_r, g_s, ext, si)
+        return deltas[si]
 
     q_initials = [key_initial(g_s, i) for i in range(len(g_s.keys))]
     coeff_field = SubfieldSpec(prefix_levels=g_s.ctx.ring_levels)
@@ -569,7 +558,7 @@ def fingen_detect(g_r, g_s, ext, depth):
                 notes.append("lambda infinite at s=%d (rank gap not yet "
                              "absorbed)" % s)
                 lam = None
-            chi = _chi(g_r, g_s, ext, images, sigma, tau, r_s, s)
+            chi = _chi(g_r, g_s, sigma, tau, r_s, s, delta)
         levels.append(AlignmentLevel(s, tau[s], r_s, lam, chi))
         if r_s < r_prev:
             notes.append("absorbed source prefix shrank at s=%d" % s)
@@ -671,9 +660,11 @@ def _new_key_witness(g_r, g_s, ext, images, q_initials, sigma, tau, s,
     return res.detail
 
 
-def _chi(g_r, g_s, ext, images, sigma, tau, r_s, s):
-    """Residue-field index between the absorbed prefixes, or None."""
-    tower = g_s.ctx.tower
+def _chi(g_r, g_s, sigma, tau, r_s, s, delta):
+    """Residue-field index between the absorbed prefixes, or None.
+
+    ``delta`` maps a source sigma index to its residue (see :func:`_delta`).
+    """
     eps = []
     for t in range(1, s + 1):
         lvl = g_s.level(tau[t])
@@ -682,26 +673,36 @@ def _chi(g_r, g_s, ext, images, sigma, tau, r_s, s):
         eps.append(lvl.residue)
     deltas = []
     for j in range(1, r_s + 1):
-        si = sigma[j]
-        jump = g_r.level(si).group_jump
-        if jump is INFINITE:
-            continue  # convention: terminal residue is 1
-        if jump is None or g_r.level(si).unit_exps is None:
+        d = delta(sigma[j])
+        if d is None:
             return None
-        num = ext.apply(g_r.keys[si] ** jump)
-        den = ext.apply(g_r.monomial(list(g_r.level(si).unit_exps)))
-        try:
-            dn = residue_against_reference(num, g_s)
-            dd = residue_against_reference(den, g_s)
-        except InsufficientGeneratingData:
-            return None
-        deltas.append(dn / dd)
-    from .towers import relative_dimension
+        if d is not INFINITE:
+            deltas.append(d)
     big = SubfieldSpec(g_s.ctx.ring_levels, eps)
     small = SubfieldSpec(g_r.ctx.ring_levels, deltas)
     try:
-        return relative_dimension(tower, big, small)
+        return relative_dimension(g_s.ctx.tower, big, small)
     except ArithmeticError:
+        return None
+
+
+def _delta(g_r, g_s, ext, si):
+    """Residue of the image of P_si^jump over its unit monomial, in g_s.
+
+    INFINITE at a rank jump (by convention that residue is 1); None when
+    the source level lacks its data or the target prefix cannot decide.
+    """
+    lvl = g_r.level(si)
+    if lvl.group_jump is INFINITE:
+        return INFINITE
+    if lvl.group_jump is None or lvl.unit_exps is None:
+        return None
+    num = ext.apply(g_r.keys[si] ** lvl.group_jump)
+    den = ext.apply(g_r.monomial(list(lvl.unit_exps)))
+    try:
+        return (residue_against_reference(num, g_s)
+                / residue_against_reference(den, g_s))
+    except InsufficientGeneratingData:
         return None
 
 
@@ -725,7 +726,7 @@ class IntegralRelation:
         self.degree = len(minpoly)
         self.element = element
         self.target_value = target_value
-        self.verified = verified
+        self.verified = verified  # True, False or UNDETERMINED
 
     def lines(self):
         return [
@@ -735,7 +736,8 @@ class IntegralRelation:
             % (self.xi, self.minpoly),
             "relation element: %r" % self.element,
             "graded class at value %r vanishes: %s"
-            % (self.target_value, self.verified),
+            % (self.target_value, "undecided at this prefix"
+               if self.verified is UNDETERMINED else self.verified),
         ]
 
     def __repr__(self):
@@ -748,7 +750,9 @@ def integral_relation(f, g_r, g_s, ext):
     Rational-rank-1 scenarios only.  The residue of f^(b*n1) / u^a is taken
     in the tower, its minimal polynomial over the downstairs residue field
     is lifted coefficientwise, and the resulting combination is checked to
-    vanish in the graded ring.
+    vanish in the graded ring.  ``verified`` is UNDETERMINED when the
+    relation's minimal form cancels below the target value, so the declared
+    prefix cannot tell whether it vanishes there.
     """
     if any(v.q1 != 0 for v in g_s.values):
         raise PreconditionError("integral relations need rational rank 1")
@@ -760,7 +764,6 @@ def integral_relation(f, g_r, g_s, ext):
 
     # sigma-level values generate the whole downstairs group (inner levels
     # have group jump 1)
-    from .values import smallest_multiple_in_group
     group_gens = [evaluate(ext.apply(g_r.keys[j]), g_s)
                   for j in sigma_indices(g_r)]
     n1 = smallest_multiple_in_group(v, group_gens)
@@ -786,8 +789,9 @@ def integral_relation(f, g_r, g_s, ext):
     else:
         try:
             verified = evaluate(relation, g_s) > target
-        except InsufficientGeneratingData:
-            # the minimal form at the target value cancels in the residue
-            # field, which is exactly the vanishing being claimed
-            verified = True
+        except InsufficientGeneratingData as err:
+            # the true value lies above the cancelled minimal value, which
+            # proves the vanishing only when that value reaches the target
+            verified = (True if err.value is not None and err.value >= target
+                        else UNDETERMINED)
     return IntegralRelation(n1, b, a, xi, coeffs, relation, target, verified)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .towers import SubfieldSpec, TowerElem
+from .towers import TowerElem
 from .values import INFINITE, INSUFFICIENT_PRECISION, Value
 
 
@@ -37,9 +37,6 @@ class LocalRingCtx:
         self.param_names = tuple(param_names)
         self.ring_levels = tower.height if ring_levels is None else ring_levels
         self.provenance = tuple(provenance)
-
-    def residue_field(self):
-        return SubfieldSpec(prefix_levels=self.ring_levels)
 
     def zero(self):
         return RingElem(self, {})
@@ -201,15 +198,6 @@ class RingElem:
         e0 = min(self.terms)
         inv = self.terms[e0].inverse()
         return RingElem(self.ctx, {e: c * inv for e, c in self.terms.items()})
-
-    def map_coefficients(self, fn, new_ctx=None):
-        ctx = new_ctx or self.ctx
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[e] = v
-        return RingElem(ctx, out)
 
     def __repr__(self):
         if not self.terms:

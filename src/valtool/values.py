@@ -247,6 +247,79 @@ def _int_vectors(values):
     return [(int(v.q0 * lcm), int(v.q1 * lcm)) for v in values], lcm
 
 
+def value_ratio(a, b):
+    """a / b as a Fraction when a is a rational multiple of b, else None."""
+    if b.q1 == 0:
+        if a.q1 != 0 or b.q0 == 0:
+            return None
+        return a.q0 / b.q0
+    r = a.q1 / b.q1
+    return r if a.q0 == b.q0 * r else None
+
+
+def exact_sums(values, target, caps=None):
+    """Exponent vectors k with sum k_i * values[i] == target, values >= 0.
+
+    Depth-first over the positions in order, k ascending at each, with
+    k_i < caps[i] where a cap is given (None = unbounded); a value-zero
+    position only takes k = 0.  The walk runs on the integer coordinates
+    left after clearing denominators and prunes where the remaining value
+    turns negative: an int comparison while the irrational coordinate is 0,
+    otherwise certified by :meth:`Value.sign` (which may raise
+    :class:`UndecidedComparison`).  The last position is solved by exact
+    division.
+    """
+    n = len(values)
+    caps = [None] * n if caps is None else list(caps)
+    vecs, lcm = _int_vectors(list(values) + [target])
+    vecs, (t0, t1) = vecs[:-1], vecs[-1]
+    tau = next((v.tau for v in values if v.tau is not None), target.tau)
+
+    def negative(r0, r1):
+        if r1 == 0:
+            return r0 < 0
+        return Value(Fraction(r0, lcm), Fraction(r1, lcm), tau).sign() < 0
+
+    out = []
+    if n == 0:
+        return [()] if (t0, t1) == (0, 0) else out
+    if negative(t0, t1):
+        return out
+    acc = [0] * n
+    last = n - 1
+
+    def rec(i, r0, r1):
+        a0, a1 = vecs[i]
+        cap = caps[i]
+        if i == last:
+            if a1:
+                k = r1 // a1
+                hit = r1 == k * a1 and r0 == k * a0
+            elif a0:
+                k = r0 // a0
+                hit = r1 == 0 and r0 == k * a0
+            else:
+                k, hit = 0, r0 == 0 and r1 == 0
+            if hit and k >= 0 and (cap is None or k < cap):
+                acc[i] = k
+                out.append(tuple(acc))
+            return
+        k = 0
+        while True:
+            acc[i] = k
+            rec(i + 1, r0, r1)
+            k += 1
+            if (a0 == 0 and a1 == 0) or (cap is not None and k >= cap):
+                break
+            r0 -= a0
+            r1 -= a1
+            if negative(r0, r1):
+                break
+
+    rec(0, t0, t1)
+    return out
+
+
 def _xgcd(a, b):
     x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
     while ng:

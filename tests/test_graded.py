@@ -1,22 +1,37 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
-from valtool import fixtures
+from valtool import fixtures, graded
 from valtool.blowup import free_transform
 from valtool.extension import ExtensionMap
-from valtool.genseq import InsufficientGeneratingData, PreconditionError, initial_form
+from valtool.genseq import (
+    GenSeq,
+    InsufficientGeneratingData,
+    KeyStep,
+    PreconditionError,
+    TailTerm,
+    _represent_value,
+    evaluate,
+    initial_form,
+    sigma_indices,
+)
 from valtool.graded import (
+    GradedElem,
+    _products_of_value,
     fingen_detect,
+    graded_one,
     graded_piece_basis,
     graded_presentation,
     integral_relation,
     key_initial,
     subalgebra_membership,
 )
-from valtool.ring import parse_poly
-from valtool.values import Value
+from valtool.ring import LocalRingCtx, parse_poly
+from valtool.towers import QQ, BaseField, ResidueTower
+from valtool.values import UNDETERMINED, Value
 
 
 @pytest.fixture
@@ -55,6 +70,31 @@ def test_step_relation_rewrites(v1):
     iy = key_initial(v1, 1)
     sq = iy * iy
     assert list(sq.coeffs) == [(3, 0, 0)]
+
+
+def _v1_shape(c):
+    """v1's values and keys with the tail c*x^3 instead of -x^3."""
+    tower = ResidueTower(QQ)
+    step = KeyStep(1, 2, [TailTerm(tower.scalar(c), (3,))], Value(Fraction(7, 2)))
+    return GenSeq(LocalRingCtx(tower, ("x", "y")),
+                  [Value(1), Value(Fraction(3, 2)), Value(Fraction(7, 2))],
+                  [step])
+
+
+def test_equal_tails_belong_to_their_sequence():
+    a, b = _v1_shape(-1), _v1_shape(-2)
+    assert a.equal_tail(1) != b.equal_tail(1)
+    sq_a, sq_b = key_initial(a, 1) ** 2, key_initial(b, 1) ** 2
+    assert sq_a.coeffs[(3, 0, 0)] == a.ctx.tower.scalar(1)
+    assert sq_b.coeffs[(3, 0, 0)] == b.ctx.tower.scalar(2)
+    # sequences made and dropped one after another, so their ids may repeat
+    del a, b, sq_a, sq_b
+    for c in range(1, 8):
+        g = _v1_shape(-c)
+        assert (key_initial(g, 1) ** 2).coeffs[(3, 0, 0)] == \
+            g.ctx.tower.scalar(c)
+        del g
+        gc.collect()
 
 
 # -- presentations ---------------------------------------------------------------
@@ -124,6 +164,114 @@ def test_membership_examples(v1):
     assert not res3 and "no generator monomial" in res3.detail
 
 
+def _chain(depth, base=QQ):
+    """Chain-shaped sequence: P_{i+1} = P_i^2 - M_i with every residue 1.
+
+    Values 1, 3/2 and beta_{i+1} = 2*beta_i + 1/2^(i+1); M_i is the greedy
+    reduced monomial of value 2*beta_i in the keys below P_i.
+    """
+    tower = ResidueTower(base)
+    betas = [Value(1), Value(Fraction(3, 2))]
+    for i in range(1, depth + 1):
+        betas.append(betas[i] * 2 + Value(Fraction(1, 2 ** (i + 1))))
+    steps = []
+    for i in range(1, depth + 1):
+        tail = _represent_value(betas[i] * 2, betas[:i],
+                                {j: 2 for j in range(1, i)})
+        steps.append(KeyStep(i, 2, [TailTerm(tower.scalar(-1), tail)],
+                             betas[i + 1]))
+    return GenSeq(LocalRingCtx(tower, ("x", "y")), betas, steps,
+                  residues={i: tower.one() for i in range(1, depth + 2)})
+
+
+def _naive_products(gens, target, g):
+    """Reference enumerator: multiply at every node of the walk."""
+    out = []
+
+    def rec(idx, remaining, acc, elem):
+        if idx == len(gens):
+            if remaining.sign() == 0:
+                out.append((tuple(acc), elem))
+            return
+        gen, k, cur = gens[idx], 0, elem
+        while (remaining - gen.value * k).sign() >= 0:
+            rec(idx + 1, remaining - gen.value * k, acc + [k], cur)
+            if gen.value.sign() == 0:
+                break
+            k, cur = k + 1, cur * gen
+
+    rec(0, target, [], graded_one(g))
+    return out
+
+
+def _walk_cases():
+    """(sequence, generators, targets): chains, rank 2 and a value-0 generator."""
+    for depth in (1, 2, 3):
+        for base in (QQ, BaseField(2)):
+            g = _chain(depth, base)
+            keys = [key_initial(g, i) for i in range(len(g.keys))]
+            mixed = keys[0] ** 2 * keys[1] + keys[1] * keys[0] ** 2
+            gens = keys + [mixed, graded_one(g)]
+            targets = [g.values[i] * 2 for i in range(len(g.keys) - 1)]
+            targets += [g.values[-1] + g.values[1], Value(Fraction(1, 3)),
+                        Value(0)]
+            yield g, gens, targets
+    _, nu1, _, _ = fixtures.pi2()
+    keys = [key_initial(nu1, i) for i in range(len(nu1.keys))]
+    top = nu1.values[-1]
+    yield nu1, [graded_one(nu1)] + keys, [top + 2, top * 2, top * 2 + 1,
+                                          Value(3), top - Value(1)]
+
+
+def test_products_of_value_match_naive_walk():
+    hits = 0
+    for g, gens, targets in _walk_cases():
+        for target in targets:
+            got = _products_of_value(gens, target, g)
+            want = _naive_products(gens, target, g)
+            assert [e for e, _ in got] == [e for e, _ in want], (g, target)
+            assert all(a == b for (_, a), (_, b) in zip(got, want))
+            hits += len(got)
+    assert hits > 50
+
+
+def _reconstruct(cert, gens, like):
+    total = GradedElem(like.genseq, like.value, {})
+    for exps, c in cert:
+        prod = graded_one(like.genseq)
+        for gen, k in zip(gens, exps):
+            prod = prod * gen ** k
+        total = total + prod * c
+    return total
+
+
+def test_membership_certificates_reconstruct():
+    found = 0
+    cases = []
+    for depth in (1, 2, 3):
+        for base in (QQ, BaseField(2)):
+            g = _chain(depth, base)
+            tmap, tgt = free_transform(g)
+            cases.append((g, tgt, tmap.extension()))
+    nu_r, nu1, _, ext = fixtures.pi2()
+    cases.append((nu_r, nu1, ext))
+    cases.append(fixtures.def2())
+    for g_r, g_s, ext in cases:
+        gens = [key_initial(g_s, i) for i in sigma_indices(g_s)]
+        elems = [gens[0] ** 2 * gens[-1] + gens[-1] * gens[0] ** 2]
+        for j in sigma_indices(g_r):
+            try:
+                elems.append(initial_form(ext.apply(g_r.keys[j]), g_s))
+            except InsufficientGeneratingData:
+                pass
+        for e in elems:
+            res = subalgebra_membership(e, gens)
+            if res:
+                found += 1
+                assert _reconstruct(res.certificate, gens, e) == e
+    assert found > 10
+
+
 # -- the detector ----------------------------------------------------------------------
 
 def test_identity_extension_alignment(v1):
@@ -187,15 +335,40 @@ def test_lambda_chi_monotone_on_fixtures():
 def test_integral_relation_def2_y():
     g_r, g_s, ext = fixtures.def2()
     rel = integral_relation(parse_poly("y", g_s.ctx), g_r, g_s, ext)
-    assert rel.verified
+    assert rel.verified is True
     assert rel.degree == 1
     assert rel.element == parse_poly("y + x", g_s.ctx)
+
+
+def test_integral_relation_cancelled_value_decides(monkeypatch):
+    g_r, g_s, ext = fixtures.def2()
+    f = parse_poly("x^3*y^2 + x^3*y^4", g_s.ctx)
+    rel = integral_relation(f, g_r, g_s, ext)
+    with pytest.raises(InsufficientGeneratingData) as info:
+        evaluate(rel.element, g_s)
+    # cancels at 35, at or above the target 5: the vanishing is proved
+    assert info.value.value == Value(35) and rel.target_value == Value(5)
+    assert rel.verified is True
+
+    real = graded.evaluate
+
+    def cancel_below(h, g):
+        try:
+            return real(h, g)
+        except InsufficientGeneratingData as err:
+            raise InsufficientGeneratingData(str(err), Value(4)) from err
+
+    monkeypatch.setattr(graded, "evaluate", cancel_below)
+    rel = integral_relation(f, g_r, g_s, ext)
+    assert rel.verified is UNDETERMINED
+    assert rel.lines()[-1] == ("graded class at value 5 vanishes: "
+                               "undecided at this prefix")
 
 
 def test_integral_relation_trivial_x():
     g_r, g_s, ext = fixtures.def2()
     rel = integral_relation(parse_poly("x", g_s.ctx), g_r, g_s, ext)
-    assert rel.verified and rel.degree == 1
+    assert rel.verified is True and rel.degree == 1
     assert rel.element.is_zero()
 
 
@@ -217,6 +390,6 @@ def test_integral_relation_random_def2():
         if f.is_zero() or f.is_unit():
             continue
         rel = integral_relation(f, g_r, g_s, ext)
-        assert rel.verified
+        assert rel.verified is True
         done += 1
     assert done > 10

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,10 +10,12 @@ from valtool.values import (
     IrrationalDescriptor,
     UndecidedComparison,
     Value,
+    exact_sums,
     group_index,
     pi_descriptor,
     smallest_multiple_in_group,
     value_cmp,
+    value_ratio,
 )
 
 PI = pi_descriptor()
@@ -119,3 +122,44 @@ def test_sentinels_keep_repr_truth_and_homes():
         assert bool(s) == (name != "INSUFFICIENT_PRECISION")
     assert ring.INSUFFICIENT_PRECISION is values.INSUFFICIENT_PRECISION
     assert extension.UNDETERMINED is values.UNDETERMINED
+
+
+# -- exact sums on the value lattice ---------------------------------------------
+
+def test_exact_sums_match_brute_force():
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        vals = [Value(Fraction(rng.randint(0, 6), rng.randint(1, 4)))
+                for _ in range(n)]
+        caps = [rng.choice([None, 1, 2, 3]) for _ in range(n)]
+        target = Value(Fraction(rng.randint(0, 24), rng.randint(1, 4)))
+        ranges = [range(1) if not v.sign() else
+                  range(int(target.q0 / v.q0) + 1 if c is None else c)
+                  for v, c in zip(vals, caps)]
+        want = [k for k in product(*ranges)
+                if sum((v * a for v, a in zip(vals, k)), Value(0)) == target]
+        assert exact_sums(vals, target, caps) == want, (vals, caps, target)
+
+
+def test_exact_sums_rank_two():
+    vals = [Value(0, 1, PI), Value(1), Value(1, 1, PI)]
+    assert exact_sums(vals, Value(7)) == [(0, 7, 0)]
+    assert exact_sums(vals, Value(2, 1, PI)) == [(0, 1, 1), (1, 2, 0)]
+    assert exact_sums(vals, Value(-1)) == []
+    assert exact_sums([], Value(0)) == [()]
+
+
+def test_exact_sums_shallow_descriptor_still_faults():
+    shallow = IrrationalDescriptor("rough", [(Fraction(3), Fraction(4))])
+    # 7 - 2*tau straddles 0 on [3, 4]
+    with pytest.raises(UndecidedComparison):
+        exact_sums([Value(0, 1, shallow), Value(1)], Value(7))
+
+
+def test_value_ratio():
+    assert value_ratio(Value(3), Value(Fraction(3, 2))) == 2
+    assert value_ratio(Value(-2, -2, PI), Value(1, 1, PI)) == -2
+    assert value_ratio(Value(2, 1, PI), Value(1, 1, PI)) is None
+    assert value_ratio(Value(0, 1, PI), Value(1)) is None
+    assert value_ratio(Value(1), Value(0)) is None
