@@ -38,7 +38,8 @@ class TransformMap:
     """One composite transform: chart data, recentering, and images."""
 
     __slots__ = ("source_ctx", "target_ctx", "nbar", "w", "a", "b", "eps",
-                 "alpha_lift", "x_image", "y_image", "exceptional_value")
+                 "alpha_lift", "x_image", "y_image", "exceptional_value",
+                 "key_images")
 
     def __init__(self, source_ctx, target_ctx, nbar, w, a, b, eps, alpha_lift,
                  exceptional_value):
@@ -55,6 +56,7 @@ class TransformMap:
         unit = Z + target_ctx.const(alpha_lift)
         self.x_image = X ** nbar * unit ** a
         self.y_image = X ** w * unit ** b
+        self.key_images = []  # (source key, image) from free_transform
 
     def to_target(self, f):
         """Image of a source element in the target chart (exact)."""
@@ -68,7 +70,7 @@ class TransformMap:
         return ExtensionMap(self.source_ctx, self.x_image, self.y_image,
                             field_degree=1,
                             residue_char=self.source_ctx.tower.base.p,
-                            unique=True)
+                            unique=True, known=self.key_images)
 
     def describe(self):
         xn, yn = self.source_ctx.param_names
@@ -123,9 +125,8 @@ def free_transform(g):
         raise TransformError("recentering residue lies outside the tower")
 
     xn, yn = g.ctx.param_names
-    target_ctx = LocalRingCtx(
-        tower, (xn + "1", yn + "1"), ring_levels=ring_levels,
-        provenance=g.ctx.provenance + ("transform at jump %d, w %d" % (nbar, w),))
+    target_ctx = LocalRingCtx(tower, (xn + "1", yn + "1"),
+                              ring_levels=ring_levels)
     exceptional_value = g.values[0] / nbar
     tmap = TransformMap(g.ctx, target_ctx, nbar, w, a, b, eps, alpha_lift,
                         exceptional_value)
@@ -139,6 +140,7 @@ def free_transform(g):
         n_product *= g.step(i).power
         expected_drop = w * n_product
         img = tmap.to_target(g.keys[i + 1])
+        tmap.key_images.append((g.keys[i + 1], img))
         drop = img.x_order()
         if drop != expected_drop:
             raise TransformError(
@@ -233,22 +235,19 @@ def _series_monomial(gx, ex, gy, ey, eps):
     return out if eps == 1 else out.inverse()
 
 
-def strict_transform(f, tmap, normalize=True):
+def strict_transform(f, tmap):
     """Strict transform of f: image with the exceptional factor removed.
 
-    Strict transforms are defined only up to a unit; with ``normalize`` the
-    unit factor (Z + alpha)^k is stripped and the lex-lowest coefficient is
-    scaled to 1 for determinism.
+    Strict transforms are defined only up to a unit, so the unit factor
+    (Z + alpha)^k is stripped and the lex-lowest coefficient is scaled to 1
+    for determinism.
     """
     if f.is_zero():
         raise ValueError("strict transform of zero")
     img = tmap.to_target(f)
     img = img.shift(-img.x_order(), 0)
-    if normalize:
-        unit = tmap.target_ctx.y() + tmap.target_ctx.const(tmap.alpha_lift)
-        img = _strip_unit(img, unit)
-        img = img.leading_unit_normalized()
-    return img
+    unit = tmap.target_ctx.y() + tmap.target_ctx.const(tmap.alpha_lift)
+    return _strip_unit(img, unit).leading_unit_normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def main(argv=None):
     flags = RunFlags(depth=args.depth,
                      value_bound=(None if args.value_bound is None
                                   else Value(args.value_bound)),
-                     seed=args.seed, fmt=args.format)
+                     seed=args.seed)
     try:
         report = run_scenario(scenario, flags)
     except ScenarioError as err:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .ring import divmod_y, series_value
 from .towers import SubfieldSpec, relative_dimension, span_closure
-from .values import INFINITE, INSUFFICIENT_PRECISION, Value, value_ratio
+from .values import INFINITE, INSUFFICIENT_PRECISION, Value, exact_sums
 
 
 class PreconditionError(Exception):
@@ -166,13 +166,6 @@ class GenSeq:
     def monomial(self, exps):
         return _key_monomial(self.keys, exps, 1)
 
-    def caps(self):
-        """Effective exponent bound per level index (None = unbounded)."""
-        out = {}
-        for lvl in self.levels:
-            out[lvl.index] = lvl.cap
-        return out
-
     def _derive_level(self, i):
         lvl = LevelData(i)
         try:
@@ -186,9 +179,10 @@ class GenSeq:
             lvl.residue_degree = 1
             lvl.cap = INFINITE
             return lvl
-        caps_below = {j: self.steps[j - 1].power for j in range(1, i)}
         target = self.values[i] * lvl.group_jump
-        rep = _represent_value(target, self.values[:i], caps_below)
+        rep = reduced_representation(
+            target, self.values[:i],
+            [None] + [self.steps[j - 1].power for j in range(1, i)])
         if rep is None:
             lvl.issues.append(
                 "no reduced unit monomial of value %r among keys below %d"
@@ -260,34 +254,15 @@ def _group_jump(values, i):
     return group_index(values[: i + 1], values[:i])
 
 
-def _represent_value(target, betas, caps, _top=None):
-    """Greedy top-down representation target = sum a_i beta_i, a_i < caps.
+def reduced_representation(target, values, caps):
+    """Reduced exponent vector with sum a_i * values[i] == target, or None.
 
-    ``caps`` maps level index to its bound (missing or None = unbounded).
-    Returns the exponent tuple or None.
+    ``caps[i]`` bounds a_i (None = unbounded).  Of all such vectors this is
+    the lexicographically greatest read from the top key down, which is
+    the greedy top-down answer.
     """
-    top = len(betas) - 1 if _top is None else _top
-    if top == 0:
-        a0 = value_ratio(target, betas[0])
-        if a0 is None or a0.denominator != 1 or a0 < 0:
-            return None
-        return (int(a0),)
-    beta = betas[top]
-    cap = caps.get(top)
-    # bound the exponent by positivity of the remaining value
-    hi = 0
-    while (target - beta * (hi + 1)).sign() >= 0:
-        hi += 1
-        if cap is not None and cap is not INFINITE and hi >= cap:
-            hi = cap - 1
-            break
-    if cap is not None and cap is not INFINITE:
-        hi = min(hi, cap - 1)
-    for a in range(hi, -1, -1):
-        rest = _represent_value(target - beta * a, betas, caps, _top=top - 1)
-        if rest is not None:
-            return rest + (a,)
-    return None
+    rep = max(exact_sums(values[::-1], target, caps[::-1]), default=None)
+    return None if rep is None else rep[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +290,6 @@ class PAdicExpansion:
     def min_terms(self):
         v = self.min_value()
         return [t for t in self.terms if t[2] == v]
-
-    def groups(self):
-        out = {}
-        for c, e, v in self.terms:
-            out.setdefault(v, []).append((c, e))
-        return out
 
     def top_exponent_overflow(self):
         """True when some term's last-key exponent reaches the derived bound."""
@@ -465,12 +434,13 @@ def _minimal_group(f, g):
         gamma)
 
 
-def residue_sum(terms, g):
-    """Sum of c_k * [M_k / M_ref] over equal-value terms, M_ref the first."""
-    return _residue_sum(terms, terms[0][1], g)
+def residue_sum(terms, g, ref=None):
+    """Sum of c_k * [M_k / M_ref] over equal-value terms (c_k, M_k, ...).
 
-
-def _residue_sum(terms, ref, g):
+    M_ref is the first term's monomial unless ``ref`` is given.
+    """
+    if ref is None:
+        ref = terms[0][1]
     total = g.ctx.tower.zero()
     for c, e, *_ in terms:
         ratio = [a - b for a, b in zip(list(e) + [0] * len(ref),
@@ -485,15 +455,6 @@ def reference_monomial(gamma, g):
     if rep is None:
         raise PreconditionError("%r is not in the declared semigroup" % gamma)
     return rep
-
-
-def residue_against_reference(f, g):
-    """Residue of f relative to the canonical monomial of its value.
-
-    Nonzero exactly because the value was certified first.
-    """
-    gamma, mins = _minimal_group(f, g)
-    return _residue_sum(mins, reference_monomial(gamma, g), g)
 
 
 def initial_form(f, g):
@@ -532,18 +493,17 @@ def sigma_indices(g):
 def semigroup_membership(gamma, g):
     """Reduced representation gamma = sum a_i * value_i, or None.
 
-    Greedy descent from the top provided key; the bound at each inner level
-    is the recursion power, the top bound is used when determinable.
+    Greedy from the top provided key (see :func:`reduced_representation`);
+    the bound at each inner level is the recursion power, the top bound is
+    used when determinable.
     """
     if gamma.sign() < 0:
         raise PreconditionError("semigroup values are nonnegative")
     if gamma.sign() == 0:
         return tuple([0] * len(g.values))
-    caps = {}
-    for lvl in g.levels:
-        caps[lvl.index] = None if lvl.cap is INFINITE else lvl.cap
-    rep = _represent_value(gamma, g.values, caps)
-    return rep
+    caps = [None] + [None if lvl.cap is INFINITE else lvl.cap
+                     for lvl in g.levels]
+    return reduced_representation(gamma, g.values, caps)
 
 
 # ---------------------------------------------------------------------------

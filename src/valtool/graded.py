@@ -19,7 +19,7 @@ from .genseq import (
     PreconditionError,
     evaluate,
     initial_form,
-    residue_against_reference,
+    reference_monomial,
     residue_sum,
     sigma_indices,
 )
@@ -347,31 +347,27 @@ class MembershipResult:
         return "NotMember(%s)" % self.detail
 
 
-def subalgebra_membership(e, gens, coeff_field=None):
+def subalgebra_membership(e, gens):
     """Decide e in k[gens] for homogeneous e and gens, with a certificate.
 
-    ``coeff_field`` restricts the scalars to a subfield of the tower (the
-    ring's residue field by default).  Monomials in the generators with e's
-    value are enumerated (finitely many, by positivity) and an exact linear
-    system over the base field decides.
+    The scalars k are the residue field of e's ring.  Monomials in the
+    generators with e's value are enumerated (finitely many, by positivity)
+    and an exact linear system over the base field decides.  The walk stops
+    at the first monomial whose columns put e in their span.
     """
     g = e.genseq
     tower = g.ctx.tower
-    if coeff_field is None:
-        coeff_field = SubfieldSpec(prefix_levels=g.ctx.ring_levels)
-    field_basis, _ = span_closure(tower, coeff_field.generators(tower))
+    field_basis, _ = span_closure(
+        tower, SubfieldSpec(prefix_levels=g.ctx.ring_levels).generators(tower))
 
-    products = _products_of_value(gens, e.value, g)
-    if not products:
-        return MembershipResult(False, detail="no generator monomial has "
-                                               "value %r" % e.value)
-    exp_index = {}
-    for _, prod in products:
-        for exps in prod.coeffs:
-            exp_index.setdefault(exps, len(exp_index))
+    dim = tower.degree()
+    # coordinates fixed before the walk: the reduced key monomials of e's
+    # value (where every normalized product lands), then any of e's own
+    # outside them
+    exp_index = {exps: i for i, exps in
+                 enumerate(graded_piece_basis(e.value, g))}
     for exps in e.coeffs:
         exp_index.setdefault(exps, len(exp_index))
-    dim = tower.degree()
 
     def flatten(elem, scalar):
         # a nonzero scalar multiple of a reduced element stays reduced
@@ -383,16 +379,32 @@ def subalgebra_membership(e, gens, coeff_field=None):
         return vec
 
     solver = LinearSolver(tower.base)
+    target = flatten(e, tower.one())
     columns = []
-    for gexps, prod in products:
+    products = 0
+    sol = None
+    for gexps, prod in _products_of_value(gens, e.value, g):
+        products += 1
+        grew = False
         for b in field_basis:
-            solver.add(flatten(prod, b))
+            grew = solver.add(flatten(prod, b)) or grew
             columns.append((gexps, b))
-    sol = solver.solve(flatten(e, tower.one()))
+        # once e is in the span, its expression on the independent columns
+        # so far is unique, and later independent columns keep it: the
+        # certificate is the one the whole walk would give
+        if grew:
+            sol = solver.solve(target)
+            if sol is not None:
+                break
+    if not products:
+        return MembershipResult(False, detail="no generator monomial has "
+                                               "value %r" % e.value)
+    if sol is None:
+        sol = solver.solve(target)  # a zero e needs no pivot
     if sol is None:
         return MembershipResult(
             False, detail="rank %d system over %d monomials has no solution"
-            % (solver.rank, len(products)))
+            % (solver.rank, products))
     combo = {}
     for idx, scal in sol.items():
         gexps, b = columns[idx]
@@ -404,13 +416,12 @@ def subalgebra_membership(e, gens, coeff_field=None):
 
 
 def _products_of_value(gens, target, g):
-    """All monomials in ``gens`` of the exact target value, with products.
+    """Monomials in ``gens`` of the exact target value, with products.
 
-    The exponent vectors come from one integer walk on the value lattice;
-    a product is formed only for an exact hit, from cached powers.
+    The exponent vectors come lazily from one integer walk on the value
+    lattice; a product is formed only for an exact hit, from cached powers.
     """
     powers = [[gen] for gen in gens]  # powers[i][k - 1] = gens[i]^k
-    out = []
     for exps in exact_sums([gen.value for gen in gens], target):
         prod = None
         for pw, k in zip(powers, exps):
@@ -419,8 +430,7 @@ def _products_of_value(gens, target, g):
             while len(pw) < k:
                 pw.append(pw[-1] * pw[0])
             prod = pw[k - 1] if prod is None else prod * pw[k - 1]
-        out.append((exps, graded_one(g) if prod is None else prod))
-    return out
+        yield exps, graded_one(g) if prod is None else prod
 
 
 # ---------------------------------------------------------------------------
@@ -513,25 +523,17 @@ def fingen_detect(g_r, g_s, ext, depth):
     tau = sigma_indices(g_s)
     s_max = min(depth, len(tau) - 1)
 
-    # only sigma-level images are ever needed; deeper images may not even be
-    # decidable within the declared target prefix
-    images = [ext.apply(k) for k in g_r.keys]
-    image_values = {j: evaluate(images[j], g_s) for j in sigma_indices(g_r)}
-    image_initials = {}
+    # one expansion per key image: only sigma-level images are ever needed,
+    # and deeper images may not even be decidable within the target prefix
+    initials = {j: initial_form(ext.apply(g_r.keys[j]), g_s) for j in sigma}
     deltas = {}
-
-    def image_initial(j):
-        if j not in image_initials:
-            image_initials[j] = initial_form(images[j], g_s)
-        return image_initials[j]
 
     def delta(si):
         if si not in deltas:
-            deltas[si] = _delta(g_r, g_s, ext, si)
+            deltas[si] = _delta(g_r, si, initials)
         return deltas[si]
 
     q_initials = [key_initial(g_s, i) for i in range(len(g_s.keys))]
-    coeff_field = SubfieldSpec(prefix_levels=g_s.ctx.ring_levels)
 
     levels = []
     certificates = {}
@@ -540,8 +542,7 @@ def fingen_detect(g_r, g_s, ext, depth):
         a_gens = [q_initials[tau[t]] for t in range(s + 1)]
         r_s = -1
         for j in range(len(sigma)):
-            res = subalgebra_membership(image_initial(sigma[j]), a_gens,
-                                        coeff_field)
+            res = subalgebra_membership(initials[sigma[j]], a_gens)
             if not res:
                 break
             certificates[sigma[j]] = res
@@ -549,7 +550,7 @@ def fingen_detect(g_r, g_s, ext, depth):
         lam = chi = None
         if r_s >= 0:
             big = [g_s.values[tau[t]] for t in range(s + 1)]
-            small = [image_values[sigma[j]] for j in range(r_s + 1)]
+            small = [initials[sigma[j]].value for j in range(r_s + 1)]
             try:
                 lam = group_index(big, small)
             except ContainmentError as err:
@@ -588,12 +589,11 @@ def fingen_detect(g_r, g_s, ext, depth):
                 continue  # the proof allows finitely many strict drops
             if cur.chi is not None and nxt.chi is not None and nxt.chi < cur.chi:
                 continue
-            kind = _match_next(g_r, g_s, image_values, sigma, tau, cur, nxt)
+            kind = _match_next(g_r, g_s, initials, sigma, tau, cur, nxt)
             if kind is None:
                 matched.append((sigma[cur.r + 1], tau[s + 1]))
                 continue
-            witness = _new_key_witness(g_r, g_s, ext, images, q_initials,
-                                       sigma, tau, s, image_initial)
+            witness = _new_key_witness(initials, q_initials, tau, s)
             if witness is not None:
                 witnesses.append((s + 1, witness))
             if obstruction is None:
@@ -613,13 +613,13 @@ def fingen_detect(g_r, g_s, ext, depth):
                           ["verdict certified only to depth %d" % s_max])
 
 
-def _match_next(g_r, g_s, image_values, sigma, tau, cur, nxt):
+def _match_next(g_r, g_s, initials, sigma, tau, cur, nxt):
     """None when the next levels pair up; otherwise the first broken identity."""
     j = cur.r + 1
     if j >= len(sigma):
         return "source keys exhausted while target keys continue"
     si, ti = sigma[j], tau[nxt.s]
-    beta = image_values[si]
+    beta = initials[si].value
     gamma = g_s.values[ti]
     if beta != gamma:
         return ("value mismatch: source key %d has value %r, target key %d "
@@ -642,19 +642,11 @@ def _match_next(g_r, g_s, image_values, sigma, tau, cur, nxt):
     return None
 
 
-def _new_key_witness(g_r, g_s, ext, images, q_initials, sigma, tau, s,
-                     image_initial):
+def _new_key_witness(initials, q_initials, tau, s):
     """Membership failure of the next target initial form, if it fails."""
-    b_gens = []
-    for j in range(len(sigma)):
-        try:
-            b_gens.append(image_initial(sigma[j]))
-        except InsufficientGeneratingData:
-            break
+    b_gens = list(initials.values())
     b_gens.extend(q_initials[tau[t]] for t in range(s + 1))
-    target = q_initials[tau[s + 1]]
-    res = subalgebra_membership(target, b_gens,
-                                SubfieldSpec(g_s.ctx.ring_levels))
+    res = subalgebra_membership(q_initials[tau[s + 1]], b_gens)
     if res:
         return None
     return res.detail
@@ -686,24 +678,42 @@ def _chi(g_r, g_s, sigma, tau, r_s, s, delta):
         return None
 
 
-def _delta(g_r, g_s, ext, si):
-    """Residue of the image of P_si^jump over its unit monomial, in g_s.
+def _delta(g_r, si, initials):
+    """Residue of the image of P_si^jump over its unit monomial's image.
 
-    INFINITE at a rank jump (by convention that residue is 1); None when
-    the source level lacks its data or the target prefix cannot decide.
+    Both are graded products of the image initial forms ``initials`` (by
+    sigma index).  INFINITE at a rank jump (by convention that residue is
+    1); None when the source level lacks its data or a residue vanishes at
+    the target prefix.
     """
     lvl = g_r.level(si)
     if lvl.group_jump is INFINITE:
         return INFINITE
     if lvl.group_jump is None or lvl.unit_exps is None:
         return None
-    num = ext.apply(g_r.keys[si] ** lvl.group_jump)
-    den = ext.apply(g_r.monomial(list(lvl.unit_exps)))
-    try:
-        return (residue_against_reference(num, g_s)
-                / residue_against_reference(den, g_s))
-    except InsufficientGeneratingData:
+    num = initials[si] ** lvl.group_jump
+    den = graded_one(num.genseq)
+    # a unit monomial has exponent 0 at every key whose step power is 1, so
+    # the sigma initial forms are enough
+    for k, u in enumerate(lvl.unit_exps):
+        if u:
+            den = den * initials[k] ** u
+    return _residue_ratio(num, den)
+
+
+def _residue_ratio(num, den):
+    """Residue of num / den for graded elements of one value, or None.
+
+    Both residues are taken against the reference monomial of that value;
+    None when either residue sum vanishes.
+    """
+    g = num.genseq
+    ref = reference_monomial(num.value, g)
+    top, bottom = (residue_sum([(c, e) for e, c in x.coeffs.items()], g, ref)
+                   for x in (num, den))
+    if top.is_zero() or bottom.is_zero():
         return None
+    return top / bottom
 
 
 # ---------------------------------------------------------------------------
@@ -747,34 +757,37 @@ class IntegralRelation:
 def integral_relation(f, g_r, g_s, ext):
     """Monic relation for in(f) over the downstairs graded ring.
 
-    Rational-rank-1 scenarios only.  The residue of f^(b*n1) / u^a is taken
-    in the tower, its minimal polynomial over the downstairs residue field
-    is lifted coefficientwise, and the resulting combination is checked to
-    vanish in the graded ring.  ``verified`` is UNDETERMINED when the
-    relation's minimal form cancels below the target value, so the declared
-    prefix cannot tell whether it vanishes there.
+    Rational-rank-1 scenarios only.  The residue of in(f)^(b*n1) / in(u)^a
+    is taken in the tower, its minimal polynomial over the downstairs
+    residue field is lifted coefficientwise, and the resulting combination
+    is checked to vanish in the graded ring.  ``verified`` is UNDETERMINED
+    when the relation's minimal form cancels below the target value, so the
+    declared prefix cannot tell whether it vanishes there.
     """
     if any(v.q1 != 0 for v in g_s.values):
         raise PreconditionError("integral relations need rational rank 1")
     if f.is_unit():
         raise PreconditionError("units have value 0; integrality is trivial")
-    v = evaluate(f, g_s)
+    in_f = initial_form(f, g_s)
+    v = in_f.value
     if v.sign() <= 0:
         raise PreconditionError("relation needs a positive value")
 
     # sigma-level values generate the whole downstairs group (inner levels
     # have group jump 1)
-    group_gens = [evaluate(ext.apply(g_r.keys[j]), g_s)
-                  for j in sigma_indices(g_r)]
-    n1 = smallest_multiple_in_group(v, group_gens)
-    omega = group_gens[0]
-    ratio = (v * n1).q0 / omega.q0
+    initials = [initial_form(ext.apply(g_r.keys[j]), g_s)
+                for j in sigma_indices(g_r)]
+    n1 = smallest_multiple_in_group(v, [im.value for im in initials])
+    ratio = (v * n1).q0 / initials[0].value.q0
     b, a = ratio.denominator, ratio.numerator
 
+    xi = _residue_ratio(in_f ** (b * n1), initials[0] ** a)
+    if xi is None:
+        raise InsufficientGeneratingData(
+            "the residue of in(f)^%d over in(u)^%d vanishes at this prefix"
+            % (b * n1, a))
     num = f ** (b * n1)
     den = ext.apply(g_r.keys[0]) ** a
-    xi = residue_against_reference(num, g_s) / \
-        residue_against_reference(den, g_s)
     coeffs = minimal_polynomial(xi, SubfieldSpec(g_r.ctx.ring_levels))
     r = len(coeffs)
 

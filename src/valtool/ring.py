@@ -23,20 +23,16 @@ class LocalRingCtx:
 
     ``tower`` carries the residue data of the whole scenario; the ring's own
     residue field is the prefix of the first ``ring_levels`` levels.
-    ``provenance`` is the chain of transform labels that produced this ring
-    from a root ring.
     """
 
-    __slots__ = ("tower", "ring_levels", "param_names", "provenance")
+    __slots__ = ("tower", "ring_levels", "param_names")
 
-    def __init__(self, tower, param_names=("x", "y"), ring_levels=None,
-                 provenance=()):
+    def __init__(self, tower, param_names=("x", "y"), ring_levels=None):
         if param_names[0] == param_names[1]:
             raise ValueError("parameter names must be distinct")
         self.tower = tower
         self.param_names = tuple(param_names)
         self.ring_levels = tower.height if ring_levels is None else ring_levels
-        self.provenance = tuple(provenance)
 
     def zero(self):
         return RingElem(self, {})
@@ -237,15 +233,26 @@ def divmod_y(f, g):
     if list(lead_slice) != [0]:
         raise ValueError("divisor is not monic in y (leading coeff not constant)")
     lead_inv = lead_slice[0].inverse()
-    q = f.ctx.zero()
-    r = f
-    while not r.is_zero() and r.y_degree() >= d:
-        top = r.y_slices()[r.y_degree()]
-        part = RingElem(f.ctx, {(i, r.y_degree() - d): c * lead_inv
-                                for i, c in top.items()})
-        q = q + part
-        r = r - part * g
-    return q, r
+    # g without its leading y^d, with y-exponents relative to d
+    rest = [(i, j - d, c) for (i, j), c in g.terms.items() if j < d]
+    rows = f.y_slices()  # the remainder, by y-exponent, reduced in place
+    q = {}
+    while rows:
+        top = max(rows)
+        if top < d:
+            break
+        for i, c in rows.pop(top).items():
+            if c.is_zero():
+                continue
+            qc = c * lead_inv
+            q[(i, top - d)] = qc
+            for gi, gj, gc in rest:
+                row = rows.setdefault(top + gj, {})
+                e = i + gi
+                prev = row.get(e)
+                row[e] = -(qc * gc) if prev is None else prev - qc * gc
+    r = {(i, j): c for j, row in rows.items() for i, c in row.items()}
+    return RingElem(f.ctx, q), RingElem(f.ctx, r)
 
 
 def substitute(f, images):

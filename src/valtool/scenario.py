@@ -429,11 +429,10 @@ class Report:
 
 
 class RunFlags:
-    def __init__(self, depth=4, value_bound=None, seed=0, fmt="text"):
+    def __init__(self, depth=4, value_bound=None, seed=0):
         self.depth = depth
         self.value_bound = value_bound
         self.seed = seed
-        self.fmt = fmt
 
 
 def _resolve(scenario, kind, name, line):

@@ -705,21 +705,14 @@ class LinearSolver:
 
     def solve(self, target):
         """Coefficients {index: scalar} with sum coeff_i * vec_i = target."""
-        vec = list(target)
-        combo = {}
-        for piv, row, row_combo in self.rows:
-            c = vec[piv]
-            if self.base.is_zero(c):
-                continue
-            factor = self.base.mul(c, self.base.inv(row[piv]))
-            for i, r in enumerate(row):
-                vec[i] = self.base.sub(vec[i], self.base.mul(factor, r))
-            for k, v in row_combo.items():
-                combo[k] = self.base.add(combo.get(k, self.base.zero()),
-                                         self.base.mul(factor, v))
+        vec, combo = self._reduce(target)
         if any(not self.base.is_zero(c) for c in vec):
             return None
-        return {k: v for k, v in combo.items() if not self.base.is_zero(v)}
+        # the reduction is target - sum coeff_i * vec_i, tagged with the
+        # target's would-be index
+        del combo[self.count]
+        return {k: self.base.neg(v) for k, v in combo.items()
+                if not self.base.is_zero(v)}
 
 
 def span_closure(tower, generators):

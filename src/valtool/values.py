@@ -30,7 +30,11 @@ class ContainmentError(Exception):
 
 
 class _Sentinel:
-    """A named marker compared by identity; each constant is one instance."""
+    """A named marker compared by identity; each constant is one instance.
+
+    ``truth`` None means the marker has no truth value: ``bool`` raises, so
+    an ``if`` cannot read it as a verdict.
+    """
 
     __slots__ = ("_name", "_truth")
 
@@ -42,13 +46,17 @@ class _Sentinel:
         return self._name
 
     def __bool__(self):
+        if self._truth is None:
+            raise TypeError("%s has no truth value; compare it by identity"
+                            % self._name)
         return self._truth
 
 
 INFINITE = _Sentinel("Infinite")  # an infinite group index
 # a series oracle truncated too early to see the answer; falsy, unlike values
 INSUFFICIENT_PRECISION = _Sentinel("InsufficientPrecision", truth=False)
-UNDETERMINED = _Sentinel("Undetermined")  # a formula whose hypotheses fail
+# a formula whose hypotheses fail, or a verdict the prefix cannot decide
+UNDETERMINED = _Sentinel("Undetermined", truth=None)
 
 
 # Decimal digits of pi; enough for interval tables far beyond desk scale.
@@ -267,7 +275,8 @@ def exact_sums(values, target, caps=None):
     turns negative: an int comparison while the irrational coordinate is 0,
     otherwise certified by :meth:`Value.sign` (which may raise
     :class:`UndecidedComparison`).  The last position is solved by exact
-    division.
+    division.  Vectors are yielded as they are found, so a caller that has
+    seen enough stops the walk.
     """
     n = len(values)
     caps = [None] * n if caps is None else list(caps)
@@ -280,11 +289,12 @@ def exact_sums(values, target, caps=None):
             return r0 < 0
         return Value(Fraction(r0, lcm), Fraction(r1, lcm), tau).sign() < 0
 
-    out = []
     if n == 0:
-        return [()] if (t0, t1) == (0, 0) else out
+        if (t0, t1) == (0, 0):
+            yield ()
+        return
     if negative(t0, t1):
-        return out
+        return
     acc = [0] * n
     last = n - 1
 
@@ -302,12 +312,12 @@ def exact_sums(values, target, caps=None):
                 k, hit = 0, r0 == 0 and r1 == 0
             if hit and k >= 0 and (cap is None or k < cap):
                 acc[i] = k
-                out.append(tuple(acc))
+                yield tuple(acc)
             return
         k = 0
         while True:
             acc[i] = k
-            rec(i + 1, r0, r1)
+            yield from rec(i + 1, r0, r1)
             k += 1
             if (a0 == 0 and a1 == 0) or (cap is not None and k >= cap):
                 break
@@ -316,8 +326,7 @@ def exact_sums(values, target, caps=None):
             if negative(r0, r1):
                 break
 
-    rec(0, t0, t1)
-    return out
+    yield from rec(0, t0, t1)
 
 
 def _xgcd(a, b):

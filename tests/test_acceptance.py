@@ -216,7 +216,7 @@ def test_criterion_8_integral_relations():
             continue
         done += 1
         rel = integral_relation(f, g_r, g_s, ext)
-        if rel.verified is not True:  # UNDETERMINED is truthy
+        if rel.verified is not True:  # UNDETERMINED has no truth value
             failures.append(f)
     assert not failures, failures
     _report(8, "20 random integral relations over the defect fixture all "

@@ -1,6 +1,7 @@
 import gc
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -13,10 +14,11 @@ from valtool.genseq import (
     KeyStep,
     PreconditionError,
     TailTerm,
-    _represent_value,
     evaluate,
     initial_form,
+    reduced_representation,
     sigma_indices,
+    validate_sequence,
 )
 from valtool.graded import (
     GradedElem,
@@ -30,7 +32,15 @@ from valtool.graded import (
     subalgebra_membership,
 )
 from valtool.ring import LocalRingCtx, parse_poly
-from valtool.towers import QQ, BaseField, ResidueTower
+from valtool.scenario import parse_scenario
+from valtool.towers import (
+    QQ,
+    BaseField,
+    LinearSolver,
+    ResidueTower,
+    SubfieldSpec,
+    span_closure,
+)
 from valtool.values import UNDETERMINED, Value
 
 
@@ -176,8 +186,8 @@ def _chain(depth, base=QQ):
         betas.append(betas[i] * 2 + Value(Fraction(1, 2 ** (i + 1))))
     steps = []
     for i in range(1, depth + 1):
-        tail = _represent_value(betas[i] * 2, betas[:i],
-                                {j: 2 for j in range(1, i)})
+        tail = reduced_representation(betas[i] * 2, betas[:i],
+                                      [None] + [2] * (i - 1))
         steps.append(KeyStep(i, 2, [TailTerm(tower.scalar(-1), tail)],
                              betas[i + 1]))
     return GenSeq(LocalRingCtx(tower, ("x", "y")), betas, steps,
@@ -227,7 +237,7 @@ def test_products_of_value_match_naive_walk():
     hits = 0
     for g, gens, targets in _walk_cases():
         for target in targets:
-            got = _products_of_value(gens, target, g)
+            got = list(_products_of_value(gens, target, g))
             want = _naive_products(gens, target, g)
             assert [e for e, _ in got] == [e for e, _ in want], (g, target)
             assert all(a == b for (_, a), (_, b) in zip(got, want))
@@ -245,8 +255,10 @@ def _reconstruct(cert, gens, like):
     return total
 
 
-def test_membership_certificates_reconstruct():
-    found = 0
+def _membership_cases():
+    """(element, generators): sigma key images, a mixed element and a zero
+    one over the target's sigma key initial forms, on chain transforms, pi2
+    and def2."""
     cases = []
     for depth in (1, 2, 3):
         for base in (QQ, BaseField(2)):
@@ -259,17 +271,98 @@ def test_membership_certificates_reconstruct():
     for g_r, g_s, ext in cases:
         gens = [key_initial(g_s, i) for i in sigma_indices(g_s)]
         elems = [gens[0] ** 2 * gens[-1] + gens[-1] * gens[0] ** 2]
+        elems.append(GradedElem(g_s, elems[0].value, {}))
         for j in sigma_indices(g_r):
             try:
                 elems.append(initial_form(ext.apply(g_r.keys[j]), g_s))
             except InsufficientGeneratingData:
                 pass
         for e in elems:
-            res = subalgebra_membership(e, gens)
-            if res:
-                found += 1
-                assert _reconstruct(res.certificate, gens, e) == e
+            yield e, gens
+
+
+def test_membership_certificates_reconstruct():
+    found = 0
+    for e, gens in _membership_cases():
+        res = subalgebra_membership(e, gens)
+        if res:
+            found += 1
+            assert _reconstruct(res.certificate, gens, e) == e
     assert found > 10
+
+
+def _membership_over_all_products(e, gens, limit=None):
+    """Reference: one linear system over every generator monomial of e's
+    value (or the first ``limit``), on the coordinates in the order the
+    products first show them."""
+    g = e.genseq
+    tower = g.ctx.tower
+    field_basis, _ = span_closure(
+        tower, SubfieldSpec(prefix_levels=g.ctx.ring_levels).generators(tower))
+    products = list(islice(_products_of_value(gens, e.value, g), limit))
+    index = {}
+    for _, prod in products:
+        for exps in prod.coeffs:
+            index.setdefault(exps, len(index))
+    for exps in e.coeffs:
+        index.setdefault(exps, len(index))
+    dim = tower.degree()
+
+    def flatten(elem, scalar):
+        vec = [tower.base.zero()] * (len(index) * dim)
+        for exps, c in elem.coeffs.items():
+            for k, s in enumerate((c * scalar).to_vector()):
+                vec[index[exps] * dim + k] = s
+        return vec
+
+    solver = LinearSolver(tower.base)
+    columns = []
+    for gexps, prod in products:
+        for b in field_basis:
+            solver.add(flatten(prod, b))
+            columns.append((gexps, b))
+    sol = solver.solve(flatten(e, tower.one())) if products else None
+    if sol is None:
+        return None, len(products)
+    combo = {}
+    for idx, scal in sol.items():
+        gexps, b = columns[idx]
+        combo[gexps] = combo.get(gexps, tower.zero()) + b * scal
+    return sorted((k, c) for k, c in combo.items() if not c.is_zero()), \
+        len(products)
+
+
+def test_membership_stops_once_the_element_is_spanned(monkeypatch):
+    walked = []
+
+    def counting(gens, target, g):
+        walked.append(0)
+        for hit in _products_of_value(gens, target, g):
+            walked[-1] += 1
+            yield hit
+
+    monkeypatch.setattr(graded, "_products_of_value", counting)
+    cut = 0
+    for e, gens in _membership_cases():
+        walked.clear()
+        res = subalgebra_membership(e, gens)
+        taken = walked[0]
+        want, products = _membership_over_all_products(e, gens)
+        assert res.ok == (want is not None), e
+        if res:
+            assert res.certificate == want, e
+            # and no shorter prefix of the walk already decides
+            if taken > 1:
+                assert _membership_over_all_products(e, gens, taken - 1)[0] \
+                    is None, e
+        else:
+            assert taken == products  # a failure walks everything
+        cut += taken < products
+    assert cut > 5
+    # a zero generator adds no pivot, and zero is still in the span
+    zero = GradedElem(gens[0].genseq, gens[0].value, {})
+    res = subalgebra_membership(zero, [zero])
+    assert res and res.certificate == []
 
 
 # -- the detector ----------------------------------------------------------------------
@@ -299,6 +392,79 @@ def test_pi2_alignment():
     assert cert_u == [((2, 0), nu1.ctx.tower.one())]
     cert_vu = st.certificates[2].certificate
     assert cert_vu == [((1, 1), nu1.ctx.tower.scalar(2))]
+
+
+def test_detector_expands_each_sigma_image_once(monkeypatch):
+    import valtool.genseq as genseq
+    corn = fixtures.corn()
+    tmap, tgt = free_transform(corn)
+    ext = tmap.extension()
+    real, calls = genseq.expand, []
+
+    def counting_expand(f, g):
+        calls.append(f)
+        return real(f, g)
+
+    monkeypatch.setattr(genseq, "expand", counting_expand)
+    fingen_detect(corn, tgt, ext, 6)
+    assert len(calls) == len(sigma_indices(corn)) == 4
+
+
+@pytest.mark.parametrize("make", [fixtures.corn, lambda: _chain(3, QQ)],
+                         ids=["corn", "chain3"])
+def test_transform_substitutes_each_key_once(monkeypatch, make):
+    import valtool.blowup as blowup
+    import valtool.extension as extension
+    g = make()
+    seen = []
+
+    def counting(module):
+        real = module.substitute
+
+        def substitute(f, images):
+            seen.append(f)
+            return real(f, images)
+        monkeypatch.setattr(module, "substitute", substitute)
+
+    counting(blowup)
+    counting(extension)
+    tmap, tgt = free_transform(g)
+    fingen_detect(g, tgt, tmap.extension(), 6)
+    keys = [sum(f is key for f in seen) for key in g.keys]
+    # the transform takes keys 2.. once; the detector adds x and y only
+    assert keys == [1] * len(g.keys)
+
+
+_IDENTITY_RING = """
+[field]
+base %s
+extend i minpoly 1 0
+
+[ring R]
+params x y
+levels 0
+
+[valuation nu]
+ring R
+values 1 1
+key n=2 value=5/2 tail=x^2
+key n=2 value=21/4 tail=-1*x^4*y
+alpha 1 i
+alpha 2 1
+alpha 3 1
+"""
+
+
+@pytest.mark.parametrize("base", ["Q", "F 3"])
+def test_identity_extension_keeps_residue_degree(base):
+    # the first residue i is new over the ring's residue field, so a delta
+    # that missed it would make chi jump above 1
+    g = parse_scenario(_IDENTITY_RING % base).valuations["nu"]
+    assert validate_sequence(g).ok
+    ident = ExtensionMap(g.ctx, P(g, "x"), P(g, "y"), field_degree=1)
+    st = fingen_detect(g, g, ident, 4)
+    assert [l.chi for l in st.levels] == [1] * len(st.levels)
+    assert len(st.levels) == 4 and st.f == 1
 
 
 def test_corn_transform_obstruction_all_depths():

@@ -174,6 +174,35 @@ def test_divmod_y(ctx):
     assert r.y_degree() < 2
 
 
+@pytest.mark.parametrize("base", [QQ, BaseField(3)], ids=["Q", "F3"])
+def test_divmod_y_random(base):
+    ctx = LocalRingCtx(ResidueTower(base), ("x", "y"))
+    rng = random.Random(11)
+
+    def poly(terms, ydeg):
+        out = ctx.zero()
+        for _ in range(terms):
+            out = out + ctx.monomial(rng.randint(0, 5), rng.randint(0, ydeg),
+                                     rng.randint(-3, 3))
+        return out
+
+    checked = 0
+    for _ in range(40):
+        d = rng.randint(1, 4)
+        g = poly(4, d - 1) + ctx.monomial(0, d, rng.choice([1, 2, -1]))
+        h = poly(5, 3)
+        for f in (poly(8, 7), h * g, h * g + poly(3, d - 1), poly(3, d - 1)):
+            q, r = divmod_y(f, g)
+            assert (q * g + r - f).is_zero()
+            assert r.y_degree() < d
+            if f.y_degree() < d:
+                assert q.is_zero() and (r - f).is_zero()
+            checked += 1
+        q, r = divmod_y(h * g, g)
+        assert r.is_zero() and (q - h).is_zero()
+    assert checked == 160
+
+
 def test_monomialize_check(ctx):
     f2ctx = LocalRingCtx(ResidueTower(BaseField(2)), ("x", "y"))
     u, v = parse_poly("x", f2ctx), parse_poly("y^2", f2ctx)

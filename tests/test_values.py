@@ -117,9 +117,12 @@ def test_sentinels_keep_repr_truth_and_homes():
                  "INSUFFICIENT_PRECISION": "InsufficientPrecision",
                  "UNDETERMINED": "Undetermined"}
     for name, text in sentinels.items():
-        s = getattr(values, name)
-        assert repr(s) == text
-        assert bool(s) == (name != "INSUFFICIENT_PRECISION")
+        assert repr(getattr(values, name)) == text
+    assert bool(values.INFINITE) is True
+    assert bool(values.INSUFFICIENT_PRECISION) is False
+    # an undecided verdict must not pass for a certified one in an ``if``
+    with pytest.raises(TypeError):
+        bool(values.UNDETERMINED)
     assert ring.INSUFFICIENT_PRECISION is values.INSUFFICIENT_PRECISION
     assert extension.UNDETERMINED is values.UNDETERMINED
 
@@ -139,22 +142,22 @@ def test_exact_sums_match_brute_force():
                   for v, c in zip(vals, caps)]
         want = [k for k in product(*ranges)
                 if sum((v * a for v, a in zip(vals, k)), Value(0)) == target]
-        assert exact_sums(vals, target, caps) == want, (vals, caps, target)
+        assert list(exact_sums(vals, target, caps)) == want, (vals, caps, target)
 
 
 def test_exact_sums_rank_two():
     vals = [Value(0, 1, PI), Value(1), Value(1, 1, PI)]
-    assert exact_sums(vals, Value(7)) == [(0, 7, 0)]
-    assert exact_sums(vals, Value(2, 1, PI)) == [(0, 1, 1), (1, 2, 0)]
-    assert exact_sums(vals, Value(-1)) == []
-    assert exact_sums([], Value(0)) == [()]
+    assert list(exact_sums(vals, Value(7))) == [(0, 7, 0)]
+    assert list(exact_sums(vals, Value(2, 1, PI))) == [(0, 1, 1), (1, 2, 0)]
+    assert list(exact_sums(vals, Value(-1))) == []
+    assert list(exact_sums([], Value(0))) == [()]
 
 
 def test_exact_sums_shallow_descriptor_still_faults():
     shallow = IrrationalDescriptor("rough", [(Fraction(3), Fraction(4))])
     # 7 - 2*tau straddles 0 on [3, 4]
     with pytest.raises(UndecidedComparison):
-        exact_sums([Value(0, 1, shallow), Value(1)], Value(7))
+        list(exact_sums([Value(0, 1, shallow), Value(1)], Value(7)))
 
 
 def test_value_ratio():
