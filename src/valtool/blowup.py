@@ -38,8 +38,7 @@ class TransformMap:
     """One composite transform: chart data, recentering, and images."""
 
     __slots__ = ("source_ctx", "target_ctx", "nbar", "w", "a", "b", "eps",
-                 "alpha_lift", "x_image", "y_image", "exceptional_value",
-                 "key_images")
+                 "alpha_lift", "x_image", "y_image", "exceptional_value")
 
     def __init__(self, source_ctx, target_ctx, nbar, w, a, b, eps, alpha_lift,
                  exceptional_value):
@@ -56,7 +55,6 @@ class TransformMap:
         unit = Z + target_ctx.const(alpha_lift)
         self.x_image = X ** nbar * unit ** a
         self.y_image = X ** w * unit ** b
-        self.key_images = []  # (source key, image) from free_transform
 
     def to_target(self, f):
         """Image of a source element in the target chart (exact)."""
@@ -70,7 +68,7 @@ class TransformMap:
         return ExtensionMap(self.source_ctx, self.x_image, self.y_image,
                             field_degree=1,
                             residue_char=self.source_ctx.tower.base.p,
-                            unique=True, known=self.key_images)
+                            unique=True)
 
     def describe(self):
         xn, yn = self.source_ctx.param_names
@@ -140,7 +138,6 @@ def free_transform(g):
         n_product *= g.step(i).power
         expected_drop = w * n_product
         img = tmap.to_target(g.keys[i + 1])
-        tmap.key_images.append((g.keys[i + 1], img))
         drop = img.x_order()
         if drop != expected_drop:
             raise TransformError(
@@ -228,10 +225,7 @@ def _transport_oracle(g, tmap):
 
 
 def _series_monomial(gx, ex, gy, ey, eps):
-    def power(s, e):
-        return s ** e if e >= 0 else s.inverse() ** (-e)
-
-    out = power(gx, ex) * power(gy, ey)
+    out = gx ** ex * gy ** ey
     return out if eps == 1 else out.inverse()
 
 

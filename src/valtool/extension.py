@@ -31,10 +31,10 @@ class ExtensionMap:
     """A finite extension R -> S given by the images of R's parameters."""
 
     __slots__ = ("source_ctx", "u_image", "v_image", "field_degree",
-                 "residue_char", "unique", "known")
+                 "residue_char", "unique")
 
     def __init__(self, source_ctx, u_image, v_image, field_degree,
-                 residue_char=0, unique=None, known=()):
+                 residue_char=0, unique=None):
         if u_image.ctx is not v_image.ctx:
             raise ValueError("images live in different target contexts")
         if u_image.is_unit() or v_image.is_unit():
@@ -47,8 +47,6 @@ class ExtensionMap:
         self.field_degree = int(field_degree)
         self.residue_char = int(residue_char)
         self.unique = unique
-        # (element, image) pairs substituted already, by element identity
-        self.known = {id(f): (f, img) for f, img in known}
 
     @property
     def target_ctx(self):
@@ -58,9 +56,6 @@ class ExtensionMap:
         """Image in S of an element of R."""
         if f.ctx is not self.source_ctx:
             raise ValueError("element is not from the source ring")
-        hit = self.known.get(id(f))
-        if hit is not None and hit[0] is f:
-            return hit[1]
         return substitute(f, {self.source_ctx.param_names[0]: self.u_image,
                               self.source_ctx.param_names[1]: self.v_image})
 

@@ -27,6 +27,7 @@ from .towers import (
     LinearSolver,
     SubfieldSpec,
     minimal_polynomial,
+    power,
     relative_dimension,
     span_closure,
 )
@@ -87,10 +88,7 @@ class GradedElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        out = graded_one(self.genseq)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, graded_one(self.genseq))
 
     def __eq__(self, other):
         return (isinstance(other, GradedElem) and self.genseq is other.genseq

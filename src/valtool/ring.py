@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .towers import TowerElem
+from .towers import TowerElem, power
 from .values import INFINITE, INSUFFICIENT_PRECISION, Value
 
 
@@ -110,10 +110,7 @@ class RingElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, TowerElem)):
-            c0 = self.ctx.const(other)
-            if not c0.terms:
-                return self.ctx.zero()
-            scal = c0.terms[(0, 0)]
+            scal = self.ctx.const(other).constant_term()
             return RingElem(self.ctx, {e: c * scal for e, c in self.terms.items()})
         other = self._coerce(other)
         out = {}
@@ -130,25 +127,15 @@ class RingElem:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers are not ring elements")
-        out = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self.ctx.one())
 
     def __eq__(self, other):
         if not isinstance(other, RingElem):
             other = self.ctx.const(other)
-        return self.ctx is other.ctx and self._key() == other._key()
+        return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self._key())
-
-    def _key(self):
-        return tuple(sorted((e, hash(c)) for e, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     # -- predicates ----------------------------------------------------------
 
@@ -277,10 +264,33 @@ def substitute(f, images):
     ctx = gx.ctx
     if gy.ctx is not ctx:
         raise ValueError("images live in different contexts")
-    out = ctx.zero()
-    for (i, j), c in sorted(f.terms.items()):
-        term = (gx ** i) * (gy ** j) * ctx.tower.lift(c)
-        out = out + term
+    return _evaluate(f, gx, gy, ctx.zero(), ctx.one())
+
+
+def _evaluate(f, gx, gy, zero, one):
+    """f(gx, gy) for ring or series images: sum_j gy^j * (sum_i c_ij gx^i).
+
+    Each power of gx and gy is formed once, with one full product per
+    y-degree.  A product's truncation is a min over its terms, so series
+    results keep the term-by-term truncation (Horner in gy would not).
+    """
+    rows = f.y_slices()
+    xp = _powers(gx, max((i for i, _ in f.terms), default=0), one)
+    yp = _powers(gy, max(rows, default=0), one)
+    out = zero
+    for j, row in sorted(rows.items()):
+        acc = zero
+        for i, c in sorted(row.items()):
+            acc = acc + xp[i] * c
+        out = out + (acc if j == 0 else yp[j] * acc)
+    return out
+
+
+def _powers(g, n, one):
+    """[one, g, g^2, ...] up to at least g^n, each power formed once."""
+    out = [one, g]
+    while len(out) <= n:
+        out.append(out[-1] * g)
     return out
 
 
@@ -371,18 +381,10 @@ class TruncSeries:
         return TruncSeries(self.tower, out, trunc)
 
     def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
         # exact-constant start; __mul__ tracks the honest truncation
-        out = TruncSeries(self.tower, {Fraction(0): self.tower.one()},
-                          Fraction(10 ** 9))
-        base = self
-        m = n
-        while m:
-            if m & 1:
-                out = out * base
-            m >>= 1
-            if m:
-                base = base * base
-        return out
+        return power(self, n, _exact(self.tower, self.tower.one()))
 
     def inverse(self):
         """Inverse of a series with invertible leading coefficient."""
@@ -416,6 +418,11 @@ class TruncSeries:
         return (" + ".join(parts) or "0") + " + O(t^%s)" % self.trunc
 
 
+def _exact(tower, c):
+    """The constant c as a series known far past any declared truncation."""
+    return TruncSeries(tower, {Fraction(0): c}, Fraction(10 ** 9))
+
+
 class SeriesEmbedding:
     """Truncated-series images of a ring's parameters: the valuation oracle.
 
@@ -443,11 +450,8 @@ class SeriesEmbedding:
         gx = self.images[f.ctx.param_names[0]]
         gy = self.images[f.ctx.param_names[1]]
         tower = gx.tower
-        out = TruncSeries(tower, {}, Fraction(10 ** 9))
-        for (i, j), c in sorted(f.terms.items()):
-            term = (gx ** i) * (gy ** j) * tower.lift(c)
-            out = out + term
-        return out
+        return _evaluate(f, gx, gy, _exact(tower, tower.zero()),
+                         _exact(tower, tower.one()))
 
     def residue_of_ratio(self, num, den):
         """Residue [num/den] for equal-order images, or INSUFFICIENT_PRECISION."""
@@ -575,11 +579,12 @@ def _tokenize(text):
 class _PolyParser:
     """Infix polynomials over named variables with exact rational constants."""
 
-    def __init__(self, text, var_lookup, const_lookup=None):
+    def __init__(self, text, ctx, var_lookup, const_lookup):
         self.toks = _tokenize(text)
         self.i = 0
+        self.ctx = ctx
         self.var_lookup = var_lookup
-        self.const_lookup = const_lookup or {}
+        self.const_lookup = const_lookup
 
     def peek(self):
         return self.toks[self.i]
@@ -643,7 +648,7 @@ class _PolyParser:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            return self.num_to_elem(Fraction(tok.text))
+            return self.ctx.const(Fraction(tok.text))
         if tok.kind == "name":
             self.take()
             if tok.text in self.var_lookup:
@@ -659,9 +664,6 @@ class _PolyParser:
         raise PolyParseError("expected a term, found %r" % (tok.text or "end"),
                              tok.pos)
 
-    def num_to_elem(self, q):
-        raise NotImplementedError
-
 
 def parse_poly(text, ctx, extra_vars=None, consts=None):
     """Parse an infix polynomial in the context's parameters.
@@ -672,13 +674,5 @@ def parse_poly(text, ctx, extra_vars=None, consts=None):
     variables = {ctx.param_names[0]: ctx.x(), ctx.param_names[1]: ctx.y()}
     if extra_vars:
         variables.update(extra_vars)
-    const_elems = {}
-    if consts:
-        const_elems = {n: ctx.const(c) for n, c in consts.items()}
-
-    parser = _PolyParser(text, variables, const_elems)
-    parser.num_to_elem = lambda q: ctx.const(q)
-    out = parser.parse()
-    if not isinstance(out, RingElem):
-        out = ctx.const(out)
-    return out
+    const_elems = {n: ctx.const(c) for n, c in (consts or {}).items()}
+    return _PolyParser(text, ctx, variables, const_elems).parse()

@@ -25,7 +25,11 @@ class NotAFieldExtension(Exception):
 
 
 class BaseField:
-    """QQ (p == 0) or the prime field GF(p); scalar helpers for both."""
+    """QQ (p == 0) or the prime field GF(p); scalar helpers for both.
+
+    Whole rationals are kept as ints, far cheaper than Fraction arithmetic,
+    and the others as Fractions; the two compare and hash alike.
+    """
 
     __slots__ = ("p",)
 
@@ -36,10 +40,10 @@ class BaseField:
         self.p = p
 
     def zero(self):
-        return 0 if self.p else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.p else Fraction(1)
+        return 1
 
     def of(self, c):
         if self.p:
@@ -48,7 +52,7 @@ class BaseField:
                     raise ZeroDivisionError("denominator divisible by p")
                 return (c.numerator * pow(c.denominator, -1, self.p)) % self.p
             return int(c) % self.p
-        return Fraction(c)
+        return _int_if_whole(Fraction(c))
 
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
@@ -69,7 +73,7 @@ class BaseField:
             return pow(a, -1, self.p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _int_if_whole(1 / Fraction(a))
 
     def is_zero(self, a):
         return (a % self.p == 0) if self.p else a == 0
@@ -87,6 +91,10 @@ class BaseField:
 
     def __repr__(self):
         return "QQ" if self.p == 0 else "GF(%d)" % self.p
+
+
+def _int_if_whole(q):
+    return q.numerator if q.denominator == 1 else q
 
 
 QQ = BaseField(0)
@@ -493,6 +501,21 @@ def _has_rational_quadratic_factor(coeffs):
     return False
 
 
+def power(base, n, one):
+    """``base ** n`` for ``n >= 0`` by binary powering (``one`` for n = 0).
+
+    It squares only while bits of n remain and never multiplies by ``one``.
+    """
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if out is None else out
+
+
 class TowerElem:
     """Canonical-form element of a :class:`ResidueTower`."""
 
@@ -554,14 +577,7 @@ class TowerElem:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.tower.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, self.tower.one())
 
     def is_zero(self):
         return _is_zero(self.tower, self.tower.height, self.rep)

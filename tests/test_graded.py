@@ -82,6 +82,29 @@ def test_step_relation_rewrites(v1):
     assert list(sq.coeffs) == [(3, 0, 0)]
 
 
+@pytest.mark.parametrize("make", [fixtures.v1, fixtures.corn],
+                         ids=["v1", "corn"])
+def test_graded_power_matches_repeated_product(make):
+    g = make()
+    rng = random.Random(47)
+    elems = [key_initial(g, i) for i in range(len(g.keys))]
+    while len(elems) < len(g.keys) + 6:
+        f = g.ctx.zero()
+        for _ in range(3):
+            f = f + g.ctx.monomial(rng.randint(0, 4), rng.randint(0, 3),
+                                   rng.randint(-2, 2))
+        if not f.is_zero():
+            try:
+                elems.append(initial_form(f, g))
+            except InsufficientGeneratingData:
+                pass
+    for e in elems:
+        want = graded_one(g)
+        for n in range(7):
+            assert e ** n == want
+            want = want * e
+
+
 def _v1_shape(c):
     """v1's values and keys with the tail c*x^3 instead of -x^3."""
     tower = ResidueTower(QQ)
@@ -408,31 +431,6 @@ def test_detector_expands_each_sigma_image_once(monkeypatch):
     monkeypatch.setattr(genseq, "expand", counting_expand)
     fingen_detect(corn, tgt, ext, 6)
     assert len(calls) == len(sigma_indices(corn)) == 4
-
-
-@pytest.mark.parametrize("make", [fixtures.corn, lambda: _chain(3, QQ)],
-                         ids=["corn", "chain3"])
-def test_transform_substitutes_each_key_once(monkeypatch, make):
-    import valtool.blowup as blowup
-    import valtool.extension as extension
-    g = make()
-    seen = []
-
-    def counting(module):
-        real = module.substitute
-
-        def substitute(f, images):
-            seen.append(f)
-            return real(f, images)
-        monkeypatch.setattr(module, "substitute", substitute)
-
-    counting(blowup)
-    counting(extension)
-    tmap, tgt = free_transform(g)
-    fingen_detect(g, tgt, tmap.extension(), 6)
-    keys = [sum(f is key for f in seen) for key in g.keys]
-    # the transform takes keys 2.. once; the detector adds x and y only
-    assert keys == [1] * len(g.keys)
 
 
 _IDENTITY_RING = """

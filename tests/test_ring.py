@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from valtool import fixtures
+from valtool.blowup import free_transform
 from valtool.ring import (
     INSUFFICIENT_PRECISION,
     LocalRingCtx,
@@ -11,6 +12,7 @@ from valtool.ring import (
     NotMonomial,
     NotRegularAfterSubstitution,
     PolyParseError,
+    RingElem,
     SeriesEmbedding,
     TruncSeries,
     divmod_y,
@@ -20,7 +22,7 @@ from valtool.ring import (
     series_value,
     substitute,
 )
-from valtool.towers import QQ, BaseField, ResidueTower
+from valtool.towers import QQ, BaseField, ResidueTower, TowerElem
 from valtool.values import INFINITE, Value
 
 
@@ -83,6 +85,112 @@ def test_substitute_identity_and_composition(ctx):
         f = parse_poly(text, ctx)
         assert substitute(substitute(f, g_imgs), h_imgs) == \
             substitute(f, composed)
+
+
+def _term_by_term(f, gx, gy, zero, lift):
+    """Reference evaluation: one full product per term of f."""
+    out = zero
+    for (i, j), c in sorted(f.terms.items()):
+        out = out + (gx ** i) * (gy ** j) * lift(c)
+    return out
+
+
+def _random_poly(ctx, rng, terms, xdeg, ydeg):
+    out = ctx.zero()
+    scalars = [ctx.tower.scalar(k) for k in (1, 2, -1, 3)]
+    scalars = [c for c in scalars if not c.is_zero()]
+    scalars += [c * ctx.tower.gen(k) for c in scalars[:2]
+                for k in range(ctx.tower.height)]
+    for _ in range(terms):
+        out = out + ctx.monomial(rng.randint(0, xdeg), rng.randint(0, ydeg),
+                                 rng.choice(scalars))
+    return out
+
+
+@pytest.mark.parametrize("tower", [
+    ResidueTower(QQ), ResidueTower(BaseField(3)),
+    ResidueTower(QQ).extend("i", [1, 0])], ids=["Q", "F3", "Q(i)"])
+def test_substitute_matches_term_by_term(tower):
+    ctx = LocalRingCtx(tower, ("x", "y"))
+    tgt = LocalRingCtx(tower, ("x1", "y1"))
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(30):
+        f = _random_poly(ctx, rng, 6, 5, 4)
+        images = {"x": _random_poly(tgt, rng, rng.randint(1, 3), 3, 2),
+                  "y": _random_poly(tgt, rng, rng.randint(1, 4), 2, 3)}
+        got = substitute(f, images)
+        want = _term_by_term(f, images["x"], images["y"], tgt.zero(),
+                             tgt.tower.lift)
+        assert got == want
+        checked += not got.is_zero()
+    assert checked > 20
+
+
+def _oracles():
+    v1 = fixtures.v1()
+    _, branch1, branch2, _ = fixtures.disc()
+    g_r, g_s, _ = fixtures.def2()
+    # name -> (oracle, sample size); the transported oracle has long series
+    return {"v1": (v1.oracle, 60), "disc-branch1": (branch1, 60),
+            "disc-branch2": (branch2, 60), "def2-r": (g_r.oracle, 60),
+            "def2-s": (g_s.oracle, 60),
+            "v1-transform": (free_transform(v1)[1].oracle, 15)}
+
+
+@pytest.mark.parametrize("name", ["v1", "disc-branch1", "disc-branch2",
+                                  "def2-r", "def2-s", "v1-transform"])
+def test_series_evaluate_matches_term_by_term(name):
+    emb, samples = _oracles()[name]
+    xn, yn = emb.ctx.param_names
+    gx, gy = emb.images[xn], emb.images[yn]
+    tower = gx.tower
+    zero = TruncSeries(tower, {}, Fraction(10 ** 9))
+    rng = random.Random(29)
+    for n in range(samples):
+        f = _random_poly(emb.ctx, rng, 1 + n % 6, 4, 3)
+        got = emb.evaluate(f)
+        want = _term_by_term(f, gx, gy, zero, tower.lift)
+        assert got.coeffs == want.coeffs
+        assert got.trunc == want.trunc
+
+
+@pytest.mark.parametrize("kind", ["ring", "tower"])
+def test_power_forms_no_spare_products(monkeypatch, kind):
+    tower = ResidueTower(QQ).extend("r", [-2, 0])
+    if kind == "ring":
+        cls, f = RingElem, parse_poly("x + 2*y - 1", LocalRingCtx(tower))
+        one = f.ctx.one()
+    else:
+        cls, f, one = TowerElem, tower.gen("r") + 1, tower.one()
+    real, products = cls.__mul__, []
+
+    def counting(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    want = one
+    # squarings: bit length - 1; multiplications: set bits - 1
+    for n, count in enumerate([0, 0, 1, 2, 2, 3, 3, 4, 3]):
+        products.clear()
+        assert f ** n == want
+        assert len(products) == count
+        want = real(want, f)
+
+
+def test_ring_equality_is_exact(ctx):
+    x = ctx.x()
+    assert x != 2 ** 61 * x  # hash(2**61) == hash(1)
+    assert not (x == 2 ** 61 * x)
+    assert len({x, 2 ** 61 * x}) == 2
+    tower = ResidueTower(QQ).extend("r", [-2, 0])
+    rctx = LocalRingCtx(tower)
+    r = rctx.const(tower.gen("r"))
+    a = (rctx.x() + r * rctx.y()) ** 3
+    b = (rctx.x() ** 3 + r * 3 * rctx.x() ** 2 * rctx.y()
+         + 6 * rctx.x() * rctx.y() ** 2 + r * 2 * rctx.y() ** 3)
+    assert a == b and hash(a) == hash(b)
 
 
 def test_substitute_monomial_laurent_guard(ctx):

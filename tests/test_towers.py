@@ -134,3 +134,15 @@ def test_levels_used_and_lift():
     lifted = t2.lift(t.gen("r"))
     assert lifted == t2.gen("r")
     assert t2.scalar(7).is_rational()
+
+
+def test_whole_rationals_are_ints_and_stay_exact():
+    t = ResidueTower(QQ)
+    two = t.scalar(Fraction(6, 3))
+    assert type(two.rep) is int and two == t.scalar(2)
+    half = two.inverse()
+    assert type(half.rep) is Fraction and half.rep == Fraction(1, 2)
+    # a whole Fraction result equals, and hashes like, the int it names
+    assert half * 4 == two and hash(half * 4) == hash(two)
+    assert type((half * 2).as_rational()) is Fraction
+    assert (two ** -3).rep == Fraction(1, 8)
