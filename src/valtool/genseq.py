@@ -319,15 +319,9 @@ def expand(f, g):
 
 
 def _expand_raw(f, keys, top):
-    if top == 0:
-        out = {}
-        for (i, j), c in f.terms.items():
-            if j != 0:
-                raise InternalInconsistency("y-degree survived the division chain")
-            out[(i,)] = c
-        return out
     if top == 1:
-        return {(i, j): c for (i, j), c in f.terms.items()}
+        coeff = f.ctx.coeff
+        return {(i, j): coeff(c) for (i, j), c in f.terms.items()}
     key = keys[top]
     deg = key.y_degree()
     out = {}

@@ -41,19 +41,26 @@ class LocalRingCtx:
         return self.const(1)
 
     def const(self, c):
-        if not isinstance(c, TowerElem):
-            c = self.tower.scalar(c)
-        else:
-            c = self.tower.lift(c)
-        if c.is_zero():
-            return RingElem(self, {})
-        return RingElem(self, {(0, 0): c})
+        return self.monomial(0, 0, c)
 
     def monomial(self, i, j, c=1):
-        out = self.const(c)
-        if not out.terms:
-            return out
-        return RingElem(self, {(i, j): out.terms[(0, 0)]})
+        """The term c x^i y^j; every coefficient enters a ring through here.
+
+        ``c`` is a base scalar or an element of a prefix of the tower.
+        """
+        if isinstance(c, TowerElem):
+            c = self.tower.lift(c)
+            if c.levels_used() > self.ring_levels:
+                raise ValueError(
+                    "coefficient %r uses tower levels beyond the ring's "
+                    "residue field" % c)
+        else:
+            c = self.tower.scalar(c)
+        return RingElem(self, {(i, j): c.rep})
+
+    def coeff(self, rep):
+        """The tower element of a raw coefficient rep of this ring."""
+        return TowerElem(self.tower, rep)
 
     def x(self):
         return self.monomial(1, 0)
@@ -67,18 +74,19 @@ class LocalRingCtx:
 
 
 class RingElem:
-    """Bivariate polynomial over the tower; no zero coefficients stored."""
+    """Bivariate polynomial over the tower; no zero coefficients stored.
+
+    ``terms`` maps exponent pairs (i, j) to raw reps of ``ctx.tower`` (see
+    towers.py), computed on with the tower's bound operations;
+    ``ctx.coeff`` turns a rep into its tower element.
+    """
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
-        for c in self.terms.values():
-            if c.levels_used() > ctx.ring_levels:
-                raise ValueError(
-                    "coefficient %r uses tower levels beyond the ring's "
-                    "residue field" % c)
+        is_zero = ctx.tower.is_zero
+        self.terms = {e: c for e, c in terms.items() if not is_zero(c)}
 
     # -- ring structure ------------------------------------------------------
 
@@ -91,10 +99,11 @@ class RingElem:
 
     def __add__(self, other):
         other = self._coerce(other)
+        add = self.ctx.tower.add
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
-            out[e] = c if s is None else s + c
+            out[e] = c if s is None else add(s, c)
         return RingElem(self.ctx, out)
 
     __radd__ = __add__
@@ -106,20 +115,19 @@ class RingElem:
         return (-self) + other
 
     def __neg__(self):
-        return RingElem(self.ctx, {e: -c for e, c in self.terms.items()})
+        neg = self.ctx.tower.neg
+        return RingElem(self.ctx, {e: neg(c) for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, TowerElem)):
-            scal = self.ctx.const(other).constant_term()
-            return RingElem(self.ctx, {e: c * scal for e, c in self.terms.items()})
         other = self._coerce(other)
+        add, mul = self.ctx.tower.add, self.ctx.tower.mul
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2)
-                p = c1 * c2
+                p = mul(c1, c2)
                 s = out.get(e)
-                out[e] = p if s is None else s + p
+                out[e] = p if s is None else add(s, p)
         return RingElem(self.ctx, out)
 
     __rmul__ = __mul__
@@ -135,7 +143,8 @@ class RingElem:
         return self.ctx is other.ctx and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # reps above height 0 are lists; equal elements share their exponents
+        return hash(frozenset(self.terms))
 
     # -- predicates ----------------------------------------------------------
 
@@ -146,7 +155,8 @@ class RingElem:
         return (0, 0) in self.terms
 
     def constant_term(self):
-        return self.terms.get((0, 0), self.ctx.tower.zero())
+        c = self.terms.get((0, 0))
+        return self.ctx.tower.zero() if c is None else self.ctx.coeff(c)
 
     def in_maximal_ideal(self):
         return (0, 0) not in self.terms
@@ -162,10 +172,9 @@ class RingElem:
 
     def y_slices(self):
         """Map j -> {i: coeff}: the element grouped by y-exponent."""
-        out = {}
-        for (i, j), c in self.terms.items():
-            out.setdefault(j, {})[i] = c
-        return out
+        coeff = self.ctx.coeff
+        return {j: {i: coeff(c) for i, c in row.items()}
+                for j, row in _rows(self).items()}
 
     def shift(self, di, dj):
         if any(i + di < 0 or j + dj < 0 for i, j in self.terms):
@@ -178,9 +187,10 @@ class RingElem:
         """Divide by the coefficient of the lex-smallest exponent pair."""
         if not self.terms:
             return self
-        e0 = min(self.terms)
-        inv = self.terms[e0].inverse()
-        return RingElem(self.ctx, {e: c * inv for e, c in self.terms.items()})
+        tower = self.ctx.tower
+        inv = tower.inv(self.terms[min(self.terms)])
+        return RingElem(self.ctx, {e: tower.mul(c, inv)
+                                   for e, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -190,7 +200,7 @@ class RingElem:
         for (i, j), c in sorted(self.terms.items()):
             mono = "*".join(s for s in (
                 _pow_str(xn, i), _pow_str(yn, j)) if s)
-            cs = repr(c)
+            cs = repr(self.ctx.coeff(c))
             if mono and cs == "1":
                 parts.append(mono)
             elif mono and cs == "-1":
@@ -209,35 +219,46 @@ def _pow_str(name, e):
     return name if e == 1 else "%s^%d" % (name, e)
 
 
+def _rows(f):
+    """Map j -> {i: raw rep}: f grouped by y-exponent."""
+    out = {}
+    for (i, j), c in f.terms.items():
+        out.setdefault(j, {})[i] = c
+    return out
+
+
 def divmod_y(f, g):
     """Division f = q*g + r by a polynomial monic in y; deg_y r < deg_y g.
 
     ``g`` must have y-leading coefficient equal to a unit constant (keys
     always do); exactness is literal.
     """
+    tower = f.ctx.tower
+    mul, sub, neg, is_zero = tower.mul, tower.sub, tower.neg, tower.is_zero
     d = g.y_degree()
-    lead_slice = g.y_slices().get(d, {})
+    lead_slice = _rows(g).get(d, {})
     if list(lead_slice) != [0]:
         raise ValueError("divisor is not monic in y (leading coeff not constant)")
-    lead_inv = lead_slice[0].inverse()
+    lead_inv = tower.inv(lead_slice[0])
     # g without its leading y^d, with y-exponents relative to d
     rest = [(i, j - d, c) for (i, j), c in g.terms.items() if j < d]
-    rows = f.y_slices()  # the remainder, by y-exponent, reduced in place
+    rows = _rows(f)  # the remainder, by y-exponent, reduced in place
     q = {}
     while rows:
         top = max(rows)
         if top < d:
             break
         for i, c in rows.pop(top).items():
-            if c.is_zero():
+            if is_zero(c):
                 continue
-            qc = c * lead_inv
+            qc = mul(c, lead_inv)
             q[(i, top - d)] = qc
             for gi, gj, gc in rest:
                 row = rows.setdefault(top + gj, {})
                 e = i + gi
                 prev = row.get(e)
-                row[e] = -(qc * gc) if prev is None else prev - qc * gc
+                p = mul(qc, gc)
+                row[e] = neg(p) if prev is None else sub(prev, p)
     r = {(i, j): c for j, row in rows.items() for i, c in row.items()}
     return RingElem(f.ctx, q), RingElem(f.ctx, r)
 
@@ -264,24 +285,26 @@ def substitute(f, images):
     ctx = gx.ctx
     if gy.ctx is not ctx:
         raise ValueError("images live in different contexts")
-    return _evaluate(f, gx, gy, ctx.zero(), ctx.one())
+    return _evaluate(f, gx, gy, ctx.zero(), ctx.one(), ctx.const)
 
 
-def _evaluate(f, gx, gy, zero, one):
+def _evaluate(f, gx, gy, zero, one, lift):
     """f(gx, gy) for ring or series images: sum_j gy^j * (sum_i c_ij gx^i).
 
-    Each power of gx and gy is formed once, with one full product per
+    ``lift`` carries each coefficient, as a tower element, to the images'
+    side.  Each power of gx and gy is formed once, with one full product per
     y-degree.  A product's truncation is a min over its terms, so series
     results keep the term-by-term truncation (Horner in gy would not).
     """
-    rows = f.y_slices()
+    coeff = f.ctx.coeff
+    rows = _rows(f)
     xp = _powers(gx, max((i for i, _ in f.terms), default=0), one)
     yp = _powers(gy, max(rows, default=0), one)
     out = zero
     for j, row in sorted(rows.items()):
         acc = zero
         for i, c in sorted(row.items()):
-            acc = acc + xp[i] * c
+            acc = acc + xp[i] * lift(coeff(c))
         out = out + (acc if j == 0 else yp[j] * acc)
     return out
 
@@ -299,15 +322,16 @@ def _substitute_monomial(f, gx, gy):
     (ay, by), ctx2 = gy
     if ctx is not ctx2:
         raise ValueError("monomial images in different contexts")
+    add = ctx.tower.add
     out = {}
     for (i, j), c in f.terms.items():
         e = (ax * i + ay * j, bx * i + by * j)
         if e[0] < 0 or e[1] < 0:
             raise NotRegularAfterSubstitution(
                 "term x^%d y^%d maps to exponent %r" % (i, j, e))
-        c = ctx.tower.lift(c)
+        c = ctx.const(f.ctx.coeff(c)).terms[(0, 0)]
         s = out.get(e)
-        out[e] = c if s is None else s + c
+        out[e] = c if s is None else add(s, c)
     return RingElem(ctx, out)
 
 
@@ -451,7 +475,7 @@ class SeriesEmbedding:
         gy = self.images[f.ctx.param_names[1]]
         tower = gx.tower
         return _evaluate(f, gx, gy, _exact(tower, tower.zero()),
-                         _exact(tower, tower.one()))
+                         _exact(tower, tower.one()), tower.lift)
 
     def residue_of_ratio(self, num, den):
         """Residue [num/den] for equal-order images, or INSUFFICIENT_PRECISION."""

@@ -14,6 +14,7 @@ towers, span closures) are affordable and preferred over clever algorithms.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 
 class NotAFieldExtension(Exception):
@@ -143,11 +144,6 @@ def _is_zero(tower, k, a):
         return tower.base.is_zero(a)
     return all(_is_zero(tower, k - 1, c) for c in a)
 
-def _eq(tower, k, a, b):
-    if k == 0:
-        return tower.base.is_zero(tower.base.sub(a, b))
-    return all(_eq(tower, k - 1, x, y) for x, y in zip(a, b))
-
 def _add(tower, k, a, b):
     if k == 0:
         return tower.base.add(a, b)
@@ -251,6 +247,12 @@ class ResidueTower:
     def __init__(self, base=QQ, levels=()):
         self.base = base
         self.levels = tuple(levels)
+        # arithmetic on raw reps at the top height, bound once
+        k, b = len(self.levels), base
+        self.add, self.sub, self.neg, self.mul, self.inv, self.is_zero = (
+            (b.add, b.sub, b.neg, b.mul, b.inv, b.is_zero) if k == 0 else
+            [partial(op, self, k)
+             for op in (_add, _sub, _neg, _mul, _inv, _is_zero)])
 
     # -- structure ---------------------------------------------------------
 
@@ -526,53 +528,39 @@ class TowerElem:
         self.rep = rep
 
     def _pair(self, other):
+        """The raw rep of an element of this tower or of a base scalar."""
         if isinstance(other, TowerElem):
             if other.tower is self.tower or other.tower == self.tower:
-                return other
-            if other.tower.is_prefix_of(self.tower):
-                return self.tower.lift(other)
-            if self.tower.is_prefix_of(other.tower):
-                return None  # caller retries on the bigger tower
-            raise ValueError("elements of incompatible towers")
-        return self.tower.scalar(other)
+                return other.rep
+            raise ValueError("elements of different towers; move one into "
+                             "the other with ResidueTower.lift")
+        return self.tower.scalar(other).rep
 
     def __add__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return other.__radd__(self)
-        return TowerElem(self.tower, _add(self.tower, self.tower.height,
-                                          self.rep, o.rep))
+        return TowerElem(self.tower, self.tower.add(self.rep, self._pair(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return (-other).__add__(self)
-        return TowerElem(self.tower, _sub(self.tower, self.tower.height,
-                                          self.rep, o.rep))
+        return TowerElem(self.tower, self.tower.sub(self.rep, self._pair(other)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return TowerElem(self.tower, _neg(self.tower, self.tower.height, self.rep))
+        return TowerElem(self.tower, self.tower.neg(self.rep))
 
     def __mul__(self, other):
-        o = self._pair(other)
-        if o is None:
-            return other.__rmul__(self)
-        return TowerElem(self.tower, _mul(self.tower, self.tower.height,
-                                          self.rep, o.rep))
+        return TowerElem(self.tower, self.tower.mul(self.rep, self._pair(other)))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        return TowerElem(self.tower, _inv(self.tower, self.tower.height, self.rep))
+        return TowerElem(self.tower, self.tower.inv(self.rep))
 
     def __truediv__(self, other):
-        o = self._pair(other)
-        return self * o.inverse()
+        t = self.tower
+        return TowerElem(t, t.mul(self.rep, t.inv(self._pair(other))))
 
     def __pow__(self, n):
         if n < 0:
@@ -580,22 +568,14 @@ class TowerElem:
         return power(self, n, self.tower.one())
 
     def is_zero(self):
-        return _is_zero(self.tower, self.tower.height, self.rep)
+        return self.tower.is_zero(self.rep)
 
     def __eq__(self, other):
-        if not isinstance(other, TowerElem):
-            try:
-                other = self.tower.scalar(other)
-            except (TypeError, ValueError):
-                return NotImplemented
-        elif other.tower != self.tower:
-            if other.tower.is_prefix_of(self.tower):
-                other = self.tower.lift(other)
-            elif self.tower.is_prefix_of(other.tower):
-                return other.__eq__(self)
-            else:
-                return False
-        return _eq(self.tower, self.tower.height, self.rep, other.rep)
+        try:
+            o = self._pair(other)
+        except (TypeError, ValueError):
+            return NotImplemented
+        return self.tower.is_zero(self.tower.sub(self.rep, o))
 
     def __hash__(self):
         return hash((self.tower, _freeze(self.rep)))

@@ -5,6 +5,7 @@ import pytest
 
 from valtool import fixtures
 from valtool.blowup import free_transform
+from valtool.extension import ExtensionMap
 from valtool.ring import (
     INSUFFICIENT_PRECISION,
     LocalRingCtx,
@@ -45,7 +46,8 @@ def test_parse_and_arithmetic(ctx):
     g = parse_poly("y^2", ctx) - parse_poly("x^3", ctx)
     assert f == g
     assert parse_poly("(x + y)^2", ctx) == parse_poly("x^2 + 2*x*y + y^2", ctx)
-    assert parse_poly("3/2*x", ctx).terms[(1, 0)].as_rational() == Fraction(3, 2)
+    assert ctx.coeff(parse_poly("3/2*x", ctx).terms[(1, 0)]).as_rational() \
+        == Fraction(3, 2)
     with pytest.raises(PolyParseError):
         parse_poly("x + q", ctx)
     with pytest.raises(PolyParseError):
@@ -91,7 +93,7 @@ def _term_by_term(f, gx, gy, zero, lift):
     """Reference evaluation: one full product per term of f."""
     out = zero
     for (i, j), c in sorted(f.terms.items()):
-        out = out + (gx ** i) * (gy ** j) * lift(c)
+        out = out + (gx ** i) * (gy ** j) * lift(f.ctx.coeff(c))
     return out
 
 
@@ -374,3 +376,81 @@ def test_shipped_series_encode_their_identities():
     trunc = min(sq.trunc, v.trunc)
     assert below(sq, trunc) == below(v, trunc)
     assert max(v.coeffs) < trunc
+
+
+def _coeffs(f):
+    return {e: f.ctx.coeff(c) for e, c in f.terms.items()}
+
+
+@pytest.mark.parametrize("tower", [
+    ResidueTower(QQ), ResidueTower(BaseField(3)),
+    ResidueTower(QQ).extend("i", [1, 0])], ids=["Q", "F3", "Q(i)"])
+def test_raw_rep_arithmetic_matches_tower_elements(tower):
+    ctx = LocalRingCtx(tower, ("x", "y"))
+    rng = random.Random(31)
+    zero = tower.zero()
+    checked = 0
+    for _ in range(30):
+        f = _random_poly(ctx, rng, 6, 4, 3)
+        g = _random_poly(ctx, rng, 5, 3, 3)
+        cf, cg = _coeffs(f), _coeffs(g)
+        prod, total = {}, dict(cf)
+        for (i1, j1), a in cf.items():
+            for (i2, j2), b in cg.items():
+                e = (i1 + i2, j1 + j2)
+                prod[e] = prod.get(e, zero) + a * b
+        for e, b in cg.items():
+            total[e] = total.get(e, zero) + b
+        for got, want in ((f * g, prod), (f + g, total),
+                          (-f, {e: -a for e, a in cf.items()})):
+            assert _coeffs(got) == {e: c for e, c in want.items()
+                                    if not c.is_zero()}
+        if cf:
+            inv = cf[min(cf)].inverse()
+            assert _coeffs(f.leading_unit_normalized()) == \
+                {e: a * inv for e, a in cf.items()}
+            checked += 1
+    assert checked > 20
+
+
+def test_whole_fraction_coefficients_equal_ints(ctx):
+    x = ctx.x()
+    half = x * Fraction(1, 2)
+    assert half + half == x and hash(half + half) == hash(x)
+
+
+@pytest.mark.parametrize("tower", [
+    ResidueTower(QQ), ResidueTower(QQ).extend("i", [1, 0])],
+    ids=["Q", "Q(i)"])
+def test_ring_arithmetic_creates_no_tower_elements(monkeypatch, tower):
+    ctx = LocalRingCtx(tower, ("x", "y"))
+    rng = random.Random(37)
+    f = _random_poly(ctx, rng, 8, 4, 5)
+    g = _random_poly(ctx, rng, 6, 3, 3)
+    c = tower.gen(0) if tower.height else 2
+    key = ctx.y() ** 2 + ctx.monomial(1, 1, c) - ctx.x() ** 3
+    real, made = TowerElem.__init__, []
+
+    def counting(self, tower, rep):
+        made.append(1)
+        real(self, tower, rep)
+
+    monkeypatch.setattr(TowerElem, "__init__", counting)
+    for op in (lambda: f * g, lambda: f + g, lambda: divmod_y(f, key)):
+        made.clear()
+        op()
+        assert made == []
+
+
+def test_coefficients_beyond_the_residue_field_are_refused():
+    tower = ResidueTower(QQ).extend("i", [1, 0])
+    i = tower.gen("i")
+    small = LocalRingCtx(tower, ("u", "v"), ring_levels=0)
+    for make in (lambda: small.const(i), lambda: small.monomial(1, 0, i)):
+        with pytest.raises(ValueError, match="beyond the ring's residue field"):
+            make()
+    big = LocalRingCtx(tower, ("x", "y"), ring_levels=1)
+    ext = ExtensionMap(big, small.x(), small.y() ** 2, 2)
+    assert ext.apply(big.x() + big.y()) == small.x() + small.y() ** 2
+    with pytest.raises(ValueError, match="beyond the ring's residue field"):
+        ext.apply(big.x() + big.monomial(0, 1, i))

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -146,3 +147,16 @@ def test_whole_rationals_are_ints_and_stay_exact():
     assert half * 4 == two and hash(half * 4) == hash(two)
     assert type((half * 2).as_rational()) is Fraction
     assert (two ** -3).rep == Fraction(1, 8)
+
+
+def test_elements_combine_only_within_one_tower():
+    t = ResidueTower(QQ)
+    t2 = t.extend("i", [1, 0])
+    a, b = t.scalar(3), t2.gen("i")
+    for x, y in ((a, b), (b, a)):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(ValueError, match="ResidueTower.lift"):
+                op(x, y)
+        assert not x == y and x != y
+    assert t2.lift(a) * b == 3 * b
+    assert t2.lift(a) / b == -3 * b
