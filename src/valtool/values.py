@@ -203,19 +203,11 @@ class Value:
             return False
         return self.q0 == other
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __lt__(self, other):
-        if not isinstance(other, Value):
-            other = Value(other)
         return (self - other).sign() < 0
 
     def __le__(self, other):
-        if not isinstance(other, Value):
-            other = Value(other)
-        d = (self - other).sign()
-        return d <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
         return not self.__le__(other)
@@ -275,8 +267,9 @@ def exact_sums(values, target, caps=None):
     turns negative: an int comparison while the irrational coordinate is 0,
     otherwise certified by :meth:`Value.sign` (which may raise
     :class:`UndecidedComparison`).  The last position is solved by exact
-    division.  Vectors are yielded as they are found, so a caller that has
-    seen enough stops the walk.
+    division.  A (position, remainder) pair whose subtree yielded nothing
+    is not walked again.  Vectors are yielded as they are found, so a
+    caller that has seen enough stops the walk.
     """
     n = len(values)
     caps = [None] * n if caps is None else list(caps)
@@ -297,6 +290,7 @@ def exact_sums(values, target, caps=None):
         return
     acc = [0] * n
     last = n - 1
+    barren = set()
 
     def rec(i, r0, r1):
         a0, a1 = vecs[i]
@@ -313,11 +307,13 @@ def exact_sums(values, target, caps=None):
             if hit and k >= 0 and (cap is None or k < cap):
                 acc[i] = k
                 yield tuple(acc)
-            return
-        k = 0
+                return True
+            return False
+        found, state, k = False, (i, r0, r1), 0
         while True:
             acc[i] = k
-            yield from rec(i + 1, r0, r1)
+            if (i + 1, r0, r1) not in barren:
+                found = (yield from rec(i + 1, r0, r1)) or found
             k += 1
             if (a0 == 0 and a1 == 0) or (cap is not None and k >= cap):
                 break
@@ -325,6 +321,9 @@ def exact_sums(values, target, caps=None):
             r1 -= a1
             if negative(r0, r1):
                 break
+        if not found:
+            barren.add(state)
+        return found
 
     yield from rec(0, t0, t1)
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -151,6 +152,63 @@ def test_exact_sums_rank_two():
     assert list(exact_sums(vals, Value(2, 1, PI))) == [(0, 1, 1), (1, 2, 0)]
     assert list(exact_sums(vals, Value(-1))) == []
     assert list(exact_sums([], Value(0))) == [()]
+
+
+def _walk_every_remainder(vals, target):
+    """Reference walk of exact_sums without skipping barren remainders."""
+    def rec(i, rest):
+        if i == len(vals) - 1:
+            ratio = value_ratio(rest, vals[i]) if vals[i].sign() else None
+            if ratio is not None and ratio >= 0 and ratio.denominator == 1:
+                yield (int(ratio),)
+            elif not vals[i].sign() and rest == Value(0):
+                yield (0,)
+            return
+        k = 0
+        while rest.sign() >= 0:
+            for tail in rec(i + 1, rest):
+                yield (k,) + tail
+            if not vals[i].sign():
+                break
+            k += 1
+            rest = rest - vals[i]
+    return list(rec(0, target))
+
+
+CHAIN5 = [Value(Fraction(a, 64)) for a in (341, 170, 84, 40, 16, 32)]
+
+
+@pytest.mark.parametrize("vals, target", [
+    (CHAIN5, Value(Fraction(853, 64))),
+    ([Value(0, 1, PI), Value(0, 2, PI), Value(1), Value(3), Value(1, 1, PI)],
+     Value(9, 4, PI)),
+])
+def test_exact_sums_match_the_full_walk(vals, target):
+    want = _walk_every_remainder(vals, target)
+    assert want
+    assert list(exact_sums(vals, target)) == want
+
+
+def test_exact_sums_skip_barren_remainders():
+    # the key values of a depth-5 chain over Q; the detector asks for the
+    # first exact hits at values like this one
+    steps = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is walk_code:
+            steps.append(1)
+
+    walk = exact_sums(CHAIN5, Value(Fraction(3413, 64)))
+    walk_code = next(c for c in exact_sums.__code__.co_consts
+                     if getattr(c, "co_name", None) == "rec")
+    sys.setprofile(count)
+    try:
+        first = next(walk)
+    finally:
+        sys.setprofile(None)
+    assert first == (1, 0, 0, 0, 0, 96)
+    # 751486 steps when every remainder is walked again
+    assert len(steps) < 200000
 
 
 def test_exact_sums_shallow_descriptor_still_faults():
