@@ -4,13 +4,16 @@ The atomic operation is the composite transform determined by the first
 level of the sequence: with jump n and unit exponent w (coprime), pick
 a, b with n*b - w*a = 1 and pass to the chart
 
-    x = X^n * Y^a,   y = X^w * Y^b,
+    x = X^n * U^a,   y = X^w * U^b,
 
-where Y has value zero and residue alpha^eps.  Recentering Z = Y - alpha
+where U has value zero and residue alpha.  Recentering Z = U - alpha
 gives regular parameters (X, Z) of the target ring.  Keys transport by
-clearing the exceptional power of X and a unit factor; the recursion data
+clearing the exceptional power of X and the power of U; the recursion data
 re-seeds one level down, and every shifted invariant is recomputed on the
-target and compared against the source as a consistency table.
+target and compared against the source as a consistency table.  The chart
+has determinant n*b - w*a = 1, so distinct terms of f land on distinct
+monomials X^i U^j and nothing cancels: both powers, and so the strict
+transform, are read off the chart exponents, with no division.
 """
 
 from __future__ import annotations
@@ -19,14 +22,7 @@ from fractions import Fraction
 
 from .extension import ExtensionMap
 from .genseq import GenSeq, KeyStep, TailTerm, _expand_raw
-from .ring import (
-    LocalRingCtx,
-    SeriesEmbedding,
-    TruncSeries,
-    divmod_y,
-    substitute,
-)
-from .towers import SubfieldSpec, in_subfield
+from .ring import LocalRingCtx, SeriesEmbedding, TruncSeries, substitute
 from .values import INFINITE
 
 
@@ -37,10 +33,11 @@ class TransformError(Exception):
 class TransformMap:
     """One composite transform: chart data, recentering, and images."""
 
-    __slots__ = ("source_ctx", "target_ctx", "nbar", "w", "a", "b", "eps",
-                 "alpha_lift", "x_image", "y_image", "exceptional_value")
+    __slots__ = ("source_ctx", "target_ctx", "nbar", "w", "a", "b",
+                 "alpha_lift", "x_image", "y_image", "exceptional_value",
+                 "_chart_images", "_recentre_images")
 
-    def __init__(self, source_ctx, target_ctx, nbar, w, a, b, eps, alpha_lift,
+    def __init__(self, source_ctx, target_ctx, nbar, w, a, b, alpha_lift,
                  exceptional_value):
         self.source_ctx = source_ctx
         self.target_ctx = target_ctx
@@ -48,20 +45,33 @@ class TransformMap:
         self.w = w
         self.a = a
         self.b = b
-        self.eps = eps
         self.alpha_lift = alpha_lift
         self.exceptional_value = exceptional_value  # value of X
         X, Z = target_ctx.x(), target_ctx.y()
         unit = Z + target_ctx.const(alpha_lift)
         self.x_image = X ** nbar * unit ** a
         self.y_image = X ** w * unit ** b
+        # the chart (X, U) with U = Z + alpha, a ring of its own on the tower
+        chart = LocalRingCtx(target_ctx.tower, ("X", "U"),
+                             ring_levels=target_ctx.ring_levels)
+        xn, yn = source_ctx.param_names
+        self._chart_images = {xn: ((nbar, a), chart), yn: ((w, b), chart)}
+        self._recentre_images = {"X": X, "U": unit}
+
+    def _chart(self, f):
+        """f in the chart: each term x^i y^j goes to one monomial X^s U^t."""
+        if f.ctx is not self.source_ctx:
+            raise ValueError("element does not live in the source ring")
+        return substitute(f, self._chart_images)
+
+    def _strict_image(self, h):
+        """Recentred chart image h with its powers of X and U cleared."""
+        h = h.shift(-h.x_order(), -min(j for _, j in h.terms))
+        return substitute(h, self._recentre_images)
 
     def to_target(self, f):
         """Image of a source element in the target chart (exact)."""
-        if f.ctx is not self.source_ctx:
-            raise ValueError("element does not live in the source ring")
-        return substitute(f, {self.source_ctx.param_names[0]: self.x_image,
-                              self.source_ctx.param_names[1]: self.y_image})
+        return substitute(self._chart(f), self._recentre_images)
 
     def extension(self):
         """The transform as an extension map (trivial field extension)."""
@@ -73,9 +83,10 @@ class TransformMap:
     def describe(self):
         xn, yn = self.source_ctx.param_names
         Xn, Zn = self.target_ctx.param_names
-        return ("%s = %s^%d*(%s+%r)^%d, %s = %s^%d*(%s+%r)^%d (eps=%+d)"
+        # "(eps=+1)" is part of the recorded report format
+        return ("%s = %s^%d*(%s+%r)^%d, %s = %s^%d*(%s+%r)^%d (eps=+1)"
                 % (xn, Xn, self.nbar, Zn, self.alpha_lift, self.a,
-                   yn, Xn, self.w, Zn, self.alpha_lift, self.b, self.eps))
+                   yn, Xn, self.w, Zn, self.alpha_lift, self.b))
 
     def __repr__(self):
         return "TransformMap(%s)" % self.describe()
@@ -87,11 +98,8 @@ def _chart_exponents(nbar, w):
     if gcd(nbar, w) != 1:
         raise TransformError("jump %d and unit exponent %d are not coprime"
                              % (nbar, w))
-    if nbar == 1:
-        return 0, 1, 1
     a = (-pow(w, -1, nbar)) % nbar
-    b = (1 + w * a) // nbar
-    return a, b, 1
+    return a, (1 + w * a) // nbar
 
 
 def free_transform(g):
@@ -111,40 +119,31 @@ def free_transform(g):
     if lvl1.residue is None:
         raise TransformError("recentering needs the first-level residue")
     nbar, w = lvl1.group_jump, lvl1.unit_exps[0]
-    a, b, eps = _chart_exponents(nbar, w)
-    alpha_lift = lvl1.residue ** eps
-
-    tower = g.ctx.tower
-    ring_levels = g.ctx.ring_levels
-    while ring_levels < tower.height and not in_subfield(
-            alpha_lift, SubfieldSpec(ring_levels)):
-        ring_levels += 1
-    if not in_subfield(alpha_lift, SubfieldSpec(ring_levels)):
-        raise TransformError("recentering residue lies outside the tower")
+    a, b = _chart_exponents(nbar, w)
+    alpha_lift = lvl1.residue
 
     xn, yn = g.ctx.param_names
-    target_ctx = LocalRingCtx(tower, (xn + "1", yn + "1"),
-                              ring_levels=ring_levels)
+    target_ctx = LocalRingCtx(
+        g.ctx.tower, (xn + "1", yn + "1"),
+        ring_levels=max(g.ctx.ring_levels, alpha_lift.levels_used()))
     exceptional_value = g.values[0] / nbar
-    tmap = TransformMap(g.ctx, target_ctx, nbar, w, a, b, eps, alpha_lift,
+    tmap = TransformMap(g.ctx, target_ctx, nbar, w, a, b, alpha_lift,
                         exceptional_value)
 
-    # transported keys: clear the exceptional power, strip the unit factor
+    # transported keys: clear the exceptional power and the unit factor
     target_keys = [target_ctx.x(), None]
     target_values = [exceptional_value]
-    unit = target_ctx.y() + target_ctx.const(alpha_lift)
     n_product = 1
     for i in range(1, len(g.keys) - 1):
         n_product *= g.step(i).power
         expected_drop = w * n_product
-        img = tmap.to_target(g.keys[i + 1])
-        drop = img.x_order()
+        chart = tmap._chart(g.keys[i + 1])
+        drop = chart.x_order()
         if drop != expected_drop:
             raise TransformError(
                 "exceptional power of key %d is %d, expected %d"
                 % (i + 1, drop, expected_drop))
-        stripped = img.shift(-drop, 0)
-        stripped = _strip_unit(stripped, unit)
+        stripped = tmap._strict_image(chart)
         deg = 1
         for s in range(2, i + 1):
             deg *= g.step(s).power
@@ -179,7 +178,7 @@ def free_transform(g):
         target_steps.append(KeyStep(i - 1, power, tail, target_values[i]))
 
     # Declared residues transport safely only when every source residue is 1
-    # (the unit-strip corrections are powers of source residues, hence
+    # (the cleared powers of U contribute powers of source residues, hence
     # trivial); otherwise the transported oracle recomputes them exactly.
     residues = {}
     one = g.ctx.tower.one()
@@ -195,23 +194,13 @@ def free_transform(g):
     return tmap, target
 
 
-def _strip_unit(f, unit):
-    """Divide out the largest exact power of (Z + alpha)."""
-    while True:
-        q, r = divmod_y(f, unit)
-        if r.is_zero() and not q.is_zero():
-            f = q
-        else:
-            return f
-
-
 def _transport_oracle(g, tmap):
     if g.oracle is None:
         return None
     xn, yn = g.ctx.param_names
     gx, gy = g.oracle.images[xn], g.oracle.images[yn]
-    x1 = _series_monomial(gx, tmap.b, gy, -tmap.a, tmap.eps)
-    y1 = _series_monomial(gx, -tmap.w, gy, tmap.nbar, tmap.eps)
+    x1 = gx ** tmap.b * gy ** -tmap.a
+    y1 = gx ** -tmap.w * gy ** tmap.nbar
     tower = x1.tower
     alpha_const = TruncSeries(tower, {Fraction(0): tower.lift(tmap.alpha_lift)},
                               y1.trunc)
@@ -224,24 +213,16 @@ def _transport_oracle(g, tmap):
         return None  # truncation too shallow to normalize; drop the oracle
 
 
-def _series_monomial(gx, ex, gy, ey, eps):
-    out = gx ** ex * gy ** ey
-    return out if eps == 1 else out.inverse()
-
-
 def strict_transform(f, tmap):
     """Strict transform of f: image with the exceptional factor removed.
 
     Strict transforms are defined only up to a unit, so the unit factor
-    (Z + alpha)^k is stripped and the lex-lowest coefficient is scaled to 1
-    for determinism.
+    (Z + alpha)^k, the power of U in the chart, is cleared and the
+    lex-lowest coefficient is scaled to 1 for determinism.
     """
     if f.is_zero():
         raise ValueError("strict transform of zero")
-    img = tmap.to_target(f)
-    img = img.shift(-img.x_order(), 0)
-    unit = tmap.target_ctx.y() + tmap.target_ctx.const(tmap.alpha_lift)
-    return _strip_unit(img, unit).leading_unit_normalized()
+    return tmap._strict_image(tmap._chart(f)).leading_unit_normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +379,8 @@ def transform_value_table(g, tmap, f, level):
         top_idx = max((i for i, e in enumerate(exps) if e), default=0)
         if sign < 0 or (sign == 0 and top_idx >= level):
             continue
-        img = tmap.to_target(g.monomial(exps))
-        t = img.x_order()
+        # recentering keeps X-orders, so the chart image has the same t
+        t = tmap._chart(g.monomial(exps)).x_order()
         exceptional = (level == 1 and tmap.nbar == 1 and tmap.w == 1
                        and list(exps[1:]) == [0] * (len(exps) - 1)
                        and exps[0] == 1)

@@ -170,7 +170,7 @@ def test_criterion_6_transform_invariants():
     v1 = fixtures.v1()
     tmap, tgt = free_transform(v1)
     # chart x1 = x^2 y^-1, y1 = x^-3 y^2  <=>  x = x1^2 y1, y = x1^3 y1^2
-    assert (tmap.nbar, tmap.w, tmap.a, tmap.b, tmap.eps) == (2, 3, 1, 2, 1)
+    assert (tmap.nbar, tmap.w, tmap.a, tmap.b) == (2, 3, 1, 2)
     unit = tgt.ctx.y() + tgt.ctx.one()
     assert tmap.x_image == tgt.ctx.x() ** 2 * unit
     assert tmap.y_image == tgt.ctx.x() ** 3 * unit ** 2

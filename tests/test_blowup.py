@@ -13,9 +13,11 @@ from valtool.blowup import (
     transform_value_table,
 )
 from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, validate_sequence
-from valtool.ring import LocalRingCtx, parse_poly
-from valtool.towers import QQ, ResidueTower
+from valtool.ring import LocalRingCtx, divmod_y, parse_poly, substitute
+from valtool.towers import QQ, BaseField, ResidueTower
 from valtool.values import Value
+
+from test_graded import _chain
 
 
 @pytest.fixture
@@ -25,7 +27,7 @@ def v1():
 
 def test_v1_chart(v1):
     tmap, tgt = free_transform(v1)
-    assert (tmap.a, tmap.b, tmap.eps) == (1, 2, 1)
+    assert (tmap.a, tmap.b) == (1, 2)
     assert (tmap.nbar, tmap.w) == (2, 3)
     # x = x1^2 y1, y = x1^3 y1^2 (in recentered coordinates y1 = z + 1)
     z = tgt.ctx.y()
@@ -183,3 +185,63 @@ def test_strict_transform_rejects_zero(v1):
     tmap, _ = free_transform(v1)
     with pytest.raises(ValueError):
         strict_transform(v1.ctx.zero(), tmap)
+
+
+def test_residue_outside_the_ring_raises_the_target_height():
+    # residue i of y/x over a ring with residue field Q: the target ring
+    # must see Q(i) to recenter, and then the key splits as Z*(Z + 2i)
+    tower = ResidueTower(QQ).extend("i", [1, 0])
+    ctx = LocalRingCtx(tower, ("x", "y"), ring_levels=0)
+    g = GenSeq(ctx, [Value(1), Value(1), Value(3)],
+               steps=[KeyStep(1, 2, [TailTerm(tower.one(), (2, 0))],
+                              Value(3))],
+               residues={1: tower.gen("i")})
+    rec = iterate_transforms(g, 1)
+    assert len(rec) == 0
+    assert rec.truncated_reason.startswith(
+        "strict transform of key 2 does not normalize")
+
+
+def _strip_by_division(f, unit):
+    """Reference: divide out the largest exact power of (Z + alpha)."""
+    while True:
+        q, r = divmod_y(f, unit)
+        if r.is_zero() and not q.is_zero():
+            f = q
+        else:
+            return f
+
+
+_BASES = {"Q": QQ, "GF2": BaseField(2), "GF3": BaseField(3)}
+
+
+@pytest.mark.parametrize("name", ["v1", "corn"] + [
+    "chain%d-%s" % (depth, base) for depth in (1, 2, 3) for base in _BASES])
+def test_chart_reading_matches_trial_division(name):
+    if name.startswith("chain"):
+        depth, base = name[5:].split("-")
+        g = _chain(int(depth), _BASES[base])
+    else:
+        g = getattr(fixtures, name)()
+    tmap, tgt = free_transform(g)
+    xn, yn = g.ctx.param_names
+    images = {xn: tmap.x_image, yn: tmap.y_image}
+    unit = tgt.ctx.y() + tgt.ctx.const(tmap.alpha_lift)
+    rng = random.Random(name)
+    stripped = 0
+    for _ in range(12):
+        f = g.ctx.zero()
+        for _ in range(rng.randint(1, 3)):
+            exps = [rng.randint(0, 3)] + [rng.randint(0, 1)
+                                          for _ in g.keys[1:]]
+            f = f + (g.monomial(exps) * g.ctx.x() ** rng.randint(0, 2)
+                     * g.ctx.const(rng.choice((1, -1, 2))))
+        if f.is_zero():
+            continue
+        img = substitute(f, images)
+        assert tmap.to_target(f) == img
+        shifted = img.shift(-img.x_order(), 0)
+        reference = _strip_by_division(shifted, unit)
+        stripped += reference != shifted
+        assert strict_transform(f, tmap) == reference.leading_unit_normalized()
+    assert stripped  # some element carried a power of (Z + alpha)
