@@ -44,7 +44,11 @@ class LocalRingCtx:
         return self.monomial(0, 0, c)
 
     def monomial(self, i, j, c=1):
-        """The term c x^i y^j; every coefficient enters a ring through here.
+        """The term c x^i y^j."""
+        return RingElem(self, {(i, j): self.rep(c)})
+
+    def rep(self, c):
+        """The raw rep of ``c``; every coefficient enters a ring through here.
 
         ``c`` is a base scalar or an element of a prefix of the tower.
         """
@@ -56,7 +60,7 @@ class LocalRingCtx:
                     "residue field" % c)
         else:
             c = self.tower.scalar(c)
-        return RingElem(self, {(i, j): c.rep})
+        return c.rep
 
     def coeff(self, rep):
         """The tower element of a raw coefficient rep of this ring."""
@@ -98,13 +102,7 @@ class RingElem:
         return self.ctx.const(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        add = self.ctx.tower.add
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            out[e] = c if s is None else add(s, c)
-        return RingElem(self.ctx, out)
+        return self._add_scaled([(self._coerce(other), None)])
 
     __radd__ = __add__
 
@@ -131,6 +129,20 @@ class RingElem:
         return RingElem(self.ctx, out)
 
     __rmul__ = __mul__
+
+    def _add_scaled(self, pairs):
+        """self + sum of c * p over the pairs (p, c) in one pass.
+
+        ``c`` is a raw rep of the tower, or None for 1.
+        """
+        add, mul = self.ctx.tower.add, self.ctx.tower.mul
+        out = dict(self.terms)
+        for p, c in pairs:
+            for e, a in p.terms.items():
+                prod = a if c is None else mul(a, c)
+                s = out.get(e)
+                out[e] = prod if s is None else add(s, prod)
+        return RingElem(self.ctx, out)
 
     def __pow__(self, n):
         if n < 0:
@@ -285,36 +297,37 @@ def substitute(f, images):
     ctx = gx.ctx
     if gy.ctx is not ctx:
         raise ValueError("images live in different contexts")
-    return _evaluate(f, gx, gy, ctx.zero(), ctx.one(), ctx.const)
+    one = ctx.one()
+    return _evaluate(f, [one, gx], [one, gy], ctx.zero(), ctx.rep)
 
 
-def _evaluate(f, gx, gy, zero, one, lift):
+def _evaluate(f, xp, yp, zero, lift):
     """f(gx, gy) for ring or series images: sum_j gy^j * (sum_i c_ij gx^i).
 
-    ``lift`` carries each coefficient, as a tower element, to the images'
-    side.  Each power of gx and gy is formed once, with one full product per
-    y-degree.  A product's truncation is a min over its terms, so series
-    results keep the term-by-term truncation (Horner in gy would not).
+    ``xp`` and ``yp`` are the power lists ``[one, g, ...]`` of the images,
+    extended here as far as f needs; ``lift`` carries each coefficient, as a
+    tower element, to a raw rep of the images' tower.  Each y-row is summed
+    in one pass, with one full product per y-degree.  A product's truncation
+    is a min over its terms, so series results keep the term-by-term
+    truncation (Horner in gy would not).
     """
     coeff = f.ctx.coeff
     rows = _rows(f)
-    xp = _powers(gx, max((i for i, _ in f.terms), default=0), one)
-    yp = _powers(gy, max(rows, default=0), one)
+    _powers(xp, max((i for i, _ in f.terms), default=0))
+    _powers(yp, max(rows, default=0))
     out = zero
     for j, row in sorted(rows.items()):
-        acc = zero
-        for i, c in sorted(row.items()):
-            acc = acc + xp[i] * lift(coeff(c))
+        acc = zero._add_scaled([(xp[i], lift(coeff(c)))
+                                for i, c in sorted(row.items())])
         out = out + (acc if j == 0 else yp[j] * acc)
     return out
 
 
-def _powers(g, n, one):
-    """[one, g, g^2, ...] up to at least g^n, each power formed once."""
-    out = [one, g]
-    while len(out) <= n:
-        out.append(out[-1] * g)
-    return out
+def _powers(p, n):
+    """Extend the power list p = [one, g, g^2, ...] in place up to g^n."""
+    g = p[1]
+    while len(p) <= n:
+        p.append(p[-1] * g)
 
 
 def _substitute_monomial(f, gx, gy):
@@ -329,7 +342,7 @@ def _substitute_monomial(f, gx, gy):
         if e[0] < 0 or e[1] < 0:
             raise NotRegularAfterSubstitution(
                 "term x^%d y^%d maps to exponent %r" % (i, j, e))
-        c = ctx.const(f.ctx.coeff(c)).terms[(0, 0)]
+        c = ctx.rep(f.ctx.coeff(c))
         s = out.get(e)
         out[e] = c if s is None else add(s, c)
     return RingElem(ctx, out)
@@ -370,26 +383,49 @@ class TruncSeries:
     def leading_coeff(self):
         return self.coeffs[min(self.coeffs)]
 
+    def _check_tower(self, other):
+        if other.tower is not self.tower and other.tower != self.tower:
+            raise ValueError("series over different towers")
+
     def __add__(self, other):
-        trunc = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return TruncSeries(self.tower, out, trunc)
+        return self._add_scaled([(other, None)])
+
+    def _add_scaled(self, pairs):
+        """self + sum of c * p over the pairs (p, c) in one pass.
+
+        ``c`` is a raw rep of the tower, or None for 1.  The truncation is
+        the min over the terms.
+        """
+        add, mul = self.tower.add, self.tower.mul
+        trunc = self.trunc
+        for p, _ in pairs:
+            self._check_tower(p)
+            trunc = min(trunc, p.trunc)
+        out = {e: c.rep for e, c in self.coeffs.items() if e < trunc}
+        for p, c in pairs:
+            for e, a in p.coeffs.items():
+                if e < trunc:
+                    prod = a.rep if c is None else mul(a.rep, c)
+                    s = out.get(e)
+                    out[e] = prod if s is None else add(s, prod)
+        return _series(self.tower, out, trunc)
 
     def __neg__(self):
-        return TruncSeries(self.tower, {e: -c for e, c in self.coeffs.items()},
-                           self.trunc)
+        neg = self.tower.neg
+        return _series(self.tower,
+                       {e: neg(c.rep) for e, c in self.coeffs.items()},
+                       self.trunc)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, TowerElem):
-            return TruncSeries(self.tower,
-                               {e: c * other for e, c in self.coeffs.items()},
-                               self.trunc)
+            return _series(self.tower,
+                           {e: (c * other).rep for e, c in self.coeffs.items()},
+                           self.trunc)
+        self._check_tower(other)
+        add, mul = self.tower.add, self.tower.mul
         ord_a = min(self.coeffs) if self.coeffs else self.trunc
         ord_b = min(other.coeffs) if other.coeffs else other.trunc
         trunc = min(self.trunc + ord_b, other.trunc + ord_a)
@@ -399,10 +435,10 @@ class TruncSeries:
                 e = e1 + e2
                 if e >= trunc:
                     continue
-                p = c1 * c2
+                p = mul(c1.rep, c2.rep)
                 s = out.get(e)
-                out[e] = p if s is None else s + p
-        return TruncSeries(self.tower, out, trunc)
+                out[e] = p if s is None else add(s, p)
+        return _series(self.tower, out, trunc)
 
     def __pow__(self, n):
         if n < 0:
@@ -414,15 +450,14 @@ class TruncSeries:
         """Inverse of a series with invertible leading coefficient."""
         if not self.coeffs:
             raise ZeroDivisionError("inverse of (apparently) zero series")
+        tower = self.tower
         e0 = min(self.coeffs)
-        c0 = self.coeffs[e0]
+        inv = self.coeffs[e0].inverse().rep
         # write self = c0 t^e0 (1 + u), invert by geometric series
-        u = TruncSeries(self.tower,
-                        {e - e0: c * c0.inverse()
-                         for e, c in self.coeffs.items() if e != e0},
-                        self.trunc - e0)
-        acc = TruncSeries(self.tower, {Fraction(0): self.tower.one()},
-                          self.trunc - e0)
+        u = _series(tower, {e - e0: tower.mul(c.rep, inv)
+                            for e, c in self.coeffs.items() if e != e0},
+                    self.trunc - e0)
+        acc = _series(tower, {Fraction(0): tower.one().rep}, self.trunc - e0)
         term = acc
         u_ord = min(u.coeffs) if u.coeffs else None
         if u_ord is not None and u_ord <= 0:
@@ -432,14 +467,27 @@ class TruncSeries:
             term = term * (-u)
             acc = acc + term
             k += 1
-        return TruncSeries(self.tower,
-                           {e - e0: c * c0.inverse()
-                            for e, c in acc.coeffs.items()},
-                           acc.trunc - e0)
+        return _series(tower, {e - e0: tower.mul(c.rep, inv)
+                               for e, c in acc.coeffs.items()},
+                       acc.trunc - e0)
 
     def __repr__(self):
         parts = ["%r*t^%s" % (c, e) for e, c in sorted(self.coeffs.items())]
         return (" + ".join(parts) or "0") + " + O(t^%s)" % self.trunc
+
+
+def _series(tower, reps, trunc):
+    """A series from raw reps at Fraction exponents below ``trunc``.
+
+    Results of arithmetic are built here, past ``TruncSeries.__init__``:
+    only zeros are dropped.
+    """
+    s = object.__new__(TruncSeries)
+    s.tower, s.trunc = tower, trunc
+    is_zero = tower.is_zero
+    s.coeffs = {e: TowerElem(tower, r) for e, r in reps.items()
+                if not is_zero(r)}
+    return s
 
 
 def _exact(tower, c):
@@ -451,7 +499,9 @@ class SeriesEmbedding:
     """Truncated-series images of a ring's parameters: the valuation oracle.
 
     The value of t is normalized so that the declared parameter value holds
-    (by default the first parameter gets value 1).
+    (by default the first parameter gets value 1).  Each power of an image
+    is formed once and kept, in one list ``[one, g, g^2, ...]`` per image,
+    so ``images`` must not be reassigned after construction.
     """
 
     def __init__(self, ctx, images, normalization=None):
@@ -469,13 +519,19 @@ class SeriesEmbedding:
         if not pval.is_rational():
             raise ValueError("normalization value must be rational")
         self.t_value = Fraction(pval.q0) / base_ord
+        tower = self.images[pname].tower
+        one = _exact(tower, tower.one())
+        self._zero = _exact(tower, tower.zero())
+        self._power_lists = {name: [one, g]
+                             for name, g in self.images.items()}
+        self._lift = lambda c: tower.lift(c).rep
 
     def evaluate(self, f):
-        gx = self.images[f.ctx.param_names[0]]
-        gy = self.images[f.ctx.param_names[1]]
-        tower = gx.tower
-        return _evaluate(f, gx, gy, _exact(tower, tower.zero()),
-                         _exact(tower, tower.one()), tower.lift)
+        if f.ctx is not self.ctx:
+            raise ValueError("element does not live in the embedding's ring")
+        xn, yn = self.ctx.param_names
+        return _evaluate(f, self._power_lists[xn], self._power_lists[yn],
+                         self._zero, self._lift)
 
     def residue_of_ratio(self, num, den):
         """Residue [num/den] for equal-order images, or INSUFFICIENT_PRECISION."""

@@ -454,3 +454,169 @@ def test_coefficients_beyond_the_residue_field_are_refused():
     assert ext.apply(big.x() + big.y()) == small.x() + small.y() ** 2
     with pytest.raises(ValueError, match="beyond the ring's residue field"):
         ext.apply(big.x() + big.monomial(0, 1, i))
+
+
+def test_evaluate_refuses_elements_of_another_ring(ctx, v1_oracle):
+    other = LocalRingCtx(ctx.tower, ("u", "v"))
+    twin = LocalRingCtx(ctx.tower, ("x", "y"))  # same names, another ring
+    for f in (other.x(), twin.y()):
+        with pytest.raises(ValueError, match="embedding's ring"):
+            series_value(f, v1_oracle)
+        with pytest.raises(ValueError, match="embedding's ring"):
+            v1_oracle.evaluate(f)
+    assert series_value(ctx.y(), v1_oracle) == Value(Fraction(3, 2))
+
+
+def _geometric_inverse(s):
+    """Reference inverse through tower elements, c0^-1 formed per term."""
+    tower = s.tower
+    e0 = min(s.coeffs)
+    c0 = s.coeffs[e0]
+    u = TruncSeries(tower, {e - e0: c * c0.inverse()
+                            for e, c in s.coeffs.items() if e != e0},
+                    s.trunc - e0)
+    acc = term = TruncSeries(tower, {0: tower.one()}, s.trunc - e0)
+    k = 0
+    while u.coeffs and k * min(u.coeffs) < acc.trunc:
+        term = term * (-u)
+        acc = acc + term
+        k += 1
+    return TruncSeries(tower, {e - e0: c * c0.inverse()
+                               for e, c in acc.coeffs.items()},
+                       acc.trunc - e0)
+
+
+@pytest.mark.parametrize("name", ["v1", "disc-branch1", "def2-s"])
+def test_series_inverse_inverts_the_leading_coefficient_once(monkeypatch,
+                                                             name):
+    emb = _oracles()[name][0]
+    s = emb.images[emb.ctx.param_names[1]]
+    want = _geometric_inverse(s)
+    real, calls = TowerElem.inverse, []
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(TowerElem, "inverse", counting)
+    got = s.inverse()
+    assert len(calls) == 1
+    assert got.coeffs == want.coeffs and got.trunc == want.trunc
+
+
+@pytest.mark.parametrize("name", ["v1", "disc-branch1", "def2-s",
+                                  "v1-transform"])
+def test_embedding_forms_each_image_power_once(monkeypatch, name):
+    oracle = _oracles()[name][0]
+    images = dict(oracle.images)
+    emb = SeriesEmbedding(oracle.ctx, images)
+    x, y = emb.ctx.x(), emb.ctx.y()
+    deep = x ** 5 * y ** 4 + 2 * x * y ** 3 - y + 3
+    shallow = x * y + x - 1
+    fresh = [SeriesEmbedding(emb.ctx, images).evaluate(f)
+             for f in (deep, shallow, deep)]
+    real, products = TruncSeries.__mul__, []
+
+    def counting(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    got, counts = [], []
+    for f in (deep, shallow, deep):
+        products.clear()
+        got.append(emb.evaluate(f))
+        counts.append(len(products))
+    for g, w in zip(got, fresh):
+        assert g.coeffs == w.coeffs and g.trunc == w.trunc
+    # x^2..x^5 and y^2..y^4 are formed by the first call only
+    assert counts[2] == counts[0] - 7
+    assert all(emb.images[n] is g for n, g in images.items())
+    assert emb.images == images
+
+
+@pytest.mark.parametrize("tower", [
+    ResidueTower(QQ), ResidueTower(BaseField(3)),
+    ResidueTower(QQ).extend("i", [1, 0])], ids=["Q", "F3", "Q(i)"])
+def test_ring_row_sum_matches_sequential_sum(tower):
+    ctx = LocalRingCtx(tower, ("x", "y"))
+    rng = random.Random(41)
+    scalars = [tower.scalar(k) for k in (1, 2, -1, 5)]
+    scalars += [c * tower.gen(0) for c in scalars[:2]] if tower.height else []
+    checked = 0
+    for _ in range(30):
+        pairs = [(_random_poly(ctx, rng, rng.randint(0, 5), 4, 3),
+                  rng.choice(scalars)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:  # a pair that cancels
+            p, c = pairs[0]
+            pairs.append((p, -c))
+        want = ctx.zero()
+        for p, c in pairs:
+            want = want + p * ctx.const(c)
+        got = ctx.zero()._add_scaled([(p, ctx.rep(c)) for p, c in pairs])
+        assert got == want
+        checked += not got.is_zero()
+    assert checked > 20
+
+
+def _random_series(tower, rng, terms, trunc):
+    scalars = [tower.scalar(k) for k in (1, 2, -1, 3)]
+    scalars = [c for c in scalars if not c.is_zero()]
+    return TruncSeries(tower, {Fraction(rng.randint(0, 12), rng.choice((1, 2))):
+                               rng.choice(scalars) for _ in range(terms)},
+                       trunc)
+
+
+@pytest.mark.parametrize("tower", [
+    ResidueTower(QQ), ResidueTower(BaseField(3)),
+    ResidueTower(QQ).extend("i", [1, 0])], ids=["Q", "F3", "Q(i)"])
+def test_series_row_sum_matches_sequential_sum(tower):
+    rng = random.Random(43)
+    scalars = [tower.scalar(k) for k in (1, 2, -1)]
+    zero = TruncSeries(tower, {}, Fraction(10 ** 9))
+    for _ in range(40):
+        pairs = [(_random_series(tower, rng, rng.randint(0, 5),
+                                 Fraction(rng.randint(3, 14), rng.choice((1, 3)))),
+                  rng.choice(scalars)) for _ in range(rng.randint(1, 4))]
+        p, c = pairs[0]
+        pairs.append((p, -c))  # cancels the first term below its truncation
+        want = zero
+        for p, c in pairs:
+            want = want + p * c
+        got = zero._add_scaled([(p, c.rep) for p, c in pairs])
+        assert got.coeffs == want.coeffs
+        assert got.trunc == want.trunc == min(p.trunc for p, _ in pairs)
+    s = _random_series(tower, rng, 4, 9)
+    gone = zero._add_scaled([(s, tower.one().rep), (s, (-tower.one()).rep)])
+    assert gone.coeffs == {} and gone.trunc == 9
+
+
+def _assert_normalised(s):
+    assert isinstance(s.trunc, Fraction)
+    for e, c in s.coeffs.items():
+        assert isinstance(e, Fraction) and e < s.trunc
+        assert isinstance(c, TowerElem) and not c.is_zero()
+
+
+@pytest.mark.parametrize("name", ["v1", "disc-branch1", "def2-s",
+                                  "v1-transform"])
+def test_series_arithmetic_results_are_normalised(name):
+    emb = _oracles()[name][0]
+    gx, gy = (emb.images[n] for n in emb.ctx.param_names)
+    tower = gx.tower
+    rng = random.Random(47)
+    series = [gx, gy, gx * gy, gy - gx,
+              _random_series(tower, rng, 5, Fraction(7, 2))]
+    for a in series:
+        results = [a + a, a - a, -a, a * a, a ** 2, a ** 3, a ** 0,
+                   a * tower.scalar(2), a * tower.zero()]
+        if a.coeffs:
+            results += [a.inverse(), a ** -2]
+        for b in series:
+            results += [a + b, a - b, a * b]
+        for s in results:
+            _assert_normalised(s)
+    # a sum reaching past the smaller truncation, and a full cancellation
+    short = TruncSeries(tower, {1: tower.one()}, 3)
+    long_ = TruncSeries(tower, {1: -tower.one(), 5: tower.one()}, 10)
+    assert (short + long_).coeffs == {} and (short + long_).trunc == 3
