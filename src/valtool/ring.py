@@ -9,6 +9,7 @@ recompute values and residues independently.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .towers import TowerElem, power
 from .values import INFINITE, INSUFFICIENT_PRECISION, Value
@@ -447,29 +448,43 @@ class TruncSeries:
         return power(self, n, _exact(self.tower, self.tower.one()))
 
     def inverse(self):
-        """Inverse of a series with invertible leading coefficient."""
+        """Inverse of a series with invertible leading coefficient.
+
+        With self = c0 t^e0 (1 + u), the coefficients of (1 + u)^-1 are
+        solved term by term, b_0 = 1 and b_e = -sum_f u_f b_(e-f), over the
+        sums of u's exponents below the truncation; the result equals the
+        geometric series in u, and c0 is inverted once.
+        """
         if not self.coeffs:
             raise ZeroDivisionError("inverse of (apparently) zero series")
         tower = self.tower
+        add, mul, neg, is_zero = tower.add, tower.mul, tower.neg, tower.is_zero
         e0 = min(self.coeffs)
         inv = self.coeffs[e0].inverse().rep
-        # write self = c0 t^e0 (1 + u), invert by geometric series
-        u = _series(tower, {e - e0: tower.mul(c.rep, inv)
-                            for e, c in self.coeffs.items() if e != e0},
-                    self.trunc - e0)
-        acc = _series(tower, {Fraction(0): tower.one().rep}, self.trunc - e0)
-        term = acc
-        u_ord = min(u.coeffs) if u.coeffs else None
-        if u_ord is not None and u_ord <= 0:
-            raise ZeroDivisionError("series not in normal form")
-        k = 0
-        while u.coeffs and k * u_ord < acc.trunc:
-            term = term * (-u)
-            acc = acc + term
-            k += 1
-        return _series(tower, {e - e0: tower.mul(c.rep, inv)
-                               for e, c in acc.coeffs.items()},
-                       acc.trunc - e0)
+        trunc = self.trunc - e0
+        # (f, -u_f) by increasing f; every f is positive
+        neg_u = sorted((e - e0, neg(mul(c.rep, inv)))
+                       for e, c in self.coeffs.items() if e != e0)
+        # the exponents b can have: sums of u's exponents below trunc
+        reach = frontier = {0}
+        while frontier:
+            frontier = {s for s in (e + f for e in frontier for f, _ in neg_u)
+                        if s < trunc} - reach
+            reach = reach | frontier
+        b = {0: tower.one().rep}
+        for e in sorted(reach)[1:]:
+            acc = None
+            for f, c in neg_u:
+                if f > e:
+                    break
+                prev = b.get(e - f)
+                if prev is not None:
+                    p = mul(c, prev)
+                    acc = p if acc is None else add(acc, p)
+            if acc is not None and not is_zero(acc):
+                b[e] = acc
+        return _series(tower, {e - e0: mul(c, inv) for e, c in b.items()},
+                       trunc - e0)
 
     def __repr__(self):
         parts = ["%r*t^%s" % (c, e) for e, c in sorted(self.coeffs.items())]
@@ -495,13 +510,25 @@ def _exact(tower, c):
     return TruncSeries(tower, {Fraction(0): c}, Fraction(10 ** 9))
 
 
+def _rescaled(s, exp):
+    """s with every exponent and its truncation mapped through ``exp``."""
+    out = object.__new__(TruncSeries)
+    out.tower, out.trunc = s.tower, exp(s.trunc)
+    out.coeffs = {exp(e): c for e, c in s.coeffs.items()}
+    return out
+
+
 class SeriesEmbedding:
     """Truncated-series images of a ring's parameters: the valuation oracle.
 
     The value of t is normalized so that the declared parameter value holds
-    (by default the first parameter gets value 1).  Each power of an image
-    is formed once and kept, in one list ``[one, g, g^2, ...]`` per image,
-    so ``images`` must not be reassigned after construction.
+    (by default the first parameter gets value 1).  The images are worked
+    on over one integer grid t = s^D, D the lcm of the denominators of
+    their exponents and truncations, so series arithmetic adds and compares
+    ints; ``images`` and ``evaluate`` stay in t units.  Each power of an
+    image is formed once and kept, in one list ``[one, g, g^2, ...]`` per
+    image, built from ``images`` at construction: reassigning ``images``
+    afterwards has no effect.
     """
 
     def __init__(self, ctx, images, normalization=None):
@@ -520,13 +547,28 @@ class SeriesEmbedding:
             raise ValueError("normalization value must be rational")
         self.t_value = Fraction(pval.q0) / base_ord
         tower = self.images[pname].tower
-        one = _exact(tower, tower.one())
-        self._zero = _exact(tower, tower.zero())
-        self._power_lists = {name: [one, g]
+        d = 1
+        for g in self.images.values():
+            for e in (g.trunc, *g.coeffs):
+                d = lcm(d, e.denominator)
+        self._grid = d
+
+        def on_grid(s):
+            return _rescaled(s, lambda e: e.numerator * (d // e.denominator))
+
+        one = on_grid(_exact(tower, tower.one()))
+        self._zero = on_grid(_exact(tower, tower.zero()))
+        self._power_lists = {name: [one, on_grid(g)]
                              for name, g in self.images.items()}
         self._lift = lambda c: tower.lift(c).rep
 
     def evaluate(self, f):
+        """The image of f, in t units."""
+        d = self._grid
+        return _rescaled(self._grid_image(f), lambda e: Fraction(e, d))
+
+    def _grid_image(self, f):
+        """The image of f on the grid t = s^D."""
         if f.ctx is not self.ctx:
             raise ValueError("element does not live in the embedding's ring")
         xn, yn = self.ctx.param_names
@@ -535,12 +577,13 @@ class SeriesEmbedding:
 
     def residue_of_ratio(self, num, den):
         """Residue [num/den] for equal-order images, or INSUFFICIENT_PRECISION."""
-        sn, sd = self.evaluate(num), self.evaluate(den)
+        sn, sd = self._grid_image(num), self._grid_image(den)
         on, od = sn.order(), sd.order()
         if on is INSUFFICIENT_PRECISION or od is INSUFFICIENT_PRECISION:
             return INSUFFICIENT_PRECISION
         if on != od:
-            raise ValueError("ratio has nonzero order %s" % (on - od))
+            raise ValueError("ratio has nonzero order %s"
+                             % Fraction(on - od, self._grid))
         return sn.leading_coeff() / sd.leading_coeff()
 
 
@@ -553,11 +596,10 @@ def series_value(f, emb):
     """
     if f.is_zero():
         raise ValueError("value of zero")
-    s = emb.evaluate(f)
-    o = s.order()
+    o = emb._grid_image(f).order()
     if o is INSUFFICIENT_PRECISION:
         return INSUFFICIENT_PRECISION
-    return Value(o * emb.t_value)
+    return Value(Fraction(o, emb._grid) * emb.t_value)
 
 
 # ---------------------------------------------------------------------------

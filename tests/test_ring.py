@@ -620,3 +620,100 @@ def test_series_arithmetic_results_are_normalised(name):
     short = TruncSeries(tower, {1: tower.one()}, 3)
     long_ = TruncSeries(tower, {1: -tower.one(), 5: tower.one()}, 10)
     assert (short + long_).coeffs == {} and (short + long_).trunc == 3
+
+
+def _inverse_cases():
+    q, f3 = ResidueTower(QQ), ResidueTower(BaseField(3))
+    qi = ResidueTower(QQ).extend("i", [1, 0])
+    i = qi.gen("i")
+    h = Fraction(1, 2)
+    return {
+        # u supported on {3/2, 7/3}: sums leave gaps below the truncation
+        "gapped": TruncSeries(q, {0: q.one(), Fraction(3, 2): q.scalar(2),
+                                  Fraction(7, 3): q.scalar(-1)}, 15),
+        "mixed-denominators": TruncSeries(
+            f3, {Fraction(-3, 4): f3.one(), Fraction(-1, 4): f3.scalar(2),
+                 Fraction(2, 5): f3.one(), Fraction(7, 6): f3.scalar(2)},
+            Fraction(9, 2)),
+        # 71/7 is on no lattice the exponents generate
+        "off-lattice-trunc": TruncSeries(
+            q, {h: q.one(), Fraction(3, 2): q.one(), Fraction(13, 4): q.scalar(h)},
+            Fraction(71, 7)),
+        "non-unit-lead": TruncSeries(
+            qi, {Fraction(5, 3): 3 * i + 1, 2: qi.scalar(2), 4: i},
+            Fraction(29, 3)),
+        "monomial": TruncSeries(q, {Fraction(-7, 2): q.scalar(5)}, 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_inverse_cases()))
+def test_series_inverse_matches_geometric_series(monkeypatch, name):
+    s = _inverse_cases()[name]
+    want = _geometric_inverse(s)
+    real, products = TruncSeries.__mul__, []
+
+    def counting(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counting)
+    got = s.inverse()
+    assert products == []
+    monkeypatch.undo()
+    assert got.coeffs == want.coeffs and got.trunc == want.trunc
+    _assert_normalised(got)
+    one = s * got  # 1 below the product's truncation
+    assert one.coeffs == {0: s.tower.one()}
+
+
+def test_series_inverse_matches_geometric_series_on_random_series():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    towers = [ResidueTower(QQ), ResidueTower(BaseField(3)),
+              ResidueTower(QQ).extend("i", [1, 0])]
+    exps = st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 4)))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(
+        tower=st.sampled_from(towers),
+        e0=st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3))),
+        support=st.lists(exps, max_size=4),
+        width=st.builds(Fraction, st.integers(1, 40), st.integers(1, 5)),
+        picks=st.lists(st.integers(0, 5), min_size=5, max_size=5))
+    def check(tower, e0, support, width, picks):
+        scalars = [tower.scalar(k) for k in (1, 2, -1, 3, 5)]
+        if tower.height:
+            scalars.append(tower.gen(0) + 1)
+        scalars = [c for c in scalars if not c.is_zero()]
+        coeffs = {e0 + f: scalars[k % len(scalars)]
+                  for f, k in zip(support, picks[1:])}
+        coeffs[e0] = scalars[picks[0] % len(scalars)]
+        s = TruncSeries(tower, coeffs, e0 + min(width, 8))
+        got, want = s.inverse(), _geometric_inverse(s)
+        assert got.coeffs == want.coeffs and got.trunc == want.trunc
+
+    check()
+
+
+def test_embedding_on_a_finer_grid_answers_in_t_units():
+    ctx = LocalRingCtx(ResidueTower(QQ), ("x", "y"))
+    tower = ctx.tower
+    gx = TruncSeries(tower, {Fraction(3, 2): tower.one()}, Fraction(91, 3))
+    gy = TruncSeries(tower, {Fraction(9, 4): tower.one(),
+                             Fraction(8, 3): tower.scalar(2)}, Fraction(91, 3))
+    emb = SeriesEmbedding(ctx, {"x": gx, "y": gy})
+    assert emb._grid == 12
+    assert emb.images["x"] is gx and emb.images["y"] is gy
+    zero = TruncSeries(tower, {}, Fraction(10 ** 9))
+    rng = random.Random(53)
+    for n in range(40):
+        f = _random_poly(ctx, rng, 1 + n % 6, 4, 3)
+        got = emb.evaluate(f)
+        want = _term_by_term(f, gx, gy, zero, tower.lift)
+        _assert_normalised(got)
+        assert got.coeffs == want.coeffs and got.trunc == want.trunc
+    assert series_value(ctx.x(), emb) == Value(1)
+    assert series_value(ctx.y(), emb) == Value(Fraction(3, 2))
+    assert series_value(ctx.y() ** 2 - ctx.x() ** 3, emb) == Value(Fraction(59, 18))
+    with pytest.raises(ValueError, match="nonzero order -3/4"):
+        emb.residue_of_ratio(ctx.x(), ctx.y())
