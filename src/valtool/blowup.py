@@ -8,8 +8,8 @@ a, b with n*b - w*a = 1 and pass to the chart
 
 where U has value zero and residue alpha.  Recentering Z = U - alpha
 gives regular parameters (X, Z) of the target ring.  Keys transport by
-clearing the exceptional power of X and the power of U; the recursion data
-re-seeds one level down, and every shifted invariant is recomputed on the
+clearing the exceptional power of X and the power of U and stay the
+target's keys, one level down; every shifted invariant is recomputed on the
 target and compared against the source as a consistency table.  The chart
 has determinant n*b - w*a = 1, so distinct terms of f land on distinct
 monomials X^i U^j and nothing cancels: both powers, and so the strict
@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .extension import ExtensionMap
-from .genseq import GenSeq, KeyStep, TailTerm, _expand_raw
+from .genseq import GenSeq, expand, monic_of_degree
 from .ring import LocalRingCtx, SeriesEmbedding, TruncSeries, substitute
 from .values import INFINITE
 
@@ -105,8 +105,9 @@ def _chart_exponents(nbar, w):
 def free_transform(g):
     """Composite transform of a sequence; returns (map, transported sequence).
 
-    Needs the second key's recursion (the target re-seeds from it) and the
-    first level's residue for recentering.
+    Needs the key after the first level (its strict transform is the new y)
+    and the first level's residue for recentering.  The target keeps the
+    strict transforms as its keys (`GenSeq.from_keys`), one level down.
     """
     if len(g.steps) < 1:
         raise TransformError("insufficient keys: the transform re-seeds from "
@@ -131,12 +132,12 @@ def free_transform(g):
                         exceptional_value)
 
     # transported keys: clear the exceptional power and the unit factor
-    target_keys = [target_ctx.x(), None]
+    target_keys = [target_ctx.x()]
     target_values = [exceptional_value]
-    n_product = 1
-    for i in range(1, len(g.keys) - 1):
-        n_product *= g.step(i).power
-        expected_drop = w * n_product
+    for i in range(1, g.top):
+        expected_drop = _drop(g, i + 1)
+        # y1-degree of target key i: the source powers at levels 2..i
+        deg = expected_drop // _drop(g, 2)
         chart = tmap._chart(g.keys[i + 1])
         drop = chart.x_order()
         if drop != expected_drop:
@@ -144,53 +145,32 @@ def free_transform(g):
                 "exceptional power of key %d is %d, expected %d"
                 % (i + 1, drop, expected_drop))
         stripped = tmap._strict_image(chart)
-        deg = 1
-        for s in range(2, i + 1):
-            deg *= g.step(s).power
-        slices = stripped.y_slices()
-        if stripped.y_degree() != deg or list(slices.get(deg, {})) != [0] \
-                or not (slices[deg][0] == g.ctx.tower.one()):
+        if not monic_of_degree(stripped, deg):
             raise TransformError(
                 "strict transform of key %d does not normalize to a monic "
                 "key of degree %d: %r" % (i + 1, deg, stripped))
-        if i == 1:
-            # the recentered parameter must BE the transported key; a
-            # leftover unit factor cannot be absorbed polynomially
-            if stripped != target_ctx.y():
-                raise TransformError(
-                    "strict transform of key 2 is %r, not the recentered "
-                    "parameter; the chart change is not polynomial" % stripped)
-            target_keys[1] = stripped
-        else:
-            target_keys.append(stripped)
-        target_values.append(
-            g.values[i + 1] - exceptional_value * drop)
-
-    # re-seed the recursion: the step at target level i comes from source i+1
-    target_steps = []
-    for i in range(2, len(target_keys)):
-        power = g.step(i).power
-        diff = target_keys[i] - target_keys[i - 1] ** power
-        tail = []
-        if not diff.is_zero():
-            for exps, c in sorted(_expand_raw(diff, target_keys[:i], i - 1).items()):
-                tail.append(TailTerm(c, exps))
-        target_steps.append(KeyStep(i - 1, power, tail, target_values[i]))
+        # the recentered parameter must BE the transported key; a leftover
+        # unit factor cannot be absorbed polynomially
+        if i == 1 and stripped != target_ctx.y():
+            raise TransformError(
+                "strict transform of key 2 is %r, not the recentered "
+                "parameter; the chart change is not polynomial" % stripped)
+        target_keys.append(stripped)
+        target_values.append(g.values[i + 1] - exceptional_value * drop)
 
     # Declared residues transport safely only when every source residue is 1
     # (the cleared powers of U contribute powers of source residues, hence
     # trivial); otherwise the transported oracle recomputes them exactly.
-    residues = {}
     one = g.ctx.tower.one()
-    if all(l.residue is None or l.residue == one for l in g.levels):
-        for i in range(1, len(target_keys)):
-            src = g.level(i + 1).residue if i + 1 <= g.top else None
-            if src is not None:
-                residues[i] = src
+    trivial = all(l.residue is None or l.residue == one for l in g.levels)
+    residues = {l.index - 1: l.residue for l in g.levels[1:]
+                if trivial and l.residue is not None}
 
     oracle = _transport_oracle(g, tmap)
-    target = GenSeq(target_ctx, target_values, target_steps,
-                    residues=residues, oracle=oracle, terminal=g.terminal)
+    target = GenSeq.from_keys(target_ctx, target_values, target_keys,
+                              [step.power for step in g.steps[1:]],
+                              residues=residues, oracle=oracle,
+                              terminal=g.terminal)
     return tmap, target
 
 
@@ -365,13 +345,7 @@ def transform_value_table(g, tmap, f, level):
     must exceed the key's own drop, except in the one stated degenerate case
     (level 1, the term x alone, jump = w = 1), where they agree.
     """
-    from .genseq import expand
-    if level == 0:
-        lam = g.level(1).group_jump
-    elif level == 1:
-        lam = g.level(1).unit_exps[0]
-    else:
-        lam = _drop(g, level)
+    lam = g.level(1).group_jump if level == 0 else _drop(g, level)
     rows = []
     key_value = g.values[level]
     for c, exps, value in expand(f, g).terms:

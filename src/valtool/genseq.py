@@ -20,7 +20,13 @@ from __future__ import annotations
 
 from .ring import divmod_y, series_value
 from .towers import SubfieldSpec, relative_dimension, span_closure
-from .values import INFINITE, INSUFFICIENT_PRECISION, Value, exact_sums
+from .values import (
+    INFINITE,
+    INSUFFICIENT_PRECISION,
+    Value,
+    exact_sums,
+    group_index,
+)
 
 
 class PreconditionError(Exception):
@@ -101,20 +107,44 @@ class GenSeq:
 
     def __init__(self, ctx, values, steps=(), residues=None, oracle=None,
                  terminal=False):
+        steps = list(steps)
+        if len(values) != len(steps) + 2:
+            raise ValueError("need one value per key: 2 + number of steps")
+        for i, step in enumerate(steps, start=1):
+            if step.index != i:
+                raise ValueError("steps must be consecutive from index 1")
+        keys = [ctx.x(), ctx.y()]
+        for step in steps:
+            keys.append(next_key(keys, step))
+        self._setup(ctx, values, keys, steps, residues, oracle, terminal)
+
+    @classmethod
+    def from_keys(cls, ctx, values, keys, powers, residues=None, oracle=None,
+                  terminal=False):
+        """A sequence on keys x, y, P_2, ... its caller built, kept as given.
+
+        Step i has power powers[i - 1]; its tail is read back as the
+        expansion of P_{i+1} - P_i^{n_i} on P_0 .. P_i, sorted by exponents.
+        """
+        keys = list(keys)
+        steps = []
+        for i, (power, key, value) in enumerate(
+                zip(powers, keys[2:], values[2:], strict=True), start=1):
+            tail = sorted(_expand_raw(key - keys[i] ** power, keys, i).items())
+            steps.append(KeyStep(i, power, [TailTerm(c, e) for e, c in tail],
+                                 value))
+        g = cls.__new__(cls)
+        g._setup(ctx, values, keys, steps, residues, oracle, terminal)
+        return g
+
+    def _setup(self, ctx, values, keys, steps, residues, oracle, terminal):
         self.ctx = ctx
         self.values = [v if isinstance(v, Value) else Value(v) for v in values]
-        self.steps = list(steps)
+        self.keys = keys
+        self.steps = steps
         self.declared_residues = dict(residues or {})
         self.oracle = oracle
         self._equal_tails = {}
-        if len(self.values) != len(self.steps) + 2:
-            raise ValueError("need one value per key: 2 + number of steps")
-        for i, step in enumerate(self.steps, start=1):
-            if step.index != i:
-                raise ValueError("steps must be consecutive from index 1")
-        self.keys = [ctx.x(), ctx.y()]
-        for step in self.steps:
-            self.keys.append(next_key(self.keys, step))
         self.levels = []
         for i in range(1, self.top + 1):
             self.levels.append(self._derive_level(i))
@@ -169,7 +199,7 @@ class GenSeq:
     def _derive_level(self, i):
         lvl = LevelData(i)
         try:
-            lvl.group_jump = _group_jump(self.values, i)
+            lvl.group_jump = group_index(self.values[: i + 1], self.values[:i])
         except Exception as err:  # containment failures mean bad declarations
             lvl.issues.append("group jump at level %d failed: %s" % (i, err))
             return lvl
@@ -241,17 +271,19 @@ def next_key(keys, step):
     return out
 
 
+def monic_of_degree(key, deg):
+    """True when key has y-degree deg and y-leading coefficient 1."""
+    lead = [(i, c) for (i, j), c in key.terms.items() if j == deg]
+    return (key.y_degree() == deg and len(lead) == 1 and lead[0][0] == 0
+            and key.ctx.coeff(lead[0][1]) == key.ctx.tower.one())
+
+
 def _key_monomial(keys, exps, coeff):
     out = keys[0].ctx.const(coeff)
     for key, e in zip(keys, exps):
         if e:
             out = out * key ** e
     return out
-
-
-def _group_jump(values, i):
-    from .values import group_index
-    return group_index(values[: i + 1], values[:i])
 
 
 def reduced_representation(target, values, caps):
@@ -550,12 +582,9 @@ def validate_sequence(g):
     deg = 1
     for i in range(2, len(g.keys)):
         deg *= g.step(i - 1).power
-        key = g.keys[i]
-        slices = key.y_slices()
-        monic = (key.y_degree() == deg and list(slices.get(deg, {})) == [0]
-                 and slices[deg][0] == g.ctx.tower.one())
         report.add("key %d monic in %s of degree %d"
-                   % (i, g.ctx.param_names[1], deg), monic, repr(key))
+                   % (i, g.ctx.param_names[1], deg),
+                   monic_of_degree(g.keys[i], deg), repr(g.keys[i]))
 
     for lvl in g.levels:
         i = lvl.index

@@ -183,12 +183,6 @@ class RingElem:
         """Largest power of x dividing the element (0 for zero-free use)."""
         return min((i for i, _ in self.terms), default=0)
 
-    def y_slices(self):
-        """Map j -> {i: coeff}: the element grouped by y-exponent."""
-        coeff = self.ctx.coeff
-        return {j: {i: coeff(c) for i, c in row.items()}
-                for j, row in _rows(self).items()}
-
     def shift(self, di, dj):
         if any(i + di < 0 or j + dj < 0 for i, j in self.terms):
             raise NotRegularAfterSubstitution(

@@ -18,12 +18,8 @@ from .extension import ExtensionMap, ramification_report, splitting_report
 from .genseq import (
     GenSeq,
     InsufficientGeneratingData,
-    KeyStep,
-    TailTerm,
-    _expand_raw,
     evaluate,
     expand,
-    next_key,
     validate_sequence,
 )
 from .ring import (
@@ -329,18 +325,14 @@ def _build_valuation(scenario, name, state, line):
     if "values" not in state or len(state["values"]) != 2:
         raise ScenarioError("valuation %r needs 'values b0 b1'" % name, line)
     values = list(state["values"])
-    steps = []
     keys = [ctx.x(), ctx.y()]
+    powers = []
     for idx, (power, vtext, ttext, kline) in enumerate(state.get("keys", ()),
                                                        start=1):
-        next_value = _parse_value(vtext, scenario, kline)
-        tail_poly = _parse_elem(ttext, ctx, keys, kline, "key %d tail" % idx)
-        tail = [] if tail_poly.is_zero() else [
-            TailTerm(c, exps) for exps, c in
-            sorted(_expand_raw(tail_poly, keys, len(keys) - 1).items())]
-        steps.append(KeyStep(idx, power, tail, next_value))
-        keys.append(next_key(keys, steps[-1]))
-        values.append(next_value)
+        values.append(_parse_value(vtext, scenario, kline))
+        tail = _parse_elem(ttext, ctx, keys, kline, "key %d tail" % idx)
+        keys.append(keys[-1] ** power + tail)
+        powers.append(power)
     oracle = None
     if "oracle" in state:
         oname, oline = state["oracle"]
@@ -352,8 +344,9 @@ def _build_valuation(scenario, name, state, line):
             raise ScenarioError("oracle %r lives on a different ring" % oname,
                                 oline)
     try:
-        return GenSeq(ctx, values, steps, residues=state.get("alphas"),
-                      oracle=oracle, terminal=state.get("terminal", False))
+        return GenSeq.from_keys(ctx, values, keys, powers,
+                                residues=state.get("alphas"), oracle=oracle,
+                                terminal=state.get("terminal", False))
     except ValueError as err:
         raise ScenarioError("valuation %r: %s" % (name, err), line)
 

@@ -47,6 +47,8 @@ class BaseField:
         return 1
 
     def of(self, c):
+        if isinstance(c, float):
+            raise TypeError("field constants are exact; got the float %r" % c)
         if self.p:
             if isinstance(c, Fraction):
                 if c.denominator % self.p == 0:

@@ -131,6 +131,13 @@ def _merge_tau(a, b):
     return a
 
 
+def _exact(q):
+    """q as a Fraction (one given is kept as it is); floats are refused."""
+    if isinstance(q, float):
+        raise TypeError("values are exact; got the float %r" % q)
+    return q if isinstance(q, Fraction) else Fraction(q)
+
+
 class Value:
     """Element q0 + q1*tau of an ordered group of rational rank <= 2.
 
@@ -142,8 +149,8 @@ class Value:
     __slots__ = ("q0", "q1", "tau")
 
     def __init__(self, q0, q1=0, tau=None):
-        self.q0 = Fraction(q0)
-        self.q1 = Fraction(q1)
+        self.q0 = _exact(q0)
+        self.q1 = _exact(q1)
         if self.q1 != 0 and tau is None:
             raise ValueError("irrational coordinate without a descriptor")
         self.tau = tau if self.q1 != 0 or tau is not None else None
@@ -167,7 +174,7 @@ class Value:
         return Value(-self.q0, -self.q1, self.tau)
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         return Value(self.q0 * scalar, self.q1 * scalar, self.tau)
 
     __rmul__ = __mul__

@@ -148,6 +148,17 @@ def test_parse_error_carries_line(tmp_path):
     assert "line 3" in str(err.value)
 
 
+def test_tail_over_a_non_monic_key_is_a_parse_error(tmp_path):
+    bad = tmp_path / "nonmonic.scn"
+    bad.write_text("[ring R]\nparams x y\n[valuation nu]\nring R\n"
+                   "values 1 3/2\nkey n=2 value=7/2 tail=-1*x^3+x*y^3\n"
+                   "key n=2 value=8 tail=y^3\n")
+    code, _ = run_cli("check", str(bad))
+    assert code == 2
+    with pytest.raises(ScenarioError, match="not monic"):
+        parse_scenario(bad.read_text())
+
+
 def test_undeclared_reference(tmp_path):
     bad = tmp_path / "ref.scn"
     bad.write_text("""

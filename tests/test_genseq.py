@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from valtool import fixtures
+import valtool
+from valtool import fixtures, genseq
+from valtool.blowup import free_transform, iterate_transforms
 from valtool.genseq import (
     GenSeq,
     InsufficientGeneratingData,
@@ -13,14 +15,18 @@ from valtool.genseq import (
     evaluate,
     expand,
     initial_form,
+    next_key,
     residue_of_monomial,
     semigroup_membership,
     sigma_indices,
     validate_sequence,
 )
 from valtool.ring import INSUFFICIENT_PRECISION, LocalRingCtx, parse_poly, series_value
-from valtool.towers import QQ, ResidueTower
-from valtool.values import INFINITE, Value
+from valtool.scenario import parse_scenario
+from valtool.towers import QQ, BaseField, ResidueTower
+from valtool.values import INFINITE, Value, pi_descriptor
+
+from test_graded import _chain
 
 
 @pytest.fixture
@@ -330,3 +336,83 @@ def test_answers_expand_once(v1, monkeypatch):
         calls.clear()
         answer(f, v1)
         assert len(calls) == 1, answer.__name__
+
+
+# -- keys built once ------------------------------------------------------------
+
+_SCENARIOS = ("v1", "def2", "pi2", "disc", "corn")
+_CELLS = [(d, base, rank) for d in (1, 2, 3, 4) for base in ("Q", "GF2", "GF3")
+          for rank in (1, 2)]
+
+
+def _shipped(name):
+    return parse_scenario(valtool.scenario_path(name).read_text())
+
+
+def _chain_cell(depth, base, rank):
+    """The test chain over Q, GF(2) or GF(3); rank 2 ends it at 2*beta_d + pi - 3."""
+    g = _chain(depth, {"Q": QQ, "GF2": BaseField(2), "GF3": BaseField(3)}[base])
+    if rank == 1:
+        return g
+    top = g.values[depth] * 2 + Value(-3, 1, pi_descriptor())
+    steps = g.steps[:-1] + [KeyStep(depth, 2, g.steps[-1].tail, top)]
+    return GenSeq(g.ctx, g.values[:-1] + [top], steps,
+                  residues=g.declared_residues, terminal=True)
+
+
+def _rebuilt_steps(g):
+    """Check each key against the rebuild from its step; count the steps."""
+    for i in range(1, g.top):
+        assert next_key(g.keys[:i + 1], g.step(i)) == g.keys[i + 1], (g, i)
+    return g.top - 1
+
+
+def _rebuilt_steps_with_targets(g):
+    record = iterate_transforms(g, 3)
+    return _rebuilt_steps(g) + sum(_rebuilt_steps(step.target)
+                                   for step in record.steps)
+
+
+@pytest.mark.parametrize("name", _SCENARIOS)
+def test_steps_rebuild_the_keys_of_shipped_valuations(name):
+    valuations = _shipped(name).valuations.values()
+    assert sum(_rebuilt_steps_with_targets(g) for g in valuations) > 0
+
+
+@pytest.mark.parametrize("cell", _CELLS, ids=lambda c: "d%d-%s-rank%d" % c)
+def test_steps_rebuild_the_keys_of_chain_transforms(cell):
+    _rebuilt_steps_with_targets(_chain_cell(*cell))
+
+
+def test_from_keys_keeps_the_keys_and_reads_back_the_steps():
+    def terms(step):  # declared tails may omit the trailing zero exponents
+        return [(t.coeff, t.exps + (0,) * (step.index + 1 - len(t.exps)))
+                for t in step.tail]
+
+    g = _chain(4)
+    powers = [step.power for step in g.steps]
+    h = GenSeq.from_keys(g.ctx, g.values, g.keys, powers,
+                         residues=g.declared_residues)
+    assert all(a is b for a, b in zip(h.keys, g.keys, strict=True))
+    for s, t in zip(g.steps, h.steps, strict=True):
+        assert terms(s) == terms(t)
+        assert (s.index, s.power, s.next_value) == (t.index, t.power,
+                                                   t.next_value)
+    assert [repr(l) for l in h.levels] == [repr(l) for l in g.levels]
+    with pytest.raises(ValueError):
+        GenSeq.from_keys(g.ctx, g.values[:-1], g.keys, powers)
+    with pytest.raises(ValueError):
+        GenSeq.from_keys(g.ctx, g.values, g.keys, powers + [2])
+
+
+def test_transforms_and_parsing_build_no_key_twice(monkeypatch):
+    sources = [_chain(4), fixtures.v1(), fixtures.corn()]
+    calls = []
+    real = genseq.next_key
+    monkeypatch.setattr(genseq, "next_key",
+                        lambda keys, step: calls.append(step) or real(keys, step))
+    for g in sources:
+        free_transform(g)
+    for name in _SCENARIOS:
+        _shipped(name)
+    assert calls == []

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from valtool.ring import LocalRingCtx
 from valtool.towers import (
     QQ,
     BaseField,
@@ -160,3 +161,16 @@ def test_elements_combine_only_within_one_tower():
         assert not x == y and x != y
     assert t2.lift(a) * b == 3 * b
     assert t2.lift(a) / b == -3 * b
+
+
+def test_field_constants_refuse_floats():
+    f3 = ResidueTower(BaseField(3))
+    qi = ResidueTower(QQ).extend("i", [1, 0])
+    for make in (lambda: f3.scalar(0.5), lambda: qi.scalar(0.5),
+                 lambda: QQ.of(0.1),
+                 lambda: LocalRingCtx(f3, ("x", "y")).x() * 0.5):
+        with pytest.raises(TypeError):
+            make()
+    assert f3.scalar(Fraction(1, 2)) == f3.scalar(2)
+    assert f3.scalar(7) == f3.one()
+    assert qi.scalar(Fraction(1, 2)) * 2 == qi.one()

@@ -224,3 +224,15 @@ def test_value_ratio():
     assert value_ratio(Value(2, 1, PI), Value(1, 1, PI)) is None
     assert value_ratio(Value(0, 1, PI), Value(1)) is None
     assert value_ratio(Value(1), Value(0)) is None
+
+
+def test_values_are_exact():
+    third = Fraction(1, 3)
+    assert Value(third).q0 is third
+    assert Value(2, third, PI).q1 is third
+    assert Value(2).q0 == 2 and type(Value(2).q0) is Fraction
+    assert Value(third) * 3 == Value(1)
+    for make in (lambda: Value(0.1), lambda: Value(1, 0.5, PI),
+                 lambda: Value(1) * 0.5):
+        with pytest.raises(TypeError):
+            make()
