@@ -41,10 +41,8 @@ class TransformMap:
                  exceptional_value):
         self.source_ctx = source_ctx
         self.target_ctx = target_ctx
-        self.nbar = nbar
-        self.w = w
-        self.a = a
-        self.b = b
+        self.nbar, self.w = nbar, w
+        self.a, self.b = a, b  # the chart exponents
         self.alpha_lift = alpha_lift
         self.exceptional_value = exceptional_value  # value of X
         X, Z = target_ctx.x(), target_ctx.y()

@@ -139,12 +139,8 @@ class RamificationReport:
         self.caveats = list(caveats)
 
     def csv_rows(self):
-        rows = []
-        for route in sorted(self.routes):
-            delta = self.routes[route]
-            rows.append((route, self.e, self.f, delta,
-                         1 if self.consistent else 0))
-        return rows
+        return [(route, self.e, self.f, self.routes[route],
+                 int(self.consistent)) for route in sorted(self.routes)]
 
     def lines(self):
         out = ["e = %d, f = %d, delta = %r" % (self.e, self.f, self.delta)]

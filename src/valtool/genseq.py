@@ -18,13 +18,15 @@ residue data.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
+
 from .ring import divmod_y, series_value
 from .towers import SubfieldSpec, relative_dimension, span_closure
 from .values import (
     INFINITE,
     INSUFFICIENT_PRECISION,
+    Grid,
     Value,
-    exact_sums,
     group_index,
 )
 
@@ -52,6 +54,14 @@ class InsufficientGeneratingData(Exception):
 
 class InternalInconsistency(Exception):
     """A lattice solve that the theory guarantees has failed."""
+
+
+class NonMonicKey(ValueError):
+    """A key that an expansion divides by is not monic in y."""
+
+    def __init__(self, index):
+        super().__init__("key %d is not monic in y" % index)
+        self.index = index
 
 
 class TailTerm:
@@ -140,6 +150,13 @@ class GenSeq:
     def _setup(self, ctx, values, keys, steps, residues, oracle, terminal):
         self.ctx = ctx
         self.values = [v if isinstance(v, Value) else Value(v) for v in values]
+        for step in steps:
+            if self.values[step.index + 1] != step.next_value:
+                raise ValueError(
+                    "step %d gives next value %r but key %d has value %r"
+                    % (step.index, step.next_value, step.index + 1,
+                       self.values[step.index + 1]))
+        self.grid = Grid(self.values)
         self.keys = keys
         self.steps = steps
         self.declared_residues = dict(residues or {})
@@ -178,20 +195,25 @@ class GenSeq:
         tail = self._equal_tails.get(i)
         if tail is None:
             step = self.step(i)
-            lead = self.values[i] * step.power
+            lead = self.point((0,) * i + (step.power,))
             pad = (0,) * len(self.keys)
             tail = tuple((self.ctx.const(t.coeff).constant_term(),
                           t.exps + pad[len(t.exps):])
-                         for t in step.tail if self.value_of(t.exps) == lead)
+                         for t in step.tail if self.point(t.exps) == lead)
             self._equal_tails[i] = tail
         return tail
 
-    def value_of(self, exps):
-        v = Value(0)
-        for a, beta in zip(exps, self.values):
+    def point(self, exps):
+        """Value of the key monomial with these exponents, on :attr:`grid`."""
+        s0 = s1 = 0
+        for a, (b0, b1) in zip(exps, self.grid.points):
             if a:
-                v = v + beta * a
-        return v
+                s0 += a * b0
+                s1 += a * b1
+        return s0, s1
+
+    def value_of(self, exps):
+        return self.grid.value(self.point(exps))
 
     def monomial(self, exps):
         return _key_monomial(self.keys, exps, 1)
@@ -209,14 +231,14 @@ class GenSeq:
             lvl.residue_degree = 1
             lvl.cap = INFINITE
             return lvl
-        target = self.values[i] * lvl.group_jump
+        target = self.point((0,) * i + (lvl.group_jump,))
         rep = reduced_representation(
-            target, self.values[:i],
+            self.grid, target, self.grid.points[:i],
             [None] + [self.steps[j - 1].power for j in range(1, i)])
         if rep is None:
             lvl.issues.append(
                 "no reduced unit monomial of value %r among keys below %d"
-                % (target, i))
+                % (self.grid.value(target), i))
         else:
             lvl.unit_exps = rep
         lvl.residue = self._residue_at(i, lvl)
@@ -286,14 +308,15 @@ def _key_monomial(keys, exps, coeff):
     return out
 
 
-def reduced_representation(target, values, caps):
-    """Reduced exponent vector with sum a_i * values[i] == target, or None.
+def reduced_representation(grid, target, points, caps):
+    """Reduced exponent vector with sum a_i * points[i] == target, or None.
 
+    ``points`` lie on ``grid`` (see :meth:`Grid.sums` for ``target``);
     ``caps[i]`` bounds a_i (None = unbounded).  Of all such vectors this is
-    the lexicographically greatest read from the top key down, which is
-    the greedy top-down answer.
+    the lexicographically greatest read from the top key down, which is the
+    greedy top-down answer.
     """
-    rep = max(exact_sums(values[::-1], target, caps[::-1]), default=None)
+    rep = max(grid.sums(points[::-1], target, caps[::-1]), default=None)
     return None if rep is None else rep[::-1]
 
 
@@ -304,41 +327,50 @@ def reduced_representation(target, values, caps):
 class PAdicExpansion:
     """Exact expansion of a ring element over the keys of a sequence.
 
-    Terms are (coefficient, exponent vector, value), sorted by value then
-    exponents; exponents of every key except the last are reduced below the
-    recursion powers by construction, the last key's exponent is unbounded
-    and flagged.
+    ``grid_terms`` are (coefficient, exponents, grid point of the value),
+    sorted by value (int keys at rank 1, :meth:`Grid.cmp` at rank 2) then
+    exponents; :attr:`terms` reads the values as :class:`Value`.  Only the
+    last key's exponent can reach its recursion power, and it is flagged.
     """
 
-    __slots__ = ("genseq", "terms")
+    __slots__ = ("genseq", "grid_terms")
 
     def __init__(self, genseq, terms):
         self.genseq = genseq
-        self.terms = sorted(terms, key=lambda t: (t[2], t[1]))
+        cmp = genseq.grid.cmp
+        key = (cmp_to_key(lambda s, t: cmp(s[2], t[2])
+                          or (s[1] > t[1]) - (s[1] < t[1]))
+               if genseq.grid.tau else lambda t: (t[2][0], t[1]))
+        self.grid_terms = sorted(terms, key=key)
+
+    @property
+    def terms(self):
+        value = self.genseq.grid.value
+        return [(c, e, value(p)) for c, e, p in self.grid_terms]
 
     def min_value(self):
-        return self.terms[0][2]
+        return self.genseq.grid.value(self.grid_terms[0][2])
 
     def min_terms(self):
-        v = self.min_value()
-        return [t for t in self.terms if t[2] == v]
+        p = self.grid_terms[0][2]
+        return [t for t in self.grid_terms if t[2] == p]
 
     def top_exponent_overflow(self):
         """True when some term's last-key exponent reaches the derived bound."""
         cap = self.genseq.levels[-1].cap if self.genseq.levels else None
         if cap is None or cap is INFINITE:
             return False
-        return any(e[-1] >= cap for _, e, _ in self.terms)
+        return any(e[-1] >= cap for _, e, _ in self.grid_terms)
 
     def reconstruct(self):
         out = self.genseq.ctx.zero()
-        for c, e, _ in self.terms:
+        for c, e, _ in self.grid_terms:
             out = out + self.genseq.monomial(e) * c
         return out
 
     def __repr__(self):
         return "PAdicExpansion(%d terms, min=%r)" % (
-            len(self.terms), self.min_value())
+            len(self.grid_terms), self.min_value())
 
 
 def expand(f, g):
@@ -346,7 +378,7 @@ def expand(f, g):
     if f.is_zero():
         raise PreconditionError("cannot expand zero")
     raw = _expand_raw(f, g.keys, g.top)
-    terms = [(c, e, g.value_of(e)) for e, c in raw.items()]
+    terms = [(c, e, g.point(e)) for e, c in raw.items()]
     return PAdicExpansion(g, terms)
 
 
@@ -361,7 +393,10 @@ def _expand_raw(f, keys, top):
     e = 0
     while not h.is_zero():
         if h.y_degree() >= deg:
-            q, r = divmod_y(h, key)
+            try:
+                q, r = divmod_y(h, key)
+            except ValueError as err:
+                raise NonMonicKey(top) from err
         else:
             q, r = f.ctx.zero(), h
         if not r.is_zero():
@@ -383,7 +418,7 @@ def residue_of_monomial(exps, g):
     through the triangular lattice relation of the unit monomials.
     """
     exps = list(exps) + [0] * (len(g.keys) - len(exps))
-    if g.value_of(exps) != Value(0):
+    if g.point(exps) != (0, 0):
         raise PreconditionError("monomial %r has nonzero value" % (exps,))
     result = g.ctx.tower.one()
     for j in range(g.top, 0, -1):
@@ -441,19 +476,19 @@ def evaluate(f, g):
     otherwise the residue sum of the minimal group decides, and a vanishing
     sum means the declared prefix cannot see the true value.
     """
-    return _minimal_group(f, g)[0]
+    return g.grid.value(_minimal_group(f, g)[0][2])
 
 
 def _minimal_group(f, g):
-    """Certified value of f and the terms of its one expansion attaining it."""
+    """Grid terms of f's one expansion at its certified minimal value."""
     if f.is_zero():
         raise PreconditionError("value of zero")
     exp = expand(f, g)
-    gamma = exp.min_value()
     mins = exp.min_terms()
     if (len(mins) == 1 or all(_is_reduced(e, g) for _, e, _ in mins)
             or not residue_sum(mins, g).is_zero()):
-        return gamma, mins
+        return mins
+    gamma = exp.min_value()
     raise InsufficientGeneratingData(
         "the minimal form of value %r cancels in the residue field; "
         "deciding the value needs a key beyond the declared prefix" % gamma,
@@ -486,8 +521,8 @@ def reference_monomial(gamma, g):
 def initial_form(f, g):
     """Initial form of f in the graded ring of the declared prefix."""
     from .graded import GradedElem
-    gamma, mins = _minimal_group(f, g)
-    return GradedElem(g, gamma, {e: c for c, e, _ in mins})
+    mins = _minimal_group(f, g)
+    return GradedElem(g, mins[0][2], {e: c for c, e, _ in mins})
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +560,9 @@ def semigroup_membership(gamma, g):
     """
     if gamma.sign() < 0:
         raise PreconditionError("semigroup values are nonnegative")
-    if gamma.sign() == 0:
-        return tuple([0] * len(g.values))
     caps = [None] + [None if lvl.cap is INFINITE else lvl.cap
                      for lvl in g.levels]
-    return reduced_representation(gamma, g.values, caps)
+    return reduced_representation(g.grid, gamma, g.grid.points, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +588,10 @@ class ValidationReport:
         return [(n, d) for n, ok, d in self.checks if not ok]
 
     def lines(self):
-        out = []
-        for name, ok, detail in self.checks:
-            line = "%s %s" % ("PASS" if ok else "FAIL", name)
-            if detail:
-                line += ": %s" % detail
-            out.append(line)
-        for w in self.warnings:
-            out.append("WARN %s" % w)
-        return out
+        return (["%s %s%s" % ("PASS" if ok else "FAIL", name,
+                              ": %s" % detail if detail else "")
+                 for name, ok, detail in self.checks]
+                + ["WARN %s" % w for w in self.warnings])
 
     def __repr__(self):
         return "\n".join(self.lines())
@@ -612,19 +640,17 @@ def validate_sequence(g):
         i = step.index
         lvl = g.level(i)
         lead_value = g.values[i] * step.power
-        equal, higher, lower = [], [], []
-        for term in step.tail:
-            tv = g.value_of(term.exps)
-            cmp = (tv - lead_value).sign()
-            (equal if cmp == 0 else higher if cmp > 0 else lower).append(term)
+        lead = g.point((0,) * i + (step.power,))
+        signs = [g.grid.cmp(g.point(t.exps), lead) for t in step.tail]
+        equal = [t for t, s in zip(step.tail, signs) if s == 0]
+        lower = signs.count(-1)
         report.add("tail values at step %d" % i, not lower,
                    "" if not lower else "%d terms below the leading value"
-                   % len(lower))
+                   % lower)
         report.add("equal-value tail at step %d nonempty" % i, bool(equal))
         report.add("next value exceeds the leading form at step %d" % i,
-                   (step.next_value if isinstance(step.next_value, Value)
-                    else Value(step.next_value)) > lead_value,
-                   "%r vs %r" % (step.next_value, lead_value))
+                   g.values[i + 1] > lead_value,
+                   "%r vs %r" % (g.values[i + 1], lead_value))
         def _bounds_ok(term):
             if any(e < 0 for e in term.exps):
                 return False

@@ -36,36 +36,44 @@ from .values import (
     UNDETERMINED,
     ContainmentError,
     Value,
-    exact_sums,
     group_index,
     smallest_multiple_in_group,
 )
 
 
 class GradedElem:
-    """Homogeneous element of the prefix graded ring, on the reduced basis."""
+    """Homogeneous element of the prefix graded ring, on the reduced basis.
 
-    __slots__ = ("genseq", "value", "coeffs")
+    It keeps the grid point of ``value`` (a :class:`Value` or a point).
+    """
+
+    __slots__ = ("genseq", "point", "coeffs")
 
     def __init__(self, genseq, value, coeffs):
         self.genseq = genseq
-        self.value = value
+        self.point = genseq.grid.point(value)
+        if self.point is None:
+            raise ValueError("%r is off the value grid of %r" % (value, genseq))
         self.coeffs = _normalize(genseq, dict(coeffs))
+
+    @property
+    def value(self):
+        return self.genseq.grid.value(self.point)
 
     def is_zero(self):
         return not self.coeffs
 
     def __add__(self, other):
-        if other.genseq is not self.genseq or other.value != self.value:
+        if other.genseq is not self.genseq or other.point != self.point:
             raise ValueError("graded addition needs one homogeneous piece")
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return GradedElem(self.genseq, self.value, out)
+        return GradedElem(self.genseq, self.point, out)
 
     def __neg__(self):
-        return GradedElem(self.genseq, self.value,
+        return GradedElem(self.genseq, self.point,
                           {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
@@ -80,9 +88,10 @@ class GradedElem:
                     p = c1 * c2
                     s = out.get(e)
                     out[e] = p if s is None else s + p
-            return GradedElem(self.genseq, self.value + other.value, out)
+            (a0, a1), (b0, b1) = self.point, other.point
+            return GradedElem(self.genseq, (a0 + b0, a1 + b1), out)
         # scalar from the tower
-        return GradedElem(self.genseq, self.value,
+        return GradedElem(self.genseq, self.point,
                           {e: c * other for e, c in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -92,11 +101,11 @@ class GradedElem:
 
     def __eq__(self, other):
         return (isinstance(other, GradedElem) and self.genseq is other.genseq
-                and self.value == other.value
+                and self.point == other.point
                 and _dict_eq(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((self.value, tuple(sorted(
+        return hash((self.point, tuple(sorted(
             (e, hash(c)) for e, c in self.coeffs.items()))))
 
     def __repr__(self):
@@ -112,32 +121,27 @@ class GradedElem:
 
 
 def _dict_eq(a, b):
-    if set(a) != set(b):
-        return False
-    return all((a[k] - b[k]).is_zero() for k in a)
+    return set(a) == set(b) and all((a[k] - b[k]).is_zero() for k in a)
+
+
+def _key_name(g, i):
+    return g.ctx.param_names[i] if i < 2 else "P%d" % i
 
 
 def _monomial_str(g, exps):
-    names = [g.ctx.param_names[0], g.ctx.param_names[1]] + \
-        ["P%d" % i for i in range(2, len(g.keys))]
-    parts = []
-    for n, e in zip(names, exps):
-        if e == 1:
-            parts.append("in(%s)" % n)
-        elif e > 1:
-            parts.append("in(%s)^%d" % (n, e))
-    return "*".join(parts)
+    return "*".join("in(%s)%s" % (_key_name(g, i), "^%d" % e if e > 1 else "")
+                    for i, e in enumerate(exps) if e > 0)
 
 
 def graded_one(g):
-    return GradedElem(g, Value(0), {tuple([0] * len(g.keys)): g.ctx.tower.one()})
+    return GradedElem(g, (0, 0), {tuple([0] * len(g.keys)): g.ctx.tower.one()})
 
 
 def key_initial(g, i):
     """in(P_i) as a graded element (a free basis vector)."""
     e = [0] * len(g.keys)
     e[i] = 1
-    return GradedElem(g, g.values[i], {tuple(e): g.ctx.tower.one()})
+    return GradedElem(g, g.grid.points[i], {tuple(e): g.ctx.tower.one()})
 
 
 def _normalize(g, coeffs):
@@ -237,13 +241,11 @@ class GradedPresentation:
 
     def lines(self):
         g = self.genseq
-        names = [g.ctx.param_names[0], g.ctx.param_names[1]] + \
-            ["P%d" % i for i in range(2, len(g.keys))]
         out = []
         for gen in self.generators:
             tag = "  [= %s]" % gen.expression if gen.redundant else ""
             out.append("generator in(%s), value %r%s"
-                       % (names[gen.index], gen.value, tag))
+                       % (_key_name(g, gen.index), gen.value, tag))
         for rel in self.relations:
             lead = _monomial_str(g, rel.lead_exps)
             tail = " + ".join(
@@ -251,7 +253,7 @@ class GradedPresentation:
             out.append("relation (value %r): %s + %s = 0%s"
                        % (rel.value, lead, tail,
                           "" if rel.verified else "  [residue check skipped]"))
-        ess = [names[gen.index] for gen in self.essential_generators()]
+        ess = [_key_name(g, gen.index) for gen in self.essential_generators()]
         out.append("essential generators: %s%s"
                    % (", ".join("in(%s)" % n for n in ess),
                       " (polynomial ring)" if self.is_polynomial_ring() else ""))
@@ -311,8 +313,9 @@ def graded_presentation(g, depth):
 def graded_piece_basis(gamma, g, depth=None):
     """All reduced key-monomials of a given value, as exponent tuples.
 
-    Inner exponents run below the recursion powers; the last declared key is
-    unbounded.  Empty result means the value is outside the piece's support.
+    ``gamma`` is a :class:`Value` or a point of g's grid.  Inner exponents
+    run below the recursion powers; the last declared key is unbounded.
+    Empty result means the value is outside the piece's support.
     """
     depth = g.top if depth is None else min(depth, g.top)
     # walk from the top key down so that x, unbounded, is solved by division
@@ -320,8 +323,8 @@ def graded_piece_basis(gamma, g, depth=None):
     caps = [g.step(i).power if 1 <= i <= len(g.steps) else None
             for i in levels]
     tail = (0,) * (g.top - depth)
-    return sorted(e[::-1] + tail for e in
-                  exact_sums([g.values[i] for i in levels], gamma, caps))
+    return sorted(e[::-1] + tail for e in g.grid.sums(
+        [g.grid.points[i] for i in levels], gamma, caps))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +366,7 @@ def subalgebra_membership(e, gens):
     # value (where every normalized product lands), then any of e's own
     # outside them
     exp_index = {exps: i for i, exps in
-                 enumerate(graded_piece_basis(e.value, g))}
+                 enumerate(graded_piece_basis(e.point, g))}
     for exps in e.coeffs:
         exp_index.setdefault(exps, len(exp_index))
 
@@ -381,7 +384,7 @@ def subalgebra_membership(e, gens):
     columns = []
     products = 0
     sol = None
-    for gexps, prod in _products_of_value(gens, e.value, g):
+    for gexps, prod in _products_of_value(gens, e.point, g):
         products += 1
         grew = False
         for b in field_basis:
@@ -416,11 +419,12 @@ def subalgebra_membership(e, gens):
 def _products_of_value(gens, target, g):
     """Monomials in ``gens`` of the exact target value, with products.
 
-    The exponent vectors come lazily from one integer walk on the value
-    lattice; a product is formed only for an exact hit, from cached powers.
+    ``target`` is a :class:`Value` or a point of g's grid, where ``gens``
+    lie.  The exponent vectors come lazily from one integer walk on the
+    grid; a product is formed only for an exact hit, from cached powers.
     """
     powers = [[gen] for gen in gens]  # powers[i][k - 1] = gens[i]^k
-    for exps in exact_sums([gen.value for gen in gens], target):
+    for exps in g.grid.sums([gen.point for gen in gens], target):
         prod = None
         for pw, k in zip(powers, exps):
             if not k:

@@ -541,10 +541,8 @@ class SeriesEmbedding:
             raise ValueError("normalization value must be rational")
         self.t_value = Fraction(pval.q0) / base_ord
         tower = self.images[pname].tower
-        d = 1
-        for g in self.images.values():
-            for e in (g.trunc, *g.coeffs):
-                d = lcm(d, e.denominator)
+        d = lcm(*(e.denominator for g in self.images.values()
+                  for e in (g.trunc, *g.coeffs)))
         self._grid = d
 
         def on_grid(s):

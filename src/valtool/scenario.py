@@ -18,6 +18,7 @@ from .extension import ExtensionMap, ramification_report, splitting_report
 from .genseq import (
     GenSeq,
     InsufficientGeneratingData,
+    NonMonicKey,
     evaluate,
     expand,
     validate_sequence,
@@ -347,6 +348,9 @@ def _build_valuation(scenario, name, state, line):
         return GenSeq.from_keys(ctx, values, keys, powers,
                                 residues=state.get("alphas"), oracle=oracle,
                                 terminal=state.get("terminal", False))
+    except NonMonicKey as err:  # reported at that key's own line
+        raise ScenarioError("valuation %r: %s" % (name, err),
+                            state["keys"][err.index - 2][-1])
     except ValueError as err:
         raise ScenarioError("valuation %r: %s" % (name, err), line)
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import product
+from math import lcm, prod as _prod
 
 
 class NotAFieldExtension(Exception):
@@ -263,10 +265,7 @@ class ResidueTower:
         return len(self.levels)
 
     def degree(self):
-        d = 1
-        for level in self.levels:
-            d *= level.degree
-        return d
+        return _prod(level.degree for level in self.levels)
 
     def level_names(self):
         return tuple(level.name for level in self.levels)
@@ -276,12 +275,9 @@ class ResidueTower:
         return tuple(level.name for level in self.levels if not level.verified)
 
     def is_prefix_of(self, other):
-        if self.base != other.base or self.height > other.height:
-            return False
-        for mine, theirs in zip(self.levels, other.levels):
-            if mine.name != theirs.name or mine.minpoly != theirs.minpoly:
-                return False
-        return True
+        return (self.base == other.base and self.height <= other.height
+                and all(a.name == b.name and a.minpoly == b.minpoly
+                        for a, b in zip(self.levels, other.levels)))
 
     def __eq__(self, other):
         return (isinstance(other, ResidueTower) and self.base == other.base
@@ -331,23 +327,15 @@ class ResidueTower:
         return TowerElem(self, _lift(self, elem.rep, elem.tower.height, self.height))
 
     def elements(self):
-        """All elements; finite towers only (exhaustive checks)."""
-        scalars = list(self.base.elements())
+        """All elements; finite towers only (exhaustive checks).
 
+        A level-k rep runs over its coordinates with the first slowest.
+        """
         def reps(k):
             if k == 0:
-                for c in scalars:
-                    yield c
-                return
-            deg = self.levels[k - 1].degree
-            def combos(n):
-                if n == 0:
-                    yield []
-                    return
-                for head in reps(k - 1):
-                    for tail in combos(n - 1):
-                        yield [head] + tail
-            yield from combos(deg)
+                return self.base.elements()
+            return map(list, product(reps(k - 1),
+                                     repeat=self.levels[k - 1].degree))
 
         for rep in reps(self.height):
             yield TowerElem(self, rep)
@@ -439,11 +427,8 @@ class ResidueTower:
 
 
 def _rational_root_candidates(coeffs):
-    from math import gcd
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    scaled = [int(c * lcm) for c in coeffs] + [lcm]
+    den = lcm(*(c.denominator for c in coeffs))
+    scaled = [int(c * den) for c in coeffs] + [den]
     a0, lead = scaled[0], scaled[-1]
     if a0 == 0:
         yield Fraction(0)
@@ -474,13 +459,10 @@ def _divisors(n):
 def _has_rational_quadratic_factor(coeffs):
     # Kronecker-style search: monic integer quartic = product of two monic
     # integer quadratics, constrained by values at 0 and 1.
-    from math import gcd
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    if lcm != 1:
-        # non-integer monic quartics: clear by substitution x -> x/lcm
-        scaled = [coeffs[i] * lcm ** (4 - i) for i in range(4)]
+    den = lcm(*(c.denominator for c in coeffs))
+    if den != 1:
+        # non-integer monic quartics: clear by substitution x -> x/den
+        scaled = [coeffs[i] * den ** (4 - i) for i in range(4)]
         if any(s.denominator != 1 for s in scaled):
             return False
         coeffs = scaled
@@ -614,10 +596,9 @@ class TowerElem:
     def as_rational(self):
         if not self.is_rational():
             raise ValueError("element is not in the base field")
-        rep, k = self.rep, self.tower.height
-        while k > 0:
+        rep = self.rep
+        for _ in range(self.tower.height):
             rep = rep[0]
-            k -= 1
         return rep if self.tower.base.p else Fraction(rep)
 
     def __repr__(self):

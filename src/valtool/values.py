@@ -6,14 +6,18 @@ Comparison of distinct values is decided by interval refinement: the quantity
 q0 + q1*tau is nonzero whenever (q0, q1) != (0, 0), so its sign is eventually
 determined by a sufficiently tight enclosure of tau.
 
-Group indices of finitely generated subgroups are computed by integer linear
-algebra on coordinate vectors after clearing denominators.
+A :class:`Grid` holds the values of one group as int pairs over their common
+denominator: a generating sequence keeps its key values there, and lattice
+walks, sums and sorts of values run on ints.  Group indices of finitely
+generated subgroups are computed by integer linear algebra on the same
+int vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import reduce, total_ordering
+from math import lcm
 
 
 class UndecidedComparison(Exception):
@@ -138,6 +142,7 @@ def _exact(q):
     return q if isinstance(q, Fraction) else Fraction(q)
 
 
+@total_ordering
 class Value:
     """Element q0 + q1*tau of an ordered group of rational rank <= 2.
 
@@ -213,15 +218,6 @@ class Value:
     def __lt__(self, other):
         return (self - other).sign() < 0
 
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return not self.__le__(other)
-
-    def __ge__(self, other):
-        return not self.__lt__(other)
-
     def __hash__(self):
         return hash((self.q0, self.q1))
 
@@ -237,21 +233,114 @@ def value_cmp(a, b):
     EQ holds iff the coordinates agree; otherwise the sign of the difference
     is certified by interval refinement.
     """
-    if a == b:
-        return "EQ"
-    return "LT" if a < b else "GT"
+    return "EQ" if a == b else "LT" if a < b else "GT"
 
 
-def _int_vectors(values):
-    """Clear denominators across all coordinates; return integer vectors."""
-    denoms = [1]
-    for v in values:
-        denoms.append(v.q0.denominator)
-        denoms.append(v.q1.denominator)
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    return [(int(v.q0 * lcm), int(v.q1 * lcm)) for v in values], lcm
+class Grid:
+    """Values of one group as int pairs over one common denominator.
+
+    ``scale`` is the lcm D of the coordinate denominators of the values the
+    grid is built from; ``points[i]`` is values[i] as (q0*D, q1*D).  Integer
+    combinations of those values are int sums of points, so a value off the
+    grid is a sum of none of them.  :meth:`value` builds a :class:`Value`.
+    """
+
+    __slots__ = ("scale", "tau", "points")
+
+    def __init__(self, values):
+        self.scale = lcm(*(q.denominator for v in values
+                           for q in (v.q0, v.q1)))
+        self.tau = reduce(_merge_tau, (v.tau for v in values), None)
+        self.points = [self.point(v) for v in values]
+
+    def point(self, v):
+        """Value ``v`` (or a point, kept) on this grid; None when off it."""
+        if not isinstance(v, Value):
+            return v
+        (n0, d0), (n1, d1) = v.q0.as_integer_ratio(), v.q1.as_integer_ratio()
+        s = self.scale
+        if s % d0 or s % d1 or (n1 and v.tau is not self.tau):
+            return None
+        return n0 * (s // d0), n1 * (s // d1)
+
+    def value(self, p):
+        return Value(Fraction(p[0], self.scale), Fraction(p[1], self.scale),
+                     self.tau)
+
+    def cmp(self, a, b):
+        """Sign of value(a) - value(b), certified: ints decide while the
+        irrational coordinates agree, else :meth:`Value.sign` (which may
+        raise :class:`UndecidedComparison`)."""
+        if a[1] == b[1]:
+            return (a[0] > b[0]) - (a[0] < b[0])
+        return Value(a[0] - b[0], a[1] - b[1], self.tau).sign()
+
+    def sums(self, points, target, caps=None):
+        """Exponent vectors k with sum k_i * points[i] == target, points >= 0.
+
+        ``points`` lie on this grid; ``target`` is a Value or a point, and
+        one off the grid has no sums.  Depth-first over the positions in
+        order, k ascending at each, with k_i < caps[i] where a cap is given
+        (None = unbounded); a zero point only takes k = 0.  The walk prunes
+        where the remainder turns negative (:meth:`cmp`) and solves the
+        last position by exact division.  A (position, remainder) pair
+        whose subtree yielded nothing is not walked again.  Vectors are
+        yielded as they are found, so a caller that has seen enough stops
+        the walk.
+        """
+        n = len(points)
+        caps = [None] * n if caps is None else list(caps)
+        target = self.point(target)
+        if target is None:
+            return
+
+        def negative(r0, r1):
+            return r0 < 0 if r1 == 0 else self.cmp((r0, r1), (0, 0)) < 0
+
+        if n == 0:
+            if target == (0, 0):
+                yield ()
+            return
+        if negative(*target):
+            return
+        acc = [0] * n
+        last = n - 1
+        barren = set()
+
+        def rec(i, r0, r1):
+            a0, a1 = points[i]
+            cap = caps[i]
+            if i == last:
+                if a1:
+                    k = r1 // a1
+                    hit = r1 == k * a1 and r0 == k * a0
+                elif a0:
+                    k = r0 // a0
+                    hit = r1 == 0 and r0 == k * a0
+                else:
+                    k, hit = 0, r0 == 0 and r1 == 0
+                if hit and k >= 0 and (cap is None or k < cap):
+                    acc[i] = k
+                    yield tuple(acc)
+                    return True
+                return False
+            found, state, k = False, (i, r0, r1), 0
+            while True:
+                acc[i] = k
+                if (i + 1, r0, r1) not in barren:
+                    found = (yield from rec(i + 1, r0, r1)) or found
+                k += 1
+                if (a0 == 0 and a1 == 0) or (cap is not None and k >= cap):
+                    break
+                r0 -= a0
+                r1 -= a1
+                if negative(r0, r1):
+                    break
+            if not found:
+                barren.add(state)
+            return found
+
+        yield from rec(0, *target)
 
 
 def value_ratio(a, b):
@@ -265,74 +354,9 @@ def value_ratio(a, b):
 
 
 def exact_sums(values, target, caps=None):
-    """Exponent vectors k with sum k_i * values[i] == target, values >= 0.
-
-    Depth-first over the positions in order, k ascending at each, with
-    k_i < caps[i] where a cap is given (None = unbounded); a value-zero
-    position only takes k = 0.  The walk runs on the integer coordinates
-    left after clearing denominators and prunes where the remaining value
-    turns negative: an int comparison while the irrational coordinate is 0,
-    otherwise certified by :meth:`Value.sign` (which may raise
-    :class:`UndecidedComparison`).  The last position is solved by exact
-    division.  A (position, remainder) pair whose subtree yielded nothing
-    is not walked again.  Vectors are yielded as they are found, so a
-    caller that has seen enough stops the walk.
-    """
-    n = len(values)
-    caps = [None] * n if caps is None else list(caps)
-    vecs, lcm = _int_vectors(list(values) + [target])
-    vecs, (t0, t1) = vecs[:-1], vecs[-1]
-    tau = next((v.tau for v in values if v.tau is not None), target.tau)
-
-    def negative(r0, r1):
-        if r1 == 0:
-            return r0 < 0
-        return Value(Fraction(r0, lcm), Fraction(r1, lcm), tau).sign() < 0
-
-    if n == 0:
-        if (t0, t1) == (0, 0):
-            yield ()
-        return
-    if negative(t0, t1):
-        return
-    acc = [0] * n
-    last = n - 1
-    barren = set()
-
-    def rec(i, r0, r1):
-        a0, a1 = vecs[i]
-        cap = caps[i]
-        if i == last:
-            if a1:
-                k = r1 // a1
-                hit = r1 == k * a1 and r0 == k * a0
-            elif a0:
-                k = r0 // a0
-                hit = r1 == 0 and r0 == k * a0
-            else:
-                k, hit = 0, r0 == 0 and r1 == 0
-            if hit and k >= 0 and (cap is None or k < cap):
-                acc[i] = k
-                yield tuple(acc)
-                return True
-            return False
-        found, state, k = False, (i, r0, r1), 0
-        while True:
-            acc[i] = k
-            if (i + 1, r0, r1) not in barren:
-                found = (yield from rec(i + 1, r0, r1)) or found
-            k += 1
-            if (a0 == 0 and a1 == 0) or (cap is not None and k >= cap):
-                break
-            r0 -= a0
-            r1 -= a1
-            if negative(r0, r1):
-                break
-        if not found:
-            barren.add(state)
-        return found
-
-    yield from rec(0, t0, t1)
+    """Vectors k with sum k_i * values[i] == target, by :meth:`Grid.sums`."""
+    grid = Grid(values)
+    return grid.sums(grid.points, target, caps)
 
 
 def _xgcd(a, b):
@@ -418,7 +442,7 @@ def group_index(big, small):
     strictly lower rank.  Raises :class:`ContainmentError` if containment
     fails.
     """
-    vecs, _ = _int_vectors(list(big) + list(small))
+    vecs = Grid(list(big) + list(small)).points
     big_vecs, small_vecs = vecs[: len(big)], vecs[len(big):]
     big_basis = _hnf(big_vecs)
     coords = []
@@ -448,7 +472,7 @@ def smallest_multiple_in_group(v, gens):
     Raises :class:`ContainmentError` when no multiple lies in the group
     (the rational span does not contain v).
     """
-    vecs, _ = _int_vectors(list(gens) + [v])
+    vecs = Grid(list(gens) + [v]).points
     basis = _hnf(vecs[:-1])
     target = vecs[-1]
     if not any(target):
@@ -464,7 +488,4 @@ def smallest_multiple_in_group(v, gens):
             rem[i] -= q * row[i]
     if any(rem):
         raise ContainmentError("%r has no multiple in the group of %r" % (v, gens))
-    n = 1
-    for q in coords:
-        n = n * q.denominator // gcd(n, q.denominator)
-    return n
+    return lcm(*(q.denominator for q in coords))

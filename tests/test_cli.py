@@ -1,5 +1,5 @@
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -157,6 +157,21 @@ def test_tail_over_a_non_monic_key_is_a_parse_error(tmp_path):
     assert code == 2
     with pytest.raises(ScenarioError, match="not monic"):
         parse_scenario(bad.read_text())
+
+
+def test_non_monic_key_is_reported_at_its_own_line(tmp_path):
+    # key 2 (line 10) is not monic; the division by it fails while key 3
+    # (line 11) is read back, and the section ends at [run] (line 13)
+    bad = tmp_path / "nonmonic.scn"
+    bad.write_text("[field]\nbase Q\n[ring R]\nparams x y\n\n"
+                   "[valuation nu]\nring R\nvalues 1 3/2\n\n"
+                   "key n=2 value=7/2 tail=-1*x^3+x*y^3\n"
+                   "key n=2 value=8 tail=y^3\n\n[run]\nvalidate nu\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli("check", str(bad))
+    assert code == 2
+    assert "line 10:" in err.getvalue() and "not monic" in err.getvalue()
 
 
 def test_undeclared_reference(tmp_path):

@@ -70,6 +70,21 @@ def test_v1_bad_next_value_fails():
     assert any("next value exceeds" in name for name, _ in report.failures())
 
 
+def test_step_next_value_must_be_its_key_value():
+    tower = ResidueTower(QQ)
+    ctx = LocalRingCtx(tower, ("x", "y"))
+    with pytest.raises(ValueError, match="next value 100 but key 2 has"):
+        GenSeq(ctx, [1, Fraction(3, 2), Fraction(7, 2)],
+               [KeyStep(1, 2, [TailTerm(-1, (3, 0))], Value(100))])
+    g = GenSeq(ctx, [1, Fraction(3, 2), Fraction(7, 2)],
+               [KeyStep(1, 2, [TailTerm(-1, (3, 0))], Fraction(7, 2))],
+               residues={1: tower.one()})
+    report = validate_sequence(g)
+    assert report.ok
+    assert ("PASS next value exceeds the leading form at step 1: 7/2 vs 3"
+            in report.lines())
+
+
 def test_v1_bad_tail_value_fails():
     tower = ResidueTower(QQ)
     ctx = LocalRingCtx(tower, ("x", "y"))
@@ -125,6 +140,41 @@ def test_expansion_is_deterministic(v1):
     t1 = [(t[1], t[2]) for t in expand(f, v1).terms]
     t2 = [(t[1], t[2]) for t in expand(f, v1).terms]
     assert t1 == t2
+
+
+def _grid_cases():
+    """Chains of rank 1 and 2, their transforms, and the pi2 rank-2 fixture."""
+    for cell in [(3, "Q", 1), (3, "GF3", 1), (2, "GF2", 2), (3, "Q", 2)]:
+        g = _chain_cell(*cell)
+        yield g
+        yield free_transform(g)[1]
+    yield fixtures.pi2()[1]
+
+
+def test_values_on_the_grid_are_value_sums():
+    rng = random.Random(23)
+    for g in _grid_cases():
+        for _ in range(20):
+            exps = [rng.randint(-1, 3) for _ in g.keys]
+            want = sum((v * a for v, a in zip(g.values, exps)), Value(0))
+            assert g.value_of(exps) == want, (g, exps)
+
+
+def test_expansion_terms_come_in_value_order():
+    rng = random.Random(29)
+    irrational = 0
+    for g in _grid_cases():
+        for _ in range(10):
+            f = g.ctx.zero()
+            for _ in range(5):
+                exps = [rng.randint(0, 3) for _ in g.keys]
+                f = f + g.monomial(exps) * g.ctx.tower.scalar(rng.randint(1, 5))
+            if f.is_zero():
+                continue
+            terms = [(e, v) for _, e, v in expand(f, g).terms]
+            assert terms == sorted(terms, key=lambda t: (t[1], t[0])), g
+            irrational += len({v.q1 for _, v in terms}) > 1
+    assert irrational > 5
 
 
 # -- evaluation ----------------------------------------------------------------

@@ -41,7 +41,7 @@ from valtool.towers import (
     SubfieldSpec,
     span_closure,
 )
-from valtool.values import UNDETERMINED, Value
+from valtool.values import UNDETERMINED, Grid, Value
 
 
 @pytest.fixture
@@ -207,9 +207,10 @@ def _chain(depth, base=QQ):
     betas = [Value(1), Value(Fraction(3, 2))]
     for i in range(1, depth + 1):
         betas.append(betas[i] * 2 + Value(Fraction(1, 2 ** (i + 1))))
+    grid = Grid(betas)
     steps = []
     for i in range(1, depth + 1):
-        tail = reduced_representation(betas[i] * 2, betas[:i],
+        tail = reduced_representation(grid, betas[i] * 2, grid.points[:i],
                                       [None] + [2] * (i - 1))
         steps.append(KeyStep(i, 2, [TailTerm(tower.scalar(-1), tail)],
                              betas[i + 1]))

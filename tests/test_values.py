@@ -8,6 +8,7 @@ import pytest
 from valtool.values import (
     INFINITE,
     ContainmentError,
+    Grid,
     IrrationalDescriptor,
     UndecidedComparison,
     Value,
@@ -199,7 +200,8 @@ def test_exact_sums_skip_barren_remainders():
             steps.append(1)
 
     walk = exact_sums(CHAIN5, Value(Fraction(3413, 64)))
-    walk_code = next(c for c in exact_sums.__code__.co_consts
+    # exact_sums hands the walk to Grid.sums, whose code holds rec
+    walk_code = next(c for c in Grid.sums.__code__.co_consts
                      if getattr(c, "co_name", None) == "rec")
     sys.setprofile(count)
     try:
@@ -216,6 +218,71 @@ def test_exact_sums_shallow_descriptor_still_faults():
     # 7 - 2*tau straddles 0 on [3, 4]
     with pytest.raises(UndecidedComparison):
         list(exact_sums([Value(0, 1, shallow), Value(1)], Value(7)))
+
+
+# -- the value grid ----------------------------------------------------------------
+
+def _on_grid(grid, exps):
+    return tuple(sum(k * p[c] for k, p in zip(exps, grid.points))
+                 for c in (0, 1))
+
+
+def _sum(values, exps):
+    return sum((v * k for v, k in zip(values, exps)), Value(0))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_grid_order_is_value_order(rank):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fraction = st.builds(Fraction, st.integers(-30, 30),
+                         st.sampled_from((1, 2, 3, 4, 8)))
+    rational = st.builds(Value, fraction)
+    irrational = st.builds(lambda q0, q1: Value(q0, q1, PI), fraction,
+                           fraction.filter(bool))
+    exps = st.lists(st.integers(0, 6), min_size=5, max_size=5)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(
+        values=st.lists(rational if rank == 1 else
+                        st.one_of(rational, irrational), max_size=4),
+        first=irrational if rank == 2 else rational, a=exps, b=exps)
+    def check(values, first, a, b):
+        values = [first] + values
+        grid = Grid(values)
+        pa, pb = _on_grid(grid, a), _on_grid(grid, b)
+        va, vb = _sum(values, a), _sum(values, b)
+        assert grid.cmp(pa, pb) == (va > vb) - (va < vb)
+        assert grid.value(pa) == va and grid.point(va) == pa
+
+    check()
+
+
+def test_grid_order_on_a_pair_that_needs_a_deep_interval():
+    # 833719 - 265381*pi is about -2.1e-12: the first 11 digits of pi
+    # cannot tell its sign, and the grid defers to interval refinement
+    values = [Value(Fraction(1, 2)), Value(0, Fraction(1, 3), PI)]
+    grid = Grid(values)
+    assert grid.scale == 6
+    a, b = (2 * 833719, 0), (0, 3 * 265381)
+    pa, pb = _on_grid(grid, a), _on_grid(grid, b)
+    assert (pa, pb) == ((5002314, 0), (0, 1592286))
+    assert grid.cmp(pa, pb) == -1 and grid.cmp(pb, pa) == 1
+    assert _sum(values, a) < _sum(values, b)
+    with pytest.raises(UndecidedComparison):
+        Value(833719, -265381, pi_descriptor(11)).sign()
+
+
+def test_grid_points_off_the_grid():
+    grid = Grid([Value(Fraction(3, 2)), Value(Fraction(13, 4))])
+    assert grid.points == [(6, 0), (13, 0)]
+    assert grid.point(Value(Fraction(1, 8))) is None
+    assert grid.point(Value(1, 1, PI)) is None
+    assert grid.point((5, 0)) == (5, 0)
+    assert list(grid.sums(grid.points, Value(Fraction(1, 3)))) == []
+    assert list(grid.sums(grid.points, Value(Fraction(19, 2)))) == [(2, 2)]
+    with pytest.raises(ValueError, match="different group contexts"):
+        Grid([Value(0, 1, PI), Value(0, 1, pi_descriptor(5))])
 
 
 def test_value_ratio():
