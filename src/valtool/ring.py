@@ -359,14 +359,20 @@ def order_mod_x(f):
 # ---------------------------------------------------------------------------
 
 class TruncSeries:
-    """Series in t with rational exponents, known exactly below ``trunc``."""
+    """Series in t with rational exponents, known exactly below ``trunc``.
+
+    ``coeffs`` maps exponents to nonzero raw reps of ``tower``, as
+    ``RingElem.terms`` does; tower elements go in at ``__init__`` and come
+    out of ``leading_coeff``.
+    """
 
     __slots__ = ("tower", "coeffs", "trunc")
 
     def __init__(self, tower, coeffs, trunc):
         self.tower = tower
         self.trunc = Fraction(trunc)
-        self.coeffs = {Fraction(e): c for e, c in coeffs.items()
+        self.coeffs = {Fraction(e): tower.lift(c).rep
+                       for e, c in coeffs.items()
                        if not c.is_zero() and Fraction(e) < self.trunc}
 
     def order(self):
@@ -376,7 +382,7 @@ class TruncSeries:
         return min(self.coeffs)
 
     def leading_coeff(self):
-        return self.coeffs[min(self.coeffs)]
+        return TowerElem(self.tower, self.coeffs[min(self.coeffs)])
 
     def _check_tower(self, other):
         if other.tower is not self.tower and other.tower != self.tower:
@@ -396,11 +402,11 @@ class TruncSeries:
         for p, _ in pairs:
             self._check_tower(p)
             trunc = min(trunc, p.trunc)
-        out = {e: c.rep for e, c in self.coeffs.items() if e < trunc}
+        out = {e: c for e, c in self.coeffs.items() if e < trunc}
         for p, c in pairs:
             for e, a in p.coeffs.items():
                 if e < trunc:
-                    prod = a.rep if c is None else mul(a.rep, c)
+                    prod = a if c is None else mul(a, c)
                     s = out.get(e)
                     out[e] = prod if s is None else add(s, prod)
         return _series(self.tower, out, trunc)
@@ -408,19 +414,20 @@ class TruncSeries:
     def __neg__(self):
         neg = self.tower.neg
         return _series(self.tower,
-                       {e: neg(c.rep) for e, c in self.coeffs.items()},
+                       {e: neg(c) for e, c in self.coeffs.items()},
                        self.trunc)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        add, mul = self.tower.add, self.tower.mul
         if isinstance(other, TowerElem):
+            o = self.tower.lift(other).rep
             return _series(self.tower,
-                           {e: (c * other).rep for e, c in self.coeffs.items()},
+                           {e: mul(c, o) for e, c in self.coeffs.items()},
                            self.trunc)
         self._check_tower(other)
-        add, mul = self.tower.add, self.tower.mul
         ord_a = min(self.coeffs) if self.coeffs else self.trunc
         ord_b = min(other.coeffs) if other.coeffs else other.trunc
         trunc = min(self.trunc + ord_b, other.trunc + ord_a)
@@ -430,7 +437,7 @@ class TruncSeries:
                 e = e1 + e2
                 if e >= trunc:
                     continue
-                p = mul(c1.rep, c2.rep)
+                p = mul(c1, c2)
                 s = out.get(e)
                 out[e] = p if s is None else add(s, p)
         return _series(self.tower, out, trunc)
@@ -454,10 +461,10 @@ class TruncSeries:
         tower = self.tower
         add, mul, neg, is_zero = tower.add, tower.mul, tower.neg, tower.is_zero
         e0 = min(self.coeffs)
-        inv = self.coeffs[e0].inverse().rep
+        inv = self.leading_coeff().inverse().rep
         trunc = self.trunc - e0
         # (f, -u_f) by increasing f; every f is positive
-        neg_u = sorted((e - e0, neg(mul(c.rep, inv)))
+        neg_u = sorted((e - e0, neg(mul(c, inv)))
                        for e, c in self.coeffs.items() if e != e0)
         # the exponents b can have: sums of u's exponents below trunc
         reach = frontier = {0}
@@ -481,7 +488,8 @@ class TruncSeries:
                        trunc - e0)
 
     def __repr__(self):
-        parts = ["%r*t^%s" % (c, e) for e, c in sorted(self.coeffs.items())]
+        parts = ["%r*t^%s" % (TowerElem(self.tower, self.coeffs[e]), e)
+                 for e in sorted(self.coeffs)]
         return (" + ".join(parts) or "0") + " + O(t^%s)" % self.trunc
 
 
@@ -494,8 +502,7 @@ def _series(tower, reps, trunc):
     s = object.__new__(TruncSeries)
     s.tower, s.trunc = tower, trunc
     is_zero = tower.is_zero
-    s.coeffs = {e: TowerElem(tower, r) for e, r in reps.items()
-                if not is_zero(r)}
+    s.coeffs = {e: r for e, r in reps.items() if not is_zero(r)}
     return s
 
 

@@ -133,24 +133,27 @@ def _parse(text, given_rings):
     scenario = Scenario()
     section = None
     name = None
-    # accumulated per-section state
+    header = None
+    # accumulated per-section state; section-level errors are reported at
+    # the section's header, or at the directive they concern
     state = {}
 
-    def flush(line):
+    def flush():
         if section is None:
             return
         try:
             if section == "ring":
                 if "params" not in state:
-                    raise ScenarioError("ring %r missing params" % name, line)
+                    raise ScenarioError("ring %r missing params" % name,
+                                        header)
                 scenario.rings[name] = given_rings.get(name) or LocalRingCtx(
                     scenario.tower, tuple(state["params"]),
                     ring_levels=state.get("levels"))
             elif section == "embedding":
-                ring = state.get("ring")
+                ring, rline = state.get("ring", (None, header))
                 if ring not in scenario.rings:
                     raise ScenarioError("embedding %r references undeclared "
-                                        "ring %r" % (name, ring), line)
+                                        "ring %r" % (name, ring), rline)
                 ctx = scenario.rings[ring]
                 trunc = state.get("truncate", Fraction(32))
                 images = {}
@@ -165,13 +168,14 @@ def _parse(text, given_rings):
                     scenario.embeddings[name] = SeriesEmbedding(
                         ctx, images, normalization=norm)
                 except ValueError as err:
-                    raise ScenarioError("embedding %r: %s" % (name, err), line)
+                    raise ScenarioError("embedding %r: %s" % (name, err),
+                                        header)
             elif section == "valuation":
                 scenario.valuations[name] = _build_valuation(
-                    scenario, name, state, line)
+                    scenario, name, state, header)
             elif section == "extension":
                 scenario.extensions[name] = _build_extension(
-                    scenario, name, state, line)
+                    scenario, name, state, header)
         finally:
             state.clear()
 
@@ -181,8 +185,8 @@ def _parse(text, given_rings):
             continue
         m = re.fullmatch(r"\[(\w+)(?:\s+(\w+))?\]", stripped)
         if m:
-            flush(lineno)
-            section, name = m.group(1), m.group(2)
+            flush()
+            section, name, header = m.group(1), m.group(2), lineno
             if section not in ("field", "ring", "embedding", "valuation",
                                "extension", "run"):
                 raise ScenarioError("unknown section %r" % section, lineno)
@@ -197,14 +201,19 @@ def _parse(text, given_rings):
             continue
         if section is None:
             raise ScenarioError("content before the first section", lineno)
-        if section == "field":
-            _field_line(scenario, stripped, lineno)
-        elif section == "run":
-            parts = stripped.split()
-            scenario.commands.append((lineno, parts[0], parts[1:]))
-        else:
-            _section_line(scenario, section, state, stripped, lineno)
-    flush(len(text.splitlines()))
+        parts = stripped.split()
+        try:
+            if section == "field":
+                _field_line(scenario, stripped, lineno)
+            elif section == "run":
+                scenario.commands.append((lineno, parts[0], parts[1:]))
+            else:
+                _section_line(scenario, section, state, stripped, lineno)
+        except IndexError:
+            raise ScenarioError("%r misses an argument" % parts[0], lineno)
+        except ValueError as err:
+            raise ScenarioError("bad %r line: %s" % (parts[0], err), lineno)
+    flush()
     return scenario
 
 
@@ -250,8 +259,8 @@ def _section_line(scenario, section, state, line_text, lineno):
     key = parts[0]
     if section == "ring":
         if key == "params":
-            if len(parts) != 3:
-                raise ScenarioError("params needs two names", lineno)
+            if len(parts) != 3 or parts[1] == parts[2]:
+                raise ScenarioError("params needs two distinct names", lineno)
             state["params"] = parts[1:]
         elif key == "levels":
             state["levels"] = int(parts[1])
@@ -260,7 +269,7 @@ def _section_line(scenario, section, state, line_text, lineno):
         return
     if section == "embedding":
         if key == "ring":
-            state["ring"] = parts[1]
+            state["ring"] = (parts[1], lineno)
         elif key == "truncate":
             state["truncate"] = _parse_fraction(parts[1], lineno)
         elif key == "normalize":
@@ -275,7 +284,7 @@ def _section_line(scenario, section, state, line_text, lineno):
         return
     if section == "valuation":
         if key == "ring":
-            state["ring"] = parts[1]
+            state["ring"] = (parts[1], lineno)
         elif key == "values":
             state["values"] = [_parse_value(p, scenario, lineno)
                                for p in parts[1:]]
@@ -301,7 +310,7 @@ def _section_line(scenario, section, state, line_text, lineno):
         if key == "from":
             if len(parts) != 4 or parts[2] != "to":
                 raise ScenarioError("from R to S", lineno)
-            state["from"], state["to"] = parts[1], parts[3]
+            state["from"] = (parts[1], parts[3], lineno)
         elif key == "degree":
             state["degree"] = int(parts[1])
         elif key == "char":
@@ -318,10 +327,10 @@ def _section_line(scenario, section, state, line_text, lineno):
 
 
 def _build_valuation(scenario, name, state, line):
-    ring = state.get("ring")
+    ring, rline = state.get("ring", (None, line))
     if ring not in scenario.rings:
         raise ScenarioError("valuation %r references undeclared ring %r"
-                            % (name, ring), line)
+                            % (name, ring), rline)
     ctx = scenario.rings[ring]
     if "values" not in state or len(state["values"]) != 2:
         raise ScenarioError("valuation %r needs 'values b0 b1'" % name, line)
@@ -356,10 +365,10 @@ def _build_valuation(scenario, name, state, line):
 
 
 def _build_extension(scenario, name, state, line):
-    src, dst = state.get("from"), state.get("to")
+    src, dst, fline = state.get("from", (None, None, line))
     if src not in scenario.rings or dst not in scenario.rings:
         raise ScenarioError("extension %r references undeclared rings" % name,
-                            line)
+                            fline)
     sctx, dctx = scenario.rings[src], scenario.rings[dst]
     images = {}
     for pname, ptext, pline in state.get("images", ()):

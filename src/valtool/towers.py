@@ -2,10 +2,11 @@
 
 A tower starts from the rationals or a prime field and adjoins generators one
 at a time, each with a monic minimal polynomial over the level below.
-Elements are kept in canonical form (degree in each generator below that
-generator's minimal-polynomial degree), so equality is literal equality of
-representations.  Every nonzero element is invertible by extended Euclid at
-each level.
+Elements are kept as base-field coordinates on the monomials whose degree in
+each generator is below that generator's minimal-polynomial degree, so
+equality is literal equality of representations.  Products read structure
+constants built once per tower; every nonzero element is inverted by solving
+one linear system over the base field.
 
 Towers are small by design; exhaustive checks (irreducibility over finite
 towers, span closures) are affordable and preferred over clever algorithms.
@@ -14,9 +15,9 @@ towers, span closures) are affordable and preferred over clever algorithms.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import product
-from math import lcm, prod as _prod
+from math import lcm
+from operator import add
 
 
 class NotAFieldExtension(Exception):
@@ -118,145 +119,93 @@ class _Level:
         return len(self.minpoly)
 
 
-# ---------------------------------------------------------------------------
-# raw nested representations: level-0 reps are base scalars, level-k reps are
-# lists of length deg_k holding level-(k-1) reps
-# ---------------------------------------------------------------------------
+def _structure_constants(base, levels, exps):
+    """table[i][j] lists the (k, c) with e_i * e_j = sum of c * e_k.
 
-def _zero(tower, k):
-    if k == 0:
-        return tower.base.zero()
-    return [_zero(tower, k - 1) for _ in range(tower.levels[k - 1].degree)]
+    A product of basis monomials is reduced from the top level down: a_l^d
+    (d the degree of level l) becomes minus the rest of level l's minimal
+    polynomial, whose coefficients only carry exponents of lower levels.
+    """
+    index = {e: i for i, e in enumerate(exps)}
+    k = len(levels)
+    rules = []  # per level: (exponent shift, coefficient) replacing a_l^d
+    for l, level in enumerate(levels):
+        tail = (0,) * (k - l - 1)
+        rules.append([(exps[i][:l] + (m - level.degree,) + tail, base.neg(x))
+                      for m, c in enumerate(level.minpoly)
+                      for i, x in enumerate(c if l else [c]) if x])
 
-def _scalar(tower, k, c):
-    if k == 0:
-        return tower.base.of(c)
-    rep = _zero(tower, k)
-    rep[0] = _scalar(tower, k - 1, c)
-    return rep
+    def reduce(e):
+        poly = {e: base.one()}
+        for l in reversed(range(k)):
+            d = levels[l].degree
+            while (over := next((f for f in poly if f[l] >= d),
+                                None)) is not None:
+                c = poly.pop(over)
+                for shift, r in rules[l]:
+                    f = tuple(map(add, over, shift))
+                    poly[f] = base.add(poly.get(f, 0), base.mul(c, r))
+        return [(index[f], c) for f, c in poly.items() if c]
 
-def _lift(tower, rep, j, k):
-    """View a level-j rep at level k >= j."""
-    for level in range(j, k):
-        up = _zero(tower, level + 1)
-        up[0] = rep
-        rep = up
-    return rep
-
-def _is_zero(tower, k, a):
-    if k == 0:
-        return tower.base.is_zero(a)
-    return all(_is_zero(tower, k - 1, c) for c in a)
-
-def _add(tower, k, a, b):
-    if k == 0:
-        return tower.base.add(a, b)
-    return [_add(tower, k - 1, x, y) for x, y in zip(a, b)]
-
-def _neg(tower, k, a):
-    if k == 0:
-        return tower.base.neg(a)
-    return [_neg(tower, k - 1, x) for x in a]
-
-def _sub(tower, k, a, b):
-    return _add(tower, k, a, _neg(tower, k, b))
-
-def _mul(tower, k, a, b):
-    if k == 0:
-        return tower.base.mul(a, b)
-    deg = tower.levels[k - 1].degree
-    prod = [_zero(tower, k - 1) for _ in range(2 * deg - 1)]
-    for i, x in enumerate(a):
-        if _is_zero(tower, k - 1, x):
-            continue
-        for j, y in enumerate(b):
-            prod[i + j] = _add(tower, k - 1, prod[i + j], _mul(tower, k - 1, x, y))
-    minpoly = tower.levels[k - 1].minpoly
-    for e in range(2 * deg - 2, deg - 1, -1):
-        c = prod[e]
-        if _is_zero(tower, k - 1, c):
-            continue
-        prod[e] = _zero(tower, k - 1)
-        for i, m in enumerate(minpoly):
-            prod[e - deg + i] = _sub(tower, k - 1, prod[e - deg + i],
-                                     _mul(tower, k - 1, c, m))
-    return prod[:deg]
-
-def _poly_divmod(tower, k, num, den):
-    """Quotient and remainder of polynomials with level-k coefficients."""
-    num = list(num)
-    dl = len(den) - 1
-    while dl >= 0 and _is_zero(tower, k, den[dl]):
-        dl -= 1
-    if dl < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead_inv = _inv(tower, k, den[dl])
-    quot = [_zero(tower, k) for _ in range(max(len(num) - dl, 0))]
-    for e in range(len(num) - 1, dl - 1, -1):
-        c = num[e]
-        if _is_zero(tower, k, c):
-            continue
-        q = _mul(tower, k, c, lead_inv)
-        quot[e - dl] = q
-        for i in range(dl + 1):
-            num[e - dl + i] = _sub(tower, k, num[e - dl + i],
-                                   _mul(tower, k, q, den[i]))
-    return quot, num[:dl] if dl > 0 else []
-
-def _inv(tower, k, a):
-    if k == 0:
-        return tower.base.inv(a)
-    if _is_zero(tower, k, a):
-        raise ZeroDivisionError("inverse of zero tower element")
-    # extended Euclid for gcd(a, minpoly) = 1 over the level below
-    minpoly = list(tower.levels[k - 1].minpoly) + [_scalar(tower, k - 1, 1)]
-    r0, r1 = minpoly, list(a)
-    s0 = [_zero(tower, k - 1)]
-    s1 = [_scalar(tower, k - 1, 1)]
-    while True:
-        t = len(r1) - 1
-        while t >= 0 and _is_zero(tower, k - 1, r1[t]):
-            t -= 1
-        r1 = r1[: t + 1]
-        if t == 0:
-            break
-        if t < 0:
-            raise ZeroDivisionError("element not invertible (reducible level?)")
-        q, rem = _poly_divmod(tower, k - 1, r0, r1)
-        r0, r1 = r1, rem
-        prod = [_zero(tower, k - 1) for _ in range(len(q) + len(s1) - 1)]
-        for i, x in enumerate(q):
-            for j, y in enumerate(s1):
-                prod[i + j] = _add(tower, k - 1, prod[i + j],
-                                   _mul(tower, k - 1, x, y))
-        new_s = [_zero(tower, k - 1)] * max(len(s0), len(prod))
-        for i in range(len(new_s)):
-            x = s0[i] if i < len(s0) else _zero(tower, k - 1)
-            y = prod[i] if i < len(prod) else _zero(tower, k - 1)
-            new_s[i] = _sub(tower, k - 1, x, y)
-        s0, s1 = s1, new_s
-    c_inv = _inv(tower, k - 1, r1[0])
-    deg = tower.levels[k - 1].degree
-    # Bezout coefficient for a nonzero canonical element stays below deg
-    if len(s1) > deg:
-        raise AssertionError("unreduced Bezout coefficient in tower inverse")
-    out = [_mul(tower, k - 1, c_inv, c) for c in s1]
-    out += [_zero(tower, k - 1)] * (deg - len(out))
-    return out
+    return [[reduce(tuple(map(add, a, b))) for b in exps] for a in exps]
 
 
 class ResidueTower:
-    """A tower of simple field extensions over QQ or GF(p)."""
+    """A tower of simple field extensions over QQ or GF(p).
+
+    At height 0 an element's rep is a base scalar.  Above it, the rep is
+    the list of its base-field coordinates on the monomials a_1^e_1 ...
+    a_k^e_k (e_l below the degree of level l), a_1 fastest: a prefix
+    tower's rep is a leading slice.  Products read a structure-constant
+    table built once per tower from the minimal polynomials; an inverse
+    solves a * y = 1 on the coordinates.
+    """
 
     def __init__(self, base=QQ, levels=()):
         self.base = base
         self.levels = tuple(levels)
-        # arithmetic on raw reps at the top height, bound once
-        k, b = len(self.levels), base
-        self.add, self.sub, self.neg, self.mul, self.inv, self.is_zero = (
-            (b.add, b.sub, b.neg, b.mul, b.inv, b.is_zero) if k == 0 else
-            [partial(op, self, k)
-             for op in (_add, _sub, _neg, _mul, _inv, _is_zero)])
+        degs = [level.degree for level in self.levels]
+        # the exponents of each coordinate's monomial, a_1 fastest
+        self._exps = [e[::-1] for e in product(*map(range, reversed(degs)))]
+        # arithmetic on raw reps, bound once
+        b = base
+        if not self.levels:
+            self.add, self.sub, self.neg, self.mul, self.inv, self.is_zero = (
+                b.add, b.sub, b.neg, b.mul, b.inv, b.is_zero)
+            return
+        self._table = _structure_constants(b, self.levels, self._exps)
+        self.add = lambda x, y: list(map(b.add, x, y))
+        self.sub = lambda x, y: list(map(b.sub, x, y))
+        self.neg = lambda x: list(map(b.neg, x))
+        self.mul, self.inv = self._product, self._inverse
+        self.is_zero = lambda x: not any(x)  # coordinates are canonical
+
+    def _product(self, x, y):
+        out = [0] * len(x)
+        for row, a in zip(self._table, x):
+            if a:
+                for entries, b in zip(row, y):
+                    if b:
+                        ab = a * b
+                        for k, c in entries:
+                            out[k] += ab * c
+        p = self.base.p
+        return [c % p for c in out] if p else out
+
+    def _inverse(self, x):
+        n = len(x)
+        solver = LinearSolver(self.base)
+        for j in range(n):  # the columns x * e_j
+            solver.add(self._product(x, [0] * j + [1] + [0] * (n - j - 1)))
+        sol = solver.solve([1] + [0] * (n - 1))
+        if sol is None:
+            raise ZeroDivisionError(
+                "element not invertible (reducible level?)" if any(x)
+                else "inverse of zero tower element")
+        y = [0] * n
+        for j, c in sol.items():
+            y[j] = c
+        return y
 
     # -- structure ---------------------------------------------------------
 
@@ -265,7 +214,7 @@ class ResidueTower:
         return len(self.levels)
 
     def degree(self):
-        return _prod(level.degree for level in self.levels)
+        return len(self._exps)
 
     def level_names(self):
         return tuple(level.name for level in self.levels)
@@ -296,13 +245,15 @@ class ResidueTower:
     # -- element constructors ----------------------------------------------
 
     def zero(self):
-        return TowerElem(self, _zero(self, self.height))
+        return self.scalar(0)
 
     def one(self):
         return self.scalar(1)
 
     def scalar(self, c):
-        return TowerElem(self, _scalar(self, self.height, c))
+        c = self.base.of(c)
+        return TowerElem(self, [c] + [0] * (self.degree() - 1)
+                         if self.levels else c)
 
     def gen(self, which):
         """Generator of the named (or indexed) level, viewed at the top."""
@@ -313,10 +264,10 @@ class ResidueTower:
                     break
             else:
                 raise KeyError("no tower level named %r" % which)
-        level = which + 1
-        rep = _zero(self, level)
-        rep[1] = _scalar(self, level - 1, 1)
-        return TowerElem(self, _lift(self, rep, level, self.height))
+        rep = [0] * self.degree()
+        rep[self._exps.index(tuple(int(l == which)
+                                   for l in range(self.height)))] = 1
+        return TowerElem(self, rep)
 
     def lift(self, elem):
         """Re-home an element of a prefix tower into this tower."""
@@ -324,21 +275,16 @@ class ResidueTower:
             return TowerElem(self, elem.rep)
         if not elem.tower.is_prefix_of(self):
             raise ValueError("element tower is not a prefix of the target tower")
-        return TowerElem(self, _lift(self, elem.rep, elem.tower.height, self.height))
+        rep = elem.to_vector()
+        return TowerElem(self, rep + [0] * (self.degree() - len(rep)))
 
     def elements(self):
         """All elements; finite towers only (exhaustive checks).
 
-        A level-k rep runs over its coordinates with the first slowest.
+        They come in lexicographic order of the coordinate vector.
         """
-        def reps(k):
-            if k == 0:
-                return self.base.elements()
-            return map(list, product(reps(k - 1),
-                                     repeat=self.levels[k - 1].degree))
-
-        for rep in reps(self.height):
-            yield TowerElem(self, rep)
+        for v in product(self.base.elements(), repeat=self.degree()):
+            yield TowerElem(self, list(v) if self.levels else v[0])
 
     # -- extension ----------------------------------------------------------
 
@@ -407,23 +353,22 @@ class ResidueTower:
 
     def _has_proper_factor(self, coeffs):
         # exhaustive monic-divisor search over a finite tower
-        deg = len(coeffs)
-        poly = [c.rep for c in coeffs] + [_scalar(self, self.height, 1)]
+        one = self.one().rep
+        poly = [c.rep for c in coeffs] + [one]
         elems = [e.rep for e in self.elements()]
-        k = self.height
-
-        def search(d, prefix):
-            if len(prefix) == d:
-                den = list(prefix) + [_scalar(self, k, 1)]
-                _, rem = _poly_divmod(self, k, poly, den)
-                return all(_is_zero(self, k, c) for c in rem)
-            return any(search(d, prefix + [e]) for e in elems)
-
-        for d in range(2, deg // 2 + 1):
-            if search(d, []):
-                return True
         # root search already ran, so degree-1 factors are excluded
-        return False
+        return any(self._divides(list(den) + [one], poly)
+                   for d in range(2, len(coeffs) // 2 + 1)
+                   for den in product(elems, repeat=d))
+
+    def _divides(self, den, num):
+        """Whether monic ``den`` divides ``num`` (reps, low degree first)."""
+        num, d = list(num), len(den) - 1
+        for e in range(len(num) - 1, d - 1, -1):
+            q = num[e]
+            for i in range(d):
+                num[e - d + i] = self.sub(num[e - d + i], self.mul(q, den[i]))
+        return all(map(self.is_zero, num[:d]))
 
 
 def _rational_root_candidates(coeffs):
@@ -562,33 +507,22 @@ class TowerElem:
         return self.tower.is_zero(self.tower.sub(self.rep, o))
 
     def __hash__(self):
-        return hash((self.tower, _freeze(self.rep)))
+        rep = self.rep
+        return hash((self.tower, tuple(rep) if self.tower.levels else rep))
 
     # -- vector view ---------------------------------------------------------
 
     def to_vector(self):
         """Coordinates over the base field in the monomial basis."""
-        out = []
-
-        def walk(rep, k):
-            if k == 0:
-                out.append(rep)
-                return
-            for c in rep:
-                walk(c, k - 1)
-
-        walk(self.rep, self.tower.height)
-        return out
+        return list(self.rep) if self.tower.levels else [self.rep]
 
     def levels_used(self):
         """Smallest prefix height whose subfield contains this element."""
-        rep, k = self.rep, self.tower.height
-        while k > 0:
-            if any(not _is_zero(self.tower, k - 1, c) for c in rep[1:]):
-                return k
-            rep = rep[0]
-            k -= 1
-        return 0
+        if not self.tower.levels:  # LocalRingCtx.rep calls it per coefficient
+            return 0
+        exps = self.tower._exps
+        return max((l + 1 for i, c in enumerate(self.rep) if c
+                    for l, e in enumerate(exps[i]) if e), default=0)
 
     def is_rational(self):
         return self.levels_used() == 0
@@ -596,15 +530,14 @@ class TowerElem:
     def as_rational(self):
         if not self.is_rational():
             raise ValueError("element is not in the base field")
-        rep = self.rep
-        for _ in range(self.tower.height):
-            rep = rep[0]
-        return rep if self.tower.base.p else Fraction(rep)
+        c = self.to_vector()[0]
+        return c if self.tower.base.p else Fraction(c)
 
     def __repr__(self):
         terms = []
         names = self.tower.level_names()
-        for exps, c in sorted(self._monomials().items()):
+        for exps, c in sorted((e, c) for e, c in
+                              zip(self.tower._exps, self.to_vector()) if c):
             mono = "*".join(
                 n if e == 1 else "%s^%d" % (n, e)
                 for n, e in zip(names, exps) if e
@@ -616,29 +549,9 @@ class TowerElem:
                 terms.append(str(c))
         return " + ".join(terms) if terms else "0"
 
-    def _monomials(self):
-        out = {}
-
-        def walk(rep, k, exps):
-            if k == 0:
-                if not self.tower.base.is_zero(rep):
-                    out[tuple(reversed(exps))] = rep
-                return
-            for i, c in enumerate(rep):
-                walk(c, k - 1, exps + [i])
-
-        walk(self.rep, self.tower.height, [])
-        return out
-
-
-def _freeze(rep):
-    if isinstance(rep, list):
-        return tuple(_freeze(c) for c in rep)
-    return rep
-
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over the base field for flattened tower vectors
+# exact linear algebra over the base field for tower coordinate vectors
 # ---------------------------------------------------------------------------
 
 class LinearSolver:

@@ -241,3 +241,60 @@ def test_empty_command_list():
     scenario = parse_scenario("[field]\nbase Q\n")
     report = run_scenario(scenario)
     assert report.ok and report.sections == []
+
+
+def _check_error(tmp_path, lines):
+    """Exit code and stderr of ``valtool check``; the line marked ! is bad."""
+    bad = next(i for i, l in enumerate(lines, start=1) if l.startswith("!"))
+    path = tmp_path / "bad.scn"
+    path.write_text("\n".join(l.lstrip("!") for l in lines) + "\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli("check", str(path))
+    return code, err.getvalue(), bad
+
+
+_RING = ["[field]", "base Q", "[ring R]", "params x y"]
+
+
+@pytest.mark.parametrize("lines", [
+    # the issue's example: a valuation over an undeclared ring
+    ["[ring R]", "params x y", "[valuation nu]", "!ring S", "values 1 3/2",
+     "[run]"],
+    _RING + ["[embedding o]", "!ring S", "x = t", "y = t^2", "[run]"],
+    _RING + ["[extension e]", "!from R to S", "x = x", "y = y", "[run]"],
+    # a missing directive belongs at its own section's header
+    ["[field]", "base Q", "![ring R]", "levels 0", "[run]"],
+    _RING + ["![valuation nu]", "ring R", "[run]", "validate nu"],
+    _RING + ["![extension e]", "from R to R", "x = x", "[run]"],
+    _RING + ["![embedding o]", "x = t", "y = t^2"],
+], ids=["valuation-ring", "embedding-ring", "extension-from",
+        "missing-params", "missing-values", "missing-image", "missing-ring"])
+def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
+    code, err, bad = _check_error(tmp_path, lines)
+    assert code == 2
+    assert err.startswith("parse error: line %d: " % bad), err
+
+
+@pytest.mark.parametrize("lines", [
+    ["[field]", "!base"],
+    ["[field]", "!base F x"],
+    ["[field]", "base Q", "!irrational"],
+    ["[field]", "base Q", "[ring R]", "params x y", "!levels two"],
+    _RING + ["[valuation nu]", "!ring"],
+    _RING + ["[embedding o]", "ring R", "!truncate", "x = t", "y = t^2"],
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2", "!alpha x 1"],
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2",
+             "!key n=two value=3 tail=x"],
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y",
+             "!degree many"],
+    ["[field]", "base Q", "[ring R]", "!params x x"],
+    ["[field]", "base Q", "extend a minpoly 1 0", "!extend a minpoly 1 0"],
+], ids=["base", "base-F-x", "irrational", "levels-two", "bare-ring",
+        "bare-truncate", "alpha-x", "key-n-two", "degree-many", "params-x-x",
+        "extend-twice"])
+def test_malformed_directive_is_a_parse_error(tmp_path, lines):
+    code, err, bad = _check_error(tmp_path, lines)
+    assert code == 2
+    assert err.startswith("parse error: line %d: " % bad), err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import operator
+from itertools import product
 import random
 from fractions import Fraction
 
@@ -174,3 +175,165 @@ def test_field_constants_refuse_floats():
     assert f3.scalar(Fraction(1, 2)) == f3.scalar(2)
     assert f3.scalar(7) == f3.one()
     assert qi.scalar(Fraction(1, 2)) * 2 == qi.one()
+
+
+# ---------------------------------------------------------------------------
+# guard towers: every rep format must pass these
+# ---------------------------------------------------------------------------
+
+def _guard_chains():
+    """Each guard tower with its prefixes, lowest first."""
+    q = ResidueTower(QQ)
+    qr = q.extend("r", [-2, 0])
+    f2, f3 = gf(2), gf(3)
+    f3a = f3.extend("a", [1, 0])
+    return {
+        "Q(i)": [q, q.extend("i", [1, 0])],
+        "Q(r2)(r3)": [q, qr, qr.extend("s", [-3, 0])],
+        "GF2(a4+a+1)": [f2, f2.extend("a", [1, 1, 0, 0])],
+        "GF3(i)(b3-b-1)": [f3, f3a, f3a.extend("b", [-1, -1, 0])],
+    }
+
+
+def _basis(tower):
+    """The monomials a_1^e_1 ... a_k^e_k, a_1 fastest."""
+    degs = [level.degree for level in tower.levels]
+    out = []
+    for exps in product(*(range(d) for d in reversed(degs))):
+        m = tower.one()
+        for i, e in enumerate(reversed(exps)):
+            m = m * tower.gen(i) ** e
+        out.append(m)
+    return out
+
+
+def _elements(st, tower):
+    if tower.base.p:
+        coord = st.integers(0, tower.base.p - 1)
+    else:
+        coord = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    basis = _basis(tower)
+    n = len(basis)
+    return st.lists(coord, min_size=n, max_size=n).map(
+        lambda cs: sum((b * c for b, c in zip(basis, cs)), tower.zero()))
+
+
+@pytest.mark.parametrize("name", sorted(_guard_chains()))
+def test_guard_tower_field_axioms(name):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    chain = _guard_chains()[name]
+    tower = chain[-1]
+    base = tower.base
+    elems = _elements(st, tower)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(x=elems, y=elems, z=elems)
+    def check(x, y, z):
+        one, zero = tower.one(), tower.zero()
+        assert (x + y) + z == x + (y + z) and x + y == y + x
+        assert (x * y) * z == x * (y * z) and x * y == y * x
+        assert x * (y + z) == x * y + x * z
+        assert x + zero == x and x * one == x and (x - x).is_zero()
+        assert x - y == x + (-y) and (x * zero).is_zero()
+        if not x.is_zero():
+            assert x * x.inverse() == one and (y / x) * x == y
+        vx, vy = x.to_vector(), y.to_vector()
+        assert len(vx) == tower.degree()
+        assert (x + y).to_vector() == [base.add(a, b) for a, b in zip(vx, vy)]
+        assert x.to_vector() == vx  # reading the vector changes nothing
+        assert hash(x * y) == hash(y * x) and hash((x + y) - y) == hash(x)
+        assert x.levels_used() <= tower.height
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(_guard_chains()))
+def test_guard_tower_lift_is_a_ring_map(name):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    chain = _guard_chains()[name]
+    top = chain[-1]
+    for k, sub in enumerate(chain):
+        assert sub.is_prefix_of(top)
+        assert top.lift(sub.one()) == top.one()
+        for i in range(k):
+            assert top.lift(sub.gen(i)) == top.gen(i)
+            assert top.gen(i).levels_used() == i + 1
+        elems = _elements(st, sub)
+
+        @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+        @hypothesis.given(x=elems, y=elems)
+        def check(x, y):
+            lx, ly = top.lift(x), top.lift(y)
+            assert top.lift(x + y) == lx + ly and top.lift(x * y) == lx * ly
+            assert top.lift(-x) == -lx
+            assert lx.levels_used() == x.levels_used() <= k
+            assert hash(top.lift(x * y)) == hash(lx * ly)
+            assert lx.to_vector()[:sub.degree()] == x.to_vector()
+            assert not any(lx.to_vector()[sub.degree():])
+            if x.is_rational():
+                assert lx.as_rational() == x.as_rational()
+
+        check()
+
+
+@pytest.mark.parametrize("p,minpoly", [(2, [1, 1, 0, 0]), (3, [1, 0]),
+                                       (5, [1, 1, 0])])
+def test_prime_field_products_match_sympy(p, minpoly):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    tower = gf(p).extend("a", minpoly)
+    a, d = tower.gen("a"), len(minpoly)
+    modulus = sympy.Poly(list(reversed(minpoly + [1])), x, modulus=p)
+    rng = random.Random(p)
+    for _ in range(40):
+        cs = [[rng.randrange(p) for _ in range(d)] for _ in range(2)]
+        u, v = (sum((a ** i * c for i, c in enumerate(c_)), tower.zero())
+                for c_ in cs)
+        pu, pv = (sympy.Poly(list(reversed(c_)), x, modulus=p) for c_ in cs)
+        rem = (pu * pv).rem(modulus)
+        want = [int(rem.coeff_monomial(x ** i)) % p for i in range(d)]
+        assert (u * v).to_vector() == want
+
+
+def test_minimal_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    t = ResidueTower(QQ).extend("r", [-2, 0]).extend("s", [-3, 0])
+    r, s = t.gen("r"), t.gen("s")
+    sr, ss = sympy.sqrt(2), sympy.sqrt(3)
+    cases = [(r + s, sr + ss), (r * s, sr * ss), (r + 1, sr + 1), (s, ss),
+             (r * 2 - s / 3, 2 * sr - ss / 3), (r * s + r, sr * ss + sr),
+             (t.scalar(Fraction(5, 7)), sympy.Rational(5, 7)),
+             ((r + s).inverse() + r * s, 1 / (sr + ss) + sr * ss)]
+    for e, expr in cases:
+        want = sympy.Poly(sympy.minimal_polynomial(expr, x), x).monic()
+        coeffs = minimal_polynomial(e, SubfieldSpec())
+        assert degree_over(e, SubfieldSpec()) == want.degree() == len(coeffs)
+        got = [c.as_rational() for c in coeffs]
+        assert got == [Fraction(int(c.p), int(c.q))
+                       for c in reversed(want.all_coeffs()[1:])]
+
+
+def test_elements_order_is_pinned():
+    f4 = gf(2).extend("a", [1, 1])
+    assert [repr(e) for e in f4.elements()] == ["0", "a", "1", "1 + a"]
+    f16 = f4.extend("b", [f4.gen("a"), 1])  # b^2 + b + a
+    # the coordinate vector, a_1 fastest, runs in lexicographic order
+    assert [repr(e) for e in f16.elements()] == [
+        "0", "a*b", "b", "b + a*b",
+        "a", "a + a*b", "b + a", "b + a + a*b",
+        "1", "1 + a*b", "1 + b", "1 + b + a*b",
+        "1 + a", "1 + a + a*b", "1 + b + a", "1 + b + a + a*b"]
+    assert [e.to_vector() for e in f16.elements()] == [
+        [int(c) for c in "{:04b}".format(n)] for n in range(16)]
+    assert len(set(f16.elements())) == 16
+
+
+def test_reducible_minpoly_root_is_pinned():
+    f2 = gf(2)
+    with pytest.raises(NotAFieldExtension) as err:
+        f2.extend("u", [1, 0])  # u^2 + 1 = (u + 1)^2
+    assert err.value.root == f2.one() and repr(err.value.root) == "1"
+    assert "has root 1 at its own level" in str(err.value)
