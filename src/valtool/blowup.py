@@ -73,10 +73,7 @@ class TransformMap:
 
     def extension(self):
         """The transform as an extension map (trivial field extension)."""
-        return ExtensionMap(self.source_ctx, self.x_image, self.y_image,
-                            field_degree=1,
-                            residue_char=self.source_ctx.tower.base.p,
-                            unique=True)
+        return _TransformExtension(self)
 
     def describe(self):
         xn, yn = self.source_ctx.param_names
@@ -88,6 +85,28 @@ class TransformMap:
 
     def __repr__(self):
         return "TransformMap(%s)" % self.describe()
+
+
+class _TransformExtension(ExtensionMap):
+    """A transform as an extension map, applied through its chart.
+
+    The images x = X^n * U^a, y = X^w * U^b share the unit U = Z + alpha;
+    the chart sends each term to one monomial X^s U^t and recentring then
+    substitutes U alone.  That is the element substituting the images gives,
+    at a fraction of the cost on long keys.
+    """
+
+    __slots__ = ("tmap",)
+
+    def __init__(self, tmap):
+        super().__init__(tmap.source_ctx, tmap.x_image, tmap.y_image,
+                         field_degree=1,
+                         residue_char=tmap.source_ctx.tower.base.p,
+                         unique=True)
+        self.tmap = tmap
+
+    def apply(self, f):
+        return self.tmap.to_target(f)
 
 
 def _chart_exponents(nbar, w):

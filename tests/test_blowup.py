@@ -226,6 +226,9 @@ def test_chart_reading_matches_trial_division(name):
     tmap, tgt = free_transform(g)
     xn, yn = g.ctx.param_names
     images = {xn: tmap.x_image, yn: tmap.y_image}
+    # the transform's extension map applies through the chart, too
+    ext = tmap.extension()
+    assert (ext.u_image, ext.v_image) == (tmap.x_image, tmap.y_image)
     unit = tgt.ctx.y() + tgt.ctx.const(tmap.alpha_lift)
     rng = random.Random(name)
     stripped = 0
@@ -240,6 +243,7 @@ def test_chart_reading_matches_trial_division(name):
             continue
         img = substitute(f, images)
         assert tmap.to_target(f) == img
+        assert ext.apply(f) == img
         shifted = img.shift(-img.x_order(), 0)
         reference = _strip_by_division(shifted, unit)
         stripped += reference != shifted
