@@ -82,8 +82,9 @@ class RingElem:
     """Bivariate polynomial over the tower; no zero coefficients stored.
 
     ``terms`` maps exponent pairs (i, j) to raw reps of ``ctx.tower`` (see
-    towers.py), computed on with the tower's bound operations;
-    ``ctx.coeff`` turns a rep into its tower element.
+    towers.py), computed on with the tower's bound operations; at height 0
+    products, sums and division add up raw numbers and reduce each
+    coefficient mod p once.  ``ctx.coeff`` turns a rep into its element.
     """
 
     __slots__ = ("ctx", "terms")
@@ -119,8 +120,15 @@ class RingElem:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        add, mul = self.ctx.tower.add, self.ctx.tower.mul
-        out = {}
+        tower, out = self.ctx.tower, {}
+        if not tower.levels:
+            get = out.get
+            for (i1, j1), c1 in self.terms.items():
+                for (i2, j2), c2 in other.terms.items():
+                    e = (i1 + i2, j1 + j2)
+                    out[e] = get(e, 0) + c1 * c2
+            return _reduced(self.ctx, out)
+        add, mul = tower.add, tower.mul
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2)
@@ -136,8 +144,14 @@ class RingElem:
 
         ``c`` is a raw rep of the tower, or None for 1.
         """
-        add, mul = self.ctx.tower.add, self.ctx.tower.mul
-        out = dict(self.terms)
+        tower, out = self.ctx.tower, dict(self.terms)
+        if not tower.levels:
+            get = out.get
+            for p, c in pairs:
+                for e, a in p.terms.items():
+                    out[e] = get(e, 0) + (a if c is None else a * c)
+            return _reduced(self.ctx, out)
+        add, mul = tower.add, tower.mul
         for p, c in pairs:
             for e, a in p.terms.items():
                 prod = a if c is None else mul(a, c)
@@ -220,6 +234,16 @@ class RingElem:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _reduced(ctx, sums):
+    """A height-0 element from sums of raw numbers, past ``__init__``: each
+    sum is reduced mod p (over QQ not at all) and zeros are dropped."""
+    f, p = object.__new__(RingElem), ctx.tower.base.p
+    f.ctx = ctx
+    f.terms = ({e: r for e, c in sums.items() if (r := c % p)} if p
+               else {e: c for e, c in sums.items() if c})
+    return f
+
+
 def _pow_str(name, e):
     if e == 0:
         return ""
@@ -241,15 +265,17 @@ def divmod_y(f, g):
     always do); exactness is literal.
     """
     tower = f.ctx.tower
-    mul, sub, neg, is_zero = tower.mul, tower.sub, tower.neg, tower.is_zero
     d = g.y_degree()
     lead_slice = _rows(g).get(d, {})
     if list(lead_slice) != [0]:
         raise ValueError("divisor is not monic in y (leading coeff not constant)")
     lead_inv = tower.inv(lead_slice[0])
+    rows = _rows(f)  # the remainder, by y-exponent, reduced in place
+    if not tower.levels:
+        return _divmod_native(f.ctx, rows, g, d, lead_inv)
+    mul, sub, neg, is_zero = tower.mul, tower.sub, tower.neg, tower.is_zero
     # g without its leading y^d, with y-exponents relative to d
     rest = [(i, j - d, c) for (i, j), c in g.terms.items() if j < d]
-    rows = _rows(f)  # the remainder, by y-exponent, reduced in place
     q = {}
     while rows:
         top = max(rows)
@@ -268,6 +294,35 @@ def divmod_y(f, g):
                 row[e] = neg(p) if prev is None else sub(prev, p)
     r = {(i, j): c for j, row in rows.items() for i, c in row.items()}
     return RingElem(f.ctx, q), RingElem(f.ctx, r)
+
+
+def _divmod_native(ctx, rows, g, d, lead_inv):
+    """divmod_y's loop at height 0, on raw numbers: a row's sums are final
+    when it becomes the top row, and are reduced mod p there or at the end."""
+    p = ctx.tower.base.p
+    rest = {}  # y-exponent relative to d -> [(i, -c)]: g's tail, negated
+    for (i, j), c in g.terms.items():
+        if j < d:
+            rest.setdefault(j - d, []).append((i, -c))
+    rest = list(rest.items())
+    q = {}
+    while rows:
+        top = max(rows)
+        if top < d:
+            break
+        for i, c in rows.pop(top).items():
+            qc = c * lead_inv % p if p else c * lead_inv
+            if not qc:
+                continue
+            q[(i, top - d)] = qc
+            for gj, tail in rest:
+                row = rows.setdefault(top + gj, {})
+                get = row.get
+                for gi, gc in tail:
+                    e = i + gi
+                    row[e] = get(e, 0) + qc * gc
+    r = {(i, j): c for j, row in rows.items() for i, c in row.items()}
+    return _reduced(ctx, q), _reduced(ctx, r)
 
 
 def substitute(f, images):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from operator import add
+from operator import add, mul, neg, not_, sub
 
 
 class NotAFieldExtension(Exception):
@@ -32,16 +32,24 @@ class BaseField:
     """QQ (p == 0) or the prime field GF(p); scalar helpers for both.
 
     Whole rationals are kept as ints, far cheaper than Fraction arithmetic,
-    and the others as Fractions; the two compare and hash alike.
+    and the others as Fractions; the two compare and hash alike.  ``add``,
+    ``sub``, ``neg`` and ``mul`` are Python's own operators, reduced mod p
+    at once, and ``is_zero`` is ``not``: every rep is canonical.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "add", "sub", "neg", "mul", "is_zero")
 
     def __init__(self, p=0):
         if p:
             if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
                 raise ValueError("characteristic must be 0 or a prime")
-        self.p = p
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
+            self.mul = lambda a, b: a * b % p
+        else:
+            self.add, self.sub, self.neg, self.mul = add, sub, neg, mul
+        self.p, self.is_zero = p, not_
 
     def zero(self):
         return 0
@@ -58,19 +66,7 @@ class BaseField:
                     raise ZeroDivisionError("denominator divisible by p")
                 return (c.numerator * pow(c.denominator, -1, self.p)) % self.p
             return int(c) % self.p
-        return _int_if_whole(Fraction(c))
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.p else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
-
-    def neg(self, a):
-        return (-a) % self.p if self.p else -a
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
+        return c if type(c) is int else _int_if_whole(Fraction(c))
 
     def inv(self, a):
         if self.p:
@@ -80,9 +76,6 @@ class BaseField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return _int_if_whole(1 / Fraction(a))
-
-    def is_zero(self, a):
-        return (a % self.p == 0) if self.p else a == 0
 
     def elements(self):
         if not self.p:

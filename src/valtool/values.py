@@ -16,7 +16,7 @@ int vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce, total_ordering
+from functools import lru_cache, reduce, total_ordering
 from math import lcm
 
 
@@ -116,13 +116,21 @@ class IrrationalDescriptor:
 
 
 def pi_descriptor(depth=40):
-    """Default descriptor for pi-like constants, from a digit table."""
+    """Default descriptor for pi-like constants, from a digit table: a new
+    descriptor (its own group context) on one checked table per depth."""
+    d = object.__new__(IrrationalDescriptor)
+    d.name, d.intervals = "pi", _pi_intervals(depth)
+    return d
+
+
+@lru_cache(maxsize=None)
+def _pi_intervals(depth):
     intervals = []
     for k in range(1, min(depth, len(_PI_DIGITS) - 1) + 1):
         scale = 10 ** k
         lo = Fraction(int(_PI_DIGITS[: k + 1]), scale)
         intervals.append((lo, lo + Fraction(1, scale)))
-    return IrrationalDescriptor("pi", intervals)
+    return IrrationalDescriptor("pi", intervals).intervals
 
 
 def _merge_tau(a, b):
@@ -340,7 +348,10 @@ class Grid:
                 barren.add(state)
             return found
 
-        yield from rec(0, *target)
+        try:
+            yield from rec(0, *target)
+        finally:
+            del rec  # rec reaches itself through its closure: break the cycle
 
 
 def value_ratio(a, b):

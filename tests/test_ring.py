@@ -97,16 +97,48 @@ def _term_by_term(f, gx, gy, zero, lift):
     return out
 
 
-def _random_poly(ctx, rng, terms, xdeg, ydeg):
-    out = ctx.zero()
-    scalars = [ctx.tower.scalar(k) for k in (1, 2, -1, 3)]
+def _units(tower, ks=(1, 2, -1, 3)):
+    """The nonzero scalars among ks, and the first two times each generator."""
+    scalars = [tower.scalar(k) for k in ks]
     scalars = [c for c in scalars if not c.is_zero()]
-    scalars += [c * ctx.tower.gen(k) for c in scalars[:2]
-                for k in range(ctx.tower.height)]
+    return scalars + [c * tower.gen(k) for c in scalars[:2]
+                      for k in range(tower.height)]
+
+
+def _random_poly(ctx, rng, terms, xdeg, ydeg, ks=(1, 2, -1, 3)):
+    out = ctx.zero()
+    scalars = _units(ctx.tower, ks)
     for _ in range(terms):
         out = out + ctx.monomial(rng.randint(0, xdeg), rng.randint(0, ydeg),
                                  rng.choice(scalars))
     return out
+
+
+_KS = (1, 2, -1, 3)
+# the ring kernels: raw numbers at height 0 (Q with whole and with proper
+# fractions, GF(2), GF(3), GF(5)) and coordinate lists above it
+KERNEL_CASES = [
+    pytest.param(ResidueTower(QQ), _KS, id="Q"),
+    pytest.param(ResidueTower(QQ),
+                 (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), 3),
+                 id="Q-frac"),
+    pytest.param(ResidueTower(BaseField(2)), _KS, id="F2"),
+    pytest.param(ResidueTower(BaseField(3)), _KS, id="F3"),
+    pytest.param(ResidueTower(BaseField(5)), _KS, id="F5"),
+    pytest.param(ResidueTower(QQ).extend("i", [1, 0]), _KS, id="Q(i)"),
+    pytest.param(ResidueTower(BaseField(2)).extend("a", [1, 1]), _KS,
+                 id="F2(a)"),
+]
+
+
+def _assert_canonical(*fs):
+    """Every stored coefficient is a nonzero canonical rep: adding zero
+    (which reduces mod p) leaves it as it is."""
+    for f in fs:
+        tower = f.ctx.tower
+        zero = tower.zero().rep
+        for c in f.terms.values():
+            assert not tower.is_zero(c) and tower.add(c, zero) == c
 
 
 @pytest.mark.parametrize("tower", [
@@ -284,25 +316,23 @@ def test_divmod_y(ctx):
     assert r.y_degree() < 2
 
 
-@pytest.mark.parametrize("base", [QQ, BaseField(3)], ids=["Q", "F3"])
-def test_divmod_y_random(base):
-    ctx = LocalRingCtx(ResidueTower(base), ("x", "y"))
+@pytest.mark.parametrize("tower, ks", KERNEL_CASES)
+def test_divmod_y_random(tower, ks):
+    ctx = LocalRingCtx(tower, ("x", "y"))
     rng = random.Random(11)
 
     def poly(terms, ydeg):
-        out = ctx.zero()
-        for _ in range(terms):
-            out = out + ctx.monomial(rng.randint(0, 5), rng.randint(0, ydeg),
-                                     rng.randint(-3, 3))
-        return out
+        return _random_poly(ctx, rng, terms, 5, ydeg, ks)
 
     checked = 0
     for _ in range(40):
         d = rng.randint(1, 4)
-        g = poly(4, d - 1) + ctx.monomial(0, d, rng.choice([1, 2, -1]))
+        g = poly(4, d - 1) + ctx.monomial(0, d, rng.choice(_units(tower, ks)))
         h = poly(5, 3)
         for f in (poly(8, 7), h * g, h * g + poly(3, d - 1), poly(3, d - 1)):
             q, r = divmod_y(f, g)
+            _assert_canonical(q, r)
+            assert _coeffs(f) == _tower_sum(_tower_product(q, g), _coeffs(r))
             assert (q * g + r - f).is_zero()
             assert r.y_degree() < d
             if f.y_degree() < d:
@@ -311,6 +341,68 @@ def test_divmod_y_random(base):
         q, r = divmod_y(h * g, g)
         assert r.is_zero() and (q - h).is_zero()
     assert checked == 160
+
+
+def _to_sympy(f, gens):
+    """f as a sympy expression in the symbols ``gens`` = (x, y)."""
+    import sympy
+    x, y = gens
+    return sum((sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+                * x ** i * y ** j for (i, j), c in f.terms.items()),
+               sympy.Integer(0))
+
+
+def _from_sympy(poly, p):
+    """The terms {(i, j): c} of a sympy Poly in (y, x), reduced mod p."""
+    out = {}
+    for (j, i), c in poly.as_dict().items():
+        c = int(c) % p if p else Fraction(int(c.p), int(c.q))
+        if c:
+            out[(i, j)] = c
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 2, 3], ids=["Q", "F2", "F3"])
+def test_divmod_y_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    X, Y = sympy.symbols("x y")
+    ctx = LocalRingCtx(ResidueTower(BaseField(p)), ("x", "y"))
+    ks = (1, -1, 3) if p else (Fraction(1, 2), Fraction(-2, 3), 3)
+    rng = random.Random(53)
+    for _ in range(25):
+        d = rng.randint(1, 4)
+        g = (_random_poly(ctx, rng, 4, 4, d - 1, ks)
+             + ctx.monomial(0, d, rng.choice(_units(ctx.tower, ks))))
+        f = _random_poly(ctx, rng, 10, 5, 8, ks)
+        q, r = divmod_y(f, g)
+        # one divisor whose lex-leading term (y > x) is c*y^d: the
+        # remainder has y-degree below d, as divmod_y's
+        opts = {"modulus": p} if p else {"domain": "QQ"}
+        fs, gs = (sympy.Poly(_to_sympy(h, (X, Y)), Y, X, **opts)
+                  for h in (f, g))
+        qs, rs = sympy.div(fs, gs)
+        assert (q.terms, r.terms) == (_from_sympy(qs, p), _from_sympy(rs, p))
+
+
+@pytest.mark.parametrize("p", [0, 3], ids=["Q", "F3"])
+def test_substitute_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    X, Y, X1, Y1 = sympy.symbols("x y x1 y1")
+    tower = ResidueTower(BaseField(p))
+    ctx = LocalRingCtx(tower, ("x", "y"))
+    tgt = LocalRingCtx(tower, ("x1", "y1"))
+    ks = (1, -1, 3) if p else (Fraction(1, 2), Fraction(-2, 3), 3)
+    rng = random.Random(59)
+    opts = {"modulus": p} if p else {"domain": "QQ"}
+    for _ in range(20):
+        f = _random_poly(ctx, rng, 6, 4, 3, ks)
+        images = {"x": _random_poly(tgt, rng, rng.randint(1, 3), 3, 2, ks),
+                  "y": _random_poly(tgt, rng, rng.randint(1, 3), 2, 3, ks)}
+        want = sympy.expand(_to_sympy(f, (X, Y)).subs(
+            {X: _to_sympy(images["x"], (X1, Y1)),
+             Y: _to_sympy(images["y"], (X1, Y1))}, simultaneous=True))
+        got = substitute(f, images)
+        assert got.terms == _from_sympy(sympy.Poly(want, Y1, X1, **opts), p)
 
 
 def test_monomialize_check(ctx):
@@ -382,29 +474,38 @@ def _coeffs(f):
     return {e: f.ctx.coeff(c) for e, c in f.terms.items()}
 
 
-@pytest.mark.parametrize("tower", [
-    ResidueTower(QQ), ResidueTower(BaseField(3)),
-    ResidueTower(QQ).extend("i", [1, 0])], ids=["Q", "F3", "Q(i)"])
-def test_raw_rep_arithmetic_matches_tower_elements(tower):
+def _tower_sum(a, b):
+    """Sum of two coefficient dicts in tower-element arithmetic."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _tower_product(f, g):
+    """f * g's coefficients, one tower-element product per pair of terms."""
+    out = {}
+    for (i1, j1), a in _coeffs(f).items():
+        for (i2, j2), b in _coeffs(g).items():
+            out = _tower_sum(out, {(i1 + i2, j1 + j2): a * b})
+    return out
+
+
+@pytest.mark.parametrize("tower, ks", KERNEL_CASES)
+def test_raw_rep_arithmetic_matches_tower_elements(tower, ks):
     ctx = LocalRingCtx(tower, ("x", "y"))
     rng = random.Random(31)
-    zero = tower.zero()
     checked = 0
     for _ in range(30):
-        f = _random_poly(ctx, rng, 6, 4, 3)
-        g = _random_poly(ctx, rng, 5, 3, 3)
+        f = _random_poly(ctx, rng, 6, 4, 3, ks)
+        g = _random_poly(ctx, rng, 5, 3, 3, ks)
         cf, cg = _coeffs(f), _coeffs(g)
-        prod, total = {}, dict(cf)
-        for (i1, j1), a in cf.items():
-            for (i2, j2), b in cg.items():
-                e = (i1 + i2, j1 + j2)
-                prod[e] = prod.get(e, zero) + a * b
-        for e, b in cg.items():
-            total[e] = total.get(e, zero) + b
-        for got, want in ((f * g, prod), (f + g, total),
+        for got, want in ((f * g, _tower_product(f, g)),
+                          (f + g, _tower_sum(cf, cg)),
+                          (f - f, {}),
                           (-f, {e: -a for e, a in cf.items()})):
-            assert _coeffs(got) == {e: c for e, c in want.items()
-                                    if not c.is_zero()}
+            _assert_canonical(got)
+            assert _coeffs(got) == want
         if cf:
             inv = cf[min(cf)].inverse()
             assert _coeffs(f.leading_unit_normalized()) == \
@@ -535,26 +636,26 @@ def test_embedding_forms_each_image_power_once(monkeypatch, name):
     assert emb.images == images
 
 
-@pytest.mark.parametrize("tower", [
-    ResidueTower(QQ), ResidueTower(BaseField(3)),
-    ResidueTower(QQ).extend("i", [1, 0])], ids=["Q", "F3", "Q(i)"])
-def test_ring_row_sum_matches_sequential_sum(tower):
+@pytest.mark.parametrize("tower, ks", KERNEL_CASES)
+def test_ring_row_sum_matches_sequential_sum(tower, ks):
     ctx = LocalRingCtx(tower, ("x", "y"))
     rng = random.Random(41)
-    scalars = [tower.scalar(k) for k in (1, 2, -1, 5)]
+    # 5 is zero in GF(5): a scale that wipes its polynomial out
+    scalars = [tower.scalar(k) for k in ks[:3] + (5,)]
     scalars += [c * tower.gen(0) for c in scalars[:2]] if tower.height else []
     checked = 0
     for _ in range(30):
-        pairs = [(_random_poly(ctx, rng, rng.randint(0, 5), 4, 3),
+        pairs = [(_random_poly(ctx, rng, rng.randint(0, 5), 4, 3, ks),
                   rng.choice(scalars)) for _ in range(rng.randint(1, 5))]
         if rng.random() < 0.3:  # a pair that cancels
             p, c = pairs[0]
             pairs.append((p, -c))
-        want = ctx.zero()
+        want = {}
         for p, c in pairs:
-            want = want + p * ctx.const(c)
+            want = _tower_sum(want, {e: a * c for e, a in _coeffs(p).items()})
         got = ctx.zero()._add_scaled([(p, ctx.rep(c)) for p, c in pairs])
-        assert got == want
+        _assert_canonical(got)
+        assert _coeffs(got) == want
         checked += not got.is_zero()
     assert checked > 20
 

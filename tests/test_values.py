@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from fractions import Fraction
@@ -55,6 +56,32 @@ def test_descriptor_validation():
         IrrationalDescriptor("bad", [(1, 2), (0, 3)])
     with pytest.raises(ValueError):
         IrrationalDescriptor("empty", [])
+
+
+def test_pi_descriptor_is_a_new_context_on_one_table():
+    a, b = pi_descriptor(), pi_descriptor()
+    assert a is not b and a.intervals == b.intervals and a.depth == 40
+    assert a.intervals is b.intervals  # built and checked once per depth
+    assert pi_descriptor(5).intervals == a.intervals[:5]
+    assert Value(1, 1, a) > Value(4) and Value(1, 1, b) > Value(4)
+    with pytest.raises(ValueError, match="different group contexts"):
+        Value(1, 1, a) + Value(0, 1, b)
+    with pytest.raises(ValueError, match="nested"):
+        IrrationalDescriptor("pi", list(a.intervals[:3]) + [(3, 4)])
+
+
+def test_grid_sums_leave_no_reference_cycles():
+    grid = Grid([Value(2), Value(3), Value(5)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(list(grid.sums(grid.points, Value(20)))) == 11
+        walk = grid.sums(grid.points, Value(20))
+        next(walk)
+        del walk  # a walk stopped early
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_order_translation_invariant_randomized():
