@@ -5,12 +5,23 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .genseq import validate_sequence
 from .scenario import RunFlags, ScenarioError, parse_scenario, run_scenario
 from .values import Value
 
 
+def _rational(text):
+    """An exact rational; a bad one (1/0 too) is argparse's usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            "not an exact rational: %r" % text) from None
+
+
+@cache  # one parser per process; parsing leaves it as it was
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="valtool",
@@ -20,7 +31,7 @@ def _build_parser():
     run = sub.add_parser("run", help="execute a scenario's command list")
     run.add_argument("file")
     run.add_argument("--depth", type=int, default=4)
-    run.add_argument("--value-bound", type=Fraction, default=None)
+    run.add_argument("--value-bound", type=_rational, default=None)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--format", choices=("text", "csv", "dot"),
                      default="text")

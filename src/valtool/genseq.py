@@ -21,13 +21,14 @@ from __future__ import annotations
 from functools import cmp_to_key
 
 from .ring import divmod_y, series_value
-from .towers import SubfieldSpec, relative_dimension, span_closure
+from .towers import SubfieldSpec, span_closure
 from .values import (
     INFINITE,
     INSUFFICIENT_PRECISION,
     Grid,
     Value,
-    group_index,
+    covolume,
+    lattice_add,
 )
 
 
@@ -162,9 +163,19 @@ class GenSeq:
         self.declared_residues = dict(residues or {})
         self.oracle = oracle
         self._equal_tails = {}
+        # one pass: a running lattice of values, a running residue closure
+        tower = ctx.tower
+        basis, solver = span_closure(
+            tower, SubfieldSpec(ctx.ring_levels).generators(tower))
+        self.field_basis = tuple(basis)  # the ring's residue field
+        rows = []
+        lattice_add(rows, self.grid.points[0])
         self.levels = []
         for i in range(1, self.top + 1):
-            self.levels.append(self._derive_level(i))
+            covol = covolume(rows)
+            jump = (INFINITE if lattice_add(rows, self.grid.points[i])
+                    else covol // covolume(rows))
+            self.levels.append(self._derive_level(i, jump, (basis, solver)))
         last_jump = self.levels[-1].group_jump if self.levels else None
         self.terminal = bool(terminal) or last_jump is INFINITE
         for lvl in self.levels[:-1]:
@@ -218,14 +229,12 @@ class GenSeq:
     def monomial(self, exps):
         return _key_monomial(self.keys, exps, 1)
 
-    def _derive_level(self, i):
+    def _derive_level(self, i, jump, closure):
+        """Level i from its group jump; ``closure`` (the residues below i)
+        is extended by this level's residue."""
         lvl = LevelData(i)
-        try:
-            lvl.group_jump = group_index(self.values[: i + 1], self.values[:i])
-        except Exception as err:  # containment failures mean bad declarations
-            lvl.issues.append("group jump at level %d failed: %s" % (i, err))
-            return lvl
-        if lvl.group_jump is INFINITE:
+        lvl.group_jump = jump
+        if jump is INFINITE:
             # rank jump ends the sequence; by convention the residue is 1
             lvl.residue = self.ctx.tower.one()
             lvl.residue_degree = 1
@@ -243,15 +252,14 @@ class GenSeq:
             lvl.unit_exps = rep
         lvl.residue = self._residue_at(i, lvl)
         if lvl.residue is not None:
-            prior = [l.residue for l in self.levels[: i - 1]
-                     if l.residue is not None]
-            sub_small = SubfieldSpec(self.ctx.ring_levels, prior)
-            sub_big = SubfieldSpec(self.ctx.ring_levels, prior + [lvl.residue])
-            try:
-                lvl.residue_degree = relative_dimension(
-                    self.ctx.tower, sub_big, sub_small)
-            except ArithmeticError as err:
-                lvl.issues.append("residue degree at level %d: %s" % (i, err))
+            solver = closure[1]
+            before = solver.rank
+            span_closure(self.ctx.tower, [lvl.residue], closure)
+            if solver.rank % before:
+                lvl.issues.append("residue degree at level %d: tower law "
+                                  "violated in relative dimension" % i)
+            else:
+                lvl.residue_degree = solver.rank // before
         if i < len(self.steps) + 1:
             lvl.cap = self.steps[i - 1].power
         elif lvl.residue_degree is not None:

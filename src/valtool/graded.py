@@ -29,7 +29,6 @@ from .towers import (
     minimal_polynomial,
     power,
     relative_dimension,
-    span_closure,
 )
 from .values import (
     INFINITE,
@@ -358,9 +357,6 @@ def subalgebra_membership(e, gens):
     """
     g = e.genseq
     tower = g.ctx.tower
-    field_basis, _ = span_closure(
-        tower, SubfieldSpec(prefix_levels=g.ctx.ring_levels).generators(tower))
-
     dim = tower.degree()
     # coordinates fixed before the walk: the reduced key monomials of e's
     # value (where every normalized product lands), then any of e's own
@@ -387,7 +383,7 @@ def subalgebra_membership(e, gens):
     for gexps, prod in _products_of_value(gens, e.point, g):
         products += 1
         grew = False
-        for b in field_basis:
+        for b in g.field_basis:
             grew = solver.add(flatten(prod, b)) or grew
             columns.append((gexps, b))
         # once e is in the span, its expression on the independent columns

@@ -600,17 +600,20 @@ class LinearSolver:
                 if not self.base.is_zero(v)}
 
 
-def span_closure(tower, generators):
+def span_closure(tower, generators, closure=None):
     """Base-field basis of the subfield generated by ``generators``.
 
     Returns (elements, solver): a multiplicatively closed base-spanning set
-    and the solver holding their vectors.
+    and the solver holding their vectors.  Given ``closure``, such a pair
+    for a subfield K, it is extended in place to K(generators): K's basis
+    times the monomials in the new generators spans that field.
     """
     gens = [tower.lift(g) if isinstance(g, TowerElem) else tower.scalar(g)
             for g in generators]
-    basis = [tower.one()]
-    solver = LinearSolver(tower.base)
-    solver.add(basis[0].to_vector())
+    if closure is None:
+        closure = [tower.one()], LinearSolver(tower.base)
+        closure[1].add(closure[0][0].to_vector())
+    basis, solver = closure
     frontier = list(basis)
     while frontier:
         new = []
@@ -659,11 +662,9 @@ def degree_over(e, sub):
     Computed through base-field dimensions: [Q(e) : Q] = dim Q(e) / dim Q,
     which avoids any search for the polynomial itself.
     """
-    tower = e.tower
-    gens = sub.generators(tower)
-    _, q_solver = span_closure(tower, gens)
-    _, qe_solver = span_closure(tower, gens + [e])
-    dim_q, dim_qe = q_solver.rank, qe_solver.rank
+    closure = span_closure(e.tower, sub.generators(e.tower))
+    dim_q = closure[1].rank
+    dim_qe = span_closure(e.tower, [e], closure)[1].rank
     if dim_qe % dim_q != 0:
         raise ArithmeticError("tower law violated; malformed subfield description")
     return dim_qe // dim_q

@@ -380,63 +380,54 @@ def _xgcd(a, b):
     return g, x, y
 
 
-def _hnf(rows):
-    """Row-style Hermite form of an integer matrix; returns the pivot rows.
+def lattice_add(rows, vec):
+    """Add the integer vector ``vec`` to the echelon ``rows`` of a lattice.
 
-    Small ambient dimension only; gcd row operations, no normalization of
-    off-pivot entries is needed for our uses (membership and determinants).
-    """
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    basis = []
-    for vec in rows:
-        vec = list(vec)
-        for row in basis:
-            j = next(i for i, e in enumerate(row) if e)
-            if vec[j] == 0:
-                continue
-            a, b = row[j], vec[j]
-            if b % a == 0:
-                q = b // a
-                for i in range(ncols):
-                    vec[i] -= q * row[i]
-            else:
-                g, x, y = _xgcd(a, b)
-                new_row = [x * row[i] + y * vec[i] for i in range(ncols)]
-                new_vec = [(-b // g) * row[i] + (a // g) * vec[i] for i in range(ncols)]
-                row[:] = new_row
-                vec = new_vec
-        if any(vec):
-            basis.append(vec)
-            basis.sort(key=lambda r: next(i for i, e in enumerate(r) if e))
-    for row in basis:
-        j = next(i for i, e in enumerate(row) if e)
-        if row[j] < 0:
-            for i in range(ncols):
-                row[i] = -row[i]
-    return basis
-
-
-def _in_lattice(vec, basis):
-    """Integer membership of ``vec`` in the lattice spanned by HNF ``basis``.
-
-    Returns the coordinate list on success, None on failure.
+    ``rows`` stays a row echelon basis, pivots in increasing columns; the
+    list is updated in place (a row is replaced, never mutated) and the
+    result is True when the rank grew.  Each step is a unimodular gcd
+    combination of ``vec`` with the row pivoting at its leading column.
     """
     vec = list(vec)
-    coords = []
-    for row in basis:
-        j = next(i for i, e in enumerate(row) if e)
-        if vec[j] % row[j] != 0:
-            return None
-        q = vec[j] // row[j]
-        coords.append(q)
-        for i in range(len(vec)):
-            vec[i] -= q * row[i]
-    if any(vec):
-        return None
-    return coords
+    k = 0
+    for j in range(len(vec)):
+        while k < len(rows) and _lead(rows[k]) < j:
+            k += 1
+        if not vec[j]:
+            continue
+        if k == len(rows) or _lead(rows[k]) > j:
+            rows.insert(k, vec)
+            return True
+        row, a, b = rows[k], rows[k][j], vec[j]
+        g, x, y = _xgcd(a, b)
+        rows[k] = [x * r + y * v for r, v in zip(row, vec)]
+        vec = [(a // g) * v - (b // g) * r for r, v in zip(row, vec)]
+    return False
+
+
+def _lead(row):
+    return next(i for i, e in enumerate(row) if e)
+
+
+def covolume(rows):
+    """|product of the pivots| of echelon ``rows``; 1 for none.
+
+    For lattices L in L' of equal rank, [L' : L] = covolume(L) /
+    covolume(L'): both have the same pivot columns, where the echelon
+    bases are triangular.
+    """
+    out = 1
+    for row in rows:
+        out *= row[_lead(row)]
+    return abs(out)
+
+
+def _hnf(rows):
+    """Row echelon basis of the lattice spanned by integer ``rows``."""
+    basis = []
+    for vec in rows:
+        lattice_add(basis, vec)
+    return basis
 
 
 def group_index(big, small):
@@ -453,28 +444,18 @@ def group_index(big, small):
     strictly lower rank.  Raises :class:`ContainmentError` if containment
     fails.
     """
-    vecs = Grid(list(big) + list(small)).points
-    big_vecs, small_vecs = vecs[: len(big)], vecs[len(big):]
-    big_basis = _hnf(big_vecs)
-    coords = []
-    for v in small_vecs:
-        c = _in_lattice(v, big_basis)
-        if c is None:
+    big, small = list(big), list(small)
+    vecs = Grid(big + small).points
+    big_rows = _hnf(vecs[: len(big)])
+    both, covol = list(big_rows), covolume(big_rows)
+    for v, value in zip(vecs[len(big):], small):
+        if lattice_add(both, v) or covolume(both) != covol:
             raise ContainmentError(
-                "value %r is not in the group generated by %r" % (v, big)
-            )
-        coords.append(c)
-    rank = len(big_basis)
-    if rank == 0:
-        return 1
-    coord_basis = _hnf(coords)
-    if len(coord_basis) < rank:
+                "value %r is not in the group generated by %r" % (value, big))
+    small_rows = _hnf(vecs[len(big):])
+    if len(small_rows) < len(big_rows):
         return INFINITE
-    det = 1
-    for row in coord_basis:
-        j = next(i for i, e in enumerate(row) if e)
-        det *= row[j]
-    return abs(det)
+    return covolume(small_rows) // covol
 
 
 def smallest_multiple_in_group(v, gens):
@@ -492,7 +473,7 @@ def smallest_multiple_in_group(v, gens):
     coords = []
     rem = [Fraction(t) for t in target]
     for row in basis:
-        j = next(i for i, e in enumerate(row) if e)
+        j = _lead(row)
         q = rem[j] / row[j]
         coords.append(q)
         for i in range(len(rem)):

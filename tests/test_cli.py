@@ -1,9 +1,11 @@
+import argparse
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from valtool import cli
 from valtool.cli import main
 from valtool.scenario import ScenarioError, parse_scenario, run_scenario
 
@@ -298,3 +300,35 @@ def test_malformed_directive_is_a_parse_error(tmp_path, lines):
     assert code == 2
     assert err.startswith("parse error: line %d: " % bad), err
     assert "Traceback" not in err
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["check", str(SCN / "v1.scn")]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["run"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: valtool run")
+    assert built.count("valtool") == 1
+
+
+@pytest.mark.parametrize("bound, code", [("1/0", 2), ("inf", 2), ("x", 2),
+                                         ("0.5", 0)])
+def test_value_bound_must_be_an_exact_rational(bound, code, capsys):
+    argv = ["run", str(SCN / "v1.scn"), "--value-bound", bound]
+    if code:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == code
+        err = capsys.readouterr().err
+        assert "usage: valtool run" in err and "--value-bound" in err
+    else:
+        assert main(argv) == 0

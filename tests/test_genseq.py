@@ -23,10 +23,22 @@ from valtool.genseq import (
 )
 from valtool.ring import INSUFFICIENT_PRECISION, LocalRingCtx, parse_poly, series_value
 from valtool.scenario import parse_scenario
-from valtool.towers import QQ, BaseField, ResidueTower
-from valtool.values import INFINITE, Value, pi_descriptor
+from valtool.towers import (
+    QQ,
+    BaseField,
+    ResidueTower,
+    SubfieldSpec,
+    relative_dimension,
+)
+from valtool.values import (
+    INFINITE,
+    ContainmentError,
+    Value,
+    pi_descriptor,
+    smallest_multiple_in_group,
+)
 
-from test_graded import _chain
+from test_graded import _IDENTITY_RING, _chain
 
 
 @pytest.fixture
@@ -466,3 +478,54 @@ def test_transforms_and_parsing_build_no_key_twice(monkeypatch):
     for name in _SCENARIOS:
         _shipped(name)
     assert calls == []
+
+
+# -- level data against from-scratch references ---------------------------------
+
+def _reference_levels(g):
+    """(group jump, residue degree) per level, each level solved on its own."""
+    out, prior = [], []
+    for lvl in g.levels:
+        i = lvl.index
+        try:
+            jump = smallest_multiple_in_group(g.values[i], g.values[:i])
+        except ContainmentError:
+            jump = INFINITE
+        if jump is INFINITE:
+            degree = 1
+        elif lvl.residue is None:
+            degree = None
+        else:
+            try:
+                degree = relative_dimension(
+                    g.ctx.tower,
+                    SubfieldSpec(g.ctx.ring_levels, prior + [lvl.residue]),
+                    SubfieldSpec(g.ctx.ring_levels, prior))
+            except ArithmeticError:
+                degree = None
+        if lvl.residue is not None:
+            prior.append(lvl.residue)
+        out.append((jump, degree))
+    return out
+
+
+def _level_cases():
+    for name in _SCENARIOS:
+        yield from _shipped(name).valuations.values()
+    for depth in range(1, 6):
+        for base in ("Q", "GF2", "GF3"):
+            for rank in (1, 2):
+                yield _chain_cell(depth, base, rank)
+    for base in ("Q", "F 3"):
+        yield parse_scenario(_IDENTITY_RING % base).valuations["nu"]
+
+
+def test_level_data_matches_from_scratch_references():
+    seen = degree_two = 0
+    for g in _level_cases():
+        for h in [g] + [s.target for s in iterate_transforms(g, 3).steps]:
+            got = [(l.group_jump, l.residue_degree) for l in h.levels]
+            assert got == _reference_levels(h), h
+            seen += len(got)
+            degree_two += got[:1] == [(1, 2)]
+    assert seen > 200 and degree_two >= 2

@@ -2,7 +2,8 @@ import gc
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -13,8 +14,10 @@ from valtool.values import (
     IrrationalDescriptor,
     UndecidedComparison,
     Value,
+    covolume,
     exact_sums,
     group_index,
+    lattice_add,
     pi_descriptor,
     smallest_multiple_in_group,
     value_cmp,
@@ -116,6 +119,15 @@ def test_group_index_rank_drop_and_containment():
     assert group_index(big, [Value(2)]) is INFINITE
     with pytest.raises(ContainmentError):
         group_index([Value(1)], [Value(Fraction(1, 2))])
+
+
+def test_group_index_with_a_first_value_off_the_rational_axis():
+    # the first echelon row pivots on the tau coordinate; a later value
+    # with a rational part must go above it, not be merged into it
+    big = [Value(0, 3, PI), Value(2, 5, PI)]
+    assert group_index(big, big) == 1
+    assert group_index(big + [Value(1)], [Value(0, 1, PI), Value(1)]) == 1
+    assert group_index(big, [Value(0, 6, PI), Value(4, 10, PI)]) == 4
 
 
 def test_group_index_tower_law_randomized():
@@ -330,3 +342,94 @@ def test_values_are_exact():
                  lambda: Value(1) * 0.5):
         with pytest.raises(TypeError):
             make()
+
+
+# -- lattice helpers: property tests on random vectors in Z^2 -------------------
+
+def _lattice_strategies():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.integers(-20, 20)
+    # vectors on the axes, the zero vector among them, come up often
+    vec = st.one_of(st.tuples(entry, entry), st.tuples(st.just(0), entry),
+                    st.tuples(entry, st.just(0)))
+
+    @st.composite
+    def vectors(draw, min_size=0):
+        vecs = draw(st.lists(vec, min_size=min_size, max_size=5))
+        if vecs and draw(st.booleans()):  # one parallel to a drawn vector
+            k = draw(st.integers(-3, 3))
+            vecs.append(tuple(k * c for c in draw(st.sampled_from(vecs))))
+        return vecs
+
+    settings = hypothesis.settings(max_examples=200, deadline=None,
+                                   derandomize=True)
+    return hypothesis, st, vec, vectors, settings
+
+
+def _as_values(vecs):
+    return [Value(a, b, PI) for a, b in vecs]
+
+
+def _rank_and_covolume(vecs):
+    """Reference: the gcd of the 2x2 minors at rank 2, of the leading
+    column's entries at rank 1."""
+    minors = [a0 * b1 - a1 * b0 for (a0, a1), (b0, b1) in combinations(vecs, 2)]
+    if any(minors):
+        return 2, gcd(*minors)
+    nonzero = [v for v in vecs if any(v)]
+    if not nonzero:
+        return 0, 1
+    column = 0 if any(v[0] for v in nonzero) else 1
+    return 1, gcd(*(v[column] for v in nonzero))
+
+
+def test_lattice_rank_and_covolume_ignore_the_order():
+    hypothesis, st, _, vectors, settings = _lattice_strategies()
+
+    @settings
+    @hypothesis.given(vecs=vectors(), order=st.permutations(range(6)))
+    @hypothesis.example(vecs=[(0, 3), (2, 5), (1, 0)], order=[0, 1, 2])
+    def check(vecs, order):
+        want = _rank_and_covolume(vecs)
+        for vs in (vecs, [vecs[k] for k in order if k < len(vecs)]):
+            rows, rank = [], 0
+            for v in vs:
+                rank += lattice_add(rows, v)
+            assert (len(rows), covolume(rows)) == want and rank == want[0]
+
+    check()
+
+
+def test_group_index_tower_law_on_nested_prefixes():
+    hypothesis, st, _, vectors, settings = _lattice_strategies()
+
+    @settings
+    @hypothesis.given(data=st.data())
+    def check(data):
+        values = _as_values(data.draw(vectors()))
+        n1, n2, n3 = sorted(data.draw(st.integers(0, len(values)))
+                            for _ in range(3))
+        a, b, c = values[:n3], values[:n2], values[:n1]
+        whole, upper, lower = (group_index(a, c), group_index(a, b),
+                               group_index(b, c))
+        if INFINITE in (upper, lower):
+            assert whole is INFINITE
+        else:
+            assert whole == upper * lower
+
+    check()
+
+
+def test_group_index_refuses_a_subgroup_that_is_not_contained():
+    hypothesis, st, vec, vectors, settings = _lattice_strategies()
+    odd = vec.filter(lambda w: w[0] % 2 or w[1] % 2)
+
+    @settings
+    @hypothesis.given(vecs=vectors(), w=odd, at=st.integers(0, 6))
+    def check(vecs, w, at):
+        big = _as_values([(2 * a, 2 * b) for a, b in vecs])
+        with pytest.raises(ContainmentError):
+            group_index(big, big[:at] + _as_values([w]) + big[at:])
+
+    check()
