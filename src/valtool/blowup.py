@@ -35,7 +35,7 @@ class TransformMap:
 
     __slots__ = ("source_ctx", "target_ctx", "nbar", "w", "a", "b",
                  "alpha_lift", "x_image", "y_image", "exceptional_value",
-                 "_chart_images", "_recentre_images")
+                 "key_orders", "_chart_images", "_recentre_images")
 
     def __init__(self, source_ctx, target_ctx, nbar, w, a, b, alpha_lift,
                  exceptional_value):
@@ -45,6 +45,8 @@ class TransformMap:
         self.a, self.b = a, b  # the chart exponents
         self.alpha_lift = alpha_lift
         self.exceptional_value = exceptional_value  # value of X
+        # X-order of each source key's chart image; free_transform fills it
+        self.key_orders = (nbar, w)
         X, Z = target_ctx.x(), target_ctx.y()
         unit = Z + target_ctx.const(alpha_lift)
         self.x_image = X ** nbar * unit ** a
@@ -125,7 +127,15 @@ def free_transform(g):
     Needs the key after the first level (its strict transform is the new y)
     and the first level's residue for recentering.  The target keeps the
     strict transforms as its keys (`GenSeq.from_keys`), one level down.
+    The pair is built once per sequence and returned again on later calls;
+    a `TransformError` is raised afresh on each call.
     """
+    if g._transform is None:
+        g._transform = _build_transform(g)
+    return g._transform
+
+
+def _build_transform(g):
     if len(g.steps) < 1:
         raise TransformError("insufficient keys: the transform re-seeds from "
                              "the key after the first level")
@@ -151,6 +161,7 @@ def free_transform(g):
     # transported keys: clear the exceptional power and the unit factor
     target_keys = [target_ctx.x()]
     target_values = [exceptional_value]
+    key_orders = list(tmap.key_orders)
     for i in range(1, g.top):
         expected_drop = _drop(g, i + 1)
         # y1-degree of target key i: the source powers at levels 2..i
@@ -161,6 +172,7 @@ def free_transform(g):
             raise TransformError(
                 "exceptional power of key %d is %d, expected %d"
                 % (i + 1, drop, expected_drop))
+        key_orders.append(drop)
         stripped = tmap._strict_image(chart)
         if not monic_of_degree(stripped, deg):
             raise TransformError(
@@ -174,6 +186,7 @@ def free_transform(g):
                 "parameter; the chart change is not polynomial" % stripped)
         target_keys.append(stripped)
         target_values.append(g.values[i + 1] - exceptional_value * drop)
+    tmap.key_orders = tuple(key_orders)
 
     # Declared residues transport safely only when every source residue is 1
     # (the cleared powers of U contribute powers of source residues, hence
@@ -361,8 +374,16 @@ def transform_value_table(g, tmap, f, level):
     with top index below the level), the transformed exceptional exponent t
     must exceed the key's own drop, except in the one stated degenerate case
     (level 1, the term x alone, jump = w = 1), where they agree.
+
+    t and the drops are read off the X-orders of the keys' chart images:
+    the chart is a ring map into k[X, U], so the X-order of a key monomial
+    is the sum of its exponents times those orders (recentering keeps
+    X-orders).  The map must be g's own transform.
     """
-    lam = g.level(1).group_jump if level == 0 else _drop(g, level)
+    own = g._transform
+    if own is None or own[0] is not tmap:
+        raise ValueError("the map is not the sequence's own transform")
+    lam = tmap.key_orders[level]  # the group jump n = ord_X(x) at level 0
     rows = []
     key_value = g.values[level]
     for c, exps, value in expand(f, g).terms:
@@ -370,8 +391,7 @@ def transform_value_table(g, tmap, f, level):
         top_idx = max((i for i, e in enumerate(exps) if e), default=0)
         if sign < 0 or (sign == 0 and top_idx >= level):
             continue
-        # recentering keeps X-orders, so the chart image has the same t
-        t = tmap._chart(g.monomial(exps)).x_order()
+        t = sum(e * o for e, o in zip(exps, tmap.key_orders))
         exceptional = (level == 1 and tmap.nbar == 1 and tmap.w == 1
                        and list(exps[1:]) == [0] * (len(exps) - 1)
                        and exps[0] == 1)

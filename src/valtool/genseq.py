@@ -163,6 +163,7 @@ class GenSeq:
         self.declared_residues = dict(residues or {})
         self.oracle = oracle
         self._equal_tails = {}
+        self._transform = None  # (map, target), built by blowup.free_transform
         # one pass: a running lattice of values, a running residue closure
         tower = ctx.tower
         basis, solver = span_closure(
@@ -644,6 +645,9 @@ def validate_sequence(g):
                 "n=%r, jump=%r, d=%r" % (lvl.cap, lvl.group_jump,
                                          lvl.residue_degree))
 
+    # the residue field below the current step, grown by one level per step
+    closure = span_closure(g.ctx.tower, SubfieldSpec(g.ctx.ring_levels)
+                           .generators(g.ctx.tower))
     for step in g.steps:
         i = step.index
         lvl = g.level(i)
@@ -679,7 +683,9 @@ def validate_sequence(g):
                 (term.exps[i] if len(term.exps) > i else 0) % lvl.group_jump == 0
                 for term in equal)
             report.add("group jump divides top exponents at step %d" % i, div_ok)
-        _check_minimal_polynomial(g, step, equal, report)
+        _check_minimal_polynomial(g, step, equal, report, closure)
+        if lvl.residue:
+            span_closure(g.ctx.tower, [lvl.residue], closure)
 
     if g.oracle is not None:
         for i, key in enumerate(g.keys):
@@ -697,8 +703,11 @@ def validate_sequence(g):
     return report
 
 
-def _check_minimal_polynomial(g, step, equal_terms, report):
-    """f_i built from the tail must annihilate the residue at level i."""
+def _check_minimal_polynomial(g, step, equal_terms, report, closure):
+    """f_i built from the tail must annihilate the residue at level i.
+
+    ``closure`` spans the ring's residue field and the residues below i.
+    """
     i = step.index
     lvl = g.level(i)
     if (lvl.residue is None or lvl.residue_degree is None
@@ -737,10 +746,6 @@ def _check_minimal_polynomial(g, step, equal_terms, report):
     report.add("residue satisfies its minimal polynomial at level %d" % i,
                value.is_zero(),
                "f(alpha) = %r" % value)
-    prior = [g.level(j).residue for j in range(1, i) if g.level(j).residue]
-    _, solver = span_closure(g.ctx.tower,
-                             SubfieldSpec(g.ctx.ring_levels, prior)
-                             .generators(g.ctx.tower))
-    in_field = all(solver.solve(b.to_vector()) is not None for b in coeffs)
+    in_field = all(closure[1].solve(b.to_vector()) is not None for b in coeffs)
     report.add("minimal-polynomial coefficients live below level %d" % i,
                in_field)

@@ -28,7 +28,7 @@ from .towers import (
     SubfieldSpec,
     minimal_polynomial,
     power,
-    relative_dimension,
+    span_closure,
 )
 from .values import (
     INFINITE,
@@ -533,6 +533,7 @@ def fingen_detect(g_r, g_s, ext, depth):
 
     q_initials = [key_initial(g_s, i) for i in range(len(g_s.keys))]
 
+    chi_at = _Chi(g_r, g_s, sigma, tau, delta)
     levels = []
     certificates = {}
     r_prev = -1
@@ -557,7 +558,7 @@ def fingen_detect(g_r, g_s, ext, depth):
                 notes.append("lambda infinite at s=%d (rank gap not yet "
                              "absorbed)" % s)
                 lam = None
-            chi = _chi(g_r, g_s, sigma, tau, r_s, s, delta)
+            chi = chi_at.at(s, r_s)
         levels.append(AlignmentLevel(s, tau[s], r_s, lam, chi))
         if r_s < r_prev:
             notes.append("absorbed source prefix shrank at s=%d" % s)
@@ -650,30 +651,62 @@ def _new_key_witness(initials, q_initials, tau, s):
     return res.detail
 
 
-def _chi(g_r, g_s, sigma, tau, r_s, s, delta):
-    """Residue-field index between the absorbed prefixes, or None.
+class _Chi:
+    """Residue-field index between the absorbed prefixes, level by level.
 
-    ``delta`` maps a source sigma index to its residue (see :func:`_delta`).
+    The big field is the target ring's residue field with the residues eps
+    at tau[1..s]; the small one is the source ring's with the residues
+    ``delta`` gives (see :func:`_delta`) at sigma[1..r].  Both closures are
+    carried across the levels: the big one grows by one residue per level,
+    the small one by the source levels newly absorbed, and it is built
+    again should r shrink.
     """
-    eps = []
-    for t in range(1, s + 1):
-        lvl = g_s.level(tau[t])
-        if lvl.residue is None:
+
+    def __init__(self, g_r, g_s, sigma, tau, delta):
+        self.tower = tower = g_s.ctx.tower
+        self.g_s, self.sigma, self.tau, self.delta = g_s, sigma, tau, delta
+        self.big = span_closure(
+            tower, SubfieldSpec(g_s.ctx.ring_levels).generators(tower))
+        self.s = 0  # eps absorbed up to tau[s]; None once one is missing
+        self.prefix = SubfieldSpec(g_r.ctx.ring_levels).generators(tower)
+        self._restart()
+
+    def _restart(self):
+        """The small closure with no source level absorbed."""
+        self.small_gens = list(self.prefix)
+        self.small = span_closure(self.tower, self.small_gens)
+        self.r = 0
+
+    def at(self, s, r):
+        """chi at level s with sigma[0..r] absorbed, or None when a residue
+        is missing, the small field is not inside the big one or the tower
+        law fails."""
+        tower = self.tower
+        while self.s is not None and self.s < s:
+            res = self.g_s.level(self.tau[self.s + 1]).residue
+            if res is None:
+                self.s = None
+            else:
+                span_closure(tower, [res], self.big)
+                self.s += 1
+        if self.s is None:
             return None
-        eps.append(lvl.residue)
-    deltas = []
-    for j in range(1, r_s + 1):
-        d = delta(sigma[j])
-        if d is None:
+        if r < self.r:
+            self._restart()
+        while self.r < r:
+            d = self.delta(self.sigma[self.r + 1])
+            if d is None:
+                return None
+            if d is not INFINITE:
+                d = tower.lift(d)
+                self.small_gens.append(d)
+                span_closure(tower, [d], self.small)
+            self.r += 1
+        solver = self.big[1]
+        if any(solver.solve(d.to_vector()) is None for d in self.small_gens):
             return None
-        if d is not INFINITE:
-            deltas.append(d)
-    big = SubfieldSpec(g_s.ctx.ring_levels, eps)
-    small = SubfieldSpec(g_r.ctx.ring_levels, deltas)
-    try:
-        return relative_dimension(g_s.ctx.tower, big, small)
-    except ArithmeticError:
-        return None
+        big, small = solver.rank, self.small[1].rank
+        return None if big % small else big // small
 
 
 def _delta(g_r, si, initials):

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -12,11 +13,13 @@ from valtool.blowup import (
     strict_transform,
     transform_value_table,
 )
-from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, validate_sequence
+from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, expand, validate_sequence
+from valtool.graded import fingen_detect
 from valtool.ring import LocalRingCtx, divmod_y, parse_poly, substitute
 from valtool.towers import QQ, BaseField, ResidueTower
 from valtool.values import Value
 
+from test_genseq import _SCENARIOS, _chain_cell, _shipped
 from test_graded import _chain
 
 
@@ -249,3 +252,158 @@ def test_chart_reading_matches_trial_division(name):
         stripped += reference != shifted
         assert strict_transform(f, tmap) == reference.leading_unit_normalized()
     assert stripped  # some element carried a power of (Z + alpha)
+
+
+# -- one transform per sequence -------------------------------------------------
+
+def test_second_free_transform_returns_the_same_pair(v1):
+    tmap, target = free_transform(v1)
+    again = free_transform(v1)
+    assert again[0] is tmap and again[1] is target
+    assert iterate_transforms(v1, 1).steps[0].map is tmap
+
+
+@pytest.mark.parametrize("name", ["def2", "disc"])
+def test_extending_a_chain_builds_one_more_target(name, monkeypatch):
+    g = _shipped(name).valuations["nu"]
+    built = []
+    from_keys = GenSeq.from_keys.__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args[0])
+        return from_keys(cls, *args, **kwargs)
+
+    monkeypatch.setattr(GenSeq, "from_keys", classmethod(counting))
+    two = iterate_transforms(g, 2)
+    assert len(two) == 2 and len(built) == 2
+    three = iterate_transforms(g, 3)
+    assert len(three) == 3 and len(built) == 3
+    for old, new in zip(two.steps, three.steps):
+        assert new.map is old.map and new.target is old.target
+
+
+def test_a_failed_transform_raises_on_every_call():
+    target = iterate_transforms(fixtures.corn(), 1).steps[0].target
+    messages = []
+    for _ in range(2):
+        with pytest.raises(TransformError) as err:
+            free_transform(target)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and "does not normalize" in messages[0]
+    assert target._transform is None
+
+
+# -- value tables against charted key products ----------------------------------
+
+def _value_table_reference(g, tmap, f, level):
+    """The rows, with t the X-order of each key monomial's chart image."""
+    lam = tmap._chart(g.keys[level]).x_order()
+    rows = []
+    for _, exps, value in expand(f, g).terms:
+        sign = (value - g.values[level]).sign()
+        top_idx = max((i for i, e in enumerate(exps) if e), default=0)
+        if sign < 0 or (sign == 0 and top_idx >= level):
+            continue
+        t = tmap._chart(g.monomial(exps)).x_order()
+        exceptional = (level == 1 and tmap.nbar == tmap.w == 1
+                       and tuple(exps) == (1,) + (0,) * (len(exps) - 1))
+        rows.append((tuple(exps), t, lam, t > lam or (exceptional and t == lam)))
+    return rows
+
+
+def _value_tables_agree(g, seed):
+    """Tables at every level of g against the reference; the row count."""
+    tmap, _ = free_transform(g)
+    rng = random.Random(seed)
+    powers = [4] + [step.power for step in g.steps] + [2]
+    rows = 0
+    for level in range(g.top + 1):
+        for _ in range(3):
+            f = g.ctx.zero()
+            for _ in range(rng.randint(1, 3)):
+                exps = [rng.randrange(n) for n in powers]
+                f = f + g.monomial(exps) * g.ctx.const(rng.choice((1, -1, 2)))
+            if f.is_zero():
+                continue
+            got = transform_value_table(g, tmap, f, level)
+            assert got == _value_table_reference(g, tmap, f, level), (g, level)
+            rows += len(got)
+    return rows
+
+
+_TABLE_CELLS = [(d, base, rank) for d in (1, 2, 3, 4, 5)
+                for base in ("Q", "GF2", "GF3") for rank in (1, 2)]
+
+
+@pytest.mark.parametrize("cell", _TABLE_CELLS,
+                         ids=lambda c: "d%d-%s-rank%d" % c)
+def test_value_table_matches_charted_key_products(cell):
+    g = _chain_cell(*cell)
+    assert _value_tables_agree(g, "%r" % (cell,))
+
+
+@pytest.mark.parametrize("name", _SCENARIOS)
+def test_value_table_matches_on_shipped_valuations_and_their_targets(name):
+    # the targets of iterate_transforms(g, 2) that have a transform of their
+    # own are the sources of steps 2 and 3; a chain cell's target has none
+    # (its second key does not normalize), so these are def2's and disc's
+    rows = targets = 0
+    for g in _shipped(name).valuations.values():
+        rows += _value_tables_agree(g, name)
+        for k, step in enumerate(iterate_transforms(g, 3).steps[1:], start=1):
+            rows += _value_tables_agree(step.source, "%s target %d" % (name, k))
+            targets += 1
+    assert rows and targets == {"def2": 4, "disc": 3}.get(name, 0)
+
+
+def test_value_table_matches_on_v1_and_the_degenerate_chart(v1):
+    tower = ResidueTower(QQ)
+    ctx = LocalRingCtx(tower, ("x", "y"))
+    g = GenSeq(ctx, [Value(1), Value(1), Value(2)],
+               steps=[KeyStep(1, 1, [TailTerm(tower.scalar(-1), (1, 0))],
+                              Value(2))],
+               residues={1: tower.one(), 2: tower.one()})
+    assert _value_tables_agree(v1, "v1") and _value_tables_agree(g, "jump 1")
+    tmap, _ = free_transform(g)
+    x = ctx.x()
+    assert transform_value_table(g, tmap, x, 1) == \
+        _value_table_reference(g, tmap, x, 1) == [((1, 0, 0), 1, 1, True)]
+
+
+def test_value_table_refuses_another_sequences_map(v1):
+    f = parse_poly("x^3 + x^2*y", v1.ctx)
+    one = v1.ctx.tower.one()
+    other = GenSeq(v1.ctx, [Value(1), Value(1), Value(2)],
+                   steps=[KeyStep(1, 1, [TailTerm(-1, (1, 0))], Value(2))],
+                   residues={1: one, 2: one})
+    tmap, _ = free_transform(other)
+    with pytest.raises(ValueError, match="own transform"):
+        transform_value_table(v1, tmap, f, 1)  # v1 has no transform yet
+    free_transform(v1)
+    with pytest.raises(ValueError, match="own transform"):
+        transform_value_table(v1, tmap, f, 1)
+
+
+# -- no reference cycles --------------------------------------------------------
+
+def test_the_transform_paths_leave_no_cyclic_garbage():
+    def work():
+        g = _chain_cell(3, "Q", 1)
+        assert validate_sequence(g).ok
+        assert evaluate(g.keys[2] ** 2, g) == g.values[2] * 2
+        tmap, target = free_transform(g)
+        assert len(iterate_transforms(g, 2)) == 1  # the second fails
+        assert transform_value_table(g, tmap, g.keys[3] * g.ctx.x(), 1)
+        fingen_detect(g, target, tmap.extension(), 6)
+
+    gc.collect()
+    flags = gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        work()
+        assert gc.collect() == 0, gc.garbage[:10]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.enable()

@@ -529,3 +529,35 @@ def test_level_data_matches_from_scratch_references():
             seen += len(got)
             degree_two += got[:1] == [(1, 2)]
     assert seen > 200 and degree_two >= 2
+
+
+def test_validation_grows_one_residue_closure(monkeypatch):
+    fresh = []
+    closure = genseq.span_closure
+
+    def counting(tower, gens, extend=None):
+        fresh.append(extend is None)
+        return closure(tower, gens, extend)
+
+    # over Q(i) with ring field Q: f_2 = u + i (from the tail term -x^5 and
+    # the residue -i of x/y) has its coefficient in Q(alpha_1) = Q(i), not Q
+    tower = ResidueTower(QQ).extend("i", [1, 0])
+    i = tower.gen("i")
+    beyond = GenSeq(
+        LocalRingCtx(tower, ("x", "y"), ring_levels=0),
+        [Value(1), Value(1), Value(Fraction(5, 2)), Value(Fraction(21, 4))],
+        [KeyStep(1, 2, [TailTerm(tower.one(), (2, 0))], Value(Fraction(5, 2))),
+         KeyStep(2, 2, [TailTerm(tower.scalar(-1), (5, 0, 0))],
+                 Value(Fraction(21, 4)))],
+        residues={1: i, 2: -i, 3: tower.one()})
+    cases = [_chain_cell(5, "Q", 1), _chain_cell(5, "GF3", 2), beyond]
+    cases += [parse_scenario(_IDENTITY_RING % base).valuations["nu"]
+              for base in ("Q", "F 3")]
+    monkeypatch.setattr(genseq, "span_closure", counting)
+    for g in cases:
+        fresh.clear()
+        report = validate_sequence(g)
+        assert report.ok and sum(fresh) == 1, g
+        below = [ok for name, ok, _ in report.checks
+                 if name.startswith("minimal-polynomial coefficients live")]
+        assert below and all(below)

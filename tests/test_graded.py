@@ -2,6 +2,7 @@ import gc
 import random
 from fractions import Fraction
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,9 +40,10 @@ from valtool.towers import (
     LinearSolver,
     ResidueTower,
     SubfieldSpec,
+    relative_dimension,
     span_closure,
 )
-from valtool.values import UNDETERMINED, Grid, Value
+from valtool.values import INFINITE, UNDETERMINED, Grid, Value
 
 
 @pytest.fixture
@@ -493,6 +495,48 @@ def test_lambda_chi_monotone_on_fixtures():
         assert all(a >= b for a, b in zip(chis, chis[1:]))
         if st.e is not None and st.f is not None:
             assert st.e * st.f == lams[-1] * chis[-1]
+
+
+def _chi_reference(tower, eps, deltas):
+    """chi from scratch: [Q(eps) : Q(deltas)], None on a missing residue
+    or when Q(deltas) does not lie inside Q(eps)."""
+    if None in eps or None in deltas:
+        return None
+    deltas = [d for d in deltas if d is not INFINITE]
+    try:
+        return relative_dimension(tower, SubfieldSpec(0, eps),
+                                  SubfieldSpec(0, deltas))
+    except ArithmeticError:
+        return None
+
+
+def test_chi_carries_its_closures_across_levels():
+    # Q(i, sqrt 2) over Q; each call is checked against a from-scratch index
+    tower = ResidueTower(QQ).extend("i", [1, 0])
+    tower = tower.extend("s", [tower.scalar(-2), tower.zero()])
+    i, s2 = tower.gen("i"), tower.gen("s")
+    eps = [None, i, tower.scalar(-1), s2, None]  # by tau index
+    deltas = [None, tower.scalar(-1), s2, INFINITE, None]  # by sigma index
+    levels = [SimpleNamespace(residue=e) for e in eps]
+    ctx = SimpleNamespace(tower=tower, ring_levels=0)
+    g_s = SimpleNamespace(ctx=ctx, level=levels.__getitem__)
+    asked = []
+
+    def delta(si):
+        asked.append(si)
+        return deltas[si]
+
+    chi = graded._Chi(SimpleNamespace(ctx=ctx), g_s, range(5), range(5), delta)
+    got = []
+    # sqrt 2 lies outside Q(i) at s=1 and 2 and inside from s=3; r shrinks
+    # from 3 to 1; delta 4 and eps 4 are missing
+    for s, r in [(0, 0), (0, 1), (1, 2), (2, 2), (3, 2), (3, 3), (3, 1),
+                 (3, 4), (4, 1)]:
+        want = _chi_reference(tower, eps[1:s + 1], deltas[1:r + 1])
+        got.append(chi.at(s, r))
+        assert got[-1] == want, (s, r)
+    assert got == [1, 1, None, None, 2, 2, 4, None, None]
+    assert set(asked) == {1, 2, 3, 4}
 
 
 # -- integral relations -------------------------------------------------------------------
