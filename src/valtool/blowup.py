@@ -385,9 +385,9 @@ def transform_value_table(g, tmap, f, level):
         raise ValueError("the map is not the sequence's own transform")
     lam = tmap.key_orders[level]  # the group jump n = ord_X(x) at level 0
     rows = []
-    key_value = g.values[level]
-    for c, exps, value in expand(f, g).terms:
-        sign = (value - key_value).sign()
+    key_point, cmp = g.grid.points[level], g.grid.cmp
+    for _, exps, point in expand(f, g).grid_terms:
+        sign = cmp(point, key_point)
         top_idx = max((i for i, e in enumerate(exps) if e), default=0)
         if sign < 0 or (sign == 0 and top_idx >= level):
             continue

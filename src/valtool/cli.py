@@ -21,6 +21,13 @@ def _rational(text):
             "not an exact rational: %r" % text) from None
 
 
+def _depth(text):
+    """A nonnegative int; anything else is argparse's usage error."""
+    if text.isdecimal():
+        return int(text)
+    raise argparse.ArgumentTypeError("not a nonnegative integer: %r" % text)
+
+
 @cache  # one parser per process; parsing leaves it as it was
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -30,7 +37,7 @@ def _build_parser():
 
     run = sub.add_parser("run", help="execute a scenario's command list")
     run.add_argument("file")
-    run.add_argument("--depth", type=int, default=4)
+    run.add_argument("--depth", type=_depth, default=4)
     run.add_argument("--value-bound", type=_rational, default=None)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--format", choices=("text", "csv", "dot"),

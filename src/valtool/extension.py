@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .genseq import InsufficientGeneratingData, evaluate
 from .ring import SeriesEmbedding, substitute
-from .towers import SubfieldSpec, relative_dimension
+from .towers import BaseField
 from .values import (
     INFINITE,
     INSUFFICIENT_PRECISION,
@@ -45,7 +45,7 @@ class ExtensionMap:
         self.u_image = u_image
         self.v_image = v_image
         self.field_degree = int(field_degree)
-        self.residue_char = int(residue_char)
+        self.residue_char = BaseField(int(residue_char)).p  # 0 or a prime
         self.unique = unique
 
     @property
@@ -188,10 +188,11 @@ def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
     mf_source = monomial_ext if monomial_ext is not None else ext
     mf = monomialize_check(mf_source.u_image, mf_source.v_image)
     if isinstance(mf, MonomialForm):
-        res_deg = relative_dimension(
-            mf_source.target_ctx.tower,
-            SubfieldSpec(mf_source.target_ctx.ring_levels),
-            SubfieldSpec(mf_source.source_ctx.ring_levels))
+        big = mf_source.target_ctx.residue_field()[1].rank
+        small = mf_source.source_ctx.residue_field()[1].rank
+        if big % small:
+            raise ArithmeticError("alleged subfield is not contained")
+        res_deg = big // small
         try:
             d1 = defect_local_degree(mf, res_deg, e, f, p)
         except InconsistentRamification as err:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 
 from .ring import divmod_y, series_value
-from .towers import SubfieldSpec, span_closure
+from .towers import span_closure
 from .values import (
     INFINITE,
     INSUFFICIENT_PRECISION,
@@ -165,9 +165,7 @@ class GenSeq:
         self._equal_tails = {}
         self._transform = None  # (map, target), built by blowup.free_transform
         # one pass: a running lattice of values, a running residue closure
-        tower = ctx.tower
-        basis, solver = span_closure(
-            tower, SubfieldSpec(ctx.ring_levels).generators(tower))
+        basis, solver = ctx.residue_field()
         self.field_basis = tuple(basis)  # the ring's residue field
         rows = []
         lattice_add(rows, self.grid.points[0])
@@ -646,8 +644,7 @@ def validate_sequence(g):
                                          lvl.residue_degree))
 
     # the residue field below the current step, grown by one level per step
-    closure = span_closure(g.ctx.tower, SubfieldSpec(g.ctx.ring_levels)
-                           .generators(g.ctx.tower))
+    closure = g.ctx.residue_field()
     for step in g.steps:
         i = step.index
         lvl = g.level(i)

@@ -23,13 +23,7 @@ from .genseq import (
     residue_sum,
     sigma_indices,
 )
-from .towers import (
-    LinearSolver,
-    SubfieldSpec,
-    minimal_polynomial,
-    power,
-    span_closure,
-)
+from .towers import LinearSolver, minimal_polynomial, power, span_closure
 from .values import (
     INFINITE,
     UNDETERMINED,
@@ -309,20 +303,18 @@ def graded_presentation(g, depth):
     return GradedPresentation(g, depth, generators, relations, warnings)
 
 
-def graded_piece_basis(gamma, g, depth=None):
+def graded_piece_basis(gamma, g):
     """All reduced key-monomials of a given value, as exponent tuples.
 
     ``gamma`` is a :class:`Value` or a point of g's grid.  Inner exponents
     run below the recursion powers; the last declared key is unbounded.
     Empty result means the value is outside the piece's support.
     """
-    depth = g.top if depth is None else min(depth, g.top)
     # walk from the top key down so that x, unbounded, is solved by division
-    levels = range(depth, -1, -1)
+    levels = range(g.top, -1, -1)
     caps = [g.step(i).power if 1 <= i <= len(g.steps) else None
             for i in levels]
-    tail = (0,) * (g.top - depth)
-    return sorted(e[::-1] + tail for e in g.grid.sums(
+    return sorted(e[::-1] for e in g.grid.sums(
         [g.grid.points[i] for i in levels], gamma, caps))
 
 
@@ -663,18 +655,17 @@ class _Chi:
     """
 
     def __init__(self, g_r, g_s, sigma, tau, delta):
-        self.tower = tower = g_s.ctx.tower
-        self.g_s, self.sigma, self.tau, self.delta = g_s, sigma, tau, delta
-        self.big = span_closure(
-            tower, SubfieldSpec(g_s.ctx.ring_levels).generators(tower))
+        self.tower = g_s.ctx.tower
+        self.g_r, self.g_s = g_r, g_s
+        self.sigma, self.tau, self.delta = sigma, tau, delta
+        self.big = g_s.ctx.residue_field()
         self.s = 0  # eps absorbed up to tau[s]; None once one is missing
-        self.prefix = SubfieldSpec(g_r.ctx.ring_levels).generators(tower)
         self._restart()
 
     def _restart(self):
-        """The small closure with no source level absorbed."""
-        self.small_gens = list(self.prefix)
-        self.small = span_closure(self.tower, self.small_gens)
+        """The small closure, in the big one's tower, with no source level
+        absorbed."""
+        self.small = span_closure(self.tower, self.g_r.ctx.residue_field()[0])
         self.r = 0
 
     def at(self, s, r):
@@ -698,12 +689,10 @@ class _Chi:
             if d is None:
                 return None
             if d is not INFINITE:
-                d = tower.lift(d)
-                self.small_gens.append(d)
                 span_closure(tower, [d], self.small)
             self.r += 1
         solver = self.big[1]
-        if any(solver.solve(d.to_vector()) is None for d in self.small_gens):
+        if any(solver.solve(b.to_vector()) is None for b in self.small[0]):
             return None
         big, small = solver.rank, self.small[1].rank
         return None if big % small else big // small
@@ -819,7 +808,7 @@ def integral_relation(f, g_r, g_s, ext):
             % (b * n1, a))
     num = f ** (b * n1)
     den = ext.apply(g_r.keys[0]) ** a
-    coeffs = minimal_polynomial(xi, SubfieldSpec(g_r.ctx.ring_levels))
+    coeffs = minimal_polynomial(xi, g_r.field_basis)
     r = len(coeffs)
 
     relation = num ** r

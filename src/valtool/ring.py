@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .towers import TowerElem, power
+from .towers import TowerElem, power, span_closure
 from .values import INFINITE, INSUFFICIENT_PRECISION, Value
 
 
@@ -66,6 +66,13 @@ class LocalRingCtx:
     def coeff(self, rep):
         """The tower element of a raw coefficient rep of this ring."""
         return TowerElem(self.tower, rep)
+
+    def residue_field(self):
+        """(basis, solver) of the ring's residue field, from
+        :func:`span_closure`; callers may extend the pair in place."""
+        tower = self.tower
+        return span_closure(tower, map(tower.gen, range(
+            min(self.ring_levels, tower.height))))
 
     def x(self):
         return self.monomial(1, 0)
@@ -184,9 +191,6 @@ class RingElem:
     def constant_term(self):
         c = self.terms.get((0, 0))
         return self.ctx.tower.zero() if c is None else self.ctx.coeff(c)
-
-    def in_maximal_ideal(self):
-        return (0, 0) not in self.terms
 
     # -- shape helpers -------------------------------------------------------
 

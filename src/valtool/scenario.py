@@ -314,7 +314,7 @@ def _section_line(scenario, section, state, line_text, lineno):
         elif key == "degree":
             state["degree"] = int(parts[1])
         elif key == "char":
-            state["char"] = int(parts[1])
+            state["char"] = BaseField(int(parts[1])).p  # 0 or a prime
         elif key == "unique":
             state["unique"] = parts[1] == "true"
         elif "=" in line_text:
@@ -501,13 +501,13 @@ def _dispatch(scenario, flags, section, line, verb, args):
             section.add("note: last-key exponent reaches its derived bound")
     elif verb == "blowup":
         g = _resolve(scenario, "valuation", args[0], line)
-        count = int(args[1]) if len(args) > 1 else 1
+        count = _count(args, 1, 1, line)
         rec = blowup_mod.iterate_transforms(g, count)
         section.add(*rec.lines())
         section.dot = rec.dot()
     elif verb == "graded":
         g = _resolve(scenario, "valuation", args[0], line)
-        depth = int(args[1]) if len(args) > 1 else flags.depth
+        depth = _count(args, 1, flags.depth, line)
         pres = graded_mod.graded_presentation(g, depth)
         section.add(*pres.lines())
         rows = [(gen.index, gen.value, int(gen.redundant))
@@ -517,7 +517,7 @@ def _dispatch(scenario, flags, section, line, verb, args):
         ext = _resolve(scenario, "extension", args[0], line)
         g_r = _resolve(scenario, "valuation", args[1], line)
         g_s = _resolve(scenario, "valuation", args[2], line)
-        depth = int(args[3]) if len(args) > 3 else flags.depth
+        depth = _count(args, 3, flags.depth, line)
         st = graded_mod.fingen_detect(g_r, g_s, ext, depth)
         section.add(*st.lines())
         rows = [(l.s, l.tau, l.r, l.lam, l.chi) for l in st.levels]
@@ -553,6 +553,14 @@ def _dispatch(scenario, flags, section, line, verb, args):
         section.add(*rep.lines())
     else:
         raise ScenarioError("unknown command %r" % verb, line)
+
+
+def _count(args, k, default, line):
+    """args[k], a depth or count, as a nonnegative int; default if absent."""
+    if len(args) > k and not args[k].isdecimal():
+        raise ScenarioError("expected a nonnegative integer, found %r"
+                            % args[k], line)
+    return int(args[k]) if len(args) > k else default
 
 
 def _parse_elem(text, ctx, keys, line, what=None):

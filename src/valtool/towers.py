@@ -627,70 +627,15 @@ def span_closure(tower, generators, closure=None):
     return basis, solver
 
 
-class SubfieldSpec:
-    """A subfield described as a tower prefix plus adjoined elements."""
-
-    __slots__ = ("prefix_levels", "adjoined")
-
-    def __init__(self, prefix_levels=0, adjoined=()):
-        self.prefix_levels = prefix_levels
-        self.adjoined = tuple(adjoined)
-
-    def generators(self, tower):
-        gens = [tower.gen(i) for i in range(min(self.prefix_levels, tower.height))]
-        gens.extend(tower.lift(a) for a in self.adjoined)
-        return gens
-
-    def __repr__(self):
-        return "SubfieldSpec(prefix=%d, adjoined=%r)" % (
-            self.prefix_levels, list(self.adjoined))
-
-
-def subfield_dimension(tower, sub):
-    _, solver = span_closure(tower, sub.generators(tower))
-    return solver.rank
-
-
-def in_subfield(e, sub):
-    _, solver = span_closure(e.tower, sub.generators(e.tower))
-    return solver.solve(e.to_vector()) is not None
-
-
-def degree_over(e, sub):
-    """Degree of the minimal polynomial of ``e`` over the subfield ``sub``.
-
-    Computed through base-field dimensions: [Q(e) : Q] = dim Q(e) / dim Q,
-    which avoids any search for the polynomial itself.
-    """
-    closure = span_closure(e.tower, sub.generators(e.tower))
-    dim_q = closure[1].rank
-    dim_qe = span_closure(e.tower, [e], closure)[1].rank
-    if dim_qe % dim_q != 0:
-        raise ArithmeticError("tower law violated; malformed subfield description")
-    return dim_qe // dim_q
-
-
-def relative_dimension(tower, big, small):
-    """[big : small] for subfields given as SubfieldSpecs, small inside big."""
-    big_basis, big_solver = span_closure(tower, big.generators(tower))
-    _, small_solver = span_closure(tower, small.generators(tower))
-    for g in small.generators(tower):
-        if big_solver.solve(g.to_vector()) is None:
-            raise ArithmeticError("alleged subfield is not contained")
-    if big_solver.rank % small_solver.rank != 0:
-        raise ArithmeticError("tower law violated in relative dimension")
-    return big_solver.rank // small_solver.rank
-
-
-def minimal_polynomial(e, sub):
-    """Monic minimal polynomial of ``e`` over ``sub``: coefficients c_0..c_{r-1}.
+def minimal_polynomial(e, q_basis):
+    """Monic minimal polynomial of ``e`` over the subfield with base-field
+    basis ``q_basis`` (a :func:`span_closure` basis): c_0..c_{r-1}.
 
     Solves e^r = sum_{i<r} (subfield element) * e^i by exact linear algebra
-    over the base field, with subfield coefficients expanded on a closure
-    basis.
+    over the base field, with subfield coefficients expanded on that basis.
     """
     tower = e.tower
-    q_basis, _ = span_closure(tower, sub.generators(tower))
+    q_basis = list(map(tower.lift, q_basis))
     power = tower.one()
     powers = [power]
     solver = LinearSolver(tower.base)

@@ -193,7 +193,7 @@ class Value:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         return Value(self.q0 / scalar, self.q1 / scalar, self.tau)
 
     def sign(self):
@@ -233,15 +233,6 @@ class Value:
         if self.q1 == 0:
             return str(self.q0)
         return "(%s, %s)" % (self.q0, self.q1)
-
-
-def value_cmp(a, b):
-    """Total-order comparison of two values: "LT", "EQ" or "GT".
-
-    EQ holds iff the coordinates agree; otherwise the sign of the difference
-    is certified by interval refinement.
-    """
-    return "EQ" if a == b else "LT" if a < b else "GT"
 
 
 class Grid:
@@ -362,12 +353,6 @@ def value_ratio(a, b):
         return a.q0 / b.q0
     r = a.q1 / b.q1
     return r if a.q0 == b.q0 * r else None
-
-
-def exact_sums(values, target, caps=None):
-    """Vectors k with sum k_i * values[i] == target, by :meth:`Grid.sums`."""
-    grid = Grid(values)
-    return grid.sums(grid.points, target, caps)
 
 
 def _xgcd(a, b):

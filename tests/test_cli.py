@@ -292,9 +292,13 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
              "!degree many"],
     ["[field]", "base Q", "[ring R]", "!params x x"],
     ["[field]", "base Q", "extend a minpoly 1 0", "!extend a minpoly 1 0"],
+    # a residue characteristic is 0 or a prime, as for "base F p"; p = 1
+    # sent the p-power search of the defect into an endless loop
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y", "!char 1"],
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y", "!char 4"],
 ], ids=["base", "base-F-x", "irrational", "levels-two", "bare-ring",
         "bare-truncate", "alpha-x", "key-n-two", "degree-many", "params-x-x",
-        "extend-twice"])
+        "extend-twice", "char-1", "char-4"])
 def test_malformed_directive_is_a_parse_error(tmp_path, lines):
     code, err, bad = _check_error(tmp_path, lines)
     assert code == 2
@@ -332,3 +336,36 @@ def test_value_bound_must_be_an_exact_rational(bound, code, capsys):
         assert "usage: valtool run" in err and "--value-bound" in err
     else:
         assert main(argv) == 0
+
+
+@pytest.mark.parametrize("name, command, bad", [
+    ("v1", "graded nu 2", "graded nu -1"),
+    ("v1", "graded nu 2", "graded nu 1/2"),
+    ("v1", "blowup nu 1", "blowup nu -1"),
+    ("v1", "blowup nu 1", "blowup nu two"),
+    ("def2", "fingen ext nu nustar 4", "fingen ext nu nustar -1"),
+])
+def test_negative_or_non_integer_depth_is_refused_at_its_line(
+        tmp_path, name, command, bad):
+    text = (SCN / ("%s.scn" % name)).read_text()
+    line = 1 + text.splitlines().index(command)
+    path = tmp_path / "bad.scn"
+    path.write_text(text.replace(command, bad))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli("run", str(path))
+    assert code == 2
+    assert err.getvalue().startswith("error: line %d: " % line), err.getvalue()
+
+
+@pytest.mark.parametrize("depth, code", [("-1", 2), ("x", 2), ("0", 0)])
+def test_depth_option_is_a_nonnegative_integer(depth, code, capsys):
+    argv = ["run", str(SCN / "def2.scn"), "--depth", depth]
+    if code == 2:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: valtool run" in err and "--depth" in err
+    else:
+        assert main(argv) == code

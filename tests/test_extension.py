@@ -41,6 +41,12 @@ def test_extension_map_guards():
     tgt = LocalRingCtx(ResidueTower(QQ), ("x", "y"))
     with pytest.raises(ValueError):
         ExtensionMap(ctx, parse_poly("1 + x", tgt), parse_poly("y", tgt), 2)
+    for p in (1, 4, -2):  # neither 0 nor a prime
+        with pytest.raises(ValueError):
+            ExtensionMap(ctx, parse_poly("x", tgt), parse_poly("y", tgt), 1,
+                         residue_char=p)
+    assert ExtensionMap(ctx, parse_poly("x", tgt), parse_poly("y", tgt), 1,
+                        residue_char=3).residue_char == 3
     ext = ExtensionMap(ctx, parse_poly("x^2", tgt), parse_poly("y^2", tgt), 4)
     f = parse_poly("v - u", ctx)
     assert ext.apply(f) == parse_poly("y^2 - x^2", tgt)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import valtool
-from valtool import fixtures, genseq
+from valtool import fixtures, genseq, ring
 from valtool.blowup import free_transform, iterate_transforms
 from valtool.genseq import (
     GenSeq,
@@ -23,13 +23,7 @@ from valtool.genseq import (
 )
 from valtool.ring import INSUFFICIENT_PRECISION, LocalRingCtx, parse_poly, series_value
 from valtool.scenario import parse_scenario
-from valtool.towers import (
-    QQ,
-    BaseField,
-    ResidueTower,
-    SubfieldSpec,
-    relative_dimension,
-)
+from valtool.towers import QQ, BaseField, ResidueTower
 from valtool.values import (
     INFINITE,
     ContainmentError,
@@ -38,6 +32,7 @@ from valtool.values import (
     smallest_multiple_in_group,
 )
 
+from subfields import field_index
 from test_graded import _IDENTITY_RING, _chain
 
 
@@ -496,13 +491,8 @@ def _reference_levels(g):
         elif lvl.residue is None:
             degree = None
         else:
-            try:
-                degree = relative_dimension(
-                    g.ctx.tower,
-                    SubfieldSpec(g.ctx.ring_levels, prior + [lvl.residue]),
-                    SubfieldSpec(g.ctx.ring_levels, prior))
-            except ArithmeticError:
-                degree = None
+            field = list(g.ctx.residue_field()[0]) + prior
+            degree = field_index(g.ctx.tower, field + [lvl.residue], field)
         if lvl.residue is not None:
             prior.append(lvl.residue)
         out.append((jump, degree))
@@ -553,7 +543,10 @@ def test_validation_grows_one_residue_closure(monkeypatch):
     cases = [_chain_cell(5, "Q", 1), _chain_cell(5, "GF3", 2), beyond]
     cases += [parse_scenario(_IDENTITY_RING % base).valuations["nu"]
               for base in ("Q", "F 3")]
+    # extensions come from genseq, the fresh closure from
+    # LocalRingCtx.residue_field
     monkeypatch.setattr(genseq, "span_closure", counting)
+    monkeypatch.setattr(ring, "span_closure", counting)
     for g in cases:
         fresh.clear()
         report = validate_sequence(g)

@@ -34,16 +34,10 @@ from valtool.graded import (
 )
 from valtool.ring import LocalRingCtx, parse_poly
 from valtool.scenario import parse_scenario
-from valtool.towers import (
-    QQ,
-    BaseField,
-    LinearSolver,
-    ResidueTower,
-    SubfieldSpec,
-    relative_dimension,
-    span_closure,
-)
+from valtool.towers import QQ, BaseField, LinearSolver, ResidueTower
 from valtool.values import INFINITE, UNDETERMINED, Grid, Value
+
+from subfields import field_index
 
 
 @pytest.fixture
@@ -182,7 +176,9 @@ def test_piece_bases(v1):
 
 
 def test_piece_basis_respects_depth(v1):
-    assert graded_piece_basis(Value(Fraction(7, 2)), v1, depth=1) == [(2, 1, 0)]
+    # the depth-1 prefix of v1: x and y, y unbounded
+    prefix = GenSeq.from_keys(v1.ctx, v1.values[:2], v1.keys[:2], [])
+    assert graded_piece_basis(Value(Fraction(7, 2)), prefix) == [(2, 1)]
 
 
 # -- membership ---------------------------------------------------------------------
@@ -323,8 +319,7 @@ def _membership_over_all_products(e, gens, limit=None):
     products first show them."""
     g = e.genseq
     tower = g.ctx.tower
-    field_basis, _ = span_closure(
-        tower, SubfieldSpec(prefix_levels=g.ctx.ring_levels).generators(tower))
+    field_basis, _ = g.ctx.residue_field()
     products = list(islice(_products_of_value(gens, e.value, g), limit))
     index = {}
     for _, prod in products:
@@ -502,12 +497,7 @@ def _chi_reference(tower, eps, deltas):
     or when Q(deltas) does not lie inside Q(eps)."""
     if None in eps or None in deltas:
         return None
-    deltas = [d for d in deltas if d is not INFINITE]
-    try:
-        return relative_dimension(tower, SubfieldSpec(0, eps),
-                                  SubfieldSpec(0, deltas))
-    except ArithmeticError:
-        return None
+    return field_index(tower, eps, [d for d in deltas if d is not INFINITE])
 
 
 def test_chi_carries_its_closures_across_levels():
@@ -518,7 +508,7 @@ def test_chi_carries_its_closures_across_levels():
     eps = [None, i, tower.scalar(-1), s2, None]  # by tau index
     deltas = [None, tower.scalar(-1), s2, INFINITE, None]  # by sigma index
     levels = [SimpleNamespace(residue=e) for e in eps]
-    ctx = SimpleNamespace(tower=tower, ring_levels=0)
+    ctx = LocalRingCtx(tower, ring_levels=0)
     g_s = SimpleNamespace(ctx=ctx, level=levels.__getitem__)
     asked = []
 

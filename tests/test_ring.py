@@ -57,7 +57,7 @@ def test_parse_and_arithmetic(ctx):
 def test_unit_and_maximal_ideal(ctx):
     assert parse_poly("1 + x", ctx).is_unit()
     assert not parse_poly("x + y^2", ctx).is_unit()
-    assert parse_poly("x", ctx).in_maximal_ideal()
+    assert not parse_poly("x", ctx).is_unit()
 
 
 def test_substitute_expansion(ctx):

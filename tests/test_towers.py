@@ -11,12 +11,8 @@ from valtool.towers import (
     BaseField,
     NotAFieldExtension,
     ResidueTower,
-    SubfieldSpec,
-    degree_over,
-    in_subfield,
     minimal_polynomial,
-    relative_dimension,
-    subfield_dimension,
+    span_closure,
 )
 
 
@@ -51,8 +47,8 @@ def test_sqrt2_tower():
     r = t.gen("r")
     assert r * r == t.scalar(2)
     e = r + 1
-    assert degree_over(e, SubfieldSpec()) == 2
-    assert degree_over(t.one(), SubfieldSpec()) == 1
+    assert len(minimal_polynomial(e, [t.one()])) == 2
+    assert len(minimal_polynomial(t.one(), [t.one()])) == 1
     # (r+1)(r-1) = 1, so inverse of r+1 is r-1
     assert e.inverse() == r - 1
 
@@ -100,7 +96,7 @@ def test_nested_tower_inverse():
     t = ResidueTower(QQ).extend("r", [-2, 0]).extend("s", [-3, 0])
     r, s = t.gen("r"), t.gen("s")
     e = r + s  # sqrt2 + sqrt3
-    assert degree_over(e, SubfieldSpec()) == 4
+    assert len(minimal_polynomial(e, [t.one()])) == 4
     assert e * e.inverse() == t.one()
     # sqrt3 - sqrt2 = 1/(sqrt3 + sqrt2)
     assert e.inverse() == s - r
@@ -109,24 +105,40 @@ def test_nested_tower_inverse():
 def test_degree_over_subfields():
     t = ResidueTower(QQ).extend("r", [-2, 0]).extend("s", [-3, 0])
     r, s = t.gen("r"), t.gen("s")
-    assert degree_over(s, SubfieldSpec(prefix_levels=1)) == 2
-    assert degree_over(r, SubfieldSpec(prefix_levels=1)) == 1
-    assert degree_over(r * s, SubfieldSpec()) == 2  # sqrt6
-    assert subfield_dimension(t, SubfieldSpec(adjoined=[r * s])) == 2
-    assert in_subfield(r * s + 1, SubfieldSpec(adjoined=[r * s]))
-    assert not in_subfield(r, SubfieldSpec(adjoined=[r * s]))
-    assert relative_dimension(t, SubfieldSpec(prefix_levels=2),
-                              SubfieldSpec(prefix_levels=1)) == 2
+    q_r = LocalRingCtx(t, ring_levels=1).residue_field()
+    assert len(minimal_polynomial(s, q_r[0])) == 2
+    assert len(minimal_polynomial(r, q_r[0])) == 1
+    assert len(minimal_polynomial(r * s, [t.one()])) == 2  # sqrt6
+    q6 = span_closure(t, [r * s])
+    assert q6[1].rank == 2
+    assert q6[1].solve((r * s + 1).to_vector()) is not None
+    assert q6[1].solve(r.to_vector()) is None
+    q_rs = LocalRingCtx(t, ring_levels=2).residue_field()
+    assert q_rs[1].rank // q_r[1].rank == 2
+
+
+def test_ring_residue_field_is_a_prefix():
+    t = ResidueTower(QQ).extend("r", [-2, 0]).extend("s", [-3, 0])
+    ranks = [LocalRingCtx(t, ring_levels=k).residue_field()[1].rank
+             for k in range(4)]
+    assert ranks == [1, 2, 4, 4]  # levels beyond the tower add nothing
+    basis, solver = LocalRingCtx(t, ring_levels=1).residue_field()
+    assert solver.solve(t.gen("r").to_vector()) is not None
+    assert solver.solve(t.gen("s").to_vector()) is None
+    # each call is a fresh pair: extending one leaves the next alone
+    span_closure(t, [t.gen("s")], (basis, solver))
+    assert solver.rank == 4
+    assert LocalRingCtx(t, ring_levels=1).residue_field()[1].rank == 2
 
 
 def test_minimal_polynomial():
     t = ResidueTower(QQ).extend("r", [-2, 0])
     r = t.gen("r")
     e = r + 1
-    coeffs = minimal_polynomial(e, SubfieldSpec())
+    coeffs = minimal_polynomial(e, [t.one()])
     # (x - 1)^2 - 2 = x^2 - 2x - 1
     assert [c.as_rational() for c in coeffs] == [Fraction(-1), Fraction(-2)]
-    assert minimal_polynomial(t.scalar(5), SubfieldSpec())[0].as_rational() == -5
+    assert minimal_polynomial(t.scalar(5), [t.one()])[0].as_rational() == -5
 
 
 def test_levels_used_and_lift():
@@ -309,8 +321,8 @@ def test_minimal_polynomials_match_sympy():
              ((r + s).inverse() + r * s, 1 / (sr + ss) + sr * ss)]
     for e, expr in cases:
         want = sympy.Poly(sympy.minimal_polynomial(expr, x), x).monic()
-        coeffs = minimal_polynomial(e, SubfieldSpec())
-        assert degree_over(e, SubfieldSpec()) == want.degree() == len(coeffs)
+        coeffs = minimal_polynomial(e, [t.one()])
+        assert span_closure(t, [e])[1].rank == want.degree() == len(coeffs)
         got = [c.as_rational() for c in coeffs]
         assert got == [Fraction(int(c.p), int(c.q))
                        for c in reversed(want.all_coeffs()[1:])]

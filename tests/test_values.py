@@ -15,12 +15,10 @@ from valtool.values import (
     UndecidedComparison,
     Value,
     covolume,
-    exact_sums,
     group_index,
     lattice_add,
     pi_descriptor,
     smallest_multiple_in_group,
-    value_cmp,
     value_ratio,
 )
 
@@ -28,14 +26,14 @@ PI = pi_descriptor()
 
 
 def test_rational_comparison():
-    assert value_cmp(Value(Fraction(3, 2)), Value(1)) == "GT"
-    assert value_cmp(Value(Fraction(7, 2)), Value(Fraction(7, 2))) == "EQ"
+    assert Value(Fraction(3, 2)) > Value(1)
+    assert Value(Fraction(7, 2)) == Value(Fraction(7, 2))
+    assert not Value(Fraction(7, 2)) < Value(Fraction(7, 2))
     assert Value(1) < Value(Fraction(3, 2))
 
 
 def test_pi_comparison_from_interval_table():
     # pi + 2 vs 4: decided by the first interval [3.14, 3.15]
-    assert value_cmp(Value(2, 1, PI), Value(4)) == "GT"
     assert Value(2, 1, PI) > Value(4)
     assert Value(0, 1, PI) < Value(Fraction(16, 5))
 
@@ -170,6 +168,12 @@ def test_sentinels_keep_repr_truth_and_homes():
 
 # -- exact sums on the value lattice ---------------------------------------------
 
+def _sums(values, target, caps=None):
+    """Vectors k with sum k_i * values[i] == target, by Grid.sums."""
+    grid = Grid(values)
+    return grid.sums(grid.points, target, caps)
+
+
 def test_exact_sums_match_brute_force():
     rng = random.Random(5)
     for _ in range(150):
@@ -183,19 +187,19 @@ def test_exact_sums_match_brute_force():
                   for v, c in zip(vals, caps)]
         want = [k for k in product(*ranges)
                 if sum((v * a for v, a in zip(vals, k)), Value(0)) == target]
-        assert list(exact_sums(vals, target, caps)) == want, (vals, caps, target)
+        assert list(_sums(vals, target, caps)) == want, (vals, caps, target)
 
 
 def test_exact_sums_rank_two():
     vals = [Value(0, 1, PI), Value(1), Value(1, 1, PI)]
-    assert list(exact_sums(vals, Value(7))) == [(0, 7, 0)]
-    assert list(exact_sums(vals, Value(2, 1, PI))) == [(0, 1, 1), (1, 2, 0)]
-    assert list(exact_sums(vals, Value(-1))) == []
-    assert list(exact_sums([], Value(0))) == [()]
+    assert list(_sums(vals, Value(7))) == [(0, 7, 0)]
+    assert list(_sums(vals, Value(2, 1, PI))) == [(0, 1, 1), (1, 2, 0)]
+    assert list(_sums(vals, Value(-1))) == []
+    assert list(_sums([], Value(0))) == [()]
 
 
 def _walk_every_remainder(vals, target):
-    """Reference walk of exact_sums without skipping barren remainders."""
+    """Reference walk of Grid.sums without skipping barren remainders."""
     def rec(i, rest):
         if i == len(vals) - 1:
             ratio = value_ratio(rest, vals[i]) if vals[i].sign() else None
@@ -226,7 +230,7 @@ CHAIN5 = [Value(Fraction(a, 64)) for a in (341, 170, 84, 40, 16, 32)]
 def test_exact_sums_match_the_full_walk(vals, target):
     want = _walk_every_remainder(vals, target)
     assert want
-    assert list(exact_sums(vals, target)) == want
+    assert list(_sums(vals, target)) == want
 
 
 def test_exact_sums_skip_barren_remainders():
@@ -238,8 +242,8 @@ def test_exact_sums_skip_barren_remainders():
         if event == "call" and frame.f_code is walk_code:
             steps.append(1)
 
-    walk = exact_sums(CHAIN5, Value(Fraction(3413, 64)))
-    # exact_sums hands the walk to Grid.sums, whose code holds rec
+    walk = _sums(CHAIN5, Value(Fraction(3413, 64)))
+    # Grid.sums walks in its inner function rec
     walk_code = next(c for c in Grid.sums.__code__.co_consts
                      if getattr(c, "co_name", None) == "rec")
     sys.setprofile(count)
@@ -256,7 +260,7 @@ def test_exact_sums_shallow_descriptor_still_faults():
     shallow = IrrationalDescriptor("rough", [(Fraction(3), Fraction(4))])
     # 7 - 2*tau straddles 0 on [3, 4]
     with pytest.raises(UndecidedComparison):
-        list(exact_sums([Value(0, 1, shallow), Value(1)], Value(7)))
+        list(_sums([Value(0, 1, shallow), Value(1)], Value(7)))
 
 
 # -- the value grid ----------------------------------------------------------------
@@ -339,7 +343,7 @@ def test_values_are_exact():
     assert Value(2).q0 == 2 and type(Value(2).q0) is Fraction
     assert Value(third) * 3 == Value(1)
     for make in (lambda: Value(0.1), lambda: Value(1, 0.5, PI),
-                 lambda: Value(1) * 0.5):
+                 lambda: Value(1) * 0.5, lambda: Value(1) / 0.5):
         with pytest.raises(TypeError):
             make()
 
