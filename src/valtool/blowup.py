@@ -103,7 +103,6 @@ class _TransformExtension(ExtensionMap):
     def __init__(self, tmap):
         super().__init__(tmap.source_ctx, tmap.x_image, tmap.y_image,
                          field_degree=1,
-                         residue_char=tmap.source_ctx.tower.base.p,
                          unique=True)
         self.tmap = tmap
 

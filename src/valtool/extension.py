@@ -1,10 +1,10 @@
 """Ramification invariants of finite extensions: e, f and the defect.
 
-Two independent routes compute the defect: the classical index formula
-[K*:K] = e * f * p^delta (valid when the upstairs valuation is the unique
-extension), and the local-degree formula a * d * [S1/m : R1/m] = e * f *
-p^delta read off a monomial form of the extension.  Reports cross-check
-whichever routes apply.
+Two routes read the defect off one index identity, n = e * f * p^delta
+(:func:`index_defect`), with p the characteristic of the residue tower:
+n = [K*:K] when the upstairs valuation is the unique extension, and the
+local degree n = a * d * [S1/m : R1/m] read off a monomial form of the
+extension.  Reports cross-check whichever routes apply.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from fractions import Fraction
 
 from .genseq import InsufficientGeneratingData, evaluate
 from .ring import SeriesEmbedding, substitute
-from .towers import BaseField
 from .values import (
-    INFINITE,
     INSUFFICIENT_PRECISION,
     UNDETERMINED,
     Value,
@@ -31,10 +29,10 @@ class ExtensionMap:
     """A finite extension R -> S given by the images of R's parameters."""
 
     __slots__ = ("source_ctx", "u_image", "v_image", "field_degree",
-                 "residue_char", "unique")
+                 "unique")
 
     def __init__(self, source_ctx, u_image, v_image, field_degree,
-                 residue_char=0, unique=None):
+                 unique=None):
         if u_image.ctx is not v_image.ctx:
             raise ValueError("images live in different target contexts")
         if u_image.is_unit() or v_image.is_unit():
@@ -45,7 +43,6 @@ class ExtensionMap:
         self.u_image = u_image
         self.v_image = v_image
         self.field_degree = int(field_degree)
-        self.residue_char = BaseField(int(residue_char)).p  # 0 or a prime
         self.unique = unique
 
     @property
@@ -65,65 +62,37 @@ class ExtensionMap:
             self.source_ctx.param_names[1], self.v_image, self.field_degree)
 
 
-def _p_power_exponent(quotient, p):
-    """delta with quotient = p^delta, or None."""
-    if quotient < 1:
-        return None
-    delta = 0
-    while quotient % p == 0:
-        quotient //= p
-        delta += 1
-    return delta if quotient == 1 else None
+# each route's degree, as running text and as the formula it stands for
+_DEGREE_NAMES = {"ostrowski": ("[K*:K]", "[K*:K]"),
+                 "local-degree": ("local degree", "a*d*resDeg")}
 
 
-def defect_ostrowski(field_degree, e, f, p, unique):
-    """Defect from [K*:K] = e*f*p^delta; needs the unique-extension flag.
+def index_defect(degree, e, f, p, name):
+    """delta with degree = e*f*p^delta, the index identity of Theorem 4.
 
-    Returns UNDETERMINED when uniqueness is not declared; raises
-    :class:`InconsistentRamification` when the formula cannot hold.
+    ``name`` is the route, "ostrowski" or "local-degree", and words the
+    errors; raises :class:`InconsistentRamification` when no delta fits.
     """
-    if e < 1 or f < 1:
-        raise ValueError("e and f must be positive")
-    if not unique:
-        return UNDETERMINED
-    if field_degree % (e * f) != 0:
+    if degree < 1 or e < 1 or f < 1:
+        raise ValueError("degree, e and f must be positive")
+    noun, formula = _DEGREE_NAMES[name]
+    quotient, rest = divmod(degree, e * f)
+    if rest:
         raise InconsistentRamification(
-            "[K*:K] = %d is not divisible by e*f = %d" % (field_degree, e * f))
-    quotient = field_degree // (e * f)
+            "%s %d is not divisible by e*f = %d" % (noun, degree, e * f))
     if p == 0:
         if quotient != 1:
             raise InconsistentRamification(
-                "characteristic zero forces [K*:K] = e*f, got quotient %d"
-                % quotient)
+                "characteristic zero requires %s = e*f, got %d vs %d"
+                % (formula, degree, e * f))
         return 0
-    delta = _p_power_exponent(quotient, p)
-    if delta is None:
+    delta, left = 0, quotient
+    while left % p == 0:
+        left //= p
+        delta += 1
+    if left != 1:
         raise InconsistentRamification(
-            "[K*:K]/(e*f) = %d is not a power of p = %d" % (quotient, p))
-    return delta
-
-
-def defect_local_degree(mf, res_deg, e, f, p):
-    """Defect from the monomial form: a*d*resDeg = e*f*p^delta."""
-    if e < 1 or f < 1 or res_deg < 1:
-        raise ValueError("e, f, resDeg must be positive")
-    if mf.d is INFINITE:
-        raise InconsistentRamification("d is infinite (x divides f)")
-    local = mf.a * mf.d * res_deg
-    if local % (e * f) != 0:
-        raise InconsistentRamification(
-            "local degree %d is not divisible by e*f = %d" % (local, e * f))
-    quotient = local // (e * f)
-    if p == 0:
-        if quotient != 1:
-            raise InconsistentRamification(
-                "characteristic zero requires a*d*resDeg = e*f, got %d vs %d"
-                % (local, e * f))
-        return 0
-    delta = _p_power_exponent(quotient, p)
-    if delta is None:
-        raise InconsistentRamification(
-            "local degree quotient %d is not a power of p = %d" % (quotient, p))
+            "%s quotient %d is not a power of p = %d" % (noun, quotient, p))
     return delta
 
 
@@ -171,19 +140,24 @@ def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
         raise InconsistentRamification(
             "alignment did not stabilize; cannot read e and f at depth %d"
             % depth)
-    p = ext.residue_char
+    p = ext.source_ctx.tower.base.p
     routes = {}
     caveats = list(state.caveats)
     delta_values = []
 
-    try:
-        d0 = defect_ostrowski(ext.field_degree, e, f, p, ext.unique)
-    except InconsistentRamification as err:
-        routes["ostrowski"] = "inconsistent: %s" % err
+    def route(name, degree):
+        try:
+            delta = index_defect(degree, e, f, p, name)
+        except InconsistentRamification as err:
+            routes[name] = "inconsistent: %s" % err
+        else:
+            routes[name] = delta
+            delta_values.append(delta)
+
+    if ext.unique:
+        route("ostrowski", ext.field_degree)
     else:
-        routes["ostrowski"] = d0
-        if d0 is not UNDETERMINED:
-            delta_values.append(d0)
+        routes["ostrowski"] = UNDETERMINED
 
     mf_source = monomial_ext if monomial_ext is not None else ext
     mf = monomialize_check(mf_source.u_image, mf_source.v_image)
@@ -192,14 +166,7 @@ def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
         small = mf_source.source_ctx.residue_field()[1].rank
         if big % small:
             raise ArithmeticError("alleged subfield is not contained")
-        res_deg = big // small
-        try:
-            d1 = defect_local_degree(mf, res_deg, e, f, p)
-        except InconsistentRamification as err:
-            routes["local-degree"] = "inconsistent: %s" % err
-        else:
-            routes["local-degree"] = d1
-            delta_values.append(d1)
+        route("local-degree", mf.a * mf.d * (big // small))
         caveats.append("local-degree formula applied at the user-selected "
                        "ring pair, not at a stabilized level")
         caveats.append("the upstairs residue field is assumed algebraic "

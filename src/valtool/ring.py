@@ -71,8 +71,7 @@ class LocalRingCtx:
         """(basis, solver) of the ring's residue field, from
         :func:`span_closure`; callers may extend the pair in place."""
         tower = self.tower
-        return span_closure(tower, map(tower.gen, range(
-            min(self.ring_levels, tower.height))))
+        return span_closure(tower, map(tower.gen, range(self.ring_levels)))
 
     def x(self):
         return self.monomial(1, 0)
@@ -828,7 +827,11 @@ class _PolyParser:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            return self.ctx.const(Fraction(tok.text))
+            try:
+                return self.ctx.const(Fraction(tok.text))
+            except (ValueError, ZeroDivisionError):
+                raise PolyParseError("bad number %r" % tok.text,
+                                     tok.pos) from None
         if tok.kind == "name":
             self.take()
             if tok.text in self.var_lookup:

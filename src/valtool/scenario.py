@@ -108,12 +108,15 @@ def _parse_series(text, tower, trunc, line):
             raise ScenarioError("empty series term in %r" % text, line)
         if sign is None and not first:
             raise ScenarioError("missing +/- between series terms", line)
-        q = Fraction(coeff) if coeff else Fraction(1)
+        q = _parse_fraction(coeff, line) if coeff else Fraction(1)
         if sign == "-":
             q = -q
-        e = Fraction(exp.strip("()")) if exp else (Fraction(1) if has_t
-                                                   else Fraction(0))
-        c = tower.scalar(q)
+        e = (_parse_fraction(exp.strip("()"), line) if exp
+             else Fraction(1) if has_t else Fraction(0))
+        try:
+            c = tower.scalar(q)
+        except ZeroDivisionError as err:  # a denominator divisible by p
+            raise ScenarioError("series coefficient %s: %s" % (q, err), line)
         if e in coeffs:
             coeffs[e] = coeffs[e] + c
         else:
@@ -264,6 +267,9 @@ def _section_line(scenario, section, state, line_text, lineno):
             state["params"] = parts[1:]
         elif key == "levels":
             state["levels"] = int(parts[1])
+            if not 0 <= state["levels"] <= scenario.tower.height:
+                raise ScenarioError("levels must lie in 0..%d, the tower's "
+                                    "height" % scenario.tower.height, lineno)
         else:
             raise ScenarioError("unknown ring directive %r" % key, lineno)
         return
@@ -313,8 +319,8 @@ def _section_line(scenario, section, state, line_text, lineno):
             state["from"] = (parts[1], parts[3], lineno)
         elif key == "degree":
             state["degree"] = int(parts[1])
-        elif key == "char":
-            state["char"] = BaseField(int(parts[1])).p  # 0 or a prime
+        elif key == "char":  # a check: p is read from the tower
+            state["char"] = (int(parts[1]), lineno)
         elif key == "unique":
             state["unique"] = parts[1] == "true"
         elif "=" in line_text:
@@ -370,6 +376,10 @@ def _build_extension(scenario, name, state, line):
         raise ScenarioError("extension %r references undeclared rings" % name,
                             fline)
     sctx, dctx = scenario.rings[src], scenario.rings[dst]
+    p, cline = state.get("char", (sctx.tower.base.p, line))
+    if p != sctx.tower.base.p:
+        raise ScenarioError("char %d is not %d, the characteristic of "
+                            "ring %s" % (p, sctx.tower.base.p, src), cline)
     images = {}
     for pname, ptext, pline in state.get("images", ()):
         if pname not in sctx.param_names:
@@ -385,8 +395,6 @@ def _build_extension(scenario, name, state, line):
         return ExtensionMap(sctx, images[sctx.param_names[0]],
                             images[sctx.param_names[1]],
                             field_degree=state.get("degree", 1),
-                            residue_char=state.get("char",
-                                                   scenario.tower.base.p),
                             unique=state.get("unique"))
     except ValueError as err:
         raise ScenarioError("extension %r: %s" % (name, err), line)

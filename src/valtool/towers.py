@@ -40,9 +40,11 @@ class BaseField:
     __slots__ = ("p", "add", "sub", "neg", "mul", "is_zero")
 
     def __init__(self, p=0):
-        if p:
-            if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-                raise ValueError("characteristic must be 0 or a prime")
+        if p:  # trial division, which takes about 0.1 s just below 2^40
+            if not 2 <= p < 2 ** 40 or any(
+                    p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+                raise ValueError("characteristic must be 0 or a prime "
+                                 "below 2^40")
             self.add = lambda a, b: (a + b) % p
             self.sub = lambda a, b: (a - b) % p
             self.neg = lambda a: -a % p

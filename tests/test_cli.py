@@ -7,6 +7,7 @@ import pytest
 
 from valtool import cli
 from valtool.cli import main
+from valtool.genseq import validate_sequence
 from valtool.scenario import ScenarioError, parse_scenario, run_scenario
 
 SCN = Path(__file__).resolve().parents[1] / "src" / "valtool" / "scenarios"
@@ -296,9 +297,32 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
     # sent the p-power search of the defect into an endless loop
     _RING + ["[extension e]", "from R to R", "x = x", "y = y", "!char 1"],
     _RING + ["[extension e]", "from R to R", "x = x", "y = y", "!char 4"],
+    # p is read from the tower; a char line may only repeat it
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y", "!char 2"],
+    # a number with a zero denominator or a second slash
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2",
+             "!key n=2 value=7/2 tail=1/0*x^3"],
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2",
+             "!key n=2 value=7/2 tail=3/2/5*x^3"],
+    _RING + ["[embedding o]", "ring R", "x = t^2", "!y = t^3 + t^(1/0)"],
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2", "!alpha 1 1/0"],
+    # and 1/2, which GF(2) has no element for
+    ["[field]", "base F 2", "[ring R]", "params x y", "[embedding o]",
+     "ring R", "x = t", "!y = 1/2*t^2"],
+    # a ring's levels lie between 0 and the tower's height (0 over Q)
+    _RING + ["!levels -1"],
+    _RING + ["!levels 5"],
+    # refused at once: trial division up to sqrt(p) would not finish
+    ["[field]", "!base F 1000000000000000000000000000057"],
+    # an interval table is lo/hi pairs, each nested in the one before
+    ["[field]", "base Q", "!irrational pi interval 3 4 31/10"],
+    ["[field]", "base Q", "!irrational pi interval 3 4 5 6"],
 ], ids=["base", "base-F-x", "irrational", "levels-two", "bare-ring",
         "bare-truncate", "alpha-x", "key-n-two", "degree-many", "params-x-x",
-        "extend-twice", "char-1", "char-4"])
+        "extend-twice", "char-1", "char-4", "char-2-over-Q", "tail-1/0",
+        "tail-3/2/5", "series-exponent-1/0", "alpha-1/0",
+        "series-1/2-over-F2", "levels--1", "levels-5-over-Q",
+        "base-F-30-digit-prime", "interval-odd", "interval-not-nested"])
 def test_malformed_directive_is_a_parse_error(tmp_path, lines):
     code, err, bad = _check_error(tmp_path, lines)
     assert code == 2
@@ -344,6 +368,8 @@ def test_value_bound_must_be_an_exact_rational(bound, code, capsys):
     ("v1", "blowup nu 1", "blowup nu -1"),
     ("v1", "blowup nu 1", "blowup nu two"),
     ("def2", "fingen ext nu nustar 4", "fingen ext nu nustar -1"),
+    # a malformed number in a command is refused at its line as well
+    ("v1", "eval nu y^2+x^3", "eval nu 1/0*x"),
 ])
 def test_negative_or_non_integer_depth_is_refused_at_its_line(
         tmp_path, name, command, bad):
@@ -356,6 +382,21 @@ def test_negative_or_non_integer_depth_is_refused_at_its_line(
         code, _ = run_cli("run", str(path))
     assert code == 2
     assert err.getvalue().startswith("error: line %d: " % line), err.getvalue()
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_embedding_normalize_sets_the_oracle_scale(normalize):
+    # v1 with every value doubled: the series x -> t^2 values x at 1 unless
+    # "normalize x 2" rescales t
+    text = (SCN / "v1.scn").read_text().replace(
+        "values 1 3/2", "values 2 3").replace("value=7/2", "value=7")
+    if normalize:
+        text = text.replace("truncate 40", "truncate 40\nnormalize x 2")
+    rep = validate_sequence(parse_scenario(text).valuations["nu"])
+    lines = [l for l in rep.lines() if "oracle confirms value of key" in l]
+    assert len(lines) == 3
+    assert all(l.startswith("PASS" if normalize else "FAIL") for l in lines)
+    assert rep.ok == normalize
 
 
 @pytest.mark.parametrize("depth, code", [("-1", 2), ("x", 2), ("0", 0)])

@@ -5,35 +5,37 @@ from valtool.extension import (
     UNDETERMINED,
     ExtensionMap,
     InconsistentRamification,
-    defect_local_degree,
-    defect_ostrowski,
+    index_defect,
     ramification_report,
     splitting_report,
 )
-from valtool.ring import MonomialForm, parse_poly
+from valtool.ring import parse_poly
 from valtool.towers import QQ, ResidueTower
 from valtool.ring import LocalRingCtx
 
 
 def test_ostrowski_examples():
-    assert defect_ostrowski(2, 1, 1, 2, unique=True) == 1
-    assert defect_ostrowski(4, 2, 2, 0, unique=True) == 0
-    assert defect_ostrowski(4, 2, 1, 2, unique=False) is UNDETERMINED
+    # [K*:K] = e*f*p^delta; without uniqueness the route is Undetermined,
+    # which the pi2 report pins (test_pi2_report)
+    assert index_defect(2, 1, 1, 2, "ostrowski") == 1
+    assert index_defect(4, 2, 2, 0, "ostrowski") == 0
     with pytest.raises(InconsistentRamification):
-        defect_ostrowski(6, 2, 2, 3, unique=True)
+        index_defect(6, 2, 2, 3, "ostrowski")
     with pytest.raises(InconsistentRamification):
-        defect_ostrowski(6, 2, 1, 0, unique=True)
+        index_defect(6, 2, 1, 0, "ostrowski")
 
 
 def test_local_degree_examples():
-    ctx = LocalRingCtx(ResidueTower(QQ), ("x", "y"))
-    mf = MonomialForm(1, 0, ctx.one(), parse_poly("y^2", ctx), 2)
-    assert defect_local_degree(mf, 1, 1, 1, 2) == 1
-    mf2 = MonomialForm(2, 0, ctx.one(), parse_poly("y", ctx), 1)
-    assert defect_local_degree(mf2, 1, 2, 1, 0) == 0
-    mf3 = MonomialForm(3, 0, ctx.one(), parse_poly("y", ctx), 1)
+    # the degree is a*d*resDeg of a monomial form: (a, d, resDeg) =
+    # (1, 2, 1), (2, 1, 1) and (3, 1, 1)
+    assert index_defect(1 * 2 * 1, 1, 1, 2, "local-degree") == 1
+    assert index_defect(2 * 1 * 1, 2, 1, 0, "local-degree") == 0
     with pytest.raises(InconsistentRamification):
-        defect_local_degree(mf3, 1, 2, 1, 2)
+        index_defect(3 * 1 * 1, 2, 1, 2, "local-degree")
+    with pytest.raises(InconsistentRamification) as err:
+        index_defect(4, 2, 1, 0, "local-degree")
+    assert str(err.value) == ("characteristic zero requires a*d*resDeg = "
+                              "e*f, got 4 vs 2")
 
 
 def test_extension_map_guards():
@@ -41,12 +43,6 @@ def test_extension_map_guards():
     tgt = LocalRingCtx(ResidueTower(QQ), ("x", "y"))
     with pytest.raises(ValueError):
         ExtensionMap(ctx, parse_poly("1 + x", tgt), parse_poly("y", tgt), 2)
-    for p in (1, 4, -2):  # neither 0 nor a prime
-        with pytest.raises(ValueError):
-            ExtensionMap(ctx, parse_poly("x", tgt), parse_poly("y", tgt), 1,
-                         residue_char=p)
-    assert ExtensionMap(ctx, parse_poly("x", tgt), parse_poly("y", tgt), 1,
-                        residue_char=3).residue_char == 3
     ext = ExtensionMap(ctx, parse_poly("x^2", tgt), parse_poly("y^2", tgt), 4)
     f = parse_poly("v - u", ctx)
     assert ext.apply(f) == parse_poly("y^2 - x^2", tgt)
@@ -95,7 +91,7 @@ def test_identity_extension_report():
     v1 = fixtures.v1()
     ident = ExtensionMap(v1.ctx, parse_poly("x", v1.ctx),
                          parse_poly("y", v1.ctx), field_degree=1,
-                         residue_char=0, unique=True)
+                         unique=True)
     rep = ramification_report(v1, v1, ident, depth=4)
     assert (rep.e, rep.f, rep.delta) == (1, 1, 0)
 

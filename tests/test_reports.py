@@ -41,6 +41,18 @@ def test_shipped_report_is_unchanged(name, fmt):
     assert out == _pinned(name, fmt)
 
 
+def test_pi_from_an_interval_table_gives_the_pinned_report(tmp_path):
+    # a declared table of nested intervals in place of the built-in one
+    table = ("3 4 31/10 32/10 314/100 315/100 3141/1000 3142/1000 "
+             "31415/10000 31416/10000 314159/100000 314160/100000")
+    text = valtool.scenario_path("pi2").read_text()
+    assert "irrational pi default" in text
+    path = tmp_path / "pi2.scn"
+    path.write_text(text.replace("irrational pi default",
+                                 "irrational pi interval " + table))
+    assert _run(path) == (0, _pinned("pi2", "text"))
+
+
 _T_POWER = re.compile(r"\bt\b(?:\^(\d+))?")
 
 

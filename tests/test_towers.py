@@ -176,6 +176,13 @@ def test_elements_combine_only_within_one_tower():
     assert t2.lift(a) / b == -3 * b
 
 
+def test_prime_field_characteristic_is_bounded():
+    # trial division takes about 0.1 s just below the bound, 2^40
+    assert BaseField(2147483647).p == 2147483647
+    with pytest.raises(ValueError, match=r"below 2\^40"):
+        BaseField(1000000000000000000000000000057)
+
+
 def test_field_constants_refuse_floats():
     f3 = ResidueTower(BaseField(3))
     qi = ResidueTower(QQ).extend("i", [1, 0])
