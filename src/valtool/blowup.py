@@ -7,10 +7,11 @@ a, b with n*b - w*a = 1 and pass to the chart
     x = X^n * U^a,   y = X^w * U^b,
 
 where U has value zero and residue alpha.  Recentering Z = U - alpha
-gives regular parameters (X, Z) of the target ring.  Keys transport by
-clearing the exceptional power of X and the power of U and stay the
-target's keys, one level down; every shifted invariant is recomputed on the
-target and compared against the source as a consistency table.  The chart
+gives regular parameters (X, Z) of the target ring; it is a Taylor shift,
+each X^i U^j spread over X^i Z^k by binomials, with no ring product.  Keys
+transport by clearing the exceptional power of X and the power of U and stay
+the target's keys, one level down; every shifted invariant is recomputed on
+the target and compared against the source as a consistency table.  The chart
 has determinant n*b - w*a = 1, so distinct terms of f land on distinct
 monomials X^i U^j and nothing cancels: both powers, and so the strict
 transform, are read off the chart exponents, with no division.
@@ -22,7 +23,8 @@ from fractions import Fraction
 
 from .extension import ExtensionMap
 from .genseq import GenSeq, expand, monic_of_degree
-from .ring import LocalRingCtx, SeriesEmbedding, TruncSeries, substitute
+from .ring import (LocalRingCtx, SeriesEmbedding, TruncSeries, shift_y,
+                   substitute)
 from .values import INFINITE
 
 
@@ -35,28 +37,24 @@ class TransformMap:
 
     __slots__ = ("source_ctx", "target_ctx", "nbar", "w", "a", "b",
                  "alpha_lift", "x_image", "y_image", "exceptional_value",
-                 "key_orders", "_chart_images", "_recentre_images")
+                 "key_orders", "_chart_images")
 
     def __init__(self, source_ctx, target_ctx, nbar, w, a, b, alpha_lift,
                  exceptional_value):
-        self.source_ctx = source_ctx
-        self.target_ctx = target_ctx
+        self.source_ctx, self.target_ctx = source_ctx, target_ctx
         self.nbar, self.w = nbar, w
         self.a, self.b = a, b  # the chart exponents
         self.alpha_lift = alpha_lift
         self.exceptional_value = exceptional_value  # value of X
         # X-order of each source key's chart image; free_transform fills it
         self.key_orders = (nbar, w)
-        X, Z = target_ctx.x(), target_ctx.y()
-        unit = Z + target_ctx.const(alpha_lift)
-        self.x_image = X ** nbar * unit ** a
-        self.y_image = X ** w * unit ** b
         # the chart (X, U) with U = Z + alpha, a ring of its own on the tower
         chart = LocalRingCtx(target_ctx.tower, ("X", "U"),
                              ring_levels=target_ctx.ring_levels)
         xn, yn = source_ctx.param_names
         self._chart_images = {xn: ((nbar, a), chart), yn: ((w, b), chart)}
-        self._recentre_images = {"X": X, "U": unit}
+        self.x_image = shift_y(chart.monomial(nbar, a), target_ctx, alpha_lift)
+        self.y_image = shift_y(chart.monomial(w, b), target_ctx, alpha_lift)
 
     def _chart(self, f):
         """f in the chart: each term x^i y^j goes to one monomial X^s U^t."""
@@ -67,11 +65,11 @@ class TransformMap:
     def _strict_image(self, h):
         """Recentred chart image h with its powers of X and U cleared."""
         h = h.shift(-h.x_order(), -min(j for _, j in h.terms))
-        return substitute(h, self._recentre_images)
+        return shift_y(h, self.target_ctx, self.alpha_lift)
 
     def to_target(self, f):
         """Image of a source element in the target chart (exact)."""
-        return substitute(self._chart(f), self._recentre_images)
+        return shift_y(self._chart(f), self.target_ctx, self.alpha_lift)
 
     def extension(self):
         """The transform as an extension map (trivial field extension)."""
@@ -93,8 +91,8 @@ class _TransformExtension(ExtensionMap):
     """A transform as an extension map, applied through its chart.
 
     The images x = X^n * U^a, y = X^w * U^b share the unit U = Z + alpha;
-    the chart sends each term to one monomial X^s U^t and recentring then
-    substitutes U alone.  That is the element substituting the images gives,
+    the chart sends each term to one monomial X^s U^t and recentring is a
+    Taylor shift in U.  That is the element substituting the images gives,
     at a fraction of the cost on long keys.
     """
 

@@ -9,7 +9,7 @@ recompute values and residues independently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .towers import TowerElem, power, span_closure
 from .values import INFINITE, INSUFFICIENT_PRECISION, Value
@@ -354,6 +354,36 @@ def substitute(f, images):
     return _evaluate(f, [one, gx], [one, gy], ctx.zero(), ctx.rep)
 
 
+def shift_y(f, ctx, alpha):
+    """f(x, y + alpha) in ``ctx``, a context over f's tower: a Taylor shift.
+
+    A term c x^i y^j adds c C(j, k) alpha^(j-k) to x^i y^k.  Those factors
+    are formed once per y-degree of f and no ring product is taken; at
+    height 0 the sums are of raw numbers, reduced once.
+    """
+    tower = ctx.tower
+    add, mul, is_zero = tower.add, tower.mul, tower.is_zero
+    native = not tower.levels
+    a, apow = ctx.rep(alpha), [ctx.rep(1)]
+    for _ in range(f.y_degree()):
+        apow.append(mul(apow[-1], a))
+    rows = {j: [(k, s) for k in range(j + 1) if not is_zero(s := mul(
+        comb(j, k) if native else tower.scalar(comb(j, k)).rep, apow[j - k]))]
+        for j in {j for _, j in f.terms}}
+    out = {}
+    if native:
+        get = out.get
+        for (i, j), c in f.terms.items():
+            for k, s in rows[j]:
+                out[(i, k)] = get((i, k), 0) + c * s
+        return _reduced(ctx, out)
+    for (i, j), c in f.terms.items():
+        for k, s in rows[j]:
+            p, prev = mul(c, s), out.get((i, k))
+            out[(i, k)] = p if prev is None else add(prev, p)
+    return RingElem(ctx, out)
+
+
 def _evaluate(f, xp, yp, zero, lift):
     """f(gx, gy) for ring or series images: sum_j gy^j * (sum_i c_ij gx^i).
 
@@ -388,14 +418,14 @@ def _substitute_monomial(f, gx, gy):
     (ay, by), ctx2 = gy
     if ctx is not ctx2:
         raise ValueError("monomial images in different contexts")
-    add = ctx.tower.add
-    out = {}
+    add, out = ctx.tower.add, {}
+    same = ctx.tower is f.ctx.tower and f.ctx.ring_levels <= ctx.ring_levels
     for (i, j), c in f.terms.items():
         e = (ax * i + ay * j, bx * i + by * j)
         if e[0] < 0 or e[1] < 0:
             raise NotRegularAfterSubstitution(
                 "term x^%d y^%d maps to exponent %r" % (i, j, e))
-        c = ctx.rep(f.ctx.coeff(c))
+        c = c if same else ctx.rep(f.ctx.coeff(c))
         s = out.get(e)
         out[e] = c if s is None else add(s, c)
     return RingElem(ctx, out)

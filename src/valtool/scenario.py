@@ -295,11 +295,11 @@ def _section_line(scenario, section, state, line_text, lineno):
             state["values"] = [_parse_value(p, scenario, lineno)
                                for p in parts[1:]]
         elif key == "key":
-            m = re.fullmatch(r"key\s+n=(\S+)\s+value=(\S+)\s+tail=(.+)",
-                             line_text)
+            m = re.fullmatch(
+                r"key\s+n=([1-9]\d*)\s+value=(\S+)\s+tail=(.+)", line_text)
             if not m:
-                raise ScenarioError("key n=<int> value=<value> tail=<poly>",
-                                    lineno)
+                raise ScenarioError("key n=<positive int> value=<value> "
+                                    "tail=<poly>", lineno)
             state.setdefault("keys", []).append(
                 (int(m.group(1)), m.group(2), m.group(3).strip(), lineno))
         elif key == "alpha":
@@ -322,6 +322,8 @@ def _section_line(scenario, section, state, line_text, lineno):
         elif key == "char":  # a check: p is read from the tower
             state["char"] = (int(parts[1]), lineno)
         elif key == "unique":
+            if parts[1] not in ("true", "false"):
+                raise ScenarioError("unique must be true or false", lineno)
             state["unique"] = parts[1] == "true"
         elif "=" in line_text:
             pname, ptext = line_text.split("=", 1)

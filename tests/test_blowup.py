@@ -7,6 +7,8 @@ import pytest
 from valtool import fixtures
 from valtool.blowup import (
     TransformError,
+    TransformMap,
+    _chart_exponents,
     free_transform,
     iterate_transforms,
     shift_table,
@@ -16,7 +18,7 @@ from valtool.blowup import (
 from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, expand, validate_sequence
 from valtool.graded import fingen_detect
 from valtool.ring import LocalRingCtx, divmod_y, parse_poly, substitute
-from valtool.towers import QQ, BaseField, ResidueTower
+from valtool.towers import QQ, BaseField, ResidueTower, TowerElem
 from valtool.values import Value
 
 from test_genseq import _SCENARIOS, _chain_cell, _shipped
@@ -252,6 +254,83 @@ def test_chart_reading_matches_trial_division(name):
         stripped += reference != shifted
         assert strict_transform(f, tmap) == reference.leading_unit_normalized()
     assert stripped  # some element carried a power of (Z + alpha)
+
+
+# -- recentring by a Taylor shift -----------------------------------------------
+
+_QI = ResidueTower(QQ).extend("i", [1, 0])
+
+
+@pytest.mark.parametrize("tower, alpha, nbar, w", [
+    (ResidueTower(QQ), 2, 2, 3),
+    (ResidueTower(QQ), Fraction(-1, 3), 3, 2),
+    # U-degrees reach 3 and more, so C(3, 1) and C(3, 2) vanish mod 3
+    (ResidueTower(BaseField(3)), 2, 2, 3),
+    (ResidueTower(BaseField(2)), 1, 3, 1),
+    (_QI, _QI.gen("i"), 2, 1),
+], ids=["Q-2", "Q-minus-1/3", "GF3-2", "GF2-1", "Qi-i"])
+def test_recentring_matches_ring_substitution(tower, alpha, nbar, w):
+    src = LocalRingCtx(tower, ("x", "y"))
+    tgt = LocalRingCtx(tower, ("x1", "y1"))
+    alpha = alpha if isinstance(alpha, TowerElem) else tower.scalar(alpha)
+    a, b = _chart_exponents(nbar, w)
+    tmap = TransformMap(src, tgt, nbar, w, a, b, alpha, Value(1))
+    X, unit = tgt.x(), tgt.y() + tgt.const(alpha)
+
+    def product(*factors):
+        out = tgt.one()
+        for base, e in factors:
+            for _ in range(e):
+                out = out * base
+        return out
+
+    assert tmap.x_image == product((X, nbar), (unit, a))
+    assert tmap.y_image == product((X, w), (unit, b))
+    # the reference recentres by substituting X and Z + alpha into the chart
+    chart = LocalRingCtx(tower, ("X", "U"))
+    chart_images = {"x": ((nbar, a), chart), "y": ((w, b), chart)}
+    recentre = {"X": X, "U": unit}
+    images = {"x": tmap.x_image, "y": tmap.y_image}
+    coeffs = [tower.scalar(c) for c in (1, -1, 2, Fraction(1, 5))]
+    coeffs += [alpha, alpha + 1] if tower.height else []
+    rng = random.Random("%r %r" % (tower, alpha))
+    top_u_degrees = set()
+    for _ in range(20):
+        f = src.zero()
+        for _ in range(rng.randint(1, 5)):
+            f = f + src.monomial(rng.randint(0, 4), rng.randint(0, 3),
+                                 rng.choice(coeffs))
+        if f.is_zero():
+            continue
+        h = substitute(f, chart_images)
+        top_u_degrees.add(h.y_degree())
+        assert tmap.to_target(f) == substitute(h, recentre)
+        assert tmap.to_target(f) == substitute(f, images)
+        stripped = h.shift(-h.x_order(), -min(j for _, j in h.terms))
+        assert strict_transform(f, tmap) == \
+            substitute(stripped, recentre).leading_unit_normalized()
+    assert max(top_u_degrees) >= 3
+
+
+def test_free_transform_substitutes_only_into_the_chart(monkeypatch):
+    """Recentring goes through the Taylor shift: every substitution left in
+    free_transform sends the source parameters to chart monomials."""
+    import valtool
+    calls = []
+
+    def counting(f, images):
+        calls.append(images)
+        return substitute(f, images)
+
+    for module in vars(valtool).values():
+        if getattr(module, "substitute", None) is substitute:
+            monkeypatch.setattr(module, "substitute", counting)
+    g = _chain_cell(3, "Q", 1)
+    free_transform(g)
+    # one chart image per transported key: keys 2 .. top
+    assert len(calls) == g.top - 1
+    assert all(isinstance(img, tuple)
+               for images in calls for img in images.values())
 
 
 # -- one transform per sequence -------------------------------------------------

@@ -289,6 +289,17 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
     _RING + ["[valuation nu]", "ring R", "values 1 3/2", "!alpha x 1"],
     _RING + ["[valuation nu]", "ring R", "values 1 3/2",
              "!key n=two value=3 tail=x"],
+    # a key's power is a positive integer: n=0 divided by zero in blowup,
+    # n=-1 asked for a negative power of the previous key
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2",
+             "!key n=0 value=7/2 tail=-1*x^3"],
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2",
+             "!key n=-1 value=7/2 tail=-1*x^3"],
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2",
+             "!key n=x value=7/2 tail=-1*x^3"],
+    # only true and false mean anything; "maybe" was read as false
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y",
+             "!unique maybe"],
     _RING + ["[extension e]", "from R to R", "x = x", "y = y",
              "!degree many"],
     ["[field]", "base Q", "[ring R]", "!params x x"],
@@ -318,7 +329,8 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
     ["[field]", "base Q", "!irrational pi interval 3 4 31/10"],
     ["[field]", "base Q", "!irrational pi interval 3 4 5 6"],
 ], ids=["base", "base-F-x", "irrational", "levels-two", "bare-ring",
-        "bare-truncate", "alpha-x", "key-n-two", "degree-many", "params-x-x",
+        "bare-truncate", "alpha-x", "key-n-two", "key-n-0", "key-n--1",
+        "key-n-x", "unique-maybe", "degree-many", "params-x-x",
         "extend-twice", "char-1", "char-4", "char-2-over-Q", "tail-1/0",
         "tail-3/2/5", "series-exponent-1/0", "alpha-1/0",
         "series-1/2-over-F2", "levels--1", "levels-5-over-Q",
