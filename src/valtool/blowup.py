@@ -41,7 +41,8 @@ class TransformMap:
 
     def __init__(self, source_ctx, target_ctx, nbar, w, a, b, alpha_lift,
                  exceptional_value):
-        self.source_ctx, self.target_ctx = source_ctx, target_ctx
+        self.source_ctx = source_ctx
+        self.target_ctx = target_ctx
         self.nbar, self.w = nbar, w
         self.a, self.b = a, b  # the chart exponents
         self.alpha_lift = alpha_lift

@@ -336,7 +336,9 @@ def substitute(f, images):
     - ``f`` -- a :class:`RingElem`
     - ``images`` -- dict mapping each parameter name of f's context either to
       a RingElem in a common target context, or to a pair (exps, ctx) with
-      ``exps = (a, b)`` meaning the Laurent monomial X^a Y^b of the target
+      ``exps = (a, b)`` meaning the Laurent monomial X^a Y^b of the target,
+      a context over f's tower with at least f's levels (coefficient reps
+      pass through unchanged)
 
     Monomial images may carry negative exponents; the result must come out
     polynomial or :class:`NotRegularAfterSubstitution` is raised.
@@ -362,14 +364,17 @@ def shift_y(f, ctx, alpha):
     height 0 the sums are of raw numbers, reduced once.
     """
     tower = ctx.tower
-    add, mul, is_zero = tower.add, tower.mul, tower.is_zero
+    add, mul = tower.add, tower.mul
     native = not tower.levels
     a, apow = ctx.rep(alpha), [ctx.rep(1)]
     for _ in range(f.y_degree()):
         apow.append(mul(apow[-1], a))
-    rows = {j: [(k, s) for k in range(j + 1) if not is_zero(s := mul(
-        comb(j, k) if native else tower.scalar(comb(j, k)).rep, apow[j - k]))]
-        for j in {j for _, j in f.terms}}
+    rows = {}
+    for j in {j for _, j in f.terms}:
+        row = rows[j] = []
+        for k in range(j + 1):
+            c = comb(j, k) if native else ctx.rep(comb(j, k))
+            row.append((k, mul(c, apow[j - k])))
     out = {}
     if native:
         get = out.get
@@ -418,14 +423,15 @@ def _substitute_monomial(f, gx, gy):
     (ay, by), ctx2 = gy
     if ctx is not ctx2:
         raise ValueError("monomial images in different contexts")
-    add, out = ctx.tower.add, {}
-    same = ctx.tower is f.ctx.tower and f.ctx.ring_levels <= ctx.ring_levels
+    if ctx.tower is not f.ctx.tower or ctx.ring_levels < f.ctx.ring_levels:
+        raise ValueError("monomial images need f's tower and levels")
+    add = ctx.tower.add
+    out = {}
     for (i, j), c in f.terms.items():
         e = (ax * i + ay * j, bx * i + by * j)
         if e[0] < 0 or e[1] < 0:
             raise NotRegularAfterSubstitution(
                 "term x^%d y^%d maps to exponent %r" % (i, j, e))
-        c = c if same else ctx.rep(f.ctx.coeff(c))
         s = out.get(e)
         out[e] = c if s is None else add(s, c)
     return RingElem(ctx, out)

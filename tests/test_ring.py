@@ -234,6 +234,17 @@ def test_substitute_monomial_laurent_guard(ctx):
     assert img == parse_poly("x1^6*y1^4 - x1^6*y1^3", tgt)
     with pytest.raises(NotRegularAfterSubstitution):
         substitute(parse_poly("y", ctx), {"x": ((1, 0), tgt), "y": ((-1, 1), tgt)})
+    # coefficient reps pass through, so the target must share f's tower and
+    # keep at least f's levels
+    tower = ctx.tower.extend("i", [1, 0])
+    for other in (LocalRingCtx(tower, ("x1", "y1")),
+                  LocalRingCtx(ResidueTower(QQ), ("x1", "y1"))):
+        with pytest.raises(ValueError):
+            substitute(f, {"x": ((2, 1), other), "y": ((3, 2), other)})
+    fi = LocalRingCtx(tower).monomial(1, 0)
+    low = LocalRingCtx(tower, ("x1", "y1"), ring_levels=0)
+    with pytest.raises(ValueError):
+        substitute(fi, {"x": ((1, 0), low), "y": ((0, 1), low)})
 
 
 def test_substitute_respects_ring_ops_randomized(ctx):
