@@ -6,15 +6,18 @@ a, b with n*b - w*a = 1 and pass to the chart
 
     x = X^n * U^a,   y = X^w * U^b,
 
-where U has value zero and residue alpha.  Recentering Z = U - alpha
-gives regular parameters (X, Z) of the target ring; it is a Taylor shift,
-each X^i U^j spread over X^i Z^k by binomials, with no ring product.  Keys
-transport by clearing the exceptional power of X and the power of U and stay
-the target's keys, one level down; every shifted invariant is recomputed on
-the target and compared against the source as a consistency table.  The chart
-has determinant n*b - w*a = 1, so distinct terms of f land on distinct
-monomials X^i U^j and nothing cancels: both powers, and so the strict
-transform, are read off the chart exponents, with no division.
+where U has value zero and residue alpha.  The chart is
+:class:`TransformMap`'s own map, x^i y^j to X^(n*i + w*j) U^(a*i + b*j),
+not a ring substitution; the map checks its preconditions when built.
+Recentering Z = U - alpha gives regular parameters (X, Z) of the target
+ring; it is a Taylor shift, each X^i U^j spread over X^i Z^k by binomials,
+with no ring product.  Keys transport by clearing the exceptional power of
+X and the power of U and stay the target's keys, one level down; every
+shifted invariant is recomputed on the target and compared against the
+source as a consistency table.  The chart has determinant 1, so distinct
+terms of f land on distinct monomials X^i U^j and nothing cancels: both
+powers, and so the strict transform, are read off the chart exponents,
+with no division.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from fractions import Fraction
 
 from .extension import ExtensionMap
 from .genseq import GenSeq, expand, monic_of_degree
-from .ring import (LocalRingCtx, SeriesEmbedding, TruncSeries, shift_y,
-                   substitute)
+from .ring import (LocalRingCtx, RingElem, SeriesEmbedding, TruncSeries,
+                   shift_y)
 from .values import INFINITE
 
 
@@ -37,10 +40,16 @@ class TransformMap:
 
     __slots__ = ("source_ctx", "target_ctx", "nbar", "w", "a", "b",
                  "alpha_lift", "x_image", "y_image", "exceptional_value",
-                 "key_orders", "_chart_images")
+                 "key_orders", "chart_ctx")
 
     def __init__(self, source_ctx, target_ctx, nbar, w, a, b, alpha_lift,
                  exceptional_value):
+        if (target_ctx.tower is not source_ctx.tower
+                or target_ctx.ring_levels < source_ctx.ring_levels):
+            raise ValueError("the target needs the source's tower and levels")
+        if nbar * b - w * a != 1 or min(nbar, w, a, b) < 0:
+            raise ValueError("chart exponents (%d, %d, %d, %d) are not "
+                             "unimodular and nonnegative" % (nbar, w, a, b))
         self.source_ctx = source_ctx
         self.target_ctx = target_ctx
         self.nbar, self.w = nbar, w
@@ -50,18 +59,19 @@ class TransformMap:
         # X-order of each source key's chart image; free_transform fills it
         self.key_orders = (nbar, w)
         # the chart (X, U) with U = Z + alpha, a ring of its own on the tower
-        chart = LocalRingCtx(target_ctx.tower, ("X", "U"),
-                             ring_levels=target_ctx.ring_levels)
-        xn, yn = source_ctx.param_names
-        self._chart_images = {xn: ((nbar, a), chart), yn: ((w, b), chart)}
+        chart = self.chart_ctx = LocalRingCtx(
+            target_ctx.tower, ("X", "U"), ring_levels=target_ctx.ring_levels)
         self.x_image = shift_y(chart.monomial(nbar, a), target_ctx, alpha_lift)
         self.y_image = shift_y(chart.monomial(w, b), target_ctx, alpha_lift)
 
     def _chart(self, f):
-        """f in the chart: each term x^i y^j goes to one monomial X^s U^t."""
+        """f in the chart: x^i y^j goes to X^(n*i + w*j) U^(a*i + b*j), one
+        monomial per term (the map is injective), coefficient reps as is."""
         if f.ctx is not self.source_ctx:
             raise ValueError("element does not live in the source ring")
-        return substitute(f, self._chart_images)
+        n, w, a, b = self.nbar, self.w, self.a, self.b
+        return RingElem(self.chart_ctx, {(n * i + w * j, a * i + b * j): c
+                                         for (i, j), c in f.terms.items()})
 
     def _strict_image(self, h):
         """Recentred chart image h with its powers of X and U cleared."""

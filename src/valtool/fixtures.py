@@ -1,18 +1,19 @@
 """The desk fixtures used across the test suite, loaded from the shipped
-scenario files.
+scenario files through :func:`~valtool.scenario.parse_scenario`.
 
 Each call parses its file afresh, so tests cannot leak state into each
 other, and the scenario files stay the one source of the fixture data.
-"""
+``def2()`` and ``disc_s_side()`` return both sides and the extension map
+from one parse."""
 
 from __future__ import annotations
 
 from . import scenario_path
-from .scenario import _parse
+from .scenario import parse_scenario
 
 
-def _load(name, **rings):
-    return _parse(scenario_path(name).read_text(), rings)
+def _load(name):
+    return parse_scenario(scenario_path(name).read_text())
 
 
 def v1():
@@ -74,11 +75,10 @@ def disc():
             sc.embeddings["branch2"], sc.extensions["ext"])
 
 
-def disc_s_side(sctx=None):
+def disc_s_side():
     """Generating-sequence view of the first DISC candidate (three keys).
 
-    Pass the upstairs context of an existing DISC extension to keep ring
-    identities aligned across objects.
-    """
-    sc = _load("disc") if sctx is None else _load("disc", S=sctx)
-    return sc.valuations["nustar"]
+    Returns (nu, nustar, ext): downstairs, upstairs (oracle branch1) and
+    the extension map."""
+    sc = _load("disc")
+    return sc.valuations["nu"], sc.valuations["nustar"], sc.extensions["ext"]

@@ -650,9 +650,8 @@ def validate_sequence(g):
         lvl = g.level(i)
         lead_value = g.values[i] * step.power
         lead = g.point((0,) * i + (step.power,))
-        signs = [g.grid.cmp(g.point(t.exps), lead) for t in step.tail]
-        equal = [t for t, s in zip(step.tail, signs) if s == 0]
-        lower = signs.count(-1)
+        equal = g.equal_tail(i)  # padded (coeff, exps) pairs
+        lower = sum(g.grid.cmp(g.point(t.exps), lead) < 0 for t in step.tail)
         report.add("tail values at step %d" % i, not lower,
                    "" if not lower else "%d terms below the leading value"
                    % lower)
@@ -676,9 +675,7 @@ def validate_sequence(g):
         report.add("tail exponent bounds at step %d" % i,
                    all(_bounds_ok(term) for term in step.tail))
         if lvl.group_jump not in (None, INFINITE):
-            div_ok = all(
-                (term.exps[i] if len(term.exps) > i else 0) % lvl.group_jump == 0
-                for term in equal)
+            div_ok = all(exps[i] % lvl.group_jump == 0 for _, exps in equal)
             report.add("group jump divides top exponents at step %d" % i, div_ok)
         _check_minimal_polynomial(g, step, equal, report, closure)
         if lvl.residue:
@@ -700,7 +697,7 @@ def validate_sequence(g):
     return report
 
 
-def _check_minimal_polynomial(g, step, equal_terms, report, closure):
+def _check_minimal_polynomial(g, step, equal_tail, report, closure):
     """f_i built from the tail must annihilate the residue at level i.
 
     ``closure`` spans the ring's residue field and the residues below i.
@@ -713,23 +710,18 @@ def _check_minimal_polynomial(g, step, equal_terms, report, closure):
     d = lvl.residue_degree
     coeffs = [g.ctx.tower.zero() for _ in range(d)]
     ok = True
-    for term in equal_terms:
-        top_e = term.exps[i] if len(term.exps) > i else 0
-        t = top_e // lvl.group_jump
+    for coeff, exps in equal_tail:
+        t = exps[i] // lvl.group_jump
         if t >= d:
             report.add("tail exponent within minimal-polynomial range "
                        "at step %d" % i, False,
                        "term %r has top multiplicity %d >= d=%d"
-                       % (term.exps, t, d))
+                       % (exps[:i + 1], t, d))
             ok = False
             continue
-        stripped = list(term.exps[:i]) + [0] * max(0, i - len(term.exps))
-        ratio = [stripped[s] - (d - t) * lvl.unit_exps[s] if s < len(lvl.unit_exps)
-                 else stripped[s] for s in range(i)]
+        ratio = [e - (d - t) * u for e, u in zip(exps[:i], lvl.unit_exps)]
         try:
-            # const() accepts raw scalars as well as tower elements
-            contrib = g.ctx.const(term.coeff).constant_term() * \
-                residue_of_monomial(ratio + [0], g)
+            contrib = coeff * residue_of_monomial(ratio + [0], g)
         except (MissingResidueData, InternalInconsistency) as err:
             report.warn("minimal-polynomial coefficient at step %d "
                         "not computable: %s" % (i, err))

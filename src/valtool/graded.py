@@ -30,7 +30,6 @@ from .values import (
     ContainmentError,
     Value,
     group_index,
-    smallest_multiple_in_group,
 )
 
 
@@ -797,7 +796,10 @@ def integral_relation(f, g_r, g_s, ext):
     # have group jump 1)
     initials = [initial_form(ext.apply(g_r.keys[j]), g_s)
                 for j in sigma_indices(g_r)]
-    n1 = smallest_multiple_in_group(v, [im.value for im in initials])
+    gens = [im.value for im in initials]
+    n1 = group_index(gens + [v], gens)  # the order of v modulo the group
+    if n1 is INFINITE:
+        raise PreconditionError("no multiple of %r lies in the group" % (v,))
     ratio = (v * n1).q0 / initials[0].value.q0
     b, a = ratio.denominator, ratio.numerator
 

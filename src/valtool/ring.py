@@ -16,7 +16,7 @@ from .values import INFINITE, INSUFFICIENT_PRECISION, Value
 
 
 class NotRegularAfterSubstitution(Exception):
-    """A Laurent substitution left a negative exponent behind."""
+    """A monomial shift left a negative exponent behind."""
 
 
 class LocalRingCtx:
@@ -329,26 +329,17 @@ def _divmod_native(ctx, rows, g, d, lead_inv):
 
 
 def substitute(f, images):
-    """Exact substitution of ring elements (or monomial data) for parameters.
+    """Exact substitution of ring elements for parameters.
 
-    INPUT:
-
-    - ``f`` -- a :class:`RingElem`
-    - ``images`` -- dict mapping each parameter name of f's context either to
-      a RingElem in a common target context, or to a pair (exps, ctx) with
-      ``exps = (a, b)`` meaning the Laurent monomial X^a Y^b of the target,
-      a context over f's tower with at least f's levels (coefficient reps
-      pass through unchanged)
-
-    Monomial images may carry negative exponents; the result must come out
-    polynomial or :class:`NotRegularAfterSubstitution` is raised.
+    ``images`` maps each parameter name of f's context to a RingElem, all
+    in one target context.  A quadratic transform's chart, which sends each
+    term to one monomial, is :class:`~valtool.blowup.TransformMap`'s own
+    map and does not come through here.
     """
     xn, yn = f.ctx.param_names
     if xn not in images or yn not in images:
         raise ValueError("images must cover both parameters")
     gx, gy = images[xn], images[yn]
-    if isinstance(gx, tuple) or isinstance(gy, tuple):
-        return _substitute_monomial(f, gx, gy)
     ctx = gx.ctx
     if gy.ctx is not ctx:
         raise ValueError("images live in different contexts")
@@ -416,25 +407,6 @@ def _powers(p, n):
     g = p[1]
     while len(p) <= n:
         p.append(p[-1] * g)
-
-
-def _substitute_monomial(f, gx, gy):
-    (ax, bx), ctx = gx
-    (ay, by), ctx2 = gy
-    if ctx is not ctx2:
-        raise ValueError("monomial images in different contexts")
-    if ctx.tower is not f.ctx.tower or ctx.ring_levels < f.ctx.ring_levels:
-        raise ValueError("monomial images need f's tower and levels")
-    add = ctx.tower.add
-    out = {}
-    for (i, j), c in f.terms.items():
-        e = (ax * i + ay * j, bx * i + by * j)
-        if e[0] < 0 or e[1] < 0:
-            raise NotRegularAfterSubstitution(
-                "term x^%d y^%d maps to exponent %r" % (i, j, e))
-        s = out.get(e)
-        out[e] = c if s is None else add(s, c)
-    return RingElem(ctx, out)
 
 
 def order_mod_x(f):
@@ -635,6 +607,8 @@ class SeriesEmbedding:
         if normalization is None:
             normalization = (ctx.param_names[0], Value(1))
         pname, pval = normalization
+        if pname not in ctx.param_names:
+            raise ValueError("normalize names no parameter %r" % pname)
         base_ord = self.images[pname].order()
         if base_ord is INSUFFICIENT_PRECISION or base_ord <= 0:
             raise ValueError("parameter image must have positive order")

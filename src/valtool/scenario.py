@@ -128,11 +128,6 @@ def _parse_series(text, tower, trunc, line):
 
 def parse_scenario(text):
     """Parse scenario text; errors carry the offending line number."""
-    return _parse(text, {})
-
-
-def _parse(text, given_rings):
-    """parse_scenario, taking the ring objects in given_rings by name."""
     scenario = Scenario()
     section = None
     name = None
@@ -149,7 +144,7 @@ def _parse(text, given_rings):
                 if "params" not in state:
                     raise ScenarioError("ring %r missing params" % name,
                                         header)
-                scenario.rings[name] = given_rings.get(name) or LocalRingCtx(
+                scenario.rings[name] = LocalRingCtx(
                     scenario.tower, tuple(state["params"]),
                     ring_levels=state.get("levels"))
             elif section == "embedding":
@@ -303,8 +298,8 @@ def _section_line(scenario, section, state, line_text, lineno):
             state.setdefault("keys", []).append(
                 (int(m.group(1)), m.group(2), m.group(3).strip(), lineno))
         elif key == "alpha":
-            state.setdefault("alphas", {})[int(parts[1])] = \
-                _parse_const(" ".join(parts[2:]), scenario, lineno)
+            state.setdefault("alphas", {})[int(parts[1])] = (
+                _parse_const(" ".join(parts[2:]), scenario, lineno), lineno)
         elif key == "oracle":
             state["oracle"] = (parts[1], lineno)
         elif key == "terminal":
@@ -351,6 +346,11 @@ def _build_valuation(scenario, name, state, line):
         tail = _parse_elem(ttext, ctx, keys, kline, "key %d tail" % idx)
         keys.append(keys[-1] ** power + tail)
         powers.append(power)
+    alphas = state.get("alphas", {})
+    for level, (_, aline) in alphas.items():
+        if not 1 <= level < len(keys):
+            raise ScenarioError("alpha level %d is not in 1..%d"
+                                % (level, len(keys) - 1), aline)
     oracle = None
     if "oracle" in state:
         oname, oline = state["oracle"]
@@ -363,7 +363,8 @@ def _build_valuation(scenario, name, state, line):
                                 oline)
     try:
         return GenSeq.from_keys(ctx, values, keys, powers,
-                                residues=state.get("alphas"), oracle=oracle,
+                                residues={k: c for k, (c, _) in alphas.items()},
+                                oracle=oracle,
                                 terminal=state.get("terminal", False))
     except NonMonicKey as err:  # reported at that key's own line
         raise ScenarioError("valuation %r: %s" % (name, err),
@@ -485,7 +486,24 @@ def run_scenario(scenario, flags=None):
     return report
 
 
+# each verb's usage and its least and greatest argument counts
+_USAGE = {"validate": ("NU", 1, 1), "eval": ("NU POLY", 2, None),
+          "expand": ("NU POLY", 2, None), "blowup": ("NU [COUNT]", 1, 2),
+          "graded": ("NU [DEPTH]", 1, 2),
+          "fingen": ("EXT NU NUSTAR [DEPTH]", 3, 4),
+          "ramify": ("EXT NU NUSTAR [using EXT]", 3, 5),
+          "split": ("EXT NU candidates NAMES... [probe POLY]", 4, None)}
+
+
 def _dispatch(scenario, flags, section, line, verb, args):
+    if verb not in _USAGE:
+        raise ScenarioError("unknown command %r" % verb, line)
+    usage, low, high = _USAGE[verb]
+    n = len(args)
+    if (n < low or n > (high or n)
+            or verb == "ramify" and n > 3 and (n == 4 or args[3] != "using")
+            or verb == "split" and (args[2] != "candidates" or args[3] == "probe")):
+        raise ScenarioError("usage: %s %s" % (verb, usage), line)
     if verb == "validate":
         g = _resolve(scenario, "valuation", args[0], line)
         rep = validate_sequence(g)
@@ -536,10 +554,8 @@ def _dispatch(scenario, flags, section, line, verb, args):
         ext = _resolve(scenario, "extension", args[0], line)
         g_r = _resolve(scenario, "valuation", args[1], line)
         g_s = _resolve(scenario, "valuation", args[2], line)
-        monomial_ext = None
-        rest = args[3:]
-        if rest and rest[0] == "using":
-            monomial_ext = _resolve(scenario, "extension", rest[1], line)
+        monomial_ext = (_resolve(scenario, "extension", args[4], line)
+                        if args[3:] else None)
         rep = ramification_report(g_r, g_s, ext, depth=flags.depth,
                                   monomial_ext=monomial_ext)
         section.add(*rep.lines())
@@ -547,9 +563,6 @@ def _dispatch(scenario, flags, section, line, verb, args):
     elif verb == "split":
         ext = _resolve(scenario, "extension", args[0], line)
         g_r = _resolve(scenario, "valuation", args[1], line)
-        if not args[2:] or args[2] != "candidates":
-            raise ScenarioError("split EXT NU candidates NAMES... "
-                                "[probe POLY]", line)
         rest = args[3:]
         probes = []
         if "probe" in rest:
@@ -561,8 +574,6 @@ def _dispatch(scenario, flags, section, line, verb, args):
         rep = splitting_report(cands, ext, g_r, probes=probes,
                                value_bound=flags.value_bound, seed=flags.seed)
         section.add(*rep.lines())
-    else:
-        raise ScenarioError("unknown command %r" % verb, line)
 
 
 def _count(args, k, default, line):

@@ -441,28 +441,3 @@ def group_index(big, small):
     if len(small_rows) < len(big_rows):
         return INFINITE
     return covolume(small_rows) // covol
-
-
-def smallest_multiple_in_group(v, gens):
-    """Least positive n with n*v in the group generated by ``gens``.
-
-    Raises :class:`ContainmentError` when no multiple lies in the group
-    (the rational span does not contain v).
-    """
-    vecs = Grid(list(gens) + [v]).points
-    basis = _hnf(vecs[:-1])
-    target = vecs[-1]
-    if not any(target):
-        return 1
-    # Solve over the rationals, then clear coordinate denominators.
-    coords = []
-    rem = [Fraction(t) for t in target]
-    for row in basis:
-        j = _lead(row)
-        q = rem[j] / row[j]
-        coords.append(q)
-        for i in range(len(rem)):
-            rem[i] -= q * row[i]
-    if any(rem):
-        raise ContainmentError("%r has no multiple in the group of %r" % (v, gens))
-    return lcm(*(q.denominator for q in coords))

@@ -1,6 +1,11 @@
-"""A from-scratch field index, the reference for carried residue closures."""
+"""From-scratch references: a field index for carried residue closures and
+a rational solve for the order of a value modulo a group."""
+
+from fractions import Fraction
+from math import lcm
 
 from valtool.towers import span_closure
+from valtool.values import INFINITE, Grid, lattice_add
 
 
 def field_index(tower, big, small):
@@ -15,3 +20,23 @@ def field_index(tower, big, small):
     if big_solver.rank % small_solver.rank:
         return None
     return big_solver.rank // small_solver.rank
+
+
+def order_modulo(v, gens):
+    """Least n >= 1 with n*v in the group generated by ``gens``, INFINITE
+    when there is none: v is solved over the rationals against an echelon
+    basis of the group, and n clears the coordinates' denominators."""
+    points = Grid(list(gens) + [v]).points
+    basis = []
+    for p in points[:-1]:
+        lattice_add(basis, p)
+    rem = [Fraction(t) for t in points[-1]]
+    coords = []
+    for row in basis:
+        j = next(k for k, e in enumerate(row) if e)
+        q = rem[j] / row[j]
+        coords.append(q)
+        rem = [r - q * e for r, e in zip(rem, row)]
+    if any(rem):
+        return INFINITE
+    return lcm(*(q.denominator for q in coords))

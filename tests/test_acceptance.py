@@ -85,8 +85,8 @@ def test_criterion_3_disc_splitting():
                           probes=[parse_poly("y - x", nu1.ctx)], seed=3)
     assert sp.witnessed
     assert all(c.restricts for c in sp.candidates)
-    g_s = fixtures.disc_s_side(ext.target_ctx)
-    st = fingen_detect(g_r, g_s, ext, 4)
+    d_r, g_s, d_ext = fixtures.disc_s_side()
+    st = fingen_detect(d_r, g_s, d_ext, 4)
     # one generator at level 0, so the certificate reads in(u) = in(x)^2
     assert st.certificates[0].certificate == [((2,), g_s.ctx.tower.one())]
     assert st.verdict.kind == "consistent"
@@ -231,9 +231,7 @@ def test_criterion_9_monotonicity_and_index_identity():
     runs.append(("def2", fingen_detect(g_r, g_s, ext, 4)))
     nu_r, nu1, nu2, ext2 = fixtures.pi2()
     runs.append(("pi2", fingen_detect(nu_r, nu1, ext2, 4)))
-    d_r, _, _, ext3 = fixtures.disc()
-    runs.append(("disc", fingen_detect(d_r, fixtures.disc_s_side(
-        ext3.target_ctx), ext3, 4)))
+    runs.append(("disc", fingen_detect(*fixtures.disc_s_side(), 4)))
     v1 = fixtures.v1()
     from valtool.extension import ExtensionMap
     ident = ExtensionMap(v1.ctx, parse_poly("x", v1.ctx),

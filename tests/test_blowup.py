@@ -286,9 +286,10 @@ def test_recentring_matches_ring_substitution(tower, alpha, nbar, w):
 
     assert tmap.x_image == product((X, nbar), (unit, a))
     assert tmap.y_image == product((X, w), (unit, b))
-    # the reference recentres by substituting X and Z + alpha into the chart
+    # the reference charts and recentres by substitution: X^n U^a and
+    # X^w U^b for x and y, then X and Z + alpha for X and U
     chart = LocalRingCtx(tower, ("X", "U"))
-    chart_images = {"x": ((nbar, a), chart), "y": ((w, b), chart)}
+    chart_images = {"x": chart.monomial(nbar, a), "y": chart.monomial(w, b)}
     recentre = {"X": X, "U": unit}
     images = {"x": tmap.x_image, "y": tmap.y_image}
     coeffs = [tower.scalar(c) for c in (1, -1, 2, Fraction(1, 5))]
@@ -303,6 +304,7 @@ def test_recentring_matches_ring_substitution(tower, alpha, nbar, w):
         if f.is_zero():
             continue
         h = substitute(f, chart_images)
+        assert tmap._chart(f).terms == h.terms
         top_u_degrees.add(h.y_degree())
         assert tmap.to_target(f) == substitute(h, recentre)
         assert tmap.to_target(f) == substitute(f, images)
@@ -313,8 +315,8 @@ def test_recentring_matches_ring_substitution(tower, alpha, nbar, w):
 
 
 def test_free_transform_substitutes_only_into_the_chart(monkeypatch):
-    """Recentring goes through the Taylor shift: every substitution left in
-    free_transform sends the source parameters to chart monomials."""
+    """The chart is TransformMap's own map and recentring a Taylor shift:
+    free_transform makes no ring substitution at all."""
     import valtool
     calls = []
 
@@ -322,15 +324,39 @@ def test_free_transform_substitutes_only_into_the_chart(monkeypatch):
         calls.append(images)
         return substitute(f, images)
 
+    patched = 0
     for module in vars(valtool).values():
         if getattr(module, "substitute", None) is substitute:
             monkeypatch.setattr(module, "substitute", counting)
+            patched += 1
+    assert patched  # the ring module at least
     g = _chain_cell(3, "Q", 1)
     free_transform(g)
-    # one chart image per transported key: keys 2 .. top
-    assert len(calls) == g.top - 1
-    assert all(isinstance(img, tuple)
-               for images in calls for img in images.values())
+    assert g.top > 2 and calls == []
+
+
+def test_transform_map_refuses_a_chart_it_cannot_apply():
+    """The chart's preconditions are checked once, when the map is built."""
+    tower = ResidueTower(QQ)
+    src, one = LocalRingCtx(tower, ("x", "y")), tower.one()
+    tgt = LocalRingCtx(tower, ("x1", "y1"))
+    tmap = TransformMap(src, tgt, 2, 3, 1, 2, one, Value(1))
+    f = parse_poly("y^2 - x^3", src)
+    assert tmap._chart(f) == parse_poly("X^6*U^4 - X^6*U^3", tmap.chart_ctx)
+    # a negative chart exponent, and a chart that is not unimodular
+    for nbar, w, a, b in ((1, -1, 0, 1), (1, 0, -1, 1), (2, 3, 1, 1)):
+        with pytest.raises(ValueError):
+            TransformMap(src, tgt, nbar, w, a, b, one, Value(1))
+    # coefficient reps pass through, so the target must share the source's
+    # tower and keep at least its levels
+    ext = tower.extend("i", [1, 0])
+    for other in (LocalRingCtx(ext, ("x1", "y1")),
+                  LocalRingCtx(ResidueTower(QQ), ("x1", "y1"))):
+        with pytest.raises(ValueError):
+            TransformMap(src, other, 2, 3, 1, 2, one, Value(1))
+    low = LocalRingCtx(ext, ("x1", "y1"), ring_levels=0)
+    with pytest.raises(ValueError):
+        TransformMap(LocalRingCtx(ext), low, 1, 0, 0, 1, ext.one(), Value(1))
 
 
 # -- one transform per sequence -------------------------------------------------

@@ -317,6 +317,17 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
              "!key n=2 value=7/2 tail=3/2/5*x^3"],
     _RING + ["[embedding o]", "ring R", "x = t^2", "!y = t^3 + t^(1/0)"],
     _RING + ["[valuation nu]", "ring R", "values 1 3/2", "!alpha 1 1/0"],
+    # an alpha names a level 1..top; others were dropped without notice,
+    # and each is refused at its own line, before or after the keys
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2",
+             "key n=2 value=7/2 tail=-1*x^3", "!alpha 0 1"],
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2",
+             "key n=2 value=7/2 tail=-1*x^3", "alpha 1 1", "!alpha -1 1"],
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2", "!alpha 7 1",
+             "alpha 1 1", "key n=2 value=7/2 tail=-1*x^3"],
+    # normalize names a parameter of the embedding's ring (a KeyError was
+    # a traceback); embedding errors are reported at the header
+    _RING + ["![embedding o]", "ring R", "x = t", "y = t^2", "normalize q 1"],
     # and 1/2, which GF(2) has no element for
     ["[field]", "base F 2", "[ring R]", "params x y", "[embedding o]",
      "ring R", "x = t", "!y = 1/2*t^2"],
@@ -332,7 +343,8 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
         "bare-truncate", "alpha-x", "key-n-two", "key-n-0", "key-n--1",
         "key-n-x", "unique-maybe", "degree-many", "params-x-x",
         "extend-twice", "char-1", "char-4", "char-2-over-Q", "tail-1/0",
-        "tail-3/2/5", "series-exponent-1/0", "alpha-1/0",
+        "tail-3/2/5", "series-exponent-1/0", "alpha-1/0", "alpha-0",
+        "alpha--1", "alpha-7", "normalize-q",
         "series-1/2-over-F2", "levels--1", "levels-5-over-Q",
         "base-F-30-digit-prime", "interval-odd", "interval-not-nested"])
 def test_malformed_directive_is_a_parse_error(tmp_path, lines):
@@ -385,6 +397,14 @@ def test_value_bound_must_be_an_exact_rational(bound, code, capsys):
 ])
 def test_negative_or_non_integer_depth_is_refused_at_its_line(
         tmp_path, name, command, bad):
+    code, err, line = _run_error(tmp_path, name, command, bad)
+    assert code == 2
+    assert err.startswith("error: line %d: " % line), err
+
+
+def _run_error(tmp_path, name, command, bad):
+    """Exit code and stderr of ``valtool run`` on a shipped scenario whose
+    command line ``command`` reads ``bad``, and that line's number."""
     text = (SCN / ("%s.scn" % name)).read_text()
     line = 1 + text.splitlines().index(command)
     path = tmp_path / "bad.scn"
@@ -392,8 +412,32 @@ def test_negative_or_non_integer_depth_is_refused_at_its_line(
     err = io.StringIO()
     with redirect_stderr(err):
         code, _ = run_cli("run", str(path))
+    return code, err.getvalue(), line
+
+
+@pytest.mark.parametrize("name, command, bad", [
+    # missing arguments faulted with an IndexError (exit 1)
+    ("v1", "validate nu", "validate"),
+    ("v1", "eval nu y^2+x^3", "eval"),
+    ("def2", "fingen ext nu nustar 4", "fingen ext nu"),
+    ("disc", "split ext nu candidates branch1 branch2 probe y-x", "split ext"),
+    # a split with no candidates reported "splitting witnessed: False"
+    ("disc", "split ext nu candidates branch1 branch2 probe y-x",
+     "split ext nu candidates"),
+    ("disc", "split ext nu candidates branch1 branch2 probe y-x",
+     "split ext nu candidates probe y-x"),
+    ("def2", "ramify ext nu nustar", "ramify ext nu nustar using"),
+    # extra words were dropped without notice (exit 0)
+    ("v1", "blowup nu 1", "blowup nu 2 3"),
+    ("def2", "ramify ext nu nustar", "ramify ext nu nustar foo bar"),
+], ids=["validate", "eval", "fingen-ext-nu", "split-ext",
+        "split-no-candidates", "split-probe-only", "ramify-using",
+        "blowup-extra", "ramify-foo-bar"])
+def test_command_with_the_wrong_arguments_is_refused_at_its_line(
+        tmp_path, name, command, bad):
+    code, err, line = _run_error(tmp_path, name, command, bad)
     assert code == 2
-    assert err.getvalue().startswith("error: line %d: " % line), err.getvalue()
+    assert err.startswith("error: line %d: usage: %s " % (line, bad.split()[0])), err
 
 
 @pytest.mark.parametrize("normalize", [True, False])

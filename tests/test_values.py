@@ -18,9 +18,10 @@ from valtool.values import (
     group_index,
     lattice_add,
     pi_descriptor,
-    smallest_multiple_in_group,
     value_ratio,
 )
+
+from subfields import order_modulo
 
 PI = pi_descriptor()
 
@@ -142,12 +143,11 @@ def test_group_index_tower_law_randomized():
                 == group_index(big, small))
 
 
-def test_smallest_multiple_in_group():
+def test_group_index_reads_the_order_of_a_value_modulo_the_group():
     gens = [Value(1)]
-    assert smallest_multiple_in_group(Value(Fraction(3, 4)), gens) == 4
-    assert smallest_multiple_in_group(Value(2), gens) == 1
-    with pytest.raises(ContainmentError):
-        smallest_multiple_in_group(Value(0, 1, PI), gens)
+    assert group_index(gens + [Value(Fraction(3, 4))], gens) == 4
+    assert group_index(gens + [Value(2)], gens) == 1
+    assert group_index(gens + [Value(0, 1, PI)], gens) is INFINITE
 
 
 def test_sentinels_keep_repr_truth_and_homes():
@@ -435,5 +435,22 @@ def test_group_index_refuses_a_subgroup_that_is_not_contained():
         big = _as_values([(2 * a, 2 * b) for a, b in vecs])
         with pytest.raises(ContainmentError):
             group_index(big, big[:at] + _as_values([w]) + big[at:])
+
+    check()
+
+
+def test_group_index_agrees_with_a_rational_solve_of_the_order():
+    """[G(gens + [v]) : G(gens)] is the order of v modulo G(gens), on
+    rank-1 values with denominators and on rank-2 values over pi."""
+    hypothesis, st, vec, vectors, settings = _lattice_strategies()
+
+    @settings
+    @hypothesis.given(vecs=vectors(), v=vec, rank=st.sampled_from((1, 2)))
+    def check(vecs, v, rank):
+        def value(a, b):  # at rank 1, (a, b) reads a / (|b| + 1)
+            return Value(Fraction(a, abs(b) + 1)) if rank == 1 else Value(a, b, PI)
+
+        gens, v = [value(*w) for w in vecs], value(*v)
+        assert group_index(gens + [v], gens) == order_modulo(v, gens)
 
     check()
