@@ -134,7 +134,7 @@ def parse_scenario(text):
     header = None
     # accumulated per-section state; section-level errors are reported at
     # the section's header, or at the directive they concern
-    state = {}
+    state, seen = {}, {}
 
     def flush():
         if section is None:
@@ -185,6 +185,7 @@ def parse_scenario(text):
         if m:
             flush()
             section, name, header = m.group(1), m.group(2), lineno
+            seen = {}  # what this section's lines set -> the setting line
             if section not in ("field", "ring", "embedding", "valuation",
                                "extension", "run"):
                 raise ScenarioError("unknown section %r" % section, lineno)
@@ -201,10 +202,17 @@ def parse_scenario(text):
             raise ScenarioError("content before the first section", lineno)
         parts = stripped.split()
         try:
+            if section == "run":
+                scenario.commands.append((lineno, parts[0], parts[1:]))
+                continue
+            setting = _setting(stripped, parts)
+            if setting in seen:
+                raise ScenarioError("repeated %r line; the first is at line "
+                                    "%d" % (setting, seen[setting]), lineno)
+            if setting is not None:
+                seen[setting] = lineno
             if section == "field":
                 _field_line(scenario, stripped, lineno)
-            elif section == "run":
-                scenario.commands.append((lineno, parts[0], parts[1:]))
             else:
                 _section_line(scenario, section, state, stripped, lineno)
         except IndexError:
@@ -213,6 +221,20 @@ def parse_scenario(text):
             raise ScenarioError("bad %r line: %s" % (parts[0], err), lineno)
     flush()
     return scenario
+
+
+def _setting(line_text, parts):
+    """What a section line sets, or None for a line that may repeat: keys
+    and tower levels.  A second line setting the same thing is refused."""
+    if parts[0] in ("key", "extend"):
+        return None
+    if parts[0] == "alpha":
+        return "alpha %d" % int(parts[1])
+    if parts[0] == "irrational":
+        return "irrational " + parts[1]
+    if "=" in line_text:  # a parameter's series or image
+        return line_text.split("=", 1)[0].strip() + " ="
+    return parts[0]
 
 
 def _field_line(scenario, line_text, lineno):

@@ -339,6 +339,37 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
     # an interval table is lo/hi pairs, each nested in the one before
     ["[field]", "base Q", "!irrational pi interval 3 4 31/10"],
     ["[field]", "base Q", "!irrational pi interval 3 4 5 6"],
+    # a directive set twice in one section replaced the first setting
+    # without notice; keys and tower levels may repeat
+    ["[field]", "base Q", "extend a minpoly 1 0", "!base Q"],
+    ["[field]", "base Q", "irrational pi default",
+     "!irrational pi default"],
+    ["[field]", "base Q", "[ring R]", "params x y", "!params u v"],
+    _RING + ["levels 0", "!levels 0"],
+    _RING + ["[embedding o]", "ring R", "truncate 20", "x = t",
+             "y = t^2", "!truncate 40"],
+    _RING + ["[embedding o]", "ring R", "!ring R", "x = t", "y = t^2"],
+    _RING + ["[embedding o]", "ring R", "x = t", "y = t^2",
+             "normalize x 1", "!normalize y 3/2"],
+    _RING + ["[embedding o]", "ring R", "x = t", "y = t^2", "!x = t^3"],
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2", "!values 2 3"],
+    _RING + ["[valuation nu]", "ring R", "!ring R", "values 1 3/2"],
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2",
+             "key n=2 value=7/2 tail=-1*x^3", "alpha 1 1", "!alpha 1 5"],
+    _RING + ["[embedding o]", "ring R", "x = t^2", "y = t^3",
+             "[valuation nu]", "ring R", "values 1 3/2", "oracle o",
+             "!oracle o"],
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2", "terminal",
+             "!terminal"],
+    _RING + ["[extension e]", "from R to R", "!from R to R", "x = x",
+             "y = y"],
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y", "degree 1",
+             "!degree 2"],
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y", "char 0",
+             "!char 0"],
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y",
+             "unique true", "!unique false"],
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y", "!y = x + y"],
 ], ids=["base", "base-F-x", "irrational", "levels-two", "bare-ring",
         "bare-truncate", "alpha-x", "key-n-two", "key-n-0", "key-n--1",
         "key-n-x", "unique-maybe", "degree-many", "params-x-x",
@@ -346,7 +377,12 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
         "tail-3/2/5", "series-exponent-1/0", "alpha-1/0", "alpha-0",
         "alpha--1", "alpha-7", "normalize-q",
         "series-1/2-over-F2", "levels--1", "levels-5-over-Q",
-        "base-F-30-digit-prime", "interval-odd", "interval-not-nested"])
+        "base-F-30-digit-prime", "interval-odd", "interval-not-nested",
+        "base-twice", "irrational-twice", "params-twice", "levels-twice",
+        "truncate-twice", "embedding-ring-twice", "normalize-twice",
+        "series-twice", "values-twice", "valuation-ring-twice",
+        "alpha-1-twice", "oracle-twice", "terminal-twice", "from-twice",
+        "degree-twice", "char-twice", "unique-twice", "image-twice"])
 def test_malformed_directive_is_a_parse_error(tmp_path, lines):
     code, err, bad = _check_error(tmp_path, lines)
     assert code == 2

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import valtool
+from valtool import ring
 from valtool.cli import main
 from valtool.scenario import parse_scenario
 
@@ -39,6 +40,15 @@ def test_shipped_report_is_unchanged(name, fmt):
     code, out = _run(valtool.scenario_path(name), fmt)
     assert code == 0
     assert out == _pinned(name, fmt)
+
+
+def test_reports_are_unchanged_with_every_product_packed(monkeypatch):
+    # the packed height-0 product for every product, however small
+    monkeypatch.setattr(ring, "PACKED_MIN_PAIRS", 1)
+    for name in NAMES:
+        for fmt in FORMATS:
+            assert _run(valtool.scenario_path(name), fmt) == (
+                0, _pinned(name, fmt)), (name, fmt)
 
 
 def test_pi_from_an_interval_table_gives_the_pinned_report(tmp_path):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from valtool import fixtures
+from valtool import fixtures, ring
 from valtool.blowup import free_transform
 from valtool.extension import ExtensionMap
 from valtool.ring import (
@@ -24,6 +24,8 @@ from valtool.ring import (
 )
 from valtool.towers import QQ, BaseField, ResidueTower, TowerElem
 from valtool.values import INFINITE, Value
+
+from test_graded import _chain
 
 
 @pytest.fixture
@@ -210,6 +212,31 @@ def test_power_forms_no_spare_products(monkeypatch, kind):
         assert f ** n == want
         assert len(products) == count
         want = real(want, f)
+
+
+def test_power_builds_one_only_for_the_zeroth_power(monkeypatch, ctx):
+    f = parse_poly("x + 2*y - 1", ctx)
+    real, built = LocalRingCtx.one, []
+
+    def counting(self):
+        built.append(1)
+        return real(self)
+
+    monkeypatch.setattr(LocalRingCtx, "one", counting)
+    assert f ** 0 == real(ctx) and built == [1]
+    want = f
+    for n in range(1, 6):
+        built.clear()
+        assert f ** n == want and built == []
+        want = want * f
+
+
+def test_ring_equality_with_foreign_objects_is_false(ctx):
+    x = ctx.x()
+    for other in (None, "a", object(), 1.5):
+        assert not (x == other) and x != other
+    assert x in [None, x] and [None] != [x]
+    assert ctx.one() == 1 and ctx.const(Fraction(1, 2)) == Fraction(1, 2)
 
 
 def test_ring_equality_is_exact(ctx):
@@ -809,3 +836,111 @@ def test_embedding_on_a_finer_grid_answers_in_t_units():
     assert series_value(ctx.y() ** 2 - ctx.x() ** 3, emb) == Value(Fraction(59, 18))
     with pytest.raises(ValueError, match="nonzero order -3/4"):
         emb.residue_of_ratio(ctx.x(), ctx.y())
+
+
+def _schoolbook(f, g):
+    """Reference height-0 product: one dict update per term pair."""
+    p, out = f.ctx.tower.base.p, {}
+    for (i1, j1), c1 in f.terms.items():
+        for (i2, j2), c2 in g.terms.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = out.get(e, 0) + c1 * c2
+    out = {e: c % p if p else c for e, c in out.items()}
+    return {e: c for e, c in out.items() if c}
+
+
+_PACKED_BASES = {"Q": 0, "F2": 2, "F3": 3, "F2147483647": 2147483647}
+
+
+def _packed_operand(ctx, rng, terms, coeffs):
+    """A height-0 element with about ``terms`` terms in a few dense rows."""
+    ydeg = rng.randint(0, 6)
+    width = max(1, 2 * terms // (ydeg + 1))
+    pick = {"small": lambda: rng.choice((1, -1, 2, -3)),
+            "big": lambda: rng.randint(-2 ** 80, 2 ** 80),
+            "frac": lambda: Fraction(rng.randint(-40, 40),
+                                     rng.choice((1, 2, 3, 7, 12))),
+            "whole": lambda: Fraction(rng.choice((1, -1, 2, -3))),
+            "sign": lambda: rng.choice((1, -1))}[coeffs]
+    # over Q, "frac" and "whole" keep whole values as Fractions, as
+    # products of Fractions in the dict loop leave them
+    rep = (Fraction if coeffs in ("frac", "whole") and not ctx.tower.base.p
+           else ctx.rep)
+    out = {}
+    for _ in range(terms):
+        j = rng.randint(0, ydeg)
+        lo = rng.randint(0, 3 * j + 2)
+        c = pick()
+        if c:
+            out[(rng.randint(lo, lo + width), j)] = rep(c)
+    return RingElem(ctx, out)
+
+
+def test_packed_product_matches_the_schoolbook_product():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+    @hypothesis.given(base=st.sampled_from(sorted(_PACKED_BASES)),
+                      coeffs=st.sampled_from(("small", "big", "frac", "whole",
+                                              "sign")),
+                      sizes=st.tuples(st.integers(1, 80), st.integers(1, 80)),
+                      seed=st.integers(0, 2 ** 32))
+    def check(base, coeffs, sizes, seed):
+        p = _PACKED_BASES[base]
+        if p and coeffs == "frac" and p in (2, 3):
+            coeffs = "sign"  # denominators 2 and 3 do not exist there
+        ctx = LocalRingCtx(ResidueTower(BaseField(p)))
+        rng = random.Random(seed)
+        f, g = (_packed_operand(ctx, rng, n, coeffs) for n in sizes)
+        want = _schoolbook(f, g)
+        # a square pairs each two distinct rows once
+        packed, square = ring._packed_product(f, g), ring._packed_product(f, f)
+        for got, ref in ((f * g, want), (packed, want),
+                         (square, _schoolbook(f, f))):
+            assert got.terms == ref
+            _assert_canonical(got)
+        # whole rationals come out as ints, as BaseField keeps them
+        assert all(type(c) is int for h in (packed, square)
+                   for c in h.terms.values() if Fraction(c).denominator == 1)
+        # (f + g)(f - g) = f^2 - g^2: the cross terms cancel pairwise
+        diff = ring._packed_product(f + g, f - g)
+        assert diff.terms == _schoolbook(f + g, f - g)
+        assert diff == square - ring._packed_product(g, g)
+
+    check()
+
+
+def test_packed_product_runs_from_the_cutoff(monkeypatch):
+    ctx = LocalRingCtx(ResidueTower(QQ))
+    rng = random.Random(3)
+    f, g = (_packed_operand(ctx, rng, 60, "small") for _ in range(2))
+    real, packed = ring._packed_product, []
+
+    def counting(a, b):
+        packed.append(len(a.terms) * len(b.terms))
+        return real(a, b)
+
+    monkeypatch.setattr(ring, "_packed_product", counting)
+    pairs = len(f.terms) * len(g.terms)
+    for cutoff, runs in ((pairs, True), (pairs + 1, False)):
+        monkeypatch.setattr(ring, "PACKED_MIN_PAIRS", cutoff)
+        packed.clear()
+        assert (f * g).terms == _schoolbook(f, g)
+        assert packed == ([pairs] if runs else [])
+
+
+@pytest.mark.parametrize("p", [0, 3], ids=["Q", "F3"])
+def test_square_of_a_depth_6_chain_key_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    X, Y = sympy.symbols("x y")
+    key = _chain(6, BaseField(p)).keys[-1]
+    assert len(key.terms) ** 2 >= ring.PACKED_MIN_PAIRS
+    # the key's coefficients are integers: square over ZZ (sympy's QQ and
+    # GF(p) squares take seconds here) and reduce mod p
+    assert all(type(c) is int for c in key.terms.values())
+    square = sympy.Poly.from_dict({(j, i): c for (i, j), c in
+                                   key.terms.items()}, Y, X, domain="ZZ") ** 2
+    want = {(i, j): int(c) % p if p else int(c)
+            for (j, i), c in square.as_dict().items()}
+    assert (key * key).terms == {e: c for e, c in want.items() if c}
