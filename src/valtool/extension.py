@@ -9,10 +9,13 @@ extension.  Reports cross-check whichever routes apply.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 from .genseq import InsufficientGeneratingData, evaluate
-from .ring import SeriesEmbedding, substitute
+from .graded import fingen_detect
+from .ring import (MonomialForm, SeriesEmbedding, monomialize_check,
+                   series_value, substitute)
 from .values import (
     INSUFFICIENT_PRECISION,
     UNDETERMINED,
@@ -131,9 +134,6 @@ def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
     images have the monomial shape; by design the formula is applied at the
     user-selected level, never searched for.
     """
-    from .graded import fingen_detect
-    from .ring import monomialize_check, MonomialForm
-
     state = fingen_detect(g_r, g_s, ext, depth)
     e, f = state.e, state.f
     if e is None or f is None:
@@ -226,7 +226,6 @@ class SplittingReport:
 def _candidate_value(cand, f):
     """Value of an S-element under a candidate valuation, or undecided."""
     if isinstance(cand, SeriesEmbedding):
-        from .ring import series_value
         return series_value(f, cand)
     try:
         return evaluate(f, cand)
@@ -243,7 +242,6 @@ def splitting_report(candidates, ext, g_r, probes=(), value_bound=None,
     scaling, to the declared downstairs valuation on the key images and on
     24 random samples.  Two distinct restricting candidates witness splitting.
     """
-    import random
     rng = random.Random(seed)
     sctx = ext.target_ctx
     if value_bound is None:

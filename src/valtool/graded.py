@@ -14,23 +14,10 @@ finite generation" or "obstruction witnessed", never a theorem.
 
 from __future__ import annotations
 
-from .genseq import (
-    InsufficientGeneratingData,
-    PreconditionError,
-    evaluate,
-    initial_form,
-    reference_monomial,
-    residue_sum,
-    sigma_indices,
-)
-from .towers import LinearSolver, minimal_polynomial, power, span_closure
-from .values import (
-    INFINITE,
-    UNDETERMINED,
-    ContainmentError,
-    Value,
-    group_index,
-)
+from .genseq import (initial_form, reference_monomial, residue_sum,
+                     sigma_indices)
+from .towers import LinearSolver, power, span_closure
+from .values import INFINITE, ContainmentError, group_index
 
 
 class GradedElem:
@@ -734,99 +721,3 @@ def _residue_ratio(num, den):
         return None
     return top / bottom
 
-
-# ---------------------------------------------------------------------------
-# constructive integrality
-# ---------------------------------------------------------------------------
-
-class IntegralRelation:
-    """Monic relation certifying integrality of an initial form."""
-
-    __slots__ = ("multiplier", "numerator_power", "base_power", "xi",
-                 "minpoly", "degree", "element", "target_value", "verified")
-
-    def __init__(self, multiplier, numerator_power, base_power, xi, minpoly,
-                 element, target_value, verified):
-        self.multiplier = multiplier          # n1: clears the value into the group
-        self.numerator_power = numerator_power  # b
-        self.base_power = base_power          # a
-        self.xi = xi
-        self.minpoly = minpoly
-        self.degree = len(minpoly)
-        self.element = element
-        self.target_value = target_value
-        self.verified = verified  # True, False or UNDETERMINED
-
-    def lines(self):
-        return [
-            "n1=%d, b=%d, a=%d" % (self.multiplier, self.numerator_power,
-                                   self.base_power),
-            "xi = %r with minimal polynomial coefficients %r"
-            % (self.xi, self.minpoly),
-            "relation element: %r" % self.element,
-            "graded class at value %r vanishes: %s"
-            % (self.target_value, "undecided at this prefix"
-               if self.verified is UNDETERMINED else self.verified),
-        ]
-
-    def __repr__(self):
-        return "\n".join(self.lines())
-
-
-def integral_relation(f, g_r, g_s, ext):
-    """Monic relation for in(f) over the downstairs graded ring.
-
-    Rational-rank-1 scenarios only.  The residue of in(f)^(b*n1) / in(u)^a
-    is taken in the tower, its minimal polynomial over the downstairs
-    residue field is lifted coefficientwise, and the resulting combination
-    is checked to vanish in the graded ring.  ``verified`` is UNDETERMINED
-    when the relation's minimal form cancels below the target value, so the
-    declared prefix cannot tell whether it vanishes there.
-    """
-    if any(v.q1 != 0 for v in g_s.values):
-        raise PreconditionError("integral relations need rational rank 1")
-    if f.is_unit():
-        raise PreconditionError("units have value 0; integrality is trivial")
-    in_f = initial_form(f, g_s)
-    v = in_f.value
-    if v.sign() <= 0:
-        raise PreconditionError("relation needs a positive value")
-
-    # sigma-level values generate the whole downstairs group (inner levels
-    # have group jump 1)
-    initials = [initial_form(ext.apply(g_r.keys[j]), g_s)
-                for j in sigma_indices(g_r)]
-    gens = [im.value for im in initials]
-    n1 = group_index(gens + [v], gens)  # the order of v modulo the group
-    if n1 is INFINITE:
-        raise PreconditionError("no multiple of %r lies in the group" % (v,))
-    ratio = (v * n1).q0 / initials[0].value.q0
-    b, a = ratio.denominator, ratio.numerator
-
-    xi = _residue_ratio(in_f ** (b * n1), initials[0] ** a)
-    if xi is None:
-        raise InsufficientGeneratingData(
-            "the residue of in(f)^%d over in(u)^%d vanishes at this prefix"
-            % (b * n1, a))
-    num = f ** (b * n1)
-    den = ext.apply(g_r.keys[0]) ** a
-    coeffs = minimal_polynomial(xi, g_r.field_basis)
-    r = len(coeffs)
-
-    relation = num ** r
-    for t in range(r):
-        lift = g_s.ctx.const(coeffs[t])
-        relation = relation + lift * den ** (r - t) * num ** t
-    target = v * (b * n1 * r)
-
-    if relation.is_zero():
-        verified = True
-    else:
-        try:
-            verified = evaluate(relation, g_s) > target
-        except InsufficientGeneratingData as err:
-            # the true value lies above the cancelled minimal value, which
-            # proves the vanishing only when that value reaches the target
-            verified = (True if err.value is not None and err.value >= target
-                        else UNDETERMINED)
-    return IntegralRelation(n1, b, a, xi, coeffs, relation, target, verified)

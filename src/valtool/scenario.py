@@ -295,6 +295,8 @@ def _section_line(scenario, section, state, line_text, lineno):
             state["ring"] = (parts[1], lineno)
         elif key == "truncate":
             state["truncate"] = _parse_fraction(parts[1], lineno)
+            if state["truncate"] <= 0:
+                raise ScenarioError("truncate must be positive", lineno)
         elif key == "normalize":
             state["normalize"] = (parts[1],
                                   _parse_value(parts[2], scenario, lineno))
@@ -336,6 +338,9 @@ def _section_line(scenario, section, state, line_text, lineno):
             state["from"] = (parts[1], parts[3], lineno)
         elif key == "degree":
             state["degree"] = int(parts[1])
+            if state["degree"] < 1:
+                raise ScenarioError("degree must be a positive integer",
+                                    lineno)
         elif key == "char":  # a check: p is read from the tower
             state["char"] = (int(parts[1]), lineno)
         elif key == "unique":

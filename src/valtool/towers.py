@@ -628,34 +628,3 @@ def span_closure(tower, generators, closure=None):
         frontier = new
     return basis, solver
 
-
-def minimal_polynomial(e, q_basis):
-    """Monic minimal polynomial of ``e`` over the subfield with base-field
-    basis ``q_basis`` (a :func:`span_closure` basis): c_0..c_{r-1}.
-
-    Solves e^r = sum_{i<r} (subfield element) * e^i by exact linear algebra
-    over the base field, with subfield coefficients expanded on that basis.
-    """
-    tower = e.tower
-    q_basis = list(map(tower.lift, q_basis))
-    power = tower.one()
-    powers = [power]
-    solver = LinearSolver(tower.base)
-    products = []  # (power index, q-basis element)
-    r = 0
-    while True:
-        for q in q_basis:
-            solver.add((powers[r] * q).to_vector())
-            products.append((r, q))
-        power = powers[r] * e
-        r += 1
-        sol = solver.solve(power.to_vector())
-        if sol is not None:
-            coeffs = [tower.zero() for _ in range(r)]
-            for idx, scal in sol.items():
-                i, q = products[idx]
-                coeffs[i] = coeffs[i] + q * scal
-            return [-c for c in coeffs]
-        powers.append(power)
-        if r > tower.degree():
-            raise ArithmeticError("no dependence found below the tower degree")

@@ -14,7 +14,7 @@ from valtool import fixtures
 from valtool.blowup import free_transform, shift_table, strict_transform
 from valtool.extension import ramification_report, splitting_report
 from valtool.genseq import InsufficientGeneratingData, evaluate, validate_sequence
-from valtool.graded import fingen_detect, graded_presentation, integral_relation
+from valtool.graded import fingen_detect, graded_presentation
 from valtool.ring import INSUFFICIENT_PRECISION, parse_poly, series_value
 from valtool.values import Value, group_index
 
@@ -199,28 +199,6 @@ def test_criterion_7_obstruction_witness():
             assert witness  # each new target initial form failed membership
     _report(7, "three-key non-discrete fixture: obstruction witnessed at "
                "every depth 1..6 after one transform",
-            time.perf_counter() - start, 5)
-
-
-def test_criterion_8_integral_relations():
-    start = time.perf_counter()
-    g_r, g_s, ext = fixtures.def2()
-    rng = random.Random(77)
-    done = 0
-    failures = []
-    while done < 20:
-        f = g_s.ctx.zero()
-        for _ in range(rng.randint(2, 5)):
-            f = f + g_s.ctx.monomial(rng.randint(0, 4), rng.randint(0, 4), 1)
-        if f.is_zero() or f.is_unit():
-            continue
-        done += 1
-        rel = integral_relation(f, g_r, g_s, ext)
-        if rel.verified is not True:  # UNDETERMINED has no truth value
-            failures.append(f)
-    assert not failures, failures
-    _report(8, "20 random integral relations over the defect fixture all "
-               "vanish in the graded ring",
             time.perf_counter() - start, 5)
 
 

@@ -370,6 +370,12 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
     _RING + ["[extension e]", "from R to R", "x = x", "y = y",
              "unique true", "!unique false"],
     _RING + ["[extension e]", "from R to R", "x = x", "y = y", "!y = x + y"],
+    # a field degree is at least 1 and a truncation order positive; both
+    # were reported at the section header, truncate as a series error
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y", "!degree 0"],
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y", "!degree -2"],
+    _RING + ["[embedding o]", "ring R", "!truncate 0", "x = t", "y = t^2"],
+    _RING + ["[embedding o]", "ring R", "!truncate -1", "x = t", "y = t^2"],
 ], ids=["base", "base-F-x", "irrational", "levels-two", "bare-ring",
         "bare-truncate", "alpha-x", "key-n-two", "key-n-0", "key-n--1",
         "key-n-x", "unique-maybe", "degree-many", "params-x-x",
@@ -382,7 +388,8 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
         "truncate-twice", "embedding-ring-twice", "normalize-twice",
         "series-twice", "values-twice", "valuation-ring-twice",
         "alpha-1-twice", "oracle-twice", "terminal-twice", "from-twice",
-        "degree-twice", "char-twice", "unique-twice", "image-twice"])
+        "degree-twice", "char-twice", "unique-twice", "image-twice",
+        "degree-0", "degree--2", "truncate-0", "truncate--1"])
 def test_malformed_directive_is_a_parse_error(tmp_path, lines):
     code, err, bad = _check_error(tmp_path, lines)
     assert code == 2

@@ -13,9 +13,7 @@ from valtool.genseq import (
     GenSeq,
     InsufficientGeneratingData,
     KeyStep,
-    PreconditionError,
     TailTerm,
-    evaluate,
     initial_form,
     reduced_representation,
     sigma_indices,
@@ -28,14 +26,13 @@ from valtool.graded import (
     graded_one,
     graded_piece_basis,
     graded_presentation,
-    integral_relation,
     key_initial,
     subalgebra_membership,
 )
 from valtool.ring import LocalRingCtx, parse_poly
 from valtool.scenario import parse_scenario
 from valtool.towers import QQ, BaseField, LinearSolver, ResidueTower
-from valtool.values import INFINITE, UNDETERMINED, Grid, Value
+from valtool.values import INFINITE, Grid, Value
 
 from subfields import field_index
 
@@ -527,68 +524,3 @@ def test_chi_carries_its_closures_across_levels():
         assert got[-1] == want, (s, r)
     assert got == [1, 1, None, None, 2, 2, 4, None, None]
     assert set(asked) == {1, 2, 3, 4}
-
-
-# -- integral relations -------------------------------------------------------------------
-
-def test_integral_relation_def2_y():
-    g_r, g_s, ext = fixtures.def2()
-    rel = integral_relation(parse_poly("y", g_s.ctx), g_r, g_s, ext)
-    assert rel.verified is True
-    assert rel.degree == 1
-    assert rel.element == parse_poly("y + x", g_s.ctx)
-
-
-def test_integral_relation_cancelled_value_decides(monkeypatch):
-    g_r, g_s, ext = fixtures.def2()
-    f = parse_poly("x^3*y^2 + x^3*y^4", g_s.ctx)
-    rel = integral_relation(f, g_r, g_s, ext)
-    with pytest.raises(InsufficientGeneratingData) as info:
-        evaluate(rel.element, g_s)
-    # cancels at 35, at or above the target 5: the vanishing is proved
-    assert info.value.value == Value(35) and rel.target_value == Value(5)
-    assert rel.verified is True
-
-    real = graded.evaluate
-
-    def cancel_below(h, g):
-        try:
-            return real(h, g)
-        except InsufficientGeneratingData as err:
-            raise InsufficientGeneratingData(str(err), Value(4)) from err
-
-    monkeypatch.setattr(graded, "evaluate", cancel_below)
-    rel = integral_relation(f, g_r, g_s, ext)
-    assert rel.verified is UNDETERMINED
-    assert rel.lines()[-1] == ("graded class at value 5 vanishes: "
-                               "undecided at this prefix")
-
-
-def test_integral_relation_trivial_x():
-    g_r, g_s, ext = fixtures.def2()
-    rel = integral_relation(parse_poly("x", g_s.ctx), g_r, g_s, ext)
-    assert rel.verified is True and rel.degree == 1
-    assert rel.element.is_zero()
-
-
-def test_integral_relation_rejects_units():
-    g_r, g_s, ext = fixtures.def2()
-    with pytest.raises(PreconditionError):
-        integral_relation(parse_poly("1 + x", g_s.ctx), g_r, g_s, ext)
-
-
-def test_integral_relation_random_def2():
-    g_r, g_s, ext = fixtures.def2()
-    rng = random.Random(47)
-    done = 0
-    for _ in range(40):
-        f = g_s.ctx.zero()
-        for _ in range(4):
-            f = f + g_s.ctx.monomial(rng.randint(0, 3), rng.randint(0, 3),
-                                     rng.randint(0, 1))
-        if f.is_zero() or f.is_unit():
-            continue
-        rel = integral_relation(f, g_r, g_s, ext)
-        assert rel.verified is True
-        done += 1
-    assert done > 10
