@@ -164,9 +164,12 @@ class GenSeq:
         self.oracle = oracle
         self._equal_tails = {}
         self._transform = None  # (map, target), built by blowup.free_transform
-        # one pass: a running lattice of values, a running residue closure
-        basis, solver = ctx.residue_field()
-        self.field_basis = tuple(basis)  # the ring's residue field
+        # one pass: a running lattice of values and the residue chain; K_i,
+        # the ring's field with the residues at levels 1..i, is spanned by
+        # the first residue_ranks[i] basis elements (and solver rows)
+        self.residue_chain = ctx.residue_field()
+        solver = self.residue_chain[1]
+        self.residue_ranks = [solver.rank]
         rows = []
         lattice_add(rows, self.grid.points[0])
         self.levels = []
@@ -174,7 +177,8 @@ class GenSeq:
             covol = covolume(rows)
             jump = (INFINITE if lattice_add(rows, self.grid.points[i])
                     else covol // covolume(rows))
-            self.levels.append(self._derive_level(i, jump, (basis, solver)))
+            self.levels.append(self._derive_level(i, jump))
+            self.residue_ranks.append(solver.rank)
         last_jump = self.levels[-1].group_jump if self.levels else None
         self.terminal = bool(terminal) or last_jump is INFINITE
         for lvl in self.levels[:-1]:
@@ -228,9 +232,9 @@ class GenSeq:
     def monomial(self, exps):
         return _key_monomial(self.keys, exps, 1)
 
-    def _derive_level(self, i, jump, closure):
-        """Level i from its group jump; ``closure`` (the residues below i)
-        is extended by this level's residue."""
+    def _derive_level(self, i, jump):
+        """Level i from its group jump; :attr:`residue_chain` (the residues
+        below i) is extended by this level's residue."""
         lvl = LevelData(i)
         lvl.group_jump = jump
         if jump is INFINITE:
@@ -251,9 +255,9 @@ class GenSeq:
             lvl.unit_exps = rep
         lvl.residue = self._residue_at(i, lvl)
         if lvl.residue is not None:
-            solver = closure[1]
+            solver = self.residue_chain[1]
             before = solver.rank
-            span_closure(self.ctx.tower, [lvl.residue], closure)
+            span_closure(self.ctx.tower, [lvl.residue], self.residue_chain)
             if solver.rank % before:
                 lvl.issues.append("residue degree at level %d: tower law "
                                   "violated in relative dimension" % i)
@@ -643,8 +647,6 @@ def validate_sequence(g):
                 "n=%r, jump=%r, d=%r" % (lvl.cap, lvl.group_jump,
                                          lvl.residue_degree))
 
-    # the residue field below the current step, grown by one level per step
-    closure = g.ctx.residue_field()
     for step in g.steps:
         i = step.index
         lvl = g.level(i)
@@ -677,9 +679,7 @@ def validate_sequence(g):
         if lvl.group_jump not in (None, INFINITE):
             div_ok = all(exps[i] % lvl.group_jump == 0 for _, exps in equal)
             report.add("group jump divides top exponents at step %d" % i, div_ok)
-        _check_minimal_polynomial(g, step, equal, report, closure)
-        if lvl.residue:
-            span_closure(g.ctx.tower, [lvl.residue], closure)
+        _check_minimal_polynomial(g, step, equal, report)
 
     if g.oracle is not None:
         for i, key in enumerate(g.keys):
@@ -697,10 +697,9 @@ def validate_sequence(g):
     return report
 
 
-def _check_minimal_polynomial(g, step, equal_tail, report, closure):
-    """f_i built from the tail must annihilate the residue at level i.
-
-    ``closure`` spans the ring's residue field and the residues below i.
+def _check_minimal_polynomial(g, step, equal_tail, report):
+    """f_i built from the tail must annihilate the residue at level i, and
+    its coefficients must lie in K_{i-1} (see :attr:`GenSeq.residue_ranks`).
     """
     i = step.index
     lvl = g.level(i)
@@ -735,6 +734,8 @@ def _check_minimal_polynomial(g, step, equal_tail, report, closure):
     report.add("residue satisfies its minimal polynomial at level %d" % i,
                value.is_zero(),
                "f(alpha) = %r" % value)
-    in_field = all(closure[1].solve(b.to_vector()) is not None for b in coeffs)
+    solver, rank = g.residue_chain[1], g.residue_ranks[i - 1]
+    in_field = all(solver.solve(b.to_vector(), rank) is not None
+                   for b in coeffs)
     report.add("minimal-polynomial coefficients live below level %d" % i,
                in_field)

@@ -336,6 +336,7 @@ def subalgebra_membership(e, gens):
     g = e.genseq
     tower = g.ctx.tower
     dim = tower.degree()
+    field = g.residue_chain[0][:g.residue_ranks[0]]  # the ring's residue field
     # coordinates fixed before the walk: the reduced key monomials of e's
     # value (where every normalized product lands), then any of e's own
     # outside them
@@ -361,7 +362,7 @@ def subalgebra_membership(e, gens):
     for gexps, prod in _products_of_value(gens, e.point, g):
         products += 1
         grew = False
-        for b in g.field_basis:
+        for b in field:
             grew = solver.add(flatten(prod, b)) or grew
             columns.append((gexps, b))
         # once e is in the span, its expression on the independent columns
@@ -502,19 +503,11 @@ def fingen_detect(g_r, g_s, ext, depth):
     # one expansion per key image: only sigma-level images are ever needed,
     # and deeper images may not even be decidable within the target prefix
     initials = {j: initial_form(ext.apply(g_r.keys[j]), g_s) for j in sigma}
-    deltas = {}
-
-    def delta(si):
-        if si not in deltas:
-            deltas[si] = _delta(g_r, si, initials)
-        return deltas[si]
-
     q_initials = [key_initial(g_s, i) for i in range(len(g_s.keys))]
 
-    chi_at = _Chi(g_r, g_s, sigma, tau, delta)
+    chi_at = _Chi(g_r, g_s, sigma, tau, lambda si: _delta(g_r, si, initials))
     levels = []
     certificates = {}
-    r_prev = -1
     for s in range(s_max + 1):
         a_gens = [q_initials[tau[t]] for t in range(s + 1)]
         r_s = -1
@@ -538,11 +531,12 @@ def fingen_detect(g_r, g_s, ext, depth):
                 lam = None
             chi = chi_at.at(s, r_s)
         levels.append(AlignmentLevel(s, tau[s], r_s, lam, chi))
-        if r_s < r_prev:
-            notes.append("absorbed source prefix shrank at s=%d" % s)
-        r_prev = r_s
 
     for a, b in zip(levels, levels[1:]):
+        # membership in k[gens] is exact and the gens grow with s
+        if b.r < a.r:
+            raise AssertionError("absorbed source prefix shrank along the "
+                                 "chain")
         if a.lam is not None and b.lam is not None and b.lam > a.lam:
             raise AssertionError("lambda increased along the chain")
         if a.chi is not None and b.chi is not None and b.chi > a.chi:
@@ -632,55 +626,39 @@ def _new_key_witness(initials, q_initials, tau, s):
 class _Chi:
     """Residue-field index between the absorbed prefixes, level by level.
 
-    The big field is the target ring's residue field with the residues eps
-    at tau[1..s]; the small one is the source ring's with the residues
-    ``delta`` gives (see :func:`_delta`) at sigma[1..r].  Both closures are
-    carried across the levels: the big one grows by one residue per level,
-    the small one by the source levels newly absorbed, and it is built
-    again should r shrink.
+    The big field is the target's residue-field chain read at tau[s] (see
+    :attr:`GenSeq.residue_ranks`).  The small one is the source ring's
+    residue field with the residues ``delta`` gives (see :func:`_delta`)
+    at sigma[1..r], closed in the target's tower; r never shrinks, so it
+    is carried across the levels and each delta is asked for once.
     """
 
     def __init__(self, g_r, g_s, sigma, tau, delta):
-        self.tower = g_s.ctx.tower
-        self.g_r, self.g_s = g_r, g_s
+        self.g_s = g_s
         self.sigma, self.tau, self.delta = sigma, tau, delta
-        self.big = g_s.ctx.residue_field()
-        self.s = 0  # eps absorbed up to tau[s]; None once one is missing
-        self._restart()
-
-    def _restart(self):
-        """The small closure, in the big one's tower, with no source level
-        absorbed."""
-        self.small = span_closure(self.tower, self.g_r.ctx.residue_field()[0])
-        self.r = 0
+        self.small = span_closure(g_s.ctx.tower, g_r.ctx.residue_field()[0])
+        self.r = 0  # sigma levels absorbed; None once a delta is missing
 
     def at(self, s, r):
         """chi at level s with sigma[0..r] absorbed, or None when a residue
         is missing, the small field is not inside the big one or the tower
         law fails."""
-        tower = self.tower
-        while self.s is not None and self.s < s:
-            res = self.g_s.level(self.tau[self.s + 1]).residue
-            if res is None:
-                self.s = None
-            else:
-                span_closure(tower, [res], self.big)
-                self.s += 1
-        if self.s is None:
+        if any(self.g_s.level(self.tau[t]).residue is None
+               for t in range(1, s + 1)):
             return None
-        if r < self.r:
-            self._restart()
-        while self.r < r:
+        while self.r is not None and self.r < r:
             d = self.delta(self.sigma[self.r + 1])
-            if d is None:
-                return None
-            if d is not INFINITE:
-                span_closure(tower, [d], self.small)
-            self.r += 1
-        solver = self.big[1]
-        if any(solver.solve(b.to_vector()) is None for b in self.small[0]):
+            if d is not None and d is not INFINITE:
+                span_closure(self.g_s.ctx.tower, [d], self.small)
+            self.r = None if d is None else self.r + 1
+        if self.r is None:
             return None
-        big, small = solver.rank, self.small[1].rank
+        solver = self.g_s.residue_chain[1]
+        big = self.g_s.residue_ranks[self.tau[s]]
+        if any(solver.solve(b.to_vector(), big) is None
+               for b in self.small[0]):
+            return None
+        small = self.small[1].rank
         return None if big % small else big // small
 
 

@@ -46,7 +46,7 @@ class ScenarioError(Exception):
 class Scenario:
     def __init__(self):
         self.tower = ResidueTower(QQ)
-        self.irrationals = {}
+        self.irrational = None  # the one irrational of rank-2 values
         self.rings = {}
         self.embeddings = {}
         self.valuations = {}
@@ -67,11 +67,10 @@ def _parse_value(text, scenario, line):
     if m:
         q0 = _parse_fraction(m.group(1).strip(), line)
         q1 = _parse_fraction(m.group(2).strip(), line)
-        if not scenario.irrationals:
+        if scenario.irrational is None:
             raise ScenarioError("rank-2 value %r needs an irrational "
                                 "declaration" % text, line)
-        tau = next(iter(scenario.irrationals.values()))
-        return Value(q0, q1, tau)
+        return Value(q0, q1, scenario.irrational)
     return Value(_parse_fraction(text, line))
 
 
@@ -230,8 +229,6 @@ def _setting(line_text, parts):
         return None
     if parts[0] == "alpha":
         return "alpha %d" % int(parts[1])
-    if parts[0] == "irrational":
-        return "irrational " + parts[1]
     if "=" in line_text:  # a parameter's series or image
         return line_text.split("=", 1)[0].strip() + " ="
     return parts[0]
@@ -247,16 +244,21 @@ def _field_line(scenario, line_text, lineno):
         else:
             raise ScenarioError("base must be Q or F p", lineno)
     elif parts[0] == "irrational":
+        # in this section or a later one, a second irrational would go
+        # unused: every rank-2 value binds to the first
+        if scenario.irrational is not None:
+            raise ScenarioError("second irrational %r: every rank-2 value "
+                                "binds to the first" % parts[1], lineno)
         nm = parts[1]
         if parts[2] == "default":
-            scenario.irrationals[nm] = pi_descriptor()
+            scenario.irrational = pi_descriptor()
         elif parts[2] == "interval":
             vals = [_parse_fraction(p, lineno) for p in parts[3:]]
             if len(vals) < 2 or len(vals) % 2:
                 raise ScenarioError("interval table needs lo/hi pairs", lineno)
             pairs = list(zip(vals[::2], vals[1::2]))
             try:
-                scenario.irrationals[nm] = IrrationalDescriptor(nm, pairs)
+                scenario.irrational = IrrationalDescriptor(nm, pairs)
             except ValueError as err:
                 raise ScenarioError(str(err), lineno)
         else:

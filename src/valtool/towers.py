@@ -562,10 +562,10 @@ class LinearSolver:
         self.rows = []      # (pivot index, reduced vector, combination dict)
         self.count = 0
 
-    def _reduce(self, vec):
+    def _reduce(self, vec, rows):
         combo = {self.count: self.base.one()}
         vec = list(vec)
-        for piv, row, row_combo in self.rows:
+        for piv, row, row_combo in rows:
             c = vec[piv]
             if self.base.is_zero(c):
                 continue
@@ -578,7 +578,7 @@ class LinearSolver:
         return vec, combo
 
     def add(self, vec):
-        vec, combo = self._reduce(vec)
+        vec, combo = self._reduce(vec, self.rows)
         self.count += 1
         for i, c in enumerate(vec):
             if not self.base.is_zero(c):
@@ -590,9 +590,12 @@ class LinearSolver:
     def rank(self):
         return len(self.rows)
 
-    def solve(self, target):
-        """Coefficients {index: scalar} with sum coeff_i * vec_i = target."""
-        vec, combo = self._reduce(target)
+    def solve(self, target, rank=None):
+        """Coefficients {index: scalar} with sum coeff_i * vec_i = target,
+        on the first ``rank`` rows when given: rows are only appended, so
+        they span what the solver spanned at that rank."""
+        rows = self.rows if rank is None else self.rows[:rank]
+        vec, combo = self._reduce(target, rows)
         if any(not self.base.is_zero(c) for c in vec):
             return None
         # the reduction is target - sum coeff_i * vec_i, tagged with the

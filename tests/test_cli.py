@@ -344,6 +344,12 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
     ["[field]", "base Q", "extend a minpoly 1 0", "!base Q"],
     ["[field]", "base Q", "irrational pi default",
      "!irrational pi default"],
+    # every rank-2 value binds to the first irrational, so a second one,
+    # whatever its name and in whichever section, went unused
+    ["[field]", "base Q", "irrational pi default",
+     "!irrational e interval 2 3 27/10 28/10"],
+    ["[field]", "base Q", "irrational pi default", "[ring R]", "params x y",
+     "[field]", "!irrational e interval 2 3 27/10 28/10"],
     ["[field]", "base Q", "[ring R]", "params x y", "!params u v"],
     _RING + ["levels 0", "!levels 0"],
     _RING + ["[embedding o]", "ring R", "truncate 20", "x = t",
@@ -384,7 +390,8 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
         "alpha--1", "alpha-7", "normalize-q",
         "series-1/2-over-F2", "levels--1", "levels-5-over-Q",
         "base-F-30-digit-prime", "interval-odd", "interval-not-nested",
-        "base-twice", "irrational-twice", "params-twice", "levels-twice",
+        "base-twice", "irrational-twice", "irrational-other-name",
+        "irrational-later-section", "params-twice", "levels-twice",
         "truncate-twice", "embedding-ring-twice", "normalize-twice",
         "series-twice", "values-twice", "valuation-ring-twice",
         "alpha-1-twice", "oracle-twice", "terminal-twice", "from-twice",

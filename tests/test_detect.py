@@ -4,7 +4,10 @@ Each file under data/detect holds, for one chain cell or shipped scenario,
 ``repr(fingen_detect(g_r, g_s, ext, 6))`` and the lines of
 ``ramification_report(g_r, g_s, ext, depth=6)`` (or the error either
 raised), for every pair the case names: each valuation against its free
-transform, and each ``fingen`` line of a scenario's run section.  A change
+transform, and each ``fingen`` line of a scenario's run section.  Besides
+the shipped scenarios, ``v1-over-Qi`` declares v1's sequence over Q(i)
+twice, on a ring with residue field Q and on one with Q(i), joined by the
+identity map: the only pinned pair whose chi is not 1.  A change
 that alters a verdict on purpose records them again with
 
     PYTHONPATH=src python tests/test_detect.py
@@ -26,7 +29,45 @@ DETECT = Path(__file__).resolve().parent / "data" / "detect"
 CELLS = ([(d, b, 1) for d in (1, 2, 3) for b in ("Q", "GF2", "GF3")]
          + [(d, b, 2) for d in (1, 2) for b in ("Q", "GF2", "GF3")])
 SCENARIOS = ("v1", "pi2", "disc", "def2", "corn")
-CASES = ["chain-d%d-%s-rank%d" % c for c in CELLS] + list(SCENARIOS)
+# v1's sequence over the Q(i) tower, once on a ring with residue field Q
+# and once on one with Q(i): chi = [Q(i) : Q] = 2 at every level
+TEXTS = {"v1-over-Qi": """
+[field]
+base Q
+extend i minpoly 1 0
+
+[ring R]
+params u v
+levels 0
+
+[ring S]
+params x y
+levels 1
+
+[valuation nu]
+ring R
+values 1 3/2
+key n=2 value=7/2 tail=-1*u^3
+alpha 1 1
+alpha 2 1
+
+[valuation nustar]
+ring S
+values 1 3/2
+key n=2 value=7/2 tail=-1*x^3
+alpha 1 1
+alpha 2 1
+
+[extension ext]
+from R to S
+u = x
+v = y
+
+[run]
+fingen ext nu nustar 6
+"""}
+CASES = (["chain-d%d-%s-rank%d" % c for c in CELLS] + list(SCENARIOS)
+         + list(TEXTS))
 
 
 def _attempt(call):
@@ -57,7 +98,8 @@ def dump(case):
     if case.startswith("chain-"):
         d, b, r = case.split("-")[1:]
         return _transform_lines(case, _chain_cell(int(d[1:]), b, int(r[4:])))
-    sc = parse_scenario(valtool.scenario_path(case).read_text())
+    sc = parse_scenario(TEXTS[case] if case in TEXTS
+                        else valtool.scenario_path(case).read_text())
     out = []
     for name, g in sc.valuations.items():
         out += _transform_lines("%s against its transform" % name, g)

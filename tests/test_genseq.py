@@ -23,7 +23,7 @@ from valtool.genseq import (
 )
 from valtool.ring import INSUFFICIENT_PRECISION, LocalRingCtx, parse_poly, series_value
 from valtool.scenario import parse_scenario
-from valtool.towers import QQ, BaseField, ResidueTower
+from valtool.towers import QQ, BaseField, ResidueTower, span_closure
 from valtool.values import INFINITE, Value, pi_descriptor
 
 from subfields import field_index, order_modulo
@@ -512,13 +512,62 @@ def test_level_data_matches_from_scratch_references():
     assert seen > 200 and degree_two >= 2
 
 
+def test_residue_chain_matches_fresh_closures(monkeypatch):
+    calls = []  # (step index, vector, rank, solution) per coefficient solve
+    check = genseq._check_minimal_polynomial
+
+    def checking(g, step, *args):
+        solve = g.residue_chain[1].solve
+
+        def recording(vec, rank=None):
+            calls.append((step.index, vec, rank, solve(vec, rank)))
+            return calls[-1][3]
+
+        g.residue_chain[1].solve = recording
+        try:
+            check(g, step, *args)
+        finally:
+            del g.residue_chain[1].solve
+
+    monkeypatch.setattr(genseq, "_check_minimal_polynomial", checking)
+    coefficients = grown = 0
+    for g in _level_cases():
+        tower = g.ctx.tower
+        solver, ranks = g.residue_chain[1], g.residue_ranks
+        grown += ranks[-1] > ranks[0]
+        gens = [tower.gen(k) for k in range(g.ctx.ring_levels)]
+        fresh = []  # K_i spanned from scratch
+        for i in range(g.top + 1):
+            res = g.level(i).residue if i else None
+            if res is not None:
+                gens.append(res)
+                # the residue lies in K_i, and in K_{i-1} iff it adds nothing
+                vec = res.to_vector()
+                assert solver.solve(vec, ranks[i]) is not None
+                assert ((solver.solve(vec, ranks[i - 1]) is None)
+                        == (ranks[i] > ranks[i - 1]))
+            fresh.append(span_closure(tower, gens)[1])
+            assert ranks[i] == fresh[i].rank, (g, i)
+        # each minimal-polynomial coefficient at step i is tested against
+        # K_{i-1}, and a fresh K_{i-1} gives the same answer
+        calls.clear()
+        validate_sequence(g)
+        for i, vec, rank, got in calls:
+            assert rank == ranks[i - 1], (g, i)
+            assert (got is None) == (fresh[i - 1].solve(vec) is None), (g, i)
+            coefficients += got is not None
+    # the Q(i) and GF(9) sequences grow their chain past the ring's field
+    assert coefficients > 50 and grown == 2
+
+
 def test_validation_grows_one_residue_closure(monkeypatch):
-    fresh = []
+    # the sequence grows its residue chain once; validation only reads it
+    calls = []
     closure = genseq.span_closure
 
-    def counting(tower, gens, extend=None):
-        fresh.append(extend is None)
-        return closure(tower, gens, extend)
+    def counting(*args):
+        calls.append(args)
+        return closure(*args)
 
     # over Q(i) with ring field Q: f_2 = u + i (from the tail term -x^5 and
     # the residue -i of x/y) has its coefficient in Q(alpha_1) = Q(i), not Q
@@ -534,14 +583,13 @@ def test_validation_grows_one_residue_closure(monkeypatch):
     cases = [_chain_cell(5, "Q", 1), _chain_cell(5, "GF3", 2), beyond]
     cases += [parse_scenario(_IDENTITY_RING % base).valuations["nu"]
               for base in ("Q", "F 3")]
-    # extensions come from genseq, the fresh closure from
-    # LocalRingCtx.residue_field
+    # the sequences are built first: only validation must not close fields,
+    # neither fresh (LocalRingCtx.residue_field) nor extended (genseq)
     monkeypatch.setattr(genseq, "span_closure", counting)
     monkeypatch.setattr(ring, "span_closure", counting)
     for g in cases:
-        fresh.clear()
         report = validate_sequence(g)
-        assert report.ok and sum(fresh) == 1, g
+        assert report.ok and not calls, g
         below = [ok for name, ok, _ in report.checks
                  if name.startswith("minimal-polynomial coefficients live")]
         assert below and all(below)

@@ -21,6 +21,7 @@ from valtool.genseq import (
 )
 from valtool.graded import (
     GradedElem,
+    MembershipResult,
     _products_of_value,
     fingen_detect,
     graded_one,
@@ -31,7 +32,13 @@ from valtool.graded import (
 )
 from valtool.ring import LocalRingCtx, parse_poly
 from valtool.scenario import parse_scenario
-from valtool.towers import QQ, BaseField, LinearSolver, ResidueTower
+from valtool.towers import (
+    QQ,
+    BaseField,
+    LinearSolver,
+    ResidueTower,
+    span_closure,
+)
 from valtool.values import INFINITE, Grid, Value
 
 from subfields import field_index
@@ -504,23 +511,52 @@ def test_chi_carries_its_closures_across_levels():
     i, s2 = tower.gen("i"), tower.gen("s")
     eps = [None, i, tower.scalar(-1), s2, None]  # by tau index
     deltas = [None, tower.scalar(-1), s2, INFINITE, None]  # by sigma index
-    levels = [SimpleNamespace(residue=e) for e in eps]
     ctx = LocalRingCtx(tower, ring_levels=0)
-    g_s = SimpleNamespace(ctx=ctx, level=levels.__getitem__)
+    # the target's residue chain, grown here as GenSeq grows it
+    chain = ctx.residue_field()
+    ranks = [chain[1].rank]
+    for e in eps[1:]:
+        if e is not None:
+            span_closure(tower, [e], chain)
+        ranks.append(chain[1].rank)
+    levels = [SimpleNamespace(residue=e) for e in eps]
+    g_s = SimpleNamespace(ctx=ctx, level=levels.__getitem__,
+                          residue_chain=chain, residue_ranks=ranks)
     asked = []
 
     def delta(si):
         asked.append(si)
         return deltas[si]
 
-    chi = graded._Chi(SimpleNamespace(ctx=ctx), g_s, range(5), range(5), delta)
-    got = []
-    # sqrt 2 lies outside Q(i) at s=1 and 2 and inside from s=3; r shrinks
-    # from 3 to 1; delta 4 and eps 4 are missing
-    for s, r in [(0, 0), (0, 1), (1, 2), (2, 2), (3, 2), (3, 3), (3, 1),
-                 (3, 4), (4, 1)]:
-        want = _chi_reference(tower, eps[1:s + 1], deltas[1:r + 1])
-        got.append(chi.at(s, r))
-        assert got[-1] == want, (s, r)
-    assert got == [1, 1, None, None, 2, 2, 4, None, None]
-    assert set(asked) == {1, 2, 3, 4}
+    # sqrt 2 lies outside Q(i) at s=1 and 2 and inside from s=3; delta 4
+    # and eps 4 are missing, the latter alone in the second run; r never
+    # shrinks, so each delta is asked for once
+    for cases, expected, deltas_asked in [
+            ([(0, 0), (0, 1), (1, 2), (2, 2), (3, 2), (3, 3), (3, 4), (4, 4)],
+             [1, 1, None, None, 2, 2, None, None], [1, 2, 3, 4]),
+            ([(4, 3), (3, 3)], [None, 2], [1, 2, 3])]:
+        chi = graded._Chi(SimpleNamespace(ctx=ctx), g_s, range(5), range(5),
+                          delta)
+        asked.clear()
+        got = []
+        for s, r in cases:
+            want = _chi_reference(tower, eps[1:s + 1], deltas[1:r + 1])
+            got.append(chi.at(s, r))
+            assert got[-1] == want, (s, r)
+        assert got == expected and asked == deltas_asked
+
+
+def test_detector_refuses_a_shrinking_absorbed_prefix(monkeypatch):
+    # membership in k[gens] is exact and the gens grow with s, so r cannot
+    # shrink; forge a membership that forgets what it found at s=0
+    corn = fixtures.corn()
+    tmap, tgt = free_transform(corn)
+    member = graded.subalgebra_membership
+
+    def forgetful(e, gens):
+        return member(e, gens) if len(gens) == 1 else MembershipResult(False)
+
+    assert fingen_detect(corn, tgt, tmap.extension(), 2).levels[0].r >= 0
+    monkeypatch.setattr(graded, "subalgebra_membership", forgetful)
+    with pytest.raises(AssertionError, match="absorbed source prefix shrank"):
+        fingen_detect(corn, tgt, tmap.extension(), 2)
