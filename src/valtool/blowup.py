@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .extension import ExtensionMap
 from .genseq import GenSeq, expand, monic_of_degree
+from .graded import GradedElem
 from .ring import (LocalRingCtx, RingElem, SeriesEmbedding, TruncSeries,
                    shift_y)
 from .values import INFINITE
@@ -40,7 +41,7 @@ class TransformMap:
 
     __slots__ = ("source_ctx", "target_ctx", "nbar", "w", "a", "b",
                  "alpha_lift", "x_image", "y_image", "exceptional_value",
-                 "key_orders", "chart_ctx")
+                 "key_orders", "unit_orders", "chart_ctx")
 
     def __init__(self, source_ctx, target_ctx, nbar, w, a, b, alpha_lift,
                  exceptional_value):
@@ -56,8 +57,10 @@ class TransformMap:
         self.a, self.b = a, b  # the chart exponents
         self.alpha_lift = alpha_lift
         self.exceptional_value = exceptional_value  # value of X
-        # X-order of each source key's chart image; free_transform fills it
+        # X- and U-orders of each source key's chart image (o_k and t_k);
+        # free_transform fills them
         self.key_orders = (nbar, w)
+        self.unit_orders = (a, b)
         # the chart (X, U) with U = Z + alpha, a ring of its own on the tower
         chart = self.chart_ctx = LocalRingCtx(
             target_ctx.tower, ("X", "U"), ring_levels=target_ctx.ring_levels)
@@ -75,7 +78,7 @@ class TransformMap:
 
     def _strict_image(self, h):
         """Recentred chart image h with its powers of X and U cleared."""
-        h = h.shift(-h.x_order(), -min(j for _, j in h.terms))
+        h = h.shift(-h.x_order(), -_unit_order(h))
         return shift_y(h, self.target_ctx, self.alpha_lift)
 
     def to_target(self, f):
@@ -117,6 +120,31 @@ class _TransformExtension(ExtensionMap):
 
     def apply(self, f):
         return self.tmap.to_target(f)
+
+    def initial_image(self, g_r, k, g_s):
+        """in(image of P_k) = alpha^t_k * in(X)^o_k * in(P'_(k-1)) in g_s's
+        graded ring, when g_s is the sequence the transform built from g_r.
+
+        The image of P_k is X^o_k * U^t_k times its strict transform, which
+        is g_s's key k - 1 (for x and y the strict transform is 1), and the
+        unit U = Z + alpha has initial form alpha.
+        """
+        tmap, own = self.tmap, g_r._transform
+        if own is None or own[0] is not tmap or own[1] is not g_s:
+            return None
+        exps = [0] * len(g_s.keys)
+        exps[0] = tmap.key_orders[k]
+        if k >= 2:
+            exps[k - 1] = 1
+        point = tuple(sum(e * p[c] for e, p in zip(exps, g_s.grid.points))
+                      for c in (0, 1))
+        return GradedElem(g_s, point, {tuple(exps): tmap.alpha_lift
+                                       ** tmap.unit_orders[k]})
+
+
+def _unit_order(h):
+    """The power of U that divides a chart element."""
+    return min(j for _, j in h.terms)
 
 
 def _chart_exponents(nbar, w):
@@ -169,7 +197,7 @@ def _build_transform(g):
     # transported keys: clear the exceptional power and the unit factor
     target_keys = [target_ctx.x()]
     target_values = [exceptional_value]
-    key_orders = list(tmap.key_orders)
+    key_orders, unit_orders = list(tmap.key_orders), list(tmap.unit_orders)
     for i in range(1, g.top):
         expected_drop = _drop(g, i + 1)
         # y1-degree of target key i: the source powers at levels 2..i
@@ -181,6 +209,7 @@ def _build_transform(g):
                 "exceptional power of key %d is %d, expected %d"
                 % (i + 1, drop, expected_drop))
         key_orders.append(drop)
+        unit_orders.append(_unit_order(chart))
         stripped = tmap._strict_image(chart)
         if not monic_of_degree(stripped, deg):
             raise TransformError(
@@ -194,7 +223,7 @@ def _build_transform(g):
                 "parameter; the chart change is not polynomial" % stripped)
         target_keys.append(stripped)
         target_values.append(g.values[i + 1] - exceptional_value * drop)
-    tmap.key_orders = tuple(key_orders)
+    tmap.key_orders, tmap.unit_orders = tuple(key_orders), tuple(unit_orders)
 
     # Declared residues transport safely only when every source residue is 1
     # (the cleared powers of U contribute powers of source residues, hence

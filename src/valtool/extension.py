@@ -32,7 +32,7 @@ class ExtensionMap:
     """A finite extension R -> S given by the images of R's parameters."""
 
     __slots__ = ("source_ctx", "u_image", "v_image", "field_degree",
-                 "unique")
+                 "unique", "detections")
 
     def __init__(self, source_ctx, u_image, v_image, field_degree,
                  unique=None):
@@ -47,6 +47,8 @@ class ExtensionMap:
         self.v_image = v_image
         self.field_degree = int(field_degree)
         self.unique = unique
+        # fingen_detect's states by (g_r, g_s, depth), one run per key
+        self.detections = {}
 
     @property
     def target_ctx(self):
@@ -58,6 +60,11 @@ class ExtensionMap:
             raise ValueError("element is not from the source ring")
         return substitute(f, {self.source_ctx.param_names[0]: self.u_image,
                               self.source_ctx.param_names[1]: self.v_image})
+
+    def initial_image(self, g_r, k, g_s):
+        """in(image of g_r's key k) in g_s's graded ring when the map knows
+        it in closed form; None, and the detector expands the image."""
+        return None
 
     def __repr__(self):
         return "ExtensionMap(%s -> %r, %s -> %r; degree %d)" % (
@@ -162,8 +169,8 @@ def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
     mf_source = monomial_ext if monomial_ext is not None else ext
     mf = monomialize_check(mf_source.u_image, mf_source.v_image)
     if isinstance(mf, MonomialForm):
-        big = mf_source.target_ctx.residue_field()[1].rank
-        small = mf_source.source_ctx.residue_field()[1].rank
+        big, small = (_field_rank(ctx, (g_r, g_s)) for ctx in
+                      (mf_source.target_ctx, mf_source.source_ctx))
         if big % small:
             raise ArithmeticError("alleged subfield is not contained")
         route("local-degree", mf.a * mf.d * (big // small))
@@ -181,6 +188,15 @@ def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
         for v in routes.values())
     delta = delta_values[0] if delta_values else UNDETERMINED
     return RamificationReport(e, f, delta, routes, consistent, caveats)
+
+
+def _field_rank(ctx, seqs):
+    """Base-field rank of ctx's residue field, read off a sequence on ctx
+    when there is one (:attr:`GenSeq.residue_ranks`)."""
+    for g in seqs:
+        if g.ctx is ctx:
+            return g.residue_ranks[0]
+    return ctx.residue_field()[1].rank
 
 
 # ---------------------------------------------------------------------------

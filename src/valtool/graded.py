@@ -490,8 +490,18 @@ def fingen_detect(g_r, g_s, ext, depth):
     the group-index and residue-degree gaps) and matches consecutive new
     keys on both sides.  A terminal target sequence is finitely generated
     outright; otherwise a persistent mismatch at stable gaps is reported as
-    an obstruction with a membership witness.
+    an obstruction with a membership witness.  The map keeps each state it
+    returns, shared by every later caller, so a pair is detected once per
+    depth; a raised error is not kept.
     """
+    key = (g_r, g_s, depth)
+    state = ext.detections.get(key)
+    if state is None:
+        state = ext.detections[key] = _detect(g_r, g_s, ext, depth)
+    return state
+
+
+def _detect(g_r, g_s, ext, depth):
     if not (g_r.ctx.tower == g_s.ctx.tower
             or g_r.ctx.tower.is_prefix_of(g_s.ctx.tower)):
         raise ValueError("source tower must embed in the target tower")
@@ -500,23 +510,37 @@ def fingen_detect(g_r, g_s, ext, depth):
     tau = sigma_indices(g_s)
     s_max = min(depth, len(tau) - 1)
 
-    # one expansion per key image: only sigma-level images are ever needed,
-    # and deeper images may not even be decidable within the target prefix
-    initials = {j: initial_form(ext.apply(g_r.keys[j]), g_s) for j in sigma}
+    # only sigma-level images are ever needed, and deeper images may not
+    # even be decidable within the target prefix; each is read in closed
+    # form when the map knows it, else from one expansion
+    initials = {}
+    for j in sigma:
+        initials[j] = ext.initial_image(g_r, j, g_s)
+        if initials[j] is None:
+            initials[j] = initial_form(ext.apply(g_r.keys[j]), g_s)
     q_initials = [key_initial(g_s, i) for i in range(len(g_s.keys))]
 
     chi_at = _Chi(g_r, g_s, sigma, tau, lambda si: _delta(g_r, si, initials))
     levels = []
     certificates = {}
+    r_s = -1
     for s in range(s_max + 1):
         a_gens = [q_initials[tau[t]] for t in range(s + 1)]
-        r_s = -1
-        for j in range(len(sigma)):
+        # membership in k[gens] is exact and the gens grow with s, so a
+        # level starts past what the one before absorbed; the last level
+        # proves the whole prefix again and its certificates are reported
+        r_prev = r_s
+        start = r_s + 1 if s < s_max else 0
+        r_s = start - 1
+        for j in range(start, len(sigma)):
             res = subalgebra_membership(initials[sigma[j]], a_gens)
             if not res:
                 break
             certificates[sigma[j]] = res
             r_s = j
+        if r_s < r_prev:
+            raise AssertionError("absorbed source prefix shrank along the "
+                                 "chain")
         lam = chi = None
         if r_s >= 0:
             big = [g_s.values[tau[t]] for t in range(s + 1)]
@@ -533,10 +557,6 @@ def fingen_detect(g_r, g_s, ext, depth):
         levels.append(AlignmentLevel(s, tau[s], r_s, lam, chi))
 
     for a, b in zip(levels, levels[1:]):
-        # membership in k[gens] is exact and the gens grow with s
-        if b.r < a.r:
-            raise AssertionError("absorbed source prefix shrank along the "
-                                 "chain")
         if a.lam is not None and b.lam is not None and b.lam > a.lam:
             raise AssertionError("lambda increased along the chain")
         if a.chi is not None and b.chi is not None and b.chi > a.chi:
@@ -636,7 +656,15 @@ class _Chi:
     def __init__(self, g_r, g_s, sigma, tau, delta):
         self.g_s = g_s
         self.sigma, self.tau, self.delta = sigma, tau, delta
-        self.small = span_closure(g_s.ctx.tower, g_r.ctx.residue_field()[0])
+        # the source ring's residue field, a closed basis already, re-homed
+        # in the target's tower
+        tower = g_s.ctx.tower
+        basis = [tower.lift(b)
+                 for b in g_r.residue_chain[0][:g_r.residue_ranks[0]]]
+        solver = LinearSolver(tower.base)
+        for b in basis:
+            solver.add(b.to_vector())
+        self.small = basis, solver
         self.r = 0  # sigma levels absorbed; None once a delta is missing
 
     def at(self, s, r):

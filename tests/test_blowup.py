@@ -15,7 +15,8 @@ from valtool.blowup import (
     strict_transform,
     transform_value_table,
 )
-from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, expand, validate_sequence
+from valtool.extension import ExtensionMap
+from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, expand, initial_form, sigma_indices, validate_sequence
 from valtool.graded import fingen_detect
 from valtool.ring import LocalRingCtx, divmod_y, parse_poly, substitute
 from valtool.towers import QQ, BaseField, ResidueTower, TowerElem
@@ -512,3 +513,68 @@ def test_the_transform_paths_leave_no_cyclic_garbage():
         gc.set_debug(flags)
         gc.garbage.clear()
         gc.enable()
+
+
+# -- key images in closed form ----------------------------------------------------
+
+_CLOSED_FORM_CASES = (
+    [(d, b, r) for d in range(1, 6) for b in ("Q", "GF2", "GF3") for r in (1, 2)]
+    + [(6, "Q", 1), "corn", "v1", "pi2 nu", "pi2 nu1", "pi2 nu2"])
+
+
+@pytest.mark.parametrize("case", _CLOSED_FORM_CASES, ids=str)
+def test_transform_gives_each_key_image_in_closed_form(case):
+    # in(img P_k) = alpha^t_k * in(X)^o_k * in(P'_(k-1)) equals the initial
+    # form of the expanded image, for every key whose image the target
+    # prefix decides; every sigma key's image is decided
+    if isinstance(case, tuple):
+        g = _chain_cell(*case)
+    elif case.startswith("pi2 "):
+        g = _shipped("pi2").valuations[case[4:]]
+    else:
+        g = getattr(fixtures, case)()
+    tmap, target = free_transform(g)
+    ext = tmap.extension()
+    sigma = set(sigma_indices(g))
+    decided = 0
+    for k in range(g.top + 1):
+        closed = ext.initial_image(g, k, target)
+        try:
+            expanded = initial_form(ext.apply(g.keys[k]), target)
+        except InsufficientGeneratingData:
+            assert k not in sigma, (case, k)
+            continue
+        assert closed == expanded, (case, k)
+        assert repr(closed) == repr(expanded), (case, k)
+        decided += 1
+    assert decided >= len(sigma)
+
+
+def test_closed_form_needs_the_transforms_own_pair(monkeypatch):
+    import valtool.genseq as genseq
+    g = _chain_cell(3, "Q", 1)
+    tmap, target = free_transform(g)
+    ext = tmap.extension()
+    # the same keys built again are another target, and another source
+    twin = GenSeq.from_keys(target.ctx, target.values, target.keys,
+                            [step.power for step in target.steps],
+                            residues=target.declared_residues)
+    source = _chain_cell(3, "Q", 1)
+    for g_r, g_s in ((g, twin), (source, target)):
+        assert all(ext.initial_image(g_r, k, g_s) is None
+                   for k in range(g.top + 1))
+    assert ExtensionMap(g.ctx, tmap.x_image, tmap.y_image, 1).initial_image(
+        g, 0, target) is None
+    real, calls = genseq.expand, []
+
+    def counting_expand(f, h):
+        calls.append(f)
+        return real(f, h)
+
+    monkeypatch.setattr(genseq, "expand", counting_expand)
+    st = fingen_detect(g, twin, ext, 6)
+    sigma = sigma_indices(g)
+    assert calls == [ext.apply(g.keys[j]) for j in sigma]
+    calls.clear()
+    assert repr(fingen_detect(g, target, tmap.extension(), 6)) == repr(st)
+    assert calls == []

@@ -8,7 +8,7 @@ import pytest
 
 from valtool import fixtures, graded
 from valtool.blowup import free_transform
-from valtool.extension import ExtensionMap
+from valtool.extension import ExtensionMap, ramification_report
 from valtool.genseq import (
     GenSeq,
     InsufficientGeneratingData,
@@ -420,10 +420,14 @@ def test_pi2_alignment():
 
 
 def test_detector_expands_each_sigma_image_once(monkeypatch):
+    # a transform's own map gives every sigma image in closed form, so its
+    # detector expands none; a declared map expands each sigma image once
     import valtool.genseq as genseq
+    from test_detect import TEXTS
     corn = fixtures.corn()
     tmap, tgt = free_transform(corn)
-    ext = tmap.extension()
+    g_r, g_s, ext = fixtures.def2()
+    sc = parse_scenario(TEXTS["v1-over-Qi"])
     real, calls = genseq.expand, []
 
     def counting_expand(f, g):
@@ -431,8 +435,54 @@ def test_detector_expands_each_sigma_image_once(monkeypatch):
         return real(f, g)
 
     monkeypatch.setattr(genseq, "expand", counting_expand)
-    fingen_detect(corn, tgt, ext, 6)
-    assert len(calls) == len(sigma_indices(corn)) == 4
+    fingen_detect(corn, tgt, tmap.extension(), 6)
+    assert calls == [] and len(sigma_indices(corn)) == 4
+    for g_r, g_s, ext in [(g_r, g_s, ext),
+                          (sc.valuations["nu"], sc.valuations["nustar"],
+                           sc.extensions["ext"])]:
+        calls.clear()
+        fingen_detect(g_r, g_s, ext, 6)
+        assert calls == [ext.apply(g_r.keys[j]) for j in sigma_indices(g_r)]
+
+
+def test_detection_runs_once_per_map_pair_and_depth(monkeypatch):
+    corn = fixtures.corn()
+    tmap, tgt = free_transform(corn)
+    g_r, g_s, ext = fixtures.def2()
+    detect, runs = graded._detect, []
+
+    def counting(*args):
+        runs.append(args)
+        return detect(*args)
+
+    monkeypatch.setattr(graded, "_detect", counting)
+    for source, target, declared in [(g_r, g_s, ext),
+                                     (corn, tgt, tmap.extension())]:
+        runs.clear()
+        st = fingen_detect(source, target, declared, 4)
+        assert ramification_report(source, target, declared, depth=4).e == st.e
+        assert fingen_detect(source, target, declared, 4) is st
+        assert len(runs) == 1
+        # another depth runs again, and agrees with a direct run
+        assert repr(fingen_detect(source, target, declared, 5)) == repr(
+            detect(source, target, declared, 5))
+        assert len(runs) == 2
+    # so does the same pair through a fresh map
+    assert repr(fingen_detect(corn, tgt, tmap.extension(), 4)) == repr(st)
+    assert len(runs) == 3
+
+    # a call that raised is run again, and nothing of it is kept
+    member = graded.subalgebra_membership
+
+    def forgetful(e, gens):
+        return member(e, gens) if len(gens) == 1 else MembershipResult(False)
+
+    monkeypatch.setattr(graded, "subalgebra_membership", forgetful)
+    refused = tmap.extension()
+    for count in (4, 5):
+        with pytest.raises(AssertionError, match="shrank"):
+            fingen_detect(corn, tgt, refused, 2)
+        assert len(runs) == count and not refused.detections
 
 
 _IDENTITY_RING = """
@@ -522,6 +572,8 @@ def test_chi_carries_its_closures_across_levels():
     levels = [SimpleNamespace(residue=e) for e in eps]
     g_s = SimpleNamespace(ctx=ctx, level=levels.__getitem__,
                           residue_chain=chain, residue_ranks=ranks)
+    # the source ring's chain, read up to its ring field
+    g_r = SimpleNamespace(residue_chain=ctx.residue_field(), residue_ranks=[1])
     asked = []
 
     def delta(si):
@@ -535,8 +587,7 @@ def test_chi_carries_its_closures_across_levels():
             ([(0, 0), (0, 1), (1, 2), (2, 2), (3, 2), (3, 3), (3, 4), (4, 4)],
              [1, 1, None, None, 2, 2, None, None], [1, 2, 3, 4]),
             ([(4, 3), (3, 3)], [None, 2], [1, 2, 3])]:
-        chi = graded._Chi(SimpleNamespace(ctx=ctx), g_s, range(5), range(5),
-                          delta)
+        chi = graded._Chi(g_r, g_s, range(5), range(5), delta)
         asked.clear()
         got = []
         for s, r in cases:
