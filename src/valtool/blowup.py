@@ -136,10 +136,8 @@ class _TransformExtension(ExtensionMap):
         exps[0] = tmap.key_orders[k]
         if k >= 2:
             exps[k - 1] = 1
-        point = tuple(sum(e * p[c] for e, p in zip(exps, g_s.grid.points))
-                      for c in (0, 1))
-        return GradedElem(g_s, point, {tuple(exps): tmap.alpha_lift
-                                       ** tmap.unit_orders[k]})
+        unit = tmap.alpha_lift ** tmap.unit_orders[k]
+        return GradedElem(g_s, g_s.point(exps), {tuple(exps): unit})
 
 
 def _unit_order(h):

@@ -169,8 +169,8 @@ def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
     mf_source = monomial_ext if monomial_ext is not None else ext
     mf = monomialize_check(mf_source.u_image, mf_source.v_image)
     if isinstance(mf, MonomialForm):
-        big, small = (_field_rank(ctx, (g_r, g_s)) for ctx in
-                      (mf_source.target_ctx, mf_source.source_ctx))
+        big = mf_source.target_ctx.residue_rank()
+        small = mf_source.source_ctx.residue_rank()
         if big % small:
             raise ArithmeticError("alleged subfield is not contained")
         route("local-degree", mf.a * mf.d * (big // small))
@@ -188,15 +188,6 @@ def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
         for v in routes.values())
     delta = delta_values[0] if delta_values else UNDETERMINED
     return RamificationReport(e, f, delta, routes, consistent, caveats)
-
-
-def _field_rank(ctx, seqs):
-    """Base-field rank of ctx's residue field, read off a sequence on ctx
-    when there is one (:attr:`GenSeq.residue_ranks`)."""
-    for g in seqs:
-        if g.ctx is ctx:
-            return g.residue_ranks[0]
-    return ctx.residue_field()[1].rank
 
 
 # ---------------------------------------------------------------------------

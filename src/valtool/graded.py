@@ -488,11 +488,13 @@ def fingen_detect(g_r, g_s, ext, depth):
 
     Computes the per-level quantities (the largest absorbed source level,
     the group-index and residue-degree gaps) and matches consecutive new
-    keys on both sides.  A terminal target sequence is finitely generated
-    outright; otherwise a persistent mismatch at stable gaps is reported as
-    an obstruction with a membership witness.  The map keeps each state it
-    returns, shared by every later caller, so a pair is detected once per
-    depth; a raised error is not kept.
+    keys on both sides.  Each source image's certificate is the one proved
+    at the first level that absorbs it, in the generators of that level.
+    A terminal target sequence is finitely generated outright; otherwise a
+    persistent mismatch at stable gaps is reported as an obstruction with
+    a membership witness.  The map keeps each state it returns, shared by
+    every later caller, so a pair is detected once per depth; a raised
+    error is not kept.
     """
     key = (g_r, g_s, depth)
     state = ext.detections.get(key)
@@ -523,24 +525,18 @@ def _detect(g_r, g_s, ext, depth):
     chi_at = _Chi(g_r, g_s, sigma, tau, lambda si: _delta(g_r, si, initials))
     levels = []
     certificates = {}
-    r_s = -1
+    r_s, lam, chi = -1, None, None  # e and f are the last level's lam, chi
     for s in range(s_max + 1):
         a_gens = [q_initials[tau[t]] for t in range(s + 1)]
         # membership in k[gens] is exact and the gens grow with s, so a
-        # level starts past what the one before absorbed; the last level
-        # proves the whole prefix again and its certificates are reported
-        r_prev = r_s
-        start = r_s + 1 if s < s_max else 0
-        r_s = start - 1
-        for j in range(start, len(sigma)):
+        # level starts past what the one before absorbed: each image is
+        # proved once, in g_0..g_s of the first level s that absorbs it
+        for j in range(r_s + 1, len(sigma)):
             res = subalgebra_membership(initials[sigma[j]], a_gens)
             if not res:
                 break
             certificates[sigma[j]] = res
             r_s = j
-        if r_s < r_prev:
-            raise AssertionError("absorbed source prefix shrank along the "
-                                 "chain")
         lam = chi = None
         if r_s >= 0:
             big = [g_s.values[tau[t]] for t in range(s + 1)]
@@ -554,52 +550,37 @@ def _detect(g_r, g_s, ext, depth):
                              "absorbed)" % s)
                 lam = None
             chi = chi_at.at(s, r_s)
+        if levels:
+            prev = levels[-1]
+            if lam is not None and prev.lam is not None and lam > prev.lam:
+                raise AssertionError("lambda increased along the chain")
+            if chi is not None and prev.chi is not None and chi > prev.chi:
+                raise AssertionError("chi increased along the chain")
         levels.append(AlignmentLevel(s, tau[s], r_s, lam, chi))
 
-    for a, b in zip(levels, levels[1:]):
-        if a.lam is not None and b.lam is not None and b.lam > a.lam:
-            raise AssertionError("lambda increased along the chain")
-        if a.chi is not None and b.chi is not None and b.chi > a.chi:
-            raise AssertionError("chi increased along the chain")
-
-    matched = []
-    obstruction = None
-    witnesses = []
+    matched, witnesses = [], []
+    verdict = Verdict("consistent", s_max)
     if g_s.terminal:
         notes.append("target sequence is terminal: its graded ring is "
                      "finitely generated outright")
-        if levels and levels[-1].r >= 0:
-            matched = [(sigma[j], tau[min(s_max, j)]) for j in
-                       range(levels[-1].r + 1)]
+        matched = [(sigma[j], tau[min(s_max, j)]) for j in range(r_s + 1)]
     else:
-        for s in range(s_max):
-            cur, nxt = levels[s], levels[s + 1]
-            if cur.lam is None or nxt.lam is None:
-                continue
-            if nxt.lam < cur.lam:
+        for cur, nxt in zip(levels, levels[1:]):
+            if cur.lam is None or nxt.lam is None or nxt.lam < cur.lam:
                 continue  # the proof allows finitely many strict drops
             if cur.chi is not None and nxt.chi is not None and nxt.chi < cur.chi:
                 continue
             kind = _match_next(g_r, g_s, initials, sigma, tau, cur, nxt)
             if kind is None:
-                matched.append((sigma[cur.r + 1], tau[s + 1]))
+                matched.append((sigma[cur.r + 1], tau[nxt.s]))
                 continue
-            witness = _new_key_witness(initials, q_initials, tau, s)
+            witness = _new_key_witness(initials, q_initials, tau, cur.s)
             if witness is not None:
-                witnesses.append((s + 1, witness))
-            if obstruction is None:
-                obstruction = Verdict("obstruction", s + 1, kind)
+                witnesses.append((nxt.s, witness))
+            verdict = Verdict("obstruction", nxt.s, kind)
             break
 
-    if obstruction is not None:
-        verdict = obstruction
-    else:
-        verdict = Verdict("consistent", s_max)
-
-    final = levels[-1] if levels else None
-    e = final.lam if final else None
-    f = final.chi if final else None
-    return AlignmentState(levels, verdict, e, f, matched, certificates,
+    return AlignmentState(levels, verdict, lam, chi, matched, certificates,
                           witnesses, notes,
                           ["verdict certified only to depth %d" % s_max])
 
@@ -649,8 +630,9 @@ class _Chi:
     The big field is the target's residue-field chain read at tau[s] (see
     :attr:`GenSeq.residue_ranks`).  The small one is the source ring's
     residue field with the residues ``delta`` gives (see :func:`_delta`)
-    at sigma[1..r], closed in the target's tower; r never shrinks, so it
-    is carried across the levels and each delta is asked for once.
+    at sigma[1..r], closed in the target's tower; the detector's r only
+    grows, so it is carried across the levels and each delta is asked for
+    once.
     """
 
     def __init__(self, g_r, g_s, sigma, tau, delta):

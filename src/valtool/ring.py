@@ -9,7 +9,7 @@ recompute values and residues independently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from .towers import TowerElem, _int_if_whole, power, span_closure
 from .values import INFINITE, INSUFFICIENT_PRECISION, Value
@@ -83,6 +83,11 @@ class LocalRingCtx:
         :func:`span_closure`; callers may extend the pair in place."""
         tower = self.tower
         return span_closure(tower, map(tower.gen, range(self.ring_levels)))
+
+    def residue_rank(self):
+        """Base-field rank of the ring's residue field: the closure of the
+        first ``ring_levels`` generators is their monomial basis."""
+        return prod(lvl.degree for lvl in self.tower.levels[:self.ring_levels])
 
     def x(self):
         return self.monomial(1, 0)

@@ -7,8 +7,10 @@ raised), for every pair the case names: each valuation against its free
 transform, and each ``fingen`` line of a scenario's run section.  Besides
 the shipped scenarios, ``v1-over-Qi`` declares v1's sequence over Q(i)
 twice, on a ring with residue field Q and on one with Q(i), joined by the
-identity map: the only pinned pair whose chi is not 1.  A change
-that alters a verdict on purpose records them again with
+identity map: the only pinned pair whose chi is not 1.  Each certificate
+line is the membership proof at the first level that absorbs the image,
+in the generators g_0..g_s of that level.  A change that alters a verdict
+on purpose records them again with
 
     PYTHONPATH=src python tests/test_detect.py
 """
@@ -20,7 +22,8 @@ import pytest
 import valtool
 from valtool.blowup import free_transform
 from valtool.extension import ramification_report
-from valtool.graded import fingen_detect
+from valtool.genseq import initial_form, sigma_indices
+from valtool.graded import GradedElem, fingen_detect, graded_one, key_initial
 from valtool.scenario import parse_scenario
 
 from test_genseq import _chain_cell
@@ -85,29 +88,39 @@ def _pair_lines(title, g_r, g_s, ext):
             + _attempt(lambda: ramification_report(g_r, g_s, ext, depth=6)))
 
 
-def _transform_lines(title, g):
-    try:
-        tmap, target = free_transform(g)
-    except Exception as err:
-        return ["== %s" % title, "free_transform raises %s: %s"
-                % (type(err).__name__, err)]
-    return _pair_lines(title, g, target, tmap.extension())
+def _pairs(case):
+    """Each pair the case names, as (title, g_r, g_s, ext), or as (title,
+    err) when a valuation's free transform raises err."""
+    if case.startswith("chain-"):
+        d, b, r = case.split("-")[1:]
+        named = [(case, _chain_cell(int(d[1:]), b, int(r[4:])))]
+        runs = []
+    else:
+        sc = parse_scenario(TEXTS[case] if case in TEXTS
+                            else valtool.scenario_path(case).read_text())
+        named = [("%s against its transform" % name, g)
+                 for name, g in sc.valuations.items()]
+        runs = [("fingen %s" % " ".join(args[:3]), sc.valuations[args[1]],
+                 sc.valuations[args[2]], sc.extensions[args[0]])
+                for _, verb, args in sc.commands if verb == "fingen"]
+    for title, g in named:
+        try:
+            tmap, target = free_transform(g)
+        except Exception as err:
+            yield title, err
+        else:
+            yield title, g, target, tmap.extension()
+    yield from runs
 
 
 def dump(case):
-    if case.startswith("chain-"):
-        d, b, r = case.split("-")[1:]
-        return _transform_lines(case, _chain_cell(int(d[1:]), b, int(r[4:])))
-    sc = parse_scenario(TEXTS[case] if case in TEXTS
-                        else valtool.scenario_path(case).read_text())
     out = []
-    for name, g in sc.valuations.items():
-        out += _transform_lines("%s against its transform" % name, g)
-    for _, verb, args in sc.commands:
-        if verb == "fingen":
-            ext, g_r, g_s = (sc.extensions[args[0]], sc.valuations[args[1]],
-                             sc.valuations[args[2]])
-            out += _pair_lines("fingen %s" % " ".join(args[:3]), g_r, g_s, ext)
+    for title, *pair in _pairs(case):
+        if len(pair) == 1:
+            out += ["== %s" % title, "free_transform raises %s: %s"
+                    % (type(pair[0]).__name__, pair[0])]
+        else:
+            out += _pair_lines(title, *pair)
     return out
 
 
@@ -115,6 +128,33 @@ def dump(case):
 def test_detector_answers_are_unchanged(case):
     pinned = (DETECT / ("%s.txt" % case)).read_text().splitlines()
     assert dump(case) == pinned
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_certificates_multiply_out_to_the_images(case):
+    # each kept certificate, multiplied out in g_0..g_s of the level s that
+    # first absorbs its image, is the image's initial form, here expanded
+    # afresh through the map
+    for title, *pair in _pairs(case):
+        if len(pair) == 1:
+            continue
+        g_r, g_s, ext = pair
+        st = fingen_detect(g_r, g_s, ext, 6)
+        sigma, tau = sigma_indices(g_r), sigma_indices(g_s)
+        r = st.levels[-1].r
+        assert sorted(st.certificates) == sorted(sigma[:r + 1]), title
+        for pos, j in enumerate(sigma[:r + 1]):
+            s = next(lvl.s for lvl in st.levels if lvl.r >= pos)
+            gens = [key_initial(g_s, tau[t]) for t in range(s + 1)]
+            image = initial_form(ext.apply(g_r.keys[j]), g_s)
+            total = GradedElem(g_s, image.point, {})
+            for gexps, c in st.certificates[j].certificate:
+                assert len(gexps) == s + 1, (title, j)
+                term = graded_one(g_s)
+                for gen, k in zip(gens, gexps):
+                    term = term * gen ** k
+                total = total + term * c
+            assert total == image, (title, j)
 
 
 if __name__ == "__main__":

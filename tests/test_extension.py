@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+import valtool
 from valtool import fixtures
 from valtool.extension import (
     UNDETERMINED,
@@ -9,9 +12,13 @@ from valtool.extension import (
     ramification_report,
     splitting_report,
 )
-from valtool.ring import parse_poly
+from valtool.genseq import GenSeq
+from valtool.ring import LocalRingCtx, parse_poly
+from valtool.scenario import parse_scenario
 from valtool.towers import QQ, ResidueTower
-from valtool.ring import LocalRingCtx
+from valtool.values import Value
+
+from test_detect import SCENARIOS, TEXTS
 
 
 def test_ostrowski_examples():
@@ -163,3 +170,30 @@ def test_def2_fingen_vs_defect_regression():
     nu_r, nu1, _, ext2 = fixtures.pi2()
     st2 = fingen_detect(nu_r, nu1, ext2, 4)
     assert st2.verdict.kind == "consistent" and st2.matched
+
+
+def test_residue_rank_is_the_closed_residue_field():
+    # the local-degree route reads each ring's residue-field rank as the
+    # product of its tower levels' degrees; that is the rank of the closed
+    # field and of every sequence's K_0 on the ring
+    def ranks(ctx):
+        bare = GenSeq(ctx, [Value(1), Value(Fraction(3, 2))])
+        return {ctx.residue_rank(), ctx.residue_field()[1].rank,
+                bare.residue_ranks[0]}
+
+    seen = []
+    texts = [valtool.scenario_path(name).read_text() for name in SCENARIOS]
+    texts += TEXTS.values()
+    for text in texts:
+        sc = parse_scenario(text)
+        for ctx in sc.rings.values():
+            assert len(ranks(ctx)) == 1, ctx
+            seen.append(ctx.residue_rank())
+        for g in sc.valuations.values():
+            assert g.residue_ranks[0] == g.ctx.residue_rank(), g
+    assert len(texts) == 6 and 2 in seen
+    # Q(i, sqrt 2): one ring per number of levels
+    tower = ResidueTower(QQ).extend("i", [1, 0])
+    tower = tower.extend("s", [tower.scalar(-2), tower.zero()])
+    for levels, rank in [(0, 1), (1, 2), (2, 4)]:
+        assert ranks(LocalRingCtx(tower, ring_levels=levels)) == {rank}

@@ -8,11 +8,13 @@ import pytest
 
 from valtool import fixtures, graded
 from valtool.blowup import free_transform
-from valtool.extension import ExtensionMap, ramification_report
+from valtool.extension import (ExtensionMap, InconsistentRamification,
+                               ramification_report)
 from valtool.genseq import (
     GenSeq,
     InsufficientGeneratingData,
     KeyStep,
+    LevelData,
     TailTerm,
     initial_form,
     reduced_representation,
@@ -21,7 +23,6 @@ from valtool.genseq import (
 )
 from valtool.graded import (
     GradedElem,
-    MembershipResult,
     _products_of_value,
     fingen_detect,
     graded_one,
@@ -412,9 +413,10 @@ def test_pi2_alignment():
     st = fingen_detect(nu_r, nu1, ext, 4)
     assert st.verdict.kind == "consistent"
     assert (st.e, st.f) == (2, 1)
-    # the recorded certificates carry in(u) = in(x)^2 and in(v-u) = 2 in(x) in(y-x)
+    # the recorded certificates carry in(u) = in(x)^2 and in(v-u) = 2 in(x) in(y-x),
+    # each in the generators of the level that first absorbs it
     cert_u = st.certificates[0].certificate
-    assert cert_u == [((2, 0), nu1.ctx.tower.one())]
+    assert cert_u == [((2,), nu1.ctx.tower.one())]
     cert_vu = st.certificates[2].certificate
     assert cert_vu == [((1, 1), nu1.ctx.tower.scalar(2))]
 
@@ -471,16 +473,19 @@ def test_detection_runs_once_per_map_pair_and_depth(monkeypatch):
     assert repr(fingen_detect(corn, tgt, tmap.extension(), 4)) == repr(st)
     assert len(runs) == 3
 
-    # a call that raised is run again, and nothing of it is kept
+    # a call that raised is run again, and nothing of it is kept; the forged
+    # membership answers at level 0 and raises past it
     member = graded.subalgebra_membership
 
-    def forgetful(e, gens):
-        return member(e, gens) if len(gens) == 1 else MembershipResult(False)
+    def failing(e, gens):
+        if len(gens) > 1:
+            raise ArithmeticError("forged membership failure")
+        return member(e, gens)
 
-    monkeypatch.setattr(graded, "subalgebra_membership", forgetful)
+    monkeypatch.setattr(graded, "subalgebra_membership", failing)
     refused = tmap.extension()
     for count in (4, 5):
-        with pytest.raises(AssertionError, match="shrank"):
+        with pytest.raises(ArithmeticError, match="forged"):
             fingen_detect(corn, tgt, refused, 2)
         assert len(runs) == count and not refused.detections
 
@@ -597,17 +602,123 @@ def test_chi_carries_its_closures_across_levels():
         assert got == expected and asked == deltas_asked
 
 
-def test_detector_refuses_a_shrinking_absorbed_prefix(monkeypatch):
-    # membership in k[gens] is exact and the gens grow with s, so r cannot
-    # shrink; forge a membership that forgets what it found at s=0
-    corn = fixtures.corn()
-    tmap, tgt = free_transform(corn)
-    member = graded.subalgebra_membership
+def test_detector_proves_each_source_image_once(monkeypatch):
+    # membership in k[gens] is exact and the gens grow with s, so each
+    # sigma image is proved once, at the first level s whose generators
+    # g_0..g_s absorb it, and that certificate is the one kept
+    from test_genseq import _chain_cell
+    member, witness = graded.subalgebra_membership, graded._new_key_witness
+    calls, witnessing = [], []
 
-    def forgetful(e, gens):
-        return member(e, gens) if len(gens) == 1 else MembershipResult(False)
+    def counting(e, gens):
+        res = member(e, gens)
+        if not witnessing:  # the obstruction witness is not a level's proof
+            calls.append((e, len(gens) - 1, res.ok))
+        return res
 
-    assert fingen_detect(corn, tgt, tmap.extension(), 2).levels[0].r >= 0
-    monkeypatch.setattr(graded, "subalgebra_membership", forgetful)
-    with pytest.raises(AssertionError, match="absorbed source prefix shrank"):
-        fingen_detect(corn, tgt, tmap.extension(), 2)
+    def witnessed(*args):
+        witnessing.append(True)
+        try:
+            return witness(*args)
+        finally:
+            witnessing.pop()
+
+    monkeypatch.setattr(graded, "subalgebra_membership", counting)
+    monkeypatch.setattr(graded, "_new_key_witness", witnessed)
+    nu_r, nu1, _, ext = fixtures.pi2()
+    cases = [(nu_r, nu1, ext)]
+    for g in (fixtures.corn(), _chain_cell(3, "Q", 1)):
+        tmap, tgt = free_transform(g)
+        cases.append((g, tgt, tmap.extension()))
+    for g_r, g_s, ext in cases:
+        calls.clear()
+        st = fingen_detect(g_r, g_s, ext, 6)
+        sigma = sigma_indices(g_r)
+        r = st.levels[-1].r
+        assert r >= 1
+        # the absorbing level of each image, and the images in sigma order
+        first = [next(lvl.s for lvl in st.levels if lvl.r >= pos)
+                 for pos in range(r + 1)]
+        images = [initial_form(ext.apply(g_r.keys[j]), g_s)
+                  for j in sigma[:r + 1]]
+        assert [(e, s) for e, s, ok in calls if ok] == list(zip(images, first))
+        failed = [s for _, s, ok in calls if not ok]
+        assert len(failed) == len(set(failed))
+        for j, s in zip(sigma, first):
+            assert all(len(gexps) == s + 1
+                       for gexps, _ in st.certificates[j].certificate)
+        # some image is absorbed before the last level that absorbs one
+        assert first[0] < first[-1]
+
+
+def _paired_level(i, jump=1, degree=1, cap=2):
+    lvl = LevelData(i)
+    lvl.group_jump, lvl.residue_degree, lvl.cap = jump, degree, cap
+    return lvl
+
+
+def test_match_next_names_the_first_broken_identity():
+    # source sigma level 1 against target tau level 1, both of value 3/2
+    beta = Value(Fraction(3, 2))
+    initials = {0: SimpleNamespace(value=Value(1)),
+                1: SimpleNamespace(value=beta)}
+    cur = graded.AlignmentLevel(0, 0, 0, 1, 1)
+    nxt = graded.AlignmentLevel(1, 1, 1, 1, 1)
+
+    def match(src, tgt, sigma=(0, 1), nxt=nxt):
+        g_r = SimpleNamespace(level={1: src}.__getitem__)
+        g_s = SimpleNamespace(values=[Value(1), beta],
+                              level={1: tgt}.__getitem__)
+        return graded._match_next(g_r, g_s, initials, list(sigma), [0, 1],
+                                  cur, nxt)
+
+    assert match(_paired_level(1), _paired_level(1)) is None
+    # an undetermined side skips its comparison
+    assert match(_paired_level(1, jump=None, degree=None, cap=None),
+                 _paired_level(1, jump=2, degree=3, cap=4)) is None
+    assert match(_paired_level(1, jump=2), _paired_level(1, jump=INFINITE)) \
+        == "group jump mismatch at the matched pair: 2 vs Infinite"
+    assert match(_paired_level(1, degree=2), _paired_level(1)) \
+        == "residue degree mismatch at the matched pair: 2 vs 1"
+    assert match(_paired_level(1, cap=2), _paired_level(1, cap=4)) \
+        == "recursion power mismatch at the matched pair: 2 vs 4"
+    assert match(_paired_level(1), _paired_level(1),
+                 nxt=graded.AlignmentLevel(1, 1, 2, 1, 1)) \
+        == "absorption did not advance by one level (r went 0 -> 2)"
+    assert match(_paired_level(1), _paired_level(1), sigma=(0,)) \
+        == "source keys exhausted while target keys continue"
+    # the identities are read in order: the first broken one is named
+    assert match(_paired_level(1, jump=2, degree=2),
+                 _paired_level(1, jump=3, degree=1)) \
+        == "group jump mismatch at the matched pair: 2 vs 3"
+
+
+def test_new_key_witness_is_none_when_the_key_is_absorbed(v1):
+    q_initials = [key_initial(v1, i) for i in range(len(v1.keys))]
+    tau = sigma_indices(v1)
+    # in(y) is the image of y, so it lies in the generated subalgebra
+    assert graded._new_key_witness(dict(enumerate(q_initials[:2])),
+                                   q_initials, tau, 0) is None
+    # from in(x) alone, nothing has value 3/2
+    assert graded._new_key_witness({0: q_initials[0]}, q_initials, tau, 0) \
+        == "no generator monomial has value 3/2"
+
+
+@pytest.mark.parametrize("forged, note", [
+    ("raise", "lambda at s=0 undefined: forged containment"),
+    ("infinite", "lambda infinite at s=0 (rank gap not yet absorbed)")])
+def test_lambda_notes(monkeypatch, forged, note):
+    def group_index(big, small):
+        if forged == "raise":
+            raise graded.ContainmentError("forged containment")
+        return INFINITE
+
+    monkeypatch.setattr(graded, "group_index", group_index)
+    g_r, g_s, ext = fixtures.def2()
+    st = fingen_detect(g_r, g_s, ext, 4)
+    assert st.levels[0].r >= 0
+    assert all(lvl.lam is None for lvl in st.levels) and st.e is None
+    assert "note: %s" % note in st.lines()
+    with pytest.raises(InconsistentRamification,
+                       match="alignment did not stabilize"):
+        ramification_report(g_r, g_s, ext, depth=4)
