@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from .genseq import (initial_form, reference_monomial, residue_sum,
                      sigma_indices)
-from .towers import LinearSolver, power, span_closure
-from .values import INFINITE, ContainmentError, group_index
+from .towers import LinearSolver, TowerElem, power, span_closure
+from .values import INFINITE, ContainmentError, lattice_index
 
 
 class GradedElem:
@@ -396,18 +396,55 @@ def _products_of_value(gens, target, g):
 
     ``target`` is a :class:`Value` or a point of g's grid, where ``gens``
     lie.  The exponent vectors come lazily from one integer walk on the
-    grid; a product is formed only for an exact hit, from cached powers.
+    grid; a product is formed only for an exact hit, by :func:`_monomial`
+    (in one step when every generator it uses is a single term, else from
+    cached graded powers).
     """
     powers = [[gen] for gen in gens]  # powers[i][k - 1] = gens[i]^k
     for exps in g.grid.sums([gen.point for gen in gens], target):
-        prod = None
-        for pw, k in zip(powers, exps):
-            if not k:
-                continue
-            while len(pw) < k:
-                pw.append(pw[-1] * pw[0])
-            prod = pw[k - 1] if prod is None else prod * pw[k - 1]
-        yield exps, graded_one(g) if prod is None else prod
+        yield exps, _monomial(g, gens, exps, powers)
+
+
+def _monomial(g, gens, exps, powers=None):
+    """The product of gens[i] ** exps[i] in g's graded ring.
+
+    When every factor that occurs is a single term, so is the product
+    before reduction: its exponent vector is the sum of theirs and its
+    coefficient the product of theirs, formed on raw tower reps past the
+    coefficients equal to one, and it is normalized once.  The reduced
+    basis makes normal forms unique, so this is the chained product.
+    Otherwise the factors are multiplied as graded elements from the
+    powers in ``powers`` (powers[i][k - 1] = gens[i] ** k, grown here and
+    kept across calls when given).
+    """
+    used = [(i, k) for i, k in enumerate(exps) if k]
+    if all(len(gens[i].coeffs) == 1 for i, _ in used):
+        tower = g.ctx.tower
+        one, mul = tower.one().rep, tower.mul
+        out, p0, p1, rep = [0] * len(g.keys), 0, 0, None
+        for i, k in used:
+            gen = gens[i]
+            (e, c), = gen.coeffs.items()
+            for slot, a in enumerate(e):
+                if a:
+                    out[slot] += k * a
+            p0 += k * gen.point[0]
+            p1 += k * gen.point[1]
+            c = c.rep
+            if c != one:
+                for _ in range(k):
+                    rep = c if rep is None else mul(rep, c)
+        return GradedElem(g, (p0, p1), {tuple(out): TowerElem(
+            tower, one if rep is None else rep)})
+    if powers is None:
+        powers = [[gen] for gen in gens]
+    prod = None
+    for i, k in used:
+        pw = powers[i]
+        while len(pw) < k:
+            pw.append(pw[-1] * pw[0])
+        prod = pw[k - 1] if prod is None else prod * pw[k - 1]
+    return graded_one(g) if prod is None else prod
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +576,10 @@ def _detect(g_r, g_s, ext, depth):
             r_s = j
         lam = chi = None
         if r_s >= 0:
-            big = [g_s.values[tau[t]] for t in range(s + 1)]
-            small = [initials[sigma[j]].value for j in range(r_s + 1)]
+            big = [g_s.grid.points[tau[t]] for t in range(s + 1)]
+            small = [initials[sigma[j]].point for j in range(r_s + 1)]
             try:
-                lam = group_index(big, small)
+                lam = lattice_index(big, small)
             except ContainmentError as err:
                 notes.append("lambda at s=%d undefined: %s" % (s, err))
             if lam is INFINITE:
@@ -675,23 +712,22 @@ class _Chi:
 def _delta(g_r, si, initials):
     """Residue of the image of P_si^jump over its unit monomial's image.
 
-    Both are graded products of the image initial forms ``initials`` (by
-    sigma index).  INFINITE at a rank jump (by convention that residue is
-    1); None when the source level lacks its data or a residue vanishes at
-    the target prefix.
+    Both are monomials in the image initial forms ``initials`` (by sigma
+    index), formed by :func:`_monomial`.  INFINITE at a rank jump (by
+    convention that residue is 1); None when the source level lacks its
+    data or a residue vanishes at the target prefix.
     """
     lvl = g_r.level(si)
     if lvl.group_jump is INFINITE:
         return INFINITE
     if lvl.group_jump is None or lvl.unit_exps is None:
         return None
-    num = initials[si] ** lvl.group_jump
-    den = graded_one(num.genseq)
+    g = initials[si].genseq
+    num = _monomial(g, [initials[si]], [lvl.group_jump])
     # a unit monomial has exponent 0 at every key whose step power is 1, so
-    # the sigma initial forms are enough
-    for k, u in enumerate(lvl.unit_exps):
-        if u:
-            den = den * initials[k] ** u
+    # the sigma initial forms are enough (the others stand in as None)
+    den = _monomial(g, [initials.get(k) for k in range(len(lvl.unit_exps))],
+                    lvl.unit_exps)
     return _residue_ratio(num, den)
 
 

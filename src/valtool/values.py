@@ -10,7 +10,7 @@ A :class:`Grid` holds the values of one group as int pairs over their common
 denominator: a generating sequence keeps its key values there, and lattice
 walks, sums and sorts of values run on ints.  Group indices of finitely
 generated subgroups are computed by integer linear algebra on the same
-int vectors.
+int vectors (:func:`lattice_index`).
 """
 
 from __future__ import annotations
@@ -293,14 +293,15 @@ class Grid:
         if target is None:
             return
 
-        def negative(r0, r1):
-            return r0 < 0 if r1 == 0 else self.cmp((r0, r1), (0, 0)) < 0
+        def irrational_negative(r0, r1):
+            return self.cmp((r0, r1), (0, 0)) < 0
 
         if n == 0:
             if target == (0, 0):
                 yield ()
             return
-        if negative(*target):
+        r0, r1 = target
+        if (r0 < 0) if r1 == 0 else irrational_negative(r0, r1):
             return
         acc = [0] * n
         last = n - 1
@@ -333,7 +334,8 @@ class Grid:
                     break
                 r0 -= a0
                 r1 -= a1
-                if negative(r0, r1):
+                # ints decide on the rational axis, with no call per step
+                if (r0 < 0) if r1 == 0 else irrational_negative(r0, r1):
                     break
             if not found:
                 barren.add(state)
@@ -415,29 +417,40 @@ def _hnf(rows):
     return basis
 
 
-def group_index(big, small):
-    """Index [G(big) : G(small)] of finitely generated subgroups.
+def lattice_index(big, small):
+    """Index [L(big) : L(small)] of lattices given by integer generators.
 
     INPUT:
 
-    - ``big``, ``small`` -- lists of :class:`Value` with every element of
-      ``small`` lying in the group generated by ``big`` (checked)
+    - ``big``, ``small`` -- lists of integer vectors of one length, with
+      every vector of ``small`` in the lattice ``big`` spans (checked)
 
     OUTPUT:
 
-    A positive integer, or INFINITE when ``small`` generates a lattice of
+    A positive integer, or INFINITE when ``small`` spans a lattice of
     strictly lower rank.  Raises :class:`ContainmentError` if containment
     fails.
     """
-    big, small = list(big), list(small)
-    vecs = Grid(big + small).points
-    big_rows = _hnf(vecs[: len(big)])
+    big_rows = _hnf(big)
     both, covol = list(big_rows), covolume(big_rows)
-    for v, value in zip(vecs[len(big):], small):
+    for k, v in enumerate(small):
         if lattice_add(both, v) or covolume(both) != covol:
             raise ContainmentError(
-                "value %r is not in the group generated by %r" % (value, big))
-    small_rows = _hnf(vecs[len(big):])
+                "small[%d] = %r is not in the lattice spanned by %r"
+                % (k, tuple(v), [tuple(b) for b in big]))
+    small_rows = _hnf(small)
     if len(small_rows) < len(big_rows):
         return INFINITE
     return covolume(small_rows) // covol
+
+
+def group_index(big, small):
+    """Index [G(big) : G(small)] of finitely generated subgroups.
+
+    ``big`` and ``small`` are lists of :class:`Value`; the index (or
+    INFINITE, or :class:`ContainmentError`) is :func:`lattice_index` of
+    their points on one :class:`Grid`.
+    """
+    big, small = list(big), list(small)
+    vecs = Grid(big + small).points
+    return lattice_index(vecs[:len(big)], vecs[len(big):])

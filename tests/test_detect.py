@@ -15,16 +15,20 @@ on purpose records them again with
     PYTHONPATH=src python tests/test_detect.py
 """
 
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 import valtool
+from valtool import graded
 from valtool.blowup import free_transform
 from valtool.extension import ramification_report
 from valtool.genseq import initial_form, sigma_indices
-from valtool.graded import GradedElem, fingen_detect, graded_one, key_initial
+from valtool.graded import (GradedElem, fingen_detect, graded_one,
+                            graded_piece_basis, key_initial)
 from valtool.scenario import parse_scenario
+from valtool.values import INFINITE, group_index, lattice_index
 
 from test_genseq import _chain_cell
 
@@ -155,6 +159,115 @@ def test_certificates_multiply_out_to_the_images(case):
                     term = term * gen ** k
                 total = total + term * c
             assert total == image, (title, j)
+
+
+# -- the detector's single-term products and lambda ------------------------------
+
+GEN_CASES = (["chain-d%d-Q-rank1" % d for d in range(1, 6)]
+             + ["chain-d2-GF3-rank2", "corn", "pi2", "def2", "v1-over-Qi"])
+
+
+@lru_cache(maxsize=None)
+def _generator_sets(case):
+    """(g_r, g_s, ext, images, gens) for each pair of the case: the sigma
+    images as the detector reads them, and those with every target key
+    initial, the generators its products are formed from."""
+    out = []
+    for title, *pair in _pairs(case):
+        if len(pair) == 1:
+            continue
+        g_r, g_s, ext = pair
+        images = {}
+        for j in sigma_indices(g_r):
+            images[j] = ext.initial_image(g_r, j, g_s)
+            if images[j] is None:
+                images[j] = initial_form(ext.apply(g_r.keys[j]), g_s)
+        gens = list(images.values()) + [key_initial(g_s, i)
+                                        for i in range(len(g_s.keys))]
+        out.append((g_r, g_s, ext, images, gens))
+    return out
+
+
+def _two_term(g, gens):
+    """A two-term homogeneous element at the value of a product of two of
+    ``gens``, or None when each such piece has one reduced monomial."""
+    for a in gens:
+        for b in gens:
+            point = (a.point[0] + b.point[0], a.point[1] + b.point[1])
+            basis = graded_piece_basis(point, g)
+            if len(basis) >= 2:
+                one = g.ctx.tower.one()
+                return GradedElem(g, point, {basis[0]: one, basis[-1]: one})
+    return None
+
+
+def _chained(g, gens, exps):
+    term = graded_one(g)
+    for gen, k in zip(gens, exps):
+        term = term * gen ** k
+    return term
+
+
+def test_single_term_monomials_equal_the_chained_products():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        case = data.draw(st.sampled_from(GEN_CASES))
+        sets = _generator_sets(case)
+        _, g_s, _, _, gens = sets[data.draw(st.integers(0, len(sets) - 1))]
+        # a multi-term factor takes the chained path for the whole product
+        extra = _two_term(g_s, gens) if data.draw(st.booleans()) else None
+        if extra is not None:
+            gens = gens + [extra]
+        exps = data.draw(st.lists(st.integers(0, 3), min_size=len(gens),
+                                  max_size=len(gens)))
+        got = graded._monomial(g_s, gens, exps)
+        assert got == _chained(g_s, gens, exps), (case, exps)
+
+    check()
+
+
+@pytest.mark.parametrize("case", GEN_CASES)
+def test_single_term_generators_form_no_graded_product(case, monkeypatch):
+    # the closed-form images and the key initials are single terms, so
+    # their monomials never pass through GradedElem.__mul__
+    calls = []
+    mul = GradedElem.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    for _, g_s, _, _, gens in _generator_sets(case):
+        single = [gen for gen in gens if len(gen.coeffs) == 1]
+        want = [_chained(g_s, single, [2] * len(single))]
+        monkeypatch.setattr(GradedElem, "__mul__", counting)
+        got = [graded._monomial(g_s, single, [2] * len(single))]
+        monkeypatch.undo()
+        assert got == want and not calls, case
+
+
+@pytest.mark.parametrize("case", GEN_CASES)
+def test_lambda_from_grid_points_is_the_group_index_of_the_values(case):
+    for g_r, g_s, ext, images, _ in _generator_sets(case):
+        st = fingen_detect(g_r, g_s, ext, 6)
+        sigma, tau = sigma_indices(g_r), sigma_indices(g_s)
+        for lvl in st.levels:
+            if lvl.r < 0:
+                continue
+            absorbed = [images[j] for j in sigma[:lvl.r + 1]]
+            from_points = lattice_index(
+                [g_s.grid.points[tau[t]] for t in range(lvl.s + 1)],
+                [img.point for img in absorbed])
+            from_values = group_index(
+                [g_s.values[tau[t]] for t in range(lvl.s + 1)],
+                [img.value for img in absorbed])
+            assert from_points == from_values, (case, lvl)
+            assert lvl.lam == (None if from_points is INFINITE
+                               else from_points), (case, lvl)
 
 
 if __name__ == "__main__":

@@ -708,12 +708,13 @@ def test_new_key_witness_is_none_when_the_key_is_absorbed(v1):
     ("raise", "lambda at s=0 undefined: forged containment"),
     ("infinite", "lambda infinite at s=0 (rank gap not yet absorbed)")])
 def test_lambda_notes(monkeypatch, forged, note):
-    def group_index(big, small):
+    # the detector reads lambda from grid points through lattice_index
+    def lattice_index(big, small):
         if forged == "raise":
             raise graded.ContainmentError("forged containment")
         return INFINITE
 
-    monkeypatch.setattr(graded, "group_index", group_index)
+    monkeypatch.setattr(graded, "lattice_index", lattice_index)
     g_r, g_s, ext = fixtures.def2()
     st = fingen_detect(g_r, g_s, ext, 4)
     assert st.levels[0].r >= 0
