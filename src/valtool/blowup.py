@@ -161,18 +161,11 @@ def free_transform(g):
     Needs the key after the first level (its strict transform is the new y)
     and the first level's residue for recentering.  The target keeps the
     strict transforms as its keys (`GenSeq.from_keys`), one level down.
-    The pair is built once per sequence and returned again on later calls.
-    A build that fails with a `TransformError` is not tried again: later
-    calls raise a `TransformError` with the same message.
+    The pair is built once per sequence and returned again on later calls;
+    a `TransformError` is raised afresh on each call.
     """
     if g._transform is None:
-        if g._transform_error is not None:
-            raise TransformError(g._transform_error)
-        try:
-            g._transform = _build_transform(g)
-        except TransformError as err:
-            g._transform_error = str(err)
-            raise
+        g._transform = _build_transform(g)
     return g._transform
 
 

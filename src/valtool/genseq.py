@@ -164,7 +164,6 @@ class GenSeq:
         self.oracle = oracle
         self._equal_tails = {}
         self._transform = None  # (map, target), built by blowup.free_transform
-        self._transform_error = None  # its TransformError's message, once raised
         # one pass: a running lattice of values and the residue chain; K_i,
         # the ring's field with the residues at levels 1..i, is spanned by
         # the first residue_ranks[i] basis elements (and solver rows)

@@ -581,6 +581,10 @@ def _detect(g_r, g_s, ext, depth):
             try:
                 lam = lattice_index(big, small)
             except ContainmentError as err:
+                if err.index is not None:  # name the value, not its point
+                    err = ContainmentError.of_value(
+                        initials[sigma[err.index]].value,
+                        [g_s.values[tau[t]] for t in range(s + 1)])
                 notes.append("lambda at s=%d undefined: %s" % (s, err))
             if lam is INFINITE:
                 notes.append("lambda infinite at s=%d (rank gap not yet "

@@ -30,7 +30,20 @@ class UndecidedComparison(Exception):
 
 
 class ContainmentError(Exception):
-    """A lattice-index request where the alleged sublattice is not contained."""
+    """A lattice-index request where the alleged sublattice is not contained.
+
+    ``index`` is the position in ``small`` of the first generator outside,
+    when known, so a caller holding values can name it (:meth:`of_value`).
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
+
+    @classmethod
+    def of_value(cls, value, big, index=None):
+        return cls("value %r is not in the group generated by %r"
+                   % (value, big), index)
 
 
 class _Sentinel:
@@ -429,15 +442,14 @@ def lattice_index(big, small):
 
     A positive integer, or INFINITE when ``small`` spans a lattice of
     strictly lower rank.  Raises :class:`ContainmentError` if containment
-    fails.
+    fails, with the position of the first vector outside as its ``index``.
     """
     big_rows = _hnf(big)
     both, covol = list(big_rows), covolume(big_rows)
     for k, v in enumerate(small):
         if lattice_add(both, v) or covolume(both) != covol:
             raise ContainmentError(
-                "small[%d] = %r is not in the lattice spanned by %r"
-                % (k, tuple(v), [tuple(b) for b in big]))
+                "small[%d] is not in the lattice big spans" % k, k)
     small_rows = _hnf(small)
     if len(small_rows) < len(big_rows):
         return INFINITE
@@ -453,4 +465,8 @@ def group_index(big, small):
     """
     big, small = list(big), list(small)
     vecs = Grid(big + small).points
-    return lattice_index(vecs[:len(big)], vecs[len(big):])
+    try:
+        return lattice_index(vecs[:len(big)], vecs[len(big):])
+    except ContainmentError as err:
+        raise ContainmentError.of_value(small[err.index], big,
+                                        err.index) from None

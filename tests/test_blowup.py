@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from valtool import blowup, fixtures
+from valtool import fixtures
 from valtool.blowup import (
     TransformError,
     TransformMap,
@@ -397,52 +397,6 @@ def test_a_failed_transform_raises_on_every_call():
         messages.append(str(err.value))
     assert messages[0] == messages[1] and "does not normalize" in messages[0]
     assert target._transform is None
-
-
-def _counting_builds(monkeypatch):
-    built = []
-    build = blowup._build_transform
-
-    def counting(g):
-        built.append(g)
-        return build(g)
-
-    monkeypatch.setattr(blowup, "_build_transform", counting)
-    return built
-
-
-@pytest.mark.parametrize("depth", [2, 3])
-def test_a_failed_transform_is_charted_once(depth, monkeypatch):
-    # a chain cell's second step fails; its reason is kept, not rebuilt
-    g = _chain_cell(depth, "Q", 1)
-    built = _counting_builds(monkeypatch)
-    record = iterate_transforms(g, 2)
-    assert len(record) == 1 and "does not normalize" in record.truncated_reason
-    target = record.steps[0].target
-    assert built == [g, target]
-    for _ in range(2):
-        with pytest.raises(TransformError) as err:
-            free_transform(target)
-        assert str(err.value) == record.truncated_reason
-    assert iterate_transforms(g, 3).truncated_reason == record.truncated_reason
-    assert built == [g, target] and target._transform is None
-
-
-def test_only_a_transform_error_is_kept(v1, monkeypatch):
-    build, failed = blowup._build_transform, []
-
-    def flaky(g):
-        if not failed:
-            failed.append(g)
-            raise RuntimeError("not a transform error")
-        return build(g)
-
-    monkeypatch.setattr(blowup, "_build_transform", flaky)
-    with pytest.raises(RuntimeError):
-        free_transform(v1)
-    assert v1._transform_error is None
-    tmap, _ = free_transform(v1)
-    assert free_transform(v1)[0] is tmap and failed == [v1]
 
 
 # -- value tables against charted key products ----------------------------------

@@ -723,3 +723,17 @@ def test_lambda_notes(monkeypatch, forged, note):
     with pytest.raises(InconsistentRamification,
                        match="alignment did not stabilize"):
         ramification_report(g_r, g_s, ext, depth=4)
+
+
+def test_lambda_note_names_the_value_outside(monkeypatch):
+    # lattice_index runs on grid points; the note names the value instead
+    def lattice_index(big, small):
+        raise graded.ContainmentError("small[0] is outside", 0)
+
+    monkeypatch.setattr(graded, "lattice_index", lattice_index)
+    g_r, g_s, ext = fixtures.def2()
+    st = fingen_detect(g_r, g_s, ext, 4)
+    image = initial_form(ext.apply(g_r.keys[sigma_indices(g_r)[0]]), g_s)
+    big = [g_s.values[st.levels[0].tau]]
+    assert "note: lambda at s=0 undefined: value %r is not in the group " \
+        "generated by %r" % (image.value, big) in st.lines()

@@ -17,6 +17,7 @@ from valtool.values import (
     covolume,
     group_index,
     lattice_add,
+    lattice_index,
     pi_descriptor,
     value_ratio,
 )
@@ -437,6 +438,18 @@ def test_group_index_refuses_a_subgroup_that_is_not_contained():
             group_index(big, big[:at] + _as_values([w]) + big[at:])
 
     check()
+
+
+def test_containment_error_names_the_first_generator_outside():
+    with pytest.raises(ContainmentError) as err:
+        lattice_index([(2, 0)], [(2, 0), (3, 0), (1, 0)])
+    assert err.value.index == 1
+    big = [Value(2), Value(0, 2, PI)]
+    with pytest.raises(ContainmentError) as err:
+        group_index(big, [Value(2), Value(1), Value(0, 1, PI)])
+    assert err.value.index == 1
+    assert str(err.value) == "value 1 is not in the group generated by " \
+        "%r" % (big,)
 
 
 def test_group_index_agrees_with_a_rational_solve_of_the_order():
