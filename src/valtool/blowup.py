@@ -11,24 +11,30 @@ where U has value zero and residue alpha.  The chart is
 not a ring substitution; the map checks its preconditions when built.
 Recentering Z = U - alpha gives regular parameters (X, Z) of the target
 ring; it is a Taylor shift, each X^i U^j spread over X^i Z^k by binomials,
-with no ring product.  Keys transport by clearing the exceptional power of
-X and the power of U and stay the target's keys, one level down; every
-shifted invariant is recomputed on the target and compared against the
-source as a consistency table.  The chart has determinant 1, so distinct
-terms of f land on distinct monomials X^i U^j and nothing cancels: both
-powers, and so the strict transform, are read off the chart exponents,
-with no division.
+with no ring product.  The chart has determinant 1, so distinct terms of
+f land on distinct monomials X^i U^j and nothing cancels: the exceptional
+and unit powers, and so the strict transform, are read off the chart
+exponents, with no division.
+
+Keys transport by clearing those powers and stay the target's keys, one
+level down, but no key is charted to get there: the chart is a ring map,
+so the target's recursion comes from the source's (see
+:func:`_target_steps`).  Every shifted invariant is recomputed on the
+target and compared against the source as a consistency table.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 from fractions import Fraction
 
 from .extension import ExtensionMap
-from .genseq import GenSeq, expand, monic_of_degree
+from .genseq import (GenSeq, KeyStep, TailTerm, _expand_raw, expand,
+                     monic_of_degree)
 from .graded import GradedElem
 from .ring import (LocalRingCtx, RingElem, SeriesEmbedding, TruncSeries,
-                   shift_y)
+                   divmod_y, shift_y)
 from .values import INFINITE
 
 
@@ -40,7 +46,7 @@ class TransformMap:
     """One composite transform: chart data, recentering, and images."""
 
     __slots__ = ("source_ctx", "target_ctx", "nbar", "w", "a", "b",
-                 "alpha_lift", "x_image", "y_image", "exceptional_value",
+                 "alpha_lift", "_images", "exceptional_value",
                  "key_orders", "unit_orders", "chart_ctx")
 
     def __init__(self, source_ctx, target_ctx, nbar, w, a, b, alpha_lift,
@@ -62,10 +68,25 @@ class TransformMap:
         self.key_orders = (nbar, w)
         self.unit_orders = (a, b)
         # the chart (X, U) with U = Z + alpha, a ring of its own on the tower
-        chart = self.chart_ctx = LocalRingCtx(
+        self.chart_ctx = LocalRingCtx(
             target_ctx.tower, ("X", "U"), ring_levels=target_ctx.ring_levels)
-        self.x_image = shift_y(chart.monomial(nbar, a), target_ctx, alpha_lift)
-        self.y_image = shift_y(chart.monomial(w, b), target_ctx, alpha_lift)
+        self._images = None
+
+    @property
+    def x_image(self):
+        """The image X^n * (Z + alpha)^a of x, formed on first read."""
+        return self._parameter_images()[0]
+
+    @property
+    def y_image(self):
+        """The image X^w * (Z + alpha)^b of y, formed on first read."""
+        return self._parameter_images()[1]
+
+    def _parameter_images(self):
+        if self._images is None:
+            ctx = self.source_ctx
+            self._images = (self.to_target(ctx.x()), self.to_target(ctx.y()))
+        return self._images
 
     def _chart(self, f):
         """f in the chart: x^i y^j goes to X^(n*i + w*j) U^(a*i + b*j), one
@@ -159,10 +180,12 @@ def free_transform(g):
     """Composite transform of a sequence; returns (map, transported sequence).
 
     Needs the key after the first level (its strict transform is the new y)
-    and the first level's residue for recentering.  The target keeps the
-    strict transforms as its keys (`GenSeq.from_keys`), one level down.
-    The pair is built once per sequence and returned again on later calls;
-    a `TransformError` is raised afresh on each call.
+    and the first level's residue for recentering.  The target's keys are
+    the strict transforms, one level down.  They and the target's steps
+    come from the source steps by the recursion of :func:`_target_steps`,
+    which records the orders of each key's image in ``key_orders`` and
+    ``unit_orders``.  The pair is built once per sequence and returned
+    again on later calls; a `TransformError` is raised afresh on each call.
     """
     if g._transform is None:
         g._transform = _build_transform(g)
@@ -192,36 +215,7 @@ def _build_transform(g):
     tmap = TransformMap(g.ctx, target_ctx, nbar, w, a, b, alpha_lift,
                         exceptional_value)
 
-    # transported keys: clear the exceptional power and the unit factor
-    target_keys = [target_ctx.x()]
-    target_values = [exceptional_value]
-    key_orders, unit_orders = list(tmap.key_orders), list(tmap.unit_orders)
-    for i in range(1, g.top):
-        expected_drop = _drop(g, i + 1)
-        # y1-degree of target key i: the source powers at levels 2..i
-        deg = expected_drop // _drop(g, 2)
-        chart = tmap._chart(g.keys[i + 1])
-        drop = chart.x_order()
-        if drop != expected_drop:
-            raise TransformError(
-                "exceptional power of key %d is %d, expected %d"
-                % (i + 1, drop, expected_drop))
-        key_orders.append(drop)
-        unit_orders.append(_unit_order(chart))
-        stripped = tmap._strict_image(chart)
-        if not monic_of_degree(stripped, deg):
-            raise TransformError(
-                "strict transform of key %d does not normalize to a monic "
-                "key of degree %d: %r" % (i + 1, deg, stripped))
-        # the recentered parameter must BE the transported key; a leftover
-        # unit factor cannot be absorbed polynomially
-        if i == 1 and stripped != target_ctx.y():
-            raise TransformError(
-                "strict transform of key 2 is %r, not the recentered "
-                "parameter; the chart change is not polynomial" % stripped)
-        target_keys.append(stripped)
-        target_values.append(g.values[i + 1] - exceptional_value * drop)
-    tmap.key_orders, tmap.unit_orders = tuple(key_orders), tuple(unit_orders)
+    values, keys, steps = _target_steps(g, tmap)
 
     # Declared residues transport safely only when every source residue is 1
     # (the cleared powers of U contribute powers of source residues, hence
@@ -232,11 +226,210 @@ def _build_transform(g):
                 if trivial and l.residue is not None}
 
     oracle = _transport_oracle(g, tmap)
-    target = GenSeq.from_keys(target_ctx, target_values, target_keys,
-                              [step.power for step in g.steps[1:]],
-                              residues=residues, oracle=oracle,
-                              terminal=g.terminal)
+    target = GenSeq(target_ctx, values, steps, residues=residues,
+                    oracle=oracle, terminal=g.terminal, keys=keys)
     return tmap, target
+
+
+def _target_steps(g, tmap):
+    """The target's values, keys and steps, from g's steps and the chart
+    orders; sets ``tmap.key_orders`` and ``tmap.unit_orders``.
+
+    The chart is a ring map, so it sends the step P_(k+1) = P_k^n +
+    sum c * prod P_j^e_j to the same sum over the images X^o_j * U^t_j * S_j
+    of the keys, where S_j, the strict transform of P_j, is target key
+    j - 1 and S_0 = S_1 = 1.  Divided by the least powers of X and U among
+    its pieces, the sum is X^d * U^m * S_(k+1): o_(k+1) and t_(k+1) are
+    those least powers plus d and m, read off the sum rather than assumed.
+    The pieces c * X^s * (Z + alpha)^t * prod S_j^e_j are small products of
+    target keys, so the target key is formed from them, and when the sum
+    is S_k^n plus the other pieces, those others, expanded on the target
+    keys, are the tail of the target's step.  No source key is charted or
+    shifted.
+    """
+    ctx = tmap.target_ctx
+    one, is_zero = ctx.rep(1), ctx.tower.is_zero
+    unit = ctx.y() + ctx.const(tmap.alpha_lift)
+    powers = _UnitPowers(ctx, tmap.alpha_lift)
+    orders, units = [tmap.nbar, tmap.w], [tmap.a, tmap.b]
+    keys, values = [ctx.x(), ctx.y()], [tmap.exceptional_value]
+    steps, degrees = [], [0, 1]  # degrees: the Z-degrees of the keys
+    for k in range(1, g.top):
+        step = g.step(k)
+        pieces = []  # (c, s, t, exponents of S_2 .. S_k)
+        for c, exps in [(one, (0,) * k + (step.power,))] + [
+                (ctx.rep(t.coeff), t.exps[:k + 1]) for t in step.tail]:
+            if not is_zero(c):
+                pieces.append((c, sum(map(operator.mul, exps, orders)),
+                               sum(map(operator.mul, exps, units)),
+                               exps[2:]))
+        low_x = min(piece[1] for piece in pieces)
+        low_u = min(piece[2] for piece in pieces)
+        pieces = [(c, s - low_x, t - low_u, strict)
+                  for c, s, t, strict in pieces]
+        key = _sum_of_pieces(ctx, pieces, keys, powers)
+
+        # X-order and y1-degree that the key must have, from the levels
+        # below: the source powers at levels 1..k and 2..k
+        expected_drop = orders[k] * step.power
+        deg = degrees[-1] * step.power if k > 1 else 1
+        x_order = key.x_order()
+        drop = low_x + x_order
+        if drop != expected_drop:
+            raise TransformError(
+                "exceptional power of key %d is %d, expected %d"
+                % (k + 1, drop, expected_drop))
+        if x_order:
+            key = key.shift(-x_order, 0)
+        unit_order = low_u
+        if sum(not t for _, _, t, _ in pieces) > 1:
+            # U divides the sum exactly when it vanishes at Z = -alpha, the
+            # remainder on division by Z + alpha; one piece free of U is not
+            # divisible by it, since no strict transform is
+            q, r = divmod_y(key, unit)
+            while r.is_zero():
+                key, unit_order = q, unit_order + 1
+                q, r = divmod_y(key, unit)
+        if not monic_of_degree(key, deg):
+            raise TransformError(
+                "strict transform of key %d does not normalize to a monic "
+                "key of degree %d: %r" % (k + 1, deg, key))
+        # the recentered parameter must BE the transported key; a leftover
+        # unit factor cannot be absorbed polynomially
+        if k == 1 and key != ctx.y():
+            raise TransformError(
+                "strict transform of key 2 is %r, not the recentered "
+                "parameter; the chart change is not polynomial" % key)
+        orders.append(drop)
+        units.append(unit_order)
+        values.append(g.values[k + 1] - tmap.exceptional_value * drop)
+        if k == 1:
+            continue
+        top = k - 1
+        if x_order or unit_order > low_u or pieces[0][1] or pieces[0][2]:
+            # the sum is not S_k^n plus the other pieces: expand the key
+            tail = {e: c.rep for e, c in _expand_raw(
+                key - keys[top] ** step.power, keys, top).items()}
+        else:
+            tail = _expansion_of_pieces(ctx, pieces[1:], keys, steps,
+                                        degrees, powers)
+        steps.append(KeyStep(top, step.power, [
+            TailTerm(ctx.coeff(c), e)
+            for e, c in sorted(tail.items()) if not is_zero(c)], values[-1]))
+        keys.append(key)
+        degrees.append(deg)
+    tmap.key_orders, tmap.unit_orders = tuple(orders), tuple(units)
+    return values, keys, steps
+
+
+class _UnitPowers:
+    """(Z + alpha)^t in the target ring, its coefficients formed once."""
+
+    def __init__(self, ctx, alpha):
+        self.ctx, self.alpha = ctx, ctx.rep(alpha)
+        self.rows = [[ctx.rep(1)]]  # coefficients of (Z + alpha)^t by Z-power
+
+    def row(self, t):
+        add, mul, alpha, rows = (self.ctx.tower.add, self.ctx.tower.mul,
+                                 self.alpha, self.rows)
+        while len(rows) <= t:
+            row = rows[-1]
+            rows.append([mul(alpha, row[0])] + [
+                add(lo, mul(alpha, hi)) for lo, hi in zip(row, row[1:])]
+                + [row[-1]])
+        return rows[t]
+
+    def expansion(self, t, keys):
+        """(Z + alpha)^t expanded on ``keys``, as (exponents, rep) pairs."""
+        power = RingElem(self.ctx, {(0, i): r
+                                    for i, r in enumerate(self.row(t))})
+        return [(e, c.rep) for e, c in
+                _expand_raw(power, keys, len(keys) - 1).items()]
+
+
+def _sum_of_pieces(ctx, pieces, keys, powers):
+    """The sum of c * X^s * (Z + alpha)^t * prod S_j^e_j over the pieces
+    (c, s, t, e), where S_j is ``keys[j - 1]`` (j >= 2)."""
+    parts = []
+    for c, s, t, strict in pieces:
+        factor = None
+        for key, e in zip(keys[1:], strict):
+            if e:
+                factor = key ** e if factor is None else factor * key ** e
+        if t or factor is None:
+            part = RingElem(ctx, {(s, i): ctx.tower.mul(c, r)
+                                  for i, r in enumerate(powers.row(t))})
+            parts.append((part if factor is None else part * factor, None))
+        else:  # scaled in the sum
+            parts.append((factor.shift(s, 0) if s else factor, c))
+    return ctx.zero()._add_scaled(parts)
+
+
+def _expansion_of_pieces(ctx, pieces, keys, steps, degrees, powers):
+    """The same sum expanded on ``keys``, the target keys that ``steps``
+    build: each (Z + alpha)^t by division, its product with X^s and the
+    keys by :func:`_carry`."""
+    tower = ctx.tower
+    terms, top = {}, len(keys) - 1
+    for c, s, t, strict in pieces:
+        shift = (s,) + tuple(strict) + (0,) * top
+        for e, r in powers.expansion(t, keys):
+            _accumulate(terms, tuple(map(operator.add, e, shift)),
+                        tower.mul(c, r), tower.add)
+    return _carry(terms, steps, degrees, tower)
+
+
+def _accumulate(terms, e, c, add):
+    prev = terms.get(e)
+    terms[e] = c if prev is None else add(prev, c)
+
+
+def _carry(terms, steps, degrees, tower):
+    """``terms`` (key exponents to reps) rewritten on the keys that
+    ``steps`` build, each exponent below the top under its step's power.
+
+    A term with T_j^(n_j) in it takes T_(j+1) - (step j's tail) instead:
+    the first keeps the term's Z-degree and moves weight to a later key,
+    the tail lowers it.  So terms are rewritten by falling Z-degree, and
+    within one degree by rising exponents read from the top key down;
+    every term then has all its contributions before its own turn.
+    """
+    add, mul, neg = tower.add, tower.mul, tower.neg
+    caps = [None] + [step.power for step in steps]
+    tails = {}  # j -> step j's tail as (exponents, rep) pairs
+    top = len(next(iter(terms), (0, 0))) - 1
+
+    def carry_at(e):
+        for j in range(1, top):
+            if e[j] >= caps[j]:
+                return j
+        return 0
+
+    def turn(e):
+        return -sum(map(operator.mul, e, degrees)), e[::-1]
+
+    heap = [turn(e) for e in terms if carry_at(e)]
+    heapq.heapify(heap)
+    while heap:
+        e = heapq.heappop(heap)[1][::-1]
+        c = terms.pop(e)
+        if tower.is_zero(c):
+            continue
+        j = carry_at(e)
+        base = list(e)
+        base[j] -= caps[j]
+        up = list(base)
+        up[j + 1] += 1
+        if j not in tails:
+            tails[j] = [(t.exps, t.coeff.rep) for t in steps[j - 1].tail]
+        for v, p in [(up, c)] + [
+                ([a + b for a, b in zip(base, te)] + base[len(te):],
+                 neg(mul(c, tc))) for te, tc in tails[j]]:
+            v = tuple(v)
+            if v not in terms and carry_at(v):
+                heapq.heappush(heap, turn(v))
+            _accumulate(terms, v, p, add)
+    return terms
 
 
 def _transport_oracle(g, tmap):

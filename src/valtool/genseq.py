@@ -70,7 +70,7 @@ class TailTerm:
 
     def __init__(self, coeff, exps):
         self.coeff = coeff
-        self.exps = tuple(int(e) for e in exps)
+        self.exps = tuple(map(int, exps))
 
     def __repr__(self):
         return "TailTerm(%r, %r)" % (self.coeff, self.exps)
@@ -117,17 +117,23 @@ class GenSeq:
     """A declared finite prefix of a generating sequence."""
 
     def __init__(self, ctx, values, steps=(), residues=None, oracle=None,
-                 terminal=False):
+                 terminal=False, keys=None):
+        """``keys``, when given, are the keys x, y, P_2, ... that the steps
+        build, formed by the caller and kept as given."""
         steps = list(steps)
         if len(values) != len(steps) + 2:
             raise ValueError("need one value per key: 2 + number of steps")
         for i, step in enumerate(steps, start=1):
             if step.index != i:
                 raise ValueError("steps must be consecutive from index 1")
-        keys = [ctx.x(), ctx.y()]
-        for step in steps:
-            keys.append(next_key(keys, step))
-        self._setup(ctx, values, keys, steps, residues, oracle, terminal)
+        if keys is None:
+            keys = [ctx.x(), ctx.y()]
+            for step in steps:
+                keys.append(next_key(keys, step))
+        elif len(keys) != len(values):
+            raise ValueError("need one value per key")
+        self._setup(ctx, values, list(keys), steps, residues, oracle,
+                    terminal)
 
     @classmethod
     def from_keys(cls, ctx, values, keys, powers, residues=None, oracle=None,
@@ -257,7 +263,8 @@ class GenSeq:
         if lvl.residue is not None:
             solver = self.residue_chain[1]
             before = solver.rank
-            span_closure(self.ctx.tower, [lvl.residue], self.residue_chain)
+            if not lvl.residue.is_rational():  # the base field is in K_0
+                span_closure(self.ctx.tower, [lvl.residue], self.residue_chain)
             if solver.rank % before:
                 lvl.issues.append("residue degree at level %d: tower law "
                                   "violated in relative dimension" % i)
@@ -312,10 +319,13 @@ def monic_of_degree(key, deg):
 
 
 def _key_monomial(keys, exps, coeff):
-    out = keys[0].ctx.const(coeff)
+    out = None
     for key, e in zip(keys, exps):
         if e:
-            out = out * key ** e
+            out = key ** e if out is None else out * key ** e
+    if out is None or coeff != 1:
+        const = keys[0].ctx.const(coeff)
+        out = const if out is None else out * const
     return out
 
 

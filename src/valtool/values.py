@@ -163,6 +163,14 @@ def _exact(q):
     return q if isinstance(q, Fraction) else Fraction(q)
 
 
+def _value(q0, q1, tau):
+    """A Value from Fraction coordinates that arithmetic on Values gave:
+    :meth:`Value.__init__`'s checks hold for them already."""
+    v = object.__new__(Value)
+    v.q0, v.q1, v.tau = q0, q1, tau
+    return v
+
+
 @total_ordering
 class Value:
     """Element q0 + q1*tau of an ordered group of rational rank <= 2.
@@ -184,30 +192,37 @@ class Value:
     def is_rational(self):
         return self.q1 == 0
 
+    # Arithmetic keeps the Fraction coordinates exact and skips the zero
+    # irrational coordinate of rational values.
+
     def __add__(self, other):
         if not isinstance(other, Value):
             other = Value(other)
-        return Value(self.q0 + other.q0, self.q1 + other.q1,
-                     _merge_tau(self.tau, other.tau))
+        q1 = self.q1 + other.q1 if self.q1 or other.q1 else self.q1
+        return _value(self.q0 + other.q0, q1, _merge_tau(self.tau, other.tau))
 
     def __sub__(self, other):
         if not isinstance(other, Value):
             other = Value(other)
-        return Value(self.q0 - other.q0, self.q1 - other.q1,
-                     _merge_tau(self.tau, other.tau))
+        q1 = self.q1 - other.q1 if self.q1 or other.q1 else self.q1
+        return _value(self.q0 - other.q0, q1, _merge_tau(self.tau, other.tau))
 
     def __neg__(self):
-        return Value(-self.q0, -self.q1, self.tau)
+        return _value(-self.q0, -self.q1 if self.q1 else self.q1, self.tau)
 
     def __mul__(self, scalar):
-        scalar = _exact(scalar)
-        return Value(self.q0 * scalar, self.q1 * scalar, self.tau)
+        if type(scalar) is not int:
+            scalar = _exact(scalar)
+        q1 = self.q1 * scalar if self.q1 else self.q1
+        return _value(self.q0 * scalar, q1, self.tau)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        scalar = _exact(scalar)
-        return Value(self.q0 / scalar, self.q1 / scalar, self.tau)
+        if type(scalar) is not int:
+            scalar = _exact(scalar)
+        q1 = self.q1 / scalar if self.q1 else self.q1
+        return _value(self.q0 / scalar, q1, self.tau)
 
     def sign(self):
         """Sign of q0 + q1*tau: -1, 0 or +1, decided exactly."""

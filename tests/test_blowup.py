@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from valtool import fixtures
+from valtool import blowup, fixtures
 from valtool.blowup import (
     TransformError,
     TransformMap,
@@ -16,11 +16,11 @@ from valtool.blowup import (
     transform_value_table,
 )
 from valtool.extension import ExtensionMap
-from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, expand, initial_form, sigma_indices, validate_sequence
+from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, expand, initial_form, monic_of_degree, sigma_indices, validate_sequence
 from valtool.graded import fingen_detect
 from valtool.ring import LocalRingCtx, divmod_y, parse_poly, substitute
 from valtool.towers import QQ, BaseField, ResidueTower, TowerElem
-from valtool.values import Value
+from valtool.values import INFINITE, Value
 
 from test_genseq import _SCENARIOS, _chain_cell, _shipped
 from test_graded import _chain
@@ -373,13 +373,13 @@ def test_second_free_transform_returns_the_same_pair(v1):
 def test_extending_a_chain_builds_one_more_target(name, monkeypatch):
     g = _shipped(name).valuations["nu"]
     built = []
-    from_keys = GenSeq.from_keys.__func__
+    build = blowup._build_transform
 
-    def counting(cls, *args, **kwargs):
-        built.append(args[0])
-        return from_keys(cls, *args, **kwargs)
+    def counting(source):
+        built.append(source)
+        return build(source)
 
-    monkeypatch.setattr(GenSeq, "from_keys", classmethod(counting))
+    monkeypatch.setattr(blowup, "_build_transform", counting)
     two = iterate_transforms(g, 2)
     assert len(two) == 2 and len(built) == 2
     three = iterate_transforms(g, 3)
@@ -578,3 +578,188 @@ def test_closed_form_needs_the_transforms_own_pair(monkeypatch):
     calls.clear()
     assert repr(fingen_detect(g, target, tmap.extension(), 6)) == repr(st)
     assert calls == []
+
+
+# -- target steps from the source recursion ----------------------------------------
+
+def _chart_and_shift(g):
+    """Reference transform: chart and Taylor-shift each whole source key,
+    clear its powers of X and U, and read each target step back from the
+    strict transforms with `GenSeq.from_keys`, with the residues and the
+    oracle the transform passes on.  Returns the orders and the target,
+    or the text of the `TransformError`."""
+    if len(g.steps) < 1:
+        return ("insufficient keys: the transform re-seeds from the key "
+                "after the first level")
+    lvl1 = g.level(1)
+    if lvl1.group_jump is INFINITE or lvl1.group_jump is None:
+        return "first level has no finite group jump"
+    if lvl1.unit_exps is None:
+        return "first level has no unit monomial"
+    if lvl1.residue is None:
+        return "recentering needs the first-level residue"
+    nbar, w = lvl1.group_jump, lvl1.unit_exps[0]
+    a, b = _chart_exponents(nbar, w)
+    xn, yn = g.ctx.param_names
+    ctx = LocalRingCtx(g.ctx.tower, (xn + "1", yn + "1"),
+                       ring_levels=max(g.ctx.ring_levels,
+                                       lvl1.residue.levels_used()))
+    tmap = TransformMap(g.ctx, ctx, nbar, w, a, b, lvl1.residue,
+                        g.values[0] / nbar)
+    keys, values = [ctx.x()], [tmap.exceptional_value]
+    orders, units = [nbar, w], [a, b]
+    expected = w
+    for i in range(1, g.top):
+        expected *= g.step(i).power
+        chart = tmap._chart(g.keys[i + 1])
+        drop = chart.x_order()
+        if drop != expected:
+            return ("exceptional power of key %d is %d, expected %d"
+                    % (i + 1, drop, expected))
+        orders.append(drop)
+        units.append(min(j for _, j in chart.terms))
+        stripped = tmap._strict_image(chart)
+        deg = expected // (w * g.step(1).power)
+        if not monic_of_degree(stripped, deg):
+            return ("strict transform of key %d does not normalize to a "
+                    "monic key of degree %d: %r" % (i + 1, deg, stripped))
+        if i == 1 and stripped != ctx.y():
+            return ("strict transform of key 2 is %r, not the recentered "
+                    "parameter; the chart change is not polynomial"
+                    % stripped)
+        keys.append(stripped)
+        values.append(g.values[i + 1] - tmap.exceptional_value * drop)
+    one = g.ctx.tower.one()
+    trivial = all(l.residue is None or l.residue == one for l in g.levels)
+    target = GenSeq.from_keys(
+        ctx, values, keys, [step.power for step in g.steps[1:]],
+        residues={l.index - 1: l.residue for l in g.levels[1:]
+                  if trivial and l.residue is not None},
+        oracle=blowup._transport_oracle(g, tmap), terminal=g.terminal)
+    return tuple(orders), tuple(units), target
+
+
+def _same_transform(g):
+    """free_transform(g) against the reference; the target, or None when
+    both refuse g with the same text."""
+    want = _chart_and_shift(g)
+    try:
+        tmap, target = free_transform(g)
+    except TransformError as err:
+        assert isinstance(want, str), (g, want)
+        assert str(err) == want
+        return None
+    assert not isinstance(want, str), (g, want)
+    orders, units, reference = want
+    assert (tmap.key_orders, tmap.unit_orders) == (orders, units)
+    assert target.values == reference.values
+    assert [k.terms for k in target.keys] == [k.terms for k in reference.keys]
+    for got, ref in zip(target.steps, reference.steps, strict=True):
+        assert (got.index, got.power, got.next_value) == \
+            (ref.index, ref.power, ref.next_value)
+        assert [(t.coeff, t.exps) for t in got.tail] == \
+            [(t.coeff, t.exps) for t in ref.tail], (g, got.index)
+        assert repr(got.tail) == repr(ref.tail)
+    assert [repr(l) for l in target.levels] == \
+        [repr(l) for l in reference.levels]
+    assert target.terminal == reference.terminal
+    return target
+
+
+def _reference_case(case):
+    if isinstance(case, tuple):
+        return _chain_cell(*case)
+    if " " in case:
+        name, valuation = case.split(" ")
+        return _shipped(name).valuations[valuation]
+    return _chain(7) if case == "chain7" else getattr(fixtures, case)()
+
+
+_RECURSION_CASES = list(_CLOSED_FORM_CASES) + [
+    "chain7", "def2 nu", "def2 nustar", "disc nu", "disc nustar"]
+
+
+@pytest.mark.parametrize("case", _RECURSION_CASES, ids=str)
+def test_target_steps_match_the_chart_and_shift_reference(case):
+    # along the chain of transforms, as far as it goes; the step that
+    # stops it must give the reference's text byte for byte
+    g, built = _reference_case(case), 0
+    while g is not None and built < 4:
+        g = _same_transform(g)
+        built += g is not None
+    assert built >= 1
+    if isinstance(case, tuple) and case[0] >= 2 or case in ("corn", "chain7"):
+        assert built == 1  # the second key of a chain's target does not normalize
+
+
+def test_target_steps_match_the_reference_on_perturbed_chains():
+    # extra tail terms, powers and residues exercise the rewriting of
+    # overflowing key powers and the refusals
+    rng = random.Random(26)
+    outcomes = set()
+    for _ in range(60):
+        g = _chain_cell(rng.randint(2, 4), rng.choice(["Q", "GF2", "GF3"]), 1)
+        tower = g.ctx.tower
+        steps = [g.steps[0]]
+        for step in g.steps[1:]:
+            tail = list(step.tail)[rng.random() < 0.3:]
+            for _ in range(rng.randint(0, 3)):
+                tail.append(TailTerm(tower.scalar(rng.randint(-2, 2)),
+                                     [rng.randint(3, 14)] + [
+                                         rng.randint(0, 2)
+                                         for _ in range(step.index)]))
+            power = step.power if rng.random() < 0.8 else rng.choice([1, 3])
+            steps.append(KeyStep(step.index, power, tail, step.next_value))
+        alpha = tower.scalar(rng.choice([1, 1, 2, -1]))
+        h = GenSeq(g.ctx, g.values, steps, residues={1: alpha})
+        outcomes.add(_same_transform(h) is not None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("cell", [(d, b, 1) for d in (3, 4, 5, 6)
+                                  for b in ("Q", "GF2", "GF3")],
+                         ids=lambda c: "d%d-%s" % c[:2])
+def test_free_transform_charts_and_shifts_no_whole_key(cell, monkeypatch):
+    g = _chain_cell(*cell)
+    stripped, shifted = [], []
+    shift_y = blowup.shift_y
+
+    def counting_shift(f, ctx, alpha):
+        shifted.append(f.y_degree())
+        return shift_y(f, ctx, alpha)
+
+    monkeypatch.setattr(TransformMap, "_strict_image",
+                        lambda tmap, h: stripped.append(h))
+    monkeypatch.setattr(blowup, "shift_y", counting_shift)
+    tmap, target = free_transform(g)
+    assert stripped == []
+    assert all(d < g.keys[-1].y_degree() for d in shifted), shifted
+    # the parameters' images are formed on first read, not with the map
+    assert tmap._images is None
+    monkeypatch.undo()
+    assert (tmap.x_image, tmap.y_image) == (
+        tmap.to_target(g.ctx.x()), tmap.to_target(g.ctx.y()))
+
+
+@pytest.mark.parametrize("cell", [(d, b, 1) for d in (2, 3, 4)
+                                  for b in ("Q", "GF2", "GF3")],
+                         ids=lambda c: "d%d-%s" % c[:2])
+def test_target_steps_see_through_tail_terms_that_cancel(cell):
+    # c*x^a*P_2 - c*x^a*y^2 + c*x^(a+3) is zero, so the keys do not change;
+    # but those pieces lie below the leading one in X and U, and the sum of
+    # the pieces is no longer S_k^n plus the rest
+    g = _chain_cell(*cell)
+    want = free_transform(g)[1]
+    c = g.ctx.tower.scalar(2)
+    for a in (0, 1, 2):
+        zero = [TailTerm(c, (a, 0, 1)), TailTerm(-c, (a, 2)),
+                TailTerm(c, (a + 3,))]
+        steps = [g.steps[0]] + [
+            KeyStep(s.index, s.power, list(s.tail) + zero, s.next_value)
+            for s in g.steps[1:]]
+        h = GenSeq(g.ctx, g.values, steps, residues=g.declared_residues)
+        assert [k.terms for k in h.keys] == [k.terms for k in g.keys]
+        got = _same_transform(h)
+        assert [k.terms for k in got.keys] == [k.terms for k in want.keys]
+        assert [[(t.coeff, t.exps) for t in s.tail] for s in got.steps] == \
+            [[(t.coeff, t.exps) for t in s.tail] for s in want.steps]

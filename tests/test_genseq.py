@@ -456,6 +456,17 @@ def test_from_keys_keeps_the_keys_and_reads_back_the_steps():
         GenSeq.from_keys(g.ctx, g.values, g.keys, powers + [2])
 
 
+def test_steps_with_their_keys_keep_the_keys():
+    g = _chain(4)
+    h = GenSeq(g.ctx, g.values, g.steps, residues=g.declared_residues,
+               keys=g.keys)
+    assert all(a is b for a, b in zip(h.keys, g.keys, strict=True))
+    assert h.steps == g.steps
+    assert [repr(l) for l in h.levels] == [repr(l) for l in g.levels]
+    with pytest.raises(ValueError):
+        GenSeq(g.ctx, g.values, g.steps, keys=g.keys[:-1])
+
+
 def test_transforms_and_parsing_build_no_key_twice(monkeypatch):
     sources = [_chain(4), fixtures.v1(), fixtures.corn()]
     calls = []

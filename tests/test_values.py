@@ -349,6 +349,34 @@ def test_values_are_exact():
             make()
 
 
+def test_arithmetic_is_coordinatewise_and_keeps_the_descriptor():
+    rng = random.Random(26)
+
+    def draw():
+        q1 = rng.choice([0, Fraction(rng.randint(-9, 9), rng.randint(1, 4))])
+        return Value(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), q1,
+                     PI if q1 or rng.random() < 0.5 else None)
+
+    for _ in range(300):
+        a, b = draw(), draw()
+        s = rng.choice([2, -3, Fraction(2, 3), True])
+        tau = a.tau or b.tau
+        for got, q0, q1, want_tau in (
+                (a + b, a.q0 + b.q0, a.q1 + b.q1, tau),
+                (a - b, a.q0 - b.q0, a.q1 - b.q1, tau),
+                (-a, -a.q0, -a.q1, a.tau),
+                (a * s, a.q0 * s, a.q1 * s, a.tau),
+                (s * a, a.q0 * s, a.q1 * s, a.tau),
+                (a / s, a.q0 / s, a.q1 / s, a.tau)):
+            assert (got.q0, got.q1, got.tau) == (q0, q1, want_tau)
+            assert type(got.q0) is Fraction and type(got.q1) is Fraction
+    other = IrrationalDescriptor("e", PI.intervals)
+    with pytest.raises(ValueError):
+        Value(0, 1, PI) + Value(0, 1, other)
+    with pytest.raises(ZeroDivisionError):
+        Value(1) / 0
+
+
 # -- lattice helpers: property tests on random vectors in Z^2 -------------------
 
 def _lattice_strategies():
