@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .extension import ExtensionMap
 from .genseq import (GenSeq, KeyStep, TailTerm, _expand_raw, expand,
-                     monic_of_degree)
+                     monic_of_degree, step_from_tail)
 from .graded import GradedElem
 from .ring import (LocalRingCtx, RingElem, SeriesEmbedding, TruncSeries,
                    divmod_y, shift_y)
@@ -307,15 +307,17 @@ def _target_steps(g, tmap):
             continue
         top = k - 1
         if x_order or unit_order > low_u or pieces[0][1] or pieces[0][2]:
-            # the sum is not S_k^n plus the other pieces: expand the key
-            tail = {e: c.rep for e, c in _expand_raw(
-                key - keys[top] ** step.power, keys, top).items()}
+            # the sum is not S_k^n plus the other pieces: read the key's tail
+            steps.append(step_from_tail(keys, top, step.power,
+                                        key - keys[top] ** step.power,
+                                        values[-1]))
         else:
             tail = _expansion_of_pieces(ctx, pieces[1:], keys, steps,
                                         degrees, powers)
-        steps.append(KeyStep(top, step.power, [
-            TailTerm(ctx.coeff(c), e)
-            for e, c in sorted(tail.items()) if not is_zero(c)], values[-1]))
+            steps.append(KeyStep(top, step.power, [
+                TailTerm(ctx.coeff(c), e)
+                for e, c in sorted(tail.items()) if not is_zero(c)],
+                values[-1]))
         keys.append(key)
         degrees.append(deg)
     tmap.key_orders, tmap.unit_orders = tuple(orders), tuple(units)
@@ -547,6 +549,7 @@ class TransformChainRecord:
 
 def shift_table(source, target):
     """Recomputed target invariants against the source's shifted ones."""
+    orders = free_transform(source)[0].key_orders  # X-orders of key images
     rows = []
     for i in range(1, target.top + 1):
         si = i + 1
@@ -558,19 +561,11 @@ def shift_table(source, target):
         degree = (t_lvl.residue_degree, s_lvl.residue_degree)
         power = (t_lvl.cap, s_lvl.cap)
         value = (target.values[i],
-                 source.values[si] - target.values[0] * _drop(source, si))
+                 source.values[si] - target.values[0] * orders[si])
         ok = all(x == y for x, y in (jump, degree, power, value)
                  if x is not None and y is not None)
         rows.append(ShiftRow(i, si, jump, degree, power, value, ok))
     return rows
-
-
-def _drop(source, si):
-    w = source.level(1).unit_exps[0]
-    n = 1
-    for s in range(1, si):
-        n *= source.step(s).power
-    return w * n
 
 
 def iterate_transforms(g, count):

@@ -119,7 +119,8 @@ class GenSeq:
     def __init__(self, ctx, values, steps=(), residues=None, oracle=None,
                  terminal=False, keys=None):
         """``keys``, when given, are the keys x, y, P_2, ... that the steps
-        build, formed by the caller and kept as given."""
+        build, formed by the caller and kept as given; :func:`step_from_tail`
+        reads a step off a key's tail."""
         steps = list(steps)
         if len(values) != len(steps) + 2:
             raise ValueError("need one value per key: 2 + number of steps")
@@ -132,29 +133,6 @@ class GenSeq:
                 keys.append(next_key(keys, step))
         elif len(keys) != len(values):
             raise ValueError("need one value per key")
-        self._setup(ctx, values, list(keys), steps, residues, oracle,
-                    terminal)
-
-    @classmethod
-    def from_keys(cls, ctx, values, keys, powers, residues=None, oracle=None,
-                  terminal=False):
-        """A sequence on keys x, y, P_2, ... its caller built, kept as given.
-
-        Step i has power powers[i - 1]; its tail is read back as the
-        expansion of P_{i+1} - P_i^{n_i} on P_0 .. P_i, sorted by exponents.
-        """
-        keys = list(keys)
-        steps = []
-        for i, (power, key, value) in enumerate(
-                zip(powers, keys[2:], values[2:], strict=True), start=1):
-            tail = sorted(_expand_raw(key - keys[i] ** power, keys, i).items())
-            steps.append(KeyStep(i, power, [TailTerm(c, e) for e, c in tail],
-                                 value))
-        g = cls.__new__(cls)
-        g._setup(ctx, values, keys, steps, residues, oracle, terminal)
-        return g
-
-    def _setup(self, ctx, values, keys, steps, residues, oracle, terminal):
         self.ctx = ctx
         self.values = [v if isinstance(v, Value) else Value(v) for v in values]
         for step in steps:
@@ -164,7 +142,7 @@ class GenSeq:
                     % (step.index, step.next_value, step.index + 1,
                        self.values[step.index + 1]))
         self.grid = Grid(self.values)
-        self.keys = keys
+        self.keys = list(keys)
         self.steps = steps
         self.declared_residues = dict(residues or {})
         self.oracle = oracle
@@ -301,6 +279,15 @@ class GenSeq:
     def __repr__(self):
         return "GenSeq(%d keys, values=%r%s)" % (
             len(self.keys), self.values, ", terminal" if self.terminal else "")
+
+
+def step_from_tail(keys, i, power, tail, next_value):
+    """The step P_(i+1) = P_i^power + tail, its tail expanded on P_0 .. P_i
+    and sorted by exponents; raises :class:`NonMonicKey` when a key the
+    expansion divides by is not monic."""
+    return KeyStep(i, power, [TailTerm(c, e) for e, c in
+                              sorted(_expand_raw(tail, keys, i).items())],
+                   next_value)
 
 
 def next_key(keys, step):

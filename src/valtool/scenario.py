@@ -21,6 +21,7 @@ from .genseq import (
     NonMonicKey,
     evaluate,
     expand,
+    step_from_tail,
     validate_sequence,
 )
 from .ring import (
@@ -367,14 +368,13 @@ def _build_valuation(scenario, name, state, line):
     if "values" not in state or len(state["values"]) != 2:
         raise ScenarioError("valuation %r needs 'values b0 b1'" % name, line)
     values = list(state["values"])
-    keys = [ctx.x(), ctx.y()]
-    powers = []
+    keys, tails = [ctx.x(), ctx.y()], []  # tails: (power, tail) per step
     for idx, (power, vtext, ttext, kline) in enumerate(state.get("keys", ()),
                                                        start=1):
         values.append(_parse_value(vtext, scenario, kline))
         tail = _parse_elem(ttext, ctx, keys, kline, "key %d tail" % idx)
         keys.append(keys[-1] ** power + tail)
-        powers.append(power)
+        tails.append((power, tail))
     alphas = state.get("alphas", {})
     for level, (_, aline) in alphas.items():
         if not 1 <= level < len(keys):
@@ -391,10 +391,11 @@ def _build_valuation(scenario, name, state, line):
             raise ScenarioError("oracle %r lives on a different ring" % oname,
                                 oline)
     try:
-        return GenSeq.from_keys(ctx, values, keys, powers,
-                                residues={k: c for k, (c, _) in alphas.items()},
-                                oracle=oracle,
-                                terminal=state.get("terminal", False))
+        steps = [step_from_tail(keys, i, power, tail, values[i + 1])
+                 for i, (power, tail) in enumerate(tails, start=1)]
+        return GenSeq(ctx, values, steps, keys=keys, oracle=oracle,
+                      residues={k: c for k, (c, _) in alphas.items()},
+                      terminal=state.get("terminal", False))
     except NonMonicKey as err:  # reported at that key's own line
         raise ScenarioError("valuation %r: %s" % (name, err),
                             state["keys"][err.index - 2][-1])

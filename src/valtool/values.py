@@ -470,18 +470,3 @@ def lattice_index(big, small):
         return INFINITE
     return covolume(small_rows) // covol
 
-
-def group_index(big, small):
-    """Index [G(big) : G(small)] of finitely generated subgroups.
-
-    ``big`` and ``small`` are lists of :class:`Value`; the index (or
-    INFINITE, or :class:`ContainmentError`) is :func:`lattice_index` of
-    their points on one :class:`Grid`.
-    """
-    big, small = list(big), list(small)
-    vecs = Grid(big + small).points
-    try:
-        return lattice_index(vecs[:len(big)], vecs[len(big):])
-    except ContainmentError as err:
-        raise ContainmentError.of_value(small[err.index], big,
-                                        err.index) from None

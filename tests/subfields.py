@@ -1,11 +1,12 @@
-"""From-scratch references: a field index for carried residue closures and
-a rational solve for the order of a value modulo a group."""
+"""From-scratch references: a field index for carried residue closures, a
+group index of values and a rational solve for the order of a value modulo
+a group."""
 
 from fractions import Fraction
 from math import lcm
 
 from valtool.towers import span_closure
-from valtool.values import INFINITE, Grid, lattice_add
+from valtool.values import INFINITE, Grid, lattice_add, lattice_index
 
 
 def field_index(tower, big, small):
@@ -20,6 +21,13 @@ def field_index(tower, big, small):
     if big_solver.rank % small_solver.rank:
         return None
     return big_solver.rank // small_solver.rank
+
+
+def value_index(big, small):
+    """[G(big) : G(small)] for lists of values: :func:`lattice_index` of
+    their points on one grid."""
+    points = Grid(list(big) + list(small)).points
+    return lattice_index(points[:len(big)], points[len(big):])
 
 
 def order_modulo(v, gens):

@@ -16,7 +16,9 @@ from valtool.extension import ramification_report, splitting_report
 from valtool.genseq import InsufficientGeneratingData, evaluate, validate_sequence
 from valtool.graded import fingen_detect, graded_presentation
 from valtool.ring import INSUFFICIENT_PRECISION, parse_poly, series_value
-from valtool.values import Value, group_index
+from valtool.values import Value
+
+from subfields import value_index
 
 
 def _report(number, label, elapsed, budget):
@@ -61,7 +63,7 @@ def test_criterion_2_pi2_splitting_and_fingen():
     v_vu = evaluate(ext.apply(nu_r.keys[2]), nu1)
     assert v_u == Value(2, 0, pi)
     assert v_vu == Value(2, 1, pi)
-    assert group_index([Value(1, 0, pi), Value(1, 1, pi)],
+    assert value_index([Value(1, 0, pi), Value(1, 1, pi)],
                        [v_u, v_vu]) == 2
     sp = splitting_report([nu1, nu2], ext, nu_r, seed=3)
     assert sp.witnessed and len(sp.distinct_pairs) >= 1

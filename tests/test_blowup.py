@@ -1,3 +1,4 @@
+import copy
 import gc
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from valtool.blowup import (
     transform_value_table,
 )
 from valtool.extension import ExtensionMap
-from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, expand, initial_form, monic_of_degree, sigma_indices, validate_sequence
+from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, expand, initial_form, monic_of_degree, sigma_indices, step_from_tail, validate_sequence
 from valtool.graded import fingen_detect
 from valtool.ring import LocalRingCtx, divmod_y, parse_poly, substitute
 from valtool.towers import QQ, BaseField, ResidueTower, TowerElem
@@ -66,6 +67,18 @@ def test_shift_identities_v1(v1):
     rows = shift_table(v1, tgt)
     assert rows and all(r.ok for r in rows)
     assert rows[0].jump == (1, 1)  # jump(target 1) = jump(source 2)
+
+
+def test_shift_table_flags_a_forged_target_value(v1):
+    _, tgt = free_transform(v1)
+    forged = copy.copy(tgt)
+    forged.values = list(tgt.values)
+    forged.values[1] = tgt.values[1] + Value(1)
+    rows = shift_table(v1, forged)
+    assert len(rows) == 1 and not rows[0].ok
+    assert rows[0].value == (forged.values[1], tgt.values[1])
+    assert repr(rows[0]).endswith("  MISMATCH")
+    assert all(r.ok for r in shift_table(v1, tgt))
 
 
 def test_shift_identities_corn():
@@ -556,9 +569,9 @@ def test_closed_form_needs_the_transforms_own_pair(monkeypatch):
     tmap, target = free_transform(g)
     ext = tmap.extension()
     # the same keys built again are another target, and another source
-    twin = GenSeq.from_keys(target.ctx, target.values, target.keys,
-                            [step.power for step in target.steps],
-                            residues=target.declared_residues)
+    twin = _read_back(target.ctx, target.values, target.keys,
+                      [step.power for step in target.steps],
+                      residues=target.declared_residues)
     source = _chain_cell(3, "Q", 1)
     for g_r, g_s in ((g, twin), (source, target)):
         assert all(ext.initial_image(g_r, k, g_s) is None
@@ -582,12 +595,21 @@ def test_closed_form_needs_the_transforms_own_pair(monkeypatch):
 
 # -- target steps from the source recursion ----------------------------------------
 
+def _read_back(ctx, values, keys, powers, **kwargs):
+    """A sequence on ``keys``, kept as given, each step read off its key's
+    tail P_(i+1) - P_i^(n_i) by `step_from_tail`."""
+    steps = [step_from_tail(keys, i, n, keys[i + 1] - keys[i] ** n,
+                            values[i + 1])
+             for i, n in enumerate(powers, start=1)]
+    return GenSeq(ctx, values, steps, keys=keys, **kwargs)
+
+
 def _chart_and_shift(g):
     """Reference transform: chart and Taylor-shift each whole source key,
     clear its powers of X and U, and read each target step back from the
-    strict transforms with `GenSeq.from_keys`, with the residues and the
-    oracle the transform passes on.  Returns the orders and the target,
-    or the text of the `TransformError`."""
+    strict transforms with `_read_back`, with the residues and the oracle
+    the transform passes on.  Returns the orders and the target, or the
+    text of the `TransformError`."""
     if len(g.steps) < 1:
         return ("insufficient keys: the transform re-seeds from the key "
                 "after the first level")
@@ -631,7 +653,7 @@ def _chart_and_shift(g):
         values.append(g.values[i + 1] - tmap.exceptional_value * drop)
     one = g.ctx.tower.one()
     trivial = all(l.residue is None or l.residue == one for l in g.levels)
-    target = GenSeq.from_keys(
+    target = _read_back(
         ctx, values, keys, [step.power for step in g.steps[1:]],
         residues={l.index - 1: l.residue for l in g.levels[1:]
                   if trivial and l.residue is not None},

@@ -28,8 +28,9 @@ from valtool.genseq import initial_form, sigma_indices
 from valtool.graded import (GradedElem, fingen_detect, graded_one,
                             graded_piece_basis, key_initial)
 from valtool.scenario import parse_scenario
-from valtool.values import INFINITE, group_index, lattice_index
+from valtool.values import INFINITE, lattice_index
 
+from subfields import value_index
 from test_genseq import _chain_cell
 
 DETECT = Path(__file__).resolve().parent / "data" / "detect"
@@ -262,7 +263,7 @@ def test_lambda_from_grid_points_is_the_group_index_of_the_values(case):
             from_points = lattice_index(
                 [g_s.grid.points[tau[t]] for t in range(lvl.s + 1)],
                 [img.point for img in absorbed])
-            from_values = group_index(
+            from_values = value_index(
                 [g_s.values[tau[t]] for t in range(lvl.s + 1)],
                 [img.value for img in absorbed])
             assert from_points == from_values, (case, lvl)

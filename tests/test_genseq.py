@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from valtool.genseq import (
     GenSeq,
     InsufficientGeneratingData,
     KeyStep,
+    NonMonicKey,
     PreconditionError,
     TailTerm,
     evaluate,
@@ -19,6 +21,7 @@ from valtool.genseq import (
     residue_of_monomial,
     semigroup_membership,
     sigma_indices,
+    step_from_tail,
     validate_sequence,
 )
 from valtool.ring import INSUFFICIENT_PRECISION, LocalRingCtx, parse_poly, series_value
@@ -435,25 +438,33 @@ def test_steps_rebuild_the_keys_of_chain_transforms(cell):
     _rebuilt_steps_with_targets(_chain_cell(*cell))
 
 
-def test_from_keys_keeps_the_keys_and_reads_back_the_steps():
+def test_step_from_tail_reads_back_the_steps_of_kept_keys():
     def terms(step):  # declared tails may omit the trailing zero exponents
         return [(t.coeff, t.exps + (0,) * (step.index + 1 - len(t.exps)))
                 for t in step.tail]
 
     g = _chain(4)
-    powers = [step.power for step in g.steps]
-    h = GenSeq.from_keys(g.ctx, g.values, g.keys, powers,
-                         residues=g.declared_residues)
+    steps = [step_from_tail(g.keys, s.index, s.power,
+                            g.keys[s.index + 1] - g.keys[s.index] ** s.power,
+                            s.next_value) for s in g.steps]
+    h = GenSeq(g.ctx, g.values, steps, residues=g.declared_residues,
+               keys=g.keys)
     assert all(a is b for a, b in zip(h.keys, g.keys, strict=True))
     for s, t in zip(g.steps, h.steps, strict=True):
         assert terms(s) == terms(t)
         assert (s.index, s.power, s.next_value) == (t.index, t.power,
                                                    t.next_value)
     assert [repr(l) for l in h.levels] == [repr(l) for l in g.levels]
-    with pytest.raises(ValueError):
-        GenSeq.from_keys(g.ctx, g.values[:-1], g.keys, powers)
-    with pytest.raises(ValueError):
-        GenSeq.from_keys(g.ctx, g.values, g.keys, powers + [2])
+    with pytest.raises(ValueError, match="need one value per key$"):
+        GenSeq(g.ctx, g.values[:-1], steps[:-1], keys=g.keys)
+    extra = KeyStep(len(steps) + 1, 2, [], g.values[-1] * 3)
+    with pytest.raises(ValueError, match="2 [+] number of steps"):
+        GenSeq(g.ctx, g.values, steps + [extra], keys=g.keys)
+    # a tail over a key that is not monic in y cannot be expanded
+    keys = [g.ctx.x(), g.ctx.y(), P(g, "y^2 - x^3 + x*y^3")]
+    with pytest.raises(NonMonicKey) as err:
+        step_from_tail(keys, 2, 2, P(g, "y^3"), Value(8))
+    assert err.value.index == 2
 
 
 def test_steps_with_their_keys_keep_the_keys():
@@ -478,6 +489,27 @@ def test_transforms_and_parsing_build_no_key_twice(monkeypatch):
     for name in _SCENARIOS:
         _shipped(name)
     assert calls == []
+
+
+def test_parsing_forms_each_key_power_once(monkeypatch):
+    """The parser forms P_i^(n_i) + tail once and reads the step off the
+    tail; it never raises a key to its power again to read it back.  The
+    residue at a level with an oracle forms P_i^jump for the ratio
+    P_i^jump / U_i, a power of its own, and is left out."""
+    real, formed = ring.RingElem.__pow__, {}
+
+    def counting(base, n):
+        if sys._getframe(1).f_code.co_name != "_residue_at":
+            formed.setdefault((id(base), n), []).append(base)
+        return real(base, n)
+
+    monkeypatch.setattr(ring.RingElem, "__pow__", counting)
+    for name in _SCENARIOS:
+        formed.clear()
+        _shipped(name)
+        twice = [(bases[0], n) for (_, n), bases in formed.items()
+                 if len(bases) > 1]
+        assert twice == [], name
 
 
 # -- level data against from-scratch references ---------------------------------

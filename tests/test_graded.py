@@ -182,7 +182,7 @@ def test_piece_bases(v1):
 
 def test_piece_basis_respects_depth(v1):
     # the depth-1 prefix of v1: x and y, y unbounded
-    prefix = GenSeq.from_keys(v1.ctx, v1.values[:2], v1.keys[:2], [])
+    prefix = GenSeq(v1.ctx, v1.values[:2], keys=v1.keys[:2])
     assert graded_piece_basis(Value(Fraction(7, 2)), prefix) == [(2, 1)]
 
 
