@@ -19,19 +19,19 @@ exponents, with no division.
 Keys transport by clearing those powers and stay the target's keys, one
 level down, but no key is charted to get there: the chart is a ring map,
 so the target's recursion comes from the source's (see
-:func:`_target_steps`).  Every shifted invariant is recomputed on the
+:func:`_target_steps`).  Each target step's tail is its key minus S_k^n,
+read by :func:`~valtool.genseq.step_from_tail` the way the scenario parser
+reads a declared tail.  Every shifted invariant is recomputed on the
 target and compared against the source as a consistency table.
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
 from fractions import Fraction
 
 from .extension import ExtensionMap
-from .genseq import (GenSeq, KeyStep, TailTerm, _expand_raw, expand,
-                     monic_of_degree, step_from_tail)
+from .genseq import GenSeq, expand, monic_of_degree, step_from_tail
 from .graded import GradedElem
 from .ring import (LocalRingCtx, RingElem, SeriesEmbedding, TruncSeries,
                    divmod_y, shift_y)
@@ -242,10 +242,10 @@ def _target_steps(g, tmap):
     its pieces, the sum is X^d * U^m * S_(k+1): o_(k+1) and t_(k+1) are
     those least powers plus d and m, read off the sum rather than assumed.
     The pieces c * X^s * (Z + alpha)^t * prod S_j^e_j are small products of
-    target keys, so the target key is formed from them, and when the sum
-    is S_k^n plus the other pieces, those others, expanded on the target
-    keys, are the tail of the target's step.  No source key is charted or
-    shifted.
+    target keys, so the target key is formed from them.  The tail of the
+    target's step is that key minus S_k^n, read by
+    :func:`~valtool.genseq.step_from_tail` the way the scenario parser
+    reads a declared tail.  No source key is charted or shifted.
     """
     ctx = tmap.target_ctx
     one, is_zero = ctx.rep(1), ctx.tower.is_zero
@@ -253,7 +253,7 @@ def _target_steps(g, tmap):
     powers = _UnitPowers(ctx, tmap.alpha_lift)
     orders, units = [tmap.nbar, tmap.w], [tmap.a, tmap.b]
     keys, values = [ctx.x(), ctx.y()], [tmap.exceptional_value]
-    steps, degrees = [], [0, 1]  # degrees: the Z-degrees of the keys
+    steps, degree = [], 1  # degree: the Z-degree of the last target key
     for k in range(1, g.top):
         step = g.step(k)
         pieces = []  # (c, s, t, exponents of S_2 .. S_k)
@@ -272,7 +272,8 @@ def _target_steps(g, tmap):
         # X-order and y1-degree that the key must have, from the levels
         # below: the source powers at levels 1..k and 2..k
         expected_drop = orders[k] * step.power
-        deg = degrees[-1] * step.power if k > 1 else 1
+        if k > 1:
+            degree *= step.power
         x_order = key.x_order()
         drop = low_x + x_order
         if drop != expected_drop:
@@ -290,10 +291,10 @@ def _target_steps(g, tmap):
             while r.is_zero():
                 key, unit_order = q, unit_order + 1
                 q, r = divmod_y(key, unit)
-        if not monic_of_degree(key, deg):
+        if not monic_of_degree(key, degree):
             raise TransformError(
                 "strict transform of key %d does not normalize to a monic "
-                "key of degree %d: %r" % (k + 1, deg, key))
+                "key of degree %d: %r" % (k + 1, degree, key))
         # the recentered parameter must BE the transported key; a leftover
         # unit factor cannot be absorbed polynomially
         if k == 1 and key != ctx.y():
@@ -305,21 +306,10 @@ def _target_steps(g, tmap):
         values.append(g.values[k + 1] - tmap.exceptional_value * drop)
         if k == 1:
             continue
-        top = k - 1
-        if x_order or unit_order > low_u or pieces[0][1] or pieces[0][2]:
-            # the sum is not S_k^n plus the other pieces: read the key's tail
-            steps.append(step_from_tail(keys, top, step.power,
-                                        key - keys[top] ** step.power,
-                                        values[-1]))
-        else:
-            tail = _expansion_of_pieces(ctx, pieces[1:], keys, steps,
-                                        degrees, powers)
-            steps.append(KeyStep(top, step.power, [
-                TailTerm(ctx.coeff(c), e)
-                for e, c in sorted(tail.items()) if not is_zero(c)],
-                values[-1]))
+        steps.append(step_from_tail(keys, k - 1, step.power,
+                                    key - keys[k - 1] ** step.power,
+                                    values[-1]))
         keys.append(key)
-        degrees.append(deg)
     tmap.key_orders, tmap.unit_orders = tuple(orders), tuple(units)
     return values, keys, steps
 
@@ -341,13 +331,6 @@ class _UnitPowers:
                 + [row[-1]])
         return rows[t]
 
-    def expansion(self, t, keys):
-        """(Z + alpha)^t expanded on ``keys``, as (exponents, rep) pairs."""
-        power = RingElem(self.ctx, {(0, i): r
-                                    for i, r in enumerate(self.row(t))})
-        return [(e, c.rep) for e, c in
-                _expand_raw(power, keys, len(keys) - 1).items()]
-
 
 def _sum_of_pieces(ctx, pieces, keys, powers):
     """The sum of c * X^s * (Z + alpha)^t * prod S_j^e_j over the pieces
@@ -365,73 +348,6 @@ def _sum_of_pieces(ctx, pieces, keys, powers):
         else:  # scaled in the sum
             parts.append((factor.shift(s, 0) if s else factor, c))
     return ctx.zero()._add_scaled(parts)
-
-
-def _expansion_of_pieces(ctx, pieces, keys, steps, degrees, powers):
-    """The same sum expanded on ``keys``, the target keys that ``steps``
-    build: each (Z + alpha)^t by division, its product with X^s and the
-    keys by :func:`_carry`."""
-    tower = ctx.tower
-    terms, top = {}, len(keys) - 1
-    for c, s, t, strict in pieces:
-        shift = (s,) + tuple(strict) + (0,) * top
-        for e, r in powers.expansion(t, keys):
-            _accumulate(terms, tuple(map(operator.add, e, shift)),
-                        tower.mul(c, r), tower.add)
-    return _carry(terms, steps, degrees, tower)
-
-
-def _accumulate(terms, e, c, add):
-    prev = terms.get(e)
-    terms[e] = c if prev is None else add(prev, c)
-
-
-def _carry(terms, steps, degrees, tower):
-    """``terms`` (key exponents to reps) rewritten on the keys that
-    ``steps`` build, each exponent below the top under its step's power.
-
-    A term with T_j^(n_j) in it takes T_(j+1) - (step j's tail) instead:
-    the first keeps the term's Z-degree and moves weight to a later key,
-    the tail lowers it.  So terms are rewritten by falling Z-degree, and
-    within one degree by rising exponents read from the top key down;
-    every term then has all its contributions before its own turn.
-    """
-    add, mul, neg = tower.add, tower.mul, tower.neg
-    caps = [None] + [step.power for step in steps]
-    tails = {}  # j -> step j's tail as (exponents, rep) pairs
-    top = len(next(iter(terms), (0, 0))) - 1
-
-    def carry_at(e):
-        for j in range(1, top):
-            if e[j] >= caps[j]:
-                return j
-        return 0
-
-    def turn(e):
-        return -sum(map(operator.mul, e, degrees)), e[::-1]
-
-    heap = [turn(e) for e in terms if carry_at(e)]
-    heapq.heapify(heap)
-    while heap:
-        e = heapq.heappop(heap)[1][::-1]
-        c = terms.pop(e)
-        if tower.is_zero(c):
-            continue
-        j = carry_at(e)
-        base = list(e)
-        base[j] -= caps[j]
-        up = list(base)
-        up[j + 1] += 1
-        if j not in tails:
-            tails[j] = [(t.exps, t.coeff.rep) for t in steps[j - 1].tail]
-        for v, p in [(up, c)] + [
-                ([a + b for a, b in zip(base, te)] + base[len(te):],
-                 neg(mul(c, tc))) for te, tc in tails[j]]:
-            v = tuple(v)
-            if v not in terms and carry_at(v):
-                heapq.heappush(heap, turn(v))
-            _accumulate(terms, v, p, add)
-    return terms
 
 
 def _transport_oracle(g, tmap):

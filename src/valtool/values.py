@@ -303,9 +303,10 @@ class Grid:
         return Value(a[0] - b[0], a[1] - b[1], self.tau).sign()
 
     def sums(self, points, target, caps=None):
-        """Exponent vectors k with sum k_i * points[i] == target, points >= 0.
+        """Exponent vectors k with sum k_i * points[i] == target.
 
-        ``points`` lie on this grid; ``target`` is a Value or a point, and
+        ``points`` lie on this grid and none is negative (one that is raises
+        ValueError before the walk); ``target`` is a Value or a point, and
         one off the grid has no sums.  Depth-first over the positions in
         order, k ascending at each, with k_i < caps[i] where a cap is given
         (None = unbounded); a zero point only takes k = 0.  The walk prunes
@@ -315,14 +316,19 @@ class Grid:
         yielded as they are found, so a caller that has seen enough stops
         the walk.
         """
+        def irrational_negative(r0, r1):
+            return self.cmp((r0, r1), (0, 0)) < 0
+
+        for i, (a0, a1) in enumerate(points):
+            # an uncapped negative point would be walked without end
+            if (a0 < 0) if a1 == 0 else irrational_negative(a0, a1):
+                raise ValueError("point %d has negative value %r"
+                                 % (i, self.value((a0, a1))))
         n = len(points)
         caps = [None] * n if caps is None else list(caps)
         target = self.point(target)
         if target is None:
             return
-
-        def irrational_negative(r0, r1):
-            return self.cmp((r0, r1), (0, 0)) < 0
 
         if n == 0:
             if target == (0, 0):

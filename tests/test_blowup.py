@@ -785,3 +785,20 @@ def test_target_steps_see_through_tail_terms_that_cancel(cell):
         assert [k.terms for k in got.keys] == [k.terms for k in want.keys]
         assert [[(t.coeff, t.exps) for t in s.tail] for s in got.steps] == \
             [[(t.coeff, t.exps) for t in s.tail] for s in want.steps]
+
+
+@pytest.mark.parametrize(
+    "case", [(d, b, 1) for d in range(2, 7) for b in ("Q", "GF2", "GF3")]
+    + ["def2 nu", "def2 nustar", "disc nu", "disc nustar"], ids=str)
+def test_target_steps_read_every_tail_with_step_from_tail(case, monkeypatch):
+    # one reader of tails: each target step is read off its key by
+    # step_from_tail, as the scenario parser reads a declared tail
+    g, calls = _reference_case(case), []
+
+    def counting(*args):
+        calls.append(args[1])
+        return step_from_tail(*args)
+
+    monkeypatch.setattr(blowup, "step_from_tail", counting)
+    target = free_transform(g)[1]
+    assert calls == [step.index for step in target.steps]

@@ -1,10 +1,14 @@
 import argparse
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import valtool
 from valtool import cli
 from valtool.cli import main
 from valtool.genseq import validate_sequence
@@ -238,6 +242,40 @@ eval nu x
     assert code == 1
     assert "FAULT: insufficient generating-sequence data" in out
     assert "value 1" in out  # the later command still ran
+
+
+def test_negative_key_value_is_a_fault_not_a_hang(tmp_path):
+    # the detector's graded piece walk must refuse a negative key value,
+    # not walk it without end; the child's timeout turns a hang into a failure
+    scn = tmp_path / "negative.scn"
+    scn.write_text("""
+[field]
+base Q
+[ring R]
+params x y
+[valuation nu]
+ring R
+values 1 3/2
+key n=2 value=-7/2 tail=-1*x^3
+alpha 1 1
+[extension e]
+from R to R
+x = x
+y = y
+degree 1
+unique true
+[run]
+fingen e nu nu 2
+""")
+    root = str(Path(valtool.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from valtool.cli import main; sys.exit(main(sys.argv[1:]))",
+         "run", str(scn)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=root))
+    assert proc.returncode == 1, proc.stderr
+    assert "FAULT: ValueError: point 0 has negative value -7/2" in proc.stdout
 
 
 def test_empty_command_list():

@@ -198,6 +198,16 @@ def test_exact_sums_rank_two():
     assert list(_sums([], Value(0))) == [()]
 
 
+def test_sums_refuse_a_negative_point():
+    # an uncapped negative point would be walked without end; a zero point
+    # only takes k = 0 and stays allowed
+    with pytest.raises(ValueError, match="point 1 has negative value -7/2"):
+        next(_sums([Value(1), Value(Fraction(-7, 2))], Value(2)))
+    with pytest.raises(ValueError, match="point 0 has negative value"):
+        next(_sums([Value(1, -1, PI), Value(1)], Value(2)))
+    assert list(_sums([Value(0), Value(1)], Value(2))) == [(0, 2)]
+
+
 def _walk_every_remainder(vals, target):
     """Reference walk of Grid.sums without skipping barren remainders."""
     def rec(i, rest):
