@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import cache
 
 from .extension import ExtensionMap
 from .genseq import GenSeq, expand, monic_of_degree, step_from_tail
@@ -254,6 +255,7 @@ def _target_steps(g, tmap):
     orders, units = [tmap.nbar, tmap.w], [tmap.a, tmap.b]
     keys, values = [ctx.x(), ctx.y()], [tmap.exceptional_value]
     steps, degree = [], 1  # degree: the Z-degree of the last target key
+    key_power = cache(lambda j, e: keys[j] ** e)  # each S^e formed once
     for k in range(1, g.top):
         step = g.step(k)
         pieces = []  # (c, s, t, exponents of S_2 .. S_k)
@@ -267,7 +269,7 @@ def _target_steps(g, tmap):
         low_u = min(piece[2] for piece in pieces)
         pieces = [(c, s - low_x, t - low_u, strict)
                   for c, s, t, strict in pieces]
-        key = _sum_of_pieces(ctx, pieces, keys, powers)
+        key = _sum_of_pieces(ctx, pieces, key_power, powers)
 
         # X-order and y1-degree that the key must have, from the levels
         # below: the source powers at levels 1..k and 2..k
@@ -307,7 +309,7 @@ def _target_steps(g, tmap):
         if k == 1:
             continue
         steps.append(step_from_tail(keys, k - 1, step.power,
-                                    key - keys[k - 1] ** step.power,
+                                    key - key_power(k - 1, step.power),
                                     values[-1]))
         keys.append(key)
     tmap.key_orders, tmap.unit_orders = tuple(orders), tuple(units)
@@ -332,15 +334,16 @@ class _UnitPowers:
         return rows[t]
 
 
-def _sum_of_pieces(ctx, pieces, keys, powers):
+def _sum_of_pieces(ctx, pieces, key_power, powers):
     """The sum of c * X^s * (Z + alpha)^t * prod S_j^e_j over the pieces
-    (c, s, t, e), where S_j is ``keys[j - 1]`` (j >= 2)."""
+    (c, s, t, e), where S_j^e is ``key_power(j - 1, e)`` (j >= 2)."""
     parts = []
     for c, s, t, strict in pieces:
         factor = None
-        for key, e in zip(keys[1:], strict):
+        for j, e in enumerate(strict, 1):
             if e:
-                factor = key ** e if factor is None else factor * key ** e
+                p = key_power(j, e)
+                factor = p if factor is None else factor * p
         if t or factor is None:
             part = RingElem(ctx, {(s, i): ctx.tower.mul(c, r)
                                   for i, r in enumerate(powers.row(t))})

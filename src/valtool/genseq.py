@@ -518,14 +518,6 @@ def residue_sum(terms, g, ref=None):
     return total
 
 
-def reference_monomial(gamma, g):
-    """Canonical reduced monomial of a given value (greedy representation)."""
-    rep = semigroup_membership(gamma, g)
-    if rep is None:
-        raise PreconditionError("%r is not in the declared semigroup" % gamma)
-    return rep
-
-
 def initial_form(f, g):
     """Initial form of f in the graded ring of the declared prefix."""
     from .graded import GradedElem

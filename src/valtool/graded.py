@@ -14,8 +14,7 @@ finite generation" or "obstruction witnessed", never a theorem.
 
 from __future__ import annotations
 
-from .genseq import (initial_form, reference_monomial, residue_sum,
-                     sigma_indices)
+from .genseq import initial_form, residue_sum, sigma_indices
 from .towers import LinearSolver, TowerElem, power, span_closure
 from .values import INFINITE, ContainmentError, lattice_index
 
@@ -330,29 +329,19 @@ def subalgebra_membership(e, gens):
 
     The scalars k are the residue field of e's ring.  Monomials in the
     generators with e's value are enumerated (finitely many, by positivity)
-    and an exact linear system over the base field decides.  The walk stops
-    at the first monomial whose columns put e in their span.
+    and an exact linear system over the base field decides, on sparse
+    columns keyed by (key exponents, base coordinate): no basis of e's
+    piece is numbered.  The walk stops at the first monomial whose columns
+    put e in their span.
     """
     g = e.genseq
     tower = g.ctx.tower
-    dim = tower.degree()
     field = g.residue_chain[0][:g.residue_ranks[0]]  # the ring's residue field
-    # coordinates fixed before the walk: the reduced key monomials of e's
-    # value (where every normalized product lands), then any of e's own
-    # outside them
-    exp_index = {exps: i for i, exps in
-                 enumerate(graded_piece_basis(e.point, g))}
-    for exps in e.coeffs:
-        exp_index.setdefault(exps, len(exp_index))
 
     def flatten(elem, scalar):
         # a nonzero scalar multiple of a reduced element stays reduced
-        vec = [tower.base.zero()] * (len(exp_index) * dim)
-        for exps, c in elem.coeffs.items():
-            base = exp_index[exps] * dim
-            for k, s in enumerate((c * scalar).to_vector()):
-                vec[base + k] = s
-        return vec
+        return {(exps, k): s for exps, c in elem.coeffs.items()
+                for k, s in enumerate((c * scalar).to_vector()) if s}
 
     solver = LinearSolver(tower.base)
     target = flatten(e, tower.one())
@@ -544,6 +533,13 @@ def _detect(g_r, g_s, ext, depth):
     if not (g_r.ctx.tower == g_s.ctx.tower
             or g_r.ctx.tower.is_prefix_of(g_s.ctx.tower)):
         raise ValueError("source tower must embed in the target tower")
+    # a walk below would refuse a negative point by its place in that
+    # walk; name the side and the key instead
+    for side, g in (("source", g_r), ("target", g_s)):
+        for i, p in enumerate(g.grid.points):
+            if g.grid.cmp(p, (0, 0)) < 0:
+                raise ValueError("%s key %d has negative value %r"
+                                 % (side, i, g.values[i]))
     notes = []
     sigma = sigma_indices(g_r)
     tau = sigma_indices(g_s)
@@ -699,7 +695,8 @@ class _Chi:
             return None
         while self.r is not None and self.r < r:
             d = self.delta(self.sigma[self.r + 1])
-            if d is not None and d is not INFINITE:
+            # the base field is in K_0, so a rational delta adds nothing
+            if d is not None and d is not INFINITE and not d.is_rational():
                 span_closure(self.g_s.ctx.tower, [d], self.small)
             self.r = None if d is None else self.r + 1
         if self.r is None:
@@ -738,11 +735,14 @@ def _delta(g_r, si, initials):
 def _residue_ratio(num, den):
     """Residue of num / den for graded elements of one value, or None.
 
-    Both residues are taken against the reference monomial of that value;
-    None when either residue sum vanishes.
+    Both residues are taken against den's first monomial: another monomial
+    of that value scales both by one nonzero residue.  None when den is
+    zero or either residue sum vanishes.
     """
+    if not den.coeffs:
+        return None
     g = num.genseq
-    ref = reference_monomial(num.value, g)
+    ref = next(iter(den.coeffs))
     top, bottom = (residue_sum([(c, e) for e, c in x.coeffs.items()], g, ref)
                    for x in (num, den))
     if top.is_zero() or bottom.is_zero():

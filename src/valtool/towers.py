@@ -552,39 +552,42 @@ class TowerElem:
 class LinearSolver:
     """Incremental exact Gaussian elimination with expression tracking.
 
-    Vectors live over the tower's base field.  ``add`` returns True when the
+    Vectors live over the tower's base field, given as lists or as sparse
+    dicts {coordinate: scalar}.  Rows are kept sparse, each scaled once, as
+    it is added, so that its pivot is 1.  ``add`` returns True when the
     vector enlarges the span; ``solve`` expresses a target as a combination
     of the added vectors (by their insertion index) or returns None.
     """
 
     def __init__(self, base):
         self.base = base
-        self.rows = []      # (pivot index, reduced vector, combination dict)
+        self.rows = []  # (pivot, reduced row {coordinate: scalar}, combination)
         self.count = 0
 
     def _reduce(self, vec, rows):
-        combo = {self.count: self.base.one()}
-        vec = list(vec)
+        b = self.base
+        combo = {self.count: b.one()}
+        vec = dict(vec if isinstance(vec, dict) else enumerate(vec))
         for piv, row, row_combo in rows:
-            c = vec[piv]
-            if self.base.is_zero(c):
+            c = vec.get(piv, 0)
+            if b.is_zero(c):
                 continue
-            factor = self.base.mul(c, self.base.inv(row[piv]))
-            for i, r in enumerate(row):
-                vec[i] = self.base.sub(vec[i], self.base.mul(factor, r))
+            for i, r in row.items():
+                vec[i] = b.sub(vec.get(i, 0), b.mul(c, r))
             for k, v in row_combo.items():
-                combo[k] = self.base.sub(combo.get(k, self.base.zero()),
-                                         self.base.mul(factor, v))
-        return vec, combo
+                combo[k] = b.sub(combo.get(k, 0), b.mul(c, v))
+        return {i: c for i, c in vec.items() if not b.is_zero(c)}, combo
 
     def add(self, vec):
         vec, combo = self._reduce(vec, self.rows)
         self.count += 1
-        for i, c in enumerate(vec):
-            if not self.base.is_zero(c):
-                self.rows.append((i, vec, combo))
-                return True
-        return False
+        if not vec:
+            return False
+        piv = next(iter(vec))
+        inv, mul = self.base.inv(vec[piv]), self.base.mul
+        self.rows.append((piv, {i: mul(inv, c) for i, c in vec.items()},
+                          {k: mul(inv, v) for k, v in combo.items()}))
+        return True
 
     @property
     def rank(self):
@@ -596,7 +599,7 @@ class LinearSolver:
         they span what the solver spanned at that rank."""
         rows = self.rows if rank is None else self.rows[:rank]
         vec, combo = self._reduce(target, rows)
-        if any(not self.base.is_zero(c) for c in vec):
+        if vec:
             return None
         # the reduction is target - sum coeff_i * vec_i, tagged with the
         # target's would-be index

@@ -19,7 +19,7 @@ from valtool.blowup import (
 from valtool.extension import ExtensionMap
 from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, expand, initial_form, monic_of_degree, sigma_indices, step_from_tail, validate_sequence
 from valtool.graded import fingen_detect
-from valtool.ring import LocalRingCtx, divmod_y, parse_poly, substitute
+from valtool.ring import LocalRingCtx, RingElem, divmod_y, parse_poly, substitute
 from valtool.towers import QQ, BaseField, ResidueTower, TowerElem
 from valtool.values import INFINITE, Value
 
@@ -802,3 +802,23 @@ def test_target_steps_read_every_tail_with_step_from_tail(case, monkeypatch):
     monkeypatch.setattr(blowup, "step_from_tail", counting)
     target = free_transform(g)[1]
     assert calls == [step.index for step in target.steps]
+
+
+@pytest.mark.parametrize("cell", [(d, b, 1) for d in range(2, 7)
+                                  for b in ("Q", "GF2", "GF3")],
+                         ids=lambda c: "d%d-%s" % c[:2])
+def test_free_transform_forms_each_key_power_once(cell, monkeypatch):
+    # S_k^n leads the sum of pieces and is taken off the key again for the
+    # tail: one power serves both, as does one S_j^e for every piece
+    g, formed = _chain_cell(*cell), []
+    pow_ = RingElem.__pow__
+
+    def counting(self, n):
+        formed.append((self, n))
+        return pow_(self, n)
+
+    monkeypatch.setattr(RingElem, "__pow__", counting)
+    free_transform(g)
+    monkeypatch.undo()
+    repeats = [pair for i, pair in enumerate(formed) if pair in formed[:i]]
+    assert formed and not repeats, (len(repeats), len(formed))

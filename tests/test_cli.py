@@ -245,8 +245,8 @@ eval nu x
 
 
 def test_negative_key_value_is_a_fault_not_a_hang(tmp_path):
-    # the detector's graded piece walk must refuse a negative key value,
-    # not walk it without end; the child's timeout turns a hang into a failure
+    # the detector must refuse a negative key value before its walks, not
+    # walk it without end; the child's timeout turns a hang into a failure
     scn = tmp_path / "negative.scn"
     scn.write_text("""
 [field]
@@ -275,7 +275,7 @@ fingen e nu nu 2
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=root))
     assert proc.returncode == 1, proc.stderr
-    assert "FAULT: ValueError: point 0 has negative value -7/2" in proc.stdout
+    assert "FAULT: ValueError: source key 2 has negative value -7/2" in proc.stdout
 
 
 def test_empty_command_list():

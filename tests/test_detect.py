@@ -24,9 +24,11 @@ import valtool
 from valtool import graded
 from valtool.blowup import free_transform
 from valtool.extension import ramification_report
-from valtool.genseq import initial_form, sigma_indices
+from valtool.genseq import (initial_form, residue_sum, semigroup_membership,
+                            sigma_indices)
 from valtool.graded import (GradedElem, fingen_detect, graded_one,
-                            graded_piece_basis, key_initial)
+                            graded_piece_basis, key_initial,
+                            subalgebra_membership)
 from valtool.scenario import parse_scenario
 from valtool.values import INFINITE, lattice_index
 
@@ -270,6 +272,162 @@ def test_lambda_from_grid_points_is_the_group_index_of_the_values(case):
             assert lvl.lam == (None if from_points is INFINITE
                                else from_points), (case, lvl)
 
+
+
+# -- sparse membership and chi's residue ratios, against references ----------------
+
+class _DenseSolver:
+    """Gaussian elimination on dense lists, the pivot inverted at every
+    reduction: the solver the dense reference below was decided with."""
+
+    def __init__(self, base):
+        self.base, self.rows, self.count = base, [], 0
+
+    def _reduce(self, vec, rows):
+        b = self.base
+        combo, vec = {self.count: b.one()}, list(vec)
+        for piv, row, row_combo in rows:
+            c = vec[piv]
+            if b.is_zero(c):
+                continue
+            factor = b.mul(c, b.inv(row[piv]))
+            vec = [b.sub(x, b.mul(factor, r)) for x, r in zip(vec, row)]
+            for k, v in row_combo.items():
+                combo[k] = b.sub(combo.get(k, b.zero()), b.mul(factor, v))
+        return vec, combo
+
+    def add(self, vec):
+        vec, combo = self._reduce(vec, self.rows)
+        self.count += 1
+        for i, c in enumerate(vec):
+            if not self.base.is_zero(c):
+                self.rows.append((i, vec, combo))
+                return True
+        return False
+
+    def solve(self, target):
+        vec, combo = self._reduce(target, self.rows)
+        if any(not self.base.is_zero(c) for c in vec):
+            return None
+        del combo[self.count]
+        return {k: self.base.neg(v) for k, v in combo.items()
+                if not self.base.is_zero(v)}
+
+
+def _dense_membership(e, gens):
+    """(ok, certificate, detail) of e in k[gens] on dense coordinates
+    numbered by the reduced monomials of e's piece, then e's own outside
+    them: the membership algorithm before its columns went sparse."""
+    g = e.genseq
+    tower = g.ctx.tower
+    dim = tower.degree()
+    field = g.residue_chain[0][:g.residue_ranks[0]]
+    exp_index = {exps: i for i, exps in
+                 enumerate(graded_piece_basis(e.point, g))}
+    for exps in e.coeffs:
+        exp_index.setdefault(exps, len(exp_index))
+
+    def flatten(elem, scalar):
+        vec = [tower.base.zero()] * (len(exp_index) * dim)
+        for exps, c in elem.coeffs.items():
+            for k, x in enumerate((c * scalar).to_vector()):
+                vec[exp_index[exps] * dim + k] = x
+        return vec
+
+    solver = _DenseSolver(tower.base)
+    target = flatten(e, tower.one())
+    columns, products, sol = [], 0, None
+    for gexps, prod in graded._products_of_value(gens, e.point, g):
+        products += 1
+        grew = False
+        for b in field:
+            grew = solver.add(flatten(prod, b)) or grew
+            columns.append((gexps, b))
+        if grew:
+            sol = solver.solve(target)
+            if sol is not None:
+                break
+    if not products:
+        return False, None, "no generator monomial has value %r" % e.value
+    if sol is None:
+        sol = solver.solve(target)
+    if sol is None:
+        return (False, None, "rank %d system over %d monomials has no "
+                "solution" % (len(solver.rows), products))
+    combo = {}
+    for idx, scal in sol.items():
+        gexps, b = columns[idx]
+        combo[gexps] = combo.get(gexps, tower.zero()) + b * scal
+    return True, sorted((k, c) for k, c in combo.items()
+                        if not c.is_zero()), ""
+
+
+MEMBERSHIP_CASES = GEN_CASES + ["chain-d2-GF2-rank1", "chain-d3-GF2-rank1",
+                                "chain-d3-GF3-rank1", "chain-d2-Q-rank2"]
+
+
+def test_sparse_membership_matches_the_dense_piece_basis_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        case = data.draw(st.sampled_from(MEMBERSHIP_CASES))
+        sets = _generator_sets(case)
+        _, g, _, _, gens = sets[data.draw(st.integers(0, len(sets) - 1))]
+        tower = g.ctx.tower
+        # e: one or two reduced monomials at the value of a small product
+        # of the generators, with coefficients off the base field too
+        exps = data.draw(st.lists(st.integers(0, 1), min_size=len(gens),
+                                  max_size=len(gens)).filter(any))
+        point = graded._monomial(g, gens, exps).point
+        basis = graded_piece_basis(point, g)
+        scalars = [tower.one(), tower.scalar(-1), tower.scalar(2)] + [
+            tower.gen(i) for i in range(tower.height)]
+        chosen = data.draw(st.lists(st.sampled_from(basis), min_size=1,
+                                    max_size=2, unique=True))
+        e = GradedElem(g, point, {m: data.draw(st.sampled_from(scalars))
+                                  for m in chosen})
+        # against some of the generators, so that some memberships fail
+        sub = [gen for gen, keep in zip(gens, data.draw(st.lists(
+            st.booleans(), min_size=len(gens), max_size=len(gens)))) if keep]
+        res = subalgebra_membership(e, sub or gens[:1])
+        assert (res.ok, res.certificate, res.detail) == \
+            _dense_membership(e, sub or gens[:1]), (case, e)
+
+    check()
+
+
+def _reference_ratio(num, den):
+    """Residue of num / den against the greedy reduced monomial of their
+    value, the reference chi's deltas were once taken against."""
+    g = num.genseq
+    ref = semigroup_membership(num.value, g)
+    assert ref is not None, num
+    top, bottom = (residue_sum([(c, e) for e, c in x.coeffs.items()], g, ref)
+                   for x in (num, den))
+    return None if top.is_zero() or bottom.is_zero() else top / bottom
+
+
+def test_residue_ratios_match_the_reference_monomial_ratio(monkeypatch):
+    # every delta the pinned detections compute: den's first monomial as
+    # the reference gives the ratio the greedy monomial gave
+    seen = []
+    ratio = graded._residue_ratio
+
+    def recording(num, den):
+        seen.append((num, den, ratio(num, den)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(graded, "_residue_ratio", recording)
+    for case in CASES:
+        dump(case)
+    assert len(seen) > 10
+    for num, den, got in seen:
+        want = _reference_ratio(num, den)
+        assert (got is None) == (want is None) and (got is None
+                                                    or got == want), num
 
 if __name__ == "__main__":
     DETECT.mkdir(parents=True, exist_ok=True)

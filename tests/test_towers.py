@@ -9,6 +9,7 @@ from valtool.ring import LocalRingCtx
 from valtool.towers import (
     QQ,
     BaseField,
+    LinearSolver,
     NotAFieldExtension,
     ResidueTower,
     span_closure,
@@ -365,3 +366,42 @@ def test_reducible_minpoly_root_is_pinned():
         f2.extend("u", [1, 0])  # u^2 + 1 = (u + 1)^2
     assert err.value.root == f2.one() and repr(err.value.root) == "1"
     assert "has root 1 at its own level" in str(err.value)
+
+
+def test_linear_solver_reads_lists_and_dicts_alike():
+    # a dict {coordinate: scalar} is the sparse form of a list; explicit
+    # zeros in it count for nothing
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        base = data.draw(st.sampled_from([QQ, BaseField(2), BaseField(3)]))
+        n = data.draw(st.integers(1, 6))
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2]
+                                + ([] if base.p else [Fraction(1, 2)]))
+        vector = st.lists(entry, min_size=n, max_size=n).map(
+            lambda v: [base.of(c) for c in v])
+        vecs = data.draw(st.lists(vector, max_size=8))
+        keep_zeros = data.draw(st.booleans())
+
+        def sparse(v):
+            return {i: c for i, c in enumerate(v) if c or keep_zeros}
+
+        as_list, as_dict = LinearSolver(base), LinearSolver(base)
+        for v in vecs:
+            assert as_list.add(v) == as_dict.add(sparse(v))
+            assert as_list.rank == as_dict.rank
+        for t in data.draw(st.lists(vector, min_size=1, max_size=3)):
+            for rank in [None] + list(range(as_list.rank + 1)):
+                got = as_list.solve(t, rank)
+                assert got == as_dict.solve(sparse(t), rank), (t, rank)
+                if got is not None:  # the combination is the target
+                    total = [0] * n
+                    for k, c in got.items():
+                        total = [base.add(a, base.mul(c, b))
+                                 for a, b in zip(total, vecs[k])]
+                    assert total == t
+
+    check()
