@@ -129,16 +129,22 @@ class _TransformExtension(ExtensionMap):
     The images x = X^n * U^a, y = X^w * U^b share the unit U = Z + alpha;
     the chart sends each term to one monomial X^s U^t and recentring is a
     Taylor shift in U.  That is the element substituting the images gives,
-    at a fraction of the cost on long keys.
+    at a fraction of the cost on long keys.  The images are the map's own,
+    formed on first read: the detector reads closed forms instead.
     """
 
     __slots__ = ("tmap",)
 
+    u_image = property(lambda self: self.tmap.x_image)
+    v_image = property(lambda self: self.tmap.y_image)
+    target_ctx = property(lambda self: self.tmap.target_ctx)
+
     def __init__(self, tmap):
-        super().__init__(tmap.source_ctx, tmap.x_image, tmap.y_image,
-                         field_degree=1,
-                         unique=True)
-        self.tmap = tmap
+        # alpha is a residue: an image is a unit when its X-power is 0
+        if min(tmap.nbar, tmap.w) < 1:
+            raise ValueError("images must be non-units (domination)")
+        self.source_ctx, self.tmap = tmap.source_ctx, tmap
+        self.field_degree, self.unique, self.detections = 1, True, {}
 
     def apply(self, f):
         return self.tmap.to_target(f)

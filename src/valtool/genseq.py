@@ -571,11 +571,13 @@ def semigroup_membership(gamma, g):
 
 class ValidationReport:
     def __init__(self):
-        self.checks = []     # (name, ok, detail)
+        # (name, ok, (detail, arguments)): a detail is formatted only when
+        # lines() or failures() renders it, as most reports are read for ok
+        self.checks = []
         self.warnings = []
 
-    def add(self, name, ok, detail=""):
-        self.checks.append((name, bool(ok), detail))
+    def add(self, name, ok, detail="", *args):
+        self.checks.append((name, bool(ok), (detail, args)))
 
     def warn(self, text):
         self.warnings.append(text)
@@ -585,16 +587,20 @@ class ValidationReport:
         return all(ok for _, ok, _ in self.checks)
 
     def failures(self):
-        return [(n, d) for n, ok, d in self.checks if not ok]
+        return [(n, _detail(*d)) for n, ok, d in self.checks if not ok]
 
     def lines(self):
         return (["%s %s%s" % ("PASS" if ok else "FAIL", name,
-                              ": %s" % detail if detail else "")
-                 for name, ok, detail in self.checks]
+                              ": %s" % _detail(*d) if d[0] else "")
+                 for name, ok, d in self.checks]
                 + ["WARN %s" % w for w in self.warnings])
 
     def __repr__(self):
         return "\n".join(self.lines())
+
+
+def _detail(text, args):
+    return text % args if args else text
 
 
 def validate_sequence(g):
@@ -604,15 +610,14 @@ def validate_sequence(g):
     """
     report = ValidationReport()
     report.add("positive key values",
-               all(v.sign() > 0 for v in g.values),
-               "values %r" % (g.values,))
+               all(v.sign() > 0 for v in g.values), "values %r", g.values)
 
     deg = 1
     for i in range(2, len(g.keys)):
         deg *= g.step(i - 1).power
         report.add("key %d monic in %s of degree %d"
                    % (i, g.ctx.param_names[1], deg),
-                   monic_of_degree(g.keys[i], deg), repr(g.keys[i]))
+                   monic_of_degree(g.keys[i], deg), "%r", g.keys[i])
 
     for lvl in g.levels:
         i = lvl.index
@@ -625,7 +630,7 @@ def validate_sequence(g):
         if lvl.unit_exps is not None:
             ok = g.value_of(lvl.unit_exps) == g.values[i] * lvl.group_jump
             report.add("unit monomial value at level %d" % i, ok,
-                       "U exponents %r" % (lvl.unit_exps,))
+                       "U exponents %r", lvl.unit_exps)
         if lvl.residue is None:
             report.warn("level %d residue unknown (no oracle, none declared)" % i)
         if lvl.cap is not None and lvl.group_jump is not None \
@@ -633,8 +638,8 @@ def validate_sequence(g):
             report.add(
                 "power factorization at level %d" % i,
                 lvl.cap == lvl.group_jump * lvl.residue_degree,
-                "n=%r, jump=%r, d=%r" % (lvl.cap, lvl.group_jump,
-                                         lvl.residue_degree))
+                "n=%r, jump=%r, d=%r", lvl.cap, lvl.group_jump,
+                lvl.residue_degree)
 
     for step in g.steps:
         i = step.index
@@ -649,7 +654,7 @@ def validate_sequence(g):
         report.add("equal-value tail at step %d nonempty" % i, bool(equal))
         report.add("next value exceeds the leading form at step %d" % i,
                    g.values[i + 1] > lead_value,
-                   "%r vs %r" % (g.values[i + 1], lead_value))
+                   "%r vs %r", g.values[i + 1], lead_value)
         def _bounds_ok(term):
             if any(e < 0 for e in term.exps):
                 return False
@@ -677,7 +682,7 @@ def validate_sequence(g):
                 report.warn("oracle cannot confirm the value of key %d" % i)
             else:
                 report.add("oracle confirms value of key %d" % i,
-                           sv == g.values[i], "%r vs %r" % (sv, g.values[i]))
+                           sv == g.values[i], "%r vs %r", sv, g.values[i])
 
     unverified = g.ctx.tower.unverified_levels()
     if unverified:
@@ -703,8 +708,8 @@ def _check_minimal_polynomial(g, step, equal_tail, report):
         if t >= d:
             report.add("tail exponent within minimal-polynomial range "
                        "at step %d" % i, False,
-                       "term %r has top multiplicity %d >= d=%d"
-                       % (exps[:i + 1], t, d))
+                       "term %r has top multiplicity %d >= d=%d",
+                       exps[:i + 1], t, d)
             ok = False
             continue
         ratio = [e - (d - t) * u for e, u in zip(exps[:i], lvl.unit_exps)]
@@ -721,8 +726,7 @@ def _check_minimal_polynomial(g, step, equal_tail, report):
     for t, b in enumerate(coeffs):
         value = value + b * lvl.residue ** t
     report.add("residue satisfies its minimal polynomial at level %d" % i,
-               value.is_zero(),
-               "f(alpha) = %r" % value)
+               value.is_zero(), "f(alpha) = %r", value)
     solver, rank = g.residue_chain[1], g.residue_ranks[i - 1]
     in_field = all(solver.solve(b.to_vector(), rank) is not None
                    for b in coeffs)

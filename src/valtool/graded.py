@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .genseq import initial_form, residue_sum, sigma_indices
 from .towers import LinearSolver, TowerElem, power, span_closure
-from .values import INFINITE, ContainmentError, lattice_index
+from .values import INFINITE, ContainmentError, RunningIndex
 
 
 class GradedElem:
@@ -131,34 +131,26 @@ def _normalize(g, coeffs):
     fixed total value bounds every exponent.
     """
     work = {e: c for e, c in coeffs.items() if not c.is_zero()}
-    progress = True
-    while progress:
-        progress = False
+    while True:
         for e in sorted(work, reverse=True):
-            c = work.get(e)
-            if c is None or c.is_zero():
-                work.pop(e, None)
-                continue
             i = _violating_slot(g, e)
-            if i is None:
-                continue
-            power = g.step(i).power
-            work.pop(e)
-            base = list(e)
-            base[i] -= power
-            # higher-value tail terms vanish in the graded ring
-            for coeff, exps in g.equal_tail(i):
-                ne = tuple(b + t for b, t in zip(base, exps))
-                add = -(coeff * c)
-                prev = work.get(ne)
-                total = add if prev is None else prev + add
-                if total.is_zero():
-                    work.pop(ne, None)
-                else:
-                    work[ne] = total
-            progress = True
-            break
-    return work
+            if i is not None:
+                break
+        else:
+            return work  # no inner exponent reaches its power
+        c = work.pop(e)
+        base = list(e)
+        base[i] -= g.step(i).power
+        # higher-value tail terms vanish in the graded ring
+        for coeff, exps in g.equal_tail(i):
+            ne = tuple(b + t for b, t in zip(base, exps))
+            add = -(coeff * c)
+            prev = work.get(ne)
+            total = add if prev is None else prev + add
+            if total.is_zero():
+                work.pop(ne, None)
+            else:
+                work[ne] = total
 
 
 def _violating_slot(g, exps):
@@ -333,6 +325,11 @@ def subalgebra_membership(e, gens):
     columns keyed by (key exponents, base coordinate): no basis of e's
     piece is numbered.  The walk stops at the first monomial whose columns
     put e in their span.
+
+    While e and every product walked are single terms, only the columns at
+    e's own exponent vector are solved against: the others span a
+    complement, so they can neither enter the certificate nor stop the walk
+    earlier.  A product of two or more terms restarts on every column.
     """
     g = e.genseq
     tower = g.ctx.tower
@@ -343,17 +340,26 @@ def subalgebra_membership(e, gens):
         return {(exps, k): s for exps, c in elem.coeffs.items()
                 for k, s in enumerate((c * scalar).to_vector()) if s}
 
-    solver = LinearSolver(tower.base)
-    target = flatten(e, tower.one())
-    columns = []
-    products = 0
-    sol = None
-    for gexps, prod in _products_of_value(gens, e.point, g):
-        products += 1
+    def add(solver, columns, products):  # True when the span grew
         grew = False
-        for b in field:
-            grew = solver.add(flatten(prod, b)) or grew
-            columns.append((gexps, b))
+        for gexps, prod in products:
+            for b in field:
+                grew = solver.add(flatten(prod, b)) or grew
+                columns.append((gexps, b))
+        return grew
+
+    target = flatten(e, tower.one())
+    own = next(iter(e.coeffs)) if len(e.coeffs) == 1 else None
+    solver, columns, walked, sol = LinearSolver(tower.base), [], [], None
+    for gexps, prod in _products_of_value(gens, e.point, g):
+        walked.append((gexps, prod))
+        if own is not None and len(prod.coeffs) > 1:
+            own, solver, columns = None, LinearSolver(tower.base), []
+            grew = add(solver, columns, walked)
+        elif own is None or own in prod.coeffs:
+            grew = add(solver, columns, walked[-1:])
+        else:
+            continue  # a single term off e's coordinates
         # once e is in the span, its expression on the independent columns
         # so far is unique, and later independent columns keep it: the
         # certificate is the one the whole walk would give
@@ -361,15 +367,18 @@ def subalgebra_membership(e, gens):
             sol = solver.solve(target)
             if sol is not None:
                 break
-    if not products:
+    if not walked:
         return MembershipResult(False, detail="no generator monomial has "
                                                "value %r" % e.value)
     if sol is None:
         sol = solver.solve(target)  # a zero e needs no pivot
     if sol is None:
+        if own is not None:  # the rank counts the columns off e's, too
+            solver = LinearSolver(tower.base)
+            add(solver, [], walked)
         return MembershipResult(
             False, detail="rank %d system over %d monomials has no solution"
-            % (solver.rank, products))
+            % (solver.rank, len(walked)))
     combo = {}
     for idx, scal in sol.items():
         gexps, b = columns[idx]
@@ -398,10 +407,11 @@ def _monomial(g, gens, exps, powers=None):
     """The product of gens[i] ** exps[i] in g's graded ring.
 
     When every factor that occurs is a single term, so is the product
-    before reduction: its exponent vector is the sum of theirs and its
-    coefficient the product of theirs, formed on raw tower reps past the
-    coefficients equal to one, and it is normalized once.  The reduced
-    basis makes normal forms unique, so this is the chained product.
+    before reduction: its exponent vector and point are the sums of
+    theirs and its coefficient the product of theirs, formed on raw tower
+    reps past the coefficients equal to one, and it is normalized once.
+    The reduced basis makes normal forms unique, so this is the chained
+    product.
     Otherwise the factors are multiplied as graded elements from the
     powers in ``powers`` (powers[i][k - 1] = gens[i] ** k, grown here and
     kept across calls when given).
@@ -409,8 +419,8 @@ def _monomial(g, gens, exps, powers=None):
     used = [(i, k) for i, k in enumerate(exps) if k]
     if all(len(gens[i].coeffs) == 1 for i, _ in used):
         tower = g.ctx.tower
-        one, mul = tower.one().rep, tower.mul
-        out, p0, p1, rep = [0] * len(g.keys), 0, 0, None
+        one, mul = tower.one_rep, tower.mul
+        out, p0, p1, rep, unit = [0] * len(g.keys), 0, 0, None, None
         for i, k in used:
             gen = gens[i]
             (e, c), = gen.coeffs.items()
@@ -419,12 +429,16 @@ def _monomial(g, gens, exps, powers=None):
                     out[slot] += k * a
             p0 += k * gen.point[0]
             p1 += k * gen.point[1]
-            c = c.rep
-            if c != one:
-                for _ in range(k):
-                    rep = c if rep is None else mul(rep, c)
-        return GradedElem(g, (p0, p1), {tuple(out): TowerElem(
-            tower, one if rep is None else rep)})
+            if c.rep == one:
+                unit = c
+                continue
+            for _ in range(k):
+                rep = c.rep if rep is None else mul(rep, c.rep)
+        if rep is not None:
+            unit = TowerElem(tower, rep)
+        elif unit is None:
+            unit = tower.one()
+        return GradedElem(g, (p0, p1), {tuple(out): unit})
     if powers is None:
         powers = [[gen] for gen in gens]
     prod = None
@@ -556,6 +570,9 @@ def _detect(g_r, g_s, ext, depth):
     q_initials = [key_initial(g_s, i) for i in range(len(g_s.keys))]
 
     chi_at = _Chi(g_r, g_s, sigma, tau, lambda si: _delta(g_r, si, initials))
+    # lambda's lattices grow with s and r, so their echelon rows are kept
+    lam_at = RunningIndex([g_s.grid.points[t] for t in tau[:s_max + 1]],
+                          [initials[j].point for j in sigma])
     levels = []
     certificates = {}
     r_s, lam, chi = -1, None, None  # e and f are the last level's lam, chi
@@ -572,10 +589,8 @@ def _detect(g_r, g_s, ext, depth):
             r_s = j
         lam = chi = None
         if r_s >= 0:
-            big = [g_s.grid.points[tau[t]] for t in range(s + 1)]
-            small = [initials[sigma[j]].point for j in range(r_s + 1)]
             try:
-                lam = lattice_index(big, small)
+                lam = lam_at.at(s, r_s)
             except ContainmentError as err:
                 if err.index is not None:  # name the value, not its point
                     err = ContainmentError.of_value(

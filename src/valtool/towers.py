@@ -162,6 +162,7 @@ class ResidueTower:
         degs = [level.degree for level in self.levels]
         # the exponents of each coordinate's monomial, a_1 fastest
         self._exps = [e[::-1] for e in product(*map(range, reversed(degs)))]
+        self.one_rep = self.scalar(1).rep  # read, never handed to an element
         # arithmetic on raw reps, bound once
         b = base
         if not self.levels:
@@ -348,7 +349,7 @@ class ResidueTower:
 
     def _has_proper_factor(self, coeffs):
         # exhaustive monic-divisor search over a finite tower
-        one = self.one().rep
+        one = self.one_rep
         poly = [c.rep for c in coeffs] + [one]
         elems = [e.rep for e in self.elements()]
         # root search already ran, so degree-1 factors are excluded

@@ -443,14 +443,6 @@ def covolume(rows):
     return abs(out)
 
 
-def _hnf(rows):
-    """Row echelon basis of the lattice spanned by integer ``rows``."""
-    basis = []
-    for vec in rows:
-        lattice_add(basis, vec)
-    return basis
-
-
 def lattice_index(big, small):
     """Index [L(big) : L(small)] of lattices given by integer generators.
 
@@ -465,14 +457,36 @@ def lattice_index(big, small):
     strictly lower rank.  Raises :class:`ContainmentError` if containment
     fails, with the position of the first vector outside as its ``index``.
     """
-    big_rows = _hnf(big)
-    both, covol = list(big_rows), covolume(big_rows)
-    for k, v in enumerate(small):
-        if lattice_add(both, v) or covolume(both) != covol:
-            raise ContainmentError(
-                "small[%d] is not in the lattice big spans" % k, k)
-    small_rows = _hnf(small)
-    if len(small_rows) < len(big_rows):
-        return INFINITE
-    return covolume(small_rows) // covol
+    return RunningIndex(big, small).at(len(big) - 1, len(small) - 1)
+
+
+class RunningIndex:
+    """:func:`lattice_index` of prefixes of ``big`` and ``small`` that
+    only grow from one call of :meth:`at` to the next: each vector enters
+    the kept echelon rows once, and is checked to lie in L(big) once."""
+
+    def __init__(self, big, small):
+        self.vectors = big, small
+        self.rows = [], []    # echelon rows of the prefixes read so far
+        self.read = [0, 0]    # their lengths
+        self.inside = 0       # small[0..inside - 1] lie in L(big)
+
+    def at(self, s, r):
+        """[L(big[0..s]) : L(small[0..r])], as :func:`lattice_index`."""
+        for side, last in enumerate((s, r)):
+            while self.read[side] <= last:
+                lattice_add(self.rows[side],
+                            self.vectors[side][self.read[side]])
+                self.read[side] += 1
+        big, small = self.rows
+        covol = covolume(big)
+        for k in range(self.inside, r + 1):
+            both = list(big)
+            if lattice_add(both, self.vectors[1][k]) or covolume(both) != covol:
+                raise ContainmentError(
+                    "small[%d] is not in the lattice big spans" % k, k)
+            self.inside = k + 1
+        if len(small) < len(big):
+            return INFINITE
+        return covolume(small) // covol
 

@@ -16,7 +16,7 @@ from valtool.blowup import (
     strict_transform,
     transform_value_table,
 )
-from valtool.extension import ExtensionMap
+from valtool.extension import ExtensionMap, ramification_report
 from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, expand, initial_form, monic_of_degree, sigma_indices, step_from_tail, validate_sequence
 from valtool.graded import fingen_detect
 from valtool.ring import LocalRingCtx, RingElem, divmod_y, parse_poly, substitute
@@ -371,6 +371,90 @@ def test_transform_map_refuses_a_chart_it_cannot_apply():
     low = LocalRingCtx(ext, ("x1", "y1"), ring_levels=0)
     with pytest.raises(ValueError):
         TransformMap(LocalRingCtx(ext), low, 1, 0, 0, 1, ext.one(), Value(1))
+
+
+# -- the transform's extension map, on what the detector reads --------------------
+
+_DETECT_CELLS = ([(d, b, 1) for d in (1, 2, 3) for b in _BASES]
+                 + [(d, b, 2) for d in (1, 2) for b in _BASES])
+
+
+@pytest.mark.parametrize("cell", _DETECT_CELLS, ids=lambda c: "d%d-%s-%d" % c)
+def test_the_transform_extension_forms_its_images_on_first_read(cell,
+                                                                monkeypatch):
+    g = _chain_cell(*cell)
+    tmap, target = free_transform(g)
+    calls = []
+    to_target = TransformMap.to_target
+
+    def counting(self, f):
+        calls.append(f)
+        return to_target(self, f)
+
+    monkeypatch.setattr(TransformMap, "to_target", counting)
+    ext = tmap.extension()
+    fingen_detect(g, target, ext, 6)
+    assert calls == [] and tmap._images is None
+    monkeypatch.undo()
+    # once read, they are the images an eagerly built map holds
+    x, y = g.ctx.x(), g.ctx.y()
+    eager = ExtensionMap(g.ctx, tmap.to_target(x), tmap.to_target(y),
+                         field_degree=1, unique=True)
+    assert (ext.u_image, ext.v_image) == (eager.u_image, eager.v_image)
+    assert ext.target_ctx is eager.target_ctx is target.ctx
+    assert repr(ext) == repr(eager)
+    f = g.keys[-1] + x * y - y ** 3
+    assert ext.apply(f) == eager.apply(f) == tmap.to_target(f)
+    assert (ext.field_degree, ext.unique) == (1, True)
+
+
+def test_a_chart_whose_y_image_is_a_unit_is_refused():
+    # n = 1, w = 0: y = U is a unit, and the map is refused before any image
+    # is formed, in the words an eager map uses
+    tower = ResidueTower(QQ)
+    src, tgt = LocalRingCtx(tower, ("x", "y")), LocalRingCtx(tower, ("x1", "y1"))
+    tmap = TransformMap(src, tgt, 1, 0, 0, 1, tower.scalar(2), Value(1))
+    words = r"^images must be non-units \(domination\)$"
+    with pytest.raises(ValueError, match=words):
+        tmap.extension()
+    assert tmap._images is None
+    assert tmap.y_image.is_unit() and not tmap.x_image.is_unit()
+    with pytest.raises(ValueError, match=words):
+        ExtensionMap(src, tmap.x_image, tmap.y_image, field_degree=1)
+
+
+class _KeySpy(list):
+    """A sequence's keys that record the index of every key read."""
+
+    def __init__(self, keys):
+        super().__init__(keys)
+        self.read = set()
+
+    def __getitem__(self, i):
+        span = range(len(self))
+        self.read.update(span[i] if isinstance(i, slice) else [span[i]])
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        self.read.update(range(len(self)))
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("cell", [(d, b, r) for d in (1, 2, 3, 4)
+                                  for b in _BASES for r in (1, 2)],
+                         ids=lambda c: "d%d-%s-%d" % c)
+def test_the_detect_path_reads_no_source_key_past_y(cell):
+    # the gate of keys formed on demand: transforming a chain, detecting
+    # against the transform and reporting e, f and delta read no source
+    # key P_k with k >= 2
+    g = _chain_cell(*cell)
+    spy = g.keys = _KeySpy(g.keys)
+    tmap, target = free_transform(g)
+    ext = tmap.extension()
+    fingen_detect(g, target, ext, 6)
+    report = ramification_report(g, target, ext, depth=6)
+    assert report.e >= 1 and g.top >= 2
+    assert {k for k in spy.read if k >= 2} == set(), cell
 
 
 # -- one transform per sequence -------------------------------------------------

@@ -15,6 +15,7 @@ on purpose records them again with
     PYTHONPATH=src python tests/test_detect.py
 """
 
+import itertools
 from functools import lru_cache
 from pathlib import Path
 
@@ -397,6 +398,37 @@ def test_sparse_membership_matches_the_dense_piece_basis_reference():
             _dense_membership(e, sub or gens[:1]), (case, e)
 
     check()
+
+
+def test_single_term_membership_fails_as_the_unfiltered_system_does():
+    # a single-term e is solved against the columns at its own exponent
+    # vector; a walk that finds products but no solution must still report
+    # the rank of every column walked, as the dense reference does
+    kinds = set()
+    for case in ("v1-over-Qi", "chain-d2-GF2-rank1"):
+        for _, g, _, _, gens in _generator_sets(case):
+            tower = g.ctx.tower
+            scalars = [tower.one()] + [tower.gen(i)
+                                       for i in range(tower.height)]
+            extra = _two_term(g, gens)  # its products have two terms
+            for sub in [gens[:3]] + ([[extra] + gens[:2]] if extra else []):
+                for exps in itertools.product(range(2), repeat=len(sub)):
+                    point = graded._monomial(g, sub, exps).point
+                    for m, c in itertools.product(
+                            graded_piece_basis(point, g), scalars):
+                        e = GradedElem(g, point, {m: c})
+                        res = subalgebra_membership(e, sub)
+                        assert (res.ok, res.certificate, res.detail) == \
+                            _dense_membership(e, sub), (case, e, exps)
+                        if res.ok or not res.detail.startswith("rank"):
+                            continue
+                        prods = [p for _, p in
+                                 graded._products_of_value(sub, point, g)]
+                        kinds.add("at e" if any(m in p.coeffs for p in prods)
+                                  else "off e")
+                        if any(len(p.coeffs) > 1 for p in prods):
+                            kinds.add("two terms")
+    assert kinds == {"at e", "off e", "two terms"}
 
 
 def _reference_ratio(num, den):

@@ -708,13 +708,17 @@ def test_new_key_witness_is_none_when_the_key_is_absorbed(v1):
     ("raise", "lambda at s=0 undefined: forged containment"),
     ("infinite", "lambda infinite at s=0 (rank gap not yet absorbed)")])
 def test_lambda_notes(monkeypatch, forged, note):
-    # the detector reads lambda from grid points through lattice_index
-    def lattice_index(big, small):
-        if forged == "raise":
-            raise graded.ContainmentError("forged containment")
-        return INFINITE
+    # the detector reads lambda from grid points through a RunningIndex
+    class Forged:
+        def __init__(self, big, small):
+            pass
 
-    monkeypatch.setattr(graded, "lattice_index", lattice_index)
+        def at(self, s, r):
+            if forged == "raise":
+                raise graded.ContainmentError("forged containment")
+            return INFINITE
+
+    monkeypatch.setattr(graded, "RunningIndex", Forged)
     g_r, g_s, ext = fixtures.def2()
     st = fingen_detect(g_r, g_s, ext, 4)
     assert st.levels[0].r >= 0
@@ -726,11 +730,15 @@ def test_lambda_notes(monkeypatch, forged, note):
 
 
 def test_lambda_note_names_the_value_outside(monkeypatch):
-    # lattice_index runs on grid points; the note names the value instead
-    def lattice_index(big, small):
-        raise graded.ContainmentError("small[0] is outside", 0)
+    # the RunningIndex runs on grid points; the note names the value instead
+    class Forged:
+        def __init__(self, big, small):
+            pass
 
-    monkeypatch.setattr(graded, "lattice_index", lattice_index)
+        def at(self, s, r):
+            raise graded.ContainmentError("small[0] is outside", 0)
+
+    monkeypatch.setattr(graded, "RunningIndex", Forged)
     g_r, g_s, ext = fixtures.def2()
     st = fingen_detect(g_r, g_s, ext, 4)
     image = initial_form(ext.apply(g_r.keys[sigma_indices(g_r)[0]]), g_s)
