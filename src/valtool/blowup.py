@@ -34,8 +34,8 @@ from functools import cache
 from .extension import ExtensionMap
 from .genseq import GenSeq, expand, monic_of_degree, step_from_tail
 from .graded import GradedElem
-from .ring import (LocalRingCtx, RingElem, SeriesEmbedding, TruncSeries,
-                   divmod_y, shift_y)
+from .ring import (LocalRingCtx, NotMonomial, RingElem, SeriesEmbedding,
+                   _powers, _rescaled, _series, divmod_y, shift_y)
 from .values import INFINITE
 
 
@@ -148,6 +148,10 @@ class _TransformExtension(ExtensionMap):
 
     def apply(self, f):
         return self.tmap.to_target(f)
+
+    def monomial_form(self):
+        # v / X^w = (Z + alpha)^b is a unit, alpha a residue: no check needed
+        return NotMonomial("f is a unit (v is monomial in x)")
 
     def initial_image(self, g_r, k, g_s):
         """in(image of P_k) = alpha^t_k * in(X)^o_k * in(P'_(k-1)) in g_s's
@@ -360,16 +364,19 @@ def _sum_of_pieces(ctx, pieces, key_power, powers):
 
 
 def _transport_oracle(g, tmap):
+    """X -> x^b * y^-a, Z -> x^-w * y^n - alpha, formed on g's oracle grid."""
     if g.oracle is None:
         return None
-    xn, yn = g.ctx.param_names
-    gx, gy = g.oracle.images[xn], g.oracle.images[yn]
-    x1 = gx ** tmap.b * gy ** -tmap.a
-    y1 = gx ** -tmap.w * gy ** tmap.nbar
+    emb = g.oracle
+    px, py = (emb._power_lists[name] for name in g.ctx.param_names)
+    _powers(px, max(tmap.b, tmap.w))
+    _powers(py, max(tmap.a, tmap.nbar))
+    x1 = px[tmap.b] * py[tmap.a].inverse()
+    y1 = py[tmap.nbar] * px[tmap.w].inverse()
     tower = x1.tower
-    alpha_const = TruncSeries(tower, {Fraction(0): tower.lift(tmap.alpha_lift)},
-                              y1.trunc)
-    z1 = y1 - alpha_const
+    z1 = y1 - _series(tower, {0: tower.lift(tmap.alpha_lift).rep}, y1.trunc)
+    d = emb._grid
+    x1, z1 = (_rescaled(s, lambda e: Fraction(e, d)) for s in (x1, z1))
     Xn, Zn = tmap.target_ctx.param_names
     try:
         return SeriesEmbedding(tmap.target_ctx, {Xn: x1, Zn: z1},

@@ -82,7 +82,7 @@ def main(argv=None):
         print("error: %s" % err, file=sys.stderr)
         return 2
     sys.stdout.write(report.render(args.format))
-    return 0 if report.ok else 1
+    return 2 if any(s.skipped for s in report.sections) else int(not report.ok)
 
 
 if __name__ == "__main__":

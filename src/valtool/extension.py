@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain, combinations, tee
 
 from .genseq import InsufficientGeneratingData, evaluate
 from .graded import fingen_detect
@@ -65,6 +66,10 @@ class ExtensionMap:
         """in(image of g_r's key k) in g_s's graded ring when the map knows
         it in closed form; None, and the detector expands the image."""
         return None
+
+    def monomial_form(self):
+        """The images' :class:`MonomialForm`, or :class:`NotMonomial`."""
+        return monomialize_check(self.u_image, self.v_image)
 
     def __repr__(self):
         return "ExtensionMap(%s -> %r, %s -> %r; degree %d)" % (
@@ -167,7 +172,7 @@ def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
         routes["ostrowski"] = UNDETERMINED
 
     mf_source = monomial_ext if monomial_ext is not None else ext
-    mf = monomialize_check(mf_source.u_image, mf_source.v_image)
+    mf = mf_source.monomial_form()
     if isinstance(mf, MonomialForm):
         big = mf_source.target_ctx.residue_rank()
         small = mf_source.source_ctx.residue_rank()
@@ -209,10 +214,11 @@ class CandidateReport:
 
 
 class SplittingReport:
-    def __init__(self, candidates, distinct_pairs, witnessed):
+    def __init__(self, candidates, distinct_pairs):
         self.candidates = candidates
         self.distinct_pairs = distinct_pairs
-        self.witnessed = witnessed
+
+    witnessed = property(lambda self: bool(self.distinct_pairs))
 
     def lines(self):
         out = []
@@ -246,28 +252,19 @@ def splitting_report(candidates, ext, g_r, probes=(), value_bound=None,
 
     Each candidate (a generating sequence or a series oracle over S) is
     checked to dominate S and to restrict, up to the forced value-group
-    scaling, to the declared downstairs valuation on the key images and on
-    24 random samples.  Two distinct restricting candidates witness splitting.
+    scaling, to the declared downstairs valuation on the key images.  Two
+    restricting candidates witness splitting when they differ on a probe:
+    the given ones, the candidates' keys past y, then 24 random samples,
+    drawn from ``random.Random(seed)`` only as far as they are read.
     """
-    rng = random.Random(seed)
-    sctx = ext.target_ctx
     if value_bound is None:
         value_bound = Value(Fraction(10 ** 6))
 
     test_elems = [ext.apply(k) for k in g_r.keys]
     test_values = list(g_r.values)
-    rand_elems = []
-    for _ in range(24):
-        f = sctx.zero()
-        for _ in range(3):
-            f = f + sctx.monomial(rng.randint(0, 3), rng.randint(0, 3),
-                                  rng.randint(-2, 2))
-        if not f.is_zero():
-            rand_elems.append(f)
 
     reports = []
-    named = list(enumerate(candidates, start=1))
-    for idx, cand in named:
+    for idx, cand in enumerate(candidates, start=1):
         rep = CandidateReport("nu%d" % idx)
         ctx = cand.ctx
         xs = [ctx.x(), ctx.y()]
@@ -283,10 +280,7 @@ def splitting_report(candidates, ext, g_r, probes=(), value_bound=None,
         ok = True
         for el, want in zip(test_elems, test_values):
             got = _candidate_value(cand, el)
-            if got is INSUFFICIENT_PRECISION:
-                rep.skipped += 1
-                continue
-            if got > value_bound:
+            if got is INSUFFICIENT_PRECISION or got > value_bound:
                 rep.skipped += 1
                 continue
             rep.tested += 1
@@ -313,17 +307,27 @@ def splitting_report(candidates, ext, g_r, probes=(), value_bound=None,
     for cand in candidates:
         if not isinstance(cand, SeriesEmbedding):
             probe_elems.extend(cand.keys[2:])
-    probe_elems.extend(rand_elems)
+    # drawn as far as a pair reads them; tee keeps them for the next pair
+    samples = _random_samples(ext.target_ctx, seed)
     restricting = [(r, c) for r, c in zip(reports, candidates) if r.restricts]
     distinct_pairs = []
-    for a in range(len(restricting)):
-        for b in range(a + 1, len(restricting)):
-            ra, ca = restricting[a]
-            rb, cb = restricting[b]
-            if _distinct_on(ca, cb, probe_elems):
-                distinct_pairs.append((ra.name, rb.name))
-    witnessed = bool(distinct_pairs)
-    return SplittingReport(reports, distinct_pairs, witnessed)
+    for (ra, ca), (rb, cb) in combinations(restricting, 2):
+        samples, read = tee(samples)
+        if _distinct_on(ca, cb, chain(probe_elems, read)):
+            distinct_pairs.append((ra.name, rb.name))
+    return SplittingReport(reports, distinct_pairs)
+
+
+def _random_samples(ctx, seed):
+    """splitting_report's random samples: 24 sums of 3 monomials, 0 dropped."""
+    rng = random.Random(seed)
+    for _ in range(24):
+        f = ctx.zero()
+        for _ in range(3):
+            f = f + ctx.monomial(rng.randint(0, 3), rng.randint(0, 3),
+                                 rng.randint(-2, 2))
+        if not f.is_zero():
+            yield f
 
 
 def _distinct_on(cand_a, cand_b, elems):

@@ -697,7 +697,7 @@ class SeriesEmbedding:
     ints; ``images`` and ``evaluate`` stay in t units.  Each power of an
     image is formed once and kept, in one list ``[one, g, g^2, ...]`` per
     image, built from ``images`` at construction: reassigning ``images``
-    afterwards has no effect.
+    afterwards has no effect.  So is each element's image, kept by element.
     """
 
     def __init__(self, ctx, images, normalization=None):
@@ -730,6 +730,7 @@ class SeriesEmbedding:
         self._power_lists = {name: [one, on_grid(g)]
                              for name, g in self.images.items()}
         self._lift = lambda c: tower.lift(c).rep
+        self._kept = {}  # element -> its grid image
 
     def evaluate(self, f):
         """The image of f, in t units."""
@@ -740,9 +741,13 @@ class SeriesEmbedding:
         """The image of f on the grid t = s^D."""
         if f.ctx is not self.ctx:
             raise ValueError("element does not live in the embedding's ring")
-        xn, yn = self.ctx.param_names
-        return _evaluate(f, self._power_lists[xn], self._power_lists[yn],
-                         self._zero, self._lift)
+        s = self._kept.get(f)
+        if s is None:
+            xn, yn = self.ctx.param_names
+            s = self._kept[f] = _evaluate(f, self._power_lists[xn],
+                                          self._power_lists[yn], self._zero,
+                                          self._lift)
+        return s
 
     def residue_of_ratio(self, num, den):
         """Residue [num/den] for equal-order images, or INSUFFICIENT_PRECISION."""

@@ -444,6 +444,7 @@ class Section:
         self.csv = []        # (header, rows)
         self.dot = []
         self.fault = None
+        self.skipped = False  # it names an INVALID valuation
 
     def add(self, *lines):
         self.lines.extend(lines)
@@ -499,14 +500,16 @@ def _candidate(scenario, name, line):
 
 
 def run_scenario(scenario, flags=None):
-    """Execute the command list in order; faults do not stop later commands."""
+    """Execute the command list in order; faults do not stop later commands,
+    and a command on an INVALID valuation, other than validate, is skipped."""
     flags = flags or RunFlags()
     report = Report()
+    checked = {}  # valuation name -> its validation report
     for line, verb, args in scenario.commands:
         section = Section("%s %s" % (verb, " ".join(args)))
         report.sections.append(section)
         try:
-            _dispatch(scenario, flags, section, line, verb, args)
+            _dispatch(scenario, flags, section, line, verb, args, checked)
         except ScenarioError:
             raise
         except InsufficientGeneratingData as err:
@@ -525,7 +528,7 @@ _USAGE = {"validate": ("NU", 1, 1), "eval": ("NU POLY", 2, None),
           "split": ("EXT NU candidates NAMES... [probe POLY]", 4, None)}
 
 
-def _dispatch(scenario, flags, section, line, verb, args):
+def _dispatch(scenario, flags, section, line, verb, args, checked):
     if verb not in _USAGE:
         raise ScenarioError("unknown command %r" % verb, line)
     usage, low, high = _USAGE[verb]
@@ -534,14 +537,29 @@ def _dispatch(scenario, flags, section, line, verb, args):
             or verb == "ramify" and n > 3 and (n == 4 or args[3] != "using")
             or verb == "split" and (args[2] != "candidates" or args[3] == "probe")):
         raise ScenarioError("usage: %s %s" % (verb, usage), line)
-    if verb == "validate":
+    if verb in ("fingen", "ramify", "split"):  # EXT NU ...
+        ext = _resolve(scenario, "extension", args[0], line)
+        g = _resolve(scenario, "valuation", args[1], line)
+    else:  # NU ...
         g = _resolve(scenario, "valuation", args[0], line)
-        rep = validate_sequence(g)
+    # the valuations the command names; split's candidates end at "probe"
+    k = (args + ["probe"]).index("probe", 3) if verb == "split" else n
+    named = {"split": args[1:2] + args[3:k], "fingen": args[1:3],
+             "ramify": args[1:3]}.get(verb, args[:1])
+    for name in filter(scenario.valuations.__contains__, named):
+        if name not in checked:
+            checked[name] = validate_sequence(scenario.valuations[name])
+        if not checked[name].ok and verb != "validate":
+            section.add("skipped: %s is INVALID (%s)"
+                        % (name, checked[name].failures()[0][0]))
+            section.skipped = True
+            return
+    if verb == "validate":
+        rep = checked[args[0]]
         section.add(*rep.lines())
         if not rep.ok:
             section.fault = "validation failed"
     elif verb == "eval":
-        g = _resolve(scenario, "valuation", args[0], line)
         f = _parse_elem(" ".join(args[1:]), g.ctx, g.keys, line)
         v = evaluate(f, g)
         section.add("value %r" % v)
@@ -549,7 +567,6 @@ def _dispatch(scenario, flags, section, line, verb, args):
             sv = series_value(f, g.oracle)
             section.add("oracle %r" % (sv,))
     elif verb == "expand":
-        g = _resolve(scenario, "valuation", args[0], line)
         f = _parse_elem(" ".join(args[1:]), g.ctx, g.keys, line)
         exp = expand(f, g)
         for c, e, v in exp.terms:
@@ -558,13 +575,11 @@ def _dispatch(scenario, flags, section, line, verb, args):
         if exp.top_exponent_overflow():
             section.add("note: last-key exponent reaches its derived bound")
     elif verb == "blowup":
-        g = _resolve(scenario, "valuation", args[0], line)
         count = _count(args, 1, 1, line)
         rec = blowup_mod.iterate_transforms(g, count)
         section.add(*rec.lines())
         section.dot = rec.dot()
     elif verb == "graded":
-        g = _resolve(scenario, "valuation", args[0], line)
         depth = _count(args, 1, flags.depth, line)
         pres = graded_mod.graded_presentation(g, depth)
         section.add(*pres.lines())
@@ -572,36 +587,25 @@ def _dispatch(scenario, flags, section, line, verb, args):
                 for gen in pres.generators]
         section.csv.append(("generator,value,redundant", rows))
     elif verb == "fingen":
-        ext = _resolve(scenario, "extension", args[0], line)
-        g_r = _resolve(scenario, "valuation", args[1], line)
         g_s = _resolve(scenario, "valuation", args[2], line)
         depth = _count(args, 3, flags.depth, line)
-        st = graded_mod.fingen_detect(g_r, g_s, ext, depth)
+        st = graded_mod.fingen_detect(g, g_s, ext, depth)
         section.add(*st.lines())
         rows = [(l.s, l.tau, l.r, l.lam, l.chi) for l in st.levels]
         section.csv.append(("s,tau,r,lambda,chi", rows))
     elif verb == "ramify":
-        ext = _resolve(scenario, "extension", args[0], line)
-        g_r = _resolve(scenario, "valuation", args[1], line)
         g_s = _resolve(scenario, "valuation", args[2], line)
         monomial_ext = (_resolve(scenario, "extension", args[4], line)
                         if args[3:] else None)
-        rep = ramification_report(g_r, g_s, ext, depth=flags.depth,
+        rep = ramification_report(g, g_s, ext, depth=flags.depth,
                                   monomial_ext=monomial_ext)
         section.add(*rep.lines())
         section.csv.append(("route,e,f,delta,consistent", rep.csv_rows()))
     elif verb == "split":
-        ext = _resolve(scenario, "extension", args[0], line)
-        g_r = _resolve(scenario, "valuation", args[1], line)
-        rest = args[3:]
-        probes = []
-        if "probe" in rest:
-            k = rest.index("probe")
-            probes = [_parse_elem(" ".join(rest[k + 1:]), ext.target_ctx, (),
-                                  line)]
-            rest = rest[:k]
-        cands = [_candidate(scenario, n, line) for n in rest]
-        rep = splitting_report(cands, ext, g_r, probes=probes,
+        probes = [_parse_elem(" ".join(args[k + 1:]), ext.target_ctx, (),
+                              line)] if k < n else []
+        cands = [_candidate(scenario, c, line) for c in args[3:k]]
+        rep = splitting_report(cands, ext, g, probes=probes,
                                value_bound=flags.value_bound, seed=flags.seed)
         section.add(*rep.lines())
 

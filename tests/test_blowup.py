@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import valtool
 from valtool import blowup, fixtures
 from valtool.blowup import (
     TransformError,
@@ -19,12 +20,14 @@ from valtool.blowup import (
 from valtool.extension import ExtensionMap, ramification_report
 from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, expand, initial_form, monic_of_degree, sigma_indices, step_from_tail, validate_sequence
 from valtool.graded import fingen_detect
-from valtool.ring import LocalRingCtx, RingElem, divmod_y, parse_poly, substitute
+from valtool.ring import LocalRingCtx, RingElem, SeriesEmbedding, TruncSeries, divmod_y, monomialize_check, parse_poly, substitute
+from valtool.scenario import parse_scenario
 from valtool.towers import QQ, BaseField, ResidueTower, TowerElem
 from valtool.values import INFINITE, Value
 
 from test_genseq import _SCENARIOS, _chain_cell, _shipped
 from test_graded import _chain
+from test_reports import _reparametrised
 
 
 @pytest.fixture
@@ -406,6 +409,32 @@ def test_the_transform_extension_forms_its_images_on_first_read(cell,
     f = g.keys[-1] + x * y - y ** 3
     assert ext.apply(f) == eager.apply(f) == tmap.to_target(f)
     assert (ext.field_degree, ext.unique) == (1, True)
+
+
+@pytest.mark.parametrize("base", sorted(_BASES))
+def test_the_transform_extension_ramifies_without_its_images(base,
+                                                              monkeypatch):
+    # chain-detect's ramify tasks: the local-degree route reads the chart's
+    # monomial form, so no image is formed; the route line is the one
+    # monomialize_check gives on the images
+    g = _chain_cell(1, base, 1)
+    tmap, target = free_transform(g)
+    calls = []
+    to_target = TransformMap.to_target
+
+    def counting(self, f):
+        calls.append(f)
+        return to_target(self, f)
+
+    monkeypatch.setattr(TransformMap, "to_target", counting)
+    ext = tmap.extension()
+    report = ramification_report(g, target, ext, depth=6)
+    assert calls == [] and tmap._images is None
+    monkeypatch.undo()
+    want = monomialize_check(tmap.x_image, tmap.y_image)
+    assert not want and not ext.monomial_form()
+    assert report.routes["local-degree"] == "not applicable: %s" % want.reason
+    assert (report.e, report.f, report.delta) == (1, 1, 0)
 
 
 def test_a_chart_whose_y_image_is_a_unit_is_refused():
@@ -906,3 +935,38 @@ def test_free_transform_forms_each_key_power_once(cell, monkeypatch):
     monkeypatch.undo()
     repeats = [pair for i, pair in enumerate(formed) if pair in formed[:i]]
     assert formed and not repeats, (len(repeats), len(formed))
+
+
+# -- the transported oracle, formed on the source's integer grid ----------------
+
+def _t_unit_oracle(g, tmap):
+    """The reference: the transported oracle formed in t units, with
+    Fraction-exponent powers and inverses of the source images."""
+    xn, yn = g.ctx.param_names
+    gx, gy = g.oracle.images[xn], g.oracle.images[yn]
+    x1 = gx ** tmap.b * gy ** -tmap.a
+    y1 = gx ** -tmap.w * gy ** tmap.nbar
+    tower = x1.tower
+    z1 = y1 - TruncSeries(tower, {Fraction(0): tower.lift(tmap.alpha_lift)},
+                          y1.trunc)
+    Xn, Zn = tmap.target_ctx.param_names
+    return SeriesEmbedding(tmap.target_ctx, {Xn: x1, Zn: z1},
+                           normalization=(Xn, tmap.exceptional_value))
+
+
+@pytest.mark.parametrize("r, grid", [(1, 1), (Fraction(3, 4), 4),
+                                     (Fraction(5, 3), 3)])
+def test_transported_oracle_equals_the_t_unit_formula(r, grid):
+    # v1 as shipped, and under t -> t^r, whose source grid is r's denominator
+    text = _reparametrised(valtool.scenario_path("v1").read_text(), r)
+    g = parse_scenario(text).valuations["nu"]
+    assert g.oracle._grid == grid
+    tmap, target = free_transform(g)
+    want = _t_unit_oracle(g, tmap)
+    for got in (target.oracle, blowup._transport_oracle(g, tmap)):
+        assert got.images.keys() == want.images.keys()
+        for name, s in want.images.items():
+            assert (got.images[name].coeffs, got.images[name].trunc) == \
+                (s.coeffs, s.trunc), name
+        assert (got._grid, got.t_value) == (want._grid, want.t_value)
+    assert validate_sequence(target).ok

@@ -1,6 +1,7 @@
 import argparse
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,6 +11,7 @@ import pytest
 
 import valtool
 from valtool import cli
+from valtool import scenario as scenario_mod
 from valtool.cli import main
 from valtool.genseq import validate_sequence
 from valtool.scenario import ScenarioError, parse_scenario, run_scenario
@@ -245,8 +247,10 @@ eval nu x
 
 
 def test_negative_key_value_is_a_fault_not_a_hang(tmp_path):
-    # the detector must refuse a negative key value before its walks, not
-    # walk it without end; the child's timeout turns a hang into a failure
+    # run's validation gate skips the command on the INVALID valuation, and
+    # the detector, called past the gate, refuses the negative key value
+    # before its walks rather than walk it without end; the child's timeout
+    # turns a hang into a failure
     scn = tmp_path / "negative.scn"
     scn.write_text("""
 [field]
@@ -268,14 +272,99 @@ unique true
 fingen e nu nu 2
 """)
     root = str(Path(valtool.__file__).resolve().parents[1])
+    child = """
+import sys
+from valtool.cli import main
+from valtool.graded import fingen_detect
+from valtool.scenario import parse_scenario
+code = main(["run", sys.argv[1]])
+scenario = parse_scenario(open(sys.argv[1]).read())
+nu = scenario.valuations["nu"]
+try:
+    fingen_detect(nu, nu, scenario.extensions["e"], 2)
+except ValueError as err:
+    print("detector: %s" % err)
+sys.exit(code)
+"""
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from valtool.cli import main; sys.exit(main(sys.argv[1:]))",
-         "run", str(scn)],
+        [sys.executable, "-c", child, str(scn)],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=root))
-    assert proc.returncode == 1, proc.stderr
-    assert "FAULT: ValueError: source key 2 has negative value -7/2" in proc.stdout
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "== fingen e nu nu 2 ==",
+        "skipped: nu is INVALID (positive key values)",
+        "detector: source key 2 has negative value -7/2"]
+
+
+def _family(check):
+    """A validation check's family: its name with the numbers taken out."""
+    return re.sub(r"\d+", "N", check)
+
+
+def _shipped_valuations():
+    return [(scn, name, g) for scn in SHIPPED for name, g in parse_scenario(
+        (SCN / ("%s.scn" % scn)).read_text()).valuations.items()]
+
+
+# every family the shipped reports hold, and one that only fails
+_FAMILIES = sorted({_family(check) for _, _, g in _shipped_valuations()
+                    for check, _, _ in validate_sequence(g).checks}
+                   | {"level N derivation"})
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_run_skips_every_command_on_an_invalid_valuation(family, monkeypatch):
+    # on each shipped valuation whose report has a check of the family,
+    # that check is forged to fail: run validates each valuation once,
+    # prints the report under validate, skips every other command naming
+    # the valuation, and runs the rest as on the valid scenario
+    real, calls = scenario_mod.validate_sequence, []
+    forged = None
+
+    def forging(g):
+        calls.append(g)
+        rep = real(g)
+        if g is forged and family != "level N derivation":
+            k = next(k for k, (check, _, _) in enumerate(rep.checks)
+                     if _family(check) == family)
+            check, _, detail = rep.checks[k]
+            rep.checks[k] = (check, False, detail)
+        return rep
+
+    monkeypatch.setattr(scenario_mod, "validate_sequence", forging)
+    tested = 0
+    for scn, name, _ in _shipped_valuations():
+        text = (SCN / ("%s.scn" % scn)).read_text()
+        clean = run_scenario(parse_scenario(text))
+        scenario = parse_scenario(text)
+        forged = scenario.valuations[name]
+        if family == "level N derivation":  # a real issue of the level
+            forged.levels[-1].issues.append("forged")
+        elif family not in {_family(c) for c, _, _ in real(forged).checks}:
+            continue
+        calls.clear()
+        report = run_scenario(scenario)
+        assert len(calls) == len({id(g) for g in calls})  # each once
+        first = forging(forged).failures()[0][0]
+        assert _family(first) == family
+        for got, want in zip(report.sections, clean.sections):
+            verb, *args = got.title.split()
+            if name not in args:
+                assert (got.lines, got.skipped) == (want.lines, False)
+            elif verb == "validate":
+                assert got.fault == "validation failed" and not got.skipped
+                assert any(line.startswith("FAIL " + first)
+                           for line in got.lines)
+            else:
+                assert got.lines == ["skipped: %s is INVALID (%s)"
+                                     % (name, first)]
+                assert got.skipped and got.fault is None
+        assert any(s.skipped for s in report.sections) == any(
+            name in s.title.split()[1:] and not s.title.startswith("validate")
+            for s in report.sections)
+        tested += 1
+    assert tested
 
 
 def test_empty_command_list():

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import valtool
-from valtool import fixtures
+from valtool import extension, fixtures
 from valtool.extension import (
     UNDETERMINED,
     ExtensionMap,
@@ -13,8 +15,8 @@ from valtool.extension import (
     splitting_report,
 )
 from valtool.genseq import GenSeq
-from valtool.ring import LocalRingCtx, parse_poly
-from valtool.scenario import parse_scenario
+from valtool.ring import LocalRingCtx, SeriesEmbedding, parse_poly
+from valtool.scenario import parse_scenario, run_scenario
 from valtool.towers import QQ, ResidueTower
 from valtool.values import Value
 
@@ -197,3 +199,85 @@ def test_residue_rank_is_the_closed_residue_field():
     tower = tower.extend("s", [tower.scalar(-2), tower.zero()])
     for levels, rank in [(0, 1), (1, 2), (2, 4)]:
         assert ranks(LocalRingCtx(tower, ring_levels=levels)) == {rank}
+
+
+# -- splitting_report's random samples, drawn only as far as they are read ----
+
+def _eager_samples(ctx, seed):
+    """The reference: all 24 random samples drawn up front, in the order
+    splitting_report draws them, zero sums dropped."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(24):
+        f = ctx.zero()
+        for _ in range(3):
+            f = f + ctx.monomial(rng.randint(0, 3), rng.randint(0, 3),
+                                 rng.randint(-2, 2))
+        if not f.is_zero():
+            out.append(f)
+    return out
+
+
+def _disc_split_inputs():
+    sc = parse_scenario(valtool.scenario_path("disc").read_text())
+    b1, b2 = sc.embeddings["branch1"], sc.embeddings["branch2"]
+    copy = SeriesEmbedding(b1.ctx, b1.images)  # never told apart from b1
+    return sc.valuations["nu"], sc.extensions["ext"], b1, b2, copy
+
+
+@pytest.mark.parametrize("case", ["random", "three", "never"])
+def test_split_samples_are_drawn_as_far_as_read(case, monkeypatch):
+    # the series candidates have no keys and no probe is given, so only the
+    # random samples can tell a pair apart
+    nu, ext, b1, b2, copy = _disc_split_inputs()
+    cands = {"random": [b1, b2], "three": [b1, b2, copy],
+             "never": [b1, copy]}[case]
+    seed = 0
+    eager = _eager_samples(ext.target_ctx, seed)
+    reads = []  # how far each pair reads the reference samples
+    for ca, cb in combinations(cands, 2):
+        hits = [k for k, f in enumerate(eager)
+                if extension._distinct_on(ca, cb, [f])]
+        reads.append(hits[0] + 1 if hits else len(eager))
+    real, calls, drawn = extension._random_samples, [], []
+
+    def counting(ctx, seed):
+        calls.append(seed)
+        for f in real(ctx, seed):
+            drawn.append(f)
+            yield f
+
+    monkeypatch.setattr(extension, "_random_samples", counting)
+    got = splitting_report(cands, ext, nu, seed=seed)
+    monkeypatch.setattr(extension, "_random_samples",
+                        lambda ctx, seed: iter(_eager_samples(ctx, seed)))
+    want = splitting_report(cands, ext, nu, seed=seed)
+    assert got.lines() == want.lines()
+    # one generator, each sample drawn once, as far as the farthest read
+    assert calls == [seed] and drawn == eager[:max(reads)]
+    if case == "random":
+        assert 1 < reads[0] < len(eager) and got.witnessed
+    elif case == "three":  # the pairs share what the first ones drew
+        assert sum(reads) > len(drawn) == len(eager)
+        assert got.distinct_pairs == [("nu1", "nu2"), ("nu2", "nu3")]
+    else:
+        assert reads == [len(eager)] and not got.witnessed
+
+
+def test_the_shipped_splits_draw_no_sample(monkeypatch):
+    # pi2's pair is told apart by a key past y, disc's by its given probe
+    drawn = []
+    real = extension._random_samples
+
+    def counting(ctx, seed):
+        for f in real(ctx, seed):
+            drawn.append(f)
+            yield f
+
+    monkeypatch.setattr(extension, "_random_samples", counting)
+    for name in ("pi2", "disc"):
+        report = run_scenario(parse_scenario(
+            valtool.scenario_path(name).read_text()))
+        assert any("splitting witnessed: True" in s.lines
+                   for s in report.sections)
+    assert drawn == []

@@ -114,8 +114,9 @@ def test_ratio_order_is_reported_in_t_units(tmp_path):
     path = tmp_path / "v1.scn"
     path.write_text(text)
     code, out = _run(path)
-    assert code == 1
+    assert code == 2  # the commands after validate are skipped
     lines = out.splitlines()
+    assert lines.count("skipped: nu is INVALID (level 1 derivation)") == 5
     assert "FAIL level 1 derivation: oracle residue at level 1: ratio has " \
         "nonzero order -9/2" in lines
     assert "FAIL level 2 derivation: oracle residue at level 2: ratio has " \

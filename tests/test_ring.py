@@ -1,11 +1,16 @@
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+import valtool
 from valtool import fixtures, ring
 from valtool.blowup import free_transform
+from valtool.cli import main
 from valtool.extension import ExtensionMap
+from valtool.scenario import parse_scenario
 from valtool.ring import (
     INSUFFICIENT_PRECISION,
     LocalRingCtx,
@@ -647,10 +652,65 @@ def test_embedding_forms_each_image_power_once(monkeypatch, name):
         counts.append(len(products))
     for g, w in zip(got, fresh):
         assert g.coeffs == w.coeffs and g.trunc == w.trunc
-    # x^2..x^5 and y^2..y^4 are formed by the first call only
-    assert counts[2] == counts[0] - 7
+    # the repeat is the image the first call kept: it forms no product
+    assert counts[0] > 0 and counts[2] == 0
     assert all(emb.images[n] is g for n, g in images.items())
     assert emb.images == images
+
+
+def _shipped_embeddings():
+    return [(name, emb) for name in ("corn", "def2", "disc", "pi2", "v1")
+            for emb in parse_scenario(
+                valtool.scenario_path(name).read_text()).embeddings.values()]
+
+
+def test_kept_images_equal_fresh_ones():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    shipped = _shipped_embeddings()
+    assert len(shipped) >= 4
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        name, emb = data.draw(st.sampled_from(shipped))
+        terms = data.draw(st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 4),
+                      st.integers(-3, 3)), min_size=1, max_size=6))
+
+        def build():  # a new element object on each call, all equal
+            f = emb.ctx.zero()
+            for i, j, c in terms:
+                f = f + emb.ctx.monomial(i, j, c)
+            return f
+
+        fresh = SeriesEmbedding(emb.ctx, emb.images).evaluate(build())
+        for _ in range(2):  # formed or kept, then kept under an equal key
+            got = emb.evaluate(build())
+            assert (got.coeffs, got.trunc) == (fresh.coeffs, fresh.trunc), \
+                (name, terms)
+
+    check()
+
+
+def test_a_run_forms_each_image_once(monkeypatch):
+    # over v1, def2 and disc, ring._evaluate runs once per distinct
+    # (embedding, element) pair: the embedding is named by its power list
+    calls = []
+    real = ring._evaluate
+
+    def counting(f, xp, yp, zero, lift):
+        calls.append((xp, f))
+        return real(f, xp, yp, zero, lift)
+
+    monkeypatch.setattr(ring, "_evaluate", counting)
+    for name in ("v1", "def2", "disc"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["run", str(valtool.scenario_path(name))]) == 0
+    assert calls
+    for k, (xp, f) in enumerate(calls):
+        assert not any(xq is xp and g == f for xq, g in calls[:k]), f
 
 
 @pytest.mark.parametrize("tower, ks", KERNEL_CASES)
