@@ -6,15 +6,17 @@ a, b with n*b - w*a = 1 and pass to the chart
 
     x = X^n * U^a,   y = X^w * U^b,
 
-where U has value zero and residue alpha.  The chart is
-:class:`TransformMap`'s own map, x^i y^j to X^(n*i + w*j) U^(a*i + b*j),
-not a ring substitution; the map checks its preconditions when built.
-Recentering Z = U - alpha gives regular parameters (X, Z) of the target
-ring; it is a Taylor shift, each X^i U^j spread over X^i Z^k by binomials,
-with no ring product.  The chart has determinant 1, so distinct terms of
-f land on distinct monomials X^i U^j and nothing cancels: the exceptional
-and unit powers, and so the strict transform, are read off the chart
-exponents, with no division.
+where U has value zero and residue alpha.  Recentering Z = U - alpha gives
+regular parameters (X, Z) of the target ring.  The chart has determinant
+1, so distinct terms of f land on distinct monomials X^s U^t and nothing
+cancels: the exceptional and unit powers, and so the strict transform,
+are read off the chart exponents, with no division.
+
+Everything the map sends to the target is a sum of pieces
+c * X^s * (Z + alpha)^t * prod S_j^e_j, summed by :func:`_sum_of_pieces`
+over the map's one list of powers of Z + alpha.  A polynomial in x, y is
+an expansion on P_0 = x and P_1 = y, so its pieces carry no S factor:
+x^i y^j is the piece X^(n*i + w*j) (Z + alpha)^(a*i + b*j).
 
 Keys transport by clearing those powers and stay the target's keys, one
 level down, but no key is charted to get there: the chart is a ring map,
@@ -34,8 +36,8 @@ from functools import cache
 from .extension import ExtensionMap
 from .genseq import GenSeq, expand, monic_of_degree, step_from_tail
 from .graded import GradedElem
-from .ring import (LocalRingCtx, NotMonomial, RingElem, SeriesEmbedding,
-                   _powers, _rescaled, _series, divmod_y, shift_y)
+from .ring import (LocalRingCtx, NotMonomial, SeriesEmbedding, _powers,
+                   _rescaled, _series, divmod_y)
 from .values import INFINITE
 
 
@@ -47,8 +49,8 @@ class TransformMap:
     """One composite transform: chart data, recentering, and images."""
 
     __slots__ = ("source_ctx", "target_ctx", "nbar", "w", "a", "b",
-                 "alpha_lift", "_images", "exceptional_value",
-                 "key_orders", "unit_orders", "chart_ctx")
+                 "alpha_lift", "exceptional_value", "key_orders",
+                 "unit_orders", "unit_powers")
 
     def __init__(self, source_ctx, target_ctx, nbar, w, a, b, alpha_lift,
                  exceptional_value):
@@ -68,44 +70,32 @@ class TransformMap:
         # free_transform fills them
         self.key_orders = (nbar, w)
         self.unit_orders = (a, b)
-        # the chart (X, U) with U = Z + alpha, a ring of its own on the tower
-        self.chart_ctx = LocalRingCtx(
-            target_ctx.tower, ("X", "U"), ring_levels=target_ctx.ring_levels)
-        self._images = None
+        # [1, Z + alpha, (Z + alpha)^2, ...], extended as far as a sum needs
+        self.unit_powers = [target_ctx.one(),
+                            target_ctx.y() + target_ctx.const(alpha_lift)]
 
     @property
     def x_image(self):
-        """The image X^n * (Z + alpha)^a of x, formed on first read."""
-        return self._parameter_images()[0]
+        """The image X^n * (Z + alpha)^a of x."""
+        return self.to_target(self.source_ctx.x())
 
     @property
     def y_image(self):
-        """The image X^w * (Z + alpha)^b of y, formed on first read."""
-        return self._parameter_images()[1]
+        """The image X^w * (Z + alpha)^b of y."""
+        return self.to_target(self.source_ctx.y())
 
-    def _parameter_images(self):
-        if self._images is None:
-            ctx = self.source_ctx
-            self._images = (self.to_target(ctx.x()), self.to_target(ctx.y()))
-        return self._images
-
-    def _chart(self, f):
-        """f in the chart: x^i y^j goes to X^(n*i + w*j) U^(a*i + b*j), one
-        monomial per term (the map is injective), coefficient reps as is."""
+    def _pieces(self, f):
+        """f's chart pieces: x^i y^j goes to X^(n*i + w*j) U^(a*i + b*j),
+        one piece per term (the map is injective), coefficient reps as is."""
         if f.ctx is not self.source_ctx:
             raise ValueError("element does not live in the source ring")
         n, w, a, b = self.nbar, self.w, self.a, self.b
-        return RingElem(self.chart_ctx, {(n * i + w * j, a * i + b * j): c
-                                         for (i, j), c in f.terms.items()})
-
-    def _strict_image(self, h):
-        """Recentred chart image h with its powers of X and U cleared."""
-        h = h.shift(-h.x_order(), -_unit_order(h))
-        return shift_y(h, self.target_ctx, self.alpha_lift)
+        return [(c, n * i + w * j, a * i + b * j, ())
+                for (i, j), c in f.terms.items()]
 
     def to_target(self, f):
         """Image of a source element in the target chart (exact)."""
-        return shift_y(self._chart(f), self.target_ctx, self.alpha_lift)
+        return _sum_of_pieces(self, self._pieces(f))
 
     def extension(self):
         """The transform as an extension map (trivial field extension)."""
@@ -126,11 +116,11 @@ class TransformMap:
 class _TransformExtension(ExtensionMap):
     """A transform as an extension map, applied through its chart.
 
-    The images x = X^n * U^a, y = X^w * U^b share the unit U = Z + alpha;
-    the chart sends each term to one monomial X^s U^t and recentring is a
-    Taylor shift in U.  That is the element substituting the images gives,
+    The images x = X^n * U^a, y = X^w * U^b share the unit U = Z + alpha,
+    so an element is the sum of its chart pieces X^s (Z + alpha)^t over the
+    map's powers of Z + alpha: the element substituting the images gives,
     at a fraction of the cost on long keys.  The images are the map's own,
-    formed on first read: the detector reads closed forms instead.
+    formed when read: the detector reads closed forms instead.
     """
 
     __slots__ = ("tmap",)
@@ -170,11 +160,6 @@ class _TransformExtension(ExtensionMap):
             exps[k - 1] = 1
         unit = tmap.alpha_lift ** tmap.unit_orders[k]
         return GradedElem(g_s, g_s.point(exps), {tuple(exps): unit})
-
-
-def _unit_order(h):
-    """The power of U that divides a chart element."""
-    return min(j for _, j in h.terms)
 
 
 def _chart_exponents(nbar, w):
@@ -260,8 +245,7 @@ def _target_steps(g, tmap):
     """
     ctx = tmap.target_ctx
     one, is_zero = ctx.rep(1), ctx.tower.is_zero
-    unit = ctx.y() + ctx.const(tmap.alpha_lift)
-    powers = _UnitPowers(ctx, tmap.alpha_lift)
+    unit = tmap.unit_powers[1]
     orders, units = [tmap.nbar, tmap.w], [tmap.a, tmap.b]
     keys, values = [ctx.x(), ctx.y()], [tmap.exceptional_value]
     steps, degree = [], 1  # degree: the Z-degree of the last target key
@@ -275,11 +259,7 @@ def _target_steps(g, tmap):
                 pieces.append((c, sum(map(operator.mul, exps, orders)),
                                sum(map(operator.mul, exps, units)),
                                exps[2:]))
-        low_x = min(piece[1] for piece in pieces)
-        low_u = min(piece[2] for piece in pieces)
-        pieces = [(c, s - low_x, t - low_u, strict)
-                  for c, s, t, strict in pieces]
-        key = _sum_of_pieces(ctx, pieces, key_power, powers)
+        low_x, low_u, key = _lowered_sum(tmap, pieces, key_power)
 
         # X-order and y1-degree that the key must have, from the levels
         # below: the source powers at levels 1..k and 2..k
@@ -295,7 +275,7 @@ def _target_steps(g, tmap):
         if x_order:
             key = key.shift(-x_order, 0)
         unit_order = low_u
-        if sum(not t for _, _, t, _ in pieces) > 1:
+        if sum(t == low_u for _, _, t, _ in pieces) > 1:
             # U divides the sum exactly when it vanishes at Z = -alpha, the
             # remainder on division by Z + alpha; one piece free of U is not
             # divisible by it, since no strict transform is
@@ -326,41 +306,44 @@ def _target_steps(g, tmap):
     return values, keys, steps
 
 
-class _UnitPowers:
-    """(Z + alpha)^t in the target ring, its coefficients formed once."""
-
-    def __init__(self, ctx, alpha):
-        self.ctx, self.alpha = ctx, ctx.rep(alpha)
-        self.rows = [[ctx.rep(1)]]  # coefficients of (Z + alpha)^t by Z-power
-
-    def row(self, t):
-        add, mul, alpha, rows = (self.ctx.tower.add, self.ctx.tower.mul,
-                                 self.alpha, self.rows)
-        while len(rows) <= t:
-            row = rows[-1]
-            rows.append([mul(alpha, row[0])] + [
-                add(lo, mul(alpha, hi)) for lo, hi in zip(row, row[1:])]
-                + [row[-1]])
-        return rows[t]
+def _lowered_sum(tmap, pieces, key_power=None):
+    """(m, d, h): the least X- and U-powers m and d among the pieces, and
+    their sum h divided by X^m * U^d; a strict transform up to its unit."""
+    low_x = min(piece[1] for piece in pieces)
+    low_u = min(piece[2] for piece in pieces)
+    return low_x, low_u, _sum_of_pieces(
+        tmap, [(c, s - low_x, t - low_u, strict)
+               for c, s, t, strict in pieces], key_power)
 
 
-def _sum_of_pieces(ctx, pieces, key_power, powers):
+def _sum_of_pieces(tmap, pieces, key_power=None):
     """The sum of c * X^s * (Z + alpha)^t * prod S_j^e_j over the pieces
-    (c, s, t, e), where S_j^e is ``key_power(j - 1, e)`` (j >= 2)."""
-    parts = []
+    (c, s, t, e), where S_j^e is ``key_power(j - 1, e)`` (j >= 2) and
+    (Z + alpha)^t is ``tmap.unit_powers[t]``.
+
+    Pieces free of S are grouped by s: each group is one scaled sum of
+    unit powers, shifted once, with no ring product.  Pieces may repeat
+    (s, t); they add up.
+    """
+    powers, free, parts = tmap.unit_powers, {}, []
+    _powers(powers, max((piece[2] for piece in pieces), default=0))
     for c, s, t, strict in pieces:
         factor = None
         for j, e in enumerate(strict, 1):
             if e:
                 p = key_power(j, e)
                 factor = p if factor is None else factor * p
-        if t or factor is None:
-            part = RingElem(ctx, {(s, i): ctx.tower.mul(c, r)
-                                  for i, r in enumerate(powers.row(t))})
-            parts.append((part if factor is None else part * factor, None))
-        else:  # scaled in the sum
-            parts.append((factor.shift(s, 0) if s else factor, c))
-    return ctx.zero()._add_scaled(parts)
+        if factor is None:
+            free.setdefault(s, []).append((powers[t], c))
+            continue
+        if t:
+            factor = powers[t] * factor
+        parts.append((factor.shift(s, 0) if s else factor, c))
+    zero = tmap.target_ctx.zero()
+    for s, row in free.items():
+        part = zero._add_scaled(row)
+        parts.append((part.shift(s, 0) if s else part, None))
+    return zero._add_scaled(parts)
 
 
 def _transport_oracle(g, tmap):
@@ -389,12 +372,13 @@ def strict_transform(f, tmap):
     """Strict transform of f: image with the exceptional factor removed.
 
     Strict transforms are defined only up to a unit, so the unit factor
-    (Z + alpha)^k, the power of U in the chart, is cleared and the
-    lex-lowest coefficient is scaled to 1 for determinism.
+    (Z + alpha)^k, the power of U in the chart, is cleared with the
+    exceptional one, as for a key, and the lex-lowest coefficient is
+    scaled to 1 for determinism.
     """
     if f.is_zero():
         raise ValueError("strict transform of zero")
-    return tmap._strict_image(tmap._chart(f)).leading_unit_normalized()
+    return _lowered_sum(tmap, tmap._pieces(f))[2].leading_unit_normalized()
 
 
 # ---------------------------------------------------------------------------

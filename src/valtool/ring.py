@@ -9,7 +9,7 @@ recompute values and residues independently.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import lcm, prod
 
 from .towers import TowerElem, _int_if_whole, power, span_closure
 from .values import INFINITE, INSUFFICIENT_PRECISION, Value
@@ -222,11 +222,14 @@ class RingElem:
         return min((i for i, _ in self.terms), default=0)
 
     def shift(self, di, dj):
-        if any(i + di < 0 or j + dj < 0 for i, j in self.terms):
+        if min(di, dj) < 0 and any(i + di < 0 or j + dj < 0
+                                   for i, j in self.terms):
             raise NotRegularAfterSubstitution(
                 "negative exponent after monomial shift")
-        return RingElem(self.ctx, {(i + di, j + dj): c
-                                   for (i, j), c in self.terms.items()})
+        f = object.__new__(RingElem)  # the terms are nonzero already
+        f.ctx = self.ctx
+        f.terms = {(i + di, j + dj): c for (i, j), c in self.terms.items()}
+        return f
 
     def leading_unit_normalized(self):
         """Divide by the coefficient of the lex-smallest exponent pair."""
@@ -434,9 +437,9 @@ def substitute(f, images):
     """Exact substitution of ring elements for parameters.
 
     ``images`` maps each parameter name of f's context to a RingElem, all
-    in one target context.  A quadratic transform's chart, which sends each
-    term to one monomial, is :class:`~valtool.blowup.TransformMap`'s own
-    map and does not come through here.
+    in one target context.  A quadratic transform does not come through
+    here: :class:`~valtool.blowup.TransformMap` sends each term to one
+    piece X^s (Z + alpha)^t and sums the pieces over its powers of Z + alpha.
     """
     xn, yn = f.ctx.param_names
     if xn not in images or yn not in images:
@@ -447,39 +450,6 @@ def substitute(f, images):
         raise ValueError("images live in different contexts")
     one = ctx.one()
     return _evaluate(f, [one, gx], [one, gy], ctx.zero(), ctx.rep)
-
-
-def shift_y(f, ctx, alpha):
-    """f(x, y + alpha) in ``ctx``, a context over f's tower: a Taylor shift.
-
-    A term c x^i y^j adds c C(j, k) alpha^(j-k) to x^i y^k.  Those factors
-    are formed once per y-degree of f and no ring product is taken; at
-    height 0 the sums are of raw numbers, reduced once.
-    """
-    tower = ctx.tower
-    add, mul = tower.add, tower.mul
-    native = not tower.levels
-    a, apow = ctx.rep(alpha), [ctx.rep(1)]
-    for _ in range(f.y_degree()):
-        apow.append(mul(apow[-1], a))
-    rows = {}
-    for j in {j for _, j in f.terms}:
-        row = rows[j] = []
-        for k in range(j + 1):
-            c = comb(j, k) if native else ctx.rep(comb(j, k))
-            row.append((k, mul(c, apow[j - k])))
-    out = {}
-    if native:
-        get = out.get
-        for (i, j), c in f.terms.items():
-            for k, s in rows[j]:
-                out[(i, k)] = get((i, k), 0) + c * s
-        return _reduced(ctx, out)
-    for (i, j), c in f.terms.items():
-        for k, s in rows[j]:
-            p, prev = mul(c, s), out.get((i, k))
-            out[(i, k)] = p if prev is None else add(prev, p)
-    return RingElem(ctx, out)
 
 
 def _evaluate(f, xp, yp, zero, lift):

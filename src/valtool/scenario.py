@@ -542,10 +542,28 @@ def _dispatch(scenario, flags, section, line, verb, args, checked):
         g = _resolve(scenario, "valuation", args[1], line)
     else:  # NU ...
         g = _resolve(scenario, "valuation", args[0], line)
-    # the valuations the command names; split's candidates end at "probe"
-    k = (args + ["probe"]).index("probe", 3) if verb == "split" else n
-    named = {"split": args[1:2] + args[3:k], "fingen": args[1:3],
-             "ramify": args[1:3]}.get(verb, args[:1])
+    # every argument is read before the validation gate, so a malformed one
+    # is an error at its line whether or not a valuation it names is INVALID
+    named = args[:1]  # the valuations the command names
+    if verb in ("eval", "expand"):
+        f = _parse_elem(" ".join(args[1:]), g.ctx, g.keys, line)
+    elif verb == "blowup":
+        count = _count(args, 1, 1, line)
+    elif verb == "graded":
+        depth = _count(args, 1, flags.depth, line)
+    elif verb == "fingen":
+        named, g_s = args[1:3], _resolve(scenario, "valuation", args[2], line)
+        depth = _count(args, 3, flags.depth, line)
+    elif verb == "ramify":
+        named, g_s = args[1:3], _resolve(scenario, "valuation", args[2], line)
+        monomial_ext = (_resolve(scenario, "extension", args[4], line)
+                        if args[3:] else None)
+    elif verb == "split":
+        k = (args + ["probe"]).index("probe", 3)  # candidates end at "probe"
+        named = args[1:2] + args[3:k]
+        probes = [_parse_elem(" ".join(args[k + 1:]), ext.target_ctx, (),
+                              line)] if k < n else []
+        cands = [_candidate(scenario, c, line) for c in args[3:k]]
     for name in filter(scenario.valuations.__contains__, named):
         if name not in checked:
             checked[name] = validate_sequence(scenario.valuations[name])
@@ -560,14 +578,12 @@ def _dispatch(scenario, flags, section, line, verb, args, checked):
         if not rep.ok:
             section.fault = "validation failed"
     elif verb == "eval":
-        f = _parse_elem(" ".join(args[1:]), g.ctx, g.keys, line)
         v = evaluate(f, g)
         section.add("value %r" % v)
         if g.oracle is not None:
             sv = series_value(f, g.oracle)
             section.add("oracle %r" % (sv,))
     elif verb == "expand":
-        f = _parse_elem(" ".join(args[1:]), g.ctx, g.keys, line)
         exp = expand(f, g)
         for c, e, v in exp.terms:
             section.add("term %r * P^%r  value %r" % (c, list(e), v))
@@ -575,36 +591,26 @@ def _dispatch(scenario, flags, section, line, verb, args, checked):
         if exp.top_exponent_overflow():
             section.add("note: last-key exponent reaches its derived bound")
     elif verb == "blowup":
-        count = _count(args, 1, 1, line)
         rec = blowup_mod.iterate_transforms(g, count)
         section.add(*rec.lines())
         section.dot = rec.dot()
     elif verb == "graded":
-        depth = _count(args, 1, flags.depth, line)
         pres = graded_mod.graded_presentation(g, depth)
         section.add(*pres.lines())
         rows = [(gen.index, gen.value, int(gen.redundant))
                 for gen in pres.generators]
         section.csv.append(("generator,value,redundant", rows))
     elif verb == "fingen":
-        g_s = _resolve(scenario, "valuation", args[2], line)
-        depth = _count(args, 3, flags.depth, line)
         st = graded_mod.fingen_detect(g, g_s, ext, depth)
         section.add(*st.lines())
         rows = [(l.s, l.tau, l.r, l.lam, l.chi) for l in st.levels]
         section.csv.append(("s,tau,r,lambda,chi", rows))
     elif verb == "ramify":
-        g_s = _resolve(scenario, "valuation", args[2], line)
-        monomial_ext = (_resolve(scenario, "extension", args[4], line)
-                        if args[3:] else None)
         rep = ramification_report(g, g_s, ext, depth=flags.depth,
                                   monomial_ext=monomial_ext)
         section.add(*rep.lines())
         section.csv.append(("route,e,f,delta,consistent", rep.csv_rows()))
     elif verb == "split":
-        probes = [_parse_elem(" ".join(args[k + 1:]), ext.target_ctx, (),
-                              line)] if k < n else []
-        cands = [_candidate(scenario, c, line) for c in args[3:k]]
         rep = splitting_report(cands, ext, g, probes=probes,
                                value_bound=flags.value_bound, seed=flags.seed)
         section.add(*rep.lines())

@@ -273,9 +273,52 @@ def test_chart_reading_matches_trial_division(name):
     assert stripped  # some element carried a power of (Z + alpha)
 
 
-# -- recentring by a Taylor shift -----------------------------------------------
+# -- a chart-and-shift reference, by ring substitution ---------------------------
+
+def _chart(tmap, f):
+    """Reference chart of f: X^n * U^a and X^w * U^b substituted for x and
+    y in an (X, U) ring of the test's own."""
+    target = tmap.target_ctx
+    chart = LocalRingCtx(target.tower, ("X", "U"),
+                         ring_levels=target.ring_levels)
+    xn, yn = tmap.source_ctx.param_names
+    return substitute(f, {xn: chart.monomial(tmap.nbar, tmap.a),
+                          yn: chart.monomial(tmap.w, tmap.b)})
+
+
+def _recentred(tmap, h):
+    """Reference recentring of a chart element: X and Z + alpha
+    substituted for X and U."""
+    ctx = tmap.target_ctx
+    return substitute(h, {"X": ctx.x(),
+                          "U": ctx.y() + ctx.const(tmap.alpha_lift)})
+
+
+def _strict_reference(tmap, h):
+    """A chart element with its powers of X and U cleared, recentred."""
+    return _recentred(tmap, h.shift(-h.x_order(), -min(j for _, j in h.terms)))
+
+
+def _chart_terms(tmap, f):
+    """The map's own chart of f, read off its pieces, as chart terms."""
+    return {(s, t): c for c, s, t, _ in tmap._pieces(f)}
+
 
 _QI = ResidueTower(QQ).extend("i", [1, 0])
+
+
+_BUILT_MAPS = ["v1", "corn"] + ["chain%d-%s-%d" % (d, b, r) for d in (1, 2, 3)
+                                 for b in _BASES for r in (1, 2)]
+
+
+def _built_map(case):
+    """The map free_transform builds on a fixture or a chain cell."""
+    if case.startswith("chain"):
+        depth, base, rank = case[5:].split("-")
+        g = _chain_cell(int(depth), base, int(rank))
+    else:
+        g = getattr(fixtures, case)()
+    return free_transform(g)[0]
 
 
 @pytest.mark.parametrize("tower, alpha, nbar, w", [
@@ -285,13 +328,20 @@ _QI = ResidueTower(QQ).extend("i", [1, 0])
     (ResidueTower(BaseField(3)), 2, 2, 3),
     (ResidueTower(BaseField(2)), 1, 3, 1),
     (_QI, _QI.gen("i"), 2, 1),
-], ids=["Q-2", "Q-minus-1/3", "GF3-2", "GF2-1", "Qi-i"])
+] + [(None, case, None, None) for case in _BUILT_MAPS],
+    ids=["Q-2", "Q-minus-1/3", "GF3-2", "GF2-1", "Qi-i"] + _BUILT_MAPS)
 def test_recentring_matches_ring_substitution(tower, alpha, nbar, w):
-    src = LocalRingCtx(tower, ("x", "y"))
-    tgt = LocalRingCtx(tower, ("x1", "y1"))
-    alpha = alpha if isinstance(alpha, TowerElem) else tower.scalar(alpha)
-    a, b = _chart_exponents(nbar, w)
-    tmap = TransformMap(src, tgt, nbar, w, a, b, alpha, Value(1))
+    if tower is None:  # a map free_transform builds
+        tmap = _built_map(alpha)
+        src, tgt = tmap.source_ctx, tmap.target_ctx
+        tower, alpha = tgt.tower, tmap.alpha_lift
+        nbar, w, a, b = tmap.nbar, tmap.w, tmap.a, tmap.b
+    else:
+        src = LocalRingCtx(tower, ("x", "y"))
+        tgt = LocalRingCtx(tower, ("x1", "y1"))
+        alpha = alpha if isinstance(alpha, TowerElem) else tower.scalar(alpha)
+        a, b = _chart_exponents(nbar, w)
+        tmap = TransformMap(src, tgt, nbar, w, a, b, alpha, Value(1))
     X, unit = tgt.x(), tgt.y() + tgt.const(alpha)
 
     def product(*factors):
@@ -305,9 +355,6 @@ def test_recentring_matches_ring_substitution(tower, alpha, nbar, w):
     assert tmap.y_image == product((X, w), (unit, b))
     # the reference charts and recentres by substitution: X^n U^a and
     # X^w U^b for x and y, then X and Z + alpha for X and U
-    chart = LocalRingCtx(tower, ("X", "U"))
-    chart_images = {"x": chart.monomial(nbar, a), "y": chart.monomial(w, b)}
-    recentre = {"X": X, "U": unit}
     images = {"x": tmap.x_image, "y": tmap.y_image}
     coeffs = [tower.scalar(c) for c in (1, -1, 2, Fraction(1, 5))]
     coeffs += [alpha, alpha + 1] if tower.height else []
@@ -320,20 +367,96 @@ def test_recentring_matches_ring_substitution(tower, alpha, nbar, w):
                                  rng.choice(coeffs))
         if f.is_zero():
             continue
-        h = substitute(f, chart_images)
-        assert tmap._chart(f).terms == h.terms
+        h = _chart(tmap, f)
+        assert _chart_terms(tmap, f) == h.terms
         top_u_degrees.add(h.y_degree())
-        assert tmap.to_target(f) == substitute(h, recentre)
+        assert tmap.to_target(f) == _recentred(tmap, h)
         assert tmap.to_target(f) == substitute(f, images)
-        stripped = h.shift(-h.x_order(), -min(j for _, j in h.terms))
         assert strict_transform(f, tmap) == \
-            substitute(stripped, recentre).leading_unit_normalized()
-    assert max(top_u_degrees) >= 3
+            _strict_reference(tmap, h).leading_unit_normalized()
+    assert max(top_u_degrees) >= max(3, tower.base.p)
+
+
+# -- the piece sum ------------------------------------------------------------------
+
+_PIECE_TOWERS = {"Q": ResidueTower(QQ), "GF2": ResidueTower(BaseField(2)),
+                 "GF3": ResidueTower(BaseField(3)), "Qi": _QI}
+
+
+def test_sum_of_pieces_matches_multiplied_out_pieces():
+    # c * X^s * (Z + alpha)^t * prod S_j^e_j, each piece multiplied out with
+    # ring products and added up one by one; pieces repeat (s, t), have
+    # t = 0, and carry S factors or none
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(sorted(_PIECE_TOWERS)))
+        tower = _PIECE_TOWERS[name]
+        scalars = [tower.scalar(c) for c in (1, -1, 2, Fraction(1, 5))]
+        if tower.height:
+            scalars += [tower.gen("i"), tower.gen("i") + 1]
+        src = LocalRingCtx(tower, ("x", "y"))
+        tgt = LocalRingCtx(tower, ("x1", "y1"))
+        alpha = data.draw(st.sampled_from(scalars))
+        tmap = TransformMap(src, tgt, 2, 3, 1, 2, alpha, Value(1))
+        terms = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                   st.sampled_from(scalars)),
+                         min_size=1, max_size=3)
+        keys = [None] + [sum((tgt.monomial(i, j, c)
+                              for i, j, c in data.draw(terms)), tgt.zero())
+                         for _ in range(data.draw(st.integers(0, 2)))]
+        pieces = data.draw(st.lists(st.tuples(
+            st.sampled_from(scalars), st.integers(0, 3), st.integers(0, 4),
+            st.tuples(*[st.integers(0, 2)] * (len(keys) - 1))), max_size=8))
+        want = tgt.zero()
+        for c, s, t, strict in pieces:
+            term = tgt.const(c)
+            for base, e in [(tgt.x(), s), (tgt.y() + tgt.const(alpha), t)] + [
+                    (keys[j], e) for j, e in enumerate(strict, 1)]:
+                for _ in range(e):
+                    term = term * base
+            want = want + term
+        got = blowup._sum_of_pieces(
+            tmap, [(tgt.rep(c), s, t, strict) for c, s, t, strict in pieces],
+            lambda j, e: keys[j] ** e)
+        assert got == want, (name, pieces)
+
+    check()
+
+
+def test_repeated_images_form_no_unit_power_again(monkeypatch):
+    # the map's powers of Z + alpha are formed once, for keys and elements
+    # alike: a later image reuses every power below the highest one formed,
+    # and an element's image then takes no ring product at all
+    g = _chain_cell(3, "GF3", 1)
+    tmap, _ = free_transform(g)
+    x, y = g.ctx.x(), g.ctx.y()
+    high = x ** 3 * y ** 4 + x * y ** 2 - 1  # U-degree 1*3 + 2*4 = 11
+    kept = list(tmap.unit_powers)
+    assert tmap.to_target(high) == substitute(
+        high, {"x": tmap.x_image, "y": tmap.y_image})
+    assert len(tmap.unit_powers) == 12
+    assert all(p is q for p, q in zip(tmap.unit_powers, kept))
+    kept, later = list(tmap.unit_powers), [high, x * y ** 3 + y, g.keys[3],
+                                           x ** 2 + y ** 2]
+    products = []
+    mul = RingElem.__mul__
+    monkeypatch.setattr(RingElem, "__mul__",
+                        lambda f, h: products.append(h) or mul(f, h))
+    for f in later:
+        tmap.to_target(f)
+        strict_transform(f, tmap)
+        assert len(tmap.unit_powers) == len(kept)
+        assert all(p is q for p, q in zip(tmap.unit_powers, kept))
+    assert products == []
 
 
 def test_free_transform_substitutes_only_into_the_chart(monkeypatch):
-    """The chart is TransformMap's own map and recentring a Taylor shift:
-    free_transform makes no ring substitution at all."""
+    """The chart is TransformMap's own map and recentring a sum over its
+    powers of Z + alpha: free_transform makes no ring substitution at all."""
     import valtool
     calls = []
 
@@ -359,7 +482,9 @@ def test_transform_map_refuses_a_chart_it_cannot_apply():
     tgt = LocalRingCtx(tower, ("x1", "y1"))
     tmap = TransformMap(src, tgt, 2, 3, 1, 2, one, Value(1))
     f = parse_poly("y^2 - x^3", src)
-    assert tmap._chart(f) == parse_poly("X^6*U^4 - X^6*U^3", tmap.chart_ctx)
+    h = _chart(tmap, f)
+    assert h == parse_poly("X^6*U^4 - X^6*U^3", h.ctx)
+    assert _chart_terms(tmap, f) == h.terms
     # a negative chart exponent, and a chart that is not unimodular
     for nbar, w, a, b in ((1, -1, 0, 1), (1, 0, -1, 1), (2, 3, 1, 1)):
         with pytest.raises(ValueError):
@@ -397,7 +522,7 @@ def test_the_transform_extension_forms_its_images_on_first_read(cell,
     monkeypatch.setattr(TransformMap, "to_target", counting)
     ext = tmap.extension()
     fingen_detect(g, target, ext, 6)
-    assert calls == [] and tmap._images is None
+    assert calls == []
     monkeypatch.undo()
     # once read, they are the images an eagerly built map holds
     x, y = g.ctx.x(), g.ctx.y()
@@ -429,7 +554,7 @@ def test_the_transform_extension_ramifies_without_its_images(base,
     monkeypatch.setattr(TransformMap, "to_target", counting)
     ext = tmap.extension()
     report = ramification_report(g, target, ext, depth=6)
-    assert calls == [] and tmap._images is None
+    assert calls == []
     monkeypatch.undo()
     want = monomialize_check(tmap.x_image, tmap.y_image)
     assert not want and not ext.monomial_form()
@@ -437,16 +562,21 @@ def test_the_transform_extension_ramifies_without_its_images(base,
     assert (report.e, report.f, report.delta) == (1, 1, 0)
 
 
-def test_a_chart_whose_y_image_is_a_unit_is_refused():
+def test_a_chart_whose_y_image_is_a_unit_is_refused(monkeypatch):
     # n = 1, w = 0: y = U is a unit, and the map is refused before any image
     # is formed, in the words an eager map uses
     tower = ResidueTower(QQ)
     src, tgt = LocalRingCtx(tower, ("x", "y")), LocalRingCtx(tower, ("x1", "y1"))
     tmap = TransformMap(src, tgt, 1, 0, 0, 1, tower.scalar(2), Value(1))
     words = r"^images must be non-units \(domination\)$"
+    calls = []
+    to_target = TransformMap.to_target
+    monkeypatch.setattr(TransformMap, "to_target",
+                        lambda self, f: calls.append(f) or to_target(self, f))
     with pytest.raises(ValueError, match=words):
         tmap.extension()
-    assert tmap._images is None
+    assert calls == []
+    monkeypatch.undo()
     assert tmap.y_image.is_unit() and not tmap.x_image.is_unit()
     with pytest.raises(ValueError, match=words):
         ExtensionMap(src, tmap.x_image, tmap.y_image, field_degree=1)
@@ -529,14 +659,14 @@ def test_a_failed_transform_raises_on_every_call():
 
 def _value_table_reference(g, tmap, f, level):
     """The rows, with t the X-order of each key monomial's chart image."""
-    lam = tmap._chart(g.keys[level]).x_order()
+    lam = _chart(tmap, g.keys[level]).x_order()
     rows = []
     for _, exps, value in expand(f, g).terms:
         sign = (value - g.values[level]).sign()
         top_idx = max((i for i, e in enumerate(exps) if e), default=0)
         if sign < 0 or (sign == 0 and top_idx >= level):
             continue
-        t = tmap._chart(g.monomial(exps)).x_order()
+        t = _chart(tmap, g.monomial(exps)).x_order()
         exceptional = (level == 1 and tmap.nbar == tmap.w == 1
                        and tuple(exps) == (1,) + (0,) * (len(exps) - 1))
         rows.append((tuple(exps), t, lam, t > lam or (exceptional and t == lam)))
@@ -718,7 +848,7 @@ def _read_back(ctx, values, keys, powers, **kwargs):
 
 
 def _chart_and_shift(g):
-    """Reference transform: chart and Taylor-shift each whole source key,
+    """Reference transform: chart and recentre each whole source key,
     clear its powers of X and U, and read each target step back from the
     strict transforms with `_read_back`, with the residues and the oracle
     the transform passes on.  Returns the orders and the target, or the
@@ -746,14 +876,14 @@ def _chart_and_shift(g):
     expected = w
     for i in range(1, g.top):
         expected *= g.step(i).power
-        chart = tmap._chart(g.keys[i + 1])
+        chart = _chart(tmap, g.keys[i + 1])
         drop = chart.x_order()
         if drop != expected:
             return ("exceptional power of key %d is %d, expected %d"
                     % (i + 1, drop, expected))
         orders.append(drop)
         units.append(min(j for _, j in chart.terms))
-        stripped = tmap._strict_image(chart)
+        stripped = _strict_reference(tmap, chart)
         deg = expected // (w * g.step(1).power)
         if not monic_of_degree(stripped, deg):
             return ("strict transform of key %d does not normalize to a "
@@ -856,21 +986,18 @@ def test_target_steps_match_the_reference_on_perturbed_chains():
                          ids=lambda c: "d%d-%s" % c[:2])
 def test_free_transform_charts_and_shifts_no_whole_key(cell, monkeypatch):
     g = _chain_cell(*cell)
-    stripped, shifted = [], []
-    shift_y = blowup.shift_y
-
-    def counting_shift(f, ctx, alpha):
-        shifted.append(f.y_degree())
-        return shift_y(f, ctx, alpha)
-
-    monkeypatch.setattr(TransformMap, "_strict_image",
-                        lambda tmap, h: stripped.append(h))
-    monkeypatch.setattr(blowup, "shift_y", counting_shift)
+    charted, imaged = [], []
+    pieces, to_target = TransformMap._pieces, TransformMap.to_target
+    monkeypatch.setattr(TransformMap, "_pieces",
+                        lambda tmap, f: charted.append(f) or pieces(tmap, f))
+    monkeypatch.setattr(TransformMap, "to_target",
+                        lambda tmap, f: imaged.append(f) or to_target(tmap, f))
     tmap, target = free_transform(g)
-    assert stripped == []
-    assert all(d < g.keys[-1].y_degree() for d in shifted), shifted
-    # the parameters' images are formed on first read, not with the map
-    assert tmap._images is None
+    assert charted == []
+    # no power of Z + alpha as high as a whole key's y-degree is formed
+    assert len(tmap.unit_powers) <= g.keys[-1].y_degree(), tmap.unit_powers
+    # the parameters' images are formed when read, not with the map
+    assert imaged == []
     monkeypatch.undo()
     assert (tmap.x_image, tmap.y_image) == (
         tmap.to_target(g.ctx.x()), tmap.to_target(g.ctx.y()))

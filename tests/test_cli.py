@@ -297,6 +297,77 @@ sys.exit(code)
         "detector: source key 2 has negative value -7/2"]
 
 
+_GATED = """
+[field]
+base Q
+[ring R]
+params x y
+[valuation nu]
+ring R
+values 1 3/2
+key n=2 value=7/2 tail=-1*x^3
+alpha 1 1
+[valuation bad]
+ring R
+values 1 3/2
+key n=2 value=-7/2 tail=-1*x^3
+alpha 1 1
+[extension e]
+from R to R
+x = x
+y = y
+degree 1
+unique true
+[run]
+"""
+
+# per verb: malformed commands, then a well-formed one; NU names the
+# valuation under test
+_ARGUMENTS = {
+    "eval": (["eval NU y +* x", "eval NU P9"], "eval NU y"),
+    "expand": (["expand NU y - - x"], "expand NU y"),
+    "blowup": (["blowup NU x", "blowup NU -1"], "blowup NU 1"),
+    "graded": (["graded NU x"], "graded NU 2"),
+    "fingen": (["fingen e NU nu x", "fingen e NU nosuch 2",
+                "fingen nosuch NU nu"], "fingen e NU nu 2"),
+    "ramify": (["ramify e NU nosuch", "ramify e NU nu using nosuch"],
+               "ramify e NU nu"),
+    "split": (["split e NU candidates nosuch",
+               "split e NU candidates nu probe y - - x"],
+              "split e NU candidates nu probe y-x"),
+}
+
+
+def _run_gated(tmp_path, command):
+    """(exit code, stdout, stderr) of valtool run on one command."""
+    scn = tmp_path / "gated.scn"
+    scn.write_text(_GATED + command + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", str(scn)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("verb", sorted(_ARGUMENTS))
+def test_every_argument_is_read_before_the_validation_gate(verb, tmp_path):
+    # a malformed argument is the same error at the same line on an
+    # INVALID valuation as on a valid one; a well-formed command on the
+    # INVALID valuation is skipped
+    malformed, well_formed = _ARGUMENTS[verb]
+    line = len(_GATED.splitlines()) + 1
+    for command in malformed:
+        valid = _run_gated(tmp_path, command.replace("NU", "nu"))
+        invalid = _run_gated(tmp_path, command.replace("NU", "bad"))
+        assert valid[0] == invalid[0] == 2, command
+        assert valid[2] == invalid[2], command
+        assert invalid[2].startswith("error: line %d: " % line), invalid
+        assert "skipped" not in invalid[1]
+    code, out, _ = _run_gated(tmp_path, well_formed.replace("NU", "bad"))
+    assert code == 2
+    assert out.splitlines()[1:] == [
+        "skipped: bad is INVALID (positive key values)"]
+
+
 def _family(check):
     """A validation check's family: its name with the numbers taken out."""
     return re.sub(r"\d+", "N", check)

@@ -16,6 +16,7 @@ from valtool.ring import (
     LocalRingCtx,
     MonomialForm,
     NotMonomial,
+    NotRegularAfterSubstitution,
     PolyParseError,
     RingElem,
     SeriesEmbedding,
@@ -64,6 +65,16 @@ def test_unit_and_maximal_ideal(ctx):
     assert parse_poly("1 + x", ctx).is_unit()
     assert not parse_poly("x + y^2", ctx).is_unit()
     assert not parse_poly("x", ctx).is_unit()
+
+
+def test_shift_refuses_a_negative_exponent(ctx):
+    f = parse_poly("x^2*y + 3*x", ctx)
+    assert f.shift(-1, 0) == parse_poly("x*y + 3", ctx)
+    assert f.shift(1, 2) == parse_poly("x^3*y^3 + 3*x^2*y^2", ctx)
+    assert f.shift(1, 2).shift(-1, -2) == f
+    for di, dj in ((-2, 0), (0, -1), (-3, 5)):
+        with pytest.raises(NotRegularAfterSubstitution):
+            f.shift(di, dj)
 
 
 def test_substitute_expansion(ctx):
