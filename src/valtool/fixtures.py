@@ -3,8 +3,7 @@ scenario files through :func:`~valtool.scenario.parse_scenario`.
 
 Each call parses its file afresh, so tests cannot leak state into each
 other, and the scenario files stay the one source of the fixture data.
-``def2()`` and ``disc_s_side()`` return both sides and the extension map
-from one parse."""
+``def2()`` returns both sides and the extension map from one parse."""
 
 from __future__ import annotations
 
@@ -74,11 +73,3 @@ def disc():
     return (sc.valuations["nu"], sc.embeddings["branch1"],
             sc.embeddings["branch2"], sc.extensions["ext"])
 
-
-def disc_s_side():
-    """Generating-sequence view of the first DISC candidate (three keys).
-
-    Returns (nu, nustar, ext): downstairs, upstairs (oracle branch1) and
-    the extension map."""
-    sc = _load("disc")
-    return sc.valuations["nu"], sc.valuations["nustar"], sc.extensions["ext"]

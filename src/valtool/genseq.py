@@ -22,14 +22,7 @@ from functools import cmp_to_key
 
 from .ring import divmod_y, series_value
 from .towers import span_closure
-from .values import (
-    INFINITE,
-    INSUFFICIENT_PRECISION,
-    Grid,
-    Value,
-    covolume,
-    lattice_add,
-)
+from .values import INFINITE, INSUFFICIENT_PRECISION, Grid, RunningIndex, Value
 
 
 class PreconditionError(Exception):
@@ -148,20 +141,16 @@ class GenSeq:
         self.oracle = oracle
         self._equal_tails = {}
         self._transform = None  # (map, target), built by blowup.free_transform
-        # one pass: a running lattice of values and the residue chain; K_i,
-        # the ring's field with the residues at levels 1..i, is spanned by
-        # the first residue_ranks[i] basis elements (and solver rows)
+        # one pass: a running index of the values gives the group jumps; K_i,
+        # the ring's field with the residues at levels 1..i, is spanned by the
+        # first residue_ranks[i] basis elements (and solver rows) of the chain
         self.residue_chain = ctx.residue_field()
         solver = self.residue_chain[1]
         self.residue_ranks = [solver.rank]
-        rows = []
-        lattice_add(rows, self.grid.points[0])
+        jumps = RunningIndex(self.grid.points, self.grid.points)
         self.levels = []
         for i in range(1, self.top + 1):
-            covol = covolume(rows)
-            jump = (INFINITE if lattice_add(rows, self.grid.points[i])
-                    else covol // covolume(rows))
-            self.levels.append(self._derive_level(i, jump))
+            self.levels.append(self._derive_level(i, jumps.at(i, i - 1)))
             self.residue_ranks.append(solver.rank)
         last_jump = self.levels[-1].group_jump if self.levels else None
         self.terminal = bool(terminal) or last_jump is INFINITE
@@ -257,10 +246,9 @@ class GenSeq:
     def _residue_at(self, i, lvl):
         declared = self.declared_residues.get(i)
         if self.oracle is not None and lvl.unit_exps is not None:
-            num = self.keys[i] ** lvl.group_jump
-            den = self.monomial(list(lvl.unit_exps))
             try:
-                res = self.oracle.residue_of_ratio(num, den)
+                res = self.oracle.residue_of_ratio(
+                    self.keys, (0,) * i + (lvl.group_jump,), lvl.unit_exps)
             except ValueError as err:
                 lvl.issues.append("oracle residue at level %d: %s" % (i, err))
                 return declared
@@ -526,7 +514,7 @@ def initial_form(f, g):
 
 
 # ---------------------------------------------------------------------------
-# sigma indices and the value semigroup
+# sigma indices
 # ---------------------------------------------------------------------------
 
 def sigma_indices(g):
@@ -549,20 +537,6 @@ def sigma_indices(g):
         elif cap > 1:
             out.append(lvl.index)
     return out
-
-
-def semigroup_membership(gamma, g):
-    """Reduced representation gamma = sum a_i * value_i, or None.
-
-    Greedy from the top provided key (see :func:`reduced_representation`);
-    the bound at each inner level is the recursion power, the top bound is
-    used when determinable.
-    """
-    if gamma.sign() < 0:
-        raise PreconditionError("semigroup values are nonnegative")
-    caps = [None] + [None if lvl.cap is INFINITE else lvl.cap
-                     for lvl in g.levels]
-    return reduced_representation(g.grid, gamma, g.grid.points, caps)
 
 
 # ---------------------------------------------------------------------------

@@ -719,16 +719,21 @@ class SeriesEmbedding:
                                           self._lift)
         return s
 
-    def residue_of_ratio(self, num, den):
-        """Residue [num/den] for equal-order images, or INSUFFICIENT_PRECISION."""
-        sn, sd = self._grid_image(num), self._grid_image(den)
-        on, od = sn.order(), sd.order()
-        if on is INSUFFICIENT_PRECISION or od is INSUFFICIENT_PRECISION:
+    def residue_of_ratio(self, keys, num, den):
+        """Residue of the ratio of the key monomials with exponent vectors
+        ``num`` and ``den``, read off the kept images of the keys it needs:
+        their leading coefficients raised to num - den, for a ratio of order
+        0.  INSUFFICIENT_PRECISION when such an image shows no order."""
+        read = [(self._grid_image(key), sign * e)
+                for sign, exps in ((1, num), (-1, den))
+                for key, e in zip(keys, exps) if e]
+        if any(s.order() is INSUFFICIENT_PRECISION for s, _ in read):
             return INSUFFICIENT_PRECISION
-        if on != od:
+        order = sum(e * s.order() for s, e in read)
+        if order:
             raise ValueError("ratio has nonzero order %s"
-                             % Fraction(on - od, self._grid))
-        return sn.leading_coeff() / sd.leading_coeff()
+                             % Fraction(order, self._grid))
+        return prod(s.leading_coeff() ** e for s, e in read)
 
 
 def series_value(f, emb):

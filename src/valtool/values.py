@@ -10,7 +10,7 @@ A :class:`Grid` holds the values of one group as int pairs over their common
 denominator: a generating sequence keeps its key values there, and lattice
 walks, sums and sorts of values run on ints.  Group indices of finitely
 generated subgroups are computed by integer linear algebra on the same
-int vectors (:func:`lattice_index`).
+int vectors (:class:`RunningIndex`).
 """
 
 from __future__ import annotations
@@ -427,7 +427,7 @@ def lattice_add(rows, vec):
 
 
 def _lead(row):
-    return next(i for i, e in enumerate(row) if e)
+    return row.index(next(filter(None, row)))  # the first nonzero's column
 
 
 def covolume(rows):
@@ -443,50 +443,45 @@ def covolume(rows):
     return abs(out)
 
 
-def lattice_index(big, small):
-    """Index [L(big) : L(small)] of lattices given by integer generators.
-
-    INPUT:
-
-    - ``big``, ``small`` -- lists of integer vectors of one length, with
-      every vector of ``small`` in the lattice ``big`` spans (checked)
-
-    OUTPUT:
-
-    A positive integer, or INFINITE when ``small`` spans a lattice of
-    strictly lower rank.  Raises :class:`ContainmentError` if containment
-    fails, with the position of the first vector outside as its ``index``.
-    """
-    return RunningIndex(big, small).at(len(big) - 1, len(small) - 1)
-
-
 class RunningIndex:
-    """:func:`lattice_index` of prefixes of ``big`` and ``small`` that
-    only grow from one call of :meth:`at` to the next: each vector enters
-    the kept echelon rows once, and is checked to lie in L(big) once."""
+    """Lattice indices of prefixes of ``big`` and ``small`` that only grow
+    from one call of :meth:`at` to the next: each vector enters the kept
+    echelon rows once, and is checked to lie in L(big) once.  One list
+    given as both ``big`` and ``small`` is read once."""
 
     def __init__(self, big, small):
         self.vectors = big, small
-        self.rows = [], []    # echelon rows of the prefixes read so far
-        self.read = [0, 0]    # their lengths
-        self.inside = 0       # small[0..inside - 1] lie in L(big)
+        seen = [([], 1)]  # (echelon rows, covolume) per prefix read
+        self.prefixes = seen, seen if big is small else [([], 1)]
+        self.inside = 0  # small[0..inside - 1] lie in L(big)
 
     def at(self, s, r):
-        """[L(big[0..s]) : L(small[0..r])], as :func:`lattice_index`."""
-        for side, last in enumerate((s, r)):
-            while self.read[side] <= last:
-                lattice_add(self.rows[side],
-                            self.vectors[side][self.read[side]])
-                self.read[side] += 1
-        big, small = self.rows
-        covol = covolume(big)
+        """Index [L(big[0..s]) : L(small[0..r])].
+
+        INPUT: ``big`` and ``small`` list integer vectors of one length;
+        every vector of ``small[0..r]`` must lie in L(big[0..s]) (checked).
+
+        OUTPUT: a positive integer, or INFINITE when ``small[0..r]`` spans
+        a lattice of strictly lower rank.  Raises :class:`ContainmentError`
+        if containment fails, with the position of the first vector outside
+        as its ``index``.
+        """
+        for vectors, seen, last in zip(self.vectors, self.prefixes, (s, r)):
+            while len(seen) <= last + 1:
+                rows = list(seen[-1][0])
+                lattice_add(rows, vectors[len(seen) - 1])
+                seen.append((rows, covolume(rows)))
+        (big, covol), (small, small_covol) = (self.prefixes[0][s + 1],
+                                              self.prefixes[1][r + 1])
         for k in range(self.inside, r + 1):
-            both = list(big)
-            if lattice_add(both, self.vectors[1][k]) or covolume(both) != covol:
+            vec, both = self.vectors[1][k], list(big)
+            # one of big's generators lies in L(big)
+            if vec not in self.vectors[0][:s + 1] and (
+                    lattice_add(both, vec) or covolume(both) != covol):
                 raise ContainmentError(
                     "small[%d] is not in the lattice big spans" % k, k)
             self.inside = k + 1
         if len(small) < len(big):
             return INFINITE
-        return covolume(small) // covol
+        return small_covol // covol
 

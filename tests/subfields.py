@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 from valtool.towers import span_closure
-from valtool.values import INFINITE, Grid, lattice_add, lattice_index
+from valtool.values import INFINITE, Grid, RunningIndex, lattice_add
 
 
 def field_index(tower, big, small):
@@ -24,10 +24,11 @@ def field_index(tower, big, small):
 
 
 def value_index(big, small):
-    """[G(big) : G(small)] for lists of values: :func:`lattice_index` of
-    their points on one grid."""
+    """[G(big) : G(small)] for lists of values: :class:`RunningIndex` of
+    their points on one grid, read at the last point of each list."""
     points = Grid(list(big) + list(small)).points
-    return lattice_index(points[:len(big)], points[len(big):])
+    return RunningIndex(points[:len(big)], points[len(big):]).at(
+        len(big) - 1, len(small) - 1)
 
 
 def order_modulo(v, gens):

@@ -10,15 +10,24 @@ import random
 import time
 from fractions import Fraction
 
+import valtool
 from valtool import fixtures
 from valtool.blowup import free_transform, shift_table, strict_transform
 from valtool.extension import ramification_report, splitting_report
 from valtool.genseq import InsufficientGeneratingData, evaluate, validate_sequence
 from valtool.graded import fingen_detect, graded_presentation
 from valtool.ring import INSUFFICIENT_PRECISION, parse_poly, series_value
+from valtool.scenario import parse_scenario
 from valtool.values import Value
 
 from subfields import value_index
+
+
+def _disc_sides():
+    """The discrete fixture's downstairs and upstairs sequences (nustar
+    is oracle branch1) and its extension map, from one parse."""
+    sc = parse_scenario(valtool.scenario_path("disc").read_text())
+    return sc.valuations["nu"], sc.valuations["nustar"], sc.extensions["ext"]
 
 
 def _report(number, label, elapsed, budget):
@@ -87,7 +96,7 @@ def test_criterion_3_disc_splitting():
                           probes=[parse_poly("y - x", nu1.ctx)], seed=3)
     assert sp.witnessed
     assert all(c.restricts for c in sp.candidates)
-    d_r, g_s, d_ext = fixtures.disc_s_side()
+    d_r, g_s, d_ext = _disc_sides()
     st = fingen_detect(d_r, g_s, d_ext, 4)
     # one generator at level 0, so the certificate reads in(u) = in(x)^2
     assert st.certificates[0].certificate == [((2,), g_s.ctx.tower.one())]
@@ -211,7 +220,7 @@ def test_criterion_9_monotonicity_and_index_identity():
     runs.append(("def2", fingen_detect(g_r, g_s, ext, 4)))
     nu_r, nu1, nu2, ext2 = fixtures.pi2()
     runs.append(("pi2", fingen_detect(nu_r, nu1, ext2, 4)))
-    runs.append(("disc", fingen_detect(*fixtures.disc_s_side(), 4)))
+    runs.append(("disc", fingen_detect(*_disc_sides(), 4)))
     v1 = fixtures.v1()
     from valtool.extension import ExtensionMap
     ident = ExtensionMap(v1.ctx, parse_poly("x", v1.ctx),

@@ -25,16 +25,15 @@ import valtool
 from valtool import graded
 from valtool.blowup import free_transform
 from valtool.extension import ramification_report
-from valtool.genseq import (initial_form, residue_sum, semigroup_membership,
-                            sigma_indices)
+from valtool.genseq import initial_form, residue_sum, sigma_indices
 from valtool.graded import (GradedElem, fingen_detect, graded_one,
                             graded_piece_basis, key_initial,
                             subalgebra_membership)
 from valtool.scenario import parse_scenario
-from valtool.values import INFINITE, lattice_index
+from valtool.values import INFINITE, RunningIndex
 
 from subfields import value_index
-from test_genseq import _chain_cell
+from test_genseq import _chain_cell, semigroup_membership
 
 DETECT = Path(__file__).resolve().parent / "data" / "detect"
 CELLS = ([(d, b, 1) for d in (1, 2, 3) for b in ("Q", "GF2", "GF3")]
@@ -263,9 +262,9 @@ def test_lambda_from_grid_points_is_the_group_index_of_the_values(case):
             if lvl.r < 0:
                 continue
             absorbed = [images[j] for j in sigma[:lvl.r + 1]]
-            from_points = lattice_index(
+            from_points = RunningIndex(
                 [g_s.grid.points[tau[t]] for t in range(lvl.s + 1)],
-                [img.point for img in absorbed])
+                [img.point for img in absorbed]).at(lvl.s, lvl.r)
             from_values = value_index(
                 [g_s.values[tau[t]] for t in range(lvl.s + 1)],
                 [img.value for img in absorbed])

@@ -156,6 +156,30 @@ def test_wrong_restriction_rejected():
     assert not rep.witnessed
 
 
+def test_key_images_past_the_value_bound_are_skipped():
+    # v - u maps to y^2 - x^2 at pi + 2, past the bound 3: u and v decide
+    nu_r, nu1, nu2, ext = fixtures.pi2()
+    rep = splitting_report([nu1, nu2], ext, nu_r, value_bound=Value(3),
+                           seed=3)
+    for c in rep.candidates:
+        assert (c.tested, c.skipped, c.restricts) == (2, 1, True)
+    assert rep.lines()[0] == ("candidate nu1      dominates=True "
+                              "restricts=True scale=Fraction(1, 1) "
+                              "tested=2 skipped=1 ")
+
+
+def test_irrational_image_value_is_no_rational_multiple():
+    # valuing x at pi sends u = x^2 to 2*pi, no rational multiple of 2
+    nu_r, nu1, _, ext = fixtures.pi2()
+    tilted = GenSeq(nu1.ctx, [Value(0, 1, nu1.values[2].tau), Value(1)])
+    rep = splitting_report([tilted, nu1], ext, nu_r, seed=3)
+    bad, good = rep.candidates
+    assert (bad.dominates, bad.restricts, bad.scale, bad.tested) == \
+        (True, False, None, 1)
+    assert bad.diagnosis == "image value (0, 2) is not a rational multiple of 2"
+    assert good.restricts and not rep.witnessed
+
+
 def test_def2_fingen_vs_defect_regression():
     # the defect fixture shows gr-equality at e = f = 1 while delta = 1: the
     # graded rings alone cannot see the defect.  The consistency verdict is

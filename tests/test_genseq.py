@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -18,8 +17,8 @@ from valtool.genseq import (
     expand,
     initial_form,
     next_key,
+    reduced_representation,
     residue_of_monomial,
-    semigroup_membership,
     sigma_indices,
     step_from_tail,
     validate_sequence,
@@ -301,6 +300,14 @@ def test_sigma_indices(v1):
     assert sigma_indices(fixtures.corn()) == [0, 1, 2, 3]
 
 
+def semigroup_membership(gamma, g):
+    """Reduced representation of gamma on every key of g: each level is
+    capped by its recursion power, none at a rank jump."""
+    caps = [None] + [None if lvl.cap is INFINITE else lvl.cap
+                     for lvl in g.levels]
+    return reduced_representation(g.grid, gamma, g.grid.points, caps)
+
+
 def test_semigroup_membership(v1):
     assert semigroup_membership(Value(Fraction(7, 2)), v1) == (2, 1, 0)
     assert semigroup_membership(Value(0), v1) == (0, 0, 0)
@@ -329,6 +336,21 @@ def test_semigroup_consistent_with_evaluate(v1):
 
 # -- fixture sequences validate ---------------------------------------------------
 
+@pytest.mark.parametrize("edit, line", [
+    (("truncate 40", "truncate 4"),
+     "FAIL level 2 derivation: oracle precision exhausted for residue at "
+     "level 2"),
+    (("oracle series", "alpha 1 3\noracle series"),
+     "FAIL level 1 derivation: declared residue 3 disagrees with oracle "
+     "residue 1 at level 1")])
+def test_oracle_residue_failures_are_reported(edit, line):
+    # at truncation 4 the image of y^2 - x^3 vanishes; a declared residue
+    # of 3 at level 1 contradicts the oracle's y^2 / x^3 -> 1
+    text = valtool.scenario_path("v1").read_text().replace(*edit)
+    lines = validate_sequence(parse_scenario(text).valuations["nu"]).lines()
+    assert line in lines
+
+
 def test_all_fixture_sequences_validate():
     g_r, g_s, _ = fixtures.def2()
     assert validate_sequence(g_r).ok
@@ -339,7 +361,8 @@ def test_all_fixture_sequences_validate():
     assert validate_sequence(fixtures.corn()).ok
     d_r = fixtures.disc()[0]
     assert validate_sequence(d_r).ok
-    assert validate_sequence(fixtures.disc_s_side()[1]).ok
+    disc = parse_scenario(valtool.scenario_path("disc").read_text())
+    assert validate_sequence(disc.valuations["nustar"]).ok
 
 
 def test_oracle_equivalence_char2():
@@ -493,14 +516,12 @@ def test_transforms_and_parsing_build_no_key_twice(monkeypatch):
 
 def test_parsing_forms_each_key_power_once(monkeypatch):
     """The parser forms P_i^(n_i) + tail once and reads the step off the
-    tail; it never raises a key to its power again to read it back.  The
-    residue at a level with an oracle forms P_i^jump for the ratio
-    P_i^jump / U_i, a power of its own, and is left out."""
+    tail; it never raises a key to its power again to read it back, and
+    an oracle residue reads the key images without forming a power."""
     real, formed = ring.RingElem.__pow__, {}
 
     def counting(base, n):
-        if sys._getframe(1).f_code.co_name != "_residue_at":
-            formed.setdefault((id(base), n), []).append(base)
+        formed.setdefault((id(base), n), []).append(base)
         return real(base, n)
 
     monkeypatch.setattr(ring.RingElem, "__pow__", counting)
@@ -553,6 +574,44 @@ def test_level_data_matches_from_scratch_references():
             seen += len(got)
             degree_two += got[:1] == [(1, 2)]
     assert seen > 200 and degree_two >= 2
+
+
+def test_group_jumps_are_orders_modulo_the_values_below():
+    """Each level's group jump is the order of its value modulo the group
+    of the values below, solved over the rationals: on random value lists
+    of rank 1 and 2, and on the chain cells."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ctx = LocalRingCtx(ResidueTower(QQ), ("x", "y"))
+    pi = pi_descriptor()
+    ratio = st.builds(Fraction, st.integers(1, 40), st.integers(1, 12))
+    pair = st.tuples(ratio, st.integers(0, 5))
+
+    def check(g):
+        for lvl in g.levels:
+            i = lvl.index
+            assert lvl.group_jump == order_modulo(g.values[i],
+                                                  g.values[:i]), (g, i)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(rank=st.sampled_from((1, 2)), direction=pair,
+                      ratios=st.lists(ratio, min_size=1, max_size=6),
+                      last=pair)
+    def random_values(rank, direction, ratios, last):
+        # every value but the last on one ray, so a rank jump can only end
+        # the list; at rank 2 the ray and the last value are a + b*pi
+        if rank == 1:
+            values = [Value(r) for r in ratios] + [Value(last[0])]
+        else:
+            w = Value(*direction, pi)
+            values = [w * r for r in ratios] + [Value(*last, pi)]
+        steps = [KeyStep(i, 1, [], values[i + 1])
+                 for i in range(1, len(values) - 1)]
+        check(GenSeq(ctx, values, steps))
+
+    random_values()
+    for cell in _CELLS:
+        check(_chain_cell(*cell))
 
 
 def test_residue_chain_matches_fresh_closures(monkeypatch):

@@ -729,6 +729,70 @@ def test_lambda_notes(monkeypatch, forged, note):
         ramification_report(g_r, g_s, ext, depth=4)
 
 
+def _corn_transform_detection(unit_exps=True):
+    """fingen_detect of corn against its free transform: three levels with
+    lambda = chi = 1, and an obstruction at level 1.  ``unit_exps`` False
+    drops corn's unit monomial at level 1 once the transform is built."""
+    corn = fixtures.corn()
+    tmap, target = free_transform(corn)
+    if not unit_exps:
+        corn.level(1).unit_exps = None
+    return fingen_detect(corn, target, tmap.extension(), 6)
+
+
+def _scaled_at(base, level, factor):
+    """A subclass of ``base`` whose ``at`` reads ``factor`` times the index
+    at s == level."""
+    class Forged(base):
+        def at(self, s, r):
+            return super().at(s, r) * (factor if s == level else 1)
+
+    return Forged
+
+
+@pytest.mark.parametrize("name", ["RunningIndex", "_Chi"])
+def test_a_lambda_or_chi_drop_skips_its_level_pair(monkeypatch, name):
+    # lambda (or chi) 2, 1, 1: the pair (0, 1) drops, so the first pair
+    # matched is (1, 2), which breaks at level 2 instead of level 1
+    assert _corn_transform_detection().verdict.level == 1
+    monkeypatch.setattr(graded, name, _scaled_at(getattr(graded, name), 0, 2))
+    st = _corn_transform_detection()
+    assert [(l.lam, l.chi) for l in st.levels] == (
+        [(2, 1), (1, 1), (1, 1)] if name == "RunningIndex"
+        else [(1, 2), (1, 1), (1, 1)])
+    assert st.verdict.kind == "obstruction" and st.verdict.level == 2
+    assert st.lines()[3] == ("ObstructionAt(level=2, value mismatch: source "
+                             "key 3 has value 55/8, target key 2 has value "
+                             "7/8)")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("RunningIndex", "lambda increased along the chain"),
+    ("_Chi", "chi increased along the chain")])
+def test_a_lambda_or_chi_rise_is_refused(monkeypatch, name, text):
+    monkeypatch.setattr(graded, name, _scaled_at(getattr(graded, name), 1, 2))
+    with pytest.raises(AssertionError, match=text):
+        _corn_transform_detection()
+
+
+@pytest.mark.parametrize("forged", ["unit monomial", "zero num", "zero den"])
+def test_a_missing_delta_leaves_chi_undefined(monkeypatch, forged):
+    # _delta answers None when a source level has no unit monomial, and
+    # _residue_ratio when either side of the ratio has no residue
+    if forged != "unit monomial":
+        ratio = graded._residue_ratio
+
+        def zeroed(num, den):  # num and den have one value
+            zero = GradedElem(num.genseq, num.point, {})
+            return ratio(num, zero) if forged == "zero den" else ratio(zero, den)
+
+        monkeypatch.setattr(graded, "_residue_ratio", zeroed)
+    st = _corn_transform_detection(forged != "unit monomial")
+    assert [(l.lam, l.chi) for l in st.levels] == [(1, None)] * 3
+    assert st.f is None and st.verdict.level == 1
+    assert "e (stabilized lambda) = 1, f (stabilized chi) = None" in st.lines()
+
+
 def test_lambda_note_names_the_value_outside(monkeypatch):
     # the RunningIndex runs on grid points; the note names the value instead
     class Forged:

@@ -906,7 +906,7 @@ def test_embedding_on_a_finer_grid_answers_in_t_units():
     assert series_value(ctx.y(), emb) == Value(Fraction(3, 2))
     assert series_value(ctx.y() ** 2 - ctx.x() ** 3, emb) == Value(Fraction(59, 18))
     with pytest.raises(ValueError, match="nonzero order -3/4"):
-        emb.residue_of_ratio(ctx.x(), ctx.y())
+        emb.residue_of_ratio([ctx.x(), ctx.y()], (1, 0), (0, 1))
 
 
 def _schoolbook(f, g):

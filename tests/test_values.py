@@ -12,11 +12,11 @@ from valtool.values import (
     ContainmentError,
     Grid,
     IrrationalDescriptor,
+    RunningIndex,
     UndecidedComparison,
     Value,
     covolume,
     lattice_add,
-    lattice_index,
     pi_descriptor,
     value_ratio,
 )
@@ -479,7 +479,7 @@ def test_group_index_refuses_a_subgroup_that_is_not_contained():
 
 def test_containment_error_names_the_first_generator_outside():
     with pytest.raises(ContainmentError) as err:
-        lattice_index([(2, 0)], [(2, 0), (3, 0), (1, 0)])
+        RunningIndex([(2, 0)], [(2, 0), (3, 0), (1, 0)]).at(0, 2)
     assert err.value.index == 1
     big = [Value(2), Value(0, 2, PI)]
     small = [Value(2), Value(1), Value(0, 1, PI)]
