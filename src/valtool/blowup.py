@@ -246,6 +246,7 @@ def _target_steps(g, tmap):
     ctx = tmap.target_ctx
     one, is_zero = ctx.rep(1), ctx.tower.is_zero
     unit = tmap.unit_powers[1]
+    plans = {}  # the target keys' division plans, for step_from_tail
     orders, units = [tmap.nbar, tmap.w], [tmap.a, tmap.b]
     keys, values = [ctx.x(), ctx.y()], [tmap.exceptional_value]
     steps, degree = [], 1  # degree: the Z-degree of the last target key
@@ -300,7 +301,7 @@ def _target_steps(g, tmap):
             continue
         steps.append(step_from_tail(keys, k - 1, step.power,
                                     key - key_power(k - 1, step.power),
-                                    values[-1]))
+                                    values[-1], plans))
         keys.append(key)
     tmap.key_orders, tmap.unit_orders = tuple(orders), tuple(units)
     return values, keys, steps

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 
-from .ring import divmod_y, series_value
+from .ring import _rows, division_plan, divmod_rows, series_value
 from .towers import span_closure
 from .values import INFINITE, INSUFFICIENT_PRECISION, Grid, RunningIndex, Value
 
@@ -139,7 +139,7 @@ class GenSeq:
         self.steps = steps
         self.declared_residues = dict(residues or {})
         self.oracle = oracle
-        self._equal_tails = {}
+        self._equal_tails, self._plans = {}, {}  # by step, by key index
         self._transform = None  # (map, target), built by blowup.free_transform
         # one pass: a running index of the values gives the group jumps; K_i,
         # the ring's field with the residues at levels 1..i, is spanned by the
@@ -269,12 +269,13 @@ class GenSeq:
             len(self.keys), self.values, ", terminal" if self.terminal else "")
 
 
-def step_from_tail(keys, i, power, tail, next_value):
+def step_from_tail(keys, i, power, tail, next_value, plans):
     """The step P_(i+1) = P_i^power + tail, its tail expanded on P_0 .. P_i
     and sorted by exponents; raises :class:`NonMonicKey` when a key the
-    expansion divides by is not monic."""
-    return KeyStep(i, power, [TailTerm(c, e) for e, c in
-                              sorted(_expand_raw(tail, keys, i).items())],
+    expansion divides by is not monic.  ``plans`` keeps the keys' division
+    plans across the steps of one key list (see :func:`_expand_raw`)."""
+    raw = _expand_raw(tail, keys, i, plans)
+    return KeyStep(i, power, [TailTerm(c, e) for e, c in sorted(raw.items())],
                    next_value)
 
 
@@ -288,9 +289,8 @@ def next_key(keys, step):
 
 def monic_of_degree(key, deg):
     """True when key has y-degree deg and y-leading coefficient 1."""
-    lead = [(i, c) for (i, j), c in key.terms.items() if j == deg]
-    return (key.y_degree() == deg and len(lead) == 1 and lead[0][0] == 0
-            and key.ctx.coeff(lead[0][1]) == key.ctx.tower.one())
+    lead = [c for (_, j), c in key.terms.items() if j >= deg]
+    return lead == [key.terms.get((0, deg))] and key.ctx.coeff(lead[0]) == 1
 
 
 def _key_monomial(keys, exps, coeff):
@@ -373,33 +373,36 @@ def expand(f, g):
     """Expansion of f by repeated monic division against the keys of g."""
     if f.is_zero():
         raise PreconditionError("cannot expand zero")
-    raw = _expand_raw(f, g.keys, g.top)
-    terms = [(c, e, g.point(e)) for e, c in raw.items()]
-    return PAdicExpansion(g, terms)
+    raw = _expand_raw(f, g.keys, g.top, g._plans)
+    return PAdicExpansion(g, [(c, e, g.point(e)) for e, c in raw.items()])
 
 
-def _expand_raw(f, keys, top):
-    if top == 1:
-        coeff = f.ctx.coeff
-        return {(i, j): coeff(c) for (i, j), c in f.terms.items()}
-    key = keys[top]
-    deg = key.y_degree()
-    out = {}
-    h = f
-    e = 0
-    while not h.is_zero():
-        if h.y_degree() >= deg:
-            try:
-                q, r = divmod_y(h, key)
-            except ValueError as err:
-                raise NonMonicKey(top) from err
-        else:
-            q, r = f.ctx.zero(), h
-        if not r.is_zero():
-            for sub, c in _expand_raw(r, keys, top - 1).items():
-                out[sub + (e,)] = c
-        h = q
-        e += 1
+def _expand_raw(f, keys, top, plans):
+    """{exponents: coefficient} of f on keys[:top + 1], by division on y-rows.
+
+    Each quotient is the next dividend and each remainder, reduced once,
+    goes straight to the key below.  ``plans`` maps a key's index to its
+    :func:`~valtool.ring.division_plan`, formed at the first division by it.
+    """
+    out, coeff, tower = {}, f.ctx.coeff, f.ctx.tower
+    todo = [(_rows(f.terms), top, ())]  # (dividend, key, exponents above)
+    while todo:
+        rows, top, above = todo.pop()
+        if top == 1:
+            for j, row in rows.items():
+                for i, c in row.items():
+                    out[(i, j) + above] = coeff(c)
+            continue
+        plan = plans[top] = plans.get(top) or division_plan(keys[top])
+        parts, e = [], 0  # the remainders, expanded in order (depth first)
+        while rows:
+            if plan[1] is None and max(rows) >= plan[0]:
+                raise NonMonicKey(top)
+            rows, r = divmod_rows(rows, plan, tower)
+            if r:
+                parts.append((r, top - 1, (e,) + above))
+            e += 1
+        todo += reversed(parts)
     return out
 
 
@@ -605,7 +608,7 @@ def validate_sequence(g):
             ok = g.value_of(lvl.unit_exps) == g.values[i] * lvl.group_jump
             report.add("unit monomial value at level %d" % i, ok,
                        "U exponents %r", lvl.unit_exps)
-        if lvl.residue is None:
+        if lvl.residue is None and g.oracle is None:
             report.warn("level %d residue unknown (no oracle, none declared)" % i)
         if lvl.cap is not None and lvl.group_jump is not None \
                 and lvl.residue_degree is not None and lvl.cap is not INFINITE:

@@ -106,15 +106,15 @@ class RingElem:
     ``terms`` maps exponent pairs (i, j) to raw reps of ``ctx.tower`` (see
     towers.py), computed on with the tower's bound operations; at height 0
     products, sums and division add up raw numbers and reduce each
-    coefficient mod p once.  ``ctx.coeff`` turns a rep into its element.
+    coefficient mod p once, in :func:`_canonical`.  ``ctx.coeff`` turns a
+    rep into its element.
     """
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
-        is_zero = ctx.tower.is_zero
-        self.terms = {e: c for e, c in terms.items() if not is_zero(c)}
+        self.terms = _canonical(terms, ctx.tower)
 
     # -- ring structure ------------------------------------------------------
 
@@ -151,14 +151,14 @@ class RingElem:
                 for (i2, j2), c2 in other.terms.items():
                     e = (i1 + i2, j1 + j2)
                     out[e] = get(e, 0) + c1 * c2
-            return _reduced(self.ctx, out)
-        add, mul = tower.add, tower.mul
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                e = (i1 + i2, j1 + j2)
-                p = mul(c1, c2)
-                s = out.get(e)
-                out[e] = p if s is None else add(s, p)
+        else:
+            add, mul = tower.add, tower.mul
+            for (i1, j1), c1 in self.terms.items():
+                for (i2, j2), c2 in other.terms.items():
+                    e = (i1 + i2, j1 + j2)
+                    p = mul(c1, c2)
+                    s = out.get(e)
+                    out[e] = p if s is None else add(s, p)
         return RingElem(self.ctx, out)
 
     __rmul__ = __mul__
@@ -174,13 +174,13 @@ class RingElem:
             for p, c in pairs:
                 for e, a in p.terms.items():
                     out[e] = get(e, 0) + (a if c is None else a * c)
-            return _reduced(self.ctx, out)
-        add, mul = tower.add, tower.mul
-        for p, c in pairs:
-            for e, a in p.terms.items():
-                prod = a if c is None else mul(a, c)
-                s = out.get(e)
-                out[e] = prod if s is None else add(s, prod)
+        else:
+            add, mul = tower.add, tower.mul
+            for p, c in pairs:
+                for e, a in p.terms.items():
+                    prod = a if c is None else mul(a, c)
+                    s = out.get(e)
+                    out[e] = prod if s is None else add(s, prod)
         return RingElem(self.ctx, out)
 
     def __pow__(self, n):
@@ -261,14 +261,16 @@ class RingElem:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _reduced(ctx, sums):
-    """A height-0 element from sums of raw numbers, past ``__init__``: each
-    sum is reduced mod p (over QQ not at all) and zeros are dropped."""
-    f, p = object.__new__(RingElem), ctx.tower.base.p
-    f.ctx = ctx
-    f.terms = ({e: r for e, c in sums.items() if (r := c % p)} if p
-               else {e: c for e, c in sums.items() if c})
-    return f
+def _canonical(sums, tower):
+    """``sums`` of raw reps without zeros: at height 0 each sum is reduced
+    mod p first, and over QQ a whole Fraction becomes its int."""
+    if tower.levels:
+        is_zero = tower.is_zero
+        return {e: c for e, c in sums.items() if not is_zero(c)}
+    if p := tower.base.p:
+        return {e: r for e, c in sums.items() if (r := c % p)}
+    return {e: c if type(c) is int else _int_if_whole(c)
+            for e, c in sums.items() if c}
 
 
 def _packed_product(f, g):
@@ -321,8 +323,8 @@ def _packed_product(f, g):
     den = fd * gd
     if den > 1:
         for e, c in out.items():
-            out[e] = _int_if_whole(Fraction(c, den))
-    return _reduced(f.ctx, out)
+            out[e] = Fraction(c, den)
+    return RingElem(f.ctx, out)
 
 
 def _integral(f):
@@ -342,13 +344,10 @@ def _max_bits(terms):
 def _packed_rows(terms, b):
     """[(j, lo, n)]: each y-row of ``terms`` as the int n, the sum of
     c 2^(b(i - lo)), lo the row's least x-exponent."""
-    rows = {}
-    for (i, j), c in terms.items():
-        rows.setdefault(j, []).append((i, c))
     out = []
-    for j, row in rows.items():
-        lo = min(i for i, _ in row)
-        out.append((j, lo, sum(c << b * (i - lo) for i, c in row)))
+    for j, row in _rows(terms).items():
+        lo = min(row)
+        out.append((j, lo, sum(c << b * (i - lo) for i, c in row.items())))
     return out
 
 
@@ -358,12 +357,62 @@ def _pow_str(name, e):
     return name if e == 1 else "%s^%d" % (name, e)
 
 
-def _rows(f):
-    """Map j -> {i: raw rep}: f grouped by y-exponent."""
+def _rows(terms):
+    """Map j -> {i: raw rep}: the terms of an element grouped by y-exponent."""
     out = {}
-    for (i, j), c in f.terms.items():
+    for (i, j), c in terms.items():
         out.setdefault(j, {})[i] = c
     return out
+
+
+def division_plan(g):
+    """(d, lead, tail): what a division by g, of y-degree d, reads of g.
+
+    ``lead`` is the inverse of g's y^d coefficient, or None when that is not
+    a constant; ``tail`` is g's rows below y^d, negated, as (j - d, [(i, -c)]).
+    """
+    rows, tower = _rows(g.terms), g.ctx.tower
+    d = max(rows, default=-1)
+    lead, neg = rows.pop(d, {}), tower.neg
+    return (d, tower.inv(lead[0]) if list(lead) == [0] else None,
+            [(j - d, [(i, neg(c)) for i, c in row.items()])
+             for j, row in rows.items()])
+
+
+def divmod_rows(rows, plan, tower):
+    """(quotient, remainder) of the y-rows ``rows``, {j: {i: rep}} with no
+    zero rep, by the divisor of a :func:`division_plan` with a lead; both
+    come back as such y-rows, and ``rows`` is used up.  At height 0 the rows
+    hold raw sums while they are divided: a row's sums are final when it
+    becomes the top row, and are reduced mod p there or, in the remainder,
+    at the end.
+    """
+    (d, lead, tail), q = plan, {}
+    mul, add, is_zero = tower.mul, tower.add, tower.is_zero
+    native = not tower.levels
+    while rows and (top := max(rows)) >= d:
+        qrow = {}  # the top row times lead, canonical as a dividend must be
+        for i, c in rows.pop(top).items():
+            if not is_zero(qc := mul(c, lead)):
+                qrow[i] = _int_if_whole(qc) if type(qc) is Fraction else qc
+        if not qrow:
+            continue
+        q[top - d] = qrow
+        for gj, trow in tail:  # minus qrow * y^(top - d) times g's tail
+            row = rows.setdefault(top + gj, {})
+            get = row.get
+            if native:
+                for i, qc in qrow.items():
+                    for gi, gc in trow:
+                        e = i + gi
+                        row[e] = get(e, 0) + qc * gc
+            else:
+                for i, qc in qrow.items():
+                    for gi, gc in trow:
+                        e, m = i + gi, mul(qc, gc)
+                        row[e] = m if (s := get(e)) is None else add(s, m)
+    return q, rows if not q else {
+        j: r for j, row in rows.items() if (r := _canonical(row, tower))}
 
 
 def divmod_y(f, g):
@@ -372,65 +421,12 @@ def divmod_y(f, g):
     ``g`` must have y-leading coefficient equal to a unit constant (keys
     always do); exactness is literal.
     """
-    tower = f.ctx.tower
-    d = g.y_degree()
-    lead_slice = _rows(g).get(d, {})
-    if list(lead_slice) != [0]:
+    plan = division_plan(g)
+    if plan[1] is None:
         raise ValueError("divisor is not monic in y (leading coeff not constant)")
-    lead_inv = tower.inv(lead_slice[0])
-    rows = _rows(f)  # the remainder, by y-exponent, reduced in place
-    if not tower.levels:
-        return _divmod_native(f.ctx, rows, g, d, lead_inv)
-    mul, sub, neg, is_zero = tower.mul, tower.sub, tower.neg, tower.is_zero
-    # g without its leading y^d, with y-exponents relative to d
-    rest = [(i, j - d, c) for (i, j), c in g.terms.items() if j < d]
-    q = {}
-    while rows:
-        top = max(rows)
-        if top < d:
-            break
-        for i, c in rows.pop(top).items():
-            if is_zero(c):
-                continue
-            qc = mul(c, lead_inv)
-            q[(i, top - d)] = qc
-            for gi, gj, gc in rest:
-                row = rows.setdefault(top + gj, {})
-                e = i + gi
-                prev = row.get(e)
-                p = mul(qc, gc)
-                row[e] = neg(p) if prev is None else sub(prev, p)
-    r = {(i, j): c for j, row in rows.items() for i, c in row.items()}
-    return RingElem(f.ctx, q), RingElem(f.ctx, r)
-
-
-def _divmod_native(ctx, rows, g, d, lead_inv):
-    """divmod_y's loop at height 0, on raw numbers: a row's sums are final
-    when it becomes the top row, and are reduced mod p there or at the end."""
-    p = ctx.tower.base.p
-    rest = {}  # y-exponent relative to d -> [(i, -c)]: g's tail, negated
-    for (i, j), c in g.terms.items():
-        if j < d:
-            rest.setdefault(j - d, []).append((i, -c))
-    rest = list(rest.items())
-    q = {}
-    while rows:
-        top = max(rows)
-        if top < d:
-            break
-        for i, c in rows.pop(top).items():
-            qc = c * lead_inv % p if p else c * lead_inv
-            if not qc:
-                continue
-            q[(i, top - d)] = qc
-            for gj, tail in rest:
-                row = rows.setdefault(top + gj, {})
-                get = row.get
-                for gi, gc in tail:
-                    e = i + gi
-                    row[e] = get(e, 0) + qc * gc
-    r = {(i, j): c for j, row in rows.items() for i, c in row.items()}
-    return _reduced(ctx, q), _reduced(ctx, r)
+    return tuple(RingElem(f.ctx, {(i, j): c for j, row in rows.items()
+                                 for i, c in row.items()})
+                 for rows in divmod_rows(_rows(f.terms), plan, f.ctx.tower))
 
 
 def substitute(f, images):
@@ -463,7 +459,7 @@ def _evaluate(f, xp, yp, zero, lift):
     truncation (Horner in gy would not).
     """
     coeff = f.ctx.coeff
-    rows = _rows(f)
+    rows = _rows(f.terms)
     _powers(xp, max((i for i, _ in f.terms), default=0))
     _powers(yp, max(rows, default=0))
     out = zero

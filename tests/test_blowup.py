@@ -842,7 +842,7 @@ def _read_back(ctx, values, keys, powers, **kwargs):
     """A sequence on ``keys``, kept as given, each step read off its key's
     tail P_(i+1) - P_i^(n_i) by `step_from_tail`."""
     steps = [step_from_tail(keys, i, n, keys[i + 1] - keys[i] ** n,
-                            values[i + 1])
+                            values[i + 1], {})
              for i, n in enumerate(powers, start=1)]
     return GenSeq(ctx, values, steps, keys=keys, **kwargs)
 

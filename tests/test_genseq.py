@@ -1,4 +1,7 @@
+import functools
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -349,6 +352,14 @@ def test_oracle_residue_failures_are_reported(edit, line):
     text = valtool.scenario_path("v1").read_text().replace(*edit)
     lines = validate_sequence(parse_scenario(text).valuations["nu"]).lines()
     assert line in lines
+    # with an oracle a missing residue is that FAIL, not an unknown one
+    assert not any("residue unknown" in text for text in lines)
+
+
+def test_a_residue_neither_declared_nor_computable_is_warned():
+    g = _chain(2)
+    lines = validate_sequence(GenSeq(g.ctx, g.values, g.steps)).lines()
+    assert "WARN level 1 residue unknown (no oracle, none declared)" in lines
 
 
 def test_all_fixture_sequences_validate():
@@ -469,7 +480,7 @@ def test_step_from_tail_reads_back_the_steps_of_kept_keys():
     g = _chain(4)
     steps = [step_from_tail(g.keys, s.index, s.power,
                             g.keys[s.index + 1] - g.keys[s.index] ** s.power,
-                            s.next_value) for s in g.steps]
+                            s.next_value, {}) for s in g.steps]
     h = GenSeq(g.ctx, g.values, steps, residues=g.declared_residues,
                keys=g.keys)
     assert all(a is b for a, b in zip(h.keys, g.keys, strict=True))
@@ -486,7 +497,7 @@ def test_step_from_tail_reads_back_the_steps_of_kept_keys():
     # a tail over a key that is not monic in y cannot be expanded
     keys = [g.ctx.x(), g.ctx.y(), P(g, "y^2 - x^3 + x*y^3")]
     with pytest.raises(NonMonicKey) as err:
-        step_from_tail(keys, 2, 2, P(g, "y^3"), Value(8))
+        step_from_tail(keys, 2, 2, P(g, "y^3"), Value(8), {})
     assert err.value.index == 2
 
 
@@ -695,3 +706,165 @@ def test_validation_grows_one_residue_closure(monkeypatch):
         below = [ok for name, ok, _ in report.checks
                  if name.startswith("minimal-polynomial coefficients live")]
         assert below and all(below)
+
+
+# -- expansion on y-rows ----------------------------------------------------------
+
+def _expand_by_divmod(f, keys, top):
+    """The reference expansion: a loop of divmod_y calls on ring elements."""
+    if top == 1:
+        return {(i, j): f.ctx.coeff(c) for (i, j), c in f.terms.items()}
+    out, h, e = {}, f, 0
+    while not h.is_zero():
+        q, r = f.ctx.zero(), h
+        if h.y_degree() >= keys[top].y_degree():
+            try:
+                q, r = ring.divmod_y(h, keys[top])
+            except ValueError as err:
+                raise NonMonicKey(top) from err
+        if not r.is_zero():
+            for sub, c in _expand_by_divmod(r, keys, top - 1).items():
+                out[sub + (e,)] = c
+        h, e = q, e + 1
+    return out
+
+
+def _qi_keys():
+    """corn's key shapes over Q(i), with i in their tails."""
+    tower = ResidueTower(QQ).extend("i", [1, 0])
+    ctx = LocalRingCtx(tower, ("x", "y"))
+    consts = {"i": tower.gen("i")}
+    p2 = parse_poly("y^2 - i*x^3", ctx, consts=consts)
+    p3 = p2 ** 2 - parse_poly("(1 + i)*x^5*y + x^8", ctx, consts=consts)
+    return [ctx.x(), ctx.y(), p2, p3]
+
+
+_EXPANSION_CELLS = {"d%d-%s-rank%d" % c: c for c in _CELLS if c[0] in (2, 3)}
+_EXPANSION_CELLS.update(corn=None, qi=None)
+
+
+@functools.cache
+def _expansion_case(name):
+    """(keys, sequence or None, scalars) of a named cell, built once."""
+    if name == "qi":
+        keys, g = _qi_keys(), None
+    else:
+        g = fixtures.corn() if name == "corn" else _chain_cell(
+            *_EXPANSION_CELLS[name])
+        keys = g.keys
+    tower = keys[0].ctx.tower
+    scalars = [tower.scalar(c) for c in (1, -1, 2, Fraction(1, 2))
+               if tower.base.p != 2 or c in (1, -1)]
+    if tower.height:
+        scalars += [tower.gen("i"), tower.gen("i") - 3]
+    return keys, g, scalars
+
+
+def _random_element(data, keys, scalars):
+    """A sum of monomials reaching past the top key's y-degree, plus a
+    multiple of a product of two keys."""
+    st = pytest.importorskip("hypothesis").strategies
+    ctx, top_degree = keys[0].ctx, keys[-1].y_degree()
+    f = ctx.zero()
+    for c, i, j in data.draw(st.lists(st.tuples(
+            st.sampled_from(scalars), st.integers(0, 6),
+            st.integers(0, 2 * top_degree + 1)), min_size=1, max_size=6)):
+        f = f + ctx.monomial(i, j, c)
+    a, b = data.draw(st.tuples(st.integers(0, len(keys) - 1),
+                               st.integers(0, len(keys) - 1)))
+    return f + keys[a] * keys[b] * data.draw(st.sampled_from(scalars))
+
+
+def test_row_expansion_matches_the_divmod_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        keys, g, scalars = _expansion_case(
+            data.draw(st.sampled_from(sorted(_EXPANSION_CELLS))))
+        f = _random_element(data, keys, scalars)
+        hypothesis.assume(not f.is_zero())
+        top = len(keys) - 1
+        got = genseq._expand_raw(f, keys, top, {})
+        assert got == _expand_by_divmod(f, keys, top)
+        assert sum((genseq._key_monomial(keys, e, c) for e, c in got.items()),
+                   f.ctx.zero()) == f
+        if g is not None:  # through the sequence's kept plans
+            exp = expand(f, g)
+            assert {e: c for c, e, _ in exp.grid_terms} == got
+            assert exp.reconstruct() == f
+
+    check()
+
+
+def test_a_key_not_monic_stops_both_expansions_at_the_same_key():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def outcome(expansion, *args):
+        try:
+            return expansion(*args)
+        except NonMonicKey as err:
+            return "key %d is not monic" % err.index
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        keys, _, scalars = _expansion_case(
+            data.draw(st.sampled_from(sorted(_EXPANSION_CELLS))))
+        k = data.draw(st.integers(2, len(keys) - 1))
+        ctx = keys[0].ctx
+        keys = list(keys)  # key k gets the y-leading coefficient 1 + x
+        keys[k] = keys[k] + ctx.x() * ctx.y() ** keys[k].y_degree()
+        f = _random_element(data, keys, scalars)
+        hypothesis.assume(not f.is_zero())
+        top = len(keys) - 1
+        assert (outcome(genseq._expand_raw, f, keys, top, {})
+                == outcome(_expand_by_divmod, f, keys, top))
+
+    check()
+    keys, _, _ = _expansion_case("corn")
+    keys = keys[:3] + [keys[3] + keys[0] * keys[1] ** 4]
+    with pytest.raises(NonMonicKey) as err:
+        genseq._expand_raw(keys[1] ** 5, keys, 3, {})
+    assert err.value.index == 3
+
+
+def test_a_sequence_forms_each_key_plan_once_and_keeps_it_alone(monkeypatch):
+    formed, plan = [], genseq.division_plan
+
+    def counting(key):
+        formed.append(key)
+        return plan(key)
+
+    monkeypatch.setattr(genseq, "division_plan", counting)
+    g = _chain(4)
+    elements = [g.keys[i] ** 2 for i in range(1, g.top + 1)]
+    elements += [g.keys[-1] * g.keys[2] + g.ctx.monomial(i, j, 3)
+                 for i in range(4) for j in range(9)]
+    for _ in range(2):
+        for f in elements:
+            evaluate(f, g)
+            initial_form(f, g)
+    assert sorted(map(id, formed)) == sorted(map(id, g.keys[2:]))
+    # a sequence on the same keys forms its own plans, and takes them along
+    # when it is dropped: nothing keeps plans by key or by sequence
+    formed.clear()
+    h = GenSeq(g.ctx, g.values, g.steps, residues=g.declared_residues,
+               keys=g.keys)
+    for f in elements:
+        evaluate(f, h)
+    assert sorted(map(id, formed)) == sorted(map(id, g.keys[2:]))
+    dropped = weakref.ref(h)
+    del h
+    gc.collect()
+    assert dropped() is None
+    # the parser and a transform's target steps read all tails of a key list
+    # against one set of plans
+    formed.clear()
+    for name in _SCENARIOS:
+        _shipped(name)
+    free_transform(_chain(4))
+    assert formed and len(set(map(id, formed))) == len(formed)

@@ -10,6 +10,7 @@ from valtool import fixtures, ring
 from valtool.blowup import free_transform
 from valtool.cli import main
 from valtool.extension import ExtensionMap
+from valtool.genseq import GenSeq, KeyStep, TailTerm, expand
 from valtool.scenario import parse_scenario
 from valtool.ring import (
     INSUFFICIENT_PRECISION,
@@ -347,6 +348,24 @@ def test_divmod_y(ctx):
     q, r = divmod_y(f, g)
     assert q * g + r == f
     assert r.y_degree() < 2
+
+
+def test_whole_rationals_are_kept_as_ints(ctx):
+    # Fraction inputs with whole results hold ints, as BaseField keeps them
+    def whole(f):
+        return f.terms and all(type(c) is int for c in f.terms.values())
+
+    x, y, half = ctx.x(), ctx.y(), Fraction(1, 2)
+    assert whole((x * half) * (y * 2))  # a product
+    assert whole(x * Fraction(3, 2) + x * half)  # a row sum
+    q, r = divmod_y(y ** 2 + x * y * Fraction(3, 2) + x ** 2 * Fraction(3, 2),
+                    y + x * half)
+    assert (q, r) == (y + x, x ** 2) and whole(q) and whole(r)
+    g = GenSeq(ctx, [1, Fraction(3, 2), 4],  # P_2 = y^2 - x^3 / 2
+               [KeyStep(1, 2, [TailTerm(-half, (3, 0))], Value(4))])
+    terms = expand(y ** 2 + x ** 3 * half, g).grid_terms  # P_2 + x^3
+    assert {e: c for c, e, _ in terms} == {(3, 0, 0): 1, (0, 0, 1): 1}
+    assert all(type(c.rep) is int for c, _, _ in terms)
 
 
 @pytest.mark.parametrize("tower, ks", KERNEL_CASES)
