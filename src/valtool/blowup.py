@@ -246,7 +246,6 @@ def _target_steps(g, tmap):
     ctx = tmap.target_ctx
     one, is_zero = ctx.rep(1), ctx.tower.is_zero
     unit = tmap.unit_powers[1]
-    plans = {}  # the target keys' division plans, for step_from_tail
     orders, units = [tmap.nbar, tmap.w], [tmap.a, tmap.b]
     keys, values = [ctx.x(), ctx.y()], [tmap.exceptional_value]
     steps, degree = [], 1  # degree: the Z-degree of the last target key
@@ -299,9 +298,8 @@ def _target_steps(g, tmap):
         values.append(g.values[k + 1] - tmap.exceptional_value * drop)
         if k == 1:
             continue
-        steps.append(step_from_tail(keys, k - 1, step.power,
-                                    key - key_power(k - 1, step.power),
-                                    values[-1], plans))
+        tail = key - key_power(k - 1, step.power)
+        steps.append(step_from_tail(keys, k - 1, step.power, tail, values[-1]))
         keys.append(key)
     tmap.key_orders, tmap.unit_orders = tuple(orders), tuple(units)
     return values, keys, steps

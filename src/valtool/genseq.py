@@ -139,7 +139,7 @@ class GenSeq:
         self.steps = steps
         self.declared_residues = dict(residues or {})
         self.oracle = oracle
-        self._equal_tails, self._plans = {}, {}  # by step, by key index
+        self._equal_tails = {}  # by step
         self._transform = None  # (map, target), built by blowup.free_transform
         # one pass: a running index of the values gives the group jumps; K_i,
         # the ring's field with the residues at levels 1..i, is spanned by the
@@ -269,12 +269,11 @@ class GenSeq:
             len(self.keys), self.values, ", terminal" if self.terminal else "")
 
 
-def step_from_tail(keys, i, power, tail, next_value, plans):
+def step_from_tail(keys, i, power, tail, next_value):
     """The step P_(i+1) = P_i^power + tail, its tail expanded on P_0 .. P_i
     and sorted by exponents; raises :class:`NonMonicKey` when a key the
-    expansion divides by is not monic.  ``plans`` keeps the keys' division
-    plans across the steps of one key list (see :func:`_expand_raw`)."""
-    raw = _expand_raw(tail, keys, i, plans)
+    expansion divides by is not monic."""
+    raw = _expand_raw(tail, keys, i)
     return KeyStep(i, power, [TailTerm(c, e) for e, c in sorted(raw.items())],
                    next_value)
 
@@ -373,16 +372,16 @@ def expand(f, g):
     """Expansion of f by repeated monic division against the keys of g."""
     if f.is_zero():
         raise PreconditionError("cannot expand zero")
-    raw = _expand_raw(f, g.keys, g.top, g._plans)
+    raw = _expand_raw(f, g.keys, g.top)
     return PAdicExpansion(g, [(c, e, g.point(e)) for e, c in raw.items()])
 
 
-def _expand_raw(f, keys, top, plans):
+def _expand_raw(f, keys, top):
     """{exponents: coefficient} of f on keys[:top + 1], by division on y-rows.
 
     Each quotient is the next dividend and each remainder, reduced once,
-    goes straight to the key below.  ``plans`` maps a key's index to its
-    :func:`~valtool.ring.division_plan`, formed at the first division by it.
+    goes straight to the key below, against the key's kept
+    :func:`~valtool.ring.division_plan`.
     """
     out, coeff, tower = {}, f.ctx.coeff, f.ctx.tower
     todo = [(_rows(f.terms), top, ())]  # (dividend, key, exponents above)
@@ -393,7 +392,7 @@ def _expand_raw(f, keys, top, plans):
                 for i, c in row.items():
                     out[(i, j) + above] = coeff(c)
             continue
-        plan = plans[top] = plans.get(top) or division_plan(keys[top])
+        plan = division_plan(keys[top])
         parts, e = [], 0  # the remainders, expanded in order (depth first)
         while rows:
             if plan[1] is None and max(rows) >= plan[0]:

@@ -15,7 +15,7 @@ finite generation" or "obstruction witnessed", never a theorem.
 from __future__ import annotations
 
 from .genseq import initial_form, residue_sum, sigma_indices
-from .towers import LinearSolver, TowerElem, power, span_closure
+from .towers import LinearSolver, TowerElem, span_closure
 from .values import INFINITE, ContainmentError, RunningIndex
 
 
@@ -38,9 +38,6 @@ class GradedElem:
     def value(self):
         return self.genseq.grid.value(self.point)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __add__(self, other):
         if other.genseq is not self.genseq or other.point != self.point:
             raise ValueError("graded addition needs one homogeneous piece")
@@ -50,24 +47,9 @@ class GradedElem:
             out[e] = c if s is None else s + c
         return GradedElem(self.genseq, self.point, out)
 
-    def __neg__(self):
-        return GradedElem(self.genseq, self.point,
-                          {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, GradedElem):
-            out = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    p = c1 * c2
-                    s = out.get(e)
-                    out[e] = p if s is None else s + p
-            (a0, a1), (b0, b1) = self.point, other.point
-            return GradedElem(self.genseq, (a0 + b0, a1 + b1), out)
+            return _monomial(self.genseq, [self, other], [1, 1])
         # scalar from the tower
         return GradedElem(self.genseq, self.point,
                           {e: c * other for e, c in self.coeffs.items()})
@@ -75,16 +57,12 @@ class GradedElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return power(self, n, graded_one(self.genseq))
+        return _monomial(self.genseq, [self], [n])
 
     def __eq__(self, other):
         return (isinstance(other, GradedElem) and self.genseq is other.genseq
                 and self.point == other.point
                 and _dict_eq(self.coeffs, other.coeffs))
-
-    def __hash__(self):
-        return hash((self.point, tuple(sorted(
-            (e, hash(c)) for e, c in self.coeffs.items()))))
 
     def __repr__(self):
         if not self.coeffs:
@@ -109,10 +87,6 @@ def _key_name(g, i):
 def _monomial_str(g, exps):
     return "*".join("in(%s)%s" % (_key_name(g, i), "^%d" % e if e > 1 else "")
                     for i, e in enumerate(exps) if e > 0)
-
-
-def graded_one(g):
-    return GradedElem(g, (0, 0), {tuple([0] * len(g.keys)): g.ctx.tower.one()})
 
 
 def key_initial(g, i):
@@ -394,60 +368,61 @@ def _products_of_value(gens, target, g):
 
     ``target`` is a :class:`Value` or a point of g's grid, where ``gens``
     lie.  The exponent vectors come lazily from one integer walk on the
-    grid; a product is formed only for an exact hit, by :func:`_monomial`
-    (in one step when every generator it uses is a single term, else from
-    cached graded powers).
+    grid; a product is formed only for an exact hit, by :func:`_monomial`.
     """
-    powers = [[gen] for gen in gens]  # powers[i][k - 1] = gens[i]^k
     for exps in g.grid.sums([gen.point for gen in gens], target):
-        yield exps, _monomial(g, gens, exps, powers)
+        yield exps, _monomial(g, gens, exps)
 
 
-def _monomial(g, gens, exps, powers=None):
+def _monomial(g, gens, exps):
     """The product of gens[i] ** exps[i] in g's graded ring.
 
-    When every factor that occurs is a single term, so is the product
-    before reduction: its exponent vector and point are the sums of
-    theirs and its coefficient the product of theirs, formed on raw tower
-    reps past the coefficients equal to one, and it is normalized once.
-    The reduced basis makes normal forms unique, so this is the chained
-    product.
-    Otherwise the factors are multiplied as graded elements from the
-    powers in ``powers`` (powers[i][k - 1] = gens[i] ** k, grown here and
-    kept across calls when given).
+    Every graded product is formed here.  The single-term factors make one
+    term: its exponent vector and point are the sums of theirs and its
+    coefficient the product of theirs, formed on raw tower reps past the
+    coefficients equal to one.  Each multi-term factor is then multiplied
+    into the terms so far, which are reduced after each, so they stay
+    within the piece's reduced basis.  The reduced basis makes normal forms
+    unique, so this is the chained product.  A negative exponent raises
+    ValueError.
     """
-    used = [(i, k) for i, k in enumerate(exps) if k]
-    if all(len(gens[i].coeffs) == 1 for i, _ in used):
-        tower = g.ctx.tower
-        one, mul = tower.one_rep, tower.mul
-        out, p0, p1, rep, unit = [0] * len(g.keys), 0, 0, None, None
-        for i, k in used:
-            gen = gens[i]
-            (e, c), = gen.coeffs.items()
-            for slot, a in enumerate(e):
-                if a:
-                    out[slot] += k * a
-            p0 += k * gen.point[0]
-            p1 += k * gen.point[1]
-            if c.rep == one:
-                unit = c
-                continue
-            for _ in range(k):
-                rep = c.rep if rep is None else mul(rep, c.rep)
-        if rep is not None:
-            unit = TowerElem(tower, rep)
-        elif unit is None:
-            unit = tower.one()
-        return GradedElem(g, (p0, p1), {tuple(out): unit})
-    if powers is None:
-        powers = [[gen] for gen in gens]
-    prod = None
-    for i, k in used:
-        pw = powers[i]
-        while len(pw) < k:
-            pw.append(pw[-1] * pw[0])
-        prod = pw[k - 1] if prod is None else prod * pw[k - 1]
-    return graded_one(g) if prod is None else prod
+    tower = g.ctx.tower
+    one, mul = tower.one_rep, tower.mul
+    out, p0, p1, rep, unit, multi = [0] * len(g.keys), 0, 0, None, None, []
+    for gen, k in zip(gens, exps):
+        if k < 0:
+            raise ValueError("negative powers are not graded elements")
+        if not k:
+            continue
+        p0 += k * gen.point[0]
+        p1 += k * gen.point[1]
+        if len(gen.coeffs) != 1:
+            multi += [gen.coeffs] * k
+            continue
+        (e, c), = gen.coeffs.items()
+        for slot, a in enumerate(e):
+            if a:
+                out[slot] += k * a
+        if c.rep == one:
+            unit = c
+            continue
+        for _ in range(k):
+            rep = c.rep if rep is None else mul(rep, c.rep)
+    if rep is not None:
+        unit = TowerElem(tower, rep)
+    elif unit is None:
+        unit = tower.one()
+    terms = {tuple(out): unit}
+    for factor in multi:
+        prod = {}
+        for e1, c1 in terms.items():
+            for e2, c2 in factor.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                p = c1 * c2
+                s = prod.get(e)
+                prod[e] = p if s is None else s + p
+        terms = _normalize(g, prod)
+    return GradedElem(g, (p0, p1), terms)
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,12 @@ class RingElem:
     rep into its element.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "terms", "plan")
 
     def __init__(self, ctx, terms):
         self.ctx = ctx
         self.terms = _canonical(terms, ctx.tower)
+        self.plan = None  # see division_plan
 
     # -- ring structure ------------------------------------------------------
 
@@ -229,6 +230,7 @@ class RingElem:
         f = object.__new__(RingElem)  # the terms are nonzero already
         f.ctx = self.ctx
         f.terms = {(i + di, j + dj): c for (i, j), c in self.terms.items()}
+        f.plan = None
         return f
 
     def leading_unit_normalized(self):
@@ -370,13 +372,16 @@ def division_plan(g):
 
     ``lead`` is the inverse of g's y^d coefficient, or None when that is not
     a constant; ``tail`` is g's rows below y^d, negated, as (j - d, [(i, -c)]).
+    The plan is formed at the first call and kept on g, which never changes.
     """
-    rows, tower = _rows(g.terms), g.ctx.tower
-    d = max(rows, default=-1)
-    lead, neg = rows.pop(d, {}), tower.neg
-    return (d, tower.inv(lead[0]) if list(lead) == [0] else None,
-            [(j - d, [(i, neg(c)) for i, c in row.items()])
-             for j, row in rows.items()])
+    if g.plan is None:
+        rows, tower = _rows(g.terms), g.ctx.tower
+        d = max(rows, default=-1)
+        lead, neg = rows.pop(d, {}), tower.neg
+        g.plan = (d, tower.inv(lead[0]) if list(lead) == [0] else None,
+                  [(j - d, [(i, neg(c)) for i, c in row.items()])
+                   for j, row in rows.items()])
+    return g.plan
 
 
 def divmod_rows(rows, plan, tower):

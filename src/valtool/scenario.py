@@ -368,7 +368,7 @@ def _build_valuation(scenario, name, state, line):
     if "values" not in state or len(state["values"]) != 2:
         raise ScenarioError("valuation %r needs 'values b0 b1'" % name, line)
     values = list(state["values"])
-    keys, tails, plans = [ctx.x(), ctx.y()], [], {}  # tails: (power, tail)
+    keys, tails = [ctx.x(), ctx.y()], []  # tails: (power, tail)
     for idx, (power, vtext, ttext, kline) in enumerate(state.get("keys", ()),
                                                        start=1):
         values.append(_parse_value(vtext, scenario, kline))
@@ -391,7 +391,7 @@ def _build_valuation(scenario, name, state, line):
             raise ScenarioError("oracle %r lives on a different ring" % oname,
                                 oline)
     try:
-        steps = [step_from_tail(keys, i, power, tail, values[i + 1], plans)
+        steps = [step_from_tail(keys, i, power, tail, values[i + 1])
                  for i, (power, tail) in enumerate(tails, start=1)]
         return GenSeq(ctx, values, steps, keys=keys, oracle=oracle,
                       residues={k: c for k, (c, _) in alphas.items()},

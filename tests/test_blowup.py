@@ -26,7 +26,7 @@ from valtool.towers import QQ, BaseField, ResidueTower, TowerElem
 from valtool.values import INFINITE, Value
 
 from test_genseq import _SCENARIOS, _chain_cell, _shipped
-from test_graded import _chain
+from test_graded import _chain, _v1_declared
 from test_reports import _reparametrised
 
 
@@ -644,6 +644,29 @@ def test_extending_a_chain_builds_one_more_target(name, monkeypatch):
         assert new.map is old.map and new.target is old.target
 
 
+@pytest.mark.parametrize("forged, message", [
+    ({"group_jump": None}, "first level has no finite group jump"),
+    ({"group_jump": INFINITE}, "first level has no finite group jump"),
+    ({"unit_exps": None}, "first level has no unit monomial"),
+    ({"unit_exps": (4,)}, "jump 2 and unit exponent 4 are not coprime"),
+], ids=["no jump", "rank jump", "no unit monomial", "not coprime"])
+def test_a_first_level_with_no_chart_is_refused(monkeypatch, forged, message):
+    # no valid sequence reaches these: the first level's data is forged
+    g = fixtures.v1()
+    for name, value in forged.items():
+        monkeypatch.setattr(g.level(1), name, value)
+    with pytest.raises(TransformError) as err:
+        free_transform(g)
+    assert str(err.value) == message
+
+
+def test_recentering_without_the_first_residue_is_refused():
+    g = _v1_declared([(-1, (3,))])  # no residue and no oracle
+    with pytest.raises(TransformError) as err:
+        free_transform(g)
+    assert str(err.value) == "recentering needs the first-level residue"
+
+
 def test_a_failed_transform_raises_on_every_call():
     target = iterate_transforms(fixtures.corn(), 1).steps[0].target
     messages = []
@@ -842,7 +865,7 @@ def _read_back(ctx, values, keys, powers, **kwargs):
     """A sequence on ``keys``, kept as given, each step read off its key's
     tail P_(i+1) - P_i^(n_i) by `step_from_tail`."""
     steps = [step_from_tail(keys, i, n, keys[i + 1] - keys[i] ** n,
-                            values[i + 1], {})
+                            values[i + 1])
              for i, n in enumerate(powers, start=1)]
     return GenSeq(ctx, values, steps, keys=keys, **kwargs)
 

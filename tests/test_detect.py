@@ -26,14 +26,14 @@ from valtool import graded
 from valtool.blowup import free_transform
 from valtool.extension import ramification_report
 from valtool.genseq import initial_form, residue_sum, sigma_indices
-from valtool.graded import (GradedElem, fingen_detect, graded_one,
-                            graded_piece_basis, key_initial,
-                            subalgebra_membership)
+from valtool.graded import (GradedElem, fingen_detect, graded_piece_basis,
+                            key_initial, subalgebra_membership)
 from valtool.scenario import parse_scenario
 from valtool.values import INFINITE, RunningIndex
 
 from subfields import value_index
 from test_genseq import _chain_cell, semigroup_membership
+from test_graded import _graded_one
 
 DETECT = Path(__file__).resolve().parent / "data" / "detect"
 CELLS = ([(d, b, 1) for d in (1, 2, 3) for b in ("Q", "GF2", "GF3")]
@@ -157,7 +157,7 @@ def test_certificates_multiply_out_to_the_images(case):
             total = GradedElem(g_s, image.point, {})
             for gexps, c in st.certificates[j].certificate:
                 assert len(gexps) == s + 1, (title, j)
-                term = graded_one(g_s)
+                term = _graded_one(g_s)
                 for gen, k in zip(gens, gexps):
                     term = term * gen ** k
                 total = total + term * c
@@ -205,7 +205,8 @@ def _two_term(g, gens):
 
 
 def _chained(g, gens, exps):
-    term = graded_one(g)
+    """The product one factor at a time, each step reduced on its own."""
+    term = _graded_one(g)
     for gen, k in zip(gens, exps):
         term = term * gen ** k
     return term
@@ -221,7 +222,7 @@ def test_single_term_monomials_equal_the_chained_products():
         case = data.draw(st.sampled_from(GEN_CASES))
         sets = _generator_sets(case)
         _, g_s, _, _, gens = sets[data.draw(st.integers(0, len(sets) - 1))]
-        # a multi-term factor takes the chained path for the whole product
+        # a multi-term factor is multiplied into the single-term product
         extra = _two_term(g_s, gens) if data.draw(st.booleans()) else None
         if extra is not None:
             gens = gens + [extra]
@@ -235,22 +236,23 @@ def test_single_term_monomials_equal_the_chained_products():
 
 @pytest.mark.parametrize("case", GEN_CASES)
 def test_single_term_generators_form_no_graded_product(case, monkeypatch):
-    # the closed-form images and the key initials are single terms, so
-    # their monomials never pass through GradedElem.__mul__
-    calls = []
-    mul = GradedElem.__mul__
+    # the closed-form images and the key initials are single terms, so a
+    # monomial in them is formed in one step: one graded element is built
+    built = []
+    init = GradedElem.__init__
 
-    def counting(self, other):
-        calls.append(1)
-        return mul(self, other)
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
 
     for _, g_s, _, _, gens in _generator_sets(case):
         single = [gen for gen in gens if len(gen.coeffs) == 1]
         want = [_chained(g_s, single, [2] * len(single))]
-        monkeypatch.setattr(GradedElem, "__mul__", counting)
+        built.clear()
+        monkeypatch.setattr(GradedElem, "__init__", counting)
         got = [graded._monomial(g_s, single, [2] * len(single))]
         monkeypatch.undo()
-        assert got == want and not calls, case
+        assert got == want and len(built) == 1, case
 
 
 @pytest.mark.parametrize("case", GEN_CASES)

@@ -47,6 +47,15 @@ def test_local_degree_examples():
                               "e*f, got 4 vs 2")
 
 
+def test_a_quotient_that_is_no_power_of_p_is_refused():
+    for name, noun in (("ostrowski", "[K*:K]"),
+                       ("local-degree", "local degree")):
+        with pytest.raises(InconsistentRamification) as err:
+            index_defect(12, 2, 1, 2, name)
+        assert str(err.value) == ("%s quotient 6 is not a power of p = 2"
+                                  % noun)
+
+
 def test_extension_map_guards():
     ctx = LocalRingCtx(ResidueTower(QQ), ("u", "v"))
     tgt = LocalRingCtx(ResidueTower(QQ), ("x", "y"))

@@ -1,7 +1,10 @@
 import functools
 import gc
+import io
+import itertools
 import random
 import weakref
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -9,10 +12,12 @@ import pytest
 import valtool
 from valtool import fixtures, genseq, ring
 from valtool.blowup import free_transform, iterate_transforms
+from valtool.cli import main
 from valtool.genseq import (
     GenSeq,
     InsufficientGeneratingData,
     KeyStep,
+    MissingResidueData,
     NonMonicKey,
     PreconditionError,
     TailTerm,
@@ -32,7 +37,7 @@ from valtool.towers import QQ, BaseField, ResidueTower, span_closure
 from valtool.values import INFINITE, Value, pi_descriptor
 
 from subfields import field_index, order_modulo
-from test_graded import _IDENTITY_RING, _chain
+from test_graded import _IDENTITY_RING, _chain, _v1_declared
 
 
 @pytest.fixture
@@ -362,6 +367,69 @@ def test_a_residue_neither_declared_nor_computable_is_warned():
     assert "WARN level 1 residue unknown (no oracle, none declared)" in lines
 
 
+def _not_passed(g):
+    return [line for line in validate_sequence(g).lines()
+            if not line.startswith("PASS")]
+
+
+@pytest.mark.parametrize("term", [(-1, 3), (0, 0, 1), (1, 2)],
+                         ids=["negative", "key above i", "at its bound"])
+def test_a_tail_exponent_out_of_bounds_fails_validation(term):
+    # x^-1*y^3, P2 and x*y^2 in P2's own tail, each above the value 3
+    g = _v1_declared([(-1, (3,)), (1, term)], residues={1: 1, 2: 1},
+                     keys=["x", "y", "y^2 - x^3"])
+    assert _not_passed(g) == ["FAIL tail exponent bounds at step 1"]
+
+
+def test_a_tail_term_past_the_residue_degree_fails_validation():
+    # y^2 has the leading value: top multiplicity 1 where f_1 has degree 1
+    g = _v1_declared([(-1, (3,)), (1, (0, 2))], residues={1: 1, 2: 1},
+                     keys=["x", "y", "y^2 - x^3"])
+    assert _not_passed(g) == [
+        "FAIL tail exponent bounds at step 1",
+        "FAIL tail exponent within minimal-polynomial range at step 1: "
+        "term (0, 2) has top multiplicity 1 >= d=1"]
+
+
+def test_a_minimal_polynomial_coefficient_not_computable_is_warned(
+        monkeypatch):
+    g = _v1_declared([(-1, (3,))], residues={1: 1, 2: 1})
+
+    def missing(exps, g):
+        raise MissingResidueData("forged")
+
+    monkeypatch.setattr(genseq, "residue_of_monomial", missing)
+    assert _not_passed(g) == [
+        "WARN minimal-polynomial coefficient at step 1 not computable: forged"]
+
+
+def test_a_rank_jump_before_the_last_level_is_refused():
+    tower = ResidueTower(QQ)
+    ctx = LocalRingCtx(tower, ("x", "y"))
+    pi = Value(0, 1, pi_descriptor())
+    values = [Value(1), pi, pi * 2 + Value(1)]
+    with pytest.raises(ValueError, match="^rational-rank jump at level 1 "
+                                         "must end the sequence$"):
+        GenSeq(ctx, values, [KeyStep(1, 2, [], values[2])])
+
+
+def test_a_top_level_of_unknown_residue_is_reduced_below_its_jump():
+    # with no residue and no oracle the top level's cap is unknown: only
+    # exponents below its group jump count as reduced, and sigma keeps it
+    g = _v1_declared([(-1, (3,))])
+    top = g.level(2)
+    assert (top.cap, top.group_jump, top.residue_degree) == (None, 1, None)
+    assert genseq._is_reduced((5, 1, 0), g)
+    assert not genseq._is_reduced((0, 1, 1), g)
+    assert sigma_indices(g) == [0, 1, 2]
+    chain = _chain(1)  # the top jump is 2
+    h = GenSeq(chain.ctx, chain.values, chain.steps)
+    assert (h.level(2).cap, h.level(2).group_jump) == (None, 2)
+    assert genseq._is_reduced((0, 1, 1), h)
+    assert not genseq._is_reduced((0, 0, 2), h)
+    assert sigma_indices(h) == [0, 1, 2]
+
+
 def test_all_fixture_sequences_validate():
     g_r, g_s, _ = fixtures.def2()
     assert validate_sequence(g_r).ok
@@ -480,7 +548,7 @@ def test_step_from_tail_reads_back_the_steps_of_kept_keys():
     g = _chain(4)
     steps = [step_from_tail(g.keys, s.index, s.power,
                             g.keys[s.index + 1] - g.keys[s.index] ** s.power,
-                            s.next_value, {}) for s in g.steps]
+                            s.next_value) for s in g.steps]
     h = GenSeq(g.ctx, g.values, steps, residues=g.declared_residues,
                keys=g.keys)
     assert all(a is b for a, b in zip(h.keys, g.keys, strict=True))
@@ -497,7 +565,7 @@ def test_step_from_tail_reads_back_the_steps_of_kept_keys():
     # a tail over a key that is not monic in y cannot be expanded
     keys = [g.ctx.x(), g.ctx.y(), P(g, "y^2 - x^3 + x*y^3")]
     with pytest.raises(NonMonicKey) as err:
-        step_from_tail(keys, 2, 2, P(g, "y^3"), Value(8), {})
+        step_from_tail(keys, 2, 2, P(g, "y^3"), Value(8))
     assert err.value.index == 2
 
 
@@ -787,7 +855,7 @@ def test_row_expansion_matches_the_divmod_loop():
         f = _random_element(data, keys, scalars)
         hypothesis.assume(not f.is_zero())
         top = len(keys) - 1
-        got = genseq._expand_raw(f, keys, top, {})
+        got = genseq._expand_raw(f, keys, top)
         assert got == _expand_by_divmod(f, keys, top)
         assert sum((genseq._key_monomial(keys, e, c) for e, c in got.items()),
                    f.ctx.zero()) == f
@@ -821,25 +889,32 @@ def test_a_key_not_monic_stops_both_expansions_at_the_same_key():
         f = _random_element(data, keys, scalars)
         hypothesis.assume(not f.is_zero())
         top = len(keys) - 1
-        assert (outcome(genseq._expand_raw, f, keys, top, {})
+        assert (outcome(genseq._expand_raw, f, keys, top)
                 == outcome(_expand_by_divmod, f, keys, top))
 
     check()
     keys, _, _ = _expansion_case("corn")
     keys = keys[:3] + [keys[3] + keys[0] * keys[1] ** 4]
     with pytest.raises(NonMonicKey) as err:
-        genseq._expand_raw(keys[1] ** 5, keys, 3, {})
+        genseq._expand_raw(keys[1] ** 5, keys, 3)
     assert err.value.index == 3
 
 
 def test_a_sequence_forms_each_key_plan_once_and_keeps_it_alone(monkeypatch):
-    formed, plan = [], genseq.division_plan
+    # a plan is formed at the first division by its key and kept on the key
+    # alone: counted at every call that finds none kept yet
+    formed = []
 
-    def counting(key):
-        formed.append(key)
-        return plan(key)
+    def counting(plan):
+        def wrapper(key):
+            if key.plan is None:
+                formed.append(key)
+            return plan(key)
+        return wrapper
 
-    monkeypatch.setattr(genseq, "division_plan", counting)
+    monkeypatch.setattr(genseq, "division_plan",
+                        counting(genseq.division_plan))
+    monkeypatch.setattr(ring, "division_plan", counting(ring.division_plan))
     g = _chain(4)
     elements = [g.keys[i] ** 2 for i in range(1, g.top + 1)]
     elements += [g.keys[-1] * g.keys[2] + g.ctx.monomial(i, j, 3)
@@ -849,22 +924,29 @@ def test_a_sequence_forms_each_key_plan_once_and_keeps_it_alone(monkeypatch):
             evaluate(f, g)
             initial_form(f, g)
     assert sorted(map(id, formed)) == sorted(map(id, g.keys[2:]))
-    # a sequence on the same keys forms its own plans, and takes them along
-    # when it is dropped: nothing keeps plans by key or by sequence
+    # a sequence on the same keys divides by their kept plans, and nothing
+    # keeps the sequence once it is dropped
     formed.clear()
     h = GenSeq(g.ctx, g.values, g.steps, residues=g.declared_residues,
                keys=g.keys)
     for f in elements:
         evaluate(f, h)
-    assert sorted(map(id, formed)) == sorted(map(id, g.keys[2:]))
+    assert formed == []
     dropped = weakref.ref(h)
     del h
     gc.collect()
     assert dropped() is None
-    # the parser and a transform's target steps read all tails of a key list
-    # against one set of plans
+    # the parser, the sequences on its keys and a transform's target steps
+    # form each distinct key's plan once: 6 keys for def2, 4 for disc
+    for name, distinct in (("def2", 6), ("disc", 4)):
+        formed.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(["run", str(valtool.scenario_path(name))]) == 0
+        assert len(formed) == distinct, name
+        assert not any(a == b for a, b in itertools.combinations(formed, 2))
     formed.clear()
     for name in _SCENARIOS:
         _shipped(name)
     free_transform(_chain(4))
-    assert formed and len(set(map(id, formed))) == len(formed)
+    assert formed and not any(
+        a == b for a, b in itertools.combinations(formed, 2))

@@ -1,11 +1,17 @@
+import functools
 import gc
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations_with_replacement, islice
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import valtool
 from valtool import fixtures, graded
 from valtool.blowup import free_transform
 from valtool.extension import (ExtensionMap, InconsistentRamification,
@@ -25,7 +31,6 @@ from valtool.graded import (
     GradedElem,
     _products_of_value,
     fingen_detect,
-    graded_one,
     graded_piece_basis,
     graded_presentation,
     key_initial,
@@ -52,6 +57,11 @@ def v1():
 
 def P(g, text):
     return parse_poly(text, g.ctx)
+
+
+def _graded_one(g):
+    """The unit of g's graded ring, built as an element, not as a product."""
+    return GradedElem(g, (0, 0), {(0,) * len(g.keys): g.ctx.tower.one()})
 
 
 # -- graded elements -------------------------------------------------------------
@@ -100,10 +110,116 @@ def test_graded_power_matches_repeated_product(make):
             except InsufficientGeneratingData:
                 pass
     for e in elems:
-        want = graded_one(g)
+        want = _graded_one(g)
         for n in range(7):
             assert e ** n == want
             want = want * e
+
+
+_PRODUCT_CASES = (["v1", "corn", "def2 nu", "def2 nustar", "pi2 nu1",
+                   "v1-over-Qi"]
+                  + ["chain-d%d-%s" % (d, b) for d in (1, 2, 3, 4)
+                     for b in ("Q", "GF2", "GF3")])
+
+
+@functools.cache
+def _product_case(name):
+    """(sequence, nonzero scalars, reduced bases of two or more monomials)
+    of a named case, at the sums of two to four key values.  On pi2's nu1
+    every piece has one reduced monomial (in(y) is in(x)), so there the
+    bases are all of those pieces."""
+    if name.startswith("chain-"):
+        _, depth, base = name.split("-")
+        g = _chain(int(depth[1:]), {"Q": QQ, "GF2": BaseField(2),
+                                    "GF3": BaseField(3)}[base])
+    elif name == "v1-over-Qi":
+        from test_detect import TEXTS
+        g = parse_scenario(TEXTS[name]).valuations["nustar"]
+    else:
+        make, _, side = name.partition(" ")
+        made = getattr(fixtures, make)()
+        g = made[0 if side == "nu" else 1] if side else made
+    tower = g.ctx.tower
+    scalars = [c for c in map(tower.scalar, (1, -1, 2)) if not c.is_zero()]
+    if tower.height:
+        scalars += [tower.gen("i"), tower.gen("i") - 1]
+    sums = {tuple(map(sum, zip(*pts))) for n in (2, 3, 4)
+            for pts in combinations_with_replacement(g.grid.points, n)}
+    bases = [graded_piece_basis(p, g) for p in sorted(sums)]
+    return g, scalars, [b for b in bases if len(b) >= 2] or bases
+
+
+def _multi_term_element(data, g, scalars, bases, n):
+    """A sum of n reduced key monomials of one value (all of them where the
+    piece has fewer), so they make its initial form, plus terms of higher
+    value."""
+    st = pytest.importorskip("hypothesis").strategies
+    basis = data.draw(st.sampled_from(
+        [b for b in bases if len(b) >= n] or [max(bases, key=len)]))
+    n = min(n, len(basis))
+    f = g.ctx.zero()
+    for e in data.draw(st.lists(st.sampled_from(basis), min_size=n,
+                                max_size=n, unique=True)):
+        f = f + g.monomial(e) * data.draw(st.sampled_from(scalars))
+    for e in data.draw(st.lists(st.sampled_from(basis), max_size=2)):
+        f = f + g.keys[0] * g.monomial(e) * data.draw(st.sampled_from(scalars))
+    return f
+
+
+def test_graded_products_and_powers_are_initial_forms_of_ring_ones():
+    # an independent reference for graded products: ring multiplication and
+    # expansion, on initial forms of two or more terms.  Both elements have
+    # n terms: in characteristic 2 an even number of terms of residue 1
+    # sums to zero, where the prefix cannot decide the value, so a shared n
+    # lets both be odd at once
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        name = data.draw(st.sampled_from(_PRODUCT_CASES))
+        g, scalars, bases = _product_case(name)
+
+        def initial(f):
+            try:
+                return initial_form(f, g)
+            except InsufficientGeneratingData:
+                hypothesis.reject()
+
+        n = data.draw(st.integers(2, 4))
+        f = _multi_term_element(data, g, scalars, bases, n)
+        a, k = initial(f), data.draw(st.integers(0, 4))
+        assert len(a.coeffs) >= 2 or name == "pi2 nu1"
+        assert a ** k == initial(f ** k), (name, k)
+        h = _multi_term_element(data, g, scalars, bases, n)
+        b = initial(h)
+        assert len(b.coeffs) >= 2 or name == "pi2 nu1"
+        assert a * b == initial(f * h), name
+
+    check()
+
+
+def test_a_negative_graded_power_is_refused_not_a_hang():
+    # a negative exponent is refused before any product is formed; the
+    # child's timeout turns a hang into a failure
+    root = str(Path(valtool.__file__).resolve().parents[1])
+    child = """
+from valtool import fixtures, graded
+g = fixtures.v1()
+gen = graded.key_initial(g, 1)
+for make in (lambda: gen ** -1, lambda: graded._monomial(g, [gen], [-1])):
+    try:
+        make()
+    except ValueError as err:
+        print(err)
+"""
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=root))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "negative powers are not graded elements"] * 2
 
 
 def _v1_shape(c):
@@ -113,6 +229,22 @@ def _v1_shape(c):
     return GenSeq(LocalRingCtx(tower, ("x", "y")),
                   [Value(1), Value(Fraction(3, 2)), Value(Fraction(7, 2))],
                   [step])
+
+
+def _v1_declared(tail, residues=None, keys=None):
+    """v1's values with the step tail ``tail``, (coefficient, exponents)
+    pairs over Q, and the residues ``residues`` (none by default, and no
+    oracle); ``keys`` are key texts, kept as given, else the keys are built
+    from the step."""
+    tower = ResidueTower(QQ)
+    ctx = LocalRingCtx(tower, ("x", "y"))
+    step = KeyStep(1, 2, [TailTerm(tower.scalar(c), e) for c, e in tail],
+                   Value(Fraction(7, 2)))
+    values = [Value(1), Value(Fraction(3, 2)), Value(Fraction(7, 2))]
+    return GenSeq(ctx, values, [step],
+                  keys=keys and [parse_poly(k, ctx) for k in keys],
+                  residues={i: tower.scalar(c)
+                            for i, c in (residues or {}).items()})
 
 
 def test_equal_tails_belong_to_their_sequence():
@@ -150,6 +282,38 @@ def test_v1_presentation_depth_zero(v1):
     p = graded_presentation(v1, 0)
     assert [g.index for g in p.generators] == [0]
     assert not p.relations
+
+
+def test_a_step_with_no_equal_value_tail_has_no_relation():
+    # y^2 + x^4: the tail lies above the leading value 3
+    g = _v1_declared([(1, (4,))], residues={1: 1, 2: 1})
+    assert graded_presentation(g, 2).lines() == [
+        "generator in(x), value 1", "generator in(y), value 3/2",
+        "generator in(P2), value 7/2  [= 1 * in(x)^2*in(y)]",
+        "essential generators: in(x), in(y) (polynomial ring)"]
+
+
+def test_a_relation_that_does_not_vanish_is_warned():
+    # y^2 - x^3 against the declared residue 2 of y^2 / x^3
+    g = _v1_declared([(-1, (3,))], residues={1: 2, 2: 1})
+    lines = graded_presentation(g, 2).lines()
+    assert lines[3:] == [
+        "relation (value 3): in(y)^2 + -1*in(x)^3 = 0  "
+        "[residue check skipped]",
+        "essential generators: in(x), in(y)",
+        "warning: relation at level 1 does not vanish in the residue field: "
+        "1/2"]
+
+
+def test_a_relation_with_an_unknown_residue_is_not_verified():
+    g = _v1_declared([(-1, (3,))])  # no residue and no oracle
+    lines = graded_presentation(g, 2).lines()
+    assert lines[3:] == [
+        "relation (value 3): in(y)^2 + -1*in(x)^3 = 0  "
+        "[residue check skipped]",
+        "essential generators: in(x), in(y), in(P2)",
+        "warning: relation at level 1 not verifiable: residue at level 1 is "
+        "neither declared nor computable"]
 
 
 def test_def2_presentations_collapse():
@@ -237,7 +401,7 @@ def _naive_products(gens, target, g):
                 break
             k, cur = k + 1, cur * gen
 
-    rec(0, target, [], graded_one(g))
+    rec(0, target, [], _graded_one(g))
     return out
 
 
@@ -248,7 +412,7 @@ def _walk_cases():
             g = _chain(depth, base)
             keys = [key_initial(g, i) for i in range(len(g.keys))]
             mixed = keys[0] ** 2 * keys[1] + keys[1] * keys[0] ** 2
-            gens = keys + [mixed, graded_one(g)]
+            gens = keys + [mixed, _graded_one(g)]
             targets = [g.values[i] * 2 for i in range(len(g.keys) - 1)]
             targets += [g.values[-1] + g.values[1], Value(Fraction(1, 3)),
                         Value(0)]
@@ -256,7 +420,7 @@ def _walk_cases():
     _, nu1, _, _ = fixtures.pi2()
     keys = [key_initial(nu1, i) for i in range(len(nu1.keys))]
     top = nu1.values[-1]
-    yield nu1, [graded_one(nu1)] + keys, [top + 2, top * 2, top * 2 + 1,
+    yield nu1, [_graded_one(nu1)] + keys, [top + 2, top * 2, top * 2 + 1,
                                           Value(3), top - Value(1)]
 
 
@@ -275,7 +439,7 @@ def test_products_of_value_match_naive_walk():
 def _reconstruct(cert, gens, like):
     total = GradedElem(like.genseq, like.value, {})
     for exps, c in cert:
-        prod = graded_one(like.genseq)
+        prod = _graded_one(like.genseq)
         for gen, k in zip(gens, exps):
             prod = prod * gen ** k
         total = total + prod * c
