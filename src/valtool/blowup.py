@@ -109,9 +109,6 @@ class TransformMap:
                 % (xn, Xn, self.nbar, Zn, self.alpha_lift, self.a,
                    yn, Xn, self.w, Zn, self.alpha_lift, self.b))
 
-    def __repr__(self):
-        return "TransformMap(%s)" % self.describe()
-
 
 class _TransformExtension(ExtensionMap):
     """A transform as an extension map, applied through its chart.
@@ -457,9 +454,6 @@ class TransformChainRecord:
             prev = node
         out.append("}")
         return out
-
-    def __repr__(self):
-        return "\n".join(self.lines())
 
 
 def shift_table(source, target):

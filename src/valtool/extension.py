@@ -232,9 +232,6 @@ class SplittingReport:
         out.append("splitting witnessed: %s" % self.witnessed)
         return out
 
-    def __repr__(self):
-        return "\n".join(self.lines())
-
 
 def _candidate_value(cand, f):
     """Value of an S-element under a candidate valuation, or undecided."""

@@ -80,10 +80,6 @@ class KeyStep:
         self.tail = list(tail)
         self.next_value = next_value
 
-    def __repr__(self):
-        return "KeyStep(i=%d, n=%d, %d tail terms, next=%r)" % (
-            self.index, self.power, len(self.tail), self.next_value)
-
 
 class LevelData:
     """Derived invariants of one key: group jump, unit monomial, residue."""
@@ -363,10 +359,6 @@ class PAdicExpansion:
             out = out + self.genseq.monomial(e) * c
         return out
 
-    def __repr__(self):
-        return "PAdicExpansion(%d terms, min=%r)" % (
-            len(self.grid_terms), self.min_value())
-
 
 def expand(f, g):
     """Expansion of f by repeated monic division against the keys of g."""
@@ -570,9 +562,6 @@ class ValidationReport:
                               ": %s" % _detail(*d) if d[0] else "")
                  for name, ok, d in self.checks]
                 + ["WARN %s" % w for w in self.warnings])
-
-    def __repr__(self):
-        return "\n".join(self.lines())
 
 
 def _detail(text, args):

@@ -23,6 +23,7 @@ class GradedElem:
     """Homogeneous element of the prefix graded ring, on the reduced basis.
 
     It keeps the grid point of ``value`` (a :class:`Value` or a point).
+    Products are formed by :func:`_monomial`; an element has no operators.
     """
 
     __slots__ = ("genseq", "point", "coeffs")
@@ -38,32 +39,6 @@ class GradedElem:
     def value(self):
         return self.genseq.grid.value(self.point)
 
-    def __add__(self, other):
-        if other.genseq is not self.genseq or other.point != self.point:
-            raise ValueError("graded addition needs one homogeneous piece")
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return GradedElem(self.genseq, self.point, out)
-
-    def __mul__(self, other):
-        if isinstance(other, GradedElem):
-            return _monomial(self.genseq, [self, other], [1, 1])
-        # scalar from the tower
-        return GradedElem(self.genseq, self.point,
-                          {e: c * other for e, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return _monomial(self.genseq, [self], [n])
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedElem) and self.genseq is other.genseq
-                and self.point == other.point
-                and _dict_eq(self.coeffs, other.coeffs))
-
     def __repr__(self):
         if not self.coeffs:
             return "0 (value %r)" % self.value
@@ -74,10 +49,6 @@ class GradedElem:
             parts.append(mono if cs == "1" and mono else
                          ("%s*%s" % (cs, mono) if mono else cs))
         return " + ".join(parts)
-
-
-def _dict_eq(a, b):
-    return set(a) == set(b) and all((a[k] - b[k]).is_zero() for k in a)
 
 
 def _key_name(g, i):
@@ -204,9 +175,6 @@ class GradedPresentation:
         out.extend("warning: %s" % w for w in self.warnings)
         return out
 
-    def __repr__(self):
-        return "\n".join(self.lines())
-
 
 def graded_presentation(g, depth):
     """Presentation of the prefix graded ring using keys up to ``depth``."""
@@ -283,11 +251,6 @@ class MembershipResult:
 
     def __bool__(self):
         return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "Member(%r)" % (self.certificate,)
-        return "NotMember(%s)" % self.detail
 
 
 def subalgebra_membership(e, gens):

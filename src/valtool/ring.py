@@ -95,10 +95,6 @@ class LocalRingCtx:
     def y(self):
         return self.monomial(0, 1)
 
-    def __repr__(self):
-        return "LocalRingCtx(%s, %s; levels<=%d)" % (
-            self.param_names[0], self.param_names[1], self.ring_levels)
-
 
 class RingElem:
     """Bivariate polynomial over the tower; no zero coefficients stored.
@@ -133,9 +129,6 @@ class RingElem:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         neg = self.ctx.tower.neg
@@ -626,11 +619,6 @@ class TruncSeries:
         return _series(tower, {e - e0: mul(c, inv) for e, c in b.items()},
                        trunc - e0)
 
-    def __repr__(self):
-        parts = ["%r*t^%s" % (TowerElem(self.tower, self.coeffs[e]), e)
-                 for e in sorted(self.coeffs)]
-        return (" + ".join(parts) or "0") + " + O(t^%s)" % self.trunc
-
 
 def _series(tower, reps, trunc):
     """A series from raw reps at Fraction exponents below ``trunc``.
@@ -764,9 +752,6 @@ class MonomialForm:
     def __init__(self, a, b, gamma, f, d):
         self.a, self.b, self.gamma, self.f, self.d = a, b, gamma, f, d
 
-    def __repr__(self):
-        return "MonomialForm(a=%d, b=%d, d=%s)" % (self.a, self.b, self.d)
-
 
 class NotMonomial:
     """Expected outcome when images do not have the monomial shape."""
@@ -775,9 +760,6 @@ class NotMonomial:
 
     def __init__(self, reason):
         self.reason = reason
-
-    def __repr__(self):
-        return "NotMonomial(%s)" % self.reason
 
     def __bool__(self):
         return False

@@ -148,11 +148,7 @@ def parse_scenario(text):
                     scenario.tower, tuple(state["params"]),
                     ring_levels=state.get("levels"))
             elif section == "embedding":
-                ring, rline = state.get("ring", (None, header))
-                if ring not in scenario.rings:
-                    raise ScenarioError("embedding %r references undeclared "
-                                        "ring %r" % (name, ring), rline)
-                ctx = scenario.rings[ring]
+                ctx = _ring_of(scenario, "embedding", name, state, header)
                 trunc = state.get("truncate", Fraction(32))
                 images = {}
                 for pname, stext, sline in state.get("series", []):
@@ -359,12 +355,19 @@ def _section_line(scenario, section, state, line_text, lineno):
         return
 
 
-def _build_valuation(scenario, name, state, line):
-    ring, rline = state.get("ring", (None, line))
+def _ring_of(scenario, kind, name, state, line):
+    """The ring a section's ``ring`` line names; ``line`` is its header."""
+    if "ring" not in state:
+        raise ScenarioError("%s %r needs a 'ring' line" % (kind, name), line)
+    ring, rline = state["ring"]
     if ring not in scenario.rings:
-        raise ScenarioError("valuation %r references undeclared ring %r"
-                            % (name, ring), rline)
-    ctx = scenario.rings[ring]
+        raise ScenarioError("%s %r references undeclared ring %r"
+                            % (kind, name, ring), rline)
+    return scenario.rings[ring]
+
+
+def _build_valuation(scenario, name, state, line):
+    ctx = _ring_of(scenario, "valuation", name, state, line)
     if "values" not in state or len(state["values"]) != 2:
         raise ScenarioError("valuation %r needs 'values b0 b1'" % name, line)
     values = list(state["values"])
@@ -404,7 +407,10 @@ def _build_valuation(scenario, name, state, line):
 
 
 def _build_extension(scenario, name, state, line):
-    src, dst, fline = state.get("from", (None, None, line))
+    if "from" not in state:
+        raise ScenarioError("extension %r needs a 'from R to S' line" % name,
+                            line)
+    src, dst, fline = state["from"]
     if src not in scenario.rings or dst not in scenario.rings:
         raise ScenarioError("extension %r references undeclared rings" % name,
                             fline)

@@ -469,9 +469,6 @@ class TowerElem:
     def __sub__(self, other):
         return TowerElem(self.tower, self.tower.sub(self.rep, self._pair(other)))
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __neg__(self):
         return TowerElem(self.tower, self.tower.neg(self.rep))
 

@@ -254,9 +254,6 @@ class Value:
     def __lt__(self, other):
         return (self - other).sign() < 0
 
-    def __hash__(self):
-        return hash((self.q0, self.q1))
-
     def __repr__(self):
         if self.q1 == 0:
             return str(self.q0)

@@ -26,7 +26,7 @@ from valtool.towers import QQ, BaseField, ResidueTower, TowerElem
 from valtool.values import INFINITE, Value
 
 from test_genseq import _SCENARIOS, _chain_cell, _shipped
-from test_graded import _chain, _v1_declared
+from test_graded import _chain, _form, _v1_declared
 from test_reports import _reparametrised
 
 
@@ -823,7 +823,7 @@ def test_transform_gives_each_key_image_in_closed_form(case):
         except InsufficientGeneratingData:
             assert k not in sigma, (case, k)
             continue
-        assert closed == expanded, (case, k)
+        assert _form(closed) == _form(expanded), (case, k)
         assert repr(closed) == repr(expanded), (case, k)
         decided += 1
     assert decided >= len(sigma)

@@ -458,23 +458,36 @@ def _check_error(tmp_path, lines):
 _RING = ["[field]", "base Q", "[ring R]", "params x y"]
 
 
-@pytest.mark.parametrize("lines", [
-    # the issue's example: a valuation over an undeclared ring
-    ["[ring R]", "params x y", "[valuation nu]", "!ring S", "values 1 3/2",
-     "[run]"],
-    _RING + ["[embedding o]", "!ring S", "x = t", "y = t^2", "[run]"],
-    _RING + ["[extension e]", "!from R to S", "x = x", "y = y", "[run]"],
-    # a missing directive belongs at its own section's header
-    ["[field]", "base Q", "![ring R]", "levels 0", "[run]"],
-    _RING + ["![valuation nu]", "ring R", "[run]", "validate nu"],
-    _RING + ["![extension e]", "from R to R", "x = x", "[run]"],
-    _RING + ["![embedding o]", "x = t", "y = t^2"],
+@pytest.mark.parametrize("lines, message", [
+    # a valuation over an undeclared ring
+    (["[ring R]", "params x y", "[valuation nu]", "!ring S", "values 1 3/2",
+      "[run]"], "valuation 'nu' references undeclared ring 'S'"),
+    (_RING + ["[embedding o]", "!ring S", "x = t", "y = t^2", "[run]"],
+     "embedding 'o' references undeclared ring 'S'"),
+    (_RING + ["[extension e]", "!from R to S", "x = x", "y = y", "[run]"],
+     "extension 'e' references undeclared rings"),
+    # a missing directive belongs at its own section's header; a missing
+    # ring or from line read "references undeclared ring None" (or rings)
+    (["[field]", "base Q", "![ring R]", "levels 0", "[run]"],
+     "ring 'R' missing params"),
+    (_RING + ["![valuation nu]", "ring R", "[run]", "validate nu"],
+     "valuation 'nu' needs 'values b0 b1'"),
+    (_RING + ["![extension e]", "from R to R", "x = x", "[run]"],
+     "extension 'e' misses images for y"),
+    (_RING + ["![embedding o]", "x = t", "y = t^2"],
+     "embedding 'o' needs a 'ring' line"),
+    (_RING + ["![valuation nu]", "values 1 3/2"],
+     "valuation 'nu' needs a 'ring' line"),
+    (_RING + ["![extension e]", "x = x", "y = y"],
+     "extension 'e' needs a 'from R to S' line"),
 ], ids=["valuation-ring", "embedding-ring", "extension-from",
-        "missing-params", "missing-values", "missing-image", "missing-ring"])
-def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
+        "missing-params", "missing-values", "missing-image", "missing-ring",
+        "valuation-missing-ring", "extension-missing-from"])
+def test_section_errors_are_reported_at_their_own_line(tmp_path, lines,
+                                                      message):
     code, err, bad = _check_error(tmp_path, lines)
     assert code == 2
-    assert err.startswith("parse error: line %d: " % bad), err
+    assert err == "parse error: line %d: %s\n" % (bad, message)
 
 
 @pytest.mark.parametrize("lines", [
@@ -580,6 +593,33 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
     _RING + ["[extension e]", "from R to R", "x = x", "y = y", "!degree -2"],
     _RING + ["[embedding o]", "ring R", "!truncate 0", "x = t", "y = t^2"],
     _RING + ["[embedding o]", "ring R", "!truncate -1", "x = t", "y = t^2"],
+    # sections: an unknown one, one with no name, and lines before any
+    ["[field]", "base Q", "![rings R]", "params x y"],
+    _RING + ["![valuation]", "ring R", "values 1 3/2"],
+    ["!base Q", "[field]"],
+    # field lines
+    ["[field]", "!base X"],
+    ["[field]", "base Q", "!irrational pi foo"],
+    ["[field]", "base Q", "!extend a foo 1 0"],
+    ["[field]", "!basis Q"],
+    # directives no section knows, and a from line without its "to"
+    _RING + ["[embedding o]", "ring R", "x = t", "y = t^2", "!order 3"],
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2", "!keys 2"],
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y", "!degre 2"],
+    _RING + ["[extension e]", "!from R R", "x = x", "y = y"],
+    # oracles: an undeclared one, and one on another ring
+    _RING + ["[valuation nu]", "ring R", "values 1 3/2", "!oracle o"],
+    _RING + ["[ring S]", "params u v", "[embedding o]", "ring S", "u = t",
+             "v = t^2", "[valuation nu]", "ring R", "values 1 3/2",
+             "!oracle o"],
+    # parameters a ring lacks, and a rank-2 value with no irrational
+    _RING + ["[extension e]", "from R to R", "x = x", "y = y", "!z = x"],
+    _RING + ["[embedding o]", "ring R", "x = t", "y = t^2", "!z = t^3"],
+    _RING + ["[valuation nu]", "ring R", "!values 1 (1,1)"],
+    # series terms: unreadable, empty, and two with no sign between them
+    _RING + ["[embedding o]", "ring R", "x = t", "!y = t^2 $"],
+    _RING + ["[embedding o]", "ring R", "x = t", "!y = t^2 + "],
+    _RING + ["[embedding o]", "ring R", "x = t", "!y = t^2 t^3"],
 ], ids=["base", "base-F-x", "irrational", "levels-two", "bare-ring",
         "bare-truncate", "alpha-x", "key-n-two", "key-n-0", "key-n--1",
         "key-n-x", "unique-maybe", "degree-many", "params-x-x",
@@ -594,7 +634,14 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines):
         "series-twice", "values-twice", "valuation-ring-twice",
         "alpha-1-twice", "oracle-twice", "terminal-twice", "from-twice",
         "degree-twice", "char-twice", "unique-twice", "image-twice",
-        "degree-0", "degree--2", "truncate-0", "truncate--1"])
+        "degree-0", "degree--2", "truncate-0", "truncate--1",
+        "unknown-section", "unnamed-valuation", "before-any-section",
+        "base-X", "irrational-pi-foo", "extend-foo", "unknown-field-line",
+        "unknown-embedding-line", "unknown-valuation-line",
+        "unknown-extension-line", "from-R-R", "undeclared-oracle",
+        "oracle-on-other-ring", "image-for-z", "series-for-z",
+        "rank-2-value-no-irrational", "bad-series-term",
+        "empty-series-term", "series-terms-without-sign"])
 def test_malformed_directive_is_a_parse_error(tmp_path, lines):
     code, err, bad = _check_error(tmp_path, lines)
     assert code == 2

@@ -64,6 +64,22 @@ def _graded_one(g):
     return GradedElem(g, (0, 0), {(0,) * len(g.keys): g.ctx.tower.one()})
 
 
+def _form(e):
+    """What graded elements are equal by: one sequence, one grid point and
+    equal coefficients on the reduced basis, where normal forms are unique."""
+    return e.genseq, e.point, e.coeffs
+
+
+def _combination(g, point, terms):
+    """The sum of c * e over the (e, c) of ``terms``, all at ``point``."""
+    out = {}
+    for e, c in terms:
+        assert (e.genseq, e.point) == (g, point)
+        for exps, a in e.coeffs.items():
+            out[exps] = out[exps] + a * c if exps in out else a * c
+    return GradedElem(g, point, out)
+
+
 # -- graded elements -------------------------------------------------------------
 
 def test_graded_product_matches_initial_of_product(v1):
@@ -83,13 +99,24 @@ def test_graded_product_matches_initial_of_product(v1):
                 initial_form(f * g, v1)
         except InsufficientGeneratingData:
             continue
-        assert a * b == ab
+        assert _form(graded._monomial(v1, [a, b], [1, 1])) == _form(ab)
+
+
+def test_a_value_off_the_grid_is_refused_naming_the_sequence():
+    # the message names the sequence by its repr, terminal or not
+    for g, name in [
+            (fixtures.v1(), "GenSeq(3 keys, values=[1, 3/2, 7/2])"),
+            (fixtures.pi2()[1],
+             "GenSeq(3 keys, values=[1, 1, (1, 1)], terminal)")]:
+        with pytest.raises(ValueError) as err:
+            GradedElem(g, Value(Fraction(1, 3)), {})
+        assert str(err.value) == "1/3 is off the value grid of %s" % name
 
 
 def test_step_relation_rewrites(v1):
     # in(y)^2 rewrites to in(x)^3 through the declared relation
     iy = key_initial(v1, 1)
-    sq = iy * iy
+    sq = graded._monomial(v1, [iy, iy], [1, 1])
     assert list(sq.coeffs) == [(3, 0, 0)]
 
 
@@ -112,8 +139,8 @@ def test_graded_power_matches_repeated_product(make):
     for e in elems:
         want = _graded_one(g)
         for n in range(7):
-            assert e ** n == want
-            want = want * e
+            assert _form(graded._monomial(g, [e], [n])) == _form(want)
+            want = graded._monomial(g, [want, e], [1, 1])
 
 
 _PRODUCT_CASES = (["v1", "corn", "def2 nu", "def2 nustar", "pi2 nu1",
@@ -133,8 +160,8 @@ def _product_case(name):
         g = _chain(int(depth[1:]), {"Q": QQ, "GF2": BaseField(2),
                                     "GF3": BaseField(3)}[base])
     elif name == "v1-over-Qi":
-        from test_detect import TEXTS
-        g = parse_scenario(TEXTS[name]).valuations["nustar"]
+        g = parse_scenario(valtool.scenario_path("qi").read_text()
+                           ).valuations["nustar"]
     else:
         make, _, side = name.partition(" ")
         made = getattr(fixtures, make)()
@@ -191,26 +218,28 @@ def test_graded_products_and_powers_are_initial_forms_of_ring_ones():
         f = _multi_term_element(data, g, scalars, bases, n)
         a, k = initial(f), data.draw(st.integers(0, 4))
         assert len(a.coeffs) >= 2 or name == "pi2 nu1"
-        assert a ** k == initial(f ** k), (name, k)
+        assert _form(graded._monomial(g, [a], [k])) == _form(
+            initial(f ** k)), (name, k)
         h = _multi_term_element(data, g, scalars, bases, n)
         b = initial(h)
         assert len(b.coeffs) >= 2 or name == "pi2 nu1"
-        assert a * b == initial(f * h), name
+        assert _form(graded._monomial(g, [a, b], [1, 1])) == _form(
+            initial(f * h)), name
 
     check()
 
 
 def test_a_negative_graded_power_is_refused_not_a_hang():
-    # a negative exponent is refused before any product is formed; the
-    # child's timeout turns a hang into a failure
+    # a negative exponent is refused before any product is formed, also
+    # after a positive one; the child's timeout turns a hang into a failure
     root = str(Path(valtool.__file__).resolve().parents[1])
     child = """
 from valtool import fixtures, graded
 g = fixtures.v1()
 gen = graded.key_initial(g, 1)
-for make in (lambda: gen ** -1, lambda: graded._monomial(g, [gen], [-1])):
+for exps in ([2, -1], [-1]):
     try:
-        make()
+        graded._monomial(g, [gen] * len(exps), exps)
     except ValueError as err:
         print(err)
 """
@@ -250,15 +279,16 @@ def _v1_declared(tail, residues=None, keys=None):
 def test_equal_tails_belong_to_their_sequence():
     a, b = _v1_shape(-1), _v1_shape(-2)
     assert a.equal_tail(1) != b.equal_tail(1)
-    sq_a, sq_b = key_initial(a, 1) ** 2, key_initial(b, 1) ** 2
+    sq_a, sq_b = (graded._monomial(g, [key_initial(g, 1)], [2])
+                  for g in (a, b))
     assert sq_a.coeffs[(3, 0, 0)] == a.ctx.tower.scalar(1)
     assert sq_b.coeffs[(3, 0, 0)] == b.ctx.tower.scalar(2)
     # sequences made and dropped one after another, so their ids may repeat
     del a, b, sq_a, sq_b
     for c in range(1, 8):
         g = _v1_shape(-c)
-        assert (key_initial(g, 1) ** 2).coeffs[(3, 0, 0)] == \
-            g.ctx.tower.scalar(c)
+        assert graded._monomial(g, [key_initial(g, 1)], [2]).coeffs[
+            (3, 0, 0)] == g.ctx.tower.scalar(c)
         del g
         gc.collect()
 
@@ -399,7 +429,7 @@ def _naive_products(gens, target, g):
             rec(idx + 1, remaining - gen.value * k, acc + [k], cur)
             if gen.value.sign() == 0:
                 break
-            k, cur = k + 1, cur * gen
+            k, cur = k + 1, graded._monomial(g, [cur, gen], [1, 1])
 
     rec(0, target, [], _graded_one(g))
     return out
@@ -411,7 +441,7 @@ def _walk_cases():
         for base in (QQ, BaseField(2)):
             g = _chain(depth, base)
             keys = [key_initial(g, i) for i in range(len(g.keys))]
-            mixed = keys[0] ** 2 * keys[1] + keys[1] * keys[0] ** 2
+            mixed = _twice(g, keys[0], keys[1])
             gens = keys + [mixed, _graded_one(g)]
             targets = [g.values[i] * 2 for i in range(len(g.keys) - 1)]
             targets += [g.values[-1] + g.values[1], Value(Fraction(1, 3)),
@@ -431,19 +461,24 @@ def test_products_of_value_match_naive_walk():
             got = list(_products_of_value(gens, target, g))
             want = _naive_products(gens, target, g)
             assert [e for e, _ in got] == [e for e, _ in want], (g, target)
-            assert all(a == b for (_, a), (_, b) in zip(got, want))
+            assert all(_form(a) == _form(b)
+                       for (_, a), (_, b) in zip(got, want))
             hits += len(got)
     assert hits > 50
 
 
 def _reconstruct(cert, gens, like):
-    total = GradedElem(like.genseq, like.value, {})
-    for exps, c in cert:
-        prod = _graded_one(like.genseq)
-        for gen, k in zip(gens, exps):
-            prod = prod * gen ** k
-        total = total + prod * c
-    return total
+    g = like.genseq
+    return _combination(g, like.point, [(graded._monomial(g, gens, exps), c)
+                                        for exps, c in cert])
+
+
+def _twice(g, a, b):
+    """a^2*b + b*a^2, the two products formed with their factors in either
+    order."""
+    return _combination(g, graded._monomial(g, [a, b], [2, 1]).point, [
+        (graded._monomial(g, [a, b], [2, 1]), g.ctx.tower.one()),
+        (graded._monomial(g, [b, a], [1, 2]), g.ctx.tower.one())])
 
 
 def _membership_cases():
@@ -461,7 +496,7 @@ def _membership_cases():
     cases.append(fixtures.def2())
     for g_r, g_s, ext in cases:
         gens = [key_initial(g_s, i) for i in sigma_indices(g_s)]
-        elems = [gens[0] ** 2 * gens[-1] + gens[-1] * gens[0] ** 2]
+        elems = [_twice(g_s, gens[0], gens[-1])]
         elems.append(GradedElem(g_s, elems[0].value, {}))
         for j in sigma_indices(g_r):
             try:
@@ -478,7 +513,7 @@ def test_membership_certificates_reconstruct():
         res = subalgebra_membership(e, gens)
         if res:
             found += 1
-            assert _reconstruct(res.certificate, gens, e) == e
+            assert _form(_reconstruct(res.certificate, gens, e)) == _form(e)
     assert found > 10
 
 
@@ -589,11 +624,10 @@ def test_detector_expands_each_sigma_image_once(monkeypatch):
     # a transform's own map gives every sigma image in closed form, so its
     # detector expands none; a declared map expands each sigma image once
     import valtool.genseq as genseq
-    from test_detect import TEXTS
     corn = fixtures.corn()
     tmap, tgt = free_transform(corn)
     g_r, g_s, ext = fixtures.def2()
-    sc = parse_scenario(TEXTS["v1-over-Qi"])
+    sc = parse_scenario(valtool.scenario_path("qi").read_text())
     real, calls = genseq.expand, []
 
     def counting_expand(f, g):
@@ -805,7 +839,8 @@ def test_detector_proves_each_source_image_once(monkeypatch):
                  for pos in range(r + 1)]
         images = [initial_form(ext.apply(g_r.keys[j]), g_s)
                   for j in sigma[:r + 1]]
-        assert [(e, s) for e, s, ok in calls if ok] == list(zip(images, first))
+        assert [(_form(e), s) for e, s, ok in calls if ok] == [
+            (_form(e), s) for e, s in zip(images, first)]
         failed = [s for _, s, ok in calls if not ok]
         assert len(failed) == len(set(failed))
         for j, s in zip(sigma, first):

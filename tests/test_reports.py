@@ -19,7 +19,7 @@ from valtool.cli import main
 from valtool.scenario import parse_scenario
 
 REPORTS = Path(__file__).resolve().parent / "data" / "reports"
-NAMES = ("v1", "def2", "pi2", "disc", "corn")
+NAMES = ("v1", "def2", "pi2", "disc", "corn", "qi")
 FORMATS = ("text", "csv", "dot")
 
 
