@@ -46,7 +46,7 @@ class TransformError(Exception):
 
 
 class TransformMap:
-    """One composite transform: chart data, recentering, and images."""
+    """One composite transform: chart data and recentering."""
 
     __slots__ = ("source_ctx", "target_ctx", "nbar", "w", "a", "b",
                  "alpha_lift", "exceptional_value", "key_orders",
@@ -74,16 +74,6 @@ class TransformMap:
         self.unit_powers = [target_ctx.one(),
                             target_ctx.y() + target_ctx.const(alpha_lift)]
 
-    @property
-    def x_image(self):
-        """The image X^n * (Z + alpha)^a of x."""
-        return self.to_target(self.source_ctx.x())
-
-    @property
-    def y_image(self):
-        """The image X^w * (Z + alpha)^b of y."""
-        return self.to_target(self.source_ctx.y())
-
     def _pieces(self, f):
         """f's chart pieces: x^i y^j goes to X^(n*i + w*j) U^(a*i + b*j),
         one piece per term (the map is injective), coefficient reps as is."""
@@ -92,10 +82,6 @@ class TransformMap:
         n, w, a, b = self.nbar, self.w, self.a, self.b
         return [(c, n * i + w * j, a * i + b * j, ())
                 for (i, j), c in f.terms.items()]
-
-    def to_target(self, f):
-        """Image of a source element in the target chart (exact)."""
-        return _sum_of_pieces(self, self._pieces(f))
 
     def extension(self):
         """The transform as an extension map (trivial field extension)."""
@@ -116,14 +102,14 @@ class _TransformExtension(ExtensionMap):
     The images x = X^n * U^a, y = X^w * U^b share the unit U = Z + alpha,
     so an element is the sum of its chart pieces X^s (Z + alpha)^t over the
     map's powers of Z + alpha: the element substituting the images gives,
-    at a fraction of the cost on long keys.  The images are the map's own,
+    at a fraction of the cost on long keys.  The images of x and y are
     formed when read: the detector reads closed forms instead.
     """
 
     __slots__ = ("tmap",)
 
-    u_image = property(lambda self: self.tmap.x_image)
-    v_image = property(lambda self: self.tmap.y_image)
+    u_image = property(lambda self: self.apply(self.source_ctx.x()))
+    v_image = property(lambda self: self.apply(self.source_ctx.y()))
     target_ctx = property(lambda self: self.tmap.target_ctx)
 
     def __init__(self, tmap):
@@ -134,7 +120,8 @@ class _TransformExtension(ExtensionMap):
         self.field_degree, self.unique, self.detections = 1, True, {}
 
     def apply(self, f):
-        return self.tmap.to_target(f)
+        """Image of a source element in the target chart (exact)."""
+        return _sum_of_pieces(self.tmap, self.tmap._pieces(f))
 
     def monomial_form(self):
         # v / X^w = (Z + alpha)^b is a unit, alpha a residue: no check needed

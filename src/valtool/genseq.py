@@ -199,7 +199,7 @@ class GenSeq:
         return self.grid.value(self.point(exps))
 
     def monomial(self, exps):
-        return _key_monomial(self.keys, exps, 1)
+        return _key_monomial(self.keys, exps)
 
     def _derive_level(self, i, jump):
         """Level i from its group jump; :attr:`residue_chain` (the residues
@@ -276,10 +276,8 @@ def step_from_tail(keys, i, power, tail, next_value):
 
 def next_key(keys, step):
     """P_{i+1} = P_i^{n_i} + tail, from the keys P_0 .. P_i built so far."""
-    out = keys[step.index] ** step.power
-    for term in step.tail:
-        out = out + _key_monomial(keys, term.exps, term.coeff)
-    return out
+    return _key_sum(keys, ((t.exps, t.coeff) for t in step.tail),
+                    keys[step.index] ** step.power)
 
 
 def monic_of_degree(key, deg):
@@ -288,15 +286,20 @@ def monic_of_degree(key, deg):
     return lead == [key.terms.get((0, deg))] and key.ctx.coeff(lead[0]) == 1
 
 
-def _key_monomial(keys, exps, coeff):
+def _key_monomial(keys, exps):
     out = None
     for key, e in zip(keys, exps):
         if e:
             out = key ** e if out is None else out * key ** e
-    if out is None or coeff != 1:
-        const = keys[0].ctx.const(coeff)
-        out = const if out is None else out * const
-    return out
+    return keys[0].ctx.one() if out is None else out
+
+
+def _key_sum(keys, terms, start):
+    """start + sum of c * prod P_i^(e_i) over the (exponents, c) terms, in
+    one pass."""
+    rep = keys[0].ctx.rep
+    return start._add_scaled([(_key_monomial(keys, e), rep(c))
+                              for e, c in terms])
 
 
 def reduced_representation(grid, target, points, caps):
@@ -354,10 +357,9 @@ class PAdicExpansion:
         return any(e[-1] >= cap for _, e, _ in self.grid_terms)
 
     def reconstruct(self):
-        out = self.genseq.ctx.zero()
-        for c, e, _ in self.grid_terms:
-            out = out + self.genseq.monomial(e) * c
-        return out
+        g = self.genseq
+        return _key_sum(g.keys, ((e, c) for c, e, _ in self.grid_terms),
+                        g.ctx.zero())
 
 
 def expand(f, g):

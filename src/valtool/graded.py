@@ -452,8 +452,6 @@ class AlignmentState:
 
 
 def _cert_str(cert):
-    if cert is None:
-        return "(none)"
     parts = []
     for gexps, c in cert.certificate or ():
         mono = "*".join("g%d^%d" % (i, e) for i, e in enumerate(gexps) if e)

@@ -15,13 +15,14 @@ towers, span closures) are affordable and preferred over clever algorithms.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm
 from operator import add, mul, neg, not_, sub
 
 
 class NotAFieldExtension(Exception):
-    """A proposed minimal polynomial has a root at its own level."""
+    """A proposed minimal polynomial has a root or a factor at its own
+    level; ``root`` is the root, if one was found."""
 
     def __init__(self, message, root=None):
         super().__init__(message)
@@ -289,8 +290,9 @@ class ResidueTower:
 
         ``minpoly_coeffs`` lists c_0..c_{d-1} of u^d + c_{d-1} u^{d-1} + ... +
         c_0 with coefficients at the current top level.  Fails with
-        :class:`NotAFieldExtension` when a root exists at this level; records
-        an "irreducibility assumed" flag when no exhaustive check applies.
+        :class:`NotAFieldExtension` when :meth:`_factor` finds a root or a
+        factor at this level; records an "irreducibility assumed" flag when
+        its search is not exhaustive.
         """
         if name in self.level_names():
             raise ValueError("duplicate tower level name %r" % name)
@@ -298,13 +300,17 @@ class ResidueTower:
         if len(coeffs) < 2:
             raise NotAFieldExtension(
                 "degree-1 adjunction is disallowed; absorb the element below")
-        root = self._find_root(coeffs)
-        if root is not None:
+        factor, exhaustive = self._factor(coeffs)
+        if factor is not None and len(factor) == 2:
+            root = TowerElem(self, self.neg(factor[0]))
             raise NotAFieldExtension(
                 "minimal polynomial for %r has root %r at its own level"
                 % (name, root), root=root)
-        verified = self._irreducibility_decided(coeffs)
-        level = _Level(name, [c.rep for c in coeffs], verified)
+        if factor is not None:
+            raise NotAFieldExtension(
+                "minimal polynomial for %r has a factor of degree %d at its "
+                "own level" % (name, len(factor) - 1))
+        level = _Level(name, [c.rep for c in coeffs], exhaustive)
         return ResidueTower(self.base, self.levels + (level,))
 
     def _coerce(self, c):
@@ -312,50 +318,35 @@ class ResidueTower:
             return self.lift(c)
         return self.scalar(c)
 
-    def _find_root(self, coeffs):
-        def value_at(x):
-            acc = self.one()
-            total = self.zero()
-            for c in coeffs:
-                total = total + c * acc
-                acc = acc * x
-            return total + acc
+    def _factor(self, coeffs):
+        """(factor, exhaustive) for u^d + ... + c_0, ``coeffs`` its c_i.
 
+        ``factor`` is a monic factor of degree 1 to d/2 (reps, low degree
+        first) or None; ``exhaustive`` says that None proves irreducibility.
+        A finite tower tries every root u - x, then every monic factor.  Over
+        Q, with rational coefficients, it tries the rational root candidates
+        and, for a quartic, Kronecker's quadratic candidates; that search is
+        exhaustive at height 0 up to degree 4.  :meth:`_divides` confirms
+        each candidate.
+        """
+        one, d = self.one_rep, len(coeffs)
         if self.base.p:
-            for x in self.elements():
-                if value_at(x).is_zero():
-                    return x
-            return None
-        if all(c.is_rational() for c in coeffs):
-            for x in _rational_root_candidates([c.as_rational() for c in coeffs]):
-                if value_at(self.scalar(x)).is_zero():
-                    return self.scalar(x)
-        return None
-
-    def _irreducibility_decided(self, coeffs):
-        deg = len(coeffs)
-        if self.base.p:
-            if deg <= 3:
-                return True
-            return not self._has_proper_factor(coeffs)
-        if not all(c.is_rational() for c in coeffs) or self.height > 0:
-            return deg <= 1
-        if deg <= 3:
-            return True
-        if deg == 4:
-            return not _has_rational_quadratic_factor(
-                [c.as_rational() for c in coeffs])
-        return False
-
-    def _has_proper_factor(self, coeffs):
-        # exhaustive monic-divisor search over a finite tower
-        one = self.one_rep
+            elems = [e.rep for e in self.elements()]
+            cands = chain(([self.neg(x), one] for x in elems),
+                          (list(c) + [one] for k in range(2, d // 2 + 1)
+                           for c in product(elems, repeat=k)))
+            exhaustive = True
+        elif all(c.is_rational() for c in coeffs):
+            q = [c.as_rational() for c in coeffs]
+            cands = ([self.scalar(c).rep for c in f] + [one] for f in chain(
+                ([-x] for x in _rational_root_candidates(q)),
+                _quadratic_candidates(q) if d == 4 else ()))
+            exhaustive = d <= 4 and not self.levels
+        else:
+            return None, False
         poly = [c.rep for c in coeffs] + [one]
-        elems = [e.rep for e in self.elements()]
-        # root search already ran, so degree-1 factors are excluded
-        return any(self._divides(list(den) + [one], poly)
-                   for d in range(2, len(coeffs) // 2 + 1)
-                   for den in product(elems, repeat=d))
+        return next((f for f in cands if self._divides(f, poly)),
+                    None), exhaustive
 
     def _divides(self, den, num):
         """Whether monic ``den`` divides ``num`` (reps, low degree first)."""
@@ -383,6 +374,23 @@ def _rational_root_candidates(coeffs):
                     yield cand
 
 
+def _quadratic_candidates(coeffs):
+    """[c, b] of each u^2 + b u + c that may divide a rational monic quartic
+    with no rational root (Kronecker).
+
+    F(u) = D^4 f(u / D), D the lcm of the denominators, is monic over the
+    integers, so by Gauss a factorization of f is one of F into integral
+    monic quadratics, and the values C and 1 + B + C of a factor
+    u^2 + B u + C at 0 and 1 divide F(0) and F(1), neither of them 0.
+    """
+    den = lcm(*(c.denominator for c in coeffs))
+    f = [int(c * den ** (4 - i)) for i, c in enumerate(coeffs)]
+    signed = [[s * e for e in _divisors(n) for s in (1, -1)]
+              for n in (f[0], sum(f) + 1)]
+    for c, g1 in product(*signed):
+        yield [Fraction(c, den * den), Fraction(g1 - 1 - c, den)]
+
+
 def _divisors(n):
     n = abs(n)
     if n == 0:
@@ -395,37 +403,6 @@ def _divisors(n):
             out.add(n // d)
         d += 1
     return sorted(out)
-
-
-def _has_rational_quadratic_factor(coeffs):
-    # Kronecker-style search: monic integer quartic = product of two monic
-    # integer quadratics, constrained by values at 0 and 1.
-    den = lcm(*(c.denominator for c in coeffs))
-    if den != 1:
-        # non-integer monic quartics: clear by substitution x -> x/den
-        scaled = [coeffs[i] * den ** (4 - i) for i in range(4)]
-        if any(s.denominator != 1 for s in scaled):
-            return False
-        coeffs = scaled
-    f = [int(c) for c in coeffs] + [1]
-
-    def f_at(x):
-        return sum(c * x ** i for i, c in enumerate(f))
-
-    f0, f1 = f_at(0), f_at(1)
-    if f0 == 0 or f1 == 0:
-        return True
-    for c in _divisors(f0) + [-d for d in _divisors(f0)]:
-        for g1 in _divisors(abs(f1)) + [-d for d in _divisors(abs(f1))]:
-            b = g1 - 1 - c
-            # trial divide by x^2 + b x + c
-            rem1 = f[3] - b
-            rem0 = f[2] - c - b * rem1
-            r1 = f[1] - c * rem1 - b * rem0
-            r0 = f[0] - c * rem0
-            if r0 == 0 and r1 == 0:
-                return True
-    return False
 
 
 def power(base, n, one):

@@ -183,8 +183,9 @@ def test_criterion_6_transform_invariants():
     # chart x1 = x^2 y^-1, y1 = x^-3 y^2  <=>  x = x1^2 y1, y = x1^3 y1^2
     assert (tmap.nbar, tmap.w, tmap.a, tmap.b) == (2, 3, 1, 2)
     unit = tgt.ctx.y() + tgt.ctx.one()
-    assert tmap.x_image == tgt.ctx.x() ** 2 * unit
-    assert tmap.y_image == tgt.ctx.x() ** 3 * unit ** 2
+    ext = tmap.extension()
+    assert ext.u_image == tgt.ctx.x() ** 2 * unit
+    assert ext.v_image == tgt.ctx.x() ** 3 * unit ** 2
     assert tmap.exceptional_value == Value(Fraction(1, 2))
     st = strict_transform(parse_poly("y^2 - x^3", v1.ctx), tmap)
     assert st == tgt.ctx.y()          # y1 - 1 in the recentered chart

@@ -10,6 +10,7 @@ from valtool import blowup, fixtures
 from valtool.blowup import (
     TransformError,
     TransformMap,
+    _TransformExtension,
     _chart_exponents,
     free_transform,
     iterate_transforms,
@@ -42,8 +43,9 @@ def test_v1_chart(v1):
     # x = x1^2 y1, y = x1^3 y1^2 (in recentered coordinates y1 = z + 1)
     z = tgt.ctx.y()
     unit = z + tgt.ctx.one()
-    assert tmap.x_image == tgt.ctx.x() ** 2 * unit
-    assert tmap.y_image == tgt.ctx.x() ** 3 * unit ** 2
+    ext = tmap.extension()
+    assert ext.u_image == tgt.ctx.x() ** 2 * unit
+    assert ext.v_image == tgt.ctx.x() ** 3 * unit ** 2
     assert tmap.exceptional_value == Value(Fraction(1, 2))
 
 
@@ -102,7 +104,7 @@ def test_degenerate_quadratic_transform():
     g_r, g_s, _ = fixtures.def2()
     tmap, tgt = free_transform(g_s)
     assert (tmap.nbar, tmap.w, tmap.a, tmap.b) == (1, 1, 0, 1)
-    assert tmap.x_image == tgt.ctx.x()
+    assert tmap.extension().u_image == tgt.ctx.x()
     assert validate_sequence(tgt).ok
     # target keys are the shifted partial sums
     assert tgt.values == [Value(1), Value(1), Value(3), Value(7), Value(15)]
@@ -110,6 +112,7 @@ def test_degenerate_quadratic_transform():
 
 def test_value_preservation_under_transform(v1):
     tmap, tgt = free_transform(v1)
+    ext = tmap.extension()
     rng = random.Random(41)
     checked = 0
     for _ in range(40):
@@ -123,7 +126,7 @@ def test_value_preservation_under_transform(v1):
             before = evaluate(f, v1)
         except InsufficientGeneratingData:
             continue
-        img = tmap.to_target(f)
+        img = ext.apply(f)
         drop = img.x_order()
         rest = img.shift(-drop, 0)
         try:
@@ -247,11 +250,13 @@ def test_chart_reading_matches_trial_division(name):
         g = getattr(fixtures, name)()
     tmap, tgt = free_transform(g)
     xn, yn = g.ctx.param_names
-    images = {xn: tmap.x_image, yn: tmap.y_image}
-    # the transform's extension map applies through the chart, too
-    ext = tmap.extension()
-    assert (ext.u_image, ext.v_image) == (tmap.x_image, tmap.y_image)
     unit = tgt.ctx.y() + tgt.ctx.const(tmap.alpha_lift)
+    X = tgt.ctx.x()
+    images = {xn: X ** tmap.nbar * unit ** tmap.a,
+              yn: X ** tmap.w * unit ** tmap.b}
+    # the transform's extension map applies through the chart
+    ext = tmap.extension()
+    assert (ext.u_image, ext.v_image) == (images[xn], images[yn])
     rng = random.Random(name)
     stripped = 0
     for _ in range(12):
@@ -264,8 +269,9 @@ def test_chart_reading_matches_trial_division(name):
         if f.is_zero():
             continue
         img = substitute(f, images)
-        assert tmap.to_target(f) == img
         assert ext.apply(f) == img
+        # a second view of the map, on its kept powers of Z + alpha
+        assert tmap.extension().apply(f) == img
         shifted = img.shift(-img.x_order(), 0)
         reference = _strip_by_division(shifted, unit)
         stripped += reference != shifted
@@ -351,11 +357,12 @@ def test_recentring_matches_ring_substitution(tower, alpha, nbar, w):
                 out = out * base
         return out
 
-    assert tmap.x_image == product((X, nbar), (unit, a))
-    assert tmap.y_image == product((X, w), (unit, b))
+    ext = tmap.extension()
+    assert ext.u_image == product((X, nbar), (unit, a))
+    assert ext.v_image == product((X, w), (unit, b))
     # the reference charts and recentres by substitution: X^n U^a and
     # X^w U^b for x and y, then X and Z + alpha for X and U
-    images = {"x": tmap.x_image, "y": tmap.y_image}
+    images = {"x": ext.u_image, "y": ext.v_image}
     coeffs = [tower.scalar(c) for c in (1, -1, 2, Fraction(1, 5))]
     coeffs += [alpha, alpha + 1] if tower.height else []
     rng = random.Random("%r %r" % (tower, alpha))
@@ -370,8 +377,8 @@ def test_recentring_matches_ring_substitution(tower, alpha, nbar, w):
         h = _chart(tmap, f)
         assert _chart_terms(tmap, f) == h.terms
         top_u_degrees.add(h.y_degree())
-        assert tmap.to_target(f) == _recentred(tmap, h)
-        assert tmap.to_target(f) == substitute(f, images)
+        assert ext.apply(f) == _recentred(tmap, h)
+        assert ext.apply(f) == substitute(f, images)
         assert strict_transform(f, tmap) == \
             _strict_reference(tmap, h).leading_unit_normalized()
     assert max(top_u_degrees) >= max(3, tower.base.p)
@@ -435,9 +442,9 @@ def test_repeated_images_form_no_unit_power_again(monkeypatch):
     tmap, _ = free_transform(g)
     x, y = g.ctx.x(), g.ctx.y()
     high = x ** 3 * y ** 4 + x * y ** 2 - 1  # U-degree 1*3 + 2*4 = 11
-    kept = list(tmap.unit_powers)
-    assert tmap.to_target(high) == substitute(
-        high, {"x": tmap.x_image, "y": tmap.y_image})
+    kept, ext = list(tmap.unit_powers), tmap.extension()
+    assert ext.apply(high) == substitute(
+        high, {"x": ext.u_image, "y": ext.v_image})
     assert len(tmap.unit_powers) == 12
     assert all(p is q for p, q in zip(tmap.unit_powers, kept))
     kept, later = list(tmap.unit_powers), [high, x * y ** 3 + y, g.keys[3],
@@ -447,7 +454,7 @@ def test_repeated_images_form_no_unit_power_again(monkeypatch):
     monkeypatch.setattr(RingElem, "__mul__",
                         lambda f, h: products.append(h) or mul(f, h))
     for f in later:
-        tmap.to_target(f)
+        ext.apply(f)
         strict_transform(f, tmap)
         assert len(tmap.unit_powers) == len(kept)
         assert all(p is q for p, q in zip(tmap.unit_powers, kept))
@@ -513,26 +520,26 @@ def test_the_transform_extension_forms_its_images_on_first_read(cell,
     g = _chain_cell(*cell)
     tmap, target = free_transform(g)
     calls = []
-    to_target = TransformMap.to_target
+    apply = _TransformExtension.apply
 
     def counting(self, f):
         calls.append(f)
-        return to_target(self, f)
+        return apply(self, f)
 
-    monkeypatch.setattr(TransformMap, "to_target", counting)
+    monkeypatch.setattr(_TransformExtension, "apply", counting)
     ext = tmap.extension()
     fingen_detect(g, target, ext, 6)
     assert calls == []
     monkeypatch.undo()
     # once read, they are the images an eagerly built map holds
     x, y = g.ctx.x(), g.ctx.y()
-    eager = ExtensionMap(g.ctx, tmap.to_target(x), tmap.to_target(y),
+    eager = ExtensionMap(g.ctx, ext.apply(x), ext.apply(y),
                          field_degree=1, unique=True)
     assert (ext.u_image, ext.v_image) == (eager.u_image, eager.v_image)
     assert ext.target_ctx is eager.target_ctx is target.ctx
     assert repr(ext) == repr(eager)
     f = g.keys[-1] + x * y - y ** 3
-    assert ext.apply(f) == eager.apply(f) == tmap.to_target(f)
+    assert ext.apply(f) == eager.apply(f) == tmap.extension().apply(f)
     assert (ext.field_degree, ext.unique) == (1, True)
 
 
@@ -545,18 +552,18 @@ def test_the_transform_extension_ramifies_without_its_images(base,
     g = _chain_cell(1, base, 1)
     tmap, target = free_transform(g)
     calls = []
-    to_target = TransformMap.to_target
+    apply = _TransformExtension.apply
 
     def counting(self, f):
         calls.append(f)
-        return to_target(self, f)
+        return apply(self, f)
 
-    monkeypatch.setattr(TransformMap, "to_target", counting)
+    monkeypatch.setattr(_TransformExtension, "apply", counting)
     ext = tmap.extension()
     report = ramification_report(g, target, ext, depth=6)
     assert calls == []
     monkeypatch.undo()
-    want = monomialize_check(tmap.x_image, tmap.y_image)
+    want = monomialize_check(ext.u_image, ext.v_image)
     assert not want and not ext.monomial_form()
     assert report.routes["local-degree"] == "not applicable: %s" % want.reason
     assert (report.e, report.f, report.delta) == (1, 1, 0)
@@ -570,16 +577,19 @@ def test_a_chart_whose_y_image_is_a_unit_is_refused(monkeypatch):
     tmap = TransformMap(src, tgt, 1, 0, 0, 1, tower.scalar(2), Value(1))
     words = r"^images must be non-units \(domination\)$"
     calls = []
-    to_target = TransformMap.to_target
-    monkeypatch.setattr(TransformMap, "to_target",
-                        lambda self, f: calls.append(f) or to_target(self, f))
+    apply = _TransformExtension.apply
+    monkeypatch.setattr(_TransformExtension, "apply",
+                        lambda self, f: calls.append(f) or apply(self, f))
     with pytest.raises(ValueError, match=words):
         tmap.extension()
     assert calls == []
     monkeypatch.undo()
-    assert tmap.y_image.is_unit() and not tmap.x_image.is_unit()
+    # the chart's images, which no extension view is left to form
+    x_image, y_image = (blowup._sum_of_pieces(tmap, tmap._pieces(f))
+                        for f in (src.x(), src.y()))
+    assert y_image.is_unit() and not x_image.is_unit()
     with pytest.raises(ValueError, match=words):
-        ExtensionMap(src, tmap.x_image, tmap.y_image, field_degree=1)
+        ExtensionMap(src, x_image, y_image, field_degree=1)
 
 
 class _KeySpy(list):
@@ -842,7 +852,7 @@ def test_closed_form_needs_the_transforms_own_pair(monkeypatch):
     for g_r, g_s in ((g, twin), (source, target)):
         assert all(ext.initial_image(g_r, k, g_s) is None
                    for k in range(g.top + 1))
-    assert ExtensionMap(g.ctx, tmap.x_image, tmap.y_image, 1).initial_image(
+    assert ExtensionMap(g.ctx, ext.u_image, ext.v_image, 1).initial_image(
         g, 0, target) is None
     real, calls = genseq.expand, []
 
@@ -1010,11 +1020,11 @@ def test_target_steps_match_the_reference_on_perturbed_chains():
 def test_free_transform_charts_and_shifts_no_whole_key(cell, monkeypatch):
     g = _chain_cell(*cell)
     charted, imaged = [], []
-    pieces, to_target = TransformMap._pieces, TransformMap.to_target
+    pieces, apply = TransformMap._pieces, _TransformExtension.apply
     monkeypatch.setattr(TransformMap, "_pieces",
                         lambda tmap, f: charted.append(f) or pieces(tmap, f))
-    monkeypatch.setattr(TransformMap, "to_target",
-                        lambda tmap, f: imaged.append(f) or to_target(tmap, f))
+    monkeypatch.setattr(_TransformExtension, "apply",
+                        lambda ext, f: imaged.append(f) or apply(ext, f))
     tmap, target = free_transform(g)
     assert charted == []
     # no power of Z + alpha as high as a whole key's y-degree is formed
@@ -1022,8 +1032,9 @@ def test_free_transform_charts_and_shifts_no_whole_key(cell, monkeypatch):
     # the parameters' images are formed when read, not with the map
     assert imaged == []
     monkeypatch.undo()
-    assert (tmap.x_image, tmap.y_image) == (
-        tmap.to_target(g.ctx.x()), tmap.to_target(g.ctx.y()))
+    ext = tmap.extension()
+    assert (ext.u_image, ext.v_image) == (
+        ext.apply(g.ctx.x()), ext.apply(g.ctx.y()))
 
 
 @pytest.mark.parametrize("cell", [(d, b, 1) for d in (2, 3, 4)

@@ -480,9 +480,12 @@ _RING = ["[field]", "base Q", "[ring R]", "params x y"]
      "valuation 'nu' needs a 'ring' line"),
     (_RING + ["![extension e]", "x = x", "y = y"],
      "extension 'e' needs a 'from R to S' line"),
+    # u^4 + u^2 + 1 = (u^2 + u + 1)^2 over GF(2) has no root, but a factor
+    (["[field]", "base F 2", "!extend a minpoly 1 0 1 0"],
+     "minimal polynomial for 'a' has a factor of degree 2 at its own level"),
 ], ids=["valuation-ring", "embedding-ring", "extension-from",
         "missing-params", "missing-values", "missing-image", "missing-ring",
-        "valuation-missing-ring", "extension-missing-from"])
+        "valuation-missing-ring", "extension-missing-from", "reducible-level"])
 def test_section_errors_are_reported_at_their_own_line(tmp_path, lines,
                                                       message):
     code, err, bad = _check_error(tmp_path, lines)

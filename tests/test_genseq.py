@@ -857,7 +857,7 @@ def test_row_expansion_matches_the_divmod_loop():
         top = len(keys) - 1
         got = genseq._expand_raw(f, keys, top)
         assert got == _expand_by_divmod(f, keys, top)
-        assert sum((genseq._key_monomial(keys, e, c) for e, c in got.items()),
+        assert sum((genseq._key_monomial(keys, e) * c for e, c in got.items()),
                    f.ctx.zero()) == f
         if g is not None:  # through the sequence's kept plans
             exp = expand(f, g)

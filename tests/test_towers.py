@@ -64,9 +64,12 @@ def test_sqrt2_tower():
 def test_rational_quartic_irreducibility():
     t = ResidueTower(QQ)
     # x^4 - 4 = (x^2-2)(x^2+2): root-free, but the quadratic-factor search
-    # finds it and the level is left unverified
-    t2 = t.extend("b", [-4, 0, 0, 0])
-    assert "b" in t2.unverified_levels()
+    # finds the factor and the level is refused
+    with pytest.raises(NotAFieldExtension) as err:
+        t.extend("b", [-4, 0, 0, 0])
+    assert err.value.root is None
+    assert str(err.value) == ("minimal polynomial for 'b' has a factor of "
+                              "degree 2 at its own level")
     # the genuinely irreducible x^4 - 2 is certified
     t3 = t.extend("c", [-2, 0, 0, 0])
     assert "c" not in t3.unverified_levels()
@@ -74,12 +77,69 @@ def test_rational_quartic_irreducibility():
 
 def test_finite_tower_exhaustive_factor_search():
     f2 = gf(2)
-    # x^4 + x^2 + 1 = (x^2+x+1)^2 over GF(2): no root, quadratic factor
-    t = f2.extend("a", [1, 0, 1, 0])
-    assert not t.levels[-1].verified
+    # x^4 + x^2 + 1 = (x^2+x+1)^2 over GF(2): no root, quadratic factor,
+    # so the level is refused
+    with pytest.raises(NotAFieldExtension) as err:
+        f2.extend("a", [1, 0, 1, 0])
+    assert err.value.root is None
+    assert "has a factor of degree 2 at its own level" in str(err.value)
     # x^4 + x + 1 is irreducible over GF(2)
     t2 = f2.extend("a", [1, 1, 0, 0])
     assert t2.levels[-1].verified
+
+
+def _random_minpolys(rng):
+    """(p, c_0 .. c_(d-1)) of random monic polynomials over GF(2), GF(3),
+    GF(5) and Q of degree 2 to 5; half the rational quartics are products
+    of two monic quadratics."""
+    for p in (2, 3, 5):
+        for _ in range(120):
+            yield p, [rng.randrange(p) for _ in range(rng.randint(2, 5))]
+    small = [Fraction(a, b) for a in range(-6, 7) for b in (1, 1, 2, 3)]
+    for _ in range(240):
+        d = rng.randint(2, 5)
+        if d == 4 and rng.random() < 0.5:
+            (a, b), (c, e) = [rng.choices(small, k=2) for _ in range(2)]
+            # (u^2 + a u + b)(u^2 + c u + e)
+            yield 0, [b * e, a * e + b * c, a * c + b + e, a + c]
+        else:
+            yield 0, rng.choices(small, k=d)
+
+
+def test_extend_refuses_exactly_what_sympy_factors():
+    # where the factor search is exhaustive (a finite tower, or Q up to
+    # degree 4) a level is refused exactly when sympy finds a factor, at
+    # the least degree of one, and is verified otherwise; over Q at
+    # degree 5 only a rational root refuses it, and it stays unverified
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    refused = {"root": 0, "factor": 0}
+    for p, coeffs in _random_minpolys(random.Random(37)):
+        d = len(coeffs)
+        dense = [1] + [sympy.Rational(c.numerator, c.denominator)
+                       if p == 0 else c for c in reversed(coeffs)]
+        poly = (sympy.Poly(dense, u, modulus=p) if p
+                else sympy.Poly(dense, u, domain="QQ"))
+        least = min(f.degree() for f, _ in poly.factor_list()[1])
+        base = ResidueTower(BaseField(p))
+        if p == 0 and d == 5 and least > 1:
+            assert base.extend("a", coeffs).unverified_levels() == ("a",)
+            continue
+        if least == d:
+            assert base.extend("a", coeffs).unverified_levels() == (), coeffs
+            continue
+        with pytest.raises(NotAFieldExtension) as err:
+            base.extend("a", coeffs)
+        root = err.value.root
+        if least == 1:
+            refused["root"] += 1
+            assert poly.eval(sympy.Rational(str(root.as_rational()))) == 0
+        else:
+            refused["factor"] += 1
+            assert root is None, coeffs
+            assert str(err.value).endswith(
+                "has a factor of degree %d at its own level" % least)
+    assert min(refused.values()) >= 10, refused  # both refusals are drawn
 
 
 def test_field_axioms_randomized_on_fixture_towers():
