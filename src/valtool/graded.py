@@ -14,6 +14,8 @@ finite generation" or "obstruction witnessed", never a theorem.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .genseq import initial_form, residue_sum, sigma_indices
 from .towers import LinearSolver, TowerElem, span_closure
 from .values import INFINITE, ContainmentError, RunningIndex
@@ -258,18 +260,42 @@ def subalgebra_membership(e, gens):
 
     The scalars k are the residue field of e's ring.  Monomials in the
     generators with e's value are enumerated (finitely many, by positivity)
-    and an exact linear system over the base field decides, on sparse
+    and walked in one order.
+
+    A single-term e over a tower of height 0 is decided by exponent match:
+    k is the base field, so e is a multiple of a single-term product exactly
+    when their exponent vectors agree, and the first such product gives the
+    certificate with the ratio of the two coefficients.  No linear system is
+    formed.  At the first product of two or more terms the walk so far, and
+    the rest of it, go to the solver below.
+
+    Otherwise an exact linear system over the base field decides, on sparse
     columns keyed by (key exponents, base coordinate): no basis of e's
     piece is numbered.  The walk stops at the first monomial whose columns
-    put e in their span.
+    put e in their span.  While e and every product walked are single
+    terms, only the columns at e's own exponent vector are solved against:
+    the others span a complement, so they can neither enter the certificate
+    nor stop the walk earlier.  A product of two or more terms restarts on
+    every column.
 
-    While e and every product walked are single terms, only the columns at
-    e's own exponent vector are solved against: the others span a
-    complement, so they can neither enter the certificate nor stop the walk
-    earlier.  A product of two or more terms restarts on every column.
+    A failure reports the rank of every column walked; by exponent match
+    that is the number of distinct exponent vectors walked.
     """
     g = e.genseq
     tower = g.ctx.tower
+    walk, walked = _products_of_value(gens, e.point, g), []
+    if len(e.coeffs) == 1 and not tower.height:
+        (own, c), = e.coeffs.items()
+        for gexps, prod in walk:
+            walked.append((gexps, prod))
+            if len(prod.coeffs) > 1:
+                break  # the solver takes the walk over from here
+            d = prod.coeffs.get(own)
+            if d is not None:
+                return MembershipResult(True, certificate=[(gexps, c / d)])
+        else:
+            return _failure(e, walked, len({exps for _, prod in walked
+                                            for exps in prod.coeffs}))
     field = g.residue_chain[0][:g.residue_ranks[0]]  # the ring's residue field
 
     def flatten(elem, scalar):
@@ -287,8 +313,9 @@ def subalgebra_membership(e, gens):
 
     target = flatten(e, tower.one())
     own = next(iter(e.coeffs)) if len(e.coeffs) == 1 else None
-    solver, columns, walked, sol = LinearSolver(tower.base), [], [], None
-    for gexps, prod in _products_of_value(gens, e.point, g):
+    handed, walked = walked, []
+    solver, columns, sol = LinearSolver(tower.base), [], None
+    for gexps, prod in chain(handed, walk):
         walked.append((gexps, prod))
         if own is not None and len(prod.coeffs) > 1:
             own, solver, columns = None, LinearSolver(tower.base), []
@@ -305,17 +332,14 @@ def subalgebra_membership(e, gens):
             if sol is not None:
                 break
     if not walked:
-        return MembershipResult(False, detail="no generator monomial has "
-                                               "value %r" % e.value)
+        return _failure(e, walked, 0)
     if sol is None:
         sol = solver.solve(target)  # a zero e needs no pivot
     if sol is None:
         if own is not None:  # the rank counts the columns off e's, too
             solver = LinearSolver(tower.base)
             add(solver, [], walked)
-        return MembershipResult(
-            False, detail="rank %d system over %d monomials has no solution"
-            % (solver.rank, len(walked)))
+        return _failure(e, walked, solver.rank)
     combo = {}
     for idx, scal in sol.items():
         gexps, b = columns[idx]
@@ -324,6 +348,16 @@ def subalgebra_membership(e, gens):
     certificate = sorted((gexps, c) for gexps, c in combo.items()
                          if not c.is_zero())
     return MembershipResult(True, certificate=certificate)
+
+
+def _failure(e, walked, rank):
+    """Why e is not a member, after walking ``walked`` to a system of rank
+    ``rank``."""
+    if not walked:
+        return MembershipResult(False, detail="no generator monomial has "
+                                               "value %r" % e.value)
+    return MembershipResult(False, detail="rank %d system over %d monomials "
+                            "has no solution" % (rank, len(walked)))
 
 
 def _products_of_value(gens, target, g):

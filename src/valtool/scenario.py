@@ -108,6 +108,9 @@ def _parse_series(text, tower, trunc, line):
             raise ScenarioError("empty series term in %r" % text, line)
         if sign is None and not first:
             raise ScenarioError("missing +/- between series terms", line)
+        if exp and exp.startswith("(") != exp.endswith(")"):
+            raise ScenarioError("unbalanced parenthesis in series exponent "
+                                "%r" % exp, line)
         q = _parse_fraction(coeff, line) if coeff else Fraction(1)
         if sign == "-":
             q = -q

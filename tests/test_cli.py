@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,22 @@ alpha 2 2
     g = scenario.valuations["nu"]
     from fractions import Fraction
     assert g.values[2].q0 == Fraction(7, 2)
+
+
+def test_series_exponent_reads_with_or_without_parentheses():
+    scenario = parse_scenario("""
+[field]
+base Q
+[ring R]
+params x y
+[embedding o]
+ring R
+x = t^(3/2)
+y = t^3/2 + 2*t^(2)
+""")
+    images = scenario.embeddings["o"].images
+    assert images["x"].coeffs == {Fraction(3, 2): 1}
+    assert images["y"].coeffs == {Fraction(3, 2): 1, Fraction(2): 2}
 
 
 def test_fault_continues_to_next_command(tmp_path):
@@ -623,6 +640,9 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines,
     _RING + ["[embedding o]", "ring R", "x = t", "!y = t^2 $"],
     _RING + ["[embedding o]", "ring R", "x = t", "!y = t^2 + "],
     _RING + ["[embedding o]", "ring R", "x = t", "!y = t^2 t^3"],
+    # an exponent with one parenthesis was read as if it were balanced
+    _RING + ["[embedding o]", "ring R", "!x = t^(2", "y = t^3"],
+    _RING + ["[embedding o]", "ring R", "x = t^2", "!y = t^3)"],
 ], ids=["base", "base-F-x", "irrational", "levels-two", "bare-ring",
         "bare-truncate", "alpha-x", "key-n-two", "key-n-0", "key-n--1",
         "key-n-x", "unique-maybe", "degree-many", "params-x-x",
@@ -644,7 +664,8 @@ def test_section_errors_are_reported_at_their_own_line(tmp_path, lines,
         "unknown-extension-line", "from-R-R", "undeclared-oracle",
         "oracle-on-other-ring", "image-for-z", "series-for-z",
         "rank-2-value-no-irrational", "bad-series-term",
-        "empty-series-term", "series-terms-without-sign"])
+        "empty-series-term", "series-terms-without-sign",
+        "series-exponent-open-only", "series-exponent-close-only"])
 def test_malformed_directive_is_a_parse_error(tmp_path, lines):
     code, err, bad = _check_error(tmp_path, lines)
     assert code == 2

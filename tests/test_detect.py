@@ -398,6 +398,85 @@ def test_single_term_membership_fails_as_the_unfiltered_system_does():
     assert kinds == {"at e", "off e", "two terms"}
 
 
+MATCH_CASES = ["chain-d%d-%s-rank%d" % (d, b, r) for d in (1, 2, 3)
+               for b in ("Q", "GF2", "GF3") for r in (1, 2)]
+
+
+def _solvers_built(monkeypatch):
+    """A list that gains an entry for each LinearSolver graded builds."""
+    built = []
+
+    class Counting(graded.LinearSolver):
+        def __init__(self, base):
+            built.append(base)
+            super().__init__(base)
+
+    monkeypatch.setattr(graded, "LinearSolver", Counting)
+    return built
+
+
+def _matched_before_two_terms(e, gens):
+    """Whether the walk meets a single-term product at e's exponent vector
+    before any product of two or more terms."""
+    (own,) = e.coeffs
+    for _, prod in graded._products_of_value(gens, e.point, e.genseq):
+        if len(prod.coeffs) > 1:
+            return False
+        if own in prod.coeffs:
+            return True
+    return False
+
+
+def test_exponent_match_decides_as_the_dense_reference(monkeypatch):
+    # single-term memberships over height-0 chain cells: a success, a rank
+    # failure, an empty walk and a walk handed to the solver at a two-term
+    # product all give the dense answer, and only the handover builds a
+    # solver
+    built = _solvers_built(monkeypatch)
+    kinds = set()
+    for case in MATCH_CASES:
+        for _, g, _, _, gens in _generator_sets(case):
+            tower = g.ctx.tower
+            assert tower.height == 0, case
+            scalars = [c for c in (tower.one(), tower.scalar(-1),
+                                   tower.scalar(2)) if not c.is_zero()]
+            extra = _two_term(g, gens)  # its products have two terms
+            subs = [gens[:3], gens[1:4]] + ([[extra] + gens[:2]]
+                                            if extra else [])
+            points = {graded._monomial(g, sub, exps).point for sub in subs
+                      for exps in itertools.product(range(2),
+                                                    repeat=len(sub))}
+            for point, sub in itertools.product(points, subs):
+                for m, c in itertools.product(graded_piece_basis(point, g),
+                                              scalars):
+                    e = GradedElem(g, point, {m: c})
+                    built.clear()
+                    res = subalgebra_membership(e, sub)
+                    assert (res.ok, res.certificate, res.detail) == \
+                        _dense_membership(e, sub), (case, e, sub)
+                    matched = _matched_before_two_terms(e, sub)
+                    assert res.ok or not matched, (case, e, sub)
+                    handed = not matched and any(
+                        len(p.coeffs) > 1 for _, p in
+                        graded._products_of_value(sub, point, g))
+                    assert bool(built) == handed, (case, e, sub)
+                    kinds.add("handover" if handed else
+                              "match" if res.ok else res.detail[:4])
+    assert kinds == {"match", "rank", "no g", "handover"}
+
+
+def test_only_towers_above_height_0_solve_single_term_memberships(
+        monkeypatch):
+    built = _solvers_built(monkeypatch)
+    for case, want in (("chain-d2-Q-rank1", False), ("v1-over-Qi", True)):
+        for _, g, _, _, gens in _generator_sets(case):
+            assert (g.ctx.tower.height > 0) == want, case
+            e = graded._monomial(g, gens, [1, 1] + [0] * (len(gens) - 2))
+            assert len(e.coeffs) == 1, case
+            built.clear()
+            assert subalgebra_membership(e, gens), case
+            assert bool(built) == want, case
+
 def _reference_ratio(num, den):
     """Residue of num / den against the greedy reduced monomial of their
     value, the reference chi's deltas were once taken against."""
