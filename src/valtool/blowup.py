@@ -138,7 +138,7 @@ class _TransformExtension(ExtensionMap):
         tmap, own = self.tmap, g_r._transform
         if own is None or own[0] is not tmap or own[1] is not g_s:
             return None
-        exps = [0] * len(g_s.keys)
+        exps = [0] * (g_s.top + 1)
         exps[0] = tmap.key_orders[k]
         if k >= 2:
             exps[k - 1] = 1

@@ -107,20 +107,16 @@ class GenSeq:
 
     def __init__(self, ctx, values, steps=(), residues=None, oracle=None,
                  terminal=False, keys=None):
-        """``keys``, when given, are the keys x, y, P_2, ... that the steps
-        build, formed by the caller and kept as given; :func:`step_from_tail`
-        reads a step off a key's tail."""
+        """The keys x, y, P_2, ... are formed from the steps on their first
+        read.  ``keys``, when given, are those keys, formed by the caller and
+        kept as given; :func:`step_from_tail` reads a step off a key's tail."""
         steps = list(steps)
         if len(values) != len(steps) + 2:
             raise ValueError("need one value per key: 2 + number of steps")
         for i, step in enumerate(steps, start=1):
             if step.index != i:
                 raise ValueError("steps must be consecutive from index 1")
-        if keys is None:
-            keys = [ctx.x(), ctx.y()]
-            for step in steps:
-                keys.append(next_key(keys, step))
-        elif len(keys) != len(values):
+        if keys is not None and len(keys) != len(values):
             raise ValueError("need one value per key")
         self.ctx = ctx
         self.values = [v if isinstance(v, Value) else Value(v) for v in values]
@@ -130,8 +126,9 @@ class GenSeq:
                     "step %d gives next value %r but key %d has value %r"
                     % (step.index, step.next_value, step.index + 1,
                        self.values[step.index + 1]))
+        self.top = len(self.values) - 1  # the number of keys, less one
         self.grid = Grid(self.values)
-        self.keys = list(keys)
+        self._keys = None if keys is None else list(keys)
         self.steps = steps
         self.declared_residues = dict(residues or {})
         self.oracle = oracle
@@ -159,8 +156,14 @@ class GenSeq:
     # -- structure -----------------------------------------------------------
 
     @property
-    def top(self):
-        return len(self.keys) - 1
+    def keys(self):
+        """x, y, P_2, ...: formed from the steps on first read, and kept."""
+        if self._keys is None:
+            keys = [self.ctx.x(), self.ctx.y()]
+            for step in self.steps:
+                keys.append(next_key(keys, step))
+            self._keys = keys
+        return self._keys
 
     def level(self, i):
         return self.levels[i - 1]
@@ -179,7 +182,7 @@ class GenSeq:
         if tail is None:
             step = self.step(i)
             lead = self.point((0,) * i + (step.power,))
-            pad = (0,) * len(self.keys)
+            pad = (0,) * (self.top + 1)
             tail = tuple((self.ctx.const(t.coeff).constant_term(),
                           t.exps + pad[len(t.exps):])
                          for t in step.tail if self.point(t.exps) == lead)
@@ -262,7 +265,7 @@ class GenSeq:
 
     def __repr__(self):
         return "GenSeq(%d keys, values=%r%s)" % (
-            len(self.keys), self.values, ", terminal" if self.terminal else "")
+            self.top + 1, self.values, ", terminal" if self.terminal else "")
 
 
 def step_from_tail(keys, i, power, tail, next_value):
@@ -409,7 +412,7 @@ def residue_of_monomial(exps, g):
     Solved as a product of powers of the per-level residues by descending
     through the triangular lattice relation of the unit monomials.
     """
-    exps = list(exps) + [0] * (len(g.keys) - len(exps))
+    exps = list(exps) + [0] * (g.top + 1 - len(exps))
     if g.point(exps) != (0, 0):
         raise PreconditionError("monomial %r has nonzero value" % (exps,))
     result = g.ctx.tower.one()

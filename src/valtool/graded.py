@@ -64,7 +64,7 @@ def _monomial_str(g, exps):
 
 def key_initial(g, i):
     """in(P_i) as a graded element (a free basis vector)."""
-    e = [0] * len(g.keys)
+    e = [0] * (g.top + 1)
     e[i] = 1
     return GradedElem(g, g.grid.points[i], {tuple(e): g.ctx.tower.one()})
 
@@ -193,7 +193,7 @@ def graded_presentation(g, depth):
                 redundant = True
                 expression = "%r * %s" % (
                     lvl.residue, _monomial_str(
-                        g, tuple(lvl.unit_exps) + (0,) * (len(g.keys)
+                        g, tuple(lvl.unit_exps) + (0,) * (g.top + 1
                                                           - len(lvl.unit_exps))))
         generators.append(GradedGenerator(i, g.values[i], redundant, expression))
     relations = []
@@ -205,7 +205,7 @@ def graded_presentation(g, depth):
         equal = list(g.equal_tail(i))
         if not equal:
             continue
-        lead = [0] * len(g.keys)
+        lead = [0] * (g.top + 1)
         lead[i] = step.power
         verified = True
         try:
@@ -385,7 +385,7 @@ def _monomial(g, gens, exps):
     """
     tower = g.ctx.tower
     one, mul = tower.one_rep, tower.mul
-    out, p0, p1, rep, unit, multi = [0] * len(g.keys), 0, 0, None, None, []
+    out, p0, p1, rep, unit, multi = [0] * (g.top + 1), 0, 0, None, None, []
     for gen, k in zip(gens, exps):
         if k < 0:
             raise ValueError("negative powers are not graded elements")
@@ -537,7 +537,7 @@ def _detect(g_r, g_s, ext, depth):
         initials[j] = ext.initial_image(g_r, j, g_s)
         if initials[j] is None:
             initials[j] = initial_form(ext.apply(g_r.keys[j]), g_s)
-    q_initials = [key_initial(g_s, i) for i in range(len(g_s.keys))]
+    q_initials = [key_initial(g_s, i) for i in range(g_s.top + 1)]
 
     chi_at = _Chi(g_r, g_s, sigma, tau, lambda si: _delta(g_r, si, initials))
     # lambda's lattices grow with s and r, so their echelon rows are kept
@@ -670,6 +670,9 @@ class _Chi:
             solver.add(b.to_vector())
         self.small = basis, solver
         self.r = 0  # sigma levels absorbed; None once a delta is missing
+        # (small rank, big rank) of the last containment that held: both
+        # fields only grow, so it holds again while the small field stays
+        self.contained = None
 
     def at(self, s, r):
         """chi at level s with sigma[0..r] absorbed, or None when a residue
@@ -688,10 +691,13 @@ class _Chi:
             return None
         solver = self.g_s.residue_chain[1]
         big = self.g_s.residue_ranks[self.tau[s]]
-        if any(solver.solve(b.to_vector(), big) is None
-               for b in self.small[0]):
-            return None
         small = self.small[1].rank
+        held = self.contained
+        if held is None or held[0] != small or held[1] > big:
+            if any(solver.solve(b.to_vector(), big) is None
+                   for b in self.small[0]):
+                return None
+            self.contained = small, big
         return None if big % small else big // small
 
 

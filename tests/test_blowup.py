@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import valtool
-from valtool import blowup, fixtures
+from valtool import blowup, fixtures, genseq
 from valtool.blowup import (
     TransformError,
     TransformMap,
@@ -26,7 +26,7 @@ from valtool.scenario import parse_scenario
 from valtool.towers import QQ, BaseField, ResidueTower, TowerElem
 from valtool.values import INFINITE, Value
 
-from test_genseq import _SCENARIOS, _chain_cell, _shipped
+from test_genseq import _SCENARIOS, _chain_cell, _shipped, _spy_next_key
 from test_graded import _chain, _form, _v1_declared
 from test_reports import _reparametrised
 
@@ -592,38 +592,21 @@ def test_a_chart_whose_y_image_is_a_unit_is_refused(monkeypatch):
         ExtensionMap(src, x_image, y_image, field_degree=1)
 
 
-class _KeySpy(list):
-    """A sequence's keys that record the index of every key read."""
-
-    def __init__(self, keys):
-        super().__init__(keys)
-        self.read = set()
-
-    def __getitem__(self, i):
-        span = range(len(self))
-        self.read.update(span[i] if isinstance(i, slice) else [span[i]])
-        return super().__getitem__(i)
-
-    def __iter__(self):
-        self.read.update(range(len(self)))
-        return super().__iter__()
-
-
 @pytest.mark.parametrize("cell", [(d, b, r) for d in (1, 2, 3, 4)
                                   for b in _BASES for r in (1, 2)],
                          ids=lambda c: "d%d-%s-%d" % c)
-def test_the_detect_path_reads_no_source_key_past_y(cell):
-    # the gate of keys formed on demand: transforming a chain, detecting
-    # against the transform and reporting e, f and delta read no source
-    # key P_k with k >= 2
+def test_the_detect_path_reads_no_source_key_past_y(cell, monkeypatch):
+    # keys are formed on first read: declaring a chain, transforming it,
+    # detecting against the transform and reporting e, f and delta form
+    # no key past y at all, so they read no source key P_k with k >= 2
+    formed = _spy_next_key(monkeypatch)
     g = _chain_cell(*cell)
-    spy = g.keys = _KeySpy(g.keys)
     tmap, target = free_transform(g)
     ext = tmap.extension()
     fingen_detect(g, target, ext, 6)
     report = ramification_report(g, target, ext, depth=6)
     assert report.e >= 1 and g.top >= 2
-    assert {k for k in spy.read if k >= 2} == set(), cell
+    assert formed == [], cell
 
 
 # -- one transform per sequence -------------------------------------------------
@@ -840,7 +823,6 @@ def test_transform_gives_each_key_image_in_closed_form(case):
 
 
 def test_closed_form_needs_the_transforms_own_pair(monkeypatch):
-    import valtool.genseq as genseq
     g = _chain_cell(3, "Q", 1)
     tmap, target = free_transform(g)
     ext = tmap.extension()

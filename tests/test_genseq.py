@@ -580,12 +580,71 @@ def test_steps_with_their_keys_keep_the_keys():
         GenSeq(g.ctx, g.values, g.steps, keys=g.keys[:-1])
 
 
+def _eager_keys(g):
+    """The keys as every sequence once formed them, in its constructor."""
+    keys = [g.ctx.x(), g.ctx.y()]
+    for step in g.steps:
+        keys.append(next_key(keys, step))
+    return keys
+
+
+def _spy_next_key(monkeypatch):
+    """The steps of every key formed from here on."""
+    formed, real = [], genseq.next_key
+    monkeypatch.setattr(genseq, "next_key",
+                        lambda keys, step: formed.append(step)
+                        or real(keys, step))
+    return formed
+
+
+# each first read goes through one of the readers that need the keys
+_FIRST_READERS = [
+    lambda g: g.keys,
+    lambda g: g.monomial((0,) * g.top + (1,)),
+    lambda g: expand(g.ctx.x() + g.ctx.y() ** 3, g),
+    lambda g: evaluate(g.ctx.y() ** 2, g),
+    validate_sequence,
+]
+
+
+@pytest.mark.parametrize("cell", [(d, b, r) for d in range(1, 7)
+                                  for b in ("Q", "GF2", "GF3")
+                                  for r in (1, 2)],
+                         ids=lambda c: "d%d-%s-rank%d" % c)
+def test_keys_formed_on_first_read_equal_the_eager_keys(cell, monkeypatch):
+    g = _chain_cell(*cell)
+    formed = _spy_next_key(monkeypatch)
+    _FIRST_READERS[cell[0] % len(_FIRST_READERS)](g)
+    assert formed == g.steps  # each key once, in order
+    # the reference calls the unpatched next_key it imported
+    assert g.keys == _eager_keys(g) and g.keys is g.keys
+    assert formed == g.steps  # later reads form nothing
+
+
+def test_given_keys_are_kept_and_form_no_key(monkeypatch):
+    g = _chain(4)
+    keys = g.keys
+    formed = _spy_next_key(monkeypatch)
+    h = GenSeq(g.ctx, g.values, g.steps, residues=g.declared_residues,
+               keys=keys)
+    assert all(a is b for a, b in zip(h.keys, keys, strict=True))
+    assert validate_sequence(h).ok
+    assert evaluate(keys[-1] * keys[2] - g.ctx.x(), h) == evaluate(
+        keys[-1] * keys[2] - g.ctx.x(), g)
+    assert formed == []
+
+
+def test_repr_and_top_form_no_key(monkeypatch):
+    formed = _spy_next_key(monkeypatch)
+    g = _chain(3)
+    assert repr(g) == "GenSeq(5 keys, values=[1, 3/2, 13/4, 53/8, 213/16])"
+    assert g.top == 4 and formed == []
+    assert len(g.keys) == 5 and len(formed) == 3
+
+
 def test_transforms_and_parsing_build_no_key_twice(monkeypatch):
     sources = [_chain(4), fixtures.v1(), fixtures.corn()]
-    calls = []
-    real = genseq.next_key
-    monkeypatch.setattr(genseq, "next_key",
-                        lambda keys, step: calls.append(step) or real(keys, step))
+    calls = _spy_next_key(monkeypatch)
     for g in sources:
         free_transform(g)
     for name in _SCENARIOS:

@@ -757,7 +757,19 @@ def _chi_reference(tower, eps, deltas):
     return field_index(tower, eps, [d for d in deltas if d is not INFINITE])
 
 
-def test_chi_carries_its_closures_across_levels():
+def _counting_solves(monkeypatch):
+    """The number of LinearSolver.solve calls made so far, as a list."""
+    solves, real = [0], LinearSolver.solve
+
+    def counting(self, *args):
+        solves[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(LinearSolver, "solve", counting)
+    return solves
+
+
+def test_chi_carries_its_closures_across_levels(monkeypatch):
     # Q(i, sqrt 2) over Q; each call is checked against a from-scratch index
     tower = ResidueTower(QQ).extend("i", [1, 0])
     tower = tower.extend("s", [tower.scalar(-2), tower.zero()])
@@ -785,19 +797,53 @@ def test_chi_carries_its_closures_across_levels():
 
     # sqrt 2 lies outside Q(i) at s=1 and 2 and inside from s=3; delta 4
     # and eps 4 are missing, the latter alone in the second run; r never
-    # shrinks, so each delta is asked for once
-    for cases, expected, deltas_asked in [
+    # shrinks, so each delta is asked for once.  Containment is solved for
+    # the small field Q and again when it grows to Q(sqrt 2), one solve per
+    # basis element up to the first outside, until it holds; the rank-jump
+    # delta 3 leaves the field as it was, so nothing is solved at (3, 3)
+    solves = _counting_solves(monkeypatch)
+    for cases, expected, deltas_asked, solved in [
             ([(0, 0), (0, 1), (1, 2), (2, 2), (3, 2), (3, 3), (3, 4), (4, 4)],
-             [1, 1, None, None, 2, 2, None, None], [1, 2, 3, 4]),
-            ([(4, 3), (3, 3)], [None, 2], [1, 2, 3])]:
+             [1, 1, None, None, 2, 2, None, None], [1, 2, 3, 4],
+             [1, 0, 2, 2, 2, 0, 0, 0]),
+            ([(4, 3), (3, 3)], [None, 2], [1, 2, 3], [0, 2])]:
         chi = graded._Chi(g_r, g_s, range(5), range(5), delta)
         asked.clear()
-        got = []
+        got, counts = [], []
         for s, r in cases:
             want = _chi_reference(tower, eps[1:s + 1], deltas[1:r + 1])
+            before = solves[0]
             got.append(chi.at(s, r))
+            counts.append(solves[0] - before)
             assert got[-1] == want, (s, r)
         assert got == expected and asked == deltas_asked
+        assert counts == solved
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_chi_solves_containment_once_on_the_chain_cells(depth, monkeypatch):
+    # every residue of a chain is 1, so the small field stays the base
+    # field at every level: its one basis element is solved for once per
+    # detection, however many levels read chi
+    from test_genseq import _chain_cell
+    solves, at, calls = _counting_solves(monkeypatch), graded._Chi.at, []
+
+    def counting_at(self, s, r):
+        before = solves[0]
+        try:
+            return at(self, s, r)
+        finally:
+            calls.append(solves[0] - before)
+
+    monkeypatch.setattr(graded._Chi, "at", counting_at)
+    for base in ("Q", "GF2", "GF3"):
+        for rank in (1, 2):
+            g = _chain_cell(depth, base, rank)
+            tmap, target = free_transform(g)
+            calls.clear()
+            st = fingen_detect(g, target, tmap.extension(), 6)
+            assert st.f == 1 and len(calls) == len(st.levels)
+            assert sum(calls) == 1 and calls[0] == 1, (base, rank, calls)
 
 
 def test_detector_proves_each_source_image_once(monkeypatch):
