@@ -258,33 +258,32 @@ class MembershipResult:
 def subalgebra_membership(e, gens):
     """Decide e in k[gens] for homogeneous e and gens, with a certificate.
 
-    The scalars k are the residue field of e's ring.  Monomials in the
+    The scalars k are the residue field K_0 of e's ring.  Monomials in the
     generators with e's value are enumerated (finitely many, by positivity)
-    and walked in one order.
+    and walked in one order, in one of two regimes.
 
-    A single-term e over a tower of height 0 is decided by exponent match:
-    k is the base field, so e is a multiple of a single-term product exactly
-    when their exponent vectors agree, and the first such product gives the
-    certificate with the ratio of the two coefficients.  No linear system is
-    formed.  At the first product of two or more terms the walk so far, and
-    the rest of it, go to the solver below.
+    A single-term e whose residue field K_0 is the whole tower is decided
+    by exponent match: every coefficient ratio lies in K_0, so e is a
+    multiple of a single-term product exactly when their exponent vectors
+    agree, and the first such product gives the certificate with the ratio
+    of the two coefficients.  No linear system is formed.  At the first
+    product of two or more terms the walk so far, and the rest of it, go to
+    the solver below.
 
-    Otherwise an exact linear system over the base field decides, on sparse
-    columns keyed by (key exponents, base coordinate): no basis of e's
-    piece is numbered.  The walk stops at the first monomial whose columns
-    put e in their span.  While e and every product walked are single
-    terms, only the columns at e's own exponent vector are solved against:
-    the others span a complement, so they can neither enter the certificate
-    nor stop the walk earlier.  A product of two or more terms restarts on
-    every column.
+    Every other membership is decided by one exact linear system over the
+    base field, on sparse columns keyed by (key exponents, base coordinate)
+    for every monomial walked: no basis of e's piece is numbered.  The walk
+    stops at the first monomial whose columns put e in their span.
 
-    A failure reports the rank of every column walked; by exponent match
-    that is the number of distinct exponent vectors walked.
+    A failure reports the rank of the system on every column walked.  Under
+    exponent match each nonzero coefficient spans K_0 times its monomial,
+    so that rank is [K_0 : base] times the distinct exponent vectors walked.
     """
     g = e.genseq
     tower = g.ctx.tower
+    field = g.residue_chain[0][:g.residue_ranks[0]]  # the ring's residue field
     walk, walked = _products_of_value(gens, e.point, g), []
-    if len(e.coeffs) == 1 and not tower.height:
+    if len(e.coeffs) == 1 and g.ctx.ring_levels == tower.height:
         (own, c), = e.coeffs.items()
         for gexps, prod in walk:
             walked.append((gexps, prod))
@@ -294,36 +293,21 @@ def subalgebra_membership(e, gens):
             if d is not None:
                 return MembershipResult(True, certificate=[(gexps, c / d)])
         else:
-            return _failure(e, walked, len({exps for _, prod in walked
-                                            for exps in prod.coeffs}))
-    field = g.residue_chain[0][:g.residue_ranks[0]]  # the ring's residue field
+            return _failure(e, len(walked), len(field) * len(
+                {exps for _, prod in walked for exps in prod.coeffs}))
 
     def flatten(elem, scalar):
         # a nonzero scalar multiple of a reduced element stays reduced
         return {(exps, k): s for exps, c in elem.coeffs.items()
                 for k, s in enumerate((c * scalar).to_vector()) if s}
 
-    def add(solver, columns, products):  # True when the span grew
-        grew = False
-        for gexps, prod in products:
-            for b in field:
-                grew = solver.add(flatten(prod, b)) or grew
-                columns.append((gexps, b))
-        return grew
-
     target = flatten(e, tower.one())
-    own = next(iter(e.coeffs)) if len(e.coeffs) == 1 else None
-    handed, walked = walked, []
     solver, columns, sol = LinearSolver(tower.base), [], None
-    for gexps, prod in chain(handed, walk):
-        walked.append((gexps, prod))
-        if own is not None and len(prod.coeffs) > 1:
-            own, solver, columns = None, LinearSolver(tower.base), []
-            grew = add(solver, columns, walked)
-        elif own is None or own in prod.coeffs:
-            grew = add(solver, columns, walked[-1:])
-        else:
-            continue  # a single term off e's coordinates
+    for gexps, prod in chain(walked, walk):
+        grew = False
+        for b in field:
+            grew = solver.add(flatten(prod, b)) or grew
+            columns.append((gexps, b))
         # once e is in the span, its expression on the independent columns
         # so far is unique, and later independent columns keep it: the
         # certificate is the one the whole walk would give
@@ -331,15 +315,10 @@ def subalgebra_membership(e, gens):
             sol = solver.solve(target)
             if sol is not None:
                 break
-    if not walked:
-        return _failure(e, walked, 0)
-    if sol is None:
+    if sol is None and columns:
         sol = solver.solve(target)  # a zero e needs no pivot
     if sol is None:
-        if own is not None:  # the rank counts the columns off e's, too
-            solver = LinearSolver(tower.base)
-            add(solver, [], walked)
-        return _failure(e, walked, solver.rank)
+        return _failure(e, len(columns) // len(field), solver.rank)
     combo = {}
     for idx, scal in sol.items():
         gexps, b = columns[idx]
@@ -351,13 +330,13 @@ def subalgebra_membership(e, gens):
 
 
 def _failure(e, walked, rank):
-    """Why e is not a member, after walking ``walked`` to a system of rank
-    ``rank``."""
+    """Why e is not a member, after walking ``walked`` monomials to a
+    system of rank ``rank``."""
     if not walked:
         return MembershipResult(False, detail="no generator monomial has "
                                                "value %r" % e.value)
     return MembershipResult(False, detail="rank %d system over %d monomials "
-                            "has no solution" % (rank, len(walked)))
+                            "has no solution" % (rank, walked))
 
 
 def _products_of_value(gens, target, g):

@@ -367,34 +367,47 @@ def test_sparse_membership_matches_the_dense_piece_basis_reference():
     check()
 
 
+def _qi_nu():
+    """qi's nu with its key initials: a ring whose residue field Q is
+    smaller than its tower Q(i)."""
+    sc = parse_scenario(valtool.scenario_path("qi").read_text())
+    nu = sc.valuations["nu"]
+    return nu, [key_initial(nu, i) for i in range(len(nu.keys))]
+
+
 def test_single_term_membership_fails_as_the_unfiltered_system_does():
-    # a single-term e is solved against the columns at its own exponent
-    # vector; a walk that finds products but no solution must still report
-    # the rank of every column walked, as the dense reference does
+    # a single-term e is decided by exponent match or by the system on
+    # every column walked; a walk that finds products but no solution must
+    # report the rank of every column walked, as the dense reference does,
+    # also on a ring whose residue field is smaller than its tower
     kinds = set()
-    for case in ("v1-over-Qi", "chain-d2-GF2-rank1"):
-        for _, g, _, _, gens in _generator_sets(case):
-            tower = g.ctx.tower
-            scalars = [tower.one()] + [tower.gen(i)
-                                       for i in range(tower.height)]
-            extra = _two_term(g, gens)  # its products have two terms
-            for sub in [gens[:3]] + ([[extra] + gens[:2]] if extra else []):
-                for exps in itertools.product(range(2), repeat=len(sub)):
-                    point = graded._monomial(g, sub, exps).point
-                    for m, c in itertools.product(
-                            graded_piece_basis(point, g), scalars):
-                        e = GradedElem(g, point, {m: c})
-                        res = subalgebra_membership(e, sub)
-                        assert (res.ok, res.certificate, res.detail) == \
-                            _dense_membership(e, sub), (case, e, exps)
-                        if res.ok or not res.detail.startswith("rank"):
-                            continue
-                        prods = [p for _, p in
-                                 graded._products_of_value(sub, point, g)]
-                        kinds.add("at e" if any(m in p.coeffs for p in prods)
-                                  else "off e")
-                        if any(len(p.coeffs) > 1 for p in prods):
-                            kinds.add("two terms")
+    rings = [(case, g, gens) for case in ("v1-over-Qi", "chain-d2-GF2-rank1")
+             for _, g, _, _, gens in _generator_sets(case)]
+    rings.append(("qi nu", *_qi_nu()))
+    for case, g, gens in rings:
+        tower = g.ctx.tower
+        scalars = [tower.one(), tower.scalar(2)]
+        for i in range(tower.height):
+            scalars += [tower.gen(i), tower.one() + tower.gen(i)]
+        scalars = [c for c in scalars if not c.is_zero()]
+        extra = _two_term(g, gens)  # its products have two terms
+        for sub in [gens[:3]] + ([[extra] + gens[:2]] if extra else []):
+            for exps in itertools.product(range(3), repeat=len(sub)):
+                point = graded._monomial(g, sub, exps).point
+                for m, c in itertools.product(
+                        graded_piece_basis(point, g), scalars):
+                    e = GradedElem(g, point, {m: c})
+                    res = subalgebra_membership(e, sub)
+                    assert (res.ok, res.certificate, res.detail) == \
+                        _dense_membership(e, sub), (case, e, exps)
+                    if res.ok or not res.detail.startswith("rank"):
+                        continue
+                    prods = [p for _, p in
+                             graded._products_of_value(sub, point, g)]
+                    kinds.add("at e" if any(m in p.coeffs for p in prods)
+                              else "off e")
+                    if any(len(p.coeffs) > 1 for p in prods):
+                        kinds.add("two terms")
     assert kinds == {"at e", "off e", "two terms"}
 
 
@@ -465,17 +478,26 @@ def test_exponent_match_decides_as_the_dense_reference(monkeypatch):
     assert kinds == {"match", "rank", "no g", "handover"}
 
 
-def test_only_towers_above_height_0_solve_single_term_memberships(
+def test_only_rings_below_their_tower_solve_single_term_memberships(
         monkeypatch):
+    # exponent match decides wherever the residue field is the whole tower:
+    # the chain cells and the Q(i) rings of v1-over-Qi; nu's ring R and its
+    # transform have residue field Q below Q(i) and build one solver each
     built = _solvers_built(monkeypatch)
-    for case, want in (("chain-d2-Q-rank1", False), ("v1-over-Qi", True)):
-        for _, g, _, _, gens in _generator_sets(case):
-            assert (g.ctx.tower.height > 0) == want, case
-            e = graded._monomial(g, gens, [1, 1] + [0] * (len(gens) - 2))
-            assert len(e.coeffs) == 1, case
-            built.clear()
-            assert subalgebra_membership(e, gens), case
-            assert bool(built) == want, case
+    rings = [(case, g, gens, want)
+             for case, wants in (("chain-d2-Q-rank1", [False]),
+                                 ("v1-over-Qi", [True, False, False]))
+             for (_, g, _, _, gens), want in zip(_generator_sets(case), wants,
+                                                 strict=True)]
+    rings.append(("qi nu", *_qi_nu(), True))
+    for case, g, gens, want in rings:
+        assert (g.ctx.ring_levels < g.ctx.tower.height) == want, case
+        e = graded._monomial(g, gens, [1, 1] + [0] * (len(gens) - 2))
+        assert len(e.coeffs) == 1, case
+        built.clear()
+        assert subalgebra_membership(e, gens), case
+        assert len(built) == want, case
+
 
 def _reference_ratio(num, den):
     """Residue of num / den against the greedy reduced monomial of their
