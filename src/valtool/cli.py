@@ -4,21 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .genseq import validate_sequence
 from .scenario import RunFlags, ScenarioError, parse_scenario, run_scenario
-from .values import Value
-
-
-def _rational(text):
-    """An exact rational; a bad one (1/0 too) is argparse's usage error."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            "not an exact rational: %r" % text) from None
 
 
 def _depth(text):
@@ -38,7 +27,6 @@ def _build_parser():
     run = sub.add_parser("run", help="execute a scenario's command list")
     run.add_argument("file")
     run.add_argument("--depth", type=_depth, default=4)
-    run.add_argument("--value-bound", type=_rational, default=None)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--format", choices=("text", "csv", "dot"),
                      default="text")
@@ -51,9 +39,9 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.file) as handle:
+        with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print("cannot read %s: %s" % (args.file, err), file=sys.stderr)
         return 2
     try:
@@ -72,12 +60,8 @@ def main(argv=None):
             ok = ok and rep.ok
         return 0 if ok else 2
 
-    flags = RunFlags(depth=args.depth,
-                     value_bound=(None if args.value_bound is None
-                                  else Value(args.value_bound)),
-                     seed=args.seed)
     try:
-        report = run_scenario(scenario, flags)
+        report = run_scenario(scenario, RunFlags(args.depth, args.seed))
     except ScenarioError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

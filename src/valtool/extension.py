@@ -10,19 +10,13 @@ extension.  Reports cross-check whichever routes apply.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import chain, combinations, tee
 
 from .genseq import InsufficientGeneratingData, evaluate
 from .graded import fingen_detect
 from .ring import (MonomialForm, SeriesEmbedding, monomialize_check,
                    series_value, substitute)
-from .values import (
-    INSUFFICIENT_PRECISION,
-    UNDETERMINED,
-    Value,
-    value_ratio,
-)
+from .values import INSUFFICIENT_PRECISION, UNDETERMINED, value_ratio
 
 
 class InconsistentRamification(Exception):
@@ -41,12 +35,12 @@ class ExtensionMap:
             raise ValueError("images live in different target contexts")
         if u_image.is_unit() or v_image.is_unit():
             raise ValueError("images must be non-units (domination)")
-        if field_degree < 1:
+        if field_degree is not None and field_degree < 1:
             raise ValueError("field degree must be at least 1")
         self.source_ctx = source_ctx
         self.u_image = u_image
         self.v_image = v_image
-        self.field_degree = int(field_degree)
+        self.field_degree = field_degree  # [K*:K], or None: undeclared
         self.unique = unique
         # fingen_detect's states by (g_r, g_s, depth), one run per key
         self.detections = {}
@@ -72,7 +66,7 @@ class ExtensionMap:
         return monomialize_check(self.u_image, self.v_image)
 
     def __repr__(self):
-        return "ExtensionMap(%s -> %r, %s -> %r; degree %d)" % (
+        return "ExtensionMap(%s -> %r, %s -> %r; degree %s)" % (
             self.source_ctx.param_names[0], self.u_image,
             self.source_ctx.param_names[1], self.v_image, self.field_degree)
 
@@ -142,6 +136,9 @@ class RamificationReport:
 def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
     """Full report: e, f from the alignment detector, delta from both routes.
 
+    The headline delta is the routes' common delta when they are consistent
+    and one gives a number, and Undetermined otherwise.
+
     ``monomial_ext`` optionally supplies a blown-up parameter pair whose
     images have the monomial shape; by design the formula is applied at the
     user-selected level, never searched for.
@@ -153,24 +150,9 @@ def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
             "alignment did not stabilize; cannot read e and f at depth %d"
             % depth)
     p = ext.source_ctx.tower.base.p
-    routes = {}
     caveats = list(state.caveats)
-    delta_values = []
-
-    def route(name, degree):
-        try:
-            delta = index_defect(degree, e, f, p, name)
-        except InconsistentRamification as err:
-            routes[name] = "inconsistent: %s" % err
-        else:
-            routes[name] = delta
-            delta_values.append(delta)
-
-    if ext.unique:
-        route("ostrowski", ext.field_degree)
-    else:
-        routes["ostrowski"] = UNDETERMINED
-
+    # each route's degree n, or its outcome when it has none
+    degrees = {"ostrowski": (ext.unique and ext.field_degree) or UNDETERMINED}
     mf_source = monomial_ext if monomial_ext is not None else ext
     mf = mf_source.monomial_form()
     if isinstance(mf, MonomialForm):
@@ -178,20 +160,27 @@ def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
         small = mf_source.source_ctx.residue_rank()
         if big % small:
             raise ArithmeticError("alleged subfield is not contained")
-        route("local-degree", mf.a * mf.d * (big // small))
+        degrees["local-degree"] = mf.a * mf.d * (big // small)
         caveats.append("local-degree formula applied at the user-selected "
                        "ring pair, not at a stabilized level")
         caveats.append("the upstairs residue field is assumed algebraic "
                        "over the ring's (scenario assumption)")
     else:
-        routes["local-degree"] = "not applicable: %s" % mf.reason
+        degrees["local-degree"] = "not applicable: %s" % mf.reason
 
+    routes = {}
+    for name, degree in degrees.items():
+        try:
+            routes[name] = (index_defect(degree, e, f, p, name)
+                            if isinstance(degree, int) else degree)
+        except InconsistentRamification as err:
+            routes[name] = "inconsistent: %s" % err
+    deltas = {d for d in routes.values() if isinstance(d, int)}
+    consistent = len(deltas) <= 1 and not any(
+        isinstance(d, str) and d.startswith("inconsistent")
+        for d in routes.values())
+    delta = deltas.pop() if consistent and deltas else UNDETERMINED
     routes["alignment"] = ("lambda*chi = %d agrees with e*f" % (e * f))
-
-    consistent = len(set(delta_values)) <= 1 and not any(
-        isinstance(v, str) and v.startswith("inconsistent")
-        for v in routes.values())
-    delta = delta_values[0] if delta_values else UNDETERMINED
     return RamificationReport(e, f, delta, routes, consistent, caveats)
 
 
@@ -243,8 +232,7 @@ def _candidate_value(cand, f):
         return INSUFFICIENT_PRECISION
 
 
-def splitting_report(candidates, ext, g_r, probes=(), value_bound=None,
-                     seed=0):
+def splitting_report(candidates, ext, g_r, probes=(), seed=0):
     """Compare candidate upstairs valuations against the downstairs one.
 
     Each candidate (a generating sequence or a series oracle over S) is
@@ -254,9 +242,6 @@ def splitting_report(candidates, ext, g_r, probes=(), value_bound=None,
     the given ones, the candidates' keys past y, then 24 random samples,
     drawn from ``random.Random(seed)`` only as far as they are read.
     """
-    if value_bound is None:
-        value_bound = Value(Fraction(10 ** 6))
-
     test_elems = [ext.apply(k) for k in g_r.keys]
     test_values = list(g_r.values)
 
@@ -277,7 +262,7 @@ def splitting_report(candidates, ext, g_r, probes=(), value_bound=None,
         ok = True
         for el, want in zip(test_elems, test_values):
             got = _candidate_value(cand, el)
-            if got is INSUFFICIENT_PRECISION or got > value_bound:
+            if got is INSUFFICIENT_PRECISION:
                 rep.skipped += 1
                 continue
             rep.tested += 1

@@ -436,7 +436,7 @@ def _build_extension(scenario, name, state, line):
     try:
         return ExtensionMap(sctx, images[sctx.param_names[0]],
                             images[sctx.param_names[1]],
-                            field_degree=state.get("degree", 1),
+                            field_degree=state.get("degree"),
                             unique=state.get("unique"))
     except ValueError as err:
         raise ScenarioError("extension %r: %s" % (name, err), line)
@@ -486,9 +486,8 @@ class Report:
 
 
 class RunFlags:
-    def __init__(self, depth=4, value_bound=None, seed=0):
+    def __init__(self, depth=4, seed=0):
         self.depth = depth
-        self.value_bound = value_bound
         self.seed = seed
 
 
@@ -620,8 +619,7 @@ def _dispatch(scenario, flags, section, line, verb, args, checked):
         section.add(*rep.lines())
         section.csv.append(("route,e,f,delta,consistent", rep.csv_rows()))
     elif verb == "split":
-        rep = splitting_report(cands, ext, g, probes=probes,
-                               value_bound=flags.value_bound, seed=flags.seed)
+        rep = splitting_report(cands, ext, g, probes=probes, seed=flags.seed)
         section.add(*rep.lines())
 
 

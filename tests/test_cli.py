@@ -124,6 +124,39 @@ def test_exit_code_on_missing_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("verb", ["run", "check"])
+def test_a_file_that_is_not_utf8_is_refused(verb, tmp_path, capsys):
+    bad = tmp_path / "latin1.scn"
+    bad.write_bytes(b"[field]\nbase Q  # \xff\n")
+    assert main([verb, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read %s: 'utf-8' codec can't decode byte "
+                          "0xff" % bad), err
+
+
+@pytest.mark.parametrize("degree, lines", [
+    # no degree line: the ostrowski route has no n, rather than n = 1
+    ("", ["e = 1, f = 1, delta = 1",
+          "  route local-degree -> 1",
+          "  route ostrowski    -> Undetermined",
+          "  routes consistent: True"]),
+    # a degree that the local-degree route disputes: no headline delta
+    ("degree 4\n", ["e = 1, f = 1, delta = Undetermined",
+                    "  route local-degree -> 1",
+                    "  route ostrowski    -> 2",
+                    "  routes consistent: False"]),
+], ids=["no-degree", "degree-4"])
+def test_def2_headline_is_the_routes_common_delta(degree, lines, tmp_path):
+    text = (SCN / "def2.scn").read_text()
+    assert "degree 2\n" in text
+    forged = tmp_path / "def2.scn"
+    forged.write_text(text.replace("degree 2\n", degree))
+    code, out = run_cli("run", str(forged))
+    assert code == 0
+    report = out.split("== ramify ext nu nustar ==\n")[1].splitlines()
+    assert [report[0]] + report[2:5] == lines
+
+
 def test_check_flags_invalid_valuation(tmp_path):
     bad = tmp_path / "invalid.scn"
     bad.write_text("""
@@ -691,18 +724,30 @@ def test_main_builds_one_parser_per_process(monkeypatch, capsys):
     assert built.count("valtool") == 1
 
 
-@pytest.mark.parametrize("bound, code", [("1/0", 2), ("inf", 2), ("x", 2),
-                                         ("0.5", 0)])
-def test_value_bound_must_be_an_exact_rational(bound, code, capsys):
-    argv = ["run", str(SCN / "v1.scn"), "--value-bound", bound]
-    if code:
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == code
-        err = capsys.readouterr().err
-        assert "usage: valtool run" in err and "--value-bound" in err
-    else:
-        assert main(argv) == 0
+def test_value_bound_is_no_option(capsys):
+    # split tests every key image whose value a candidate decides
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(SCN / "v1.scn"), "--value-bound", "1"])
+    assert err.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: valtool ")
+    assert "unrecognized arguments: --value-bound 1" in err
+
+
+def _options(command):
+    """The long options of ``valtool COMMAND``, read off the parser."""
+    sub, = [action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    return {option for action in sub.choices[command]._actions
+            for option in action.option_strings if option != "--help"
+            and option.startswith("--")}
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_readme_synopsis_lists_the_parsers_options(command):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line, = re.findall(r"^valtool %s +FILE.*$" % command, readme, re.M)
+    assert set(re.findall(r"--[\w-]+", line)) == _options(command)
 
 
 @pytest.mark.parametrize("name, command, bad", [

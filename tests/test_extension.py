@@ -165,16 +165,22 @@ def test_wrong_restriction_rejected():
     assert not rep.witnessed
 
 
-def test_key_images_past_the_value_bound_are_skipped():
-    # v - u maps to y^2 - x^2 at pi + 2, past the bound 3: u and v decide
-    nu_r, nu1, nu2, ext = fixtures.pi2()
-    rep = splitting_report([nu1, nu2], ext, nu_r, value_bound=Value(3),
-                           seed=3)
-    for c in rep.candidates:
-        assert (c.tested, c.skipped, c.restricts) == (2, 1, True)
+def test_a_key_image_past_a_series_truncation_is_skipped():
+    # cut at t^10, def2's upstairs series cannot decide the image
+    # y^2 + x^2 + x^4 + x^8 = t^16 + ... of the last key, so it is
+    # skipped, not tested; the other four key images decide
+    text = valtool.scenario_path("def2").read_text()
+    series = "truncate 32\nx = t\ny = t + t^2 + t^4 + t^8 + t^16\n"
+    assert series in text
+    sc = parse_scenario(text.replace(
+        series, "truncate 10\nx = t\ny = t + t^2 + t^4 + t^8\n"))
+    rep = splitting_report([sc.embeddings["sseries"]], sc.extensions["ext"],
+                           sc.valuations["nu"])
+    cand, = rep.candidates
+    assert (cand.tested, cand.skipped, cand.restricts) == (4, 1, True)
     assert rep.lines()[0] == ("candidate nu1      dominates=True "
                               "restricts=True scale=Fraction(1, 1) "
-                              "tested=2 skipped=1 ")
+                              "tested=4 skipped=1 ")
 
 
 def test_irrational_image_value_is_no_rational_multiple():
