@@ -724,14 +724,23 @@ def test_main_builds_one_parser_per_process(monkeypatch, capsys):
     assert built.count("valtool") == 1
 
 
-def test_value_bound_is_no_option(capsys):
-    # split tests every key image whose value a candidate decides
+# ``run`` has no --value-bound any more: split tests every key image whose
+# value a candidate decides.  The cases are those of the option's parse
+# test, each with the exit code the option gave it: 0.5 was taken, the
+# others were refused as no exact rational.  Each is now an unrecognized
+# argument, and the run that 0.5 asked for is the run without a bound.
+@pytest.mark.parametrize("bound, code", [("1/0", 2), ("inf", 2), ("x", 2),
+                                         ("0.5", 0)])
+def test_value_bound_must_be_an_exact_rational(bound, code, capsys):
+    argv = ["run", str(SCN / "v1.scn")]
     with pytest.raises(SystemExit) as err:
-        main(["run", str(SCN / "v1.scn"), "--value-bound", "1"])
+        main(argv + ["--value-bound", bound])
     assert err.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: valtool ")
-    assert "unrecognized arguments: --value-bound 1" in err
+    assert "unrecognized arguments: --value-bound %s" % bound in err
+    if code == 0:
+        assert main(argv) == 0
 
 
 def _options(command):
