@@ -14,9 +14,10 @@ finite generation" or "obstruction witnessed", never a theorem.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, zip_longest
 
-from .genseq import initial_form, residue_sum, sigma_indices
+from .genseq import (initial_form, residue_of_monomial, residue_sum,
+                     sigma_indices)
 from .towers import LinearSolver, TowerElem, span_closure
 from .values import INFINITE, ContainmentError, RunningIndex
 
@@ -707,12 +708,18 @@ def _residue_ratio(num, den):
 
     Both residues are taken against den's first monomial: another monomial
     of that value scales both by one nonzero residue.  None when den is
-    zero or either residue sum vanishes.
+    zero or either residue sum vanishes.  Single terms c_num * M_num and
+    c_den * M_den give c_num * [M_num / M_den] / c_den in one step.
     """
     if not den.coeffs:
         return None
     g = num.genseq
     ref = next(iter(den.coeffs))
+    if len(num.coeffs) == len(den.coeffs) == 1:
+        (e, c), = num.coeffs.items()
+        top = c * residue_of_monomial(
+            [a - b for a, b in zip_longest(e, ref, fillvalue=0)], g)
+        return None if top.is_zero() else top / den.coeffs[ref]
     top, bottom = (residue_sum([(c, e) for e, c in x.coeffs.items()], g, ref)
                    for x in (num, den))
     if top.is_zero() or bottom.is_zero():

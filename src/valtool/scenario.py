@@ -234,9 +234,25 @@ def _setting(line_text, parts):
     return parts[0]
 
 
+# the number of arguments of each directive that takes a fixed number
+_ARITY = {"ring": {"levels": 1},
+          "embedding": {"ring": 1, "truncate": 1, "normalize": 2},
+          "valuation": {"ring": 1, "values": 2, "oracle": 1, "terminal": 0},
+          "extension": {"degree": 1, "char": 1, "unique": 1}}
+
+
+def _arity(parts, n, lineno):
+    """Refuse a directive line with more than its n arguments."""
+    if n is not None and len(parts) > n + 1:
+        raise ScenarioError("%r takes %d argument%s, not %d"
+                            % (parts[0], n, "s"[:n != 1], len(parts) - 1),
+                            lineno)
+
+
 def _field_line(scenario, line_text, lineno):
     parts = line_text.split()
     if parts[0] == "base":
+        _arity(parts, {"Q": 1, "F": 2}.get(parts[1]), lineno)
         if parts[1] == "Q":
             scenario.tower = ResidueTower(QQ)
         elif parts[1] == "F":
@@ -251,6 +267,7 @@ def _field_line(scenario, line_text, lineno):
                                 "binds to the first" % parts[1], lineno)
         nm = parts[1]
         if parts[2] == "default":
+            _arity(parts, 2, lineno)
             scenario.irrational = pi_descriptor()
         elif parts[2] == "interval":
             vals = [_parse_fraction(p, lineno) for p in parts[3:]]
@@ -279,6 +296,7 @@ def _field_line(scenario, line_text, lineno):
 def _section_line(scenario, section, state, line_text, lineno):
     parts = line_text.split()
     key = parts[0]
+    _arity(parts, _ARITY[section].get(key), lineno)
     if section == "ring":
         if key == "params":
             if len(parts) != 3 or parts[1] == parts[2]:

@@ -9,15 +9,15 @@ determined by a sufficiently tight enclosure of tau.
 A :class:`Grid` holds the values of one group as int pairs over their common
 denominator: a generating sequence keeps its key values there, and lattice
 walks, sums and sorts of values run on ints.  Group indices of finitely
-generated subgroups are computed by integer linear algebra on the same
-int vectors (:class:`RunningIndex`).
+generated subgroups are read in closed form off the same int pairs, from
+gcds of entries and of 2x2 determinants (:class:`RunningIndex`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce, total_ordering
-from math import lcm
+from math import gcd, lcm
 
 
 class UndecidedComparison(Exception):
@@ -388,75 +388,55 @@ def value_ratio(a, b):
     return r if a.q0 == b.q0 * r else None
 
 
-def _xgcd(a, b):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return g, x, y
+def _grow(state, vectors, n):
+    """(rank, covolume, direction) of L(vectors[0..n]) from ``state``, that
+    of L(vectors[0..n-1]).
 
-
-def lattice_add(rows, vec):
-    """Add the integer vector ``vec`` to the echelon ``rows`` of a lattice.
-
-    ``rows`` stays a row echelon basis, pivots in increasing columns; the
-    list is updated in place (a row is replaced, never mutated) and the
-    result is True when the rank grew.  Each step is a unimodular gcd
-    combination of ``vec`` with the row pivoting at its leading column.
+    Rank 0 has covolume 1.  Rank 1 keeps the first nonzero vector as its
+    direction and the gcd of the vectors' entries in that direction's
+    leading column.  Rank 2 keeps D, the gcd of the 2x2 determinants: v
+    makes it gcd(D, det(v, u) over the prefix's u), with D = 0 below rank 2.
     """
-    vec = list(vec)
-    k = 0
-    for j in range(len(vec)):
-        while k < len(rows) and _lead(rows[k]) < j:
-            k += 1
-        if not vec[j]:
-            continue
-        if k == len(rows) or _lead(rows[k]) > j:
-            rows.insert(k, vec)
-            return True
-        row, a, b = rows[k], rows[k][j], vec[j]
-        g, x, y = _xgcd(a, b)
-        rows[k] = [x * r + y * v for r, v in zip(row, vec)]
-        vec = [(a // g) * v - (b // g) * r for r, v in zip(row, vec)]
-    return False
+    rank, covol, d = state
+    v0, v1 = vectors[n]
+    if rank == 0:
+        return (1, abs(v0 or v1), (v0, v1)) if v0 or v1 else state
+    if rank == 2 or v0 * d[1] != v1 * d[0]:
+        dets = (v0 * u1 - v1 * u0 for u0, u1 in vectors[:n])
+        return 2, gcd(covol if rank == 2 else 0, *dets), None
+    return 1, gcd(covol, v0 if d[0] else v1), d
 
 
-def _lead(row):
-    return row.index(next(filter(None, row)))  # the first nonzero's column
-
-
-def covolume(rows):
-    """|product of the pivots| of echelon ``rows``; 1 for none.
-
-    For lattices L in L' of equal rank, [L' : L] = covolume(L) /
-    covolume(L'): both have the same pivot columns, where the echelon
-    bases are triangular.
-    """
-    out = 1
-    for row in rows:
-        out *= row[_lead(row)]
-    return abs(out)
+def _inside(v, state, vectors):
+    """Whether v lies in L(vectors), whose (rank, covolume, direction) is
+    ``state``: a divisibility check at each rank."""
+    rank, covol, d = state
+    v0, v1 = v
+    if rank == 2:
+        return all((v0 * u1 - v1 * u0) % covol == 0 for u0, u1 in vectors)
+    if rank == 1:
+        return v0 * d[1] == v1 * d[0] and (v0 if d[0] else v1) % covol == 0
+    return not (v0 or v1)
 
 
 class RunningIndex:
-    """Lattice indices of prefixes of ``big`` and ``small`` that only grow
-    from one call of :meth:`at` to the next: each vector enters the kept
-    echelon rows once, and is checked to lie in L(big) once.  One list
-    given as both ``big`` and ``small`` is read once."""
+    """Lattice indices of prefixes of ``big`` and ``small``, points of Z^2,
+    that only grow from one call of :meth:`at` to the next: each vector
+    enters the kept (rank, covolume, direction) of its prefix once, and is
+    checked to lie in L(big) once.  One list given as both ``big`` and
+    ``small`` is read once."""
 
     def __init__(self, big, small):
         self.vectors = big, small
-        seen = [([], 1)]  # (echelon rows, covolume) per prefix read
-        self.prefixes = seen, seen if big is small else [([], 1)]
+        seen = [(0, 1, None)]  # (rank, covolume, direction) per prefix read
+        self.prefixes = seen, seen if big is small else [(0, 1, None)]
         self.inside = 0  # small[0..inside - 1] lie in L(big)
 
     def at(self, s, r):
         """Index [L(big[0..s]) : L(small[0..r])].
 
-        INPUT: ``big`` and ``small`` list integer vectors of one length;
-        every vector of ``small[0..r]`` must lie in L(big[0..s]) (checked).
+        INPUT: ``big`` and ``small`` list int pairs; every vector of
+        ``small[0..r]`` must lie in L(big[0..s]) (checked).
 
         OUTPUT: a positive integer, or INFINITE when ``small[0..r]`` spans
         a lattice of strictly lower rank.  Raises :class:`ContainmentError`
@@ -465,20 +445,13 @@ class RunningIndex:
         """
         for vectors, seen, last in zip(self.vectors, self.prefixes, (s, r)):
             while len(seen) <= last + 1:
-                rows = list(seen[-1][0])
-                lattice_add(rows, vectors[len(seen) - 1])
-                seen.append((rows, covolume(rows)))
-        (big, covol), (small, small_covol) = (self.prefixes[0][s + 1],
-                                              self.prefixes[1][r + 1])
+                seen.append(_grow(seen[-1], vectors, len(seen) - 1))
+        big, small = self.prefixes[0][s + 1], self.prefixes[1][r + 1]
         for k in range(self.inside, r + 1):
-            vec, both = self.vectors[1][k], list(big)
-            # one of big's generators lies in L(big)
-            if vec not in self.vectors[0][:s + 1] and (
-                    lattice_add(both, vec) or covolume(both) != covol):
+            if not _inside(self.vectors[1][k], big, self.vectors[0][:s + 1]):
                 raise ContainmentError(
                     "small[%d] is not in the lattice big spans" % k, k)
             self.inside = k + 1
-        if len(small) < len(big):
+        if small[0] < big[0]:
             return INFINITE
-        return small_covol // covol
-
+        return small[1] // big[1]

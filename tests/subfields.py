@@ -1,12 +1,12 @@
 """From-scratch references: a field index for carried residue closures, a
-group index of values and a rational solve for the order of a value modulo
-a group."""
+group index of values, an echelon basis of a group of int vectors and a
+rational solve for the order of a value modulo a group."""
 
 from fractions import Fraction
 from math import lcm
 
 from valtool.towers import span_closure
-from valtool.values import INFINITE, Grid, RunningIndex, lattice_add
+from valtool.values import INFINITE, Grid, RunningIndex
 
 
 def field_index(tower, big, small):
@@ -31,17 +31,32 @@ def value_index(big, small):
         len(big) - 1, len(small) - 1)
 
 
+def echelon_basis(vectors):
+    """A row echelon basis of the group that int pairs span, pivots in
+    increasing columns, by Euclid's algorithm on the rows: in each column
+    the row of least nonzero |entry| reduces the others until one is
+    left, and that one is the column's pivot row."""
+    rows, basis = [list(v) for v in vectors], []
+    for j in range(2):
+        rows = [r for r in rows if any(r)]
+        while len([r for r in rows if r[j]]) > 1:
+            pivot = min((r for r in rows if r[j]), key=lambda r: abs(r[j]))
+            rows = [r if r is pivot else
+                    [a - r[j] // pivot[j] * b for a, b in zip(r, pivot)]
+                    for r in rows]
+        basis += [r for r in rows if r[j]]
+        rows = [r for r in rows if not r[j]]
+    return basis
+
+
 def order_modulo(v, gens):
     """Least n >= 1 with n*v in the group generated by ``gens``, INFINITE
     when there is none: v is solved over the rationals against an echelon
     basis of the group, and n clears the coordinates' denominators."""
     points = Grid(list(gens) + [v]).points
-    basis = []
-    for p in points[:-1]:
-        lattice_add(basis, p)
     rem = [Fraction(t) for t in points[-1]]
     coords = []
-    for row in basis:
+    for row in echelon_basis(points[:-1]):
         j = next(k for k, e in enumerate(row) if e)
         q = rem[j] / row[j]
         coords.append(q)

@@ -706,6 +706,42 @@ def test_malformed_directive_is_a_parse_error(tmp_path, lines):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, line, bad", [
+    ("def2", "degree 2", "degree 2 3"),
+    ("def2", "char 2", "char 2 5"),
+    ("def2", "unique true", "unique true false"),
+    ("def2", "base F 2", "base F 2 7"),
+    ("def2", "truncate 32", "truncate 32 5"),
+    ("def2", "oracle rseries", "oracle rseries junk"),
+    ("def2", "ring R", "ring R extra"),
+    ("qi", "levels 0", "levels 0 1"),
+    ("pi2", "terminal", "terminal true"),
+    ("pi2", "irrational pi default", "irrational pi default 3"),
+    ("v1", "truncate 40", "truncate 40\nnormalize x 1 2"),
+    ("v1", "values 1 3/2", "values 1 3/2 7"),
+], ids=["degree", "char", "unique", "base", "truncate", "oracle", "ring",
+        "levels", "terminal", "irrational", "normalize", "values"])
+def test_a_directive_with_an_extra_token_is_refused_at_its_line(
+        tmp_path, name, line, bad):
+    # `degree 2 3` once declared [K*:K] = 2 and dropped the 3, and
+    # `values 1 3/2 7` was refused at its section's header
+    lines = (SCN / ("%s.scn" % name)).read_text().splitlines()
+    at = lines.index(line)
+    lines[at:at + 1] = bad.splitlines()
+    path = tmp_path / ("%s.scn" % name)
+    path.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("run", str(path))
+    directive = bad.splitlines()[-1].split()
+    n = len(directive) - 2
+    assert code == 2 and out == ""
+    assert err.getvalue() == (
+        "parse error: line %d: %r takes %d argument%s, not %d\n"
+        % (at + len(bad.splitlines()), directive[0], n, "s" * (n != 1),
+           n + 1))
+
+
 def test_main_builds_one_parser_per_process(monkeypatch, capsys):
     built = []
     real_init = argparse.ArgumentParser.__init__

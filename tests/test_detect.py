@@ -528,6 +528,14 @@ def test_residue_ratios_match_the_reference_monomial_ratio(monkeypatch):
         want = _reference_ratio(num, den)
         assert (got is None) == (want is None) and (got is None
                                                     or got == want), num
+        # each is single-term over single-term, read in one step, and den's
+        # coefficient is one: a den scaled by 2 (where 2 is nonzero) reads it
+        assert len(num.coeffs) == len(den.coeffs) == 1, (num, den)
+        two = den.genseq.ctx.tower.one() + den.genseq.ctx.tower.one()
+        if not two.is_zero():
+            scaled = GradedElem(den.genseq, den.point,
+                                {e: two * c for e, c in den.coeffs.items()})
+            assert ratio(num, scaled) == _reference_ratio(num, scaled), num
 
 if __name__ == "__main__":
     DETECT.mkdir(parents=True, exist_ok=True)

@@ -3,7 +3,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -15,13 +15,11 @@ from valtool.values import (
     RunningIndex,
     UndecidedComparison,
     Value,
-    covolume,
-    lattice_add,
     pi_descriptor,
     value_ratio,
 )
 
-from subfields import order_modulo, value_index
+from subfields import echelon_basis, order_modulo, value_index
 
 PI = pi_descriptor()
 
@@ -435,12 +433,113 @@ def test_lattice_rank_and_covolume_ignore_the_order():
     def check(vecs, order):
         want = _rank_and_covolume(vecs)
         for vs in (vecs, [vecs[k] for k in order if k < len(vecs)]):
-            rows, rank = [], 0
-            for v in vs:
-                rank += lattice_add(rows, v)
-            assert (len(rows), covolume(rows)) == want and rank == want[0]
+            rows = echelon_basis(vs)
+            ranks = [len(echelon_basis(vs[:k])) for k in range(len(vs) + 1)]
+            rank = sum(b > a for a, b in zip(ranks, ranks[1:]))
+            covolume = abs(prod(r[next(j for j, e in enumerate(r) if e)]
+                                for r in rows))
+            assert (len(rows), covolume) == want and rank == want[0]
 
     check()
+
+
+def test_running_index_keeps_rank_and_covolume_per_prefix():
+    """The (rank, covolume) kept for each prefix, in any vector order, is
+    the reference's, and at(s, r) is the quotient of two of them."""
+    hypothesis, st, _, vectors, settings = _lattice_strategies()
+
+    @settings
+    @hypothesis.given(vecs=vectors(min_size=1),
+                      order=st.permutations(range(6)))
+    @hypothesis.example(vecs=[(0, 0), (0, 3), (0, -6), (2, 5), (1, 0)],
+                        order=[4, 3, 2, 1, 0])
+    def check(vecs, order):
+        for vs in (vecs, [vecs[k] for k in order if k < len(vecs)]):
+            index = RunningIndex(vs, vs)
+            last = len(vs) - 1
+            assert index.at(last, last) == 1
+            want = [_rank_and_covolume(vs[:k + 1]) for k in range(len(vs))]
+            assert [p[:2] for p in index.prefixes[0][1:]] == want
+            assert index.prefixes[0] is index.prefixes[1]
+            for lo, hi in combinations(range(len(vs)), 2):
+                (small_rank, small_cov), (rank, cov) = want[lo], want[hi]
+                assert RunningIndex(vs, vs).at(hi, lo) == (
+                    INFINITE if small_rank < rank else small_cov // cov)
+
+    check()
+
+
+def _index_by_orders(big, small):
+    """[G(big) : G(small)] for G(small) inside G(big), by the tower law
+    through G(small + big[:i]): the product of the orders of big[i]
+    modulo those groups, each a Fraction solve."""
+    out = 1
+    for i, v in enumerate(big):
+        n = order_modulo(v, list(small) + list(big[:i]))
+        if n is INFINITE:
+            return INFINITE
+        out *= n
+    return out
+
+
+def test_running_index_agrees_with_a_fraction_solve():
+    """at(s, r) on grids of rank 1 and 2, for small vectors that are int
+    combinations of big ones, is the index the Fraction solves give."""
+    hypothesis, st, vec, vectors, settings = _lattice_strategies()
+    coeff = st.integers(-3, 3)
+
+    @settings
+    @hypothesis.given(data=st.data(), rank=st.sampled_from((1, 2)))
+    def check(data, rank):
+        def value(a, b):  # at rank 1, (a, b) reads a / (|b| + 1)
+            return (Value(Fraction(a, abs(b) + 1)) if rank == 1
+                    else Value(a, b, PI))
+
+        big = [value(*w) for w in data.draw(vectors(min_size=1))]
+        small = [sum((c * v for c, v in zip(
+            data.draw(st.lists(coeff, min_size=len(big), max_size=len(big))),
+            big)), Value(0)) for _ in range(data.draw(st.integers(1, 4)))]
+        points = Grid(big + small).points
+        index = RunningIndex(points[:len(big)], points[len(big):])
+        s = data.draw(st.integers(0, len(big) - 1))
+        for r in range(len(small)):
+            # small[0..r] lies in G(big[0..s]) once s is the last position
+            want = _index_by_orders(big[:s + 1], small[:r + 1])
+            try:
+                got = index.at(s, r)
+            except ContainmentError as err:
+                assert s < len(big) - 1 and order_modulo(
+                    small[err.index], big[:s + 1]) != 1
+                return
+            assert got == want, (s, r)
+
+    check()
+
+
+def test_running_index_on_zero_vectors_rank_drops_and_first_outside():
+    # zero vectors add nothing, at rank 0 as later
+    index = RunningIndex([(0, 0), (0, 0), (2, 4), (0, 0)], [(0, 0), (4, 8)])
+    assert index.at(0, 0) == 1
+    assert index.at(2, 0) is INFINITE  # rank 0 in rank 1
+    assert index.at(3, 1) == 2
+    # a first vector off the rational axis, then one on it
+    index = RunningIndex([(0, 3), (2, 5)], [(0, 6), (4, 10), (2, 2)])
+    assert index.at(0, 0) == 2
+    assert index.at(1, 1) == 4 and index.at(1, 2) == 2
+    # a rank-2 group over a rank-1 one
+    assert RunningIndex([(1, 0), (0, 1)], [(3, 3), (-1, -1)]).at(1, 1) \
+        is INFINITE
+    # the first small vector outside, at each rank of big
+    for big, small, k in (
+            ([(0, 0)], [(0, 0), (1, 0)], 1),             # rank 0
+            ([(2, 4)], [(4, 8), (2, 3)], 1),             # rank 1, off the line
+            ([(2, 4)], [(4, 8), (6, 12), (3, 6)], 2),    # rank 1, on it
+            ([(2, 0), (0, 2)], [(2, 2), (1, 1)], 1)):    # rank 2
+        with pytest.raises(ContainmentError) as err:
+            RunningIndex(big, small).at(len(big) - 1, len(small) - 1)
+        assert err.value.index == k
+        assert str(err.value) == \
+            "small[%d] is not in the lattice big spans" % k
 
 
 def test_group_index_tower_law_on_nested_prefixes():
