@@ -36,8 +36,8 @@ from functools import cache
 from .extension import ExtensionMap
 from .genseq import GenSeq, expand, monic_of_degree, step_from_tail
 from .graded import GradedElem
-from .ring import (LocalRingCtx, NotMonomial, SeriesEmbedding, _powers,
-                   _rescaled, _series, divmod_y)
+from .ring import (LocalRingCtx, SeriesEmbedding, _powers, _rescaled,
+                   _series, divmod_y)
 from .values import INFINITE
 
 
@@ -123,13 +123,14 @@ class _TransformExtension(ExtensionMap):
         """Image of a source element in the target chart (exact)."""
         return _sum_of_pieces(self.tmap, self.tmap._pieces(f))
 
-    def monomial_form(self):
+    def local_degree(self):
         # v / X^w = (Z + alpha)^b is a unit, alpha a residue: no check needed
-        return NotMonomial("f is a unit (v is monomial in x)")
+        return "not applicable: f is a unit (v is monomial in x)"
 
     def initial_image(self, g_r, k, g_s):
         """in(image of P_k) = alpha^t_k * in(X)^o_k * in(P'_(k-1)) in g_s's
-        graded ring, when g_s is the sequence the transform built from g_r.
+        graded ring, when g_s is the sequence the transform built from g_r;
+        any other pair expands the image.
 
         The image of P_k is X^o_k * U^t_k times its strict transform, which
         is g_s's key k - 1 (for x and y the strict transform is 1), and the
@@ -137,7 +138,7 @@ class _TransformExtension(ExtensionMap):
         """
         tmap, own = self.tmap, g_r._transform
         if own is None or own[0] is not tmap or own[1] is not g_s:
-            return None
+            return super().initial_image(g_r, k, g_s)
         exps = [0] * (g_s.top + 1)
         exps[0] = tmap.key_orders[k]
         if k >= 2:

@@ -3,8 +3,9 @@
 Two routes read the defect off one index identity, n = e * f * p^delta
 (:func:`index_defect`), with p the characteristic of the residue tower:
 n = [K*:K] when the upstairs valuation is the unique extension, and the
-local degree n = a * d * [S1/m : R1/m] read off a monomial form of the
-extension.  Reports cross-check whichever routes apply.
+local degree n = a * d * [S1/m : R1/m] that a map of the monomial shape
+gives itself (:meth:`ExtensionMap.local_degree`).  Reports cross-check
+whichever routes apply.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from __future__ import annotations
 import random
 from itertools import chain, combinations, tee
 
-from .genseq import InsufficientGeneratingData, evaluate
+from .genseq import InsufficientGeneratingData, evaluate, initial_form
 from .graded import fingen_detect
-from .ring import (MonomialForm, SeriesEmbedding, monomialize_check,
-                   series_value, substitute)
+from .ring import SeriesEmbedding, series_value, substitute
 from .values import INSUFFICIENT_PRECISION, UNDETERMINED, value_ratio
 
 
@@ -37,6 +37,11 @@ class ExtensionMap:
             raise ValueError("images must be non-units (domination)")
         if field_degree is not None and field_degree < 1:
             raise ValueError("field degree must be at least 1")
+        target = u_image.ctx
+        if (not source_ctx.tower.is_prefix_of(target.tower)
+                or target.ring_levels < source_ctx.ring_levels):
+            raise ValueError("the target's residue field does not contain "
+                             "the source's")
         self.source_ctx = source_ctx
         self.u_image = u_image
         self.v_image = v_image
@@ -57,13 +62,29 @@ class ExtensionMap:
                               self.source_ctx.param_names[1]: self.v_image})
 
     def initial_image(self, g_r, k, g_s):
-        """in(image of g_r's key k) in g_s's graded ring when the map knows
-        it in closed form; None, and the detector expands the image."""
-        return None
+        """in(image of g_r's key k) in g_s's graded ring, from one
+        expansion of the image."""
+        return initial_form(self.apply(g_r.keys[k]), g_s)
 
-    def monomial_form(self):
-        """The images' :class:`MonomialForm`, or :class:`NotMonomial`."""
-        return monomialize_check(self.u_image, self.v_image)
+    def local_degree(self):
+        """a * d * [S/m : R/m] when u = gamma * x^a and v = x^b * f, with
+        gamma a unit, a > 0, x not dividing f, f a non-unit and d the order
+        of f mod x; else "not applicable: <reason>", which asks for a
+        further blow-up and is not a fault."""
+        u, v = self.u_image, self.v_image
+        if u.is_zero() or v.is_zero():
+            return "not applicable: zero image"
+        a = u.x_order()
+        if not u.shift(-a, 0).is_unit():
+            return "not applicable: u is not a unit times a power of x"
+        if a <= 0:
+            return "not applicable: u has no x factor (a must be positive)"
+        f = v.shift(-v.x_order(), 0)
+        if f.is_unit():
+            return "not applicable: f is a unit (v is monomial in x)"
+        d = min(j for i, j in f.terms if i == 0)
+        return a * d * (self.target_ctx.residue_rank()
+                        // self.source_ctx.residue_rank())
 
     def __repr__(self):
         return "ExtensionMap(%s -> %r, %s -> %r; degree %s)" % (
@@ -152,21 +173,13 @@ def ramification_report(g_r, g_s, ext, depth=4, monomial_ext=None):
     p = ext.source_ctx.tower.base.p
     caveats = list(state.caveats)
     # each route's degree n, or its outcome when it has none
-    degrees = {"ostrowski": (ext.unique and ext.field_degree) or UNDETERMINED}
-    mf_source = monomial_ext if monomial_ext is not None else ext
-    mf = mf_source.monomial_form()
-    if isinstance(mf, MonomialForm):
-        big = mf_source.target_ctx.residue_rank()
-        small = mf_source.source_ctx.residue_rank()
-        if big % small:
-            raise ArithmeticError("alleged subfield is not contained")
-        degrees["local-degree"] = mf.a * mf.d * (big // small)
+    degrees = {"ostrowski": (ext.unique and ext.field_degree) or UNDETERMINED,
+               "local-degree": (monomial_ext or ext).local_degree()}
+    if isinstance(degrees["local-degree"], int):
         caveats.append("local-degree formula applied at the user-selected "
                        "ring pair, not at a stabilized level")
         caveats.append("the upstairs residue field is assumed algebraic "
                        "over the ring's (scenario assumption)")
-    else:
-        degrees["local-degree"] = "not applicable: %s" % mf.reason
 
     routes = {}
     for name, degree in degrees.items():

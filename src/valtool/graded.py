@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from itertools import chain, zip_longest
 
-from .genseq import (initial_form, residue_of_monomial, residue_sum,
-                     sigma_indices)
+from .genseq import residue_of_monomial, residue_sum, sigma_indices
 from .towers import LinearSolver, TowerElem, span_closure
 from .values import INFINITE, ContainmentError, RunningIndex
 
@@ -478,8 +477,10 @@ def fingen_detect(g_r, g_s, ext, depth):
 
     Computes the per-level quantities (the largest absorbed source level,
     the group-index and residue-degree gaps) and matches consecutive new
-    keys on both sides.  Each source image's certificate is the one proved
-    at the first level that absorbs it, in the generators of that level.
+    keys on both sides.  The map gives each sigma key's initial image, once
+    (``ext.initial_image``).  Each source image's certificate is the one
+    proved at the first level that absorbs it, in the generators of that
+    level.
     A terminal target sequence is finitely generated outright; otherwise a
     persistent mismatch at stable gaps is reported as an obstruction with
     a membership witness.  The map keeps each state it returns, shared by
@@ -510,13 +511,9 @@ def _detect(g_r, g_s, ext, depth):
     s_max = min(depth, len(tau) - 1)
 
     # only sigma-level images are ever needed, and deeper images may not
-    # even be decidable within the target prefix; each is read in closed
-    # form when the map knows it, else from one expansion
-    initials = {}
-    for j in sigma:
-        initials[j] = ext.initial_image(g_r, j, g_s)
-        if initials[j] is None:
-            initials[j] = initial_form(ext.apply(g_r.keys[j]), g_s)
+    # even be decidable within the target prefix; the map gives each, in
+    # closed form where it knows one, else from one expansion
+    initials = {j: ext.initial_image(g_r, j, g_s) for j in sigma}
     q_initials = [key_initial(g_s, i) for i in range(g_s.top + 1)]
 
     chi_at = _Chi(g_r, g_s, sigma, tau, lambda si: _delta(g_r, si, initials))

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .towers import TowerElem, _int_if_whole, power, span_closure
-from .values import INFINITE, INSUFFICIENT_PRECISION, Value
+from .values import INSUFFICIENT_PRECISION, Value
 
 
 # Height-0 products of at least this many term pairs go through
@@ -475,17 +475,6 @@ def _powers(p, n):
         p.append(p[-1] * g)
 
 
-def order_mod_x(f):
-    """Least j with a nonzero (0, j) coefficient; INFINITE iff x divides f.
-
-    This is the order of f mod x in the discrete valuation ring R/xR.
-    """
-    if f.is_zero():
-        raise ValueError("order of zero")
-    js = [j for (i, j) in f.terms if i == 0]
-    return min(js) if js else INFINITE
-
-
 # ---------------------------------------------------------------------------
 # truncated series oracle
 # ---------------------------------------------------------------------------
@@ -738,53 +727,6 @@ def series_value(f, emb):
     if o is INSUFFICIENT_PRECISION:
         return INSUFFICIENT_PRECISION
     return Value(Fraction(o, emb._grid) * emb.t_value)
-
-
-# ---------------------------------------------------------------------------
-# monomial forms (local-degree route input)
-# ---------------------------------------------------------------------------
-
-class MonomialForm:
-    """Data of u = gamma x^a, v = x^b f with x not dividing f, f a non-unit."""
-
-    __slots__ = ("a", "b", "gamma", "f", "d")
-
-    def __init__(self, a, b, gamma, f, d):
-        self.a, self.b, self.gamma, self.f, self.d = a, b, gamma, f, d
-
-
-class NotMonomial:
-    """Expected outcome when images do not have the monomial shape."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason):
-        self.reason = reason
-
-    def __bool__(self):
-        return False
-
-
-def monomialize_check(u_img, v_img):
-    """Check u = gamma*x^a, v = x^b*f with x∤f and f non-unit; compute d.
-
-    Returns a :class:`MonomialForm` or :class:`NotMonomial` (the latter tells
-    the caller to blow up further, it is not a fault).
-    """
-    if u_img.is_zero() or v_img.is_zero():
-        return NotMonomial("zero image")
-    a = u_img.x_order()
-    gamma = u_img.shift(-a, 0)
-    if not gamma.is_unit():
-        return NotMonomial("u is not a unit times a power of x")
-    if a <= 0:
-        return NotMonomial("u has no x factor (a must be positive)")
-    b = v_img.x_order()
-    f = v_img.shift(-b, 0)
-    if f.is_unit():
-        return NotMonomial("f is a unit (v is monomial in x)")
-    d = order_mod_x(f)
-    return MonomialForm(a, b, gamma, f, d)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,12 @@ from valtool.blowup import (
 from valtool.extension import ExtensionMap, ramification_report
 from valtool.genseq import GenSeq, InsufficientGeneratingData, KeyStep, TailTerm, evaluate, expand, initial_form, monic_of_degree, sigma_indices, step_from_tail, validate_sequence
 from valtool.graded import fingen_detect
-from valtool.ring import LocalRingCtx, RingElem, SeriesEmbedding, TruncSeries, divmod_y, monomialize_check, parse_poly, substitute
+from valtool.ring import LocalRingCtx, RingElem, SeriesEmbedding, TruncSeries, divmod_y, parse_poly, substitute
 from valtool.scenario import parse_scenario
 from valtool.towers import QQ, BaseField, ResidueTower, TowerElem
 from valtool.values import INFINITE, Value
 
+from test_detect import _pairs
 from test_genseq import _SCENARIOS, _chain_cell, _shipped, _spy_next_key
 from test_graded import _chain, _form, _v1_declared
 from test_reports import _reparametrised
@@ -546,9 +547,9 @@ def test_the_transform_extension_forms_its_images_on_first_read(cell,
 @pytest.mark.parametrize("base", sorted(_BASES))
 def test_the_transform_extension_ramifies_without_its_images(base,
                                                               monkeypatch):
-    # chain-detect's ramify tasks: the local-degree route reads the chart's
-    # monomial form, so no image is formed; the route line is the one
-    # monomialize_check gives on the images
+    # chain-detect's ramify tasks: the transform's map gives its local
+    # degree without forming an image; the route line is the one a plain
+    # map over the same images gives
     g = _chain_cell(1, base, 1)
     tmap, target = free_transform(g)
     calls = []
@@ -563,9 +564,10 @@ def test_the_transform_extension_ramifies_without_its_images(base,
     report = ramification_report(g, target, ext, depth=6)
     assert calls == []
     monkeypatch.undo()
-    want = monomialize_check(ext.u_image, ext.v_image)
-    assert not want and not ext.monomial_form()
-    assert report.routes["local-degree"] == "not applicable: %s" % want.reason
+    want = ExtensionMap(g.ctx, ext.u_image, ext.v_image, 1).local_degree()
+    assert want.startswith("not applicable: ")
+    assert ext.local_degree() == want
+    assert report.routes["local-degree"] == want
     assert (report.e, report.f, report.delta) == (1, 1, 0)
 
 
@@ -830,12 +832,23 @@ def test_closed_form_needs_the_transforms_own_pair(monkeypatch):
     twin = _read_back(target.ctx, target.values, target.keys,
                       [step.power for step in target.steps],
                       residues=target.declared_residues)
+    # read through either, a key image is expanded: into the twin it is
+    # the expansion's initial form, and from another source apply refuses
+    # the key
     source = _chain_cell(3, "Q", 1)
-    for g_r, g_s in ((g, twin), (source, target)):
-        assert all(ext.initial_image(g_r, k, g_s) is None
-                   for k in range(g.top + 1))
-    assert ExtensionMap(g.ctx, ext.u_image, ext.v_image, 1).initial_image(
-        g, 0, target) is None
+    for k in range(g.top + 1):
+        try:
+            want = initial_form(ext.apply(g.keys[k]), twin)
+        except InsufficientGeneratingData:
+            with pytest.raises(InsufficientGeneratingData):
+                ext.initial_image(g, k, twin)
+        else:
+            assert _form(ext.initial_image(g, k, twin)) == _form(want), k
+        with pytest.raises(ValueError, match="source ring"):
+            ext.initial_image(source, k, target)
+    plain = ExtensionMap(g.ctx, ext.u_image, ext.v_image, 1)
+    assert _form(plain.initial_image(g, 0, target)) == _form(
+        initial_form(plain.apply(g.keys[0]), target))
     real, calls = genseq.expand, []
 
     def counting_expand(f, h):
@@ -849,6 +862,30 @@ def test_closed_form_needs_the_transforms_own_pair(monkeypatch):
     calls.clear()
     assert repr(fingen_detect(g, target, tmap.extension(), 6)) == repr(st)
     assert calls == []
+
+
+@pytest.mark.parametrize("case", ["pi2", "def2", "disc", "v1-over-Qi",
+                                  "chain-d3-Q-rank1"])
+def test_initial_image_is_the_initial_form_of_the_image(case):
+    # every map answers for every sigma key: what it gives, in closed form
+    # or not, is the initial form of the expanded image, for each pair the
+    # detector runs on; a chain's transform is read through a foreign
+    # target too, a twin of its own, where it expands the image
+    for title, *pair in _pairs(case):
+        if len(pair) == 1:
+            continue
+        g_r, g_s, ext = pair
+        targets = [g_s]
+        if case.startswith("chain-"):
+            targets.append(_read_back(g_s.ctx, g_s.values, g_s.keys,
+                                      [step.power for step in g_s.steps],
+                                      residues=g_s.declared_residues))
+        for target in targets:
+            for j in sigma_indices(g_r):
+                got = ext.initial_image(g_r, j, target)
+                want = initial_form(ext.apply(g_r.keys[j]), target)
+                assert _form(got) == _form(want), (title, j)
+                assert repr(got) == repr(ext.initial_image(g_r, j, g_s))
 
 
 # -- target steps from the source recursion ----------------------------------------

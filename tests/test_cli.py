@@ -742,6 +742,27 @@ def test_a_directive_with_an_extra_token_is_refused_at_its_line(
            n + 1))
 
 
+def test_a_map_into_a_smaller_residue_field_is_refused_at_its_header(
+        tmp_path):
+    # qi with the levels swapped: R has i in its residue field and S has
+    # not, so u -> x, v -> y has nowhere to send i.  The map once ran, read
+    # f = None and faulted in its ramify line (exit 1)
+    text = (SCN / "qi.scn").read_text()
+    swapped = text.replace("params u v\nlevels 0", "params u v\nlevels 1")
+    swapped = swapped.replace("params x y\nlevels 1", "params x y\nlevels 0")
+    assert swapped.count("levels 1") == swapped.count("levels 0") == 1
+    path = tmp_path / "qi.scn"
+    path.write_text(swapped)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run_cli("run", str(path))
+    header = 1 + text.splitlines().index("[extension ext]")
+    assert (code, out) == (2, "")
+    assert err.getvalue() == (
+        "parse error: line %d: extension 'ext': the target's residue field "
+        "does not contain the source's\n" % header)
+
+
 def test_main_builds_one_parser_per_process(monkeypatch, capsys):
     built = []
     real_init = argparse.ArgumentParser.__init__

@@ -145,11 +145,8 @@ def _generator_sets(case):
         if len(pair) == 1:
             continue
         g_r, g_s, ext = pair
-        images = {}
-        for j in sigma_indices(g_r):
-            images[j] = ext.initial_image(g_r, j, g_s)
-            if images[j] is None:
-                images[j] = initial_form(ext.apply(g_r.keys[j]), g_s)
+        images = {j: ext.initial_image(g_r, j, g_s)
+                  for j in sigma_indices(g_r)}
         gens = list(images.values()) + [key_initial(g_s, i)
                                         for i in range(len(g_s.keys))]
         out.append((g_r, g_s, ext, images, gens))

@@ -17,10 +17,11 @@ from valtool.extension import (
 from valtool.genseq import GenSeq
 from valtool.ring import LocalRingCtx, SeriesEmbedding, parse_poly
 from valtool.scenario import parse_scenario, run_scenario
-from valtool.towers import QQ, ResidueTower
+from valtool.towers import QQ, BaseField, ResidueTower
 from valtool.values import Value
 
 from test_detect import SCENARIOS
+from test_ring import NotMonomial, monomialize_check
 
 
 def test_ostrowski_examples():
@@ -64,6 +65,11 @@ def test_extension_map_guards():
     ext = ExtensionMap(ctx, parse_poly("x^2", tgt), parse_poly("y^2", tgt), 4)
     f = parse_poly("v - u", ctx)
     assert ext.apply(f) == parse_poly("y^2 - x^2", tgt)
+    # a residue field the target does not contain: Q(i) into Q(2^(1/3))
+    qi = LocalRingCtx(ResidueTower(QQ).extend("i", [1, 0]), ("u", "v"))
+    cubic = LocalRingCtx(ResidueTower(QQ).extend("c", [-2, 0, 0]))
+    with pytest.raises(ValueError, match="does not contain the source's"):
+        ExtensionMap(qi, cubic.x(), cubic.y() ** 2, None)
 
 
 def test_def2_report_both_routes():
@@ -238,6 +244,75 @@ def test_residue_rank_is_the_closed_residue_field():
     tower = tower.extend("s", [tower.scalar(-2), tower.zero()])
     for levels, rank in [(0, 1), (1, 2), (2, 4)]:
         assert ranks(LocalRingCtx(tower, ring_levels=levels)) == {rank}
+
+
+# -- the local degree, against the monomial-form reference ----------------------
+
+_REASONS = {"zero image", "u is not a unit times a power of x",
+            "u has no x factor (a must be positive)",
+            "f is a unit (v is monomial in x)"}
+
+
+def _past_the_checks(src, u, v):
+    """A map from ``src`` with images u and v that skips the constructor's
+    checks: a unit u, which the constructor refuses, is the one way to the
+    reason "u has no x factor"."""
+    ext = object.__new__(ExtensionMap)
+    ext.source_ctx, ext.u_image, ext.v_image = src, u, v
+    return ext
+
+
+def test_local_degree_is_a_d_times_the_residue_degree():
+    # a*d of the monomial form, times [k_S : k_R] (2 on the qi rings), or
+    # the form's reason word for word, on random images over Q, GF(2),
+    # GF(3) and Q(i); every reason and a number are met
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pairs = [(LocalRingCtx(ResidueTower(base), ("u", "v")),
+              LocalRingCtx(ResidueTower(base), ("x", "y")), 1)
+             for base in (QQ, BaseField(2), BaseField(3))]
+    qi = parse_scenario(valtool.scenario_path("qi").read_text())
+    pairs.append((qi.rings["R"], qi.rings["S"], 2))
+    seen = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data())
+    def check(data):
+        src, tgt, res_degree = data.draw(st.sampled_from(pairs))
+        tower = tgt.tower
+        i = tower.gen(0) if tgt.ring_levels else tower.zero()
+        term = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                         st.integers(-2, 2), st.integers(-1, 1))
+
+        def image():
+            f = tgt.zero()
+            for xe, ye, a, b in data.draw(st.lists(term, max_size=3)):
+                c = tower.scalar(a) + tower.scalar(b) * i
+                if not c.is_zero():
+                    f = f + tgt.monomial(xe, ye, c)
+            return f
+
+        u, v = image(), image()
+        if data.draw(st.booleans()):  # the monomial shape, most of the time
+            u = tgt.monomial(data.draw(st.integers(1, 2)), 0) * (tgt.one() + u)
+            v = tgt.monomial(data.draw(st.integers(0, 2)), 0) * v
+        if u.is_unit() or v.is_unit():
+            with pytest.raises(ValueError, match="non-units"):
+                ExtensionMap(src, u, v, None)
+            ext = _past_the_checks(src, u, v)
+        else:
+            ext = ExtensionMap(src, u, v, None)
+        form = monomialize_check(u, v)
+        got = ext.local_degree()
+        if isinstance(form, NotMonomial):
+            assert got == "not applicable: %s" % form.reason
+            seen.add(form.reason)
+        else:
+            assert got == form.a * form.d * res_degree
+            seen.add(res_degree)
+
+    check()
+    assert seen == _REASONS | {1, 2}
 
 
 # -- splitting_report's random samples, drawn only as far as they are read ----

@@ -1,5 +1,6 @@
 import io
 import random
+from collections import namedtuple
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -15,16 +16,12 @@ from valtool.scenario import parse_scenario
 from valtool.ring import (
     INSUFFICIENT_PRECISION,
     LocalRingCtx,
-    MonomialForm,
-    NotMonomial,
     NotRegularAfterSubstitution,
     PolyParseError,
     RingElem,
     SeriesEmbedding,
     TruncSeries,
     divmod_y,
-    monomialize_check,
-    order_mod_x,
     parse_poly,
     series_value,
     substitute,
@@ -336,6 +333,48 @@ def test_series_valuation_axioms_randomized(ctx, v1_oracle):
     assert checked > 20
 
 
+# -- monomial forms: the reference for ExtensionMap.local_degree ------------------
+#
+# u = gamma*x^a, v = x^b*f as a record, with d the order of f mod x;
+# tests/test_extension.py checks local_degree against a*d*[k_S : k_R].
+
+MonomialForm = namedtuple("MonomialForm", "a b gamma f d")
+NotMonomial = namedtuple("NotMonomial", "reason")
+NotMonomial.__bool__ = lambda self: False
+
+
+def order_mod_x(f):
+    """Least j with a nonzero (0, j) coefficient; INFINITE iff x divides f.
+
+    This is the order of f mod x in the discrete valuation ring R/xR.
+    """
+    if f.is_zero():
+        raise ValueError("order of zero")
+    js = [j for (i, j) in f.terms if i == 0]
+    return min(js) if js else INFINITE
+
+
+def monomialize_check(u_img, v_img):
+    """Check u = gamma*x^a, v = x^b*f with x∤f and f non-unit; compute d.
+
+    Returns a :class:`MonomialForm` or :class:`NotMonomial`.
+    """
+    if u_img.is_zero() or v_img.is_zero():
+        return NotMonomial("zero image")
+    a = u_img.x_order()
+    gamma = u_img.shift(-a, 0)
+    if not gamma.is_unit():
+        return NotMonomial("u is not a unit times a power of x")
+    if a <= 0:
+        return NotMonomial("u has no x factor (a must be positive)")
+    b = v_img.x_order()
+    f = v_img.shift(-b, 0)
+    if f.is_unit():
+        return NotMonomial("f is a unit (v is monomial in x)")
+    d = order_mod_x(f)
+    return MonomialForm(a, b, gamma, f, d)
+
+
 def test_order_mod_x(ctx):
     assert order_mod_x(parse_poly("y^2", ctx)) == 2
     assert order_mod_x(parse_poly("x*y", ctx)) is INFINITE
@@ -464,12 +503,21 @@ def test_monomialize_check(ctx):
     assert isinstance(mf, MonomialForm)
     assert (mf.a, mf.b, mf.d) == (1, 0, 2)
     assert mf.f == parse_poly("y^2", f2ctx)
+    # the map reads a*d*[S/m : R/m] off the same images itself
+    f2src = LocalRingCtx(f2ctx.tower, ("u", "v"))
+    assert ExtensionMap(f2src, u, v, None).local_degree() == 1 * 2 * 1
 
-    res = monomialize_check(parse_poly("x^2", ctx), parse_poly("x^3 + x^3*y", ctx))
+    src = LocalRingCtx(ctx.tower, ("u", "v"))
+    images = parse_poly("x^2", ctx), parse_poly("x^3 + x^3*y", ctx)
+    res = monomialize_check(*images)
     assert isinstance(res, NotMonomial)
+    assert ExtensionMap(src, *images, None).local_degree() == (
+        "not applicable: %s" % res.reason)
 
-    mf2 = monomialize_check(parse_poly("x^2", ctx), parse_poly("x*y^3", ctx))
+    images = parse_poly("x^2", ctx), parse_poly("x*y^3", ctx)
+    mf2 = monomialize_check(*images)
     assert (mf2.a, mf2.b, mf2.d) == (2, 1, 3)
+    assert ExtensionMap(src, *images, None).local_degree() == 2 * 3 * 1
 
 
 def test_order_mod_x_multiplicative(ctx):
@@ -602,11 +650,11 @@ def test_coefficients_beyond_the_residue_field_are_refused():
     for make in (lambda: small.const(i), lambda: small.monomial(1, 0, i)):
         with pytest.raises(ValueError, match="beyond the ring's residue field"):
             make()
+    # a map from a ring with i into small has nowhere to send i, so it is
+    # refused whole, before any element is applied
     big = LocalRingCtx(tower, ("x", "y"), ring_levels=1)
-    ext = ExtensionMap(big, small.x(), small.y() ** 2, 2)
-    assert ext.apply(big.x() + big.y()) == small.x() + small.y() ** 2
-    with pytest.raises(ValueError, match="beyond the ring's residue field"):
-        ext.apply(big.x() + big.monomial(0, 1, i))
+    with pytest.raises(ValueError, match="residue field does not contain"):
+        ExtensionMap(big, small.x(), small.y() ** 2, 2)
 
 
 def test_evaluate_refuses_elements_of_another_ring(ctx, v1_oracle):
